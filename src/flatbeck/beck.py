@@ -5,12 +5,11 @@ a given flat.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactlin import Vector, vec
-from .flats import AffineFlat, affinely_independent
+from .flats import AffineFlat, spanned_flats
 
 DEFAULT_POINT_BUDGET = 60
 
@@ -44,14 +43,7 @@ def enumerate_spanned_flats(x: PointConfig, k: int) -> set[AffineFlat]:
     n = x.ambient_dim
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    out: dict = {}
-    for combo in itertools.combinations(range(len(x.points)), k + 1):
-        pts = [x.points[i] for i in combo]
-        if not affinely_independent(pts):
-            continue
-        f = AffineFlat.from_points(pts)
-        out[f.canon] = f
-    return set(out.values())
+    return set(spanned_flats(x.points, [k]))
 
 
 def concentrated_span_count(x: PointConfig, f: AffineFlat) -> int:
@@ -89,8 +81,8 @@ def dichotomy_report(
     budget: int = DEFAULT_POINT_BUDGET,
 ) -> DichotomyReport:
     """Either exhibit flats with dimension sum <= n-1 covering at least a
-    (1 - epsilon) fraction of the points, or report the spanned hyperplane
-    count and its ratio to N^n.
+    (1 - epsilon) fraction of the points, or report that none exists.  Both
+    outcomes carry the spanned hyperplane count and its ratio to N^n.
 
     Candidate flats are spanned by point subsets and have dimension >= 1
     (zero-dimensional flats would cover any finite set for free and void the
@@ -103,22 +95,18 @@ def dichotomy_report(
             False, None, None, None, None, complete=False,
             note=f"point count {big_n} exceeds budget {budget}",
         )
+    if n < 2:
+        raise ValueError("spanned hyperplanes need ambient dimension >= 2")
     need = big_n - int(epsilon * big_n)
     # candidate flats of each dimension 1..n-1 with their cover masks
     by_dim: dict[int, list[tuple[int, AffineFlat]]] = {d: [] for d in range(1, n)}
-    for d in range(1, n):
-        seen = set()
-        for combo in itertools.combinations(range(big_n), d + 1):
-            pts = [x.points[i] for i in combo]
-            if not affinely_independent(pts):
-                continue
-            f = AffineFlat.from_points(pts)
-            if f.canon in seen:
-                continue
-            seen.add(f.canon)
-            by_dim[d].append((_cover_mask(x.points, f), f))
+    for f in spanned_flats(x.points, range(1, n)):
+        by_dim[f.dim].append((_cover_mask(x.points, f), f))
+    for cands in by_dim.values():
         # dominated masks are useless for covering
-        by_dim[d].sort(key=lambda t: -bin(t[0]).count("1"))
+        cands.sort(key=lambda t: -bin(t[0]).count("1"))
+    count = len(by_dim[n - 1])
+    ratio = count / float(big_n) ** n
 
     best: Optional[tuple[int, list[AffineFlat]]] = None
 
@@ -131,22 +119,14 @@ def dichotomy_report(
             return True
         if dim_budget == 0:
             return False
-        found = False
         for d in range(min(start_dim, dim_budget), 0, -1):
             for cov, f in by_dim[d]:
                 if cov & ~mask == 0:
                     continue  # adds nothing
                 if search(dim_budget - d, mask | cov, chosen + [f], d):
-                    found = True
                     return True  # first hit is enough: report it
-        return found
+        return False
 
-    hit = search(n - 1, 0, [], n - 1)
-    if hit and best is not None:
-        return DichotomyReport(
-            True, best[1], best[0], None, None, complete=True
-        )
-    count = len(enumerate_spanned_flats(x, n - 1))
-    return DichotomyReport(
-        False, None, None, count, count / float(big_n) ** n, complete=True
-    )
+    if search(n - 1, 0, [], n - 1) and best is not None:
+        return DichotomyReport(True, best[1], best[0], count, ratio, complete=True)
+    return DichotomyReport(False, None, None, count, ratio, complete=True)

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .beck import EnumerationBudgetExceeded, PointConfig, dichotomy_report, enumerate_spanned_flats
+from .beck import EnumerationBudgetExceeded, PointConfig, dichotomy_report
 from .decompose import NotDiscretelyNC, decompose, verify_decomposition
 from .exactlin import frac
 from .flats import AffineFlat
@@ -50,7 +50,6 @@ from .thin import (
     prune_against_measure,
     prune_planes,
     pushforward_frostman,
-    thin_implies_nc,
     tubes_to_planes,
     verify_thin_planes,
     verify_thin_tubes,
@@ -227,10 +226,6 @@ def parse_scene(path: str) -> Scene:
     return Scene(raw, path)
 
 
-def _fr(x) -> str:
-    return str(x)
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
@@ -376,16 +371,13 @@ def cmd_beck(scene: Scene, args, rep: Reporter) -> None:
     if missing:
         raise SceneError(f"dangling point reference(s): {missing}")
     pts = [scene.points[x] for x in names]
-    config = PointConfig(pts)
-    n = scene.ambient_dim
-    count = len(enumerate_spanned_flats(config, n - 1))
-    rep.info("hyperplane_count", count)
-    rep.info("point_count", len(pts))
-    rep.info("ratio_to_n_power", count / float(len(pts)) ** n)
     eps = scene.param_float("epsilon", 0.1)
-    report = dichotomy_report(config, eps, budget=args.budget)
+    report = dichotomy_report(PointConfig(pts), eps, budget=args.budget)
     if not report.complete:
         raise EnumerationBudgetExceeded(report.note)
+    rep.info("hyperplane_count", report.hyperplane_count)
+    rep.info("point_count", len(pts))
+    rep.info("ratio_to_n_power", report.ratio)
     rep.info("concentrated", report.concentrated)
     if report.concentrated:
         rep.info("family_dims", [f.dim for f in report.family])
@@ -427,7 +419,7 @@ def cmd_thin_verify(scene: Scene, args, rep: Reporter) -> None:
         },
     )
     if not args.tubes and g.arity == g.ambient_dim:
-        ok, coll, _ = thin_implies_nc(g, scales)
+        coll = FlatCollection([m.support_flat() for m in g.measures])
         rep.verdict("support-flats-nc", coll.is_nc())
 
 

@@ -10,18 +10,12 @@ cost plateau the count must drop strictly, which is what forces termination.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .exactlin import frac
-from .flats import (
-    AffineFlat,
-    affinely_independent,
-    dist2_point_flat,
-    join,
-)
+from .flats import AffineFlat, dist2_point_flat, join, spanned_flats
 from .flatcollect import FlatCollection, Partition
 from .measures import DiscreteMeasure, irreducibility_modulus, mass_near_flat
 
@@ -66,19 +60,9 @@ def minimal_concentration_flat(
         raise ValueError("theta must lie in (0, 1]")
     threshold = theta * mu.total_mass
     n = mu.ambient_dim
-    pts = mu.points()
-    for d in range(min_dim, n):
-        seen = set()
-        for combo in itertools.combinations(range(len(pts)), d + 1):
-            sel = [pts[i] for i in combo]
-            if not affinely_independent(sel):
-                continue
-            f = AffineFlat.from_points(sel)
-            if f.canon in seen:
-                continue
-            seen.add(f.canon)
-            if mass_near_flat(mu, f, w) >= threshold:
-                return f
+    for f in spanned_flats(mu.points(), range(min_dim, n)):
+        if mass_near_flat(mu, f, w) >= threshold:
+            return f
     return AffineFlat.full_space(n)
 
 

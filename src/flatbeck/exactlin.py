@@ -4,7 +4,9 @@ Vectors are tuples of ``Fraction``; matrices are immutable row-major grids.
 Ranks and determinants run fraction-free (Bareiss) on integerized copies so
 intermediate entries stay bounded at the matrix sizes used here (sides up to
 a dozen or so).  ``max_minor`` enumerates all r x r submatrices, which is
-affordable for the same reason.
+affordable for the same reason.  ``orthogonalize`` is the one Gram-Schmidt:
+unnormalized orthogonal bases for point-to-flat distances and for the basis
+columns of stability frames.
 """
 
 from __future__ import annotations
@@ -58,6 +60,21 @@ def zero_vec(n: int) -> Vector:
 
 def unit_vec(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
+
+
+def orthogonalize(cols: Sequence[Sequence]) -> tuple[list[Vector], list[Fraction]]:
+    """Gram-Schmidt without normalization; returns vectors and squared norms."""
+    basis: list[Vector] = []
+    norms: list[Fraction] = []
+    for c in cols:
+        v = vec(c)
+        for o, s in zip(basis, norms):
+            v = vsub(v, vscale(dot(v, o) / s, o))
+        if all(x == 0 for x in v):
+            raise ValueError("dependent columns in basis input")
+        basis.append(v)
+        norms.append(norm2(v))
+    return basis, norms
 
 
 class Matrix:

@@ -19,7 +19,7 @@ Partition = tuple[tuple[int, ...], ...]
 DEFAULT_PARTITION_CAP = 12
 
 
-class PartitionSpaceTooLarge(ValueError):
+class PartitionSpaceTooLarge(RuntimeError):
     pass
 
 
@@ -114,14 +114,19 @@ class FlatCollection:
         norm = normalize_partition(p, len(self.flats))
         return sum(self.subset_join_dim(b) for b in norm)
 
-    def _compute(self) -> None:
-        if self._cost is not None:
-            return
+    def check_cap(self) -> None:
+        """Refuse, before any walk, a partition space over the cap."""
         m = len(self.flats)
         if m > self.cap:
             raise PartitionSpaceTooLarge(
                 f"{m} flats means Bell({m}) = {bell_number(m)} partitions; cap is {self.cap}"
             )
+
+    def _compute(self) -> None:
+        if self._cost is not None:
+            return
+        self.check_cap()
+        m = len(self.flats)
         best: Optional[int] = None
         minimizers: list[Partition] = []
         for p in iter_partitions(m):

@@ -1,5 +1,6 @@
-"""Affine flats of Q^n: linearization, join, meet, exact distances and the
-squared-sine angle surrogate.
+"""Affine flats of Q^n: linearization, join, meet, exact distances, the
+squared-sine angle surrogate and the enumerator of flats spanned by point
+subsets.
 
 A flat is stored as basepoint + direction basis, but identity (equality,
 hashing, dedup) goes through the canonical reduced row-echelon basis of its
@@ -9,10 +10,9 @@ compare squared quantities so everything stays inside Q.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactlin import (
     Matrix,
@@ -21,6 +21,7 @@ from .exactlin import (
     frac,
     gram_det,
     norm2,
+    orthogonalize,
     rank,
     row_space_basis,
     solve,
@@ -36,7 +37,7 @@ from .exactlin import (
 class AffineFlat:
     """Affine subspace of Q^n with a canonical form for identity."""
 
-    __slots__ = ("ambient_dim", "basepoint", "directions", "canon")
+    __slots__ = ("ambient_dim", "basepoint", "directions", "canon", "_ortho")
 
     def __init__(self, basepoint: Sequence, directions: Iterable[Sequence] = ()):
         bp = vec(basepoint)
@@ -51,6 +52,7 @@ class AffineFlat:
         object.__setattr__(self, "directions", dirs)
         lifted = [d + (Fraction(0),) for d in dirs] + [bp + (Fraction(1),)]
         object.__setattr__(self, "canon", row_space_basis(Matrix(lifted)))
+        object.__setattr__(self, "_ortho", None)  # filled by dist2_point_flat
 
     def __setattr__(self, *a):
         raise AttributeError("AffineFlat is immutable")
@@ -179,26 +181,13 @@ def meet(f: AffineFlat, g: AffineFlat) -> Optional[AffineFlat]:
     return flat_from_linear_span(inter_rows, f.ambient_dim)
 
 
-@functools.lru_cache(maxsize=4096)
-def _ortho_basis(f: AffineFlat) -> tuple[tuple[Vector, ...], tuple[Fraction, ...]]:
-    """Orthogonal (unnormalized) basis of dir(F) with squared norms."""
-    basis: list[Vector] = []
-    sq: list[Fraction] = []
-    for d in f.directions:
-        v = d
-        for o, s in zip(basis, sq):
-            v = vsub(v, vscale(dot(v, o) / s, o))
-        if any(x != 0 for x in v):
-            basis.append(v)
-            sq.append(norm2(v))
-    return tuple(basis), tuple(sq)
-
-
 def dist2_point_flat(p: Sequence, f: AffineFlat) -> Fraction:
     """Squared Euclidean distance from a point to a flat, exact."""
+    if f._ortho is None:
+        object.__setattr__(f, "_ortho", orthogonalize(f.directions))
+    basis, sq = f._ortho
     r = vsub(vec(p), f.basepoint)
     total = norm2(r)
-    basis, sq = _ortho_basis(f)
     for o, s in zip(basis, sq):
         c = dot(r, o)
         total -= c * c / s
@@ -250,11 +239,6 @@ def wedge_angle_sin2(b: Matrix, a: Matrix) -> Fraction:
     return gram_det(concat) / (gb * ga)
 
 
-def flats_canonical_key(f: AffineFlat):
-    """Sort key for deterministic orderings of flats."""
-    return (f.dim, f.canon)
-
-
 class FlatChart:
     """Exact affine chart identifying a flat with Q^dim."""
 
@@ -289,34 +273,6 @@ class FlatChart:
         return AffineFlat(base, dirs)
 
 
-def generic_point_off_flats(
-    n: int, avoid: Sequence[AffineFlat], rng, box: int = 8
-) -> Vector:
-    """Seeded rational point avoiding every flat in the list exactly."""
-    for _ in range(1000):
-        p = tuple(Fraction(rng.randint(-box * 16, box * 16), 16) for _ in range(n))
-        if all(dist2_point_flat(p, f) > 0 for f in avoid):
-            return p
-    raise RuntimeError("rejection sampling failed to leave the given flats")
-
-
-def perturbations_of(p: Vector, radius: Fraction, rng, count: int) -> list[Vector]:
-    """Rational points within the given radius of p (exact check)."""
-    n = len(p)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 1000 * count:
-        attempts += 1
-        q = tuple(
-            x + Fraction(rng.randint(-64, 64), 1) * radius / 128 for x in p
-        )
-        if norm2(vsub(q, p)) <= radius * radius:
-            out.append(q)
-    if len(out) < count:
-        raise RuntimeError("failed to sample perturbations")
-    return out
-
-
 def affinely_independent(points: Sequence[Vector]) -> bool:
     """True iff the points span a flat of dimension len(points) - 1."""
     pts = [vec(p) for p in points]
@@ -332,26 +288,21 @@ def lifted_tuple_matrix(points: Sequence[Sequence]) -> Matrix:
     return Matrix.from_cols([p + (Fraction(1),) for p in pts], rows=len(pts[0]) + 1)
 
 
-def spanned_flat(points: Sequence[Sequence]) -> AffineFlat:
-    return AffineFlat.from_points(points)
+def spanned_flats(points: Sequence[Vector], dims: Iterable[int]) -> Iterator[AffineFlat]:
+    """Distinct flats spanned by point subsets, dimension by dimension in the
+    order of dims and, within a dimension, in combination order.
 
-
-def enumerate_subflat_candidates(
-    points: Sequence[Vector], max_dim: int
-) -> Iterable[AffineFlat]:
-    """All distinct flats of dimension <= max_dim spanned by point subsets.
-
-    Subsets of size d+1 that are affinely independent span exactly d
-    dimensions; dependent subsets are skipped because their span already
-    arises from a smaller independent subset.
+    A flat of dimension d comes from an affinely independent subset of d + 1
+    points; dependent subsets are skipped because their span already arises
+    from a smaller independent subset.  Each flat is yielded once, as built
+    from the first subset that spans it.
     """
     seen = set()
-    for size in range(1, max_dim + 2):
-        for combo in itertools.combinations(range(len(points)), size):
-            pts = [points[i] for i in combo]
-            if not affinely_independent(pts):
+    for d in dims:
+        for combo in itertools.combinations(points, d + 1):
+            if not affinely_independent(combo):
                 continue
-            f = AffineFlat.from_points(pts)
+            f = AffineFlat.from_points(combo)
             if f.canon not in seen:
                 seen.add(f.canon)
                 yield f

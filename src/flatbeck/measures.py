@@ -14,13 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exactlin import Vector, frac, gram_det, norm2, vec, vsub
-from .flats import (
-    AffineFlat,
-    FlatChart,
-    dist2_point_flat,
-    enumerate_subflat_candidates,
-    lifted_tuple_matrix,
-)
+from .flats import AffineFlat, dist2_point_flat, lifted_tuple_matrix, spanned_flats
 
 Atom = tuple[Vector, Fraction]
 
@@ -208,37 +202,10 @@ def frostman_fit(mu: DiscreteMeasure, scales: Sequence) -> FrostmanFit:
     return FrostmanFit(constant=math.exp(intercept), exponent=slope, table=table)
 
 
-def random_hyperplane_of(v: AffineFlat, rng) -> AffineFlat:
-    """Seeded random hyperplane of the flat v (dim v - 1 subflat)."""
-    if v.dim == 0:
-        raise ValueError("a point has no hyperplanes")
-    chart = FlatChart(v)
-    while True:
-        normal = [Fraction(rng.randint(-8, 8)) for _ in range(v.dim)]
-        if any(x != 0 for x in normal):
-            break
-    offset = Fraction(rng.randint(-8, 8), 8)
-    # solution flat of normal . y = offset inside the chart
-    i = next(i for i, x in enumerate(normal) if x != 0)
-    base = [Fraction(0)] * v.dim
-    base[i] = offset / normal[i]
-    dirs = []
-    for j in range(v.dim):
-        if j == i:
-            continue
-        d = [Fraction(0)] * v.dim
-        d[j] = Fraction(1)
-        d[i] = -normal[j] / normal[i]
-        dirs.append(d)
-    return chart.flat_to_ambient(AffineFlat(base, dirs))
-
-
 def irreducibility_modulus(
     mu: DiscreteMeasure,
     v: AffineFlat,
     w,
-    rng=None,
-    sampled_hyperplanes: int = 0,
     support_tolerance=None,
 ) -> Fraction:
     """tau* = max over candidate proper subflats H of v of mu(H(w)) divided
@@ -247,8 +214,7 @@ def irreducibility_modulus(
 
     Candidates are the flats spanned by atom subsets of size <= dim v (exact
     for w = 0: the heaviest proper subflat can be replaced by the span of the
-    atoms it captures) plus an optional seeded sample of hyperplanes of v
-    (a heuristic upper-risk supplement for w > 0).
+    atoms it captures).
     """
     if v.dim == 0:
         raise ValueError("no proper subflats of a point")
@@ -258,19 +224,12 @@ def irreducibility_modulus(
         if dist2_point_flat(p, v) > tol * tol:
             raise ValueError("support leaves the tolerance neighborhood of v")
     best = Fraction(0)
-    pts = mu.points()
-    for h in enumerate_subflat_candidates(pts, v.dim - 1):
+    for h in spanned_flats(mu.points(), range(v.dim)):
         if not v.contains_flat(h):
             continue
         m = mass_near_flat(mu, h, w)
         if m > best:
             best = m
-    if sampled_hyperplanes and rng is not None:
-        for _ in range(sampled_hyperplanes):
-            h = random_hyperplane_of(v, rng)
-            m = mass_near_flat(mu, h, w)
-            if m > best:
-                best = m
     return best / mu.total_mass
 
 

@@ -41,7 +41,7 @@ from .flats import (
     linearize,
     meet,
 )
-from .flatcollect import FlatCollection
+from .flatcollect import FlatCollection, iter_partitions
 from .measures import DiscreteMeasure
 
 
@@ -108,16 +108,6 @@ def pushforward(mu: DiscreteMeasure, point_map: Callable[[Vector], Sequence]) ->
             order.append(img)
         merged[img] += w
     return DiscreteMeasure([(p, merged[p]) for p in order], mu.resolution)
-
-
-def sphere_direction(x: Sequence, y: Sequence) -> tuple[float, ...]:
-    """Float unit vector from x toward y (the sphere-target radial map;
-    unit vectors leave Q so this is a convenience only)."""
-    d = [float(b) - float(a) for a, b in zip(x, y)]
-    n = math.sqrt(sum(t * t for t in d))
-    if n == 0:
-        raise ValueError("coincident points")
-    return tuple(t / n for t in d)
 
 
 @dataclass(frozen=True)
@@ -190,26 +180,6 @@ def lift_hyperplane(cf: ChartFrame, hc: HyperplaneCoords) -> AffineFlat:
     for d in flat_in_chart.directions:
         ambient.append(cf.to_ambient(vadd(flat_in_chart.basepoint, d)))
     return AffineFlat(ambient[0], [vsub(p, ambient[0]) for p in ambient[1:]])
-
-
-def screen_hyperplane_flat(cf: ChartFrame, hc: HyperplaneCoords) -> AffineFlat:
-    """The hyperplane W(a, b) of the screen U, as an ambient flat."""
-    if len(hc.a) != cf.p:
-        raise ValueError("normal length differs from screen dimension")
-    if cf.p == 1:
-        coords = [hc.b / hc.a[0]]
-        return AffineFlat.point(cf.to_ambient(tuple(coords) + (Fraction(0),) * (cf.host.dim - 1)))
-    m = Matrix([list(hc.a)])
-    dirs_u = nullspace(m)
-    i = next(i for i, x in enumerate(hc.a) if x != 0)
-    base_u = [Fraction(0)] * cf.p
-    base_u[i] = hc.b / hc.a[i]
-    pad = (Fraction(0),) * (cf.host.dim - cf.p)
-    base = cf.to_ambient(tuple(base_u) + pad)
-    amb_dirs = [
-        vsub(cf.to_ambient(tuple(vadd(tuple(base_u), d)) + pad), base) for d in dirs_u
-    ]
-    return AffineFlat(base, amb_dirs)
 
 
 def _linear_intersection(rows_a: Sequence[Vector], rows_b: Sequence[Vector]) -> list[Vector]:
@@ -444,8 +414,7 @@ def exceptional_center_certificate(
     center lies on it)."""
     n = coll.ambient_dim
     assert n is not None
-    from .flatcollect import iter_partitions
-
+    coll.check_cap()
     for part in iter_partitions(len(coll.flats)):
         total = 0
         members = []

@@ -24,10 +24,9 @@ from .exactlin import (
     Matrix,
     Vector,
     det,
-    dot,
     norm2,
+    orthogonalize,
     rank,
-    vec,
     vscale,
     vsub,
 )
@@ -59,21 +58,6 @@ class IndexPair:
 
     def sorted_flats(self) -> list[int]:
         return sorted(self.flats_index)
-
-
-def orthogonalize(cols: Sequence[Vector]) -> tuple[list[Vector], list[Fraction]]:
-    """Gram-Schmidt without normalization; returns vectors and squared norms."""
-    basis: list[Vector] = []
-    norms: list[Fraction] = []
-    for c in cols:
-        v = vec(c)
-        for o, s in zip(basis, norms):
-            v = vsub(v, vscale(dot(v, o) / s, o))
-        if all(x == 0 for x in v):
-            raise ValueError("dependent columns in basis input")
-        basis.append(v)
-        norms.append(norm2(v))
-    return basis, norms
 
 
 class StableFrame:
@@ -275,10 +259,6 @@ def minor_floors(m: Matrix, r: int, exact: bool = False) -> tuple[Fraction, Frac
     return best_over_rows(pivots[:r])
 
 
-def normalized_minor_floor(m: Matrix, r: int, exact: bool = False) -> Fraction:
-    return minor_floors(m, r, exact)[0]
-
-
 @dataclass
 class CertificationResult:
     ok: bool
@@ -286,7 +266,6 @@ class CertificationResult:
     ranks: dict[IndexPair, int]
     raw_floor: Optional[Fraction] = None  # unnormalized squared minor floor
     witness: Optional[str] = None
-    sampled: bool = False
 
     def __bool__(self) -> bool:
         return self.ok
@@ -386,7 +365,7 @@ def stabilize(
     normalized-minor floor achieved by the chosen tuple."""
     slots = frame.atom_slots()
     pairs = _index_pairs(frame)
-    picks, sampled = iter_picks(frame, slots, budget=budget)
+    picks, _ = iter_picks(frame, slots, budget=budget)
     best_pick: Optional[Pick] = None
     best_score = -1
     for p in picks:
@@ -412,7 +391,7 @@ def stabilize(
         sub = {s: best_pick[s] for s in idx.atoms_index}
         m = build_matrix(frame, sub, idx)
         r = rank(m)
-        val = normalized_minor_floor(m, r, exact=True)
+        val, _ = minor_floors(m, r, exact=True)
         if floor is None or val < floor:
             floor = val
     assert floor is not None and floor > 0

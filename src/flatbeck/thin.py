@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactlin import Matrix, Vector, frac, nullspace, rank, vec, vsub
+from .exactlin import Matrix, Vector, frac, nullspace, vsub
 from .flats import (
     AffineFlat,
     affinely_independent,
@@ -652,21 +652,8 @@ def product_graph(gs: Sequence[ThinGraph], frame, scales: Sequence) -> tuple[Thi
 
 def hyperplane_chart_point(points: Sequence[Vector]) -> tuple[tuple[float, ...], float]:
     """Sign-canonicalized float chart point (unit normal, offset) for the
-    hyperplane spanned by the points."""
-    if len(points) == 2:  # lines in the plane: direct perpendicular
-        (x0, y0), (x1, y1) = (
-            (float(points[0][0]), float(points[0][1])),
-            (float(points[1][0]), float(points[1][1])),
-        )
-        ax, ay = -(y1 - y0), x1 - x0
-        norm = math.hypot(ax, ay)
-        if norm == 0:
-            raise TupleInDegenerateSet("coincident points")
-        ax, ay = ax / norm, ay / norm
-        first = ax if abs(ax) > 1e-12 else ay
-        if first < 0:
-            ax, ay = -ax, -ay
-        return (ax, ay), ax * x0 + ay * y0
+    hyperplane spanned by the points; pushforward_frostman charts lines in
+    the plane (n = 2) on its own float path."""
     base = points[0]
     dirs = Matrix([list(vsub(p, base)) for p in points[1:]])
     normals = nullspace(dirs)

@@ -75,10 +75,12 @@ class TestDichotomy:
             for i in range(4)
             for j in range(3)
         ]
-        rep = dichotomy_report(PointConfig(pts), epsilon=0.1)
+        x = PointConfig(pts)
+        rep = dichotomy_report(x, epsilon=0.1)
         assert rep.concentrated
         assert sum(f.dim for f in rep.family) <= 2
         assert rep.covered == len(pts)
+        assert rep.hyperplane_count == len(enumerate_spanned_flats(x, 2))
 
     def test_generic_points_count_hyperplanes(self):
         rng = random.Random(41)
@@ -91,10 +93,12 @@ class TestDichotomy:
     def test_two_skew_lines_concentrate(self):
         l1 = [(Fraction(i, 8), Fraction(0), Fraction(0)) for i in range(8)]
         l2 = [(Fraction(0), Fraction(1), Fraction(i, 8)) for i in range(8)]
-        rep = dichotomy_report(PointConfig(l1 + l2), epsilon=0.1)
+        x = PointConfig(l1 + l2)
+        rep = dichotomy_report(x, epsilon=0.1)
         assert rep.concentrated
         assert sum(f.dim for f in rep.family) <= 2
         assert rep.covered == 16
+        assert rep.hyperplane_count == len(enumerate_spanned_flats(x, 2))
 
     def test_budget_flagged(self):
         pts = [(Fraction(i), Fraction(i * i), Fraction(1)) for i in range(12)]

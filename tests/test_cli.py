@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,10 @@ from flatbeck.cli import (
     main,
     parse_scene,
 )
+from flatbeck.flats import AffineFlat
 from flatbeck.genscenes import generic_points
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def write_scene(tmp_path, body, name="scene.json"):
@@ -81,6 +85,19 @@ class TestExitCodes:
         path = beck_scene(tmp_path, count=12)
         assert main(["beck", "--scene", path, "--budget", "5", "--out", str(tmp_path / "o")]) == EXIT_BUDGET
 
+    def test_partition_cap_exceeded(self, tmp_path):
+        # thirteen lines: Bell(13) partitions, over the default cap of 12
+        body = {
+            "ambient_dim": 3,
+            "flats": {
+                f"l{i:02d}": {"basepoint": [str(i), "0", "0"], "directions": [["0", "1", str(i + 1)]]}
+                for i in range(13)
+            },
+        }
+        path = write_scene(tmp_path, body)
+        argv = ["project", "--scene", path, "--check", "nc", "--centers", "2", "--seed", "13"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_BUDGET
+
 
 class TestBeckCommand:
     def test_generic_points_counted(self, tmp_path):
@@ -90,6 +107,35 @@ class TestBeckCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["hyperplane_count"] == math.comb(20, 3) == 1140
         assert report["concentrated"] is False
+
+
+def count_from_points(monkeypatch) -> list:
+    """Record every AffineFlat.from_points call."""
+    calls = []
+    build = AffineFlat.from_points.__func__
+
+    def counting(cls, points):
+        calls.append(1)
+        return build(cls, points)
+
+    monkeypatch.setattr(AffineFlat, "from_points", classmethod(counting))
+    return calls
+
+
+class TestBeckEnumeratesOnce:
+    def test_each_spanned_flat_built_once(self, tmp_path, monkeypatch):
+        calls = count_from_points(monkeypatch)
+        scene = str(SCENES / "beck-generic20.json")
+        assert main(["beck", "--scene", scene, "--out", str(tmp_path)]) == EXIT_PASS
+        # every line and every plane of 20 generic points, once each
+        assert len(calls) == math.comb(20, 2) + math.comb(20, 3) == 1330
+
+    def test_point_budget_checked_before_enumeration(self, tmp_path, monkeypatch):
+        calls = count_from_points(monkeypatch)
+        scene = str(SCENES / "beck-generic20.json")
+        code = main(["beck", "--scene", scene, "--budget", "19", "--out", str(tmp_path)])
+        assert code == EXIT_BUDGET
+        assert calls == []
 
 
 class TestThinVerifyCommand:
@@ -137,6 +183,25 @@ class TestThinVerifyCommand:
         csv_text = (out / "g-scales.csv").read_text().splitlines()
         assert csv_text[0] == "scale,max_mass,bound,ratio"
         assert len(csv_text) == 5
+
+    def test_graph_verified_once(self, tmp_path, monkeypatch):
+        import flatbeck.cli
+        import flatbeck.thin
+
+        calls = []
+        verify = flatbeck.thin.verify_thin_planes
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return verify(*a, **kw)
+
+        monkeypatch.setattr(flatbeck.cli, "verify_thin_planes", counting)
+        monkeypatch.setattr(flatbeck.thin, "verify_thin_planes", counting)
+        scene = str(SCENES / "thin-parallel-segments.json")
+        assert main(["thin-verify", "--scene", scene, "--out", str(tmp_path)]) == EXIT_PASS
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [v["check"] for v in report["verdicts"]] == ["thin-planes", "support-flats-nc"]
+        assert len(calls) == 1
 
 
 class TestDecomposeCommand:

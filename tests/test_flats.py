@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flatbeck.exactlin import Matrix, gram_det, rank, vec
 from flatbeck.flats import (
@@ -92,6 +92,34 @@ def random_linear_subspace(rng, n=5):
         if rank(Matrix(dirs + [cand])) == len(dirs) + 1:
             dirs.append(cand)
     return AffineFlat([0] * n, dirs)
+
+
+class TestPointDistanceOracle:
+    """dist2_point_flat (Gram-Schmidt) against dist2_flats from a point flat
+    (normal equations), on a flat and on an equal flat built separately."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(fracs, min_size=3, max_size=3),
+        st.lists(fracs, min_size=3, max_size=3),
+        st.lists(st.lists(fracs, min_size=3, max_size=3), min_size=0, max_size=2),
+        st.integers(1, 3),
+        fracs,
+    )
+    def test_matches_normal_equations(self, p, base, dirs, scale, shift):
+        assume(not dirs or rank(Matrix(dirs)) == len(dirs))
+        f = AffineFlat(base, dirs)
+        # the same flat from another basepoint and a sheared, scaled basis
+        other_dirs = [vec(scale * x for x in d) for d in dirs]
+        if len(dirs) == 2:
+            other_dirs[1] = vec(x + shift * y for x, y in zip(other_dirs[1], dirs[0]))
+        offset = vec(shift * x for x in dirs[0]) if dirs else vec([0, 0, 0])
+        g = AffineFlat(vec(a + b for a, b in zip(vec(base), offset)), other_dirs)
+        assert g == f
+        want = dist2_flats(AffineFlat.point(p), f)
+        assert dist2_point_flat(p, f) == want
+        assert dist2_point_flat(p, g) == want
+        assert dist2_point_flat(p, f) == want  # second call reuses f's basis
 
 
 class TestDimensionSumFormula:

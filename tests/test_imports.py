@@ -1,0 +1,83 @@
+"""Every name a module of the package imports is used in that module.
+
+A stdlib ``ast`` walk stands in for a linter: an import is unused when the
+name it binds is never read, neither in code, in an annotation (quoted ones
+included) nor in ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flatbeck"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _bound_imports(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import in the module -> line of the import."""
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names(tree: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = _names(tree)
+    for ann in _annotations(tree):
+        for n in ast.walk(ann) if ann is not None else ():
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                used |= _names(ast.parse(n.value, mode="eval"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return sorted(
+        (name, line) for name, line in _bound_imports(tree).items() if name not in used
+    )
+
+
+class TestUnusedImports:
+    def test_detector_flags_an_unused_name(self):
+        src = "from math import floor, sqrt\nimport os\nx = sqrt(2)\n"
+        assert unused_imports(src) == [("floor", 1), ("os", 2)]
+
+    def test_detector_counts_annotations_and_all(self):
+        src = (
+            "from typing import Optional, Sequence\n"
+            "from fractions import Fraction\n"
+            "__all__ = ['Fraction']\n"
+            "def f(a: Sequence) -> 'Optional[int]':\n"
+            "    return None\n"
+        )
+        assert unused_imports(src) == []
+
+    @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+    def test_module_uses_every_import(self, path):
+        assert unused_imports(path.read_text()) == []

@@ -5,6 +5,7 @@ import pytest
 
 from flatbeck.exactlin import Matrix
 from flatbeck.flats import AffineFlat, FlatChart, join
+from flatbeck.flatcollect import FlatCollection, PartitionSpaceTooLarge, bell_number
 from flatbeck.genscenes import nc_line_collection, psi_scene
 from flatbeck.measures import DiscreteMeasure
 from flatbeck.project import (
@@ -327,3 +328,27 @@ class TestIrreducibleProjection:
             r = rational_sqrt_lower(x)
             assert r * r <= x
             assert (r + Fraction(1, 1000)) ** 2 > x
+
+
+def skew_lines(count):
+    return [AffineFlat([i, 0, 0], [[0, 1, i + 1]]) for i in range(count)]
+
+
+class TestPartitionCap:
+    """A collection over its partition cap is refused before any walk; the
+    refusal is a budget error, which no input-error handler may swallow."""
+
+    def test_cap_error_is_not_an_input_error(self):
+        assert issubclass(PartitionSpaceTooLarge, RuntimeError)
+        assert not issubclass(PartitionSpaceTooLarge, ValueError)
+
+    def test_exceptional_certificate_checks_the_cap(self):
+        coll = FlatCollection(skew_lines(5), cap=4)
+        with pytest.raises(PartitionSpaceTooLarge, match=f"Bell\\(5\\) = {bell_number(5)} "):
+            exceptional_center_certificate(coll, (0, 0, 1))
+
+    def test_projected_nc_refuses_thirteen_lines(self):
+        coll = FlatCollection(skew_lines(13), cap=13)
+        screen = AffineFlat([0, 0, -5], [[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(PartitionSpaceTooLarge, match=str(bell_number(13))):
+            projected_nc_report(coll, [(Fraction(1, 3), Fraction(1, 5), 7)], screen)
