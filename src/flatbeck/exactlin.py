@@ -167,13 +167,17 @@ def _integerized_rows(m: Matrix) -> list[list[int]]:
     return out
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
+def pivot_columns(rows: list[list[int]]) -> list[int]:
+    """Pivot columns of an integer matrix, by fraction-free (Bareiss)
+    elimination: the columns outside the span of the columns before them.
+    Scaling rows or columns by nonzero factors leaves them unchanged."""
     if not rows or not rows[0]:
-        return 0
+        return []
     m = [r[:] for r in rows]
     nr, nc = len(m), len(m[0])
     prev = 1
     pr = 0
+    pivots = []
     for pc in range(nc):
         if pr >= nr:
             break
@@ -194,13 +198,38 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
                     mi[j] = (mi[j] * mp[pc]) // prev
             mi[pc] = 0
         prev = mp[pc]
+        pivots.append(pc)
         pr += 1
-    return pr
+    return pivots
 
 
 def rank(m: Matrix) -> int:
     """Column-space dimension, exact."""
-    return _bareiss_rank(_integerized_rows(m))
+    return len(pivot_columns(_integerized_rows(m)))
+
+
+def int_det(rows: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination);
+    the rows are overwritten."""
+    n = len(rows)
+    prev = 1
+    sign = 1
+    for pc in range(n):
+        piv = next((i for i in range(pc, n) if rows[i][pc]), None)
+        if piv is None:
+            return 0
+        if piv != pc:
+            rows[pc], rows[piv] = rows[piv], rows[pc]
+            sign = -sign
+        rp = rows[pc]
+        for i in range(pc + 1, n):
+            ri = rows[i]
+            f = ri[pc]
+            for j in range(pc + 1, n):
+                ri[j] = (ri[j] * rp[pc] - f * rp[j]) // prev
+            ri[pc] = 0
+        prev = rp[pc]
+    return sign * prev
 
 
 def det(m: Matrix) -> Fraction:
@@ -215,25 +244,7 @@ def det(m: Matrix) -> Fraction:
         den = math.lcm(*(x.denominator for x in r))
         scale *= den
         rows.append([int(x * den) for x in r])
-    n = len(rows)
-    prev = 1
-    sign = 1
-    for pc in range(n):
-        piv = next((i for i in range(pc, n) if rows[i][pc]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != pc:
-            rows[pc], rows[piv] = rows[piv], rows[pc]
-            sign = -sign
-        rp = rows[pc]
-        for i in range(pc + 1, n):
-            ri = rows[i]
-            f = ri[pc]
-            for j in range(pc + 1, n):
-                ri[j] = (ri[j] * rp[pc] - f * rp[j]) // prev
-            ri[pc] = 0
-        prev = rp[pc]
-    return Fraction(sign * prev, 1) / scale
+    return Fraction(int_det(rows), 1) / scale
 
 
 def gram_det(m: Matrix) -> Fraction:

@@ -16,6 +16,7 @@ the orthonormal convention up to recorded factors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -23,9 +24,10 @@ from typing import Iterable, Optional, Sequence
 from .exactlin import (
     Matrix,
     Vector,
-    det,
+    int_det,
     norm2,
     orthogonalize,
+    pivot_columns,
     rank,
     vscale,
     vsub,
@@ -204,28 +206,6 @@ def rank_r(
     return first_rank
 
 
-def _pivot_columns(m: Matrix) -> tuple[int, list[int]]:
-    """Rank and one set of independent columns (Gaussian pivots)."""
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
-    pr = 0
-    pivots = []
-    for pc in range(nc):
-        if pr >= nr:
-            break
-        piv = next((i for i in range(pr, nr) if rows[i][pc] != 0), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        for i in range(pr + 1, nr):
-            if rows[i][pc] != 0:
-                f = rows[i][pc] / rows[pr][pc]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-    return pr, pivots
-
-
 def minor_floors(m: Matrix, r: int, exact: bool = False) -> tuple[Fraction, Fraction]:
     """(normalized, raw) lower bounds - exact values when exact=True - for
     the largest squared r x r minor, where the normalized form divides each
@@ -234,29 +214,37 @@ def minor_floors(m: Matrix, r: int, exact: bool = False) -> tuple[Fraction, Frac
     The cheap route fixes the Gaussian pivot columns and maximizes over row
     subsets only; the result is a true lower bound, and since the pivot
     columns are independent at the true rank it is positive.
+
+    The work runs on a column-scaled integer copy: scaling a column moves no
+    pivot, and multiplies each minor through it by the column's factor, so
+    the normalized value needs no rescaling and the raw one divides out the
+    squared factors.
     """
     if r == 0:
         return Fraction(1), Fraction(1)
-    col_norms = [norm2(m.col(c)) for c in range(m.cols)]
+    cols = m.col_list()
+    scales = [math.lcm(*(x.denominator for x in c)) for c in cols]
+    icols = [
+        [x.numerator * (s // x.denominator) for x in c] for c, s in zip(cols, scales)
+    ]
+    inorms = [sum(x * x for x in c) for c in icols]
+    irows = [list(row) for row in zip(*icols)]
 
     def best_over_rows(col_subset: Sequence[int]) -> tuple[Fraction, Fraction]:
-        denom = Fraction(1)
-        for c in col_subset:
-            denom *= col_norms[c]
-        best = Fraction(0)
+        best = 0
         for row_subset in itertools.combinations(range(m.rows), r):
-            d = det(m.submatrix(row_subset, col_subset))
-            if d * d > best:
-                best = d * d
-        return (best / denom if denom else Fraction(0)), best
+            d = int_det([[irows[i][c] for c in col_subset] for i in row_subset])
+            best = max(best, d * d)
+        denom = math.prod(inorms[c] for c in col_subset)
+        raw = Fraction(best, math.prod(scales[c] for c in col_subset) ** 2)
+        return (Fraction(best, denom) if denom else Fraction(0)), raw
 
     if exact:
         pairs = [
             best_over_rows(cs) for cs in itertools.combinations(range(m.cols), r)
         ]
         return max(p[0] for p in pairs), max(p[1] for p in pairs)
-    _, pivots = _pivot_columns(m)
-    return best_over_rows(pivots[:r])
+    return best_over_rows(pivot_columns(irows)[:r])
 
 
 @dataclass

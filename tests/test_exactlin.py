@@ -10,6 +10,7 @@ from flatbeck.exactlin import (
     gram_det,
     max_minor,
     nullspace,
+    pivot_columns,
     rank,
     row_space_basis,
     solve,
@@ -63,6 +64,22 @@ class TestRank:
     @given(matrices(4, 4))
     def test_transpose_invariant(self, m):
         assert rank(m) == rank(m.transpose())
+
+    @settings(max_examples=200)
+    @given(matrices(), st.lists(st.integers(1, 6), min_size=5, max_size=5))
+    def test_pivot_columns_are_the_greedy_basis(self, m, col_scales):
+        """Pivot columns are the columns outside the span of those before
+        them, whatever the column scaling."""
+        want = [
+            c for c in range(m.cols)
+            if oracle_rank(Matrix([r[: c + 1] for r in m.entries]))
+            > oracle_rank(Matrix([r[:c] for r in m.entries]))
+        ]
+        ints = [
+            [x.numerator * 6 // x.denominator * col_scales[c] for c, x in enumerate(r)]
+            for r in m.entries
+        ]
+        assert pivot_columns(ints) == want
 
 
 class TestDet:

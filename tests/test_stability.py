@@ -1,8 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flatbeck.exactlin import Matrix, norm2, rank
 from flatbeck.flats import AffineFlat
 from flatbeck.genscenes import random_minimal_frame
 from flatbeck.measures import DiscreteMeasure
@@ -14,6 +17,7 @@ from flatbeck.stability import (
     build_matrix,
     certify_stability,
     minimal_rank_report,
+    minor_floors,
     projected_stability_check,
     rank_inequality_report,
     rank_r,
@@ -120,6 +124,66 @@ class TestCertify:
         a = certify_stability(frame, Fraction(1, 10**9))
         b = certify_stability(frame, Fraction(1, 10**9))
         assert a.ok == b.ok and a.floor == b.floor
+
+
+def laplace_det(rows):
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * rows[0][j] * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def oracle_floors(m: Matrix, r: int, col_sets) -> tuple[Fraction, Fraction]:
+    """(normalized, raw) squared-minor maxima over the given column sets,
+    by Laplace expansion on the Fraction entries."""
+    norms = [norm2(m.col(c)) for c in range(m.cols)]
+    best_norm, best_raw = Fraction(0), Fraction(0)
+    for cs in col_sets:
+        denom = Fraction(1)
+        for c in cs:
+            denom *= norms[c]
+        for rs in itertools.combinations(range(m.rows), r):
+            d2 = laplace_det([[m.entries[i][c] for c in cs] for i in rs]) ** 2
+            best_raw = max(best_raw, d2)
+            if denom:
+                best_norm = max(best_norm, d2 / denom)
+    return best_norm, best_raw
+
+
+fracs = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 1024]))
+small_matrices = st.integers(1, 5).flatmap(
+    lambda nr: st.integers(1, 5).flatmap(
+        lambda nc: st.lists(
+            st.lists(fracs, min_size=nc, max_size=nc), min_size=nr, max_size=nr
+        ).map(Matrix)
+    )
+)
+
+
+class TestMinorFloors:
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices)
+    def test_exact_route_matches_laplace(self, m):
+        r = rank(m)
+        want = oracle_floors(m, r, itertools.combinations(range(m.cols), r))
+        assert minor_floors(m, r, exact=True) == (want if r else (1, 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices)
+    def test_cheap_route_uses_the_greedy_pivots(self, m):
+        r = rank(m)
+        pivots = [
+            c for c in range(m.cols)
+            if rank(Matrix([row[: c + 1] for row in m.entries]))
+            > rank(Matrix([row[:c] for row in m.entries]))
+        ]
+        want = oracle_floors(m, r, [pivots])
+        got = minor_floors(m, r)
+        assert got == (want if r else (1, 1))
+        if r:
+            assert got[0] > 0 and got[1] > 0
 
 
 class TestStabilize:
