@@ -11,7 +11,7 @@ from fractions import Fraction
 from .exactlin import Matrix
 from .flats import AffineFlat
 from .flatcollect import FlatCollection
-from .measures import DiscreteMeasure, PlateSpec
+from .measures import DiscreteMeasure
 from .stability import StableFrame
 from .thin import ThinGraph
 from .beck import PointConfig
@@ -24,7 +24,6 @@ __all__ = [
     "FlatCollection",
     "Fraction",
     "Matrix",
-    "PlateSpec",
     "PointConfig",
     "StableFrame",
     "ThinGraph",

@@ -8,13 +8,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exactlin import Vector, vec
+from .exactlin import BudgetExceeded, Vector, vec
 from .flats import AffineFlat, spanned_flats
 
 DEFAULT_POINT_BUDGET = 60
 
 
-class EnumerationBudgetExceeded(RuntimeError):
+class EnumerationBudgetExceeded(BudgetExceeded):
     pass
 
 

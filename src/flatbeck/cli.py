@@ -32,14 +32,13 @@ from typing import Optional
 from . import __version__
 from .beck import EnumerationBudgetExceeded, PointConfig, dichotomy_report
 from .decompose import NotDiscretelyNC, decompose, verify_decomposition
-from .exactlin import frac
+from .exactlin import BudgetExceeded, frac
 from .flats import AffineFlat
-from .flatcollect import FlatCollection, PartitionSpaceTooLarge, is_minimal
+from .flatcollect import FlatCollection, is_minimal
 from .genscenes import random_flat
 from .measures import DiscreteMeasure, dyadic_scales
 from .project import irreducible_projection_check, projected_nc_report
 from .stability import (
-    CertificationBudgetExceeded,
     StableFrame,
     certify_stability,
     minimal_rank_report,
@@ -596,11 +595,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SceneError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        EnumerationBudgetExceeded,
-        CertificationBudgetExceeded,
-        PartitionSpaceTooLarge,
-    ) as e:
+    except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as e:

@@ -17,7 +17,7 @@ from typing import Optional
 from .exactlin import frac
 from .flats import AffineFlat, dist2_point_flat, join, spanned_flats
 from .flatcollect import FlatCollection, Partition
-from .measures import DiscreteMeasure, irreducibility_modulus, mass_near_flat
+from .measures import DiscreteMeasure, PlateMassOracle, irreducibility_modulus
 
 MAX_STEPS = 200
 
@@ -60,8 +60,9 @@ def minimal_concentration_flat(
         raise ValueError("theta must lie in (0, 1]")
     threshold = theta * mu.total_mass
     n = mu.ambient_dim
+    oracle = PlateMassOracle(mu)
     for f in spanned_flats(mu.points(), range(min_dim, n)):
-        if mass_near_flat(mu, f, w) >= threshold:
+        if oracle.masses_near_flat(f, [w * w])[0] >= threshold:
             return f
     return AffineFlat.full_space(n)
 

@@ -20,6 +20,11 @@ Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 
+class BudgetExceeded(RuntimeError):
+    """A cap or budget refused the work it bounds; never a ValueError, so
+    no input-error handler can swallow it."""
+
+
 def frac(x) -> Fraction:
     """Coerce ints, strings like '2/3' and Fractions to Fraction."""
     if isinstance(x, Fraction):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
+from .exactlin import BudgetExceeded
 from .flats import AffineFlat, join
 
 Partition = tuple[tuple[int, ...], ...]
@@ -19,7 +20,7 @@ Partition = tuple[tuple[int, ...], ...]
 DEFAULT_PARTITION_CAP = 12
 
 
-class PartitionSpaceTooLarge(RuntimeError):
+class PartitionSpaceTooLarge(BudgetExceeded):
     pass
 
 

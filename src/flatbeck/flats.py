@@ -18,7 +18,6 @@ from .exactlin import (
     Matrix,
     Vector,
     dot,
-    frac,
     gram_det,
     norm2,
     orthogonalize,
@@ -192,14 +191,6 @@ def dist2_point_flat(p: Sequence, f: AffineFlat) -> Fraction:
         c = dot(r, o)
         total -= c * c / s
     return total
-
-
-def in_neighborhood(p: Sequence, f: AffineFlat, w) -> bool:
-    """True iff dist(p, F)^2 <= w^2."""
-    w = frac(w)
-    if w < 0:
-        raise ValueError("neighborhood width must be >= 0")
-    return dist2_point_flat(p, f) <= w * w
 
 
 def dist2_flats(f: AffineFlat, g: AffineFlat) -> Fraction:

@@ -9,11 +9,12 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+from operator import mul
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exactlin import Vector, frac, gram_det, norm2, vec, vsub
+from .exactlin import Vector, frac, gram_det, int_det, norm2, vec, vsub
 from .flats import AffineFlat, dist2_point_flat, lifted_tuple_matrix, spanned_flats
 
 Atom = tuple[Vector, Fraction]
@@ -63,41 +64,82 @@ class DiscreteMeasure:
         return cls([(p, w) for p in pts], resolution)
 
 
-@dataclass(frozen=True)
-class PlateSpec:
-    """r0-neighborhood of a k-flat; an r-tube is the k = 1 case."""
-
-    core: AffineFlat
-    radius: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "radius", frac(self.radius))
-        if self.radius < 0:
-            raise ValueError("plate radius must be >= 0")
-
-
-def mass_in_plate(mu: DiscreteMeasure, p: PlateSpec) -> Fraction:
-    """Total weight of atoms with squared distance to the core <= radius^2."""
-    if mu.ambient_dim != p.core.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    r2 = p.radius * p.radius
-    return sum(
-        (w for pt, w in mu.atoms if dist2_point_flat(pt, p.core) <= r2),
-        Fraction(0),
-    )
-
-
-def mass_near_flat(mu: DiscreteMeasure, f: AffineFlat, w) -> Fraction:
-    return mass_in_plate(mu, PlateSpec(f, frac(w)))
-
-
-def _integerized_points(points: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
-    """Scale all points by a common denominator so distances are integers."""
-    den = 1
+def _integerized_points(
+    points: Sequence[Vector], den: int = 1
+) -> tuple[list[tuple[int, ...]], int]:
+    """Scale all points by a common denominator, a multiple of den, so
+    distances are integers."""
     for p in points:
         for x in p:
             den = math.lcm(den, x.denominator)
-    return [tuple(int(x * den) for x in p) for p in points], den
+    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
+
+
+class PlateMassOracle:
+    """Exact masses a measure gives to the closed neighborhoods of flats.
+
+    The atoms and their weights are integerized once.  A flat, given by
+    spanning points or by basepoint and directions, is rescaled to a common
+    denominator den with the atoms, so its base s and direction rows D are
+    integer.  With G = D D^T, g = det G and the adjugate adj(G), an atom
+    with integer offset r from s lies at squared distance
+
+        (|r|^2 g - y^T adj(G) y) / (g den^2),   y = D r,
+
+    and one pass over the atoms tests every squared radius by integer
+    comparisons.
+    """
+
+    def __init__(self, mu: DiscreteMeasure):
+        self.ambient_dim = mu.ambient_dim
+        self._int_pts, self._den = _integerized_points(mu.points())
+        # the weights as one vector over their common denominator
+        (self._int_ws,), self._wden = _integerized_points([mu.weights()])
+
+    def masses_near_span(
+        self, points: Sequence[Vector], radii2: Sequence[Fraction]
+    ) -> list[Fraction]:
+        """Masses within each squared radius of the affine span of the
+        points, which must be affinely independent."""
+        ints, den = _integerized_points(points, self._den)
+        base = ints[0]
+        dirs = [tuple(a - b for a, b in zip(p, base)) for p in ints[1:]]
+        return self._masses(den, base, dirs, radii2)
+
+    def masses_near_flat(self, f: AffineFlat, radii2: Sequence[Fraction]) -> list[Fraction]:
+        """Masses within each squared radius of the flat f."""
+        ints, den = _integerized_points((f.basepoint,) + f.directions, self._den)
+        return self._masses(den, ints[0], ints[1:], radii2)
+
+    def masses_near_line(self, a: Vector, b: Vector, radii2: Sequence[Fraction]) -> list[Fraction]:
+        """Masses within each squared radius of the line through a and b."""
+        return self.masses_near_span((a, b), radii2)
+
+    def _masses(self, den, base, dirs, radii2) -> list[Fraction]:
+        if len(base) != self.ambient_dim:
+            raise ValueError("ambient dimensions differ")
+        k = len(dirs)
+        gram = [[sum(map(mul, u, v)) for v in dirs] for u in dirs]
+        g = int_det([row[:] for row in gram])
+        if g == 0:
+            raise ValueError("span points are affinely dependent")
+        # adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i)
+        adj = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                minor = [[x for c, x in enumerate(row) if c != i] for row in gram[:j] + gram[j + 1 :]]
+                adj[i][j] = (-1) ** (i + j) * int_det(minor)
+        scale = den // self._den
+        cuts = [(r2.denominator, r2.numerator * g * den * den) for r2 in radii2]
+        out = [0] * len(cuts)
+        for pt, w in zip(self._int_pts, self._int_ws):
+            r = [x * scale - b for x, b in zip(pt, base)]
+            y = [sum(map(mul, d, r)) for d in dirs]
+            num = sum(map(mul, r, r)) * g - sum(map(mul, y, [sum(map(mul, row, y)) for row in adj]))
+            for t, (rd, bound) in enumerate(cuts):
+                if num * rd <= bound:
+                    out[t] += w
+        return [Fraction(m, self._wden) for m in out]
 
 
 @dataclass(frozen=True)
@@ -223,11 +265,12 @@ def irreducibility_modulus(
     for p, _ in mu.atoms:
         if dist2_point_flat(p, v) > tol * tol:
             raise ValueError("support leaves the tolerance neighborhood of v")
+    oracle = PlateMassOracle(mu)
     best = Fraction(0)
     for h in spanned_flats(mu.points(), range(v.dim)):
         if not v.contains_flat(h):
             continue
-        m = mass_near_flat(mu, h, w)
+        m = oracle.masses_near_flat(h, [w * w])[0]
         if m > best:
             best = m
     return best / mu.total_mass

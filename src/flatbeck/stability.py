@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import (
+    BudgetExceeded,
     Matrix,
     Vector,
     int_det,
@@ -171,7 +172,7 @@ def iter_picks(
         ]
         return picks, False
     if rng is None:
-        raise ValueError(f"{total} picks exceed budget {budget} and no rng given")
+        raise BudgetExceeded(f"{total} picks exceed budget {budget} and no rng given")
     picks = []
     for _ in range(budget):
         picks.append({slot: rng.randrange(s) for slot, s in zip(slots, sizes)})
@@ -259,7 +260,7 @@ class CertificationResult:
         return self.ok
 
 
-class CertificationBudgetExceeded(RuntimeError):
+class CertificationBudgetExceeded(BudgetExceeded):
     pass
 
 
@@ -285,18 +286,13 @@ def certify_stability(
     every index pair must have a pick-independent rank, and every pick's
     normalized maximal minor must be at least c2."""
     c2 = Fraction(c2)
-    pairs = _index_pairs(frame)
-    sizes = frame.support_sizes()
-    total = 0
-    for idx in pairs:
-        picks = 1
-        for slot in idx.atoms_index:
-            picks *= sizes[slot]
-        total += picks
+    # sum over index pairs of the picks on their atoms, in closed form
+    total = 2**frame.k * math.prod(1 + s for s in frame.support_sizes().values())
     if total > budget:
         raise CertificationBudgetExceeded(
             f"{total} (index, pick) combinations exceed budget {budget}"
         )
+    pairs = _index_pairs(frame)
     ranks: dict[IndexPair, int] = {}
     floor: Optional[Fraction] = None
     raw_floor: Optional[Fraction] = None
@@ -352,8 +348,8 @@ def stabilize(
     balls dyadically until certification passes with c2 equal to half the
     normalized-minor floor achieved by the chosen tuple."""
     slots = frame.atom_slots()
-    pairs = _index_pairs(frame)
     picks, _ = iter_picks(frame, slots, budget=budget)
+    pairs = _index_pairs(frame)
     best_pick: Optional[Pick] = None
     best_score = -1
     for p in picks:

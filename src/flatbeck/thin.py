@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -25,7 +25,7 @@ from .flats import (
     dist2_point_flat,
 )
 from .flatcollect import FlatCollection
-from .measures import DiscreteMeasure, support_dist2, _integerized_points
+from .measures import DiscreteMeasure, PlateMassOracle, support_dist2
 from .project import rational_sqrt_lower
 
 
@@ -152,83 +152,6 @@ class ThinGraph:
         return AffineFlat.from_points(pts)
 
 
-def _line_dist2_num(den2: int, r: tuple[int, ...], d: tuple[int, ...], d2: int) -> tuple[int, int]:
-    """Numerator/denominator of the squared distance from integerized offset
-    r to the line through the origin with integer direction d."""
-    r2 = sum(x * x for x in r)
-    rd = sum(a * b for a, b in zip(r, d))
-    return r2 * d2 - rd * rd, d2 * den2
-
-
-@dataclass
-class PlateMassOracle:
-    """Exact masses of measure atoms near spanned flats, with an integer
-    fast path for line spans."""
-
-    mu: DiscreteMeasure
-    _int_pts: list[tuple[int, ...]] = field(init=False)
-    _den: int = field(init=False)
-
-    def __post_init__(self):
-        self._int_pts, self._den = _integerized_points(self.mu.points())
-
-    def masses_near_line(self, a: Vector, b: Vector, radii2: Sequence[Fraction]) -> list[Fraction]:
-        """Masses within each squared radius of the line through a and b,
-        computed in one integer pass over the atoms.
-
-        The endpoints come from other measures, so everything is rescaled to
-        a common denominator before integer arithmetic (plain truncation
-        would silently move the line)."""
-        import math as _math
-
-        ab_den = 1
-        for v in (a, b):
-            for x in v:
-                ab_den = _math.lcm(ab_den, x.denominator)
-        common = _math.lcm(self._den, ab_den)
-        f_self = common // self._den
-        ai = tuple(int(x * common) for x in a)
-        bi = tuple(int(x * common) for x in b)
-        if ai == bi:
-            raise TupleInDegenerateSet("degenerate line span")
-        d = tuple(p - q for p, q in zip(bi, ai))
-        d2 = sum(x * x for x in d)
-        den2 = common * common
-        cuts = [(r2.numerator, r2.denominator) for r2 in radii2]
-        out = [Fraction(0)] * len(cuts)
-        for (p, w), pi in zip(self.mu.atoms, self._int_pts):
-            r = tuple(x * f_self - y for x, y in zip(pi, ai))
-            num, dnm = _line_dist2_num(den2, r, d, d2)
-            for t, (rn, rd) in enumerate(cuts):
-                # num/dnm <= rn/rd  <=>  num * rd <= rn * dnm
-                if num * rd <= rn * dnm:
-                    out[t] += w
-        return out
-
-    def mass_near_line(self, a: Vector, b: Vector, radius2: Fraction) -> Fraction:
-        return self.masses_near_line(a, b, [radius2])[0]
-
-    def masses_near_flat(self, f: AffineFlat, radii2: Sequence[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * len(radii2)
-        for p, w in self.mu.atoms:
-            d2 = dist2_point_flat(p, f)
-            for t, r2 in enumerate(radii2):
-                if d2 <= r2:
-                    out[t] += w
-        return out
-
-    def mass_near_flat(self, f: AffineFlat, radius2: Fraction) -> Fraction:
-        return self.masses_near_flat(f, [radius2])[0]
-
-    def masses_near_span(self, pts: Sequence[Vector], radii2: Sequence[Fraction]) -> list[Fraction]:
-        if len(pts) == 2:
-            return self.masses_near_line(pts[0], pts[1], radii2)
-        return self.masses_near_flat(AffineFlat.from_points(pts), radii2)
-
-    def mass_near_span(self, pts: Sequence[Vector], radius2: Fraction) -> Fraction:
-        return self.masses_near_span(pts, [radius2])[0]
-
-
 @dataclass
 class Witness:
     tuple_: tuple[int, ...]
@@ -319,7 +242,6 @@ def verify_thin_tubes(
     finest = min(scales)
     if mu0.resolution > finest or mu1.resolution > finest:
         raise ValueError("scale window reaches below a measure resolution")
-    oracle = PlateMassOracle(mu1)
     sections: dict[int, list[int]] = {}
     for (i0, i1) in g.iter_tuples():
         sections.setdefault(i0, []).append(i1)
@@ -397,22 +319,17 @@ def prune_planes(
     if c1 is None:
         c1 = (g.arity) * s_sum / eps
     oracles = [PlateMassOracle(m) for m in g.measures]
+    radii2 = [s * s for s in scales]
+    bounds = [c1 * g.big_k * float(s) ** (g.sigma - eps) for s in scales]
     removed: set[tuple[int, ...]] = set()
     for t in g.iter_tuples():
         pts = g.tuple_points(t)
-        if not affinely_independent(pts):
+        if not affinely_independent(pts) or any(
+            float(mass) > bound
+            for oracle in oracles
+            for mass, bound in zip(oracle.masses_near_span(pts, radii2), bounds)
+        ):
             removed.add(t)
-            continue
-        gone = False
-        for j, oracle in enumerate(oracles):
-            for s in scales:
-                mass = oracle.mass_near_span(pts, s * s)
-                if float(mass) > c1 * g.big_k * float(s) ** (g.sigma - eps):
-                    removed.add(t)
-                    gone = True
-                    break
-            if gone:
-                break
     out = g.without(removed, sigma=g.sigma - eps, big_k=c1 * g.big_k)
     removed_mass = g.density() - out.density()
     ok = float(removed_mass) <= eps
@@ -567,19 +484,18 @@ def prune_against_measure(
         s_sum = dyadic_tail_sum(scales, eps)
         k_prime = g.big_k * float(delta0) ** (-2 * g.sigma) * s_sum / (eps / 2)
     nu_oracle = PlateMassOracle(nu)
+    radii2 = [s * s for s in scales]
+    bounds = [k_prime * float(s) ** (g.sigma - eps) for s in scales]
     removed = set(margin_removed)
     for t in g.iter_tuples():
         if t in removed:
             continue
         pts = g.tuple_points(t)
-        if not affinely_independent(pts):
+        if not affinely_independent(pts) or any(
+            float(mass) > bound
+            for mass, bound in zip(nu_oracle.masses_near_span(pts, radii2), bounds)
+        ):
             removed.add(t)
-            continue
-        for s in scales:
-            mass = nu_oracle.mass_near_span(pts, s * s)
-            if float(mass) > k_prime * float(s) ** (g.sigma - eps):
-                removed.add(t)
-                break
     out = g.without(removed, sigma=g.sigma - eps, big_k=g.big_k)
     removed_mass = g.density() - out.density()
     margin_mass = g.density() - g.without(margin_removed).density()

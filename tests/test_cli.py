@@ -85,6 +85,12 @@ class TestExitCodes:
         path = beck_scene(tmp_path, count=12)
         assert main(["beck", "--scene", path, "--budget", "5", "--out", str(tmp_path / "o")]) == EXIT_BUDGET
 
+    def test_pick_budget_exceeded(self, tmp_path, capsys):
+        # 3 x 3 atom picks against a budget of 3: a budget overrun, not an input error
+        argv = ["stability", "--scene", str(SCENES / "stability-axes.json"), "--stabilize"]
+        assert main(argv + ["--budget", "3", "--out", str(tmp_path / "o")]) == EXIT_BUDGET
+        assert "budget exceeded: 9 picks exceed budget 3" in capsys.readouterr().err
+
     def test_partition_cap_exceeded(self, tmp_path):
         # thirteen lines: Bell(13) partitions, over the default cap of 12
         body = {

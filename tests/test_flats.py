@@ -10,12 +10,12 @@ from flatbeck.flats import (
     FlatChart,
     dist2_flats,
     dist2_point_flat,
-    in_neighborhood,
     join,
     linearize,
     meet,
     wedge_angle_sin2,
 )
+from flatbeck.measures import DiscreteMeasure, PlateMassOracle
 
 fracs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
 
@@ -151,6 +151,13 @@ class TestAffineDimensionFormula:
                 continue
             checked += 1
             assert join([f, g]).dim + m.dim == f.dim + g.dim
+
+
+def in_neighborhood(p, f, w) -> bool:
+    """Whether the w-neighborhood of f holds p, read off the mass oracle as
+    the mass it gives a one-atom measure at p."""
+    oracle = PlateMassOracle(DiscreteMeasure([(p, 1)], Fraction(1, 1024)))
+    return oracle.masses_near_flat(f, [Fraction(w) ** 2]) == [1]
 
 
 class TestNeighborhood:

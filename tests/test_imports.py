@@ -1,8 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every local a function assigns is read.
 
 A stdlib ``ast`` walk stands in for a linter: an import is unused when the
 name it binds is never read, neither in code, in an annotation (quoted ones
-included) nor in ``__all__``.
+included) nor in ``__all__``.  A local is unused when no code in its
+function, nested functions included, reads it; names starting with ``_``
+are exempt.
 """
 
 import ast
@@ -63,6 +66,28 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
     )
 
 
+def unused_locals(source: str) -> list[tuple[str, str, int]]:
+    """(function, name, line of first assignment) for every unread local."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored: dict[str, int] = {}
+        read: set[str] = set()
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Name):
+                if isinstance(n.ctx, ast.Store):
+                    stored.setdefault(n.id, n.lineno)
+                else:
+                    read.add(n.id)
+        found |= {
+            (fn.name, name, line)
+            for name, line in stored.items()
+            if name not in read and not name.startswith("_")
+        }
+    return sorted(found)
+
+
 class TestUnusedImports:
     def test_detector_flags_an_unused_name(self):
         src = "from math import floor, sqrt\nimport os\nx = sqrt(2)\n"
@@ -81,3 +106,29 @@ class TestUnusedImports:
     @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
     def test_module_uses_every_import(self, path):
         assert unused_imports(path.read_text()) == []
+
+
+class TestUnusedLocals:
+    def test_detector_flags_an_unread_local(self):
+        src = (
+            "def f(xs):\n"
+            "    total = 0\n"
+            "    for i, x in enumerate(xs):\n"
+            "        total += x\n"
+            "    return len(xs)\n"
+        )
+        assert unused_locals(src) == [("f", "i", 3), ("f", "total", 2)]
+
+    def test_detector_counts_closures_and_exempts_underscore(self):
+        src = (
+            "def f(xs):\n"
+            "    k = 2\n"
+            "    def g(x):\n"
+            "        return x * k\n"
+            "    return [g(x) for _ in xs for x in xs]\n"
+        )
+        assert unused_locals(src) == []
+
+    @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+    def test_module_reads_every_local(self, path):
+        assert unused_locals(path.read_text()) == []

@@ -2,16 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from flatbeck.flats import AffineFlat
+from flatbeck.flats import AffineFlat, affinely_independent, dist2_point_flat
 from flatbeck.measures import (
     DiscreteMeasure,
-    PlateSpec,
+    PlateMassOracle,
     dyadic_scales,
     frostman_fit,
     good_position_margin,
     irreducibility_modulus,
-    mass_in_plate,
     max_ball_mass,
     restrict_and_normalize,
     support_dist2,
@@ -28,28 +28,89 @@ def segment_measure(n_atoms=16, y=0):
 class TestMassInPlate:
     def test_plate_containing_everything(self):
         mu = segment_measure()
-        plate = PlateSpec(AffineFlat([0, 0], [[1, 0]]), 1)
-        assert mass_in_plate(mu, plate) == mu.total_mass
+        core = AffineFlat([0, 0], [[1, 0]])
+        assert PlateMassOracle(mu).masses_near_flat(core, [1]) == [mu.total_mass]
 
     def test_far_core_zero(self):
         mu = segment_measure()
-        plate = PlateSpec(AffineFlat([0, 5], [[1, 0]]), Fraction(1, 100))
-        assert mass_in_plate(mu, plate) == 0
+        core = AffineFlat([0, 5], [[1, 0]])
+        assert PlateMassOracle(mu).masses_near_flat(core, [Fraction(1, 100) ** 2]) == [0]
 
     def test_atoms_on_core(self):
         mu = DiscreteMeasure.uniform(
             [(Fraction(i), Fraction(0)) for i in range(4)], Fraction(1, 4)
         )
-        plate = PlateSpec(AffineFlat([0, 0], [[1, 0]]), Fraction(1, 10**9))
-        assert mass_in_plate(mu, plate) == mu.total_mass
+        core = AffineFlat([0, 0], [[1, 0]])
+        got = PlateMassOracle(mu).masses_near_flat(core, [Fraction(1, 10**9) ** 2])
+        assert got == [mu.total_mass]
 
     def test_monotone_in_radius_and_additive(self):
         mu = segment_measure()
         core = AffineFlat.point([0, 0])
-        masses = [
-            mass_in_plate(mu, PlateSpec(core, Fraction(1, 2**j))) for j in (3, 2, 1)
-        ]
+        masses = PlateMassOracle(mu).masses_near_flat(
+            core, [Fraction(1, 2**j) ** 2 for j in (3, 2, 1)]
+        )
         assert masses == sorted(masses)
+
+
+# atoms share small denominators; span points and direction scales use
+# denominators foreign to them, so the oracle must rescale exactly; weights
+# have mixed denominators, so their integer sums must be rescaled too
+atom_coord = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
+span_coord = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([3, 5, 7]))
+weight = st.builds(Fraction, st.integers(0, 5), st.integers(1, 6))
+
+
+@st.composite
+def plate_cases(draw):
+    n = draw(st.integers(2, 4))
+    atoms = draw(
+        st.lists(
+            st.tuples(st.tuples(*[atom_coord] * n), weight),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    k = draw(st.integers(0, n - 1))
+    span = draw(st.lists(st.tuples(*[span_coord] * n), min_size=k + 1, max_size=k + 1))
+    radii2 = draw(st.lists(st.builds(Fraction, st.integers(0, 40), st.integers(1, 9)), max_size=3))
+    hit = draw(st.integers(0, len(atoms) - 1))
+    stretch = draw(span_coord.filter(lambda c: c != 0))
+    return atoms, span, radii2, hit, stretch
+
+
+def reference_masses(mu, f, radii2):
+    """Fraction reference: the weight of atoms within each squared radius."""
+    d2 = [dist2_point_flat(p, f) for p in mu.points()]
+    return [sum((w for x, w in zip(d2, mu.weights()) if x <= r2), Fraction(0)) for r2 in radii2]
+
+
+class TestPlateMassOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(plate_cases())
+    def test_matches_the_fraction_reference(self, case):
+        atoms, span, radii2, hit, stretch = case
+        assume(affinely_independent(span))
+        mu = DiscreteMeasure(atoms, D)
+        f = AffineFlat.from_points(span)
+        # one radius exactly at an atom's squared distance: the boundary is closed
+        radii2 = radii2 + [dist2_point_flat(mu.atoms[hit][0], f)]
+        want = reference_masses(mu, f, radii2)
+        oracle = PlateMassOracle(mu)
+        assert oracle.masses_near_span(span, radii2) == want
+        assert oracle.masses_near_flat(f, radii2) == want
+        stretched = AffineFlat(f.basepoint, [[stretch * x for x in d] for d in f.directions])
+        assert oracle.masses_near_flat(stretched, radii2) == want
+
+    def test_dependent_span_rejected(self):
+        oracle = PlateMassOracle(segment_measure())
+        with pytest.raises(ValueError):
+            oracle.masses_near_span([(0, 0), (1, 1), (2, 2)], [Fraction(1)])
+
+    def test_thin_uses_the_same_oracle(self):
+        from flatbeck import thin
+
+        assert thin.PlateMassOracle is PlateMassOracle
 
 
 class TestFrostmanFit:

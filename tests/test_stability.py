@@ -1,15 +1,20 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatbeck.exactlin import Matrix, norm2, rank
+from flatbeck import stability
+from flatbeck.cli import parse_scene
+from flatbeck.exactlin import BudgetExceeded, Matrix, norm2, rank
 from flatbeck.flats import AffineFlat
 from flatbeck.genscenes import random_minimal_frame
 from flatbeck.measures import DiscreteMeasure
 from flatbeck.stability import (
+    CertificationBudgetExceeded,
     IndexPair,
     RankInconsistency,
     StabilizationError,
@@ -124,6 +129,40 @@ class TestCertify:
         a = certify_stability(frame, Fraction(1, 10**9))
         b = certify_stability(frame, Fraction(1, 10**9))
         assert a.ok == b.ok and a.floor == b.floor
+
+
+AXES_SCENE = Path(__file__).resolve().parent.parent / "scenes" / "stability-axes.json"
+
+
+def refuse_index_pairs(monkeypatch):
+    def refuse(frame):
+        raise AssertionError("index pairs built before the budget check")
+
+    monkeypatch.setattr(stability, "_index_pairs", refuse)
+
+
+class TestBudgetsBeforeWork:
+    def test_certification_budget_checked_before_index_pairs(self, monkeypatch):
+        refuse_index_pairs(monkeypatch)
+        with pytest.raises(CertificationBudgetExceeded):
+            certify_stability(transversal_lines_grid_frame(), Fraction(0), budget=1)
+
+    def test_pick_budget_checked_before_index_pairs(self, monkeypatch):
+        refuse_index_pairs(monkeypatch)
+        with pytest.raises(BudgetExceeded, match="9 picks exceed budget 1"):
+            stabilize(transversal_lines_grid_frame(), budget=1)
+
+    def test_closed_form_matches_the_per_pair_sum(self):
+        frame = parse_scene(str(AXES_SCENE)).frames["axes"]
+        sizes = frame.support_sizes()
+        per_pair = sum(
+            math.prod(sizes[s] for s in idx.atoms_index)
+            for idx in stability._index_pairs(frame)
+        )
+        assert per_pair == 2**2 * (1 + 3) ** 2
+        with pytest.raises(CertificationBudgetExceeded, match=f"^{per_pair} "):
+            certify_stability(frame, Fraction(0), budget=per_pair - 1)
+        assert certify_stability(frame, Fraction(0), budget=per_pair).ok
 
 
 def laplace_det(rows):
