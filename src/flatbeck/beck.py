@@ -5,11 +5,13 @@ a given flat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
-from .exactlin import BudgetExceeded, Vector, vec
-from .flats import AffineFlat, spanned_flats
+from .exactlin import BudgetExceeded, _integerized_rows, vec
+from .flats import AffineFlat, _lifted_integer_points, spanned_flats
 
 DEFAULT_POINT_BUDGET = 60
 
@@ -67,10 +69,21 @@ class DichotomyReport:
     note: Optional[str] = None
 
 
-def _cover_mask(points: list[Vector], f: AffineFlat) -> int:
+def _cover_mask(lifted: list[tuple[int, ...]], f: AffineFlat) -> int:
+    """Bit i set iff the integer lifted point lifted[i] = (den p, den) lies
+    on f.  With the flat's integer RREF rows K_j, pivot k_j in column c_j
+    and L = lcm(k_j), v is in their span iff L v = sum_j (L / k_j) v[c_j] K_j;
+    the pivot columns agree by construction, so only the others are tested.
+    """
+    rows = _integerized_rows(f.canon)
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
+    big_l = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
+    scaled = [[big_l // r[c] * x for x in r] for r, c in zip(rows, pivots)]
+    free = [(j, [s[j] for s in scaled]) for j in range(len(rows[0])) if j not in pivots]
     mask = 0
-    for i, p in enumerate(points):
-        if f.contains_point(p):
+    for i, v in enumerate(lifted):
+        coeffs = [v[c] for c in pivots]
+        if all(big_l * v[j] == sum(map(mul, coeffs, col)) for j, col in free):
             mask |= 1 << i
     return mask
 
@@ -100,8 +113,9 @@ def dichotomy_report(
     need = big_n - int(epsilon * big_n)
     # candidate flats of each dimension 1..n-1 with their cover masks
     by_dim: dict[int, list[tuple[int, AffineFlat]]] = {d: [] for d in range(1, n)}
+    lifted = _lifted_integer_points(x.points)
     for f in spanned_flats(x.points, range(1, n)):
-        by_dim[f.dim].append((_cover_mask(x.points, f), f))
+        by_dim[f.dim].append((_cover_mask(lifted, f), f))
     for cands in by_dim.values():
         # dominated masks are useless for covering
         cands.sort(key=lambda t: -bin(t[0]).count("1"))

@@ -1,12 +1,12 @@
 """Exact rational linear algebra kernel.
 
 Vectors are tuples of ``Fraction``; matrices are immutable row-major grids.
-Ranks and determinants run fraction-free (Bareiss) on integerized copies so
-intermediate entries stay bounded at the matrix sizes used here (sides up to
-a dozen or so).  ``max_minor`` enumerates all r x r submatrices, which is
-affordable for the same reason.  ``orthogonalize`` is the one Gram-Schmidt:
-unnormalized orthogonal bases for point-to-flat distances and for the basis
-columns of stability frames.
+Ranks, determinants and the canonical RREF run fraction-free (Bareiss,
+Gauss-Jordan) on integerized copies so intermediate entries stay bounded at
+the matrix sizes used here (sides up to a dozen or so).  ``max_minor``
+enumerates all r x r submatrices, which is affordable for the same reason.
+``orthogonalize`` is the one Gram-Schmidt: unnormalized orthogonal bases for
+point-to-flat distances and for the basis columns of stability frames.
 """
 
 from __future__ import annotations
@@ -163,13 +163,25 @@ class Matrix:
         return Matrix([tuple(self.entries[i][j] for j in col_idx) for i in row_idx])
 
 
-def _integerized_rows(m: Matrix) -> list[list[int]]:
-    """Row-scaled integer copy (row scaling preserves rank)."""
+def _integerized_rows(rows: Iterable[Vector]) -> list[list[int]]:
+    """Row-scaled integer copy: each row times the lcm of its denominators
+    (row scaling preserves rank and row spaces)."""
     out = []
-    for r in m.entries:
+    for r in rows:
         den = math.lcm(*(x.denominator for x in r)) if r else 1
-        out.append([int(x * den) for x in r])
+        out.append([x.numerator * (den // x.denominator) for x in r])
     return out
+
+
+def _integerized_points(
+    points: Sequence[Vector], den: int = 1
+) -> tuple[list[tuple[int, ...]], int]:
+    """Scale all points by a common denominator, a multiple of den, so
+    distances are integers."""
+    for p in points:
+        for x in p:
+            den = math.lcm(den, x.denominator)
+    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
 def pivot_columns(rows: list[list[int]]) -> list[int]:
@@ -210,7 +222,7 @@ def pivot_columns(rows: list[list[int]]) -> list[int]:
 
 def rank(m: Matrix) -> int:
     """Column-space dimension, exact."""
-    return len(pivot_columns(_integerized_rows(m)))
+    return len(pivot_columns(_integerized_rows(m.entries)))
 
 
 def int_det(rows: list[list[int]]) -> int:
@@ -281,28 +293,46 @@ def max_minor(m: Matrix, r: int) -> Fraction:
     return best
 
 
+def int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns the pivot columns and one row per pivot: the reduced row-echelon
+    rows scaled to primitive integer vectors (gcd 1) with positive pivots.
+    That scaling is unique, so equal row spaces give equal output.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    pivots: list[int] = []
+    for pc in range(len(m[0]) if m else 0):
+        pr = len(pivots)
+        if pr == nr:
+            break
+        piv = next((i for i in range(pr, nr) if m[i][pc]), None)
+        if piv is None:
+            continue
+        m[pr], m[piv] = m[piv], m[pr]
+        g = math.gcd(*m[pr])
+        if m[pr][pc] < 0:
+            g = -g
+        mp = m[pr] = [x // g for x in m[pr]]
+        p = mp[pc]
+        for i in range(nr):
+            f = m[i][pc]
+            if f and i != pr:
+                r = [a * p - f * b for a, b in zip(m[i], mp)]
+                g = math.gcd(*r)
+                m[i] = [x // g for x in r] if g > 1 else r
+        pivots.append(pc)
+    return pivots, m[: len(pivots)]
+
+
 def canonical_rref(m: Matrix) -> Matrix:
     """Reduced row-echelon form; unique, so equal row spaces compare equal
     (after discarding zero rows, which sink to the bottom).
     """
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
-    pr = 0
-    for pc in range(nc):
-        if pr >= nr:
-            break
-        piv = next((i for i in range(pr, nr) if rows[i][pc] != 0), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = 1 / rows[pr][pc]
-        rows[pr] = [x * inv for x in rows[pr]]
-        for i in range(nr):
-            if i != pr and rows[i][pc] != 0:
-                f = rows[i][pc]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        pr += 1
-    return Matrix(rows)
+    pivots, rows = int_rref(_integerized_rows(m.entries))
+    red = [tuple(Fraction(x, r[pc]) for x in r) for pc, r in zip(pivots, rows)]
+    return Matrix(red + [zero_vec(m.cols)] * (m.rows - len(red)))
 
 
 def row_space_basis(m: Matrix) -> tuple[Vector, ...]:

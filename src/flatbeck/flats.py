@@ -17,8 +17,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .exactlin import (
     Matrix,
     Vector,
+    _integerized_points,
     dot,
     gram_det,
+    int_rref,
     norm2,
     orthogonalize,
     rank,
@@ -279,6 +281,12 @@ def lifted_tuple_matrix(points: Sequence[Sequence]) -> Matrix:
     return Matrix.from_cols([p + (Fraction(1),) for p in pts], rows=len(pts[0]) + 1)
 
 
+def _lifted_integer_points(points: Sequence[Vector]) -> list[tuple[int, ...]]:
+    """The lifted points (den p, den), with den the common denominator."""
+    ints, den = _integerized_points(points)
+    return [p + (den,) for p in ints]
+
+
 def spanned_flats(points: Sequence[Vector], dims: Iterable[int]) -> Iterator[AffineFlat]:
     """Distinct flats spanned by point subsets, dimension by dimension in the
     order of dims and, within a dimension, in combination order.
@@ -286,14 +294,18 @@ def spanned_flats(points: Sequence[Vector], dims: Iterable[int]) -> Iterator[Aff
     A flat of dimension d comes from an affinely independent subset of d + 1
     points; dependent subsets are skipped because their span already arises
     from a smaller independent subset.  Each flat is yielded once, as built
-    from the first subset that spans it.
+    from the first subset that spans it.  The points are lifted to integer
+    rows once; one integer elimination per subset gives its rank and its
+    primitive RREF rows, which identify the span.
     """
+    lifted = _lifted_integer_points(points)
     seen = set()
     for d in dims:
-        for combo in itertools.combinations(points, d + 1):
-            if not affinely_independent(combo):
+        for combo in itertools.combinations(range(len(points)), d + 1):
+            _, rows = int_rref([lifted[i] for i in combo])
+            if len(rows) <= d:
                 continue
-            f = AffineFlat.from_points(combo)
-            if f.canon not in seen:
-                seen.add(f.canon)
-                yield f
+            key = tuple(map(tuple, rows))
+            if key not in seen:
+                seen.add(key)
+                yield AffineFlat.from_points([points[i] for i in combo])

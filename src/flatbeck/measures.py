@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exactlin import Vector, frac, gram_det, int_det, norm2, vec, vsub
+from .exactlin import Vector, _integerized_points, frac, gram_det, int_det, norm2, vec, vsub
 from .flats import AffineFlat, dist2_point_flat, lifted_tuple_matrix, spanned_flats
 
 Atom = tuple[Vector, Fraction]
@@ -62,17 +62,6 @@ class DiscreteMeasure:
         pts = [vec(p) for p in points]
         w = frac(total) / len(pts)
         return cls([(p, w) for p in pts], resolution)
-
-
-def _integerized_points(
-    points: Sequence[Vector], den: int = 1
-) -> tuple[list[tuple[int, ...]], int]:
-    """Scale all points by a common denominator, a multiple of den, so
-    distances are integers."""
-    for p in points:
-        for x in p:
-            den = math.lcm(den, x.denominator)
-    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
 class PlateMassOracle:

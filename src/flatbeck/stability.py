@@ -349,6 +349,10 @@ def stabilize(
     normalized-minor floor achieved by the chosen tuple."""
     slots = frame.atom_slots()
     picks, _ = iter_picks(frame, slots, budget=budget)
+    # one rank per pick and index pair, then one more per pair
+    work = (len(picks) + 1) * 2 ** (len(slots) + frame.k)
+    if work > budget:
+        raise BudgetExceeded(f"{work} rank evaluations exceed budget {budget}")
     pairs = _index_pairs(frame)
     best_pick: Optional[Pick] = None
     best_score = -1

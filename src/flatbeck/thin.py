@@ -236,7 +236,8 @@ def verify_thin_tubes(
     """
     if g.arity != 2 or (g.measures[0], g.measures[1]) != (mu0, mu1):
         raise ValueError("graph must live over (mu0, mu1)")
-    if support_dist2(mu0, mu1) == 0:
+    # finite supports are at distance 0 exactly when they share a point
+    if set(mu0.points()) & set(mu1.points()):
         raise ValueError("supports are not separated")
     scales = sorted({frac(s) for s in scales}, reverse=True)
     finest = min(scales)

@@ -3,14 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatbeck.beck import (
     PointConfig,
+    _cover_mask,
     concentrated_span_count,
     dichotomy_report,
     enumerate_spanned_flats,
 )
-from flatbeck.flats import AffineFlat
+from flatbeck.flats import AffineFlat, _lifted_integer_points, spanned_flats
 from flatbeck.genscenes import generic_points
 
 
@@ -121,3 +123,32 @@ class TestCoverStructure:
             assert (h.contains_flat(f1) and on_h1 > 1) or (
                 h.contains_flat(f2) and on_h2 > 1
             )
+
+
+coords = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+
+
+@st.composite
+def concentrated_points(draw):
+    """Points of Q^2..Q^4 over denominators 1..7, some forced onto lines and
+    planes through earlier points."""
+    n = draw(st.integers(2, 4))
+    pts = draw(st.lists(st.tuples(*[coords] * n), min_size=2, max_size=4))
+    for _ in range(draw(st.integers(1, 4))):
+        on = draw(st.lists(st.sampled_from(pts), min_size=2, max_size=3))
+        ts = draw(st.lists(coords, min_size=len(on) - 1, max_size=len(on) - 1))
+        pts.append(tuple(
+            on[0][j] + sum(t * (q[j] - on[0][j]) for t, q in zip(ts, on[1:]))
+            for j in range(n)
+        ))
+    return pts
+
+
+class TestCoverMasks:
+    @settings(max_examples=150, deadline=None)
+    @given(concentrated_points())
+    def test_integer_masks_match_contains_point(self, pts):
+        lifted = _lifted_integer_points(pts)
+        for f in spanned_flats(pts, range(1, len(pts[0]))):
+            want = sum(1 << i for i, p in enumerate(pts) if f.contains_point(p))
+            assert _cover_mask(lifted, f) == want

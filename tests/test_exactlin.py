@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from flatbeck.exactlin import (
     Matrix,
+    _integerized_rows,
     canonical_rref,
     det,
     gram_det,
+    int_rref,
     max_minor,
     nullspace,
     pivot_columns,
@@ -179,6 +181,85 @@ class TestCanonicalRref:
         if c2 != 0:
             rows[1] = [c2 * x for x in rows[1]]
         assert row_space_basis(Matrix(rows)) == row_space_basis(m)
+
+
+def fraction_rref(m: Matrix) -> Matrix:
+    """Reference reduced row-echelon form: Gauss-Jordan over Fraction, zero
+    rows at the bottom."""
+    rows = [list(r) for r in m.entries]
+    nr, nc = m.rows, m.cols
+    pr = 0
+    for pc in range(nc):
+        if pr >= nr:
+            break
+        piv = next((i for i in range(pr, nr) if rows[i][pc] != 0), None)
+        if piv is None:
+            continue
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        inv = 1 / rows[pr][pc]
+        rows[pr] = [x * inv for x in rows[pr]]
+        for i in range(nr):
+            if i != pr and rows[i][pc] != 0:
+                f = rows[i][pc]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+        pr += 1
+    return Matrix(rows)
+
+
+mixed_fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Matrices over denominators 1..7 whose later rows may be zero or
+    rational combinations of earlier ones, so every rank occurs."""
+    nc = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(mixed_fracs, min_size=nc, max_size=nc), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "combination", "free"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * nc)
+        elif kind == "combination":
+            cs = draw(st.lists(mixed_fracs, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((c * r[j] for c, r in zip(cs, rows)), Fraction(0)) for j in range(nc)])
+        else:
+            rows.append(draw(st.lists(mixed_fracs, min_size=nc, max_size=nc)))
+    order = draw(st.permutations(range(len(rows))))
+    return Matrix([rows[i] for i in order])
+
+
+def primitive_rows(red: Matrix) -> list[list[int]]:
+    """Nonzero RREF rows scaled to primitive integer rows; RREF pivots are
+    1, so the scaled pivots are positive."""
+    return _integerized_rows([r for r in red.entries if any(r)])
+
+
+class TestIntRref:
+    """int_rref and canonical_rref against the Fraction Gauss-Jordan."""
+
+    @settings(max_examples=400)
+    @given(deficient_matrices())
+    def test_canonical_rref_matches_fraction_reference(self, m):
+        assert canonical_rref(m) == fraction_rref(m)
+
+    @settings(max_examples=300)
+    @given(deficient_matrices(), st.lists(st.integers(-5, 5).filter(bool), min_size=6, max_size=6))
+    def test_primitive_rows_of_the_row_space(self, m, scales):
+        """Rows scaled by any nonzero integers, of either sign, give the
+        primitive, positive-pivot RREF rows of the row space."""
+        ints = [[scales[i] * x for x in r] for i, r in enumerate(_integerized_rows(m.entries))]
+        pivots, rows = int_rref(ints)
+        want = primitive_rows(fraction_rref(m))
+        assert rows == want
+        assert pivots == [next(c for c, x in enumerate(r) if x) for r in want]
+        assert int_rref(rows) == (pivots, rows)
+
+    def test_rows_are_primitive_with_positive_pivots(self):
+        assert int_rref([[0, -4, 6], [0, 2, 2]]) == ([1, 2], [[0, 1, 0], [0, 0, 1]])
+        assert int_rref([[-2, 4, 6]]) == ([0], [[1, -2, -3]])
+        assert int_rref([[2, 4, 6], [1, 2, 4], [0, 0, 0]]) == ([0, 2], [[1, 2, 0], [0, 0, 1]])
+        assert int_rref([[0, 0], [0, 0]]) == ([], [])
+        assert int_rref([]) == ([], [])
 
 
 class TestSolveNullspace:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,11 +9,13 @@ from flatbeck.exactlin import Matrix, gram_det, rank, vec
 from flatbeck.flats import (
     AffineFlat,
     FlatChart,
+    affinely_independent,
     dist2_flats,
     dist2_point_flat,
     join,
     linearize,
     meet,
+    spanned_flats,
     wedge_angle_sin2,
 )
 from flatbeck.measures import DiscreteMeasure, PlateMassOracle
@@ -249,3 +252,76 @@ class TestChart:
         chart = FlatChart(x_axis(3))
         with pytest.raises(ValueError):
             chart.to_coords([0, 1, 0])
+
+
+def reference_spanned_flats(points, dims) -> list[AffineFlat]:
+    """Brute force over Fraction: every affinely independent subset builds
+    its flat, and the flats are deduplicated on the canonical form."""
+    seen = set()
+    out = []
+    for d in dims:
+        for combo in itertools.combinations(points, d + 1):
+            if not affinely_independent(combo):
+                continue
+            f = AffineFlat.from_points(combo)
+            if f.canon not in seen:
+                seen.add(f.canon)
+                out.append(f)
+    return out
+
+
+coords = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+
+
+@st.composite
+def forced_point_sets(draw):
+    """Points of Q^2..Q^4 over denominators 1..7 and a list of dimensions.
+    Later points may be forced onto the line through two earlier points or
+    the plane through three, or repeat one."""
+    n = draw(st.integers(2, 4))
+    pts = draw(st.lists(st.tuples(*[coords] * n), min_size=2, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        on = draw(st.lists(st.sampled_from(pts), min_size=2, max_size=3))
+        ts = draw(st.lists(coords, min_size=len(on) - 1, max_size=len(on) - 1))
+        pts.append(tuple(
+            on[0][j] + sum(t * (q[j] - on[0][j]) for t, q in zip(ts, on[1:]))
+            for j in range(n)
+        ))
+    dims = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return pts, dims
+
+
+def count_from_points(monkeypatch) -> list:
+    calls = []
+    build = AffineFlat.from_points.__func__
+
+    def counting(cls, points):
+        calls.append(1)
+        return build(cls, points)
+
+    monkeypatch.setattr(AffineFlat, "from_points", classmethod(counting))
+    return calls
+
+
+class TestSpannedFlats:
+    @settings(max_examples=200, deadline=None)
+    @given(forced_point_sets())
+    def test_matches_fraction_reference(self, case):
+        pts, dims = case
+        got = list(spanned_flats(pts, dims))
+        want = reference_spanned_flats(pts, dims)
+        assert [(f.canon, f.basepoint, f.directions) for f in got] == [
+            (f.canon, f.basepoint, f.directions) for f in want
+        ]
+
+    def test_coplanar_lattice_builds_each_flat_once(self, monkeypatch):
+        base, u, v = vec([1, 2, 3]), vec([Fraction(1, 3), 1, 0]), vec([0, Fraction(1, 5), 2])
+        grid = [
+            tuple(b + i * x + j * y for b, x, y in zip(base, u, v))
+            for i in range(5)
+            for j in range(4)
+        ]
+        calls = count_from_points(monkeypatch)
+        flats = list(spanned_flats(grid, [1, 2]))
+        assert [f.dim for f in flats].count(2) == 1
+        assert len(calls) == len(flats)

@@ -164,6 +164,21 @@ class TestBudgetsBeforeWork:
             certify_stability(frame, Fraction(0), budget=per_pair - 1)
         assert certify_stability(frame, Fraction(0), budget=per_pair).ok
 
+    def test_stabilize_work_checked_before_any_rank(self, monkeypatch):
+        """9 picks fit budget 9, but the search would run (9 + 1) * 2^(2 + 2)
+        = 160 ranks: it is refused before the first one."""
+        frame = parse_scene(str(AXES_SCENE)).frames["axes"]
+        calls = []
+
+        def counting(m):
+            calls.append(1)
+            return rank(m)
+
+        monkeypatch.setattr(stability, "rank", counting)
+        with pytest.raises(BudgetExceeded, match="^160 rank evaluations exceed budget 9"):
+            stabilize(frame, budget=9)
+        assert calls == []
+
 
 def laplace_det(rows):
     if not rows:

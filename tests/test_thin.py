@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from flatbeck import thin
 from flatbeck.flats import AffineFlat
 from flatbeck.genscenes import parallel_segments, segment_grid, square_grid
-from flatbeck.measures import DiscreteMeasure, dyadic_scales
+from flatbeck.measures import DiscreteMeasure, dyadic_scales, support_dist2
 from flatbeck.stability import StableFrame
 from flatbeck.thin import (
     NotMinimalStable,
@@ -109,6 +110,13 @@ class TestVerifyThinTubes:
         with pytest.raises(ValueError):
             verify_thin_tubes(mu0, mu0, g, dyadic_scales(3, 1))
 
+    def test_one_shared_atom_rejected(self):
+        mu0 = DiscreteMeasure.uniform([(0, 0), (0, 1)], RES)
+        mu1 = DiscreteMeasure.uniform([(1, 0), (0, 1)], RES)
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
+        with pytest.raises(ValueError, match="supports are not separated"):
+            verify_thin_tubes(mu0, mu1, g, dyadic_scales(3, 1))
+
 
 class TestPrunePlanes:
     def test_already_thin_graph_untouched(self):
@@ -164,6 +172,19 @@ class TestTubesToPlanes:
         out = tubes_to_planes(mu0, mu1, g, epsilon=0.25, scales=dyadic_scales(4, 1))
         assert not out.ok
         assert "precondition" in out.witness
+
+    def test_support_distance_scanned_once(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return support_dist2(a, b)
+
+        monkeypatch.setattr(thin, "support_dist2", counting)
+        mu0, mu1 = parallel_segments(5)
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
+        assert tubes_to_planes(mu0, mu1, g, epsilon=0.25, scales=dyadic_scales(5, 1)).ok
+        assert len(calls) == 1
 
 
 class TestPruneAgainstMeasure:
