@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
@@ -90,7 +91,7 @@ def _cover_mask(lifted: list[tuple[int, ...]], f: AffineFlat) -> int:
 
 def dichotomy_report(
     x: PointConfig,
-    epsilon: float = 0.1,
+    epsilon: Fraction = Fraction(1, 10),
     budget: int = DEFAULT_POINT_BUDGET,
 ) -> DichotomyReport:
     """Either exhibit flats with dimension sum <= n-1 covering at least a
@@ -110,7 +111,7 @@ def dichotomy_report(
         )
     if n < 2:
         raise ValueError("spanned hyperplanes need ambient dimension >= 2")
-    need = big_n - int(epsilon * big_n)
+    need = big_n - math.floor(epsilon * big_n)
     # candidate flats of each dimension 1..n-1 with their cover masks
     by_dim: dict[int, list[tuple[int, AffineFlat]]] = {d: [] for d in range(1, n)}
     lifted = _lifted_integer_points(x.points)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -80,9 +81,7 @@ def _rat(value, where: str) -> Fraction:
     try:
         if isinstance(value, bool):
             raise TypeError
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, (int, str, Fraction)):
             return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError):
         pass
@@ -92,6 +91,9 @@ def _rat(value, where: str) -> Fraction:
 def _vec(value, n: Optional[int], where: str):
     if not isinstance(value, list):
         raise SceneError(f"{where}: expected a coordinate list")
+    for i, x in enumerate(value):
+        if isinstance(x, Fraction):  # a JSON decimal: coordinates must be exact strings
+            raise SceneError(f"{where}[{i}]: malformed rational {float(x)!r}")
     out = tuple(_rat(x, f"{where}[{i}]") for i, x in enumerate(value))
     if n is not None and len(out) != n:
         raise SceneError(f"{where}: expected {n} coordinates, got {len(out)}")
@@ -214,12 +216,24 @@ class Scene:
         return float(self.params[key])
 
 
+def _decimal(text: str) -> Fraction:
+    """A JSON decimal as its exact value.  A literal over 100 characters or
+    with an exponent past the double range is refused: it would cost a huge
+    numerator or denominator, or turn infinite as a float."""
+    exp = text.lower().partition("e")[2]
+    if len(text) > 100 or abs(int(exp or 0)) > 400 or math.isinf(float(text)):
+        raise SceneError(f"decimal {text[:100]} too long or out of range")
+    return Fraction(text)
+
+
 def parse_scene(path: str) -> Scene:
     p = Path(path)
     if not p.exists():
         raise SceneError(f"scene file not found: {path}")
     try:
-        raw = json.loads(p.read_text())
+        # decimals arrive as their exact value; param_float rounds them to
+        # the double the literal names
+        raw = json.loads(p.read_text(), parse_float=_decimal)
     except json.JSONDecodeError as e:
         raise SceneError(f"{path}: invalid JSON ({e})")
     return Scene(raw, path)
@@ -370,7 +384,7 @@ def cmd_beck(scene: Scene, args, rep: Reporter) -> None:
     if missing:
         raise SceneError(f"dangling point reference(s): {missing}")
     pts = [scene.points[x] for x in names]
-    eps = scene.param_float("epsilon", 0.1)
+    eps = scene.param_rat("epsilon", "1/10")
     report = dichotomy_report(PointConfig(pts), eps, budget=args.budget)
     if not report.complete:
         raise EnumerationBudgetExceeded(report.note)

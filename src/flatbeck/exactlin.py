@@ -144,11 +144,6 @@ class Matrix:
             raise ValueError("row counts differ")
         return Matrix(a + b for a, b in zip(self.entries, other.entries))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column counts differ")
-        return Matrix(self.entries + other.entries)
-
     def mat_vec(self, v: Sequence) -> Vector:
         v = vec(v)
         return tuple(dot(r, v) for r in self.entries)

@@ -104,9 +104,6 @@ class AffineFlat:
         both = Matrix(list(self.canon) + list(other.canon))
         return rank(both) == rank(mine)
 
-    def translate(self, offset: Sequence) -> "AffineFlat":
-        return AffineFlat(vadd(self.basepoint, vec(offset)), self.directions)
-
 
 def linearize(f: AffineFlat) -> Matrix:
     """(n+1)-row matrix whose column space is span(F x {1}).

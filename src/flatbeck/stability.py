@@ -11,6 +11,11 @@ quantitatively large.  Minor magnitudes are always compared after dividing
 by the product of the squared norms of the participating columns, so the
 floor is scale-free; with orthogonal (not orthonormal) bases this matches
 the orthonormal convention up to recorded factors.
+
+The frame scales every lifted atom and basis column to integers once, so a
+matrix is a lookup of integer columns with their scales.  Each (index pair,
+pick) gets one fraction-free elimination: its pivot columns give the rank,
+the pick-independence check and the columns of the cheap minor floor.
 """
 
 from __future__ import annotations
@@ -23,13 +28,12 @@ from typing import Iterable, Optional, Sequence
 
 from .exactlin import (
     BudgetExceeded,
-    Matrix,
     Vector,
+    _integerized_points,
     int_det,
     norm2,
     orthogonalize,
     pivot_columns,
-    rank,
     vscale,
     vsub,
 )
@@ -90,12 +94,13 @@ class StableFrame:
                         raise ValueError(f"measure ({j},{i}) has an atom off flat {j}")
                     if norm2(p) > 1:
                         raise ValueError(f"measure ({j},{i}) leaves the unit ball")
-        self.bases = []
-        self.basis_norm2 = []
-        for f in self.flats:
-            b, s = orthogonalize(linearize(f).col_list())
-            self.bases.append(b)
-            self.basis_norm2.append(s)
+        self.bases = [orthogonalize(linearize(f).col_list())[0] for f in self.flats]
+        # (scale, integer column) per lifted atom (p, 1) and per basis column
+        self.atom_columns = [
+            [[_int_column(p + (Fraction(1),)) for p, _ in mu.atoms] for mu in ms]
+            for ms in self.measures
+        ]
+        self.basis_columns = [[_int_column(b) for b in bs] for bs in self.bases]
 
     @property
     def k(self) -> int:
@@ -108,9 +113,6 @@ class StableFrame:
         return [
             (j, i) for j, ms in enumerate(self.measures) for i in range(len(ms))
         ]
-
-    def full_index(self) -> IndexPair:
-        return IndexPair.of(self.atom_slots(), ())
 
     def block_atoms(self, flats_subset: Iterable[int]) -> frozenset[AtomSlot]:
         sel = set(flats_subset)
@@ -137,46 +139,45 @@ class StableFrame:
 
 
 Pick = dict[AtomSlot, int]
+# integer rows and column scales: column c over Q is column c of the rows
+# divided by scales[c]
+IntMatrix = tuple[list[list[int]], list[int]]
 
 
-def build_matrix(frame: StableFrame, pick: Pick, idx: IndexPair) -> Matrix:
+def _int_column(v: Vector) -> tuple[int, tuple[int, ...]]:
+    """(scale, integer column): v times the lcm of its denominators."""
+    (col,), scale = _integerized_points([v])
+    return scale, col
+
+
+def build_matrix(frame: StableFrame, pick: Pick, idx: IndexPair) -> IntMatrix:
     """Columns: lifted picked atoms over sorted Ibar, then the orthogonal
-    basis columns of every flat in sorted J."""
-    cols: list[Vector] = []
+    basis columns of every flat in sorted J; slots outside Ibar are ignored."""
+    cols = []
     for slot in idx.sorted_atoms():
         j, i = slot
         if slot not in pick:
             raise ValueError(f"pick missing atom slot {slot}")
-        p = frame.measures[j][i].atoms[pick[slot]][0]
-        cols.append(p + (Fraction(1),))
+        cols.append(frame.atom_columns[j][i][pick[slot]])
     for j in idx.sorted_flats():
-        cols.extend(frame.bases[j])
-    return Matrix.from_cols(cols, rows=frame.ambient_dim + 1)
+        cols.extend(frame.basis_columns[j])
+    return [list(r) for r in zip(*(c for _, c in cols))], [s for s, _ in cols]
 
 
 def iter_picks(
     frame: StableFrame,
     slots: Sequence[AtomSlot],
     budget: Optional[int] = None,
-    rng=None,
-) -> tuple[list[Pick], bool]:
-    """All atom picks over the slots; seeded sample when over budget."""
+) -> list[Pick]:
+    """All atom picks over the slots, in product order."""
     sizes = [len(frame.measures[j][i]) for j, i in slots]
-    total = 1
-    for s in sizes:
-        total *= s
-    if budget is None or total <= budget:
-        picks = [
-            dict(zip(slots, combo))
-            for combo in itertools.product(*(range(s) for s in sizes))
-        ]
-        return picks, False
-    if rng is None:
-        raise BudgetExceeded(f"{total} picks exceed budget {budget} and no rng given")
-    picks = []
-    for _ in range(budget):
-        picks.append({slot: rng.randrange(s) for slot, s in zip(slots, sizes)})
-    return picks, True
+    total = math.prod(sizes)
+    if budget is not None and total > budget:
+        raise BudgetExceeded(f"{total} picks exceed budget {budget}")
+    return [
+        dict(zip(slots, combo))
+        for combo in itertools.product(*(range(s) for s in sizes))
+    ]
 
 
 @dataclass
@@ -188,64 +189,72 @@ class RankInconsistency:
     rank_b: int
 
 
+def _eliminate_picks(
+    frame: StableFrame, idx: IndexPair, budget: Optional[int] = None
+) -> list[tuple[Pick, IntMatrix, list[int]]] | RankInconsistency:
+    """One pivot_columns per pick of the index pair, in iter_picks order:
+    every (pick, matrix, pivots), or the first pick whose rank differs from
+    the first pick's."""
+    out: list[tuple[Pick, IntMatrix, list[int]]] = []
+    for p in iter_picks(frame, idx.sorted_atoms(), budget):
+        m = build_matrix(frame, p, idx)
+        pivots = pivot_columns(m[0])
+        if out and len(pivots) != len(out[0][2]):
+            first, _, first_pivots = out[0]
+            return RankInconsistency(idx, first, len(first_pivots), p, len(pivots))
+        out.append((p, m, pivots))
+    return out
+
+
 def rank_r(
     frame: StableFrame,
     idx: IndexPair,
     budget: Optional[int] = 4096,
-    rng=None,
 ) -> int | RankInconsistency:
     """The common rank of (B_Ibar(x), A_J) over atom picks, or an
     inconsistency report naming two picks with different ranks."""
-    slots = idx.sorted_atoms()
-    picks, _ = iter_picks(frame, slots, budget, rng)
-    first_pick = picks[0]
-    first_rank = rank(build_matrix(frame, first_pick, idx))
-    for p in picks[1:]:
-        r = rank(build_matrix(frame, p, idx))
-        if r != first_rank:
-            return RankInconsistency(idx, first_pick, first_rank, p, r)
-    return first_rank
+    got = _eliminate_picks(frame, idx, budget)
+    return got if isinstance(got, RankInconsistency) else len(got[0][2])
 
 
-def minor_floors(m: Matrix, r: int, exact: bool = False) -> tuple[Fraction, Fraction]:
+def minor_floors(
+    m: IntMatrix, pivots: Sequence[int], exact: bool = False
+) -> tuple[Fraction, Fraction]:
     """(normalized, raw) lower bounds - exact values when exact=True - for
-    the largest squared r x r minor, where the normalized form divides each
-    det^2 by the product of the participating squared column norms.
+    the largest squared r x r minor, r = len(pivots), where the normalized
+    form divides each det^2 by the product of the participating squared
+    column norms.
 
-    The cheap route fixes the Gaussian pivot columns and maximizes over row
-    subsets only; the result is a true lower bound, and since the pivot
-    columns are independent at the true rank it is positive.
+    The cheap route fixes the pivot columns and maximizes over row subsets
+    only; the result is a true lower bound, and since the pivot columns are
+    independent it is positive.  The exact route maximizes over all r-column
+    subsets.
 
-    The work runs on a column-scaled integer copy: scaling a column moves no
-    pivot, and multiplies each minor through it by the column's factor, so
-    the normalized value needs no rescaling and the raw one divides out the
-    squared factors.
+    Scaling a column multiplies each minor through it by the column's
+    factor, so the normalized value needs no rescaling on the integer
+    columns and the raw one divides out the squared scales.
     """
+    r = len(pivots)
     if r == 0:
         return Fraction(1), Fraction(1)
-    cols = m.col_list()
-    scales = [math.lcm(*(x.denominator for x in c)) for c in cols]
-    icols = [
-        [x.numerator * (s // x.denominator) for x in c] for c, s in zip(cols, scales)
-    ]
-    inorms = [sum(x * x for x in c) for c in icols]
-    irows = [list(row) for row in zip(*icols)]
+    rows, scales = m
+    norms = [sum(x * x for x in c) for c in zip(*rows)]
 
     def best_over_rows(col_subset: Sequence[int]) -> tuple[Fraction, Fraction]:
         best = 0
-        for row_subset in itertools.combinations(range(m.rows), r):
-            d = int_det([[irows[i][c] for c in col_subset] for i in row_subset])
+        for row_subset in itertools.combinations(rows, r):
+            d = int_det([[row[c] for c in col_subset] for row in row_subset])
             best = max(best, d * d)
-        denom = math.prod(inorms[c] for c in col_subset)
+        denom = math.prod(norms[c] for c in col_subset)
         raw = Fraction(best, math.prod(scales[c] for c in col_subset) ** 2)
         return (Fraction(best, denom) if denom else Fraction(0)), raw
 
     if exact:
         pairs = [
-            best_over_rows(cs) for cs in itertools.combinations(range(m.cols), r)
+            best_over_rows(cs) for cs in itertools.combinations(range(len(scales)), r)
         ]
         return max(p[0] for p in pairs), max(p[1] for p in pairs)
-    return best_over_rows(pivot_columns(irows)[:r])
+    return best_over_rows(pivots)
 
 
 @dataclass
@@ -280,7 +289,6 @@ def certify_stability(
     frame: StableFrame,
     c2: Fraction,
     budget: int = 200_000,
-    rng=None,
 ) -> CertificationResult:
     """Certify c-stable position with the squared, column-normalized floor c2:
     every index pair must have a pick-independent rank, and every pick's
@@ -297,7 +305,7 @@ def certify_stability(
     floor: Optional[Fraction] = None
     raw_floor: Optional[Fraction] = None
     for idx in pairs:
-        got = rank_r(frame, idx, budget=None)
+        got = _eliminate_picks(frame, idx)
         if isinstance(got, RankInconsistency):
             return CertificationResult(
                 False,
@@ -308,13 +316,11 @@ def certify_stability(
                     f"J={sorted(idx.flats_index)}: {got.rank_a} vs {got.rank_b}"
                 ),
             )
-        ranks[idx] = got
-        picks, _ = iter_picks(frame, idx.sorted_atoms(), budget=None)
-        for p in picks:
-            m = build_matrix(frame, p, idx)
-            val, raw = minor_floors(m, got)
+        ranks[idx] = len(got[0][2])
+        for p, m, pivots in got:
+            val, raw = minor_floors(m, pivots)
             if val < c2:
-                val, raw = minor_floors(m, got, exact=True)
+                val, raw = minor_floors(m, pivots, exact=True)
             if val < c2:
                 return CertificationResult(
                     False,
@@ -348,7 +354,7 @@ def stabilize(
     balls dyadically until certification passes with c2 equal to half the
     normalized-minor floor achieved by the chosen tuple."""
     slots = frame.atom_slots()
-    picks, _ = iter_picks(frame, slots, budget=budget)
+    picks = iter_picks(frame, slots, budget=budget)
     # one rank per pick and index pair, then one more per pair
     work = (len(picks) + 1) * 2 ** (len(slots) + frame.k)
     if work > budget:
@@ -357,18 +363,14 @@ def stabilize(
     best_pick: Optional[Pick] = None
     best_score = -1
     for p in picks:
-        score = 0
-        for idx in pairs:
-            sub = {s: p[s] for s in idx.atoms_index}
-            score += rank(build_matrix(frame, sub, idx))
+        score = sum(len(pivot_columns(build_matrix(frame, p, idx)[0])) for idx in pairs)
         if score > best_score:
             best_score = score
             best_pick = p
     assert best_pick is not None
     if required_ranks:
         for idx, want in required_ranks.items():
-            sub = {s: best_pick[s] for s in idx.atoms_index}
-            got = rank(build_matrix(frame, sub, idx))
+            got = len(pivot_columns(build_matrix(frame, best_pick, idx)[0]))
             if got != want:
                 raise StabilizationError(
                     f"cannot stabilize: rank {got} != required {want} on "
@@ -376,10 +378,8 @@ def stabilize(
                 )
     floor: Optional[Fraction] = None
     for idx in pairs:
-        sub = {s: best_pick[s] for s in idx.atoms_index}
-        m = build_matrix(frame, sub, idx)
-        r = rank(m)
-        val, _ = minor_floors(m, r, exact=True)
+        m = build_matrix(frame, best_pick, idx)
+        val, _ = minor_floors(m, pivot_columns(m[0]), exact=True)
         if floor is None or val < floor:
             floor = val
     assert floor is not None and floor > 0

@@ -85,9 +85,6 @@ class ThinGraph:
     def k(self) -> int:
         return self.arity - 1
 
-    def is_complete(self) -> bool:
-        return self.tuples is None
-
     def tuple_count(self) -> int:
         if self.tuples is None:
             total = 1
@@ -144,12 +141,6 @@ class ThinGraph:
         for i, m in zip(t, self.measures):
             w *= m.atoms[i][1]
         return w
-
-    def span_of(self, t: tuple[int, ...]) -> AffineFlat:
-        pts = self.tuple_points(t)
-        if not affinely_independent(pts):
-            raise TupleInDegenerateSet(f"tuple {t} is affinely dependent")
-        return AffineFlat.from_points(pts)
 
 
 @dataclass

@@ -56,6 +56,13 @@ class TestParseScene:
         with pytest.raises(SceneError, match="malformed rational"):
             parse_scene(path)
 
+    @pytest.mark.parametrize("number", ["1e400", "-2E+309", "1e-99999999999", "0." + "3" * 120])
+    def test_decimal_out_of_range_rejected(self, tmp_path, number):
+        path = tmp_path / "scene.json"
+        path.write_text('{"ambient_dim": 1, "params": {"sigma": %s}}' % number)
+        with pytest.raises(SceneError, match="too long or out of range"):
+            parse_scene(str(path))
+
     def test_dangling_reference(self, tmp_path):
         body = {
             "ambient_dim": 2,
@@ -113,6 +120,31 @@ class TestBeckCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["hyperplane_count"] == math.comb(20, 3) == 1140
         assert report["concentrated"] is False
+
+    def test_decimal_epsilon_is_exact(self, tmp_path):
+        # 71 of 100 points on the x axis, 29 on a parabola off it: epsilon
+        # 0.29 leaves 29 uncovered, so the axis must do; as a double,
+        # 0.29 * 100 = 28.999999999999996 would ask for 72
+        line = [[str(i), "0"] for i in range(71)]
+        parabola = [[str(x), str(x * x + 1)] for x in range(1, 30)]
+        body = {
+            "ambient_dim": 2,
+            "points": {f"p{i:03d}": p for i, p in enumerate(line + parabola)},
+            "params": {"epsilon": 0.29},
+        }
+        out = tmp_path / "out"
+        assert main(["beck", "--scene", write_scene(tmp_path, body), "--out", str(out)]) == EXIT_PASS
+        report = json.loads((out / "report.json").read_text())
+        assert report["concentrated"] is True
+        assert report["covered"] == 71
+        assert report["family_dims"] == [1]
+
+    def test_decimal_params_keep_their_doubles(self, tmp_path):
+        body = {"ambient_dim": 1, "params": {"epsilon": 0.29, "sigma": 1e-3}}
+        scene = parse_scene(write_scene(tmp_path, body))
+        assert scene.param_rat("epsilon") == Fraction(29, 100)
+        assert scene.param_float("epsilon") == 0.29
+        assert scene.param_float("sigma") == 0.001
 
 
 def count_from_points(monkeypatch) -> list:

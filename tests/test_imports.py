@@ -1,11 +1,15 @@
-"""Every name a module of the package imports is used in that module, and
-every local a function assigns is read.
+"""Every name a module of the package imports is used in that module, every
+local a function assigns is read, and every function, method and class the
+package defines is read somewhere.
 
 A stdlib ``ast`` walk stands in for a linter: an import is unused when the
 name it binds is never read, neither in code, in an annotation (quoted ones
 included) nor in ``__all__``.  A local is unused when no code in its
 function, nested functions included, reads it; names starting with ``_``
-are exempt.
+are exempt.  A definition is unread when no module under ``src/``,
+``tests/`` or ``perfbench/`` reads its name as a name, an attribute, an
+imported name or an identifier string (``__all__`` entries, ``getattr``
+keys); mentions in prose do not count, and dunders are exempt.
 """
 
 import ast
@@ -13,8 +17,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flatbeck"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "flatbeck"
 MODULES = sorted(PACKAGE.glob("*.py"))
+READERS = sorted(
+    path for tree in ("src", "tests", "perfbench") for path in (ROOT / tree).rglob("*.py")
+)
 
 
 def _bound_imports(tree: ast.Module) -> dict[str, int]:
@@ -132,3 +140,59 @@ class TestUnusedLocals:
     @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
     def test_module_reads_every_local(self, path):
         assert unused_locals(path.read_text()) == []
+
+
+def _read_identifiers(tree: ast.AST) -> set[str]:
+    read: set[str] = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            read.add(n.attr)
+        elif isinstance(n, ast.alias):
+            read.add(n.name.rsplit(".", 1)[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            read.add(n.value)
+    return read
+
+
+def unused_definitions(
+    defining: dict[str, str], readers: list[str]
+) -> list[tuple[str, str, int]]:
+    """(module, name, line) for every function, method or class defined in
+    a defining source whose name no reader source reads."""
+    read: set[str] = set()
+    for source in readers:
+        read |= _read_identifiers(ast.parse(source))
+    return sorted(
+        (module, n.name, n.lineno)
+        for module, source in defining.items()
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (n.name.startswith("__") and n.name.endswith("__"))
+        and n.name not in read
+    )
+
+
+class TestUnusedDefinitions:
+    def test_detector_flags_an_unread_definition(self):
+        lib = (
+            "class A:\n"
+            "    def used(self):\n"
+            "        return 1\n"
+            "    def dead(self):\n"
+            "        '''Call used() instead.'''\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "def f():\n"
+            "    return A().used()\n"
+            "def g():\n"
+            "    pass\n"
+        )
+        user = "from lib import f\nHANDLERS = {'go': getattr(f, 'g')}\n"
+        assert unused_definitions({"lib": lib}, [lib, user]) == [("lib", "dead", 4)]
+
+    def test_package_defines_nothing_unread(self):
+        defining = {path.name: path.read_text() for path in MODULES}
+        readers = [path.read_text() for path in READERS]
+        assert unused_definitions(defining, readers) == []

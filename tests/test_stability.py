@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from flatbeck import stability
 from flatbeck.cli import parse_scene
-from flatbeck.exactlin import BudgetExceeded, Matrix, norm2, rank
+from flatbeck.exactlin import BudgetExceeded, Matrix, norm2, pivot_columns, rank
 from flatbeck.flats import AffineFlat
 from flatbeck.genscenes import random_minimal_frame
 from flatbeck.measures import DiscreteMeasure
@@ -54,26 +55,35 @@ def transversal_lines_grid_frame():
     return StableFrame([lx, ly], [[mx], [my]])
 
 
+def coincident_atoms_frame() -> StableFrame:
+    """Axes in Q^2 whose measures share the origin as their second atom."""
+    lx = AffineFlat([0, 0], [[1, 0]])
+    ly = AffineFlat([0, 0], [[0, 1]])
+    shared = (Fraction(0), Fraction(0))
+    mx = DiscreteMeasure.uniform([(Fraction(1, 2), 0), shared], RES)
+    my = DiscreteMeasure.uniform([(0, Fraction(1, 2)), shared], RES)
+    return StableFrame([lx, ly], [[mx], [my]])
+
+
 class TestBuildMatrix:
     def test_basis_only(self):
         frame = two_axes_frame()
-        m = build_matrix(frame, {}, IndexPair.of((), [0]))
-        assert (m.rows, m.cols) == (3, 2)
+        rows, scales = build_matrix(frame, {}, IndexPair.of((), [0]))
+        assert (len(rows), len(rows[0]), len(scales)) == (3, 2, 2)
 
     def test_single_lifted_atom(self):
         frame = two_axes_frame()
-        m = build_matrix(frame, {(0, 0): 0}, IndexPair.of([(0, 0)], ()))
-        assert m.col(0) == (Fraction(1, 2), Fraction(0), Fraction(1))
+        rows, scales = build_matrix(frame, {(0, 0): 0}, IndexPair.of([(0, 0)], ()))
+        col = tuple(Fraction(row[0], scales[0]) for row in rows)
+        assert col == (Fraction(1, 2), Fraction(0), Fraction(1))
 
     def test_two_lines_one_atom_each_rank_two(self):
         frame = two_axes_frame()
-        m = build_matrix(
+        rows, _ = build_matrix(
             frame, {(0, 0): 0, (1, 0): 0}, IndexPair.of([(0, 0), (1, 0)], ())
         )
-        assert (m.rows, m.cols) == (3, 2)
-        from flatbeck.exactlin import rank
-
-        assert rank(m) == 2
+        assert (len(rows), len(rows[0])) == (3, 2)
+        assert len(pivot_columns(rows)) == 2
 
     def test_missing_pick_rejected(self):
         frame = two_axes_frame()
@@ -115,13 +125,7 @@ class TestCertify:
         assert cert.ok and cert.floor > 0
 
     def test_coincident_atoms_fail(self):
-        lx = AffineFlat([0, 0], [[1, 0]])
-        ly = AffineFlat([0, 0], [[0, 1]])
-        shared = (Fraction(0), Fraction(0))
-        mx = DiscreteMeasure.uniform([(Fraction(1, 2), 0), shared], RES)
-        my = DiscreteMeasure.uniform([(0, Fraction(1, 2)), shared], RES)
-        frame = StableFrame([lx, ly], [[mx], [my]])
-        cert = certify_stability(frame, Fraction(1, 10**12))
+        cert = certify_stability(coincident_atoms_frame(), Fraction(1, 10**12))
         assert not cert.ok and cert.witness
 
     def test_deterministic_verdict(self):
@@ -170,36 +174,50 @@ class TestBudgetsBeforeWork:
         frame = parse_scene(str(AXES_SCENE)).frames["axes"]
         calls = []
 
-        def counting(m):
+        def counting(rows):
             calls.append(1)
-            return rank(m)
+            return pivot_columns(rows)
 
-        monkeypatch.setattr(stability, "rank", counting)
+        monkeypatch.setattr(stability, "pivot_columns", counting)
         with pytest.raises(BudgetExceeded, match="^160 rank evaluations exceed budget 9"):
             stabilize(frame, budget=9)
         assert calls == []
 
 
-def laplace_det(rows):
-    if not rows:
-        return Fraction(1)
-    return sum(
-        (-1) ** j * rows[0][j] * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
-        for j in range(len(rows))
-    )
+def laplace_minors(rows):
+    """minor(cols): the determinant of rows on the column tuple cols, by
+    cofactor expansion along the rows; each minor of the lower rows is
+    computed once and shared across column sets."""
+    n = len(rows)
+
+    @functools.cache
+    def minor(cols: tuple[int, ...]) -> Fraction:
+        if not cols:
+            return Fraction(1)
+        row = rows[n - len(cols)]
+        return sum(
+            (
+                (-1) ** k * row[c] * minor(cols[:k] + cols[k + 1 :])
+                for k, c in enumerate(cols)
+                if row[c]
+            ),
+            Fraction(0),
+        )
+
+    return minor
 
 
 def oracle_floors(m: Matrix, r: int, col_sets) -> tuple[Fraction, Fraction]:
     """(normalized, raw) squared-minor maxima over the given column sets,
     by Laplace expansion on the Fraction entries."""
     norms = [norm2(m.col(c)) for c in range(m.cols)]
+    col_sets = [tuple(cs) for cs in col_sets]
     best_norm, best_raw = Fraction(0), Fraction(0)
-    for cs in col_sets:
-        denom = Fraction(1)
-        for c in cs:
-            denom *= norms[c]
-        for rs in itertools.combinations(range(m.rows), r):
-            d2 = laplace_det([[m.entries[i][c] for c in cs] for i in rs]) ** 2
+    for rs in itertools.combinations(m.entries, r):
+        minor = laplace_minors(rs)
+        for cs in col_sets:
+            denom = math.prod(norms[c] for c in cs)
+            d2 = minor(cs) ** 2
             best_raw = max(best_raw, d2)
             if denom:
                 best_norm = max(best_norm, d2 / denom)
@@ -216,28 +234,111 @@ small_matrices = st.integers(1, 5).flatmap(
 )
 
 
+def int_columns(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Column-integerized copy of m: integer rows and the column scales."""
+    scales = [math.lcm(*(x.denominator for x in c)) for c in m.col_list()]
+    rows = [
+        [x.numerator * (s // x.denominator) for x, s in zip(row, scales)]
+        for row in m.entries
+    ]
+    return rows, scales
+
+
+def greedy_pivots(m: Matrix) -> list[int]:
+    """Columns that raise the Fraction rank of the column prefix."""
+    ranks = [rank(Matrix([row[:c] for row in m.entries])) for c in range(m.cols + 1)]
+    return [c for c in range(m.cols) if ranks[c + 1] > ranks[c]]
+
+
 class TestMinorFloors:
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)
     def test_exact_route_matches_laplace(self, m):
         r = rank(m)
+        im = int_columns(m)
+        pivots = pivot_columns(im[0])
+        assert len(pivots) == r
         want = oracle_floors(m, r, itertools.combinations(range(m.cols), r))
-        assert minor_floors(m, r, exact=True) == (want if r else (1, 1))
+        assert minor_floors(im, pivots, exact=True) == (want if r else (1, 1))
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)
     def test_cheap_route_uses_the_greedy_pivots(self, m):
         r = rank(m)
-        pivots = [
-            c for c in range(m.cols)
-            if rank(Matrix([row[: c + 1] for row in m.entries]))
-            > rank(Matrix([row[:c] for row in m.entries]))
-        ]
+        pivots = greedy_pivots(m)
+        im = int_columns(m)
+        assert pivot_columns(im[0]) == pivots
         want = oracle_floors(m, r, [pivots])
-        got = minor_floors(m, r)
+        got = minor_floors(im, pivot_columns(im[0]))
         assert got == (want if r else (1, 1))
         if r:
             assert got[0] > 0 and got[1] > 0
+
+
+def reference_certificate(frame: StableFrame, c2: Fraction) -> tuple:
+    """certify_stability the textbook way, as (ok, floor, raw_floor, ranks,
+    witness): Fraction matrices from Matrix.from_cols of the lifted atoms
+    and frame.bases, ranks by exactlin.rank, floors by Laplace expansion on
+    the greedy pivots and, below c2, over all column sets.  Within an index
+    pair every pick's rank is checked before any floor."""
+    ranks: dict = {}
+    floor = raw_floor = None
+    for idx in stability._index_pairs(frame):
+        slots, flats = idx.sorted_atoms(), idx.sorted_flats()
+        where = f"Ibar={slots} J={flats}"
+        mats = []
+        for combo in itertools.product(*(range(len(frame.measures[j][i])) for j, i in slots)):
+            pick = dict(zip(slots, combo))
+            cols = [frame.measures[j][i].atoms[pick[(j, i)]][0] + (Fraction(1),) for j, i in slots]
+            for j in flats:
+                cols += frame.bases[j]
+            mats.append((pick, Matrix.from_cols(cols, rows=frame.ambient_dim + 1)))
+        r = rank(mats[0][1])
+        for _, m in mats:
+            if rank(m) != r:
+                witness = f"rank not constant on {where}: {r} vs {rank(m)}"
+                return False, None, None, ranks, witness
+        ranks[idx] = r
+        for pick, m in mats:
+            val, raw = oracle_floors(m, r, [greedy_pivots(m)]) if r else (1, 1)
+            if val < c2:
+                val, raw = oracle_floors(m, r, itertools.combinations(range(m.cols), r))
+            if val < c2:
+                witness = f"normalized minor {val} < c2 {c2} at {where} pick={pick}"
+                return False, val, raw, ranks, witness
+            floor = val if floor is None else min(floor, val)
+            raw_floor = raw if raw_floor is None else min(raw_floor, raw)
+    return True, floor, raw_floor, ranks, None
+
+
+class TestCertificateAgainstFractionReference:
+    @staticmethod
+    def check(frame, c2):
+        cert = certify_stability(frame, c2)
+        got = (cert.ok, cert.floor, cert.raw_floor, cert.ranks, cert.witness)
+        assert got == reference_certificate(frame, c2)
+        return cert
+
+    def test_random_minimal_frames_at_and_above_their_floor(self):
+        # at twice the generator's (greedy-pivot) floor every pick below c2
+        # takes the exact route: one frame still fails and gives its
+        # witness, the others pass on a better column set
+        rng = random.Random(4161)
+        above = []
+        for _ in range(3):
+            frame, gen = random_minimal_frame(rng, 4, (2, 1, 1))
+            assert self.check(frame, gen.floor).ok
+            above.append(self.check(frame, 2 * gen.floor))
+        assert [c.ok for c in above] == [False, True, True]
+        assert above[0].witness.startswith("normalized minor")
+
+    def test_rank_inconsistency_comes_before_any_floor(self):
+        # on Ibar = {(0,0)}, J = {1} the first pick has rank 3 and the
+        # normalized minor 1/5, the second (the origin) rank 2: at c2 = 1/4
+        # the first pick fails its floor, but the rank drop is reported
+        for c2 in (Fraction(1, 10**12), Fraction(1, 4)):
+            cert = self.check(coincident_atoms_frame(), c2)
+            assert not cert.ok and cert.witness.startswith("rank not constant")
 
 
 class TestStabilize:
