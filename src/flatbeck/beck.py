@@ -5,14 +5,14 @@ a given flat.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Sequence
 
-from .exactlin import BudgetExceeded, _integerized_rows, vec
-from .flats import AffineFlat, _lifted_integer_points, spanned_flats
+from .exactlin import BudgetExceeded, int_rref, vec
+from .flats import AffineFlat, _lifted_integer_points, _span_test, spanned_flats
 
 DEFAULT_POINT_BUDGET = 60
 
@@ -50,13 +50,34 @@ def enumerate_spanned_flats(x: PointConfig, k: int) -> set[AffineFlat]:
 
 
 def concentrated_span_count(x: PointConfig, f: AffineFlat) -> int:
-    """Number of spanned hyperplanes containing the given proper flat."""
+    """Number of spanned hyperplanes containing the given proper flat.
+
+    Such a hyperplane H is spanned by the points of x on it, so the lifted
+    f extends to a basis of the lifted H by points of x off f: H is the span
+    of f and some n - 1 - dim f points of x off f.  Each distinct such span
+    of dimension n - 1 counts when the points of x on it span it.
+    """
     n = x.ambient_dim
     if f.dim >= n:
         raise ValueError("flat must be proper")
-    return sum(
-        1 for h in enumerate_spanned_flats(x, n - 1) if h.contains_flat(f)
-    )
+    if f.ambient_dim != n:
+        raise ValueError("ambient dimensions differ")
+    lifted = _lifted_integer_points(x.points)
+    off = [v for v in lifted if not f._spans(v)]
+    seen = set()
+    count = 0
+    for extra in itertools.combinations(off, n - 1 - f.dim):
+        _, rows = int_rref([*f._rows, *extra])
+        if len(rows) < n:
+            continue
+        key = tuple(map(tuple, rows))
+        if key in seen:
+            continue
+        seen.add(key)
+        on_h = _span_test(key)
+        _, on = int_rref([v for v in lifted if on_h(v)])
+        count += len(on) == n
+    return count
 
 
 @dataclass
@@ -72,21 +93,8 @@ class DichotomyReport:
 
 def _cover_mask(lifted: list[tuple[int, ...]], f: AffineFlat) -> int:
     """Bit i set iff the integer lifted point lifted[i] = (den p, den) lies
-    on f.  With the flat's integer RREF rows K_j, pivot k_j in column c_j
-    and L = lcm(k_j), v is in their span iff L v = sum_j (L / k_j) v[c_j] K_j;
-    the pivot columns agree by construction, so only the others are tested.
-    """
-    rows = _integerized_rows(f.canon)
-    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
-    big_l = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
-    scaled = [[big_l // r[c] * x for x in r] for r, c in zip(rows, pivots)]
-    free = [(j, [s[j] for s in scaled]) for j in range(len(rows[0])) if j not in pivots]
-    mask = 0
-    for i, v in enumerate(lifted):
-        coeffs = [v[c] for c in pivots]
-        if all(big_l * v[j] == sum(map(mul, coeffs, col)) for j, col in free):
-            mask |= 1 << i
-    return mask
+    on f."""
+    return sum(1 << i for i, v in enumerate(lifted) if f._spans(v))
 
 
 def dichotomy_report(
@@ -123,25 +131,35 @@ def dichotomy_report(
     count = len(by_dim[n - 1])
     ratio = count / float(big_n) ** n
 
-    best: Optional[tuple[int, list[AffineFlat]]] = None
-
-    def search(dim_budget: int, mask: int, chosen: list[AffineFlat], start_dim: int):
-        nonlocal best
-        covered = bin(mask).count("1")
-        if covered >= need:
-            if best is None or covered > best[0]:
-                best = (covered, list(chosen))
-            return True
-        if dim_budget == 0:
-            return False
-        for d in range(min(start_dim, dim_budget), 0, -1):
-            for cov, f in by_dim[d]:
-                if cov & ~mask == 0:
-                    continue  # adds nothing
-                if search(dim_budget - d, mask | cov, chosen + [f], d):
-                    return True  # first hit is enough: report it
-        return False
-
-    if search(n - 1, 0, [], n - 1) and best is not None:
-        return DichotomyReport(True, best[1], best[0], count, ratio, complete=True)
+    hit = _first_cover(by_dim, need, n - 1, 0, [], n - 1)
+    if hit is not None:
+        return DichotomyReport(True, hit[1], hit[0], count, ratio, complete=True)
     return DichotomyReport(False, None, None, count, ratio, complete=True)
+
+
+def _first_cover(
+    by_dim: dict[int, list[tuple[int, AffineFlat]]],
+    need: int,
+    dim_budget: int,
+    mask: int,
+    chosen: list[AffineFlat],
+    start_dim: int,
+) -> Optional[tuple[int, list[AffineFlat]]]:
+    """(covered, family) for the first family, in decreasing dimension, that
+    extends chosen within dim_budget and covers at least need points; None
+    when there is none.  Module-level, not a recursive closure: a closure
+    that calls itself is a reference cycle that would keep by_dim alive
+    until the cycle collector runs."""
+    covered = bin(mask).count("1")
+    if covered >= need:
+        return covered, chosen
+    if dim_budget == 0:
+        return None
+    for d in range(min(start_dim, dim_budget), 0, -1):
+        for cov, f in by_dim[d]:
+            if cov & ~mask == 0:
+                continue  # adds nothing
+            hit = _first_cover(by_dim, need, dim_budget - d, mask | cov, chosen + [f], d)
+            if hit is not None:
+                return hit  # first hit is enough: report it
+    return None

@@ -482,7 +482,7 @@ def cmd_project(scene: Scene, args, rep: Reporter) -> None:
         screen = None
         for _ in range(100):
             cand = random_flat(rng, n, n - 1)
-            if all(cand.canon != f.canon for f in flats):
+            if all(cand != f for f in flats):
                 screen = cand
                 break
         if screen is None:

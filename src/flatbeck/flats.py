@@ -3,21 +3,26 @@ squared-sine angle surrogate and the enumerator of flats spanned by point
 subsets.
 
 A flat is stored as basepoint + direction basis, but identity (equality,
-hashing, dedup) goes through the canonical reduced row-echelon basis of its
-linearization, the linear span of F x {1} in Q^(n+1).  All metric predicates
-compare squared quantities so everything stays inside Q.
+hashing, dedup) goes through the primitive integer RREF rows (``int_rref``)
+of its linearization, the linear span of F x {1} in Q^(n+1); ``canon``, the
+same rows over Q, is derived from them on first read.  Point and flat
+membership are integer tests on those rows.  All metric predicates compare
+squared quantities so everything stays inside Q.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exactlin import (
     Matrix,
     Vector,
     _integerized_points,
+    _integerized_rows,
     dot,
     gram_det,
     int_rref,
@@ -38,7 +43,7 @@ from .exactlin import (
 class AffineFlat:
     """Affine subspace of Q^n with a canonical form for identity."""
 
-    __slots__ = ("ambient_dim", "basepoint", "directions", "canon", "_ortho")
+    __slots__ = ("ambient_dim", "basepoint", "directions", "_rows", "_canon", "_member", "_ortho")
 
     def __init__(self, basepoint: Sequence, directions: Iterable[Sequence] = ()):
         bp = vec(basepoint)
@@ -46,14 +51,37 @@ class AffineFlat:
         n = len(bp)
         if any(len(d) != n for d in dirs):
             raise ValueError("direction length mismatch")
-        if dirs and rank(Matrix(dirs)) != len(dirs):
-            raise ValueError("directions are linearly dependent")
-        object.__setattr__(self, "ambient_dim", n)
-        object.__setattr__(self, "basepoint", bp)
-        object.__setattr__(self, "directions", dirs)
         lifted = [d + (Fraction(0),) for d in dirs] + [bp + (Fraction(1),)]
-        object.__setattr__(self, "canon", row_space_basis(Matrix(lifted)))
-        object.__setattr__(self, "_ortho", None)  # filled by dist2_point_flat
+        _, rows = int_rref(_integerized_rows(lifted))
+        # the lifted basepoint lies off the span of the lifted directions
+        if len(rows) != len(dirs) + 1:
+            raise ValueError("directions are linearly dependent")
+        self._set(bp, dirs, rows)
+
+    def _set(
+        self, basepoint: Vector, directions: tuple[Vector, ...], rows: Sequence[Sequence[int]]
+    ) -> None:
+        for name, value in (
+            ("ambient_dim", len(basepoint)),
+            ("basepoint", basepoint),
+            ("directions", directions),
+            ("_rows", tuple(map(tuple, rows))),
+            ("_canon", None),  # filled by canon
+            ("_member", None),  # filled by _spans
+            ("_ortho", None),  # filled by dist2_point_flat
+        ):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_rows(
+        cls, basepoint: Vector, rows: Sequence[Sequence[int]], dir_rows: Sequence[Sequence[int]]
+    ) -> "AffineFlat":
+        """The flat through basepoint whose lifted span has the primitive
+        int_rref rows `rows`, with the directions whose int_rref rows are
+        `dir_rows`.  Runs no elimination and no rank check."""
+        f = cls.__new__(cls)
+        f._set(basepoint, _reduced(dir_rows), rows)
+        return f
 
     def __setattr__(self, *a):
         raise AttributeError("AffineFlat is immutable")
@@ -62,15 +90,18 @@ class AffineFlat:
     def dim(self) -> int:
         return len(self.directions)
 
+    @property
+    def canon(self) -> tuple[Vector, ...]:
+        """The reduced row-echelon basis of the linearization, over Q."""
+        if self._canon is None:
+            object.__setattr__(self, "_canon", _reduced(self._rows))
+        return self._canon
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffineFlat)
-            and self.ambient_dim == other.ambient_dim
-            and self.canon == other.canon
-        )
+        return isinstance(other, AffineFlat) and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.canon))
+        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"AffineFlat(dim={self.dim}, ambient={self.ambient_dim})"
@@ -89,20 +120,64 @@ class AffineFlat:
         pts = [vec(p) for p in points]
         if not pts:
             raise ValueError("empty point list")
-        base = pts[0]
-        diffs = [vsub(p, base) for p in pts[1:]]
-        basis = [v for v in row_space_basis(Matrix(diffs))] if diffs else []
-        return cls(base, basis)
+        lifted = _lifted_integer_points(pts)
+        _, rows = int_rref(lifted)
+        return cls._from_rows(pts[0], rows, _direction_rows(lifted))
+
+    def _spans(self, v: Sequence[int]) -> bool:
+        """True iff the integer vector v of Q^(n+1) lies in the linear span
+        of the lifted flat (see _span_test)."""
+        if self._member is None:
+            object.__setattr__(self, "_member", _span_test(self._rows))
+        return self._member(v)
 
     def contains_point(self, p: Sequence) -> bool:
-        return dist2_point_flat(vec(p), self) == 0
+        v = vec(p)
+        if len(v) != self.ambient_dim:
+            raise ValueError("ambient dimensions differ")
+        return self._spans(_lifted_integer_points([v])[0])
 
     def contains_flat(self, other: "AffineFlat") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        mine = Matrix(list(self.canon))
-        both = Matrix(list(self.canon) + list(other.canon))
-        return rank(both) == rank(mine)
+        return all(self._spans(r) for r in other._rows)
+
+
+def _span_test(rows: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], bool]:
+    """Membership in the span of primitive integer RREF rows.
+
+    With the rows K_i, pivot k_i in column c_i and L = lcm(k_i), an integer
+    vector v lies in their span iff L v = sum_i (L / k_i) v[c_i] K_i; the
+    pivot columns agree by construction, so only the others are tested.
+    Scaling v by a nonzero integer does not change the answer.
+    """
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
+    big_l = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
+    scaled = [[big_l // r[c] * x for x in r] for r, c in zip(rows, pivots)]
+    free = [(j, [s[j] for s in scaled]) for j in range(len(rows[0])) if j not in pivots]
+
+    def spans(v: Sequence[int]) -> bool:
+        coeffs = [v[c] for c in pivots]
+        return all(big_l * v[j] == sum(map(mul, coeffs, col)) for j, col in free)
+
+    return spans
+
+
+def _reduced(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+    """Integer RREF rows divided by their pivots: the RREF over Q."""
+    out = []
+    for r in rows:
+        p = next(x for x in r if x)
+        out.append(tuple(Fraction(x, p) for x in r))
+    return tuple(out)
+
+
+def _direction_rows(lifted: Sequence[Sequence[int]]) -> list[list[int]]:
+    """int_rref rows of the differences from the first lifted point; the
+    lifted points share their last coordinate, which is dropped."""
+    base = lifted[0]
+    _, rows = int_rref([[a - b for a, b in zip(v[:-1], base)] for v in lifted[1:]])
+    return rows
 
 
 def linearize(f: AffineFlat) -> Matrix:
@@ -145,9 +220,9 @@ def join(fs: Sequence[AffineFlat]) -> AffineFlat:
     n = fs[0].ambient_dim
     if any(f.ambient_dim != n for f in fs):
         raise ValueError("ambient dimensions differ")
-    rows: list[Vector] = []
+    rows: list[tuple[int, ...]] = []
     for f in fs:
-        rows.extend(f.canon)
+        rows.extend(f._rows)
     out = flat_from_linear_span(rows, n)
     assert out is not None  # every flat contributes an affine point
     return out
@@ -157,11 +232,10 @@ def meet(f: AffineFlat, g: AffineFlat) -> Optional[AffineFlat]:
     """Intersection flat, or None when the flats do not meet."""
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    b1 = [list(r) for r in f.canon]
-    b2 = [list(r) for r in g.canon]
+    b1, b2 = f._rows, g._rows
     # v in both spans: v = B1^T a = B2^T b  <=>  (a, b) in ker [B1^T | -B2^T]
     m = Matrix.from_cols(
-        [tuple(r) for r in b1] + [tuple(-x for x in r) for r in b2],
+        list(b1) + [tuple(-x for x in r) for r in b2],
         rows=f.ambient_dim + 1,
     )
     from .exactlin import nullspace
@@ -171,7 +245,7 @@ def meet(f: AffineFlat, g: AffineFlat) -> Optional[AffineFlat]:
         a = coeffs[: len(b1)]
         v = zero_vec(f.ambient_dim + 1)
         for c, row in zip(a, b1):
-            v = vadd(v, vscale(c, tuple(row)))
+            v = vadd(v, vscale(c, row))
         if any(x != 0 for x in v):
             inter_rows.append(v)
     if not inter_rows:
@@ -293,16 +367,19 @@ def spanned_flats(points: Sequence[Vector], dims: Iterable[int]) -> Iterator[Aff
     from a smaller independent subset.  Each flat is yielded once, as built
     from the first subset that spans it.  The points are lifted to integer
     rows once; one integer elimination per subset gives its rank and its
-    primitive RREF rows, which identify the span.
+    primitive RREF rows, which identify the span and become the new flat's
+    canonical rows.  One more small elimination of the differences gives
+    its directions.
     """
     lifted = _lifted_integer_points(points)
     seen = set()
     for d in dims:
         for combo in itertools.combinations(range(len(points)), d + 1):
-            _, rows = int_rref([lifted[i] for i in combo])
+            sub = [lifted[i] for i in combo]
+            _, rows = int_rref(sub)
             if len(rows) <= d:
                 continue
             key = tuple(map(tuple, rows))
             if key not in seen:
                 seen.add(key)
-                yield AffineFlat.from_points([points[i] for i in combo])
+                yield AffineFlat._from_rows(vec(points[combo[0]]), key, _direction_rows(sub))

@@ -140,7 +140,7 @@ class ChartFrame:
         if rank(Matrix(cols)) != host.dim or len(cols) != host.dim:
             raise ValueError("screen, transverse direction and center do not frame the host")
         self._chart = FlatChart(AffineFlat(screen.basepoint, cols))
-        if self._chart.flat.canon != host.canon:
+        if self._chart.flat != host:
             raise ValueError("chart does not span the host flat")
 
     def to_chart(self, ambient_point: Sequence) -> Vector:

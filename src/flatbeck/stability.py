@@ -470,12 +470,16 @@ def rank_inequality_report(
     """
     violations: list[RankRuleViolation] = []
     slots = frame.atom_slots()
+    ranks: dict[IndexPair, int] = {}
 
     def rk(idx: IndexPair) -> int:
-        got = rank_r(frame, idx, budget=budget)
-        if isinstance(got, RankInconsistency):
-            raise StabilizationError("rank not pick-independent; certify first")
-        return got
+        """rank_r of idx, once per index pair."""
+        if idx not in ranks:
+            got = rank_r(frame, idx, budget=budget)
+            if isinstance(got, RankInconsistency):
+                raise StabilizationError("rank not pick-independent; certify first")
+            ranks[idx] = got
+        return ranks[idx]
 
     for idx in _index_pairs(frame):
         base = rk(idx)

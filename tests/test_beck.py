@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flatbeck.beck import (
     PointConfig,
@@ -12,7 +12,8 @@ from flatbeck.beck import (
     dichotomy_report,
     enumerate_spanned_flats,
 )
-from flatbeck.flats import AffineFlat, _lifted_integer_points, spanned_flats
+from flatbeck.exactlin import Matrix, rank
+from flatbeck.flats import AffineFlat, _lifted_integer_points, dist2_point_flat, spanned_flats
 from flatbeck.genscenes import generic_points
 
 
@@ -68,6 +69,17 @@ class TestConcentratedSpanCount:
         x = PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         far = AffineFlat([5, 5, 5], [[1, 0, 0]])
         assert concentrated_span_count(x, far) == 0
+
+    def test_hyperplane_not_spanned_gives_zero(self):
+        # three collinear points on z = 0 span a line, not the plane
+        x = PointConfig([(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 0, 1), (1, 0, 2)])
+        plane = AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
+        assert concentrated_span_count(x, plane) == 0
+
+    def test_ambient_mismatch_raises(self):
+        x = PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+        with pytest.raises(ValueError):
+            concentrated_span_count(x, AffineFlat([0, 0], [[1, 0]]))
 
 
 class TestDichotomy:
@@ -150,5 +162,43 @@ class TestCoverMasks:
     def test_integer_masks_match_contains_point(self, pts):
         lifted = _lifted_integer_points(pts)
         for f in spanned_flats(pts, range(1, len(pts[0]))):
-            want = sum(1 << i for i, p in enumerate(pts) if f.contains_point(p))
+            want = sum(1 << i for i, p in enumerate(pts) if dist2_point_flat(p, f) == 0)
             assert _cover_mask(lifted, f) == want
+
+
+def brute_span_count(pts, f) -> int:
+    """Every spanned hyperplane, kept when the Fraction rank of its canonical
+    rows does not grow with f's."""
+    n = len(pts[0])
+    return sum(
+        1
+        for h in spanned_flats(pts, [n - 1])
+        if rank(Matrix(h.canon + f.canon)) == rank(Matrix(h.canon))
+    )
+
+
+@st.composite
+def span_count_cases(draw):
+    """Distinct points from concentrated_points and a proper flat f: spanned
+    by some of the points, through one point with free directions, or
+    anywhere (mostly missing every point); of any dimension 0..n-1."""
+    pts = list(dict.fromkeys(draw(concentrated_points())))
+    n = len(pts[0])
+    kind = draw(st.sampled_from(["spanned", "through", "free"]))
+    if kind == "spanned":
+        return pts, AffineFlat.from_points(
+            draw(st.lists(st.sampled_from(pts), min_size=1, max_size=n, unique=True))
+        )
+    base = draw(st.sampled_from(pts)) if kind == "through" else draw(st.tuples(*[coords] * n))
+    d = draw(st.integers(0, n - 1))
+    dirs = draw(st.lists(st.tuples(*[coords] * n), min_size=d, max_size=d))
+    assume(not dirs or rank(Matrix(dirs)) == d)
+    return pts, AffineFlat(base, dirs)
+
+
+class TestSpanCountAgainstBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(span_count_cases())
+    def test_quotient_count_matches_enumeration(self, case):
+        pts, f = case
+        assert concentrated_span_count(PointConfig(pts), f) == brute_span_count(pts, f)

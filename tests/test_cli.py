@@ -147,29 +147,30 @@ class TestBeckCommand:
         assert scene.param_float("sigma") == 0.001
 
 
-def count_from_points(monkeypatch) -> list:
-    """Record every AffineFlat.from_points call."""
+def count_builds(monkeypatch) -> list:
+    """Record every AffineFlat._from_rows call: the one constructor behind
+    spanned_flats and from_points."""
     calls = []
-    build = AffineFlat.from_points.__func__
+    build = AffineFlat._from_rows.__func__
 
-    def counting(cls, points):
+    def counting(cls, *args):
         calls.append(1)
-        return build(cls, points)
+        return build(cls, *args)
 
-    monkeypatch.setattr(AffineFlat, "from_points", classmethod(counting))
+    monkeypatch.setattr(AffineFlat, "_from_rows", classmethod(counting))
     return calls
 
 
 class TestBeckEnumeratesOnce:
     def test_each_spanned_flat_built_once(self, tmp_path, monkeypatch):
-        calls = count_from_points(monkeypatch)
+        calls = count_builds(monkeypatch)
         scene = str(SCENES / "beck-generic20.json")
         assert main(["beck", "--scene", scene, "--out", str(tmp_path)]) == EXIT_PASS
         # every line and every plane of 20 generic points, once each
         assert len(calls) == math.comb(20, 2) + math.comb(20, 3) == 1330
 
     def test_point_budget_checked_before_enumeration(self, tmp_path, monkeypatch):
-        calls = count_from_points(monkeypatch)
+        calls = count_builds(monkeypatch)
         scene = str(SCENES / "beck-generic20.json")
         code = main(["beck", "--scene", scene, "--budget", "19", "--out", str(tmp_path)])
         assert code == EXIT_BUDGET

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flatbeck.exactlin import Matrix, gram_det, rank, vec
+from flatbeck.exactlin import Matrix, gram_det, rank, row_space_basis, vec, vsub
 from flatbeck.flats import (
     AffineFlat,
     FlatChart,
@@ -291,15 +291,17 @@ def forced_point_sets(draw):
     return pts, dims
 
 
-def count_from_points(monkeypatch) -> list:
+def count_builds(monkeypatch) -> list:
+    """Record every AffineFlat._from_rows call: the one constructor behind
+    spanned_flats and from_points."""
     calls = []
-    build = AffineFlat.from_points.__func__
+    build = AffineFlat._from_rows.__func__
 
-    def counting(cls, points):
+    def counting(cls, *args):
         calls.append(1)
-        return build(cls, points)
+        return build(cls, *args)
 
-    monkeypatch.setattr(AffineFlat, "from_points", classmethod(counting))
+    monkeypatch.setattr(AffineFlat, "_from_rows", classmethod(counting))
     return calls
 
 
@@ -314,6 +316,21 @@ class TestSpannedFlats:
             (f.canon, f.basepoint, f.directions) for f in want
         ]
 
+    @settings(max_examples=200, deadline=None)
+    @given(forced_point_sets())
+    def test_from_points_matches_fraction_construction(self, case):
+        """from_points against the Fraction build: the RREF of the
+        differences as directions, the RREF of the lifted basis as canon."""
+        pts, _ = case
+        base = vec(pts[0])
+        for k in range(1, len(pts) + 1):
+            diffs = [vsub(vec(p), base) for p in pts[1:k]]
+            dirs = row_space_basis(Matrix(diffs)) if diffs else ()
+            lifted = [d + (Fraction(0),) for d in dirs] + [base + (Fraction(1),)]
+            f = AffineFlat.from_points(pts[:k])
+            assert (f.basepoint, f.directions, f.canon) == (base, dirs, row_space_basis(Matrix(lifted)))
+            assert f == AffineFlat(base, dirs) and hash(f) == hash(AffineFlat(base, dirs))
+
     def test_coplanar_lattice_builds_each_flat_once(self, monkeypatch):
         base, u, v = vec([1, 2, 3]), vec([Fraction(1, 3), 1, 0]), vec([0, Fraction(1, 5), 2])
         grid = [
@@ -321,7 +338,71 @@ class TestSpannedFlats:
             for i in range(5)
             for j in range(4)
         ]
-        calls = count_from_points(monkeypatch)
+        calls = count_builds(monkeypatch)
         flats = list(spanned_flats(grid, [1, 2]))
         assert [f.dim for f in flats].count(2) == 1
         assert len(calls) == len(flats)
+
+
+def on_flat(base, dirs, ts):
+    return tuple(b + sum(t * d[j] for t, d in zip(ts, dirs)) for j, b in enumerate(base))
+
+
+@st.composite
+def membership_cases(draw):
+    """A flat of Q^2..Q^4 over denominators 1..7, built by AffineFlat from
+    its directions scaled and mixed by foreign rationals, or by from_points
+    from points on it; points on it and anywhere; flats inside it and
+    anywhere."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(0, n))
+    vectors = st.tuples(*[coords] * n)
+    base = draw(vectors)
+    dirs = draw(st.lists(vectors, min_size=d, max_size=d))
+    assume(not dirs or rank(Matrix(dirs)) == d)
+    factors = st.lists(coords, min_size=d, max_size=d)
+    if draw(st.booleans()):
+        scales = draw(st.lists(coords.filter(bool), min_size=d, max_size=d))
+        mixed = [tuple(s * x for x in v) for s, v in zip(scales, dirs)]
+        if d > 1:
+            t = draw(coords)
+            mixed[0] = tuple(a + t * b for a, b in zip(mixed[0], mixed[1]))
+        f = AffineFlat(base, mixed)
+    else:
+        spanning = [base] + [tuple(b + x for b, x in zip(base, v)) for v in dirs]
+        extra = [on_flat(base, dirs, draw(factors)) for _ in range(draw(st.integers(0, 2)))]
+        f = AffineFlat.from_points(draw(st.permutations(spanning + extra)))
+    points = [on_flat(base, dirs, draw(factors)) for _ in range(3)] + draw(
+        st.lists(vectors, min_size=1, max_size=3)
+    )
+    inside = [
+        AffineFlat.from_points(draw(st.lists(st.sampled_from(points[:3]), min_size=1, max_size=3)))
+    ]
+    anywhere = [AffineFlat.from_points(draw(st.lists(st.sampled_from(points), min_size=1, max_size=n)))]
+    return f, points, inside + anywhere
+
+
+class TestIntegerMembership:
+    @settings(max_examples=300, deadline=None)
+    @given(membership_cases())
+    def test_matches_fraction_reference(self, case):
+        f, points, others = case
+        for p in points:
+            assert f.contains_point(p) == (dist2_point_flat(p, f) == 0)
+        for g in others:
+            want = rank(Matrix(f.canon + g.canon)) == rank(Matrix(f.canon))
+            assert f.contains_flat(g) == want
+        assert f.contains_flat(others[0])
+
+    def test_contains_flat_tests_every_row(self):
+        # the plane's first RREF row (1, 0, 0, 0) lies in the line's span
+        line, plane = x_axis(3), AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
+        assert plane.contains_flat(line) and not line.contains_flat(plane)
+        assert line != plane
+
+    def test_ambient_mismatch_raises(self):
+        f = x_axis(3)
+        with pytest.raises(ValueError):
+            f.contains_flat(x_axis(2))
+        with pytest.raises(ValueError):
+            f.contains_point([0, 0])

@@ -384,6 +384,21 @@ class TestMinimalRankTable:
         frame, _ = random_minimal_frame(rng, 3, (1, 1, 1), atoms_per_measure=2)
         assert rank_inequality_report(frame) == []
 
+    def test_rank_inequalities_rank_each_index_pair_once(self, monkeypatch):
+        rng = random.Random(7)
+        frame, _ = random_minimal_frame(rng, 3, (1, 1, 1), atoms_per_measure=2)
+        calls = []
+        eliminate = stability._eliminate_picks
+
+        def counting(frame, idx, budget=None):
+            calls.append(idx)
+            return eliminate(frame, idx, budget)
+
+        monkeypatch.setattr(stability, "_eliminate_picks", counting)
+        assert rank_inequality_report(frame) == []
+        # 352 evaluations when every grown pair was ranked again
+        assert len(calls) == len(set(calls)) == 64
+
 
 class TestProjectedStability:
     def test_three_lines_project_to_certified_pair(self):
