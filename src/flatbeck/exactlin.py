@@ -1,17 +1,18 @@
 """Exact rational linear algebra kernel.
 
 Vectors are tuples of ``Fraction``; matrices are immutable row-major grids.
-Ranks, determinants and the canonical RREF run fraction-free (Bareiss,
-Gauss-Jordan) on integerized copies so intermediate entries stay bounded at
-the matrix sizes used here (sides up to a dozen or so).  ``max_minor``
-enumerates all r x r submatrices, which is affordable for the same reason.
-``orthogonalize`` is the one Gram-Schmidt: unnormalized orthogonal bases for
-point-to-flat distances and for the basis columns of stability frames.
+Every elimination runs fraction-free on integerized copies, so intermediate
+entries stay bounded at the matrix sizes used here (sides up to a dozen or
+so): Bareiss for ranks, pivot columns and determinants, and ``int_rref``,
+the Gauss-Jordan whose primitive integer rows are the canonical form of a
+row space.  ``int_kernel`` reads an integer kernel basis off those rows;
+``nullspace`` and ``solve`` are their Fraction views.  ``orthogonalize`` is
+the one Gram-Schmidt: unnormalized orthogonal bases for point-to-flat
+distances and for the basis columns of stability frames.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -179,13 +180,13 @@ def _integerized_points(
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
-def pivot_columns(rows: list[list[int]]) -> list[int]:
+def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
     """Pivot columns of an integer matrix, by fraction-free (Bareiss)
     elimination: the columns outside the span of the columns before them.
     Scaling rows or columns by nonzero factors leaves them unchanged."""
     if not rows or not rows[0]:
         return []
-    m = [r[:] for r in rows]
+    m = [list(r) for r in rows]
     nr, nc = len(m), len(m[0])
     prev = 1
     pr = 0
@@ -270,24 +271,6 @@ def gram_det(m: Matrix) -> Fraction:
     return det(m.transpose().mat_mul(m))
 
 
-def max_minor(m: Matrix, r: int) -> Fraction:
-    """Maximum absolute value of an r x r minor, by enumeration.
-
-    r = 0 returns 1 by convention (the empty minor).
-    """
-    if r < 0 or r > min(m.rows, m.cols):
-        raise ValueError("minor order out of range")
-    if r == 0:
-        return Fraction(1)
-    best = Fraction(0)
-    for ri in itertools.combinations(range(m.rows), r):
-        for ci in itertools.combinations(range(m.cols), r):
-            d = abs(det(m.submatrix(ri, ci)))
-            if d > best:
-                best = d
-    return best
-
-
 def int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
@@ -321,54 +304,48 @@ def int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]
     return pivots, m[: len(pivots)]
 
 
-def canonical_rref(m: Matrix) -> Matrix:
-    """Reduced row-echelon form; unique, so equal row spaces compare equal
-    (after discarding zero rows, which sink to the bottom).
+def int_kernel(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """Integer basis of the right kernel {x in Q^width : rows x = 0}.
+
+    Read off int_rref: with the rows K_i, pivot k_i in column c_i and
+    L = lcm(k_i), the vector for the free column f has L at f,
+    -(L / k_i) K_i[f] at each c_i and 0 elsewhere.  Its last nonzero entry
+    is the one at f, since K_i[f] != 0 needs c_i < f.
     """
-    pivots, rows = int_rref(_integerized_rows(m.entries))
-    red = [tuple(Fraction(x, r[pc]) for x in r) for pc, r in zip(pivots, rows)]
-    return Matrix(red + [zero_vec(m.cols)] * (m.rows - len(red)))
-
-
-def row_space_basis(m: Matrix) -> tuple[Vector, ...]:
-    """Canonical basis of the row space: nonzero rows of the RREF."""
-    red = canonical_rref(m)
-    return tuple(r for r in red.entries if any(x != 0 for x in r))
-
-
-def nullspace(m: Matrix) -> list[Vector]:
-    """Basis of the right kernel {x : m x = 0}."""
-    red = canonical_rref(m)
-    pivots: dict[int, int] = {}
-    for i, r in enumerate(red.entries):
-        for j, x in enumerate(r):
-            if x != 0:
-                pivots[j] = i
-                break
-    free = [j for j in range(m.cols) if j not in pivots]
+    pivots, red = int_rref(rows)
+    big_l = math.lcm(*(r[c] for r, c in zip(red, pivots)))
     basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for j, i in pivots.items():
-            v[j] = -red.entries[i][f]
-        basis.append(tuple(v))
+    for f in range(width):
+        if f in pivots:
+            continue
+        v = [0] * width
+        v[f] = big_l
+        for c, r in zip(pivots, red):
+            v[c] = -(big_l // r[c]) * r[f]
+        basis.append(v)
     return basis
 
 
+def nullspace(m: Matrix) -> list[Vector]:
+    """Basis of the right kernel {x : m x = 0}, each vector 1 at its free
+    column: the int_kernel basis over Q."""
+    out = []
+    for v in int_kernel(_integerized_rows(m.entries), m.cols):
+        lead = next(x for x in reversed(v) if x)
+        out.append(tuple(Fraction(x, lead) for x in v))
+    return out
+
+
 def solve(m: Matrix, rhs: Sequence) -> Vector | None:
-    """One exact solution of m x = rhs, or None when inconsistent."""
+    """One exact solution of m x = rhs, or None when inconsistent: the
+    pivot solution, 0 at every free column."""
     rhs = vec(rhs)
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
-    aug = m.hstack(Matrix.from_cols([rhs], rows=m.rows))
-    red = canonical_rref(aug)
+    pivots, red = int_rref(_integerized_rows([r + (b,) for r, b in zip(m.entries, rhs)]))
+    if pivots and pivots[-1] == m.cols:
+        return None
     x = [Fraction(0)] * m.cols
-    for r in red.entries:
-        lead = next((j for j, v in enumerate(r) if v != 0), None)
-        if lead is None:
-            continue
-        if lead == m.cols:
-            return None
-        x[lead] = r[m.cols]
+    for c, r in zip(pivots, red):
+        x[c] = Fraction(r[-1], r[c])
     return tuple(x)

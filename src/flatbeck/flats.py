@@ -6,8 +6,8 @@ A flat is stored as basepoint + direction basis, but identity (equality,
 hashing, dedup) goes through the primitive integer RREF rows (``int_rref``)
 of its linearization, the linear span of F x {1} in Q^(n+1); ``canon``, the
 same rows over Q, is derived from them on first read.  Point and flat
-membership are integer tests on those rows.  All metric predicates compare
-squared quantities so everything stays inside Q.
+membership, join and meet are integer computations on those rows.  All
+metric predicates compare squared quantities so everything stays inside Q.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from .exactlin import (
     _integerized_rows,
     dot,
     gram_det,
+    int_kernel,
     int_rref,
     norm2,
     orthogonalize,
-    rank,
-    row_space_basis,
+    pivot_columns,
     solve,
     unit_vec,
     vec,
@@ -74,13 +74,13 @@ class AffineFlat:
 
     @classmethod
     def _from_rows(
-        cls, basepoint: Vector, rows: Sequence[Sequence[int]], dir_rows: Sequence[Sequence[int]]
+        cls, basepoint: Vector, rows: Sequence[Sequence[int]], directions: tuple[Vector, ...]
     ) -> "AffineFlat":
-        """The flat through basepoint whose lifted span has the primitive
-        int_rref rows `rows`, with the directions whose int_rref rows are
-        `dir_rows`.  Runs no elimination and no rank check."""
+        """The flat through basepoint with the given directions whose lifted
+        span has the primitive int_rref rows `rows`.  Runs no elimination
+        and no rank check."""
         f = cls.__new__(cls)
-        f._set(basepoint, _reduced(dir_rows), rows)
+        f._set(basepoint, directions, rows)
         return f
 
     def __setattr__(self, *a):
@@ -122,7 +122,7 @@ class AffineFlat:
             raise ValueError("empty point list")
         lifted = _lifted_integer_points(pts)
         _, rows = int_rref(lifted)
-        return cls._from_rows(pts[0], rows, _direction_rows(lifted))
+        return cls._from_rows(pts[0], rows, _directions(lifted))
 
     def _spans(self, v: Sequence[int]) -> bool:
         """True iff the integer vector v of Q^(n+1) lies in the linear span
@@ -172,12 +172,12 @@ def _reduced(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-def _direction_rows(lifted: Sequence[Sequence[int]]) -> list[list[int]]:
-    """int_rref rows of the differences from the first lifted point; the
+def _directions(lifted: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+    """The RREF over Q of the differences from the first lifted point; the
     lifted points share their last coordinate, which is dropped."""
     base = lifted[0]
     _, rows = int_rref([[a - b for a, b in zip(v[:-1], base)] for v in lifted[1:]])
-    return rows
+    return _reduced(rows)
 
 
 def linearize(f: AffineFlat) -> Matrix:
@@ -190,27 +190,28 @@ def linearize(f: AffineFlat) -> Matrix:
     return Matrix.from_cols(cols, rows=f.ambient_dim + 1)
 
 
-def flat_from_linear_span(span_rows: Sequence[Vector], ambient_dim: int) -> Optional[AffineFlat]:
-    """Flat whose linearization is the given linear subspace of Q^(n+1).
+def _flat_from_span(rows: Sequence[Sequence[int]]) -> Optional[AffineFlat]:
+    """The flat whose lifted span has the primitive int_rref rows `rows`, or
+    None when no vector of the span has a nonzero last coordinate (the
+    empty flat).  The first RREF row with a nonzero last coordinate, scaled
+    to 1 there, is the lifted basepoint; the other rows minus their multiple
+    of it are the lifted directions."""
+    red = _reduced(rows)
+    i = next((i for i, r in enumerate(red) if r[-1]), None)
+    if i is None:
+        return None
+    base = vscale(1 / red[i][-1], red[i])
+    dirs = tuple(vsub(r, vscale(r[-1], base))[:-1] for j, r in enumerate(red) if j != i)
+    return AffineFlat._from_rows(base[:-1], rows, dirs)
 
-    Returns None when the subspace holds no vector with nonzero last
-    coordinate (no affine points: the 'empty flat').
-    """
-    rows = [list(r) for r in row_space_basis(Matrix(span_rows))] if span_rows else []
-    if not rows:
-        return None
-    pivot = next((i for i, r in enumerate(rows) if r[-1] != 0), None)
-    if pivot is None:
-        return None
-    base_row = [x / rows[pivot][-1] for x in rows[pivot]]
-    dirs = []
-    for i, r in enumerate(rows):
-        if i == pivot:
-            continue
-        f = r[-1]
-        d = [a - f * b for a, b in zip(r, base_row)]
-        dirs.append(tuple(d[:-1]))
-    return AffineFlat(tuple(base_row[:-1]), dirs)
+
+def _span_meet(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int
+) -> list[list[int]]:
+    """Primitive int_rref rows of span(a) meet span(b) in Q^width: the
+    vectors orthogonal to both kernels, ker(ker a + ker b)."""
+    _, rows = int_rref(int_kernel(int_kernel(a, width) + int_kernel(b, width), width))
+    return rows
 
 
 def join(fs: Sequence[AffineFlat]) -> AffineFlat:
@@ -220,10 +221,8 @@ def join(fs: Sequence[AffineFlat]) -> AffineFlat:
     n = fs[0].ambient_dim
     if any(f.ambient_dim != n for f in fs):
         raise ValueError("ambient dimensions differ")
-    rows: list[tuple[int, ...]] = []
-    for f in fs:
-        rows.extend(f._rows)
-    out = flat_from_linear_span(rows, n)
+    _, rows = int_rref([r for f in fs for r in f._rows])
+    out = _flat_from_span(rows)
     assert out is not None  # every flat contributes an affine point
     return out
 
@@ -232,25 +231,7 @@ def meet(f: AffineFlat, g: AffineFlat) -> Optional[AffineFlat]:
     """Intersection flat, or None when the flats do not meet."""
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    b1, b2 = f._rows, g._rows
-    # v in both spans: v = B1^T a = B2^T b  <=>  (a, b) in ker [B1^T | -B2^T]
-    m = Matrix.from_cols(
-        list(b1) + [tuple(-x for x in r) for r in b2],
-        rows=f.ambient_dim + 1,
-    )
-    from .exactlin import nullspace
-
-    inter_rows = []
-    for coeffs in nullspace(m):
-        a = coeffs[: len(b1)]
-        v = zero_vec(f.ambient_dim + 1)
-        for c, row in zip(a, b1):
-            v = vadd(v, vscale(c, row))
-        if any(x != 0 for x in v):
-            inter_rows.append(v)
-    if not inter_rows:
-        return None
-    return flat_from_linear_span(inter_rows, f.ambient_dim)
+    return _flat_from_span(_span_meet(f._rows, g._rows, f.ambient_dim + 1))
 
 
 def dist2_point_flat(p: Sequence, f: AffineFlat) -> Fraction:
@@ -270,16 +251,9 @@ def dist2_flats(f: AffineFlat, g: AffineFlat) -> Fraction:
     """Squared distance between two flats (0 iff they intersect)."""
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    r = vsub(g.basepoint, f.basepoint)
-    cols = list(f.directions) + [vscale(-1, d) for d in g.directions]
-    if not cols:
-        return norm2(r)
-    m = Matrix.from_cols(cols, rows=f.ambient_dim)
-    mt = m.transpose()
-    x = solve(mt.mat_mul(m), mt.mat_vec(r))
-    assert x is not None  # normal equations are always consistent
-    res = vsub(r, m.mat_vec(x))
-    return norm2(res)
+    # the distance from g's basepoint to f translated along g
+    _, rows = int_rref(_integerized_rows(f.directions + g.directions))
+    return dist2_point_flat(g.basepoint, AffineFlat(f.basepoint, _reduced(rows)))
 
 
 def wedge_angle_sin2(b: Matrix, a: Matrix) -> Fraction:
@@ -340,10 +314,7 @@ class FlatChart:
 def affinely_independent(points: Sequence[Vector]) -> bool:
     """True iff the points span a flat of dimension len(points) - 1."""
     pts = [vec(p) for p in points]
-    if not pts:
-        return True
-    lifted = Matrix([p + (Fraction(1),) for p in pts])
-    return rank(lifted) == len(pts)
+    return len(pivot_columns(_lifted_integer_points(pts))) == len(pts)
 
 
 def lifted_tuple_matrix(points: Sequence[Sequence]) -> Matrix:
@@ -382,4 +353,4 @@ def spanned_flats(points: Sequence[Vector], dims: Iterable[int]) -> Iterator[Aff
             key = tuple(map(tuple, rows))
             if key not in seen:
                 seen.add(key)
-                yield AffineFlat._from_rows(vec(points[combo[0]]), key, _direction_rows(sub))
+                yield AffineFlat._from_rows(vec(points[combo[0]]), key, _directions(sub))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlin import Matrix, norm2, rank, vec
-from .flats import AffineFlat, FlatChart
+from .flats import AffineFlat, FlatChart, affinely_independent
 from .flatcollect import FlatCollection, is_minimal
 from .measures import DiscreteMeasure
 from .stability import CertificationResult, StableFrame, certify_stability
@@ -179,15 +179,10 @@ def generic_points(
         p = random_point(rng, n, span, den)
         if p in pts:
             continue
-        if no_n_coplanar and len(pts) >= n:
-            bad = False
-            for combo in it.combinations(pts, n):
-                lifted = [vec(q) + (Fraction(1),) for q in combo] + [vec(p) + (Fraction(1),)]
-                if rank(Matrix(lifted)) < n + 1:
-                    bad = True
-                    break
-            if bad:
-                continue
+        if no_n_coplanar and not all(
+            affinely_independent(combo + (p,)) for combo in it.combinations(pts, n)
+        ):
+            continue
         pts.append(p)
     return pts
 

@@ -21,11 +21,12 @@ from typing import Callable, Optional, Sequence
 from .exactlin import (
     Matrix,
     Vector,
+    _integerized_rows,
     det,
     frac,
+    int_rref,
     nullspace,
     rank,
-    row_space_basis,
     vec,
     vadd,
     vscale,
@@ -35,6 +36,8 @@ from .exactlin import (
 from .flats import (
     AffineFlat,
     FlatChart,
+    _reduced,
+    _span_meet,
     dist2_flats,
     dist2_point_flat,
     join,
@@ -182,24 +185,6 @@ def lift_hyperplane(cf: ChartFrame, hc: HyperplaneCoords) -> AffineFlat:
     return AffineFlat(ambient[0], [vsub(p, ambient[0]) for p in ambient[1:]])
 
 
-def _linear_intersection(rows_a: Sequence[Vector], rows_b: Sequence[Vector]) -> list[Vector]:
-    """Basis of the intersection of two linear spans."""
-    if not rows_a or not rows_b:
-        return []
-    a = [vec(r) for r in rows_a]
-    b = [vec(r) for r in rows_b]
-    n = len(a[0])
-    m = Matrix.from_cols(a + [vscale(-1, r) for r in b], rows=n)
-    out = []
-    for coeffs in nullspace(m):
-        v = zero_vec(n)
-        for c, r in zip(coeffs[: len(a)], a):
-            v = vadd(v, vscale(c, r))
-        if any(x != 0 for x in v):
-            out.append(v)
-    return [vec(r) for r in row_space_basis(Matrix(out))] if out else []
-
-
 @dataclass
 class PsiContext:
     """Everything the hyperplane map needs: the host flats, the fixed atom
@@ -275,9 +260,8 @@ def make_psi_context(
     if rank(Matrix.from_cols(cert_cols, rows=n + 1)) != n + 1:
         raise NonGenericConfiguration("rank certificate failed (middle atoms, end flats)")
 
-    kernel = _linear_intersection(
-        list(q1.directions) + list(e_flat.directions), list(f1.directions)
-    )
+    aligned = _integerized_rows(q1.directions + e_flat.directions)
+    kernel = _reduced(_span_meet(aligned, _integerized_rows(f1.directions), n))
     if len(kernel) < p:
         raise NonGenericConfiguration("aligned screen kernel too small")
     kd = len(kernel)
@@ -302,9 +286,8 @@ def make_psi_context(
             cf = ChartFrame(f1, screen, center)
         except ValueError:
             continue
-        lhs = row_space_basis(Matrix(list(screen.directions) + list(e_flat.directions)))
-        rhs = row_space_basis(Matrix(list(q1.directions) + list(e_flat.directions)))
-        if lhs != rhs:
+        lhs = int_rref(_integerized_rows(screen.directions + e_flat.directions))
+        if lhs != int_rref(aligned):
             continue
         ctx = PsiContext(
             flats=flats,

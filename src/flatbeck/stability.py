@@ -260,7 +260,9 @@ def minor_floors(
 @dataclass
 class CertificationResult:
     ok: bool
-    floor: Optional[Fraction]  # column-normalized squared minor floor
+    # least column-normalized squared minor floor over the picks; it can
+    # rise with c2, since picks below c2 are rescored over all column sets
+    floor: Optional[Fraction]
     ranks: dict[IndexPair, int]
     raw_floor: Optional[Fraction] = None  # unnormalized squared minor floor
     witness: Optional[str] = None
@@ -292,7 +294,10 @@ def certify_stability(
 ) -> CertificationResult:
     """Certify c-stable position with the squared, column-normalized floor c2:
     every index pair must have a pick-independent rank, and every pick's
-    normalized maximal minor must be at least c2."""
+    normalized maximal minor must be at least c2.  A pick is scored on its
+    pivot columns, a lower bound, and rescored over all column sets only
+    when that is below c2: the verdict is exact, but the reported floor can
+    rise with c2."""
     c2 = Fraction(c2)
     # sum over index pairs of the picks on their atoms, in closed form
     total = 2**frame.k * math.prod(1 + s for s in frame.support_sizes().values())

@@ -6,17 +6,17 @@ from hypothesis import given, settings, strategies as st
 from flatbeck.exactlin import (
     Matrix,
     _integerized_rows,
-    canonical_rref,
     det,
     gram_det,
+    int_kernel,
     int_rref,
-    max_minor,
     nullspace,
     pivot_columns,
     rank,
-    row_space_basis,
     solve,
 )
+from flatbeck.flats import _reduced
+from fraction_reference import fraction_rref, reference_nullspace, reference_solve
 
 fracs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
@@ -114,26 +114,6 @@ class TestDet:
         assert det(m) == laplace([list(r) for r in m.entries])
 
 
-class TestMaxMinor:
-    def test_identity_orders(self):
-        i2 = Matrix.identity(2)
-        assert max_minor(i2, 1) == 1
-        assert max_minor(i2, 2) == 1
-
-    def test_diagonal(self):
-        assert max_minor(Matrix([[2, 0], [0, 3]]), 2) == 6
-
-    def test_order_zero_convention(self):
-        assert max_minor(Matrix([[5]]), 0) == 1
-
-    @settings(max_examples=100)
-    @given(matrices(4, 4), st.integers(0, 4))
-    def test_positive_iff_rank_at_least_r(self, m, r):
-        if r > min(m.rows, m.cols):
-            return
-        assert (max_minor(m, r) > 0) == (rank(m) >= r)
-
-
 class TestGramDet:
     def test_orthonormal_integer_columns(self):
         assert gram_det(Matrix([[1, 0], [0, 1], [0, 0]])) == 1
@@ -156,20 +136,22 @@ class TestGramDet:
 
 
 class TestCanonicalRref:
+    """int_rref rows as the canonical form of a row space."""
+
     def test_identity_fixed(self):
-        i3 = Matrix.identity(3)
-        assert canonical_rref(i3) == i3
+        i3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert int_rref(i3) == ([0, 1, 2], i3)
 
     def test_row_scaling(self):
-        assert canonical_rref(Matrix([[2, 4]])) == Matrix([[1, 2]])
+        assert int_rref([[2, 4]]) == ([0], [[1, 2]])
 
     def test_elimination(self):
-        assert canonical_rref(Matrix([[1, 1], [2, 2]])) == Matrix([[1, 1], [0, 0]])
+        assert int_rref([[1, 1], [2, 2]]) == ([0], [[1, 1]])
 
     @given(matrices())
     def test_idempotent(self, m):
-        once = canonical_rref(m)
-        assert canonical_rref(once) == once
+        once = int_rref(_integerized_rows(m.entries))
+        assert int_rref(once[1]) == once
 
     @settings(max_examples=100)
     @given(matrices(4, 4), fracs, fracs)
@@ -180,30 +162,7 @@ class TestCanonicalRref:
         rows[0] = [a + c1 * b for a, b in zip(rows[0], rows[1])]
         if c2 != 0:
             rows[1] = [c2 * x for x in rows[1]]
-        assert row_space_basis(Matrix(rows)) == row_space_basis(m)
-
-
-def fraction_rref(m: Matrix) -> Matrix:
-    """Reference reduced row-echelon form: Gauss-Jordan over Fraction, zero
-    rows at the bottom."""
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
-    pr = 0
-    for pc in range(nc):
-        if pr >= nr:
-            break
-        piv = next((i for i in range(pr, nr) if rows[i][pc] != 0), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = 1 / rows[pr][pc]
-        rows[pr] = [x * inv for x in rows[pr]]
-        for i in range(nr):
-            if i != pr and rows[i][pc] != 0:
-                f = rows[i][pc]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        pr += 1
-    return Matrix(rows)
+        assert int_rref(_integerized_rows(rows)) == int_rref(_integerized_rows(m.entries))
 
 
 mixed_fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
@@ -235,12 +194,16 @@ def primitive_rows(red: Matrix) -> list[list[int]]:
 
 
 class TestIntRref:
-    """int_rref and canonical_rref against the Fraction Gauss-Jordan."""
+    """int_rref against the Fraction Gauss-Jordan."""
 
     @settings(max_examples=400)
     @given(deficient_matrices())
     def test_canonical_rref_matches_fraction_reference(self, m):
-        assert canonical_rref(m) == fraction_rref(m)
+        """The rows divided by their pivots, as AffineFlat.canon reads
+        them, are the reference RREF's nonzero rows."""
+        _, rows = int_rref(_integerized_rows(m.entries))
+        red = list(_reduced(rows))
+        assert Matrix(red + [(0,) * m.cols] * (m.rows - len(red))) == fraction_rref(m)
 
     @settings(max_examples=300)
     @given(deficient_matrices(), st.lists(st.integers(-5, 5).filter(bool), min_size=6, max_size=6))
@@ -286,3 +249,24 @@ class TestSolveNullspace:
         got = solve(m, rhs)
         assert got is not None
         assert m.mat_vec(got) == rhs
+
+    def test_kernel_of_no_rows_is_the_standard_basis(self):
+        assert int_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert int_kernel([[0, 2, 4]], 3) == [[1, 0, 0], [0, -2, 1]]
+
+    @settings(max_examples=300)
+    @given(deficient_matrices())
+    def test_nullspace_matches_free_column_basis(self, m):
+        assert nullspace(m) == reference_nullspace(m)
+
+    @settings(max_examples=300)
+    @given(deficient_matrices(), st.lists(mixed_fracs, min_size=5, max_size=5), st.booleans())
+    def test_solve_matches_reference(self, m, x, consistent):
+        """A right-hand side m x is consistent; a free one, on a
+        rank-deficient m, usually is not."""
+        rhs = m.mat_vec(x[: m.cols]) if consistent else x[: m.rows] + [Fraction(0)] * (m.rows - 5)
+        got = solve(m, rhs)
+        assert got == reference_solve(m, rhs)
+        assert (got is None) == (rank(m.hstack(Matrix.from_cols([rhs], rows=m.rows))) > rank(m))
+        if got is not None:
+            assert m.mat_vec(got) == tuple(rhs)

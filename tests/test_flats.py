@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flatbeck.exactlin import Matrix, gram_det, rank, row_space_basis, vec, vsub
+from flatbeck.exactlin import Matrix, gram_det, rank, vec, vsub
 from flatbeck.flats import (
     AffineFlat,
     FlatChart,
@@ -19,6 +19,7 @@ from flatbeck.flats import (
     wedge_angle_sin2,
 )
 from flatbeck.measures import DiscreteMeasure, PlateMassOracle
+from fraction_reference import reference_dist2_flats, reference_join, reference_meet, row_space
 
 fracs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
 
@@ -98,8 +99,8 @@ def random_linear_subspace(rng, n=5):
 
 
 class TestPointDistanceOracle:
-    """dist2_point_flat (Gram-Schmidt) against dist2_flats from a point flat
-    (normal equations), on a flat and on an equal flat built separately."""
+    """dist2_point_flat (Gram-Schmidt) against the normal-equations distance
+    from a point flat, on a flat and on an equal flat built separately."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -119,7 +120,7 @@ class TestPointDistanceOracle:
         offset = vec(shift * x for x in dirs[0]) if dirs else vec([0, 0, 0])
         g = AffineFlat(vec(a + b for a, b in zip(vec(base), offset)), other_dirs)
         assert g == f
-        want = dist2_flats(AffineFlat.point(p), f)
+        want = reference_dist2_flats(AffineFlat.point(p), f)
         assert dist2_point_flat(p, f) == want
         assert dist2_point_flat(p, g) == want
         assert dist2_point_flat(p, f) == want  # second call reuses f's basis
@@ -325,10 +326,10 @@ class TestSpannedFlats:
         base = vec(pts[0])
         for k in range(1, len(pts) + 1):
             diffs = [vsub(vec(p), base) for p in pts[1:k]]
-            dirs = row_space_basis(Matrix(diffs)) if diffs else ()
+            dirs = row_space(diffs)
             lifted = [d + (Fraction(0),) for d in dirs] + [base + (Fraction(1),)]
             f = AffineFlat.from_points(pts[:k])
-            assert (f.basepoint, f.directions, f.canon) == (base, dirs, row_space_basis(Matrix(lifted)))
+            assert (f.basepoint, f.directions, f.canon) == (base, dirs, row_space(lifted))
             assert f == AffineFlat(base, dirs) and hash(f) == hash(AffineFlat(base, dirs))
 
     def test_coplanar_lattice_builds_each_flat_once(self, monkeypatch):
@@ -406,3 +407,67 @@ class TestIntegerMembership:
             f.contains_flat(x_axis(2))
         with pytest.raises(ValueError):
             f.contains_point([0, 0])
+
+
+@st.composite
+def random_flats(draw, n):
+    """A flat of Q^n over denominators 1..7 with independent directions."""
+    d = draw(st.integers(0, n))
+    vectors = st.tuples(*[coords] * n)
+    dirs = draw(st.lists(vectors, min_size=d, max_size=d))
+    assume(not dirs or rank(Matrix(dirs)) == d)
+    return AffineFlat(draw(vectors), dirs)
+
+
+@st.composite
+def flat_pairs(draw):
+    """Two flats of Q^2..Q^4: the second nested in the first, equal to it,
+    parallel to it, crossing it at a point of it, or drawn independently
+    (skew, disjoint or crossing by chance)."""
+    n = draw(st.integers(2, 4))
+    f = draw(random_flats(n))
+    factors = st.lists(coords, min_size=f.dim, max_size=f.dim)
+    kind = draw(st.sampled_from(["nested", "equal", "parallel", "crossing", "free"]))
+    if kind == "nested":
+        pts = [on_flat(f.basepoint, f.directions, draw(factors)) for _ in range(draw(st.integers(1, 3)))]
+        g = AffineFlat.from_points(pts)
+    elif kind == "equal":
+        g = AffineFlat.from_points(
+            [on_flat(f.basepoint, f.directions, draw(factors)) for _ in range(f.dim + 2)]
+        )
+        assume(g == f)
+    elif kind == "parallel":
+        offset = draw(st.tuples(*[coords] * n))
+        dirs = draw(st.lists(st.sampled_from(f.directions), unique=True)) if f.dim else []
+        g = AffineFlat(vec(a + b for a, b in zip(f.basepoint, offset)), dirs)
+    elif kind == "crossing":
+        g = draw(random_flats(n))
+        g = AffineFlat(on_flat(f.basepoint, f.directions, draw(factors)), g.directions)
+    else:
+        g = draw(random_flats(n))
+    return f, g
+
+
+def flat_key(f):
+    return None if f is None else (f.basepoint, f.directions, f.canon)
+
+
+class TestSpanAlgebraAgainstFractionReference:
+    """join, meet and dist2_flats on integer rows against the Fraction
+    constructions: the RREF of the span over Q, the nullspace of the stacked
+    bases and the normal equations.  Basepoints and directions must agree
+    exactly, not only the flats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(flat_pairs())
+    def test_pairs_match(self, pair):
+        f, g = pair
+        assert flat_key(meet(f, g)) == flat_key(reference_meet(f, g))
+        assert flat_key(meet(g, f)) == flat_key(reference_meet(g, f))
+        assert flat_key(join([f, g])) == flat_key(reference_join([f, g]))
+        assert dist2_flats(f, g) == reference_dist2_flats(f, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda n: st.lists(random_flats(n), min_size=1, max_size=3)))
+    def test_joins_match(self, fs):
+        assert flat_key(join(fs)) == flat_key(reference_join(fs))
