@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from operator import mul
+from operator import mul, sub
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -67,16 +67,21 @@ class DiscreteMeasure:
 class PlateMassOracle:
     """Exact masses a measure gives to the closed neighborhoods of flats.
 
-    The atoms and their weights are integerized once.  A flat, given by
-    spanning points or by basepoint and directions, is rescaled to a common
-    denominator den with the atoms, so its base s and direction rows D are
-    integer.  With G = D D^T, g = det G and the adjugate adj(G), an atom
-    with integer offset r from s lies at squared distance
+    The atoms and their weights are integerized once.  A flat's first
+    spanning point, or its basepoint, is its anchor a.  The integer offsets
+    r = den (p - a) of the atoms, over a common denominator den, and their
+    |r|^2 are kept for the next call with the same anchor: callers ask for
+    flats in runs through one point.  With D integer rows spanning the
+    directions, G = D D^T, g = det G and adj(G), an atom lies at squared
+    distance
 
-        (|r|^2 g - y^T adj(G) y) / (g den^2),   y = D r,
+        num / (g den^2),   num = |r|^2 g - y^T adj(G) y,   y = D r.
 
-    and one pass over the atoms tests every squared radius by integer
-    comparisons.
+    num / g is the same for every basis of the span, so D is scaled to
+    integers on its own, with no common denominator with a.  For a point
+    num is |r|^2, for a line |r|^2 |d|^2 - (d.r)^2.  As num is an integer,
+    num <= p g den^2 / q exactly when num <= floor(p g den^2 / q): one
+    division per radius, then one integer comparison per atom and radius.
     """
 
     def __init__(self, mu: DiscreteMeasure):
@@ -84,51 +89,64 @@ class PlateMassOracle:
         self._int_pts, self._den = _integerized_points(mu.points())
         # the weights as one vector over their common denominator
         (self._int_ws,), self._wden = _integerized_points([mu.weights()])
+        self._anchor = self._shared = None
 
     def masses_near_span(
         self, points: Sequence[Vector], radii2: Sequence[Fraction]
     ) -> list[Fraction]:
         """Masses within each squared radius of the affine span of the
         points, which must be affinely independent."""
-        ints, den = _integerized_points(points, self._den)
-        base = ints[0]
-        dirs = [tuple(a - b for a, b in zip(p, base)) for p in ints[1:]]
-        return self._masses(den, base, dirs, radii2)
+        if any(len(p) != self.ambient_dim for p in points):
+            raise ValueError("ambient dimensions differ")
+        base, *rest = _integerized_points(points)[0]
+        return self._masses(tuple(points[0]), [tuple(map(sub, p, base)) for p in rest], radii2)
 
     def masses_near_flat(self, f: AffineFlat, radii2: Sequence[Fraction]) -> list[Fraction]:
         """Masses within each squared radius of the flat f."""
-        ints, den = _integerized_points((f.basepoint,) + f.directions, self._den)
-        return self._masses(den, ints[0], ints[1:], radii2)
+        if f.ambient_dim != self.ambient_dim:
+            raise ValueError("ambient dimensions differ")
+        return self._masses(f.basepoint, _integerized_points(f.directions)[0], radii2)
 
     def masses_near_line(self, a: Vector, b: Vector, radii2: Sequence[Fraction]) -> list[Fraction]:
         """Masses within each squared radius of the line through a and b."""
         return self.masses_near_span((a, b), radii2)
 
-    def _masses(self, den, base, dirs, radii2) -> list[Fraction]:
-        if len(base) != self.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        k = len(dirs)
-        gram = [[sum(map(mul, u, v)) for v in dirs] for u in dirs]
-        g = int_det([row[:] for row in gram])
+    def _offsets(self, anchor: Vector) -> tuple[int, list[tuple[int, ...]], list[int]]:
+        """den, the atoms' integer offsets r = den (p - anchor) and their |r|^2."""
+        (base,), den = _integerized_points([anchor], self._den)
+        scale = den // self._den
+        offsets = [tuple(x * scale - b for x, b in zip(p, base)) for p in self._int_pts]
+        return den, offsets, [sum(map(mul, r, r)) for r in offsets]
+
+    def _masses(self, anchor, dirs, radii2) -> list[Fraction]:
+        if anchor != self._anchor:
+            self._shared = self._offsets(anchor)
+            self._anchor = anchor
+        den, offsets, norms = self._shared
+        if not dirs:
+            g, nums = 1, norms
+        elif len(dirs) == 1:
+            d = dirs[0]
+            g = sum(map(mul, d, d))
+            nums = [q * g - sum(map(mul, d, r)) ** 2 for r, q in zip(offsets, norms)]
+        else:
+            gram = [[sum(map(mul, u, v)) for v in dirs] for u in dirs]
+            g = int_det([row[:] for row in gram])
+            # adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i)
+            k = len(dirs)
+            adj = [[(-1) ** (i + j) * int_det([r[:i] + r[i + 1 :] for r in gram[:j] + gram[j + 1 :]])
+                    for j in range(k)] for i in range(k)]
+            nums = []
+            for r, q in zip(offsets, norms):
+                y = [sum(map(mul, d, r)) for d in dirs]
+                nums.append(q * g - sum(map(mul, y, [sum(map(mul, row, y)) for row in adj])))
         if g == 0:
             raise ValueError("span points are affinely dependent")
-        # adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i)
-        adj = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                minor = [[x for c, x in enumerate(row) if c != i] for row in gram[:j] + gram[j + 1 :]]
-                adj[i][j] = (-1) ** (i + j) * int_det(minor)
-        scale = den // self._den
-        cuts = [(r2.denominator, r2.numerator * g * den * den) for r2 in radii2]
-        out = [0] * len(cuts)
-        for pt, w in zip(self._int_pts, self._int_ws):
-            r = [x * scale - b for x, b in zip(pt, base)]
-            y = [sum(map(mul, d, r)) for d in dirs]
-            num = sum(map(mul, r, r)) * g - sum(map(mul, y, [sum(map(mul, row, y)) for row in adj]))
-            for t, (rd, bound) in enumerate(cuts):
-                if num * rd <= bound:
-                    out[t] += w
-        return [Fraction(m, self._wden) for m in out]
+        # per radius, the weight of the atoms with num <= cut
+        cuts = [r2.numerator * g * den * den // r2.denominator for r2 in radii2]
+        return [
+            Fraction(sum(itertools.compress(self._int_ws, map(c.__ge__, nums))), self._wden) for c in cuts
+        ]
 
 
 @dataclass(frozen=True)

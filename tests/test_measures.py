@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flatbeck.flats import AffineFlat, affinely_independent, dist2_point_flat
+from flatbeck.flats import AffineFlat, affinely_independent, dist2_point_flat, spanned_flats
 from flatbeck.measures import (
     DiscreteMeasure,
     PlateMassOracle,
@@ -111,6 +111,100 @@ class TestPlateMassOracle:
         from flatbeck import thin
 
         assert thin.PlateMassOracle is PlateMassOracle
+
+
+@st.composite
+def anchored_call_sequences(draw):
+    """Atoms, two distinct anchors A and B, and a sequence of calls through
+    them that starts A, A, B, A.  Each call has k = 0..n-1 directions
+    scaled by rationals with denominators foreign to the atoms, a door
+    into the oracle, a few radii and the atom that sets one more."""
+    n = draw(st.integers(2, 4))
+    atoms = draw(
+        st.lists(st.tuples(st.tuples(*[atom_coord] * n), weight), min_size=1, max_size=8)
+    )
+    anchors = draw(st.lists(st.tuples(*[span_coord] * n), min_size=2, max_size=2, unique=True))
+    order = [0, 0, 1, 0] + draw(st.lists(st.integers(0, 1), max_size=4))
+    calls = []
+    for a in order:
+        k = draw(st.integers(0, n - 1))
+        dirs = draw(st.lists(st.tuples(*[atom_coord] * n), min_size=k, max_size=k))
+        stretch = draw(st.lists(span_coord.filter(lambda c: c != 0), min_size=k, max_size=k))
+        dirs = [tuple(s * x for x in d) for s, d in zip(stretch, dirs)]
+        door = draw(st.sampled_from(["span", "flat", "line"] if k == 1 else ["span", "flat"]))
+        radii2 = draw(st.lists(st.builds(Fraction, st.integers(0, 40), st.integers(1, 9)), max_size=3))
+        hit = draw(st.integers(0, len(atoms) - 1))
+        calls.append((anchors[a], dirs, door, radii2, hit))
+    return atoms, calls
+
+
+class TestAnchorMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(anchored_call_sequences())
+    def test_call_sequences_match_the_fraction_reference(self, case):
+        atoms, calls = case
+        mu = DiscreteMeasure(atoms, D)
+        oracle = PlateMassOracle(mu)
+        for anchor, dirs, door, radii2, hit in calls:
+            span = [anchor] + [tuple(a + x for a, x in zip(anchor, d)) for d in dirs]
+            if not affinely_independent(span):
+                with pytest.raises(ValueError):
+                    oracle.masses_near_span(span, [Fraction(1)])
+                continue
+            f = AffineFlat(anchor, dirs)
+            d2 = dist2_point_flat(mu.atoms[hit][0], f)
+            # unsorted, with a duplicate, 0, exactly an atom's squared
+            # distance (the boundary is closed) and just below it, where the
+            # integer threshold must round down
+            radii2 = radii2 + radii2[:1] + [Fraction(0), d2, d2 - Fraction(1, 10**40)]
+            random.Random(hit).shuffle(radii2)
+            want = reference_masses(mu, f, radii2)
+            if door == "span":
+                got = oracle.masses_near_span(span, radii2)
+            elif door == "flat":
+                got = oracle.masses_near_flat(f, radii2)
+            else:
+                got = oracle.masses_near_line(*span, radii2)
+            assert got == want
+
+    def test_one_offset_pass_per_anchor_change(self, monkeypatch):
+        grid = [(Fraction(i, 8), Fraction(j, 8), Fraction(0)) for i in range(-4, 5) for j in range(-4, 5)]
+        mu = DiscreteMeasure.uniform(grid, D)
+        v = AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
+        offsets, flats = count_calls(monkeypatch, "_offsets"), count_calls(monkeypatch, "masses_near_flat")
+        assert irreducibility_modulus(mu, v, Fraction(1, 8)) == Fraction(1, 3)
+        anchors = [f.basepoint for f in spanned_flats(grid, range(2)) if v.contains_flat(f)]
+        changes = 1 + sum(a != b for a, b in zip(anchors, anchors[1:]))
+        assert len(flats) == len(anchors) > 800
+        assert len(offsets) <= changes <= 2 * 81
+
+    def test_errors_after_the_anchor_is_memoised(self):
+        oracle = PlateMassOracle(segment_measure())
+        line = [(0, 0), (1, 0)]
+        assert oracle.masses_near_span(line, [Fraction(0)]) == [1]
+        with pytest.raises(ValueError, match="dependent"):
+            oracle.masses_near_span([(0, 0), (1, 1), (2, 2)], [Fraction(1)])
+        with pytest.raises(ValueError, match="ambient"):
+            oracle.masses_near_span([(0, 0, 0), (1, 0, 0)], [Fraction(1)])
+        with pytest.raises(ValueError, match="ambient"):
+            oracle.masses_near_flat(AffineFlat([0, 0, 0], [[1, 0, 0]]), [Fraction(1)])
+        with pytest.raises(ValueError, match="ambient"):  # the anchor fits, a later point does not
+            oracle.masses_near_span([(0, 0), (1, 0, 7)], [Fraction(0)])
+        assert oracle.masses_near_span(line, [Fraction(0)]) == [1]
+
+
+def count_calls(monkeypatch, name):
+    """Record the first argument of every call to the named
+    PlateMassOracle method."""
+    calls = []
+    method = getattr(PlateMassOracle, name)
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return method(self, *args)
+
+    monkeypatch.setattr(PlateMassOracle, name, counted)
+    return calls
 
 
 class TestFrostmanFit:

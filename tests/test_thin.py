@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from flatbeck import thin
-from flatbeck.flats import AffineFlat
+from flatbeck.flats import AffineFlat, affinely_independent
 from flatbeck.genscenes import parallel_segments, segment_grid, square_grid
 from flatbeck.measures import DiscreteMeasure, dyadic_scales, support_dist2
 from flatbeck.stability import StableFrame
@@ -71,6 +71,22 @@ class TestVerifyThinPlanes:
         g = ThinGraph([a, b], [(0, 0)], sigma=1.0, big_k=2.0)
         with pytest.raises(TupleInDegenerateSet):
             verify_thin_planes(g, dyadic_scales(4, 1))
+
+    def test_independence_on_lifted_atoms_mixes_denominators(self):
+        # three measures over denominators 2, 3 and 5; (0,0), (1/2,1/2) and
+        # (1/3,1/3) are collinear, and so is every tuple with (2/5,2/5)
+        a = DiscreteMeasure.uniform([(0, 0), (Fraction(1, 2), 0)], RES)
+        b = DiscreteMeasure.uniform([(Fraction(1, 2), Fraction(1, 2)), (0, Fraction(2, 3))], RES)
+        c = DiscreteMeasure.uniform([(Fraction(1, 3), Fraction(1, 3)), (Fraction(2, 5), Fraction(2, 5))], RES)
+        g = ThinGraph.complete([a, b, c], sigma=1.0, big_k=2.0)
+        independent = thin._independence_test(g)
+        got = {t: independent(t) for t in g.iter_tuples()}
+        assert got == {t: affinely_independent(g.tuple_points(t)) for t in g.iter_tuples()}
+        assert not got[(0, 0, 0)] and not got[(0, 0, 1)] and got[(1, 0, 0)]
+        with pytest.raises(TupleInDegenerateSet):
+            verify_thin_planes(g, dyadic_scales(4, 1))
+        kept = set(prune_planes(g, 0.5, dyadic_scales(4, 1), c1=1e9).graph.iter_tuples())
+        assert kept == {t for t, ok in got.items() if ok}
 
     def test_subgraph_monotone(self):
         mu0, mu1 = parallel_segments(5)
