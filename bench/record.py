@@ -1,18 +1,21 @@
 """Record a benchmark trajectory: the parent commit against the working tree.
 
-    python3 bench/record.py --pr <n> [--parent REV] [--pairs 10] [--first-seed 1] [--seconds S]
+    python3 bench/record.py --pr <n> [--first-seed 1]
 
 Run it from anywhere inside a flatbeck checkout; it uses only the standard
-library and git.  The parent commit (default HEAD, the commit the working
-tree's changes sit on) is exported with ``git archive`` into a temporary
-directory, so the repository gains no worktree entry.  Then, for each seed
-from the first seed on and each workload in BENCHMARK.json, it runs the
-benchmark command once on each side, alternating from pair to pair which
+library and git.  The working tree is the change side.  The parent side is
+HEAD when the working tree differs from HEAD (untracked files included),
+and HEAD's first parent when it does not, so a clean checkout of a commit
+is measured against the commit before it.  The parent is exported with
+``git archive`` into a temporary directory, so the repository gains no
+worktree entry.  Then, for ten seeds from the first seed on and each
+workload in BENCHMARK.json, it runs the benchmark command for the run length
+BENCHMARK.json fixes, once on each side, alternating from pair to pair which
 side runs first, and writes ``BENCH_<n>.json`` at the root of the checkout:
-the SHAs, the Python version, the number of usable CPUs, every pair's
-end-to-end metrics and, per workload and side, the median and quartiles of
-``work_ref``, ``setup_s`` and ``peak_rss_mb`` with ``correct`` and
-``failed``.
+the SHAs, the git tree ids of the code each side ran, the Python version,
+the number of usable CPUs, every pair's end-to-end metrics and, per workload
+and side, the median and quartiles of ``work_ref``, ``setup_s`` and
+``peak_rss_mb`` with ``correct`` and ``failed``.
 """
 
 from __future__ import annotations
@@ -32,12 +35,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("work_ref", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+PAIRS = 10
+# the directories the benchmark command reads its code and inputs from
+CODE = ("src", "perfbench", "scenes")
 
 
-def _git(*args: str) -> str:
+def _git(root: Path, *args: str, env=None) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+        ["git", *args], cwd=root, capture_output=True, text=True, check=True, env=env
     ).stdout.strip()
+
+
+def identify_sides(root: Path) -> dict[str, dict]:
+    """The commit each side stands on and the git tree id of each CODE
+    directory it runs.  The change side's trees are written from the working
+    tree through a scratch index, so they equal ``git rev-parse
+    <commit>:<dir>`` of any commit that holds the same files."""
+    head = _git(root, "rev-parse", "HEAD")
+    dirty = bool(_git(root, "status", "--porcelain"))
+    parent = head if dirty else _git(root, "rev-parse", "--verify", "HEAD^")
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as d:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(d, "index")}
+        _git(root, "add", "--all", "--", *CODE, env=env)
+        change = {c: _git(root, "write-tree", f"--prefix={c}/", env=env) for c in CODE}
+    return {
+        "parent": {"sha": parent, "trees": {c: _git(root, "rev-parse", f"{parent}:{c}") for c in CODE}},
+        "change": {"head_sha": head, "working_tree_dirty": dirty, "trees": change},
+    }
 
 
 def _export(sha: str, dest: str) -> None:
@@ -104,26 +128,21 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
-    p.add_argument("--parent", default="HEAD", help="the commit to compare against")
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = p.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        p.error("--pairs and --seconds must be positive")
-    parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    sides = identify_sides(ROOT)
     workloads = [w["name"] for w in bench["workloads"]]
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     runs, pairs = [], []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
-        _export(parent_sha, parent_root)
+        _export(sides["parent"]["sha"], parent_root)
         roots = {"parent": Path(parent_root), "change": ROOT}
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
                 pair = {"workload": workload, "seed": seed, "first": order[0]}
                 for side in order:
-                    line = run_once(bench["command"], roots[side], workload, seed, args.seconds)
+                    line = run_once(bench["command"], roots[side], workload, seed, bench["run_seconds"])
                     runs.append((workload, seed, side, line))
                     result = json.loads(line)
                     pair[side] = {m: result["metrics"][m]["value"] for m in METRICS}
@@ -131,12 +150,10 @@ def main(argv=None) -> int:
                     print(f"seed {seed} {workload} {side}: {pair[side]}", file=sys.stderr)
                 pairs.append(pair)
     record = {
-        "parent_sha": parent_sha,
-        "head_sha": _git("rev-parse", "HEAD"),
-        "working_tree_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "sides": sides,
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "seconds": args.seconds,
+        "seconds": bench["run_seconds"],
         "seeds": seeds,
         "workloads": summarize(runs),
         "pairs": pairs,

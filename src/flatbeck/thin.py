@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactlin import Matrix, Vector, frac, nullspace, pivot_columns, vsub
-from .flats import AffineFlat, _lifted_integer_points, dist2_point_flat
+from .exactlin import Matrix, Vector, frac, nullspace, vsub
+from .flats import AffineFlat, dist2_point_flat, independence_test
 from .flatcollect import FlatCollection
 from .measures import DiscreteMeasure, PlateMassOracle, support_dist2
 from .project import rational_sqrt_lower
@@ -139,13 +139,6 @@ class ThinGraph:
         return w
 
 
-def _independence_test(g: ThinGraph):
-    """Affine independence of a tuple's points, on atoms lifted to (den p,
-    den) once per measure: the rank ignores each row's scale."""
-    lifted = [_lifted_integer_points(m.points()) for m in g.measures]
-    return lambda t: len(pivot_columns([rows[i] for rows, i in zip(lifted, t)])) == len(t)
-
-
 @dataclass
 class Witness:
     tuple_: tuple[int, ...]
@@ -181,7 +174,7 @@ def verify_thin_planes(
     if any(m.resolution > finest for m in g.measures):
         raise ValueError("scale window reaches below a measure resolution")
     oracles = [PlateMassOracle(m) for m in g.measures]
-    independent = _independence_test(g)
+    independent = independence_test([m.points() for m in g.measures])
     worst: Optional[Witness] = None
     max_ratio = 0.0
     per_scale_max: dict[Fraction, Fraction] = {s: Fraction(0) for s in scales}
@@ -315,7 +308,7 @@ def prune_planes(
     if c1 is None:
         c1 = (g.arity) * s_sum / eps
     oracles = [PlateMassOracle(m) for m in g.measures]
-    independent = _independence_test(g)
+    independent = independence_test([m.points() for m in g.measures])
     radii2 = [s * s for s in scales]
     bounds = [c1 * g.big_k * float(s) ** (g.sigma - eps) for s in scales]
     removed: set[tuple[int, ...]] = set()
@@ -481,7 +474,7 @@ def prune_against_measure(
         s_sum = dyadic_tail_sum(scales, eps)
         k_prime = g.big_k * float(delta0) ** (-2 * g.sigma) * s_sum / (eps / 2)
     nu_oracle = PlateMassOracle(nu)
-    independent = _independence_test(g)
+    independent = independence_test([m.points() for m in g.measures])
     radii2 = [s * s for s in scales]
     bounds = [k_prime * float(s) ** (g.sigma - eps) for s in scales]
     removed = set(margin_removed)

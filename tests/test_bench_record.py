@@ -61,3 +61,46 @@ class TestSummarize:
     def test_unknown_side_rejected(self):
         with pytest.raises(ValueError):
             record.summarize([("plate-mass", 1, "base", line(1.0))])
+
+
+def git(root, *args):
+    return record._git(root, "-c", "user.name=t", "-c", "user.email=t@t", *args)
+
+
+class TestIdentifySides:
+    def test_parent_and_trees_follow_the_working_tree(self, tmp_path):
+        git(tmp_path, "init", "-q")
+        for c in record.CODE:
+            (tmp_path / c).mkdir()
+            (tmp_path / c / "a.py").write_text(f"{c} = 1\n")
+        (tmp_path / ".gitignore").write_text("__pycache__/\n")
+        git(tmp_path, "add", "-A")
+        git(tmp_path, "commit", "-qm", "base")
+        base = git(tmp_path, "rev-parse", "HEAD")
+        (tmp_path / "src" / "a.py").write_text("src = 2\n")
+        git(tmp_path, "commit", "-qam", "change")
+        head = git(tmp_path, "rev-parse", "HEAD")
+
+        # a clean tree is measured against the commit before it
+        clean = record.identify_sides(tmp_path)
+        assert clean["parent"]["sha"] == base
+        assert clean["change"] == {
+            "head_sha": head,
+            "working_tree_dirty": False,
+            "trees": {c: git(tmp_path, "rev-parse", f"HEAD:{c}") for c in record.CODE},
+        }
+        assert clean["parent"]["trees"]["src"] == git(tmp_path, "rev-parse", f"{base}:src")
+
+        # an untracked file makes the tree dirty and enters its tree id; an
+        # ignored one does not
+        (tmp_path / "src" / "new.py").write_text("x = 1\n")
+        (tmp_path / "src" / "__pycache__").mkdir()
+        (tmp_path / "src" / "__pycache__" / "a.pyc").write_bytes(b"\0")
+        dirty = record.identify_sides(tmp_path)
+        assert dirty["parent"]["sha"] == head and dirty["change"]["working_tree_dirty"]
+        assert dirty["change"]["trees"]["src"] != clean["change"]["trees"]["src"]
+        assert dirty["change"]["trees"]["scenes"] == clean["change"]["trees"]["scenes"]
+        git(tmp_path, "add", "-A")
+        git(tmp_path, "commit", "-qm", "new")
+        assert dirty["change"]["trees"]["src"] == git(tmp_path, "rev-parse", "HEAD:src")
+        assert git(tmp_path, "status", "--porcelain") == ""

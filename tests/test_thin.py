@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from flatbeck import thin
-from flatbeck.flats import AffineFlat, affinely_independent
+from flatbeck.flats import AffineFlat, affinely_independent, independence_test
 from flatbeck.genscenes import parallel_segments, segment_grid, square_grid
 from flatbeck.measures import DiscreteMeasure, dyadic_scales, support_dist2
 from flatbeck.stability import StableFrame
@@ -79,7 +79,7 @@ class TestVerifyThinPlanes:
         b = DiscreteMeasure.uniform([(Fraction(1, 2), Fraction(1, 2)), (0, Fraction(2, 3))], RES)
         c = DiscreteMeasure.uniform([(Fraction(1, 3), Fraction(1, 3)), (Fraction(2, 5), Fraction(2, 5))], RES)
         g = ThinGraph.complete([a, b, c], sigma=1.0, big_k=2.0)
-        independent = thin._independence_test(g)
+        independent = independence_test([m.points() for m in g.measures])
         got = {t: independent(t) for t in g.iter_tuples()}
         assert got == {t: affinely_independent(g.tuple_points(t)) for t in g.iter_tuples()}
         assert not got[(0, 0, 0)] and not got[(0, 0, 1)] and got[(1, 0, 0)]
