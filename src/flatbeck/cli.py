@@ -158,7 +158,7 @@ class Scene:
             except ValueError as e:
                 raise SceneError(f"{where}: {e}")
         self.graphs: dict[str, ThinGraph] = {}
-        self.graph_density_claims: dict[str, Optional[float]] = {}
+        self.graph_density_claims: dict[str, Optional[Fraction]] = {}
         for name, val in (raw.get("graphs") or {}).items():
             where = f"graphs.{name}"
             if not isinstance(val, dict) or "measures" not in val:
@@ -169,8 +169,8 @@ class Scene:
                     raise SceneError(f"{where}: dangling measure reference {mname!r}")
                 ms.append(self.measures[mname])
             tuples = val.get("tuples", "complete")
-            sigma = float(val.get("sigma", 1.0))
-            big_k = float(val.get("K", 1.0))
+            sigma = float(_rat(val.get("sigma", 1), f"{where}.sigma"))
+            big_k = float(_rat(val.get("K", 1), f"{where}.K"))
             try:
                 if tuples == "complete":
                     self.graphs[name] = ThinGraph.complete(ms, sigma, big_k)
@@ -179,7 +179,7 @@ class Scene:
             except ValueError as e:
                 raise SceneError(f"{where}: {e}")
             self.graph_density_claims[name] = (
-                float(val["c"]) if "c" in val else None
+                _rat(val["c"], f"{where}.c") if "c" in val else None
             )
         self.frames: dict[str, StableFrame] = {}
         for name, val in (raw.get("frames") or {}).items():
@@ -213,7 +213,7 @@ class Scene:
     def param_float(self, key: str, default=None) -> Optional[float]:
         if key not in self.params:
             return default
-        return float(self.params[key])
+        return float(_rat(self.params[key], f"params.{key}"))
 
 
 def _decimal(text: str) -> Fraction:
@@ -231,7 +231,7 @@ def parse_scene(path: str) -> Scene:
     if not p.exists():
         raise SceneError(f"scene file not found: {path}")
     try:
-        # decimals arrive as their exact value; param_float rounds them to
+        # decimals arrive as their exact value; float knobs round them to
         # the double the literal names
         raw = json.loads(p.read_text(), parse_float=_decimal)
     except json.JSONDecodeError as e:
@@ -448,8 +448,7 @@ def cmd_thin_prune(scene: Scene, args, rep: Reporter) -> None:
         rep.info("removed_mass", out.removed_mass)
         rep.info("c1", out.constant)
         rep.verdict("prune-budget", out.ok, witness=out.witness)
-        check = verify_thin_planes(out.graph, scales)
-        rep.verdict("pruned-graph-verifies", check.ok, witness=check.failure)
+        rep.verdict("pruned-graph-verifies", out.check.ok, witness=out.check.failure)
     elif args.mode == "tubes2planes":
         if g.arity != 2:
             raise SceneError("conversion needs an arity-2 graph")

@@ -4,8 +4,12 @@ A graph lives over a tuple of measures: a set of index vectors, one atom
 index per measure.  Verification bounds the mass each measure gives to
 neighborhoods of spanned flats (plates for general arity, tubes for pairs)
 by K * scale^sigma at every dyadic scale in the window; all memberships and
-masses are exact, the (sigma, K) side of every comparison is float.  The
-continuum quantifier over scales is truncated at the data's resolution:
+masses are exact, the (sigma, K) side of every comparison is float, and a
+claimed density is compared exactly.  One function, _verdict, turns
+(tuple, measure, per-scale masses) items into a VerifyResult: the plane and
+tube checks generate those items, and pruning and tube-to-plane conversion
+hand it the masses of the tuples they keep instead of measuring them again.
+The continuum quantifier over scales is truncated at the data's resolution:
 below it a discrete measure is atomic and the bounds say nothing.
 """
 
@@ -23,14 +27,6 @@ from .flats import AffineFlat, dist2_point_flat, independence_test
 from .flatcollect import FlatCollection
 from .measures import DiscreteMeasure, PlateMassOracle, support_dist2
 from .project import rational_sqrt_lower
-
-
-def _density_below(density: Fraction, required) -> bool:
-    """Claimed densities may be floats (like sigma and K); compare exactly
-    when the claim is exact."""
-    if isinstance(required, float):
-        return float(density) < required
-    return density < frac(required)
 
 
 class TupleInDegenerateSet(ValueError):
@@ -107,16 +103,8 @@ class ThinGraph:
             if self.tuples is None:
                 self._density = Fraction(1)
             else:
-                total = Fraction(0)
-                for t in self.tuples:
-                    prod = Fraction(1)
-                    for idx, m in zip(t, self.measures):
-                        prod *= m.atoms[idx][1]
-                    total += prod
-                denom = Fraction(1)
-                for m in self.measures:
-                    denom *= m.total_mass
-                self._density = total / denom
+                total = sum(map(self.tuple_weight, self.tuples), Fraction(0))
+                self._density = total / math.prod(m.total_mass for m in self.measures)
         return self._density
 
     def without(self, removed: Iterable[tuple[int, ...]], sigma=None, big_k=None) -> "ThinGraph":
@@ -162,6 +150,48 @@ class VerifyResult:
         return self.ok
 
 
+def _window(scales: Sequence, measures: Sequence[DiscreteMeasure] = ()) -> tuple[list, list]:
+    """The dyadic window as Fractions, coarsest first, and its squared radii;
+    refuses a window reaching below the resolution of any of the measures."""
+    scales = sorted({frac(s) for s in scales}, reverse=True)
+    if any(m.resolution > min(scales) for m in measures):
+        raise ValueError("scale window reaches below a measure resolution")
+    return scales, [s * s for s in scales]
+
+
+# failure wording, formatted with the worst Witness as w
+_PLANE_FAILURE = "tuple {w.tuple_} measure {w.measure_index} at scale {w.scale}: mass {w.mass}"
+_TUBE_FAILURE = "tube through atoms {w.tuple_} at radius {w.scale}: section mass {w.mass}"
+
+
+def _verdict(
+    g: ThinGraph, scales: list[Fraction], items: Iterable, failure: str, required_density=None
+) -> VerifyResult:
+    """The one thin verdict: every (tuple, measure index, masses at the
+    window's scales) item against K * scale^sigma of g.  The first item to
+    reach the worst ratio is the witness, named by the failure template; the
+    density is recomputed from g's tuples and compared exactly to a claim."""
+    bounds = [g.big_k * float(s) ** g.sigma for s in scales]
+    peaks = [Fraction(0)] * len(scales)
+    worst: Optional[Witness] = None
+    max_ratio = 0.0
+    for t, j, masses in items:
+        for i, (s, mass, bound) in enumerate(zip(scales, masses, bounds)):
+            if mass > peaks[i]:
+                peaks[i] = mass
+            ratio = float(mass) / bound if bound > 0 else math.inf
+            if ratio > max_ratio:
+                max_ratio = ratio
+                worst = Witness(t, j, s, mass, bound, ratio)
+    density = g.density()
+    ok = max_ratio <= 1.0
+    text = None if ok else failure.format(w=worst) + f" > bound {worst.bound:.6g}"
+    if required_density is not None and density < required_density:
+        ok = False
+        text = f"density {density} below required {required_density}"
+    return VerifyResult(ok, max_ratio, worst, density, sorted(zip(scales, peaks)), text)
+
+
 def verify_thin_planes(
     g: ThinGraph,
     scales: Sequence,
@@ -169,42 +199,19 @@ def verify_thin_planes(
 ) -> VerifyResult:
     """Check mass(mu_j near span(tuple), delta) <= K * delta^sigma for every
     tuple, j and dyadic scale; recompute the density."""
-    scales = sorted({frac(s) for s in scales}, reverse=True)
-    finest = min(scales)
-    if any(m.resolution > finest for m in g.measures):
-        raise ValueError("scale window reaches below a measure resolution")
+    scales, radii2 = _window(scales, g.measures)
     oracles = [PlateMassOracle(m) for m in g.measures]
     independent = independence_test([m.points() for m in g.measures])
-    worst: Optional[Witness] = None
-    max_ratio = 0.0
-    per_scale_max: dict[Fraction, Fraction] = {s: Fraction(0) for s in scales}
-    radii2 = [s * s for s in scales]
-    bounds = [g.big_k * float(s) ** g.sigma for s in scales]
-    for t in g.iter_tuples():
-        pts = g.tuple_points(t)
-        if not independent(t):
-            raise TupleInDegenerateSet(f"tuple {t} is affinely dependent")
-        for j, oracle in enumerate(oracles):
-            masses = oracle.masses_near_span(pts, radii2)
-            for s, mass, bound in zip(scales, masses, bounds):
-                if mass > per_scale_max[s]:
-                    per_scale_max[s] = mass
-                ratio = float(mass) / bound if bound > 0 else math.inf
-                if ratio > max_ratio:
-                    max_ratio = ratio
-                    worst = Witness(t, j, s, mass, bound, ratio)
-    density = g.density()
-    ok = max_ratio <= 1.0
-    failure = None
-    if not ok and worst is not None:
-        failure = (
-            f"tuple {worst.tuple_} measure {worst.measure_index} at scale "
-            f"{worst.scale}: mass {worst.mass} > bound {worst.bound:.6g}"
-        )
-    if required_density is not None and _density_below(density, required_density):
-        ok = False
-        failure = f"density {density} below required {required_density}"
-    return VerifyResult(ok, max_ratio, worst, density, sorted(per_scale_max.items()), failure)
+
+    def items():
+        for t in g.iter_tuples():
+            if not independent(t):
+                raise TupleInDegenerateSet(f"tuple {t} is affinely dependent")
+            pts = g.tuple_points(t)
+            for j, oracle in enumerate(oracles):
+                yield t, j, oracle.masses_near_span(pts, radii2)
+
+    return _verdict(g, scales, items(), _PLANE_FAILURE, required_density)
 
 
 def verify_thin_tubes(
@@ -227,49 +234,20 @@ def verify_thin_tubes(
     # finite supports are at distance 0 exactly when they share a point
     if set(mu0.points()) & set(mu1.points()):
         raise ValueError("supports are not separated")
-    scales = sorted({frac(s) for s in scales}, reverse=True)
-    finest = min(scales)
-    if mu0.resolution > finest or mu1.resolution > finest:
-        raise ValueError("scale window reaches below a measure resolution")
-    sections: dict[int, list[int]] = {}
-    for (i0, i1) in g.iter_tuples():
-        sections.setdefault(i0, []).append(i1)
-    worst: Optional[Witness] = None
-    max_ratio = 0.0
-    per_scale_max: dict[Fraction, Fraction] = {s: Fraction(0) for s in scales}
-    radii2 = [s * s for s in scales]
-    bounds = [g.big_k * float(s) ** g.sigma for s in scales]
-    for i0, sec in sorted(sections.items()):
-        x0 = mu0.atoms[i0][0]
-        sec_set = set(sec)
-        sec_measure = DiscreteMeasure(
-            [mu1.atoms[i] for i in sorted(sec_set)], mu1.resolution
-        )
-        sec_oracle = PlateMassOracle(sec_measure)
-        for i1 in range(len(mu1)):
-            y = mu1.atoms[i1][0]
-            if y == x0:
-                continue
-            masses = sec_oracle.masses_near_line(x0, y, radii2)
-            for s, mass, bound in zip(scales, masses, bounds):
-                if mass > per_scale_max[s]:
-                    per_scale_max[s] = mass
-                ratio = float(mass) / bound if bound > 0 else math.inf
-                if ratio > max_ratio:
-                    max_ratio = ratio
-                    worst = Witness((i0, i1), 1, s, mass, bound, ratio)
-    density = g.density()
-    ok = max_ratio <= 1.0
-    failure = None
-    if not ok and worst is not None:
-        failure = (
-            f"tube through atoms {worst.tuple_} at radius {worst.scale}: "
-            f"section mass {worst.mass} > bound {worst.bound:.6g}"
-        )
-    if required_density is not None and _density_below(density, required_density):
-        ok = False
-        failure = f"density {density} below required {required_density}"
-    return VerifyResult(ok, max_ratio, worst, density, sorted(per_scale_max.items()), failure)
+    scales, radii2 = _window(scales, (mu0, mu1))
+
+    def items():
+        # tuples come sorted: one run per mu0 atom, its G-section of mu1
+        for i0, run in itertools.groupby(g.iter_tuples(), key=lambda t: t[0]):
+            x0 = mu0.atoms[i0][0]
+            sec_oracle = PlateMassOracle(
+                DiscreteMeasure([mu1.atoms[i1] for _, i1 in run], mu1.resolution)
+            )
+            for i1, (y, _) in enumerate(mu1.atoms):
+                if y != x0:
+                    yield (i0, i1), 1, sec_oracle.masses_near_line(x0, y, radii2)
+
+    return _verdict(g, scales, items(), _TUBE_FAILURE, required_density)
 
 
 def dyadic_tail_sum(scales: Sequence[Fraction], eps: float) -> float:
@@ -283,6 +261,7 @@ class PruneResult:
     constant: float
     budget: float
     ok: bool
+    check: VerifyResult  # the output graph's verdict, from the masses in hand
     witness: Optional[str] = None
 
 
@@ -298,28 +277,35 @@ def prune_planes(
     C1 defaults to (k+1) * S / eps with S the dyadic tail sum, the choice
     that makes the union bound over scales close below eps when each
     single-scale removal obeys the counting argument; the actually removed
-    mass is measured exactly and compared against the eps budget.
+    mass is measured exactly and compared against the eps budget.  The kept
+    tuples are independent and their masses are all in hand, so they are
+    verified at the output's (sigma - eps, C1 K) without a second pass.
     """
     eps = float(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    scales = sorted({frac(s) for s in scales}, reverse=True)
+    scales, radii2 = _window(scales, g.measures)
     s_sum = dyadic_tail_sum(scales, eps)
     if c1 is None:
         c1 = (g.arity) * s_sum / eps
     oracles = [PlateMassOracle(m) for m in g.measures]
     independent = independence_test([m.points() for m in g.measures])
-    radii2 = [s * s for s in scales]
     bounds = [c1 * g.big_k * float(s) ** (g.sigma - eps) for s in scales]
     removed: set[tuple[int, ...]] = set()
+    kept = []
     for t in g.iter_tuples():
-        pts = g.tuple_points(t)
-        if not independent(t) or any(
-            float(mass) > bound
-            for oracle in oracles
-            for mass, bound in zip(oracle.masses_near_span(pts, radii2), bounds)
-        ):
+        if not independent(t):
             removed.add(t)
+            continue
+        pts = g.tuple_points(t)
+        masses = []
+        for oracle in oracles:
+            masses.append(oracle.masses_near_span(pts, radii2))
+            if any(float(mass) > bound for mass, bound in zip(masses[-1], bounds)):
+                removed.add(t)
+                break
+        else:
+            kept.extend((t, j, m) for j, m in enumerate(masses))
     out = g.without(removed, sigma=g.sigma - eps, big_k=c1 * g.big_k)
     removed_mass = g.density() - out.density()
     ok = float(removed_mass) <= eps
@@ -329,6 +315,7 @@ def prune_planes(
         c1,
         eps,
         ok,
+        _verdict(out, scales, kept, _PLANE_FAILURE),
         None if ok else f"removed mass {removed_mass} exceeds budget {eps}",
     )
 
@@ -358,12 +345,15 @@ def tubes_to_planes(
     (mass > 10 eps^-2 C K r^(sigma - eps), either marginal) are removed;
     the output claims (sigma - eps, A K) with A = 10^(1 + sigma - eps) C / eps^2
     and the measured density loss must stay below B eps with B from the
-    geometric series of the removal bound.
+    geometric series of the removal bound.  The output is verified from the
+    line masses the removal measured: separated supports make every pair
+    independent, and the tube checks have bounded the window by both
+    resolutions.
     """
     eps = float(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    scales = sorted({frac(s) for s in scales}, reverse=True)
+    scales, radii2 = _window(scales)
     sep2 = support_dist2(mu0, mu1)
     if sep2 == 0:
         raise ValueError("supports are not separated")
@@ -383,23 +373,24 @@ def tubes_to_planes(
     oracle0 = PlateMassOracle(mu0)
     oracle1 = PlateMassOracle(mu1)
     removed = set()
-    radii2 = [s * s for s in scales]
+    kept = []
     bounds = [threshold_scale * float(s) ** (sigma - eps) for s in scales]
-    for (i0, i1) in g.iter_tuples():
-        x0 = mu0.atoms[i0][0]
-        x1 = mu1.atoms[i1][0]
+    for t in g.iter_tuples():
+        x0, x1 = g.tuple_points(t)
         m1 = oracle1.masses_near_line(x0, x1, radii2)
         if any(float(m) > b for m, b in zip(m1, bounds)):
-            removed.add((i0, i1))
+            removed.add(t)
             continue
         m0 = oracle0.masses_near_line(x0, x1, radii2)
         if any(float(m) > b for m, b in zip(m0, bounds)):
-            removed.add((i0, i1))
+            removed.add(t)
+        else:
+            kept += [(t, 0, m0), (t, 1, m1)]
     a_const = (10.0 ** (1 + sigma - eps)) * c_const / (eps * eps)
     out = g.without(removed, sigma=sigma - eps, big_k=a_const * big_k)
     removed_mass = g.density() - out.density()
     b_const = 2.0 * (2.0**sigma) * eps * dyadic_tail_sum(scales, eps)
-    planes = verify_thin_planes(out, scales)
+    planes = _verdict(out, scales, kept, _PLANE_FAILURE)
     ok = planes.ok and float(removed_mass) <= b_const * eps
     witness = None
     if not planes.ok:
@@ -442,7 +433,7 @@ def prune_against_measure(
     eps = float(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    scales = sorted({frac(s) for s in scales}, reverse=True)
+    scales, radii2 = _window(scales)
     margins: dict[tuple[int, ...], Fraction] = {}
     for t in g.iter_tuples():
         pts = g.tuple_points(t)
@@ -458,12 +449,10 @@ def prune_against_measure(
         margins[t] = worst if worst is not None else Fraction(0)
     if delta0 is None:
         delta0 = min(scales)
+        denom = math.prod(m.total_mass for m in g.measures)
         for s in scales:  # descending: prefer the largest affordable margin
             trimmed = [t for t, m2 in margins.items() if m2 < s * s]
             mass = sum((g.tuple_weight(t) for t in trimmed), Fraction(0))
-            denom = Fraction(1)
-            for m in g.measures:
-                denom *= m.total_mass
             if float(mass / denom) <= eps / 2:
                 delta0 = s
                 break
@@ -475,7 +464,6 @@ def prune_against_measure(
         k_prime = g.big_k * float(delta0) ** (-2 * g.sigma) * s_sum / (eps / 2)
     nu_oracle = PlateMassOracle(nu)
     independent = independence_test([m.points() for m in g.measures])
-    radii2 = [s * s for s in scales]
     bounds = [k_prime * float(s) ** (g.sigma - eps) for s in scales]
     removed = set(margin_removed)
     for t in g.iter_tuples():

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import flatbeck.cli
+import flatbeck.thin
 from flatbeck.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -19,8 +21,15 @@ from flatbeck.cli import (
 )
 from flatbeck.flats import AffineFlat
 from flatbeck.genscenes import generic_points
+from flatbeck.measures import PlateMassOracle
 
-SCENES = Path(__file__).resolve().parent.parent / "scenes"
+ROOT = Path(__file__).resolve().parent.parent
+SCENES = ROOT / "scenes"
+README_DEMOS = [
+    line.split()[1:]
+    for line in (ROOT / "README.md").read_text().splitlines()
+    if line.startswith("flatbeck ") and " --scene scenes/" in line
+]
 
 
 def write_scene(tmp_path, body, name="scene.json"):
@@ -140,11 +149,14 @@ class TestBeckCommand:
         assert report["family_dims"] == [1]
 
     def test_decimal_params_keep_their_doubles(self, tmp_path):
-        body = {"ambient_dim": 1, "params": {"epsilon": 0.29, "sigma": 1e-3}}
+        body = {"ambient_dim": 1, "params": {"epsilon": 0.29, "sigma": 1e-3, "eps": "1/4", "bad": "x"}}
         scene = parse_scene(write_scene(tmp_path, body))
         assert scene.param_rat("epsilon") == Fraction(29, 100)
         assert scene.param_float("epsilon") == 0.29
         assert scene.param_float("sigma") == 0.001
+        assert scene.param_float("eps") == 0.25
+        with pytest.raises(SceneError, match="params.bad: malformed rational"):
+            scene.param_float("bad")
 
 
 def count_builds(monkeypatch) -> list:
@@ -271,10 +283,69 @@ class TestDeterminism:
         assert main(["beck", "--scene", path, "--seed", "3", "--out", str(out2)]) == EXIT_PASS
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
+    def test_readme_lists_seven_demos(self):
+        assert [argv[0] for argv in README_DEMOS] == [
+            "beck", "decompose", "thin-verify", "thin-prune",
+            "pushforward-dim", "stability", "project",
+        ]
+
+    @pytest.mark.parametrize("argv", README_DEMOS, ids=lambda argv: argv[0])
+    def test_readme_demo_identical_outputs(self, argv, tmp_path, monkeypatch):
+        # a relative --out, so the CSV paths the report records agree too
+        argv = [str(ROOT / a) if a.startswith("scenes/") else a for a in argv]
+        outputs = []
+        for run in ("o1", "o2"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            assert main(argv + ["--seed", "3", "--out", "out"]) == EXIT_PASS
+            outputs.append({p.name: p.read_bytes() for p in Path("out").iterdir()})
+        assert "report.json" in outputs[0]
+        assert outputs[0] == outputs[1]
+
+
+def count_span_masses(monkeypatch) -> list:
+    """Record every PlateMassOracle.masses_near_span call; masses_near_line
+    goes through it."""
+    calls = []
+    masses = PlateMassOracle.masses_near_span
+
+    def counting(self, *args):
+        calls.append(1)
+        return masses(self, *args)
+
+    monkeypatch.setattr(PlateMassOracle, "masses_near_span", counting)
+    return calls
+
+
+class TestThinPruneMeasuresOnce:
+    # 32 x 32 pairs: the planes prune measures each pair against both
+    # measures once (2,048); the conversion adds the two tube checks, one
+    # line per (centre, direction) pair each way (2,048 more)
+    @pytest.mark.parametrize("mode, expected", [("planes", 2048), ("tubes2planes", 4096)])
+    def test_output_verified_from_masses_in_hand(self, mode, expected, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the output was measured again")
+
+        monkeypatch.setattr(flatbeck.cli, "verify_thin_planes", refuse)
+        monkeypatch.setattr(flatbeck.thin, "verify_thin_planes", refuse)
+        calls = count_span_masses(monkeypatch)
+        scene = str(SCENES / "thin-parallel-segments.json")
+        argv = ["thin-prune", "--scene", scene, "--mode", mode, "--out", str(tmp_path)]
+        assert main(argv) == EXIT_PASS
+        assert len(calls) == expected
+
+    def test_window_below_resolution_refused_before_pruning(self, tmp_path, monkeypatch, capsys):
+        calls = count_span_masses(monkeypatch)
+        scene = str(SCENES / "thin-parallel-segments.json")
+        argv = ["thin-prune", "--scene", scene, "--scales", "1..9", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+        assert calls == []
+
 
 class TestThinVerifyTubesAndDensity:
-    def segments_body(self, claimed=None):
-        g = {"measures": ["a", "b"], "sigma": 1.0, "K": 8.0}
+    def segments_body(self, claimed=None, **fields):
+        g = {"measures": ["a", "b"], "sigma": 1.0, "K": 8.0, **fields}
         if claimed is not None:
             g["c"] = claimed
         return {
@@ -303,6 +374,42 @@ class TestThinVerifyTubesAndDensity:
         out = tmp_path / "out"
         code = main(["thin-verify", "--scene", path, "--scales", "1..4", "--out", str(out)])
         assert code == EXIT_FAIL
+
+    @pytest.mark.parametrize(
+        "claimed, code",
+        [
+            ("1/4", EXIT_PASS),
+            ("1/2", EXIT_PASS),
+            ("2/3", EXIT_FAIL),
+            # 1/2 + 10^-20: a double cannot tell it from 1/2
+            ("50000000000000000001/100000000000000000000", EXIT_FAIL),
+        ],
+    )
+    def test_density_claim_is_exact(self, tmp_path, claimed, code):
+        # the 128 of 256 pairs (i, j) with i + j odd: density exactly 1/2
+        tuples = [[i, j] for i in range(16) for j in range(16) if (i + j) % 2]
+        path = write_scene(tmp_path, self.segments_body(claimed, tuples=tuples))
+        out = tmp_path / "out"
+        assert main(["thin-verify", "--scene", path, "--scales", "1..4", "--out", str(out)]) == code
+        verdict = json.loads((out / "report.json").read_text())["verdicts"][0]
+        if code == EXIT_FAIL:
+            assert verdict["witness"] == f"density 1/2 below required {Fraction(claimed)}"
+
+    def test_rational_sigma_reads_as_its_decimal(self, tmp_path):
+        # one scene path and output directory, so only sigma differs
+        out = tmp_path / "out"
+        runs = []
+        for sigma in (0.5, "1/2"):
+            path = write_scene(tmp_path, self.segments_body(sigma=sigma))
+            code = main(["thin-verify", "--scene", path, "--scales", "1..4", "--out", str(out)])
+            runs.append((code, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("field, value", [("sigma", "x"), ("sigma", True), ("K", [1]), ("c", "x")])
+    def test_malformed_number_is_input_error(self, tmp_path, capsys, field, value):
+        path = write_scene(tmp_path, self.segments_body(**{field: value}))
+        assert main(["thin-verify", "--scene", path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert f"graphs.g.{field}: malformed rational" in capsys.readouterr().err
 
 
 class TestProjectIrreducibleCommand:

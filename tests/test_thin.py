@@ -203,6 +203,46 @@ class TestTubesToPlanes:
         assert len(calls) == 1
 
 
+class TestVerdictFromMassesInHand:
+    """prune_planes and tubes_to_planes verify their output from the masses
+    their removal loops measured; the verdict must be the one a fresh
+    verify_thin_planes of the output gives, witness and table included."""
+
+    @pytest.mark.parametrize("eps", [0.25, 2.0, 3.0])
+    def test_parallel_segments(self, eps):
+        mu0, mu1 = parallel_segments(4)
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
+        scales = dyadic_scales(4, 1)
+        pruned = prune_planes(g, eps, scales)
+        assert pruned.check == verify_thin_planes(pruned.graph, scales)
+        conv = tubes_to_planes(mu0, mu1, g, eps, scales)
+        assert conv.planes_check == verify_thin_planes(conv.graph, scales)
+        if eps == 3.0:  # the weakened bound at sigma - eps = -2 fails
+            w = conv.planes_check.worst
+            assert not conv.planes_check.ok and not conv.ok
+            assert (w.tuple_, w.measure_index, w.scale) == ((0, 7), 1, Fraction(1, 2))
+
+    def test_prune_that_removes_tuples(self):
+        mu0 = DiscreteMeasure.uniform([(0, 0), (0, 1)], RES)
+        mu1 = DiscreteMeasure.uniform([(1, 0), (2, 0), (3, 0), (1, 1)], RES)
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=2.5)
+        scales = dyadic_scales(4, 1)
+        out = prune_planes(g, epsilon=0.5, scales=scales, c1=1.0)
+        assert out.graph.tuple_count() == g.tuple_count() - 3
+        assert out.check == verify_thin_planes(out.graph, scales)
+        assert out.check.density == out.graph.density() == Fraction(5, 8)
+
+    def test_prune_checks_resolution_before_measuring(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("measured before the window was checked")
+
+        monkeypatch.setattr(thin.PlateMassOracle, "masses_near_span", refuse)
+        mu0, mu1 = parallel_segments(4)
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
+        with pytest.raises(ValueError, match="below a measure resolution"):
+            prune_planes(g, 0.25, dyadic_scales(5, 1))
+
+
 class TestPruneAgainstMeasure:
     def test_far_measure_removes_nothing(self):
         mu0, mu1 = parallel_segments(4)
