@@ -5,14 +5,13 @@ a given flat.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import BudgetExceeded, int_rref, vec
-from .flats import AffineFlat, _lifted_integer_points, _span_test, spanned_flats
+from .exactlin import BudgetExceeded, pivot_columns, vec
+from .flats import AffineFlat, _lifted_integer_points, _pencils, _spanned, spanned_flats
 
 DEFAULT_POINT_BUDGET = 60
 
@@ -54,8 +53,9 @@ def concentrated_span_count(x: PointConfig, f: AffineFlat) -> int:
 
     Such a hyperplane H is spanned by the points of x on it, so the lifted
     f extends to a basis of the lifted H by points of x off f: H is the span
-    of f and some n - 1 - dim f points of x off f.  Each distinct such span
-    of dimension n - 1 counts when the points of x on it span it.
+    of f and some n - 1 - dim f points of x off f.  The pencil walk from f
+    (flats._pencils, with the points on f as its mask) gives each such span
+    once with the points on it; it counts when they span it.
     """
     n = x.ambient_dim
     if f.dim >= n:
@@ -63,21 +63,11 @@ def concentrated_span_count(x: PointConfig, f: AffineFlat) -> int:
     if f.ambient_dim != n:
         raise ValueError("ambient dimensions differ")
     lifted = _lifted_integer_points(x.points)
-    off = [v for v in lifted if not f._spans(v)]
-    seen = set()
-    count = 0
-    for extra in itertools.combinations(off, n - 1 - f.dim):
-        _, rows = int_rref([*f._rows, *extra])
-        if len(rows) < n:
-            continue
-        key = tuple(map(tuple, rows))
-        if key in seen:
-            continue
-        seen.add(key)
-        on_h = _span_test(key)
-        _, on = int_rref([v for v in lifted if on_h(v)])
-        count += len(on) == n
-    return count
+    on_f = sum(1 << i for i, v in enumerate(lifted) if f._spans(v))
+    return sum(
+        len(pivot_columns([v for i, v in enumerate(lifted) if mask >> i & 1])) == n
+        for _, _, mask in _pencils(lifted, f._rows, on_f, -1, n - 1 - f.dim)
+    )
 
 
 @dataclass
@@ -89,12 +79,6 @@ class DichotomyReport:
     ratio: Optional[float]
     complete: bool
     note: Optional[str] = None
-
-
-def _cover_mask(lifted: list[tuple[int, ...]], f: AffineFlat) -> int:
-    """Bit i set iff the integer lifted point lifted[i] = (den p, den) lies
-    on f."""
-    return sum(1 << i for i, v in enumerate(lifted) if f._spans(v))
 
 
 def dichotomy_report(
@@ -121,10 +105,7 @@ def dichotomy_report(
         raise ValueError("spanned hyperplanes need ambient dimension >= 2")
     need = big_n - math.floor(epsilon * big_n)
     # candidate flats of each dimension 1..n-1 with their cover masks
-    by_dim: dict[int, list[tuple[int, AffineFlat]]] = {d: [] for d in range(1, n)}
-    lifted = _lifted_integer_points(x.points)
-    for f in spanned_flats(x.points, range(1, n)):
-        by_dim[f.dim].append((_cover_mask(lifted, f), f))
+    by_dim = {d: [(mask, f) for f, mask in _spanned(x.points, d)] for d in range(1, n)}
     for cands in by_dim.values():
         # dominated masks are useless for covering
         cands.sort(key=lambda t: -bin(t[0]).count("1"))

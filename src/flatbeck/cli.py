@@ -411,11 +411,7 @@ def cmd_thin_verify(scene: Scene, args, rep: Reporter) -> None:
         out = verify_thin_tubes(g.measures[0], g.measures[1], g, scales, required_density=claimed)
     else:
         out = verify_thin_planes(g, scales, required_density=claimed)
-    rows = [
-        (s, m, g.big_k * float(s) ** g.sigma, float(m) / (g.big_k * float(s) ** g.sigma))
-        for s, m in out.table
-    ]
-    rep.info("csv", rep.csv_table(f"{name}-scales", rows, ["scale", "max_mass", "bound", "ratio"]))
+    rep.info("csv", rep.csv_table(f"{name}-scales", out.table, ["scale", "max_mass", "bound", "ratio"]))
     rep.info("density", out.density)
     rep.info("max_ratio", out.max_ratio)
     rep.verdict(

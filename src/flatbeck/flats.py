@@ -2,17 +2,21 @@
 squared-sine angle surrogate and the enumerator of flats spanned by point
 subsets.
 
-A flat is stored as basepoint + direction basis, but identity (equality,
-hashing, dedup) goes through the primitive integer RREF rows (``int_rref``)
-of its linearization, the linear span of F x {1} in Q^(n+1); ``canon``, the
-same rows over Q, is derived from them on first read.  Point and flat
-membership, join and meet are integer computations on those rows.  All
-metric predicates compare squared quantities so everything stays inside Q.
+A flat is stored as a basepoint with its direction basis, but identity
+(equality, hashing, dedup) goes through the primitive integer RREF rows
+(``int_rref``) of its linearization, the linear span of F x {1} in
+Q^(n+1); ``canon``, the same rows over Q, is derived from them on first
+read, and ``dim`` is their count minus one.  Point and flat membership, join
+and meet are integer computations on those rows.  All metric predicates
+compare squared quantities so everything stays inside Q.
+
+The enumerator walks pencils of flats (see _pencils) and builds no
+elimination per subset.  Enumerated flats keep their picks: their Fraction
+directions are derived only when read.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from operator import mul
@@ -43,7 +47,7 @@ from .exactlin import (
 class AffineFlat:
     """Affine subspace of Q^n with a canonical form for identity."""
 
-    __slots__ = ("ambient_dim", "basepoint", "directions", "_rows", "_canon", "_member", "_ortho")
+    __slots__ = ("ambient_dim", "basepoint", "_dirs", "_picks", "_rows", "_canon", "_member", "_ortho")
 
     def __init__(self, basepoint: Sequence, directions: Iterable[Sequence] = ()):
         bp = vec(basepoint)
@@ -56,15 +60,14 @@ class AffineFlat:
         # the lifted basepoint lies off the span of the lifted directions
         if len(rows) != len(dirs) + 1:
             raise ValueError("directions are linearly dependent")
-        self._set(bp, dirs, rows)
+        self._set(bp, dirs, rows, None)
 
-    def _set(
-        self, basepoint: Vector, directions: tuple[Vector, ...], rows: Sequence[Sequence[int]]
-    ) -> None:
+    def _set(self, basepoint: Vector, directions, rows: Sequence[Sequence[int]], picks) -> None:
         for name, value in (
             ("ambient_dim", len(basepoint)),
             ("basepoint", basepoint),
-            ("directions", directions),
+            ("_dirs", directions),  # None: filled from picks by directions
+            ("_picks", picks),
             ("_rows", tuple(map(tuple, rows))),
             ("_canon", None),  # filled by canon
             ("_member", None),  # filled by _spans
@@ -74,13 +77,14 @@ class AffineFlat:
 
     @classmethod
     def _from_rows(
-        cls, basepoint: Vector, rows: Sequence[Sequence[int]], directions: tuple[Vector, ...]
+        cls, basepoint: Vector, rows: Sequence[Sequence[int]], directions, picks=None
     ) -> "AffineFlat":
-        """The flat through basepoint with the given directions whose lifted
-        span has the primitive int_rref rows `rows`.  Runs no elimination
-        and no rank check."""
+        """The flat through basepoint whose lifted span has the primitive
+        int_rref rows `rows`, with the given directions or, when None, those
+        of picks: independent lifted integer points spanning it, the first at
+        basepoint.  Runs no elimination and no rank check."""
         f = cls.__new__(cls)
-        f._set(basepoint, directions, rows)
+        f._set(basepoint, directions, rows, picks)
         return f
 
     def __setattr__(self, *a):
@@ -88,7 +92,23 @@ class AffineFlat:
 
     @property
     def dim(self) -> int:
-        return len(self.directions)
+        return len(self._rows) - 1
+
+    @property
+    def directions(self) -> tuple[Vector, ...]:
+        """A basis of the direction space; for a flat built from picks, the
+        RREF over Q of their differences, derived on first read."""
+        if self._dirs is None:
+            object.__setattr__(self, "_dirs", _directions(self._picks))
+        return self._dirs
+
+    def _direction_rows(self) -> list[tuple[int, ...]]:
+        """Integer rows spanning the directions: the picks' differences, or
+        the directions over a common denominator for a flat with no picks."""
+        if self._picks is None:
+            return _integerized_points(self.directions)[0]
+        base = self._picks[0]
+        return [tuple(a - b for a, b in zip(v[:-1], base)) for v in self._picks[1:]]
 
     @property
     def canon(self) -> tuple[Vector, ...]:
@@ -126,10 +146,10 @@ class AffineFlat:
 
     def _spans(self, v: Sequence[int]) -> bool:
         """True iff the integer vector v of Q^(n+1) lies in the linear span
-        of the lifted flat (see _span_test)."""
+        of the lifted flat: a zero residual (see _residual)."""
         if self._member is None:
-            object.__setattr__(self, "_member", _span_test(self._rows))
-        return self._member(v)
+            object.__setattr__(self, "_member", _residual(self._rows, len(self._rows[0]))[2])
+        return not any(self._member(v))
 
     def contains_point(self, p: Sequence) -> bool:
         v = vec(p)
@@ -143,24 +163,26 @@ class AffineFlat:
         return all(self._spans(r) for r in other._rows)
 
 
-def _span_test(rows: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], bool]:
-    """Membership in the span of primitive integer RREF rows.
+def _residual(rows: Sequence[Sequence[int]], width: int) -> tuple[list, list, Callable]:
+    """(pivots, free columns, r) for primitive integer RREF rows in Q^width.
 
-    With the rows K_i, pivot k_i in column c_i and L = lcm(k_i), an integer
-    vector v lies in their span iff L v = sum_i (L / k_i) v[c_i] K_i; the
-    pivot columns agree by construction, so only the others are tested.
-    Scaling v by a nonzero integer does not change the answer.
+    With the rows K_i, pivot k_i in column c_i and L = lcm(k_i), r(v) lists
+    L v[j] - sum_i (L / k_i) v[c_i] K_i[j] over the free columns j: the free
+    part of the vector of span(rows, v) that is zero at every pivot.  So
+    r(v) = 0 iff v lies in the span, and span(rows, u) = span(rows, v) iff
+    r(u) is a multiple of r(v).  Scaling v does not change the answer.
     """
     pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
     big_l = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
     scaled = [[big_l // r[c] * x for x in r] for r, c in zip(rows, pivots)]
-    free = [(j, [s[j] for s in scaled]) for j in range(len(rows[0])) if j not in pivots]
+    free = [j for j in range(width) if j not in pivots]
+    cols = [(j, [s[j] for s in scaled]) for j in free]
 
-    def spans(v: Sequence[int]) -> bool:
+    def r(v: Sequence[int]) -> list[int]:
         coeffs = [v[c] for c in pivots]
-        return all(big_l * v[j] == sum(map(mul, coeffs, col)) for j, col in free)
+        return [big_l * v[j] - sum(map(mul, coeffs, col)) for j, col in cols]
 
-    return spans
+    return pivots, free, r
 
 
 def _reduced(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
@@ -337,28 +359,78 @@ def _lifted_integer_points(points: Sequence[Vector]) -> list[tuple[int, ...]]:
     return [p + (den,) for p in ints]
 
 
+def _pencils(
+    lifted: Sequence[Sequence[int]], rows: tuple, mask: int, last: int, depth: int
+) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
+    """(picks, rows, mask) for each distinct span of span(rows) and `depth`
+    more lifted points; bit i of a mask is set iff lifted[i] is on the span.
+
+    One residual pass groups the points off the mask by primitive residual
+    with a positive first entry: a group is the points new to one child
+    span(rows, v).  The child is walked only when its first point k comes
+    after the last pick; then the picks are its lexicographically least
+    basis, so each span comes once, in combination order.  Its rows are the
+    parent's reduced at the residual's pivot, plus the residual: exactly
+    int_rref's.  Its mask is the parent's OR the group.
+    """
+    if depth == 0:
+        yield (), rows, mask
+        return
+    width = len(lifted[0])
+    pivots, free, residual = _residual(rows, width)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, v in enumerate(lifted):
+        if mask >> i & 1:
+            continue
+        w = residual(v)
+        g = math.gcd(*w)
+        if next(filter(None, w)) < 0:
+            g = -g
+        key = tuple([x // g for x in w])
+        if key in groups:
+            groups[key][1] |= 1 << i
+        else:
+            groups[key] = [i, 1 << i]
+    for key, (k, group) in groups.items():
+        if k < last:
+            continue
+        w = [0] * width
+        for j, x in zip(free, key):
+            w[j] = x
+        c = free[next(i for i, x in enumerate(key) if x)]
+        p = w[c]
+        child = []
+        for r in rows:
+            f = r[c]
+            if f:
+                r = [a * p - f * b for a, b in zip(r, w)]
+                g = math.gcd(*r)
+                r = tuple(x // g for x in r)
+            child.append(r)
+        child.insert(sum(q < c for q in pivots), tuple(w))
+        for picks, out, m in _pencils(lifted, tuple(child), mask | group, k, depth - 1):
+            yield (k, *picks), out, m
+
+
+def _spanned(points: Sequence[Vector], d: int) -> Iterator[tuple[AffineFlat, int]]:
+    """(flat, mask) for each distinct d-flat spanned by points, in the order
+    of spanned_flats; bit i of mask is set iff points[i] is on the flat."""
+    pts = [vec(p) for p in points]
+    if not pts:
+        return
+    lifted = _lifted_integer_points(pts)
+    for picks, rows, mask in _pencils(lifted, (), 0, -1, d + 1):
+        yield AffineFlat._from_rows(pts[picks[0]], rows, None, [lifted[i] for i in picks]), mask
+
+
 def spanned_flats(points: Sequence[Vector], dims: Iterable[int]) -> Iterator[AffineFlat]:
     """Distinct flats spanned by point subsets, dimension by dimension in the
     order of dims and, within a dimension, in combination order.
 
     A flat of dimension d comes from an affinely independent subset of d + 1
-    points; dependent subsets are skipped because their span already arises
-    from a smaller independent subset.  Each flat is yielded once, as built
-    from the first subset that spans it.  The points are lifted to integer
-    rows once; one integer elimination per subset gives its rank and its
-    primitive RREF rows, which identify the span and become the new flat's
-    canonical rows.  One more small elimination of the differences gives
-    its directions.
+    points.  Each flat is yielded once, as built from the first subset that
+    spans it, by the pencil walk of _pencils.
     """
-    lifted = _lifted_integer_points(points)
-    seen = set()
-    for d in dims:
-        for combo in itertools.combinations(range(len(points)), d + 1):
-            sub = [lifted[i] for i in combo]
-            _, rows = int_rref(sub)
-            if len(rows) <= d:
-                continue
-            key = tuple(map(tuple, rows))
-            if key not in seen:
-                seen.add(key)
-                yield AffineFlat._from_rows(vec(points[combo[0]]), key, _directions(sub))
+    for d in dict.fromkeys(dims):
+        for f, _ in _spanned(points, d):
+            yield f

@@ -105,7 +105,7 @@ class PlateMassOracle:
         """Masses within each squared radius of the flat f."""
         if f.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return self._masses(f.basepoint, _integerized_points(f.directions)[0], radii2)
+        return self._masses(f.basepoint, f._direction_rows(), radii2)
 
     def masses_near_line(self, a: Vector, b: Vector, radii2: Sequence[Fraction]) -> list[Fraction]:
         """Masses within each squared radius of the line through a and b."""

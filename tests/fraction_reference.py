@@ -1,8 +1,10 @@
 """Fraction references for the integer span algebra: plain Gauss-Jordan
 over ``Fraction`` and the join, meet, kernel, solve and flat-distance
-constructions built on it, independent of ``int_rref``.
+constructions built on it, independent of ``int_rref``, and a brute-force
+spanned-flat enumerator that shares no code with ``flats.spanned_flats``.
 """
 
+import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -115,3 +117,19 @@ def reference_dist2_flats(f: AffineFlat, g: AffineFlat) -> Fraction:
     assert x is not None  # normal equations are always consistent
     res = vsub(r, m.mat_vec(x))
     return sum((x * x for x in res), Fraction(0))
+
+
+def reference_spanned_flats(points, dims) -> list[AffineFlat]:
+    """Brute force over Fraction: every subset whose lifted points have full
+    Fraction rank builds its flat from its first point and the reference
+    RREF of its differences, and the flats are deduplicated on the reference
+    RREF of the lifted subset."""
+    seen = set()
+    out = []
+    for d in dims:
+        for combo in itertools.combinations([vec(p) for p in points], d + 1):
+            span = row_space([p + (Fraction(1),) for p in combo])
+            if len(span) == d + 1 and span not in seen:
+                seen.add(span)
+                out.append(AffineFlat(combo[0], row_space([vsub(p, combo[0]) for p in combo[1:]])))
+    return out

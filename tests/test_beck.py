@@ -7,14 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flatbeck.beck import (
     PointConfig,
-    _cover_mask,
     concentrated_span_count,
     dichotomy_report,
     enumerate_spanned_flats,
 )
 from flatbeck.exactlin import Matrix, rank
-from flatbeck.flats import AffineFlat, _lifted_integer_points, dist2_point_flat, spanned_flats
+from flatbeck.flats import AffineFlat, _spanned, dist2_point_flat
 from flatbeck.genscenes import generic_points
+from fraction_reference import reference_spanned_flats
 
 
 class TestEnumerateSpannedFlats:
@@ -156,23 +156,30 @@ def concentrated_points(draw):
     return pts
 
 
+@st.composite
+def repeated_points(draw):
+    """concentrated_points with up to three points repeated, shuffled."""
+    pts = draw(concentrated_points())
+    return draw(st.permutations(pts + draw(st.lists(st.sampled_from(pts), max_size=3))))
+
+
 class TestCoverMasks:
     @settings(max_examples=150, deadline=None)
-    @given(concentrated_points())
+    @given(repeated_points())
     def test_integer_masks_match_contains_point(self, pts):
-        lifted = _lifted_integer_points(pts)
-        for f in spanned_flats(pts, range(1, len(pts[0]))):
-            want = sum(1 << i for i, p in enumerate(pts) if dist2_point_flat(p, f) == 0)
-            assert _cover_mask(lifted, f) == want
+        for d in range(len(pts[0])):
+            for f, mask in _spanned(pts, d):
+                want = sum(1 << i for i, p in enumerate(pts) if dist2_point_flat(p, f) == 0)
+                assert mask == want
 
 
 def brute_span_count(pts, f) -> int:
-    """Every spanned hyperplane, kept when the Fraction rank of its canonical
-    rows does not grow with f's."""
+    """Every spanned hyperplane of the Fraction brute force, kept when the
+    Fraction rank of its canonical rows does not grow with f's."""
     n = len(pts[0])
     return sum(
         1
-        for h in spanned_flats(pts, [n - 1])
+        for h in reference_spanned_flats(pts, [n - 1])
         if rank(Matrix(h.canon + f.canon)) == rank(Matrix(h.canon))
     )
 

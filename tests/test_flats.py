@@ -18,8 +18,16 @@ from flatbeck.flats import (
     spanned_flats,
     wedge_angle_sin2,
 )
+from flatbeck import flats as flats_module
+from flatbeck.genscenes import generic_points
 from flatbeck.measures import DiscreteMeasure, PlateMassOracle
-from fraction_reference import reference_dist2_flats, reference_join, reference_meet, row_space
+from fraction_reference import (
+    reference_dist2_flats,
+    reference_join,
+    reference_meet,
+    reference_spanned_flats,
+    row_space,
+)
 
 fracs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
 
@@ -255,22 +263,6 @@ class TestChart:
             chart.to_coords([0, 1, 0])
 
 
-def reference_spanned_flats(points, dims) -> list[AffineFlat]:
-    """Brute force over Fraction: every affinely independent subset builds
-    its flat, and the flats are deduplicated on the canonical form."""
-    seen = set()
-    out = []
-    for d in dims:
-        for combo in itertools.combinations(points, d + 1):
-            if not affinely_independent(combo):
-                continue
-            f = AffineFlat.from_points(combo)
-            if f.canon not in seen:
-                seen.add(f.canon)
-                out.append(f)
-    return out
-
-
 coords = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
 
 
@@ -333,16 +325,47 @@ class TestSpannedFlats:
             assert f == AffineFlat(base, dirs) and hash(f) == hash(AffineFlat(base, dirs))
 
     def test_coplanar_lattice_builds_each_flat_once(self, monkeypatch):
-        base, u, v = vec([1, 2, 3]), vec([Fraction(1, 3), 1, 0]), vec([0, Fraction(1, 5), 2])
-        grid = [
-            tuple(b + i * x + j * y for b, x, y in zip(base, u, v))
-            for i in range(5)
-            for j in range(4)
-        ]
         calls = count_builds(monkeypatch)
-        flats = list(spanned_flats(grid, [1, 2]))
+        flats = list(spanned_flats(coplanar_lattice(), [1, 2]))
         assert [f.dim for f in flats].count(2) == 1
         assert len(calls) == len(flats)
+
+    @pytest.mark.parametrize("kind", ["lattice", "generic"])
+    def test_enumeration_runs_no_elimination(self, kind, monkeypatch):
+        """The pencil walk extends its parent's rows: with int_rref raising,
+        the enumeration still completes, and reading a flat's directions
+        (derived lazily) is what first eliminates."""
+        pts = coplanar_lattice() if kind == "lattice" else generic_points(random.Random(5), 3, 16)
+
+        def refuse(rows):
+            raise AssertionError("int_rref called")
+
+        monkeypatch.setattr(flats_module, "int_rref", refuse)
+        got = list(spanned_flats(pts, [0, 1, 2]))
+        assert [f.dim for f in got].count(0) == len(pts)
+        with pytest.raises(AssertionError, match="int_rref called"):
+            got[-1].directions
+
+    @settings(max_examples=200, deadline=None)
+    @given(forced_point_sets())
+    def test_rows_match_the_fraction_construction(self, case):
+        """Each enumerated flat's rows, hash and dim equal those of the flat
+        rebuilt from its basepoint and Fraction directions."""
+        pts, dims = case
+        for f in spanned_flats(pts, dims):
+            g = AffineFlat(f.basepoint, f.directions)
+            assert f == g and hash(f) == hash(g)
+            assert f.dim == len(f.directions)
+
+
+def coplanar_lattice():
+    """A 5 x 4 lattice in a plane of Q^3."""
+    base, u, v = vec([1, 2, 3]), vec([Fraction(1, 3), 1, 0]), vec([0, Fraction(1, 5), 2])
+    return [
+        tuple(b + i * x + j * y for b, x, y in zip(base, u, v))
+        for i in range(5)
+        for j in range(4)
+    ]
 
 
 def on_flat(base, dirs, ts):

@@ -114,6 +114,41 @@ class TestPlateMassOracle:
 
 
 @st.composite
+def enumerated_flat_cases(draw):
+    """Atoms of Q^2 or Q^3 (later ones may repeat an earlier one or sit on
+    the line through two), squared radii and an atom to put on a boundary."""
+    n = draw(st.integers(2, 3))
+    pts = draw(st.lists(st.tuples(*[atom_coord] * n), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        t = draw(atom_coord)
+        pts.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+    atoms = [(p, draw(weight)) for p in pts]
+    radii2 = draw(st.lists(st.builds(Fraction, st.integers(0, 40), st.integers(1, 9)), max_size=2))
+    return atoms, radii2, draw(st.integers(0, len(atoms) - 1))
+
+
+class TestMassesNearEnumeratedFlats:
+    @settings(max_examples=100, deadline=None)
+    @given(enumerated_flat_cases())
+    def test_picks_basis_matches_directions_and_reference(self, case):
+        """A flat from spanned_flats is measured on its picks' integer
+        differences; the masses equal those of the same flat rebuilt from
+        its Fraction directions and the Fraction reference."""
+        atoms, radii2, hit = case
+        mu = DiscreteMeasure(atoms, D)
+        oracle = PlateMassOracle(mu)
+        for f in spanned_flats(mu.points(), range(mu.ambient_dim)):
+            got = oracle.masses_near_flat(f, radii2)
+            assert f._dirs is None  # the Fraction directions were not built
+            rs = radii2 + [dist2_point_flat(mu.atoms[hit][0], f)]
+            want = reference_masses(mu, f, rs)
+            assert got == want[:-1]
+            assert oracle.masses_near_flat(f, rs) == want
+            assert oracle.masses_near_flat(AffineFlat(f.basepoint, f.directions), rs) == want
+
+
+@st.composite
 def anchored_call_sequences(draw):
     """Atoms, two distinct anchors A and B, and a sequence of calls through
     them that starts A, A, B, A.  Each call has k = 0..n-1 directions

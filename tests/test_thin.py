@@ -285,6 +285,26 @@ class TestProductGraph:
         assert out.arity == 2
         assert out.tuple_count() == 16
 
+    def test_product_measures_each_mass_once(self, monkeypatch):
+        """K = 8 fails on the axes frame, so the graph is verified again at
+        the achieved K from the same masses: 16 tuples x 2 measures give 32
+        oracle calls, and the result is that of a fresh verification."""
+        calls = []
+        span = thin.PlateMassOracle.masses_near_span
+
+        def counting(self, *args):
+            calls.append(1)
+            return span(self, *args)
+
+        frame, mx, my = self.axes_frame()
+        g0 = ThinGraph([mx], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)
+        g1 = ThinGraph([my], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)
+        monkeypatch.setattr(thin.PlateMassOracle, "masses_near_span", counting)
+        out, check = product_graph([g0, g1], frame, dyadic_scales(5, 1))
+        assert len(calls) == 32
+        assert out.big_k == 24.0
+        assert check == verify_thin_planes(out, dyadic_scales(5, 1))
+
     def test_concurrent_coplanar_lines_rejected(self):
         # three lines through the origin inside one plane of Q^3
         l1 = AffineFlat([0, 0, 0], [[1, 0, 0]])
