@@ -169,8 +169,8 @@ class Scene:
                     raise SceneError(f"{where}: dangling measure reference {mname!r}")
                 ms.append(self.measures[mname])
             tuples = val.get("tuples", "complete")
-            sigma = float(_rat(val.get("sigma", 1), f"{where}.sigma"))
-            big_k = float(_rat(val.get("K", 1), f"{where}.K"))
+            sigma = _rat(val.get("sigma", 1), f"{where}.sigma")
+            big_k = _rat(val.get("K", 1), f"{where}.K")
             try:
                 if tuples == "complete":
                     self.graphs[name] = ThinGraph.complete(ms, sigma, big_k)
@@ -438,7 +438,7 @@ def cmd_thin_prune(scene: Scene, args, rep: Reporter) -> None:
         raise SceneError(f"graph {name!r} not in scene")
     g = scene.graphs[name]
     scales = _scale_window(args.scales, scene)
-    eps = scene.param_float("epsilon", 0.25)
+    eps = scene.param_rat("epsilon", "1/4")
     if args.mode == "planes":
         out = prune_planes(g, eps, scales)
         rep.info("removed_mass", out.removed_mass)

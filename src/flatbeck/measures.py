@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exactlin import Vector, _integerized_points, frac, gram_det, int_det, norm2, vec, vsub
+from .exactlin import Vector, _integerized_points, frac, gram_det, int_det, norm2, vec
 from .flats import AffineFlat, dist2_point_flat, lifted_tuple_matrix, spanned_flats
 
 Atom = tuple[Vector, Fraction]
@@ -23,7 +23,7 @@ Atom = tuple[Vector, Fraction]
 class DiscreteMeasure:
     """Finite weighted atom set at a declared resolution delta."""
 
-    __slots__ = ("ambient_dim", "atoms", "resolution", "total_mass")
+    __slots__ = ("ambient_dim", "atoms", "resolution", "total_mass", "weight_den")
 
     def __init__(self, atoms: Sequence[tuple[Sequence, object]], resolution):
         ats = tuple((vec(p), frac(w)) for p, w in atoms)
@@ -38,6 +38,8 @@ class DiscreteMeasure:
         object.__setattr__(self, "atoms", ats)
         object.__setattr__(self, "resolution", frac(resolution))
         object.__setattr__(self, "total_mass", sum(w for _, w in ats))
+        # the common denominator W of the weights: exact masses are counts over W
+        object.__setattr__(self, "weight_den", math.lcm(*(w.denominator for _, w in ats)))
 
     def __setattr__(self, *a):
         raise AttributeError("DiscreteMeasure is immutable")
@@ -67,13 +69,13 @@ class DiscreteMeasure:
 class PlateMassOracle:
     """Exact masses a measure gives to the closed neighborhoods of flats.
 
-    The atoms and their weights are integerized once.  A flat's first
-    spanning point, or its basepoint, is its anchor a.  The integer offsets
-    r = den (p - a) of the atoms, over a common denominator den, and their
-    |r|^2 are kept for the next call with the same anchor: callers ask for
-    flats in runs through one point.  With D integer rows spanning the
-    directions, G = D D^T, g = det G and adj(G), an atom lies at squared
-    distance
+    The atoms are integerized once, and the weights as integers over the
+    measure's weight denominator W.  A flat's first spanning point, or its
+    basepoint, is its anchor a.  The integer offsets r = den (p - a) of the
+    atoms, over a common denominator den, and their |r|^2 are kept for the
+    next call with the same anchor: callers ask for flats in runs through
+    one point.  With D integer rows spanning the directions, G = D D^T,
+    g = det G and adj(G), an atom lies at squared distance
 
         num / (g den^2),   num = |r|^2 g - y^T adj(G) y,   y = D r.
 
@@ -82,34 +84,55 @@ class PlateMassOracle:
     num is |r|^2, for a line |r|^2 |d|^2 - (d.r)^2.  As num is an integer,
     num <= p g den^2 / q exactly when num <= floor(p g den^2 / q): one
     division per radius, then one integer comparison per atom and radius.
+
+    The integer core computes the numerators of one span once and, per
+    weighting (integer weights over W, the measure's own by default) and
+    squared radius, returns the weight within as an integer count over W.
+    counts_near_span is its integer view; the masses_near_* methods divide
+    by W.
     """
 
     def __init__(self, mu: DiscreteMeasure):
         self.ambient_dim = mu.ambient_dim
         self._int_pts, self._den = _integerized_points(mu.points())
-        # the weights as one vector over their common denominator
-        (self._int_ws,), self._wden = _integerized_points([mu.weights()])
+        self._wden = mu.weight_den
+        self.int_weights = [w.numerator * (self._wden // w.denominator) for w in mu.weights()]
         self._anchor = self._shared = None
+
+    def counts_near_span(
+        self, points: Sequence[Vector], radii2: Sequence[Fraction], weightings=None
+    ) -> list[list[int]]:
+        """Per weighting, the counts over the measure's weight_den within
+        each squared radius of the affine span of the points, which must be
+        affinely independent; one pass over the atoms serves every
+        weighting."""
+        if any(len(p) != self.ambient_dim for p in points):
+            raise ValueError("ambient dimensions differ")
+        base, *rest = _integerized_points(points)[0]
+        dirs = [tuple(map(sub, p, base)) for p in rest]
+        return self._counts(tuple(points[0]), dirs, radii2, weightings or (self.int_weights,))
 
     def masses_near_span(
         self, points: Sequence[Vector], radii2: Sequence[Fraction]
     ) -> list[Fraction]:
         """Masses within each squared radius of the affine span of the
         points, which must be affinely independent."""
-        if any(len(p) != self.ambient_dim for p in points):
-            raise ValueError("ambient dimensions differ")
-        base, *rest = _integerized_points(points)[0]
-        return self._masses(tuple(points[0]), [tuple(map(sub, p, base)) for p in rest], radii2)
+        return self._fractions(self.counts_near_span(points, radii2)[0])
 
     def masses_near_flat(self, f: AffineFlat, radii2: Sequence[Fraction]) -> list[Fraction]:
         """Masses within each squared radius of the flat f."""
         if f.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return self._masses(f.basepoint, f._direction_rows(), radii2)
+        return self._fractions(
+            self._counts(f.basepoint, f._direction_rows(), radii2, (self.int_weights,))[0]
+        )
 
     def masses_near_line(self, a: Vector, b: Vector, radii2: Sequence[Fraction]) -> list[Fraction]:
         """Masses within each squared radius of the line through a and b."""
         return self.masses_near_span((a, b), radii2)
+
+    def _fractions(self, counts: list[int]) -> list[Fraction]:
+        return [Fraction(c, self._wden) for c in counts]
 
     def _offsets(self, anchor: Vector) -> tuple[int, list[tuple[int, ...]], list[int]]:
         """den, the atoms' integer offsets r = den (p - anchor) and their |r|^2."""
@@ -118,7 +141,10 @@ class PlateMassOracle:
         offsets = [tuple(x * scale - b for x, b in zip(p, base)) for p in self._int_pts]
         return den, offsets, [sum(map(mul, r, r)) for r in offsets]
 
-    def _masses(self, anchor, dirs, radii2) -> list[Fraction]:
+    def _counts(self, anchor, dirs, radii2, weightings) -> list[list[int]]:
+        """The integer core: the numerators of the span of anchor + dirs,
+        once, then per weighting the weight of the atoms with num <= cut at
+        each squared radius."""
         if anchor != self._anchor:
             self._shared = self._offsets(anchor)
             self._anchor = anchor
@@ -142,11 +168,9 @@ class PlateMassOracle:
                 nums.append(q * g - sum(map(mul, y, [sum(map(mul, row, y)) for row in adj])))
         if g == 0:
             raise ValueError("span points are affinely dependent")
-        # per radius, the weight of the atoms with num <= cut
-        cuts = [r2.numerator * g * den * den // r2.denominator for r2 in radii2]
-        return [
-            Fraction(sum(itertools.compress(self._int_ws, map(c.__ge__, nums))), self._wden) for c in cuts
-        ]
+        scale = g * den * den
+        cuts = [r2.numerator * scale // r2.denominator for r2 in radii2]
+        return [[sum(itertools.compress(ws, map(c.__ge__, nums))) for c in cuts] for ws in weightings]
 
 
 @dataclass(frozen=True)
@@ -325,15 +349,13 @@ def restrict_and_normalize(
 
 
 def support_dist2(a: DiscreteMeasure, b: DiscreteMeasure) -> Fraction:
-    """Minimum squared distance between the two supports."""
-    best: Optional[Fraction] = None
-    for p, _ in a.atoms:
-        for q, _ in b.atoms:
-            d = norm2(vsub(p, q))
-            if best is None or d < best:
-                best = d
-    assert best is not None
-    return best
+    """Minimum squared distance between the two supports, scanned on the
+    atoms of both integerized over one common denominator."""
+    pts, den = _integerized_points(a.points() + b.points())
+    near = min(
+        sum((x - y) ** 2 for x, y in zip(p, q)) for p in pts[: len(a)] for q in pts[len(a) :]
+    )
+    return Fraction(near, den * den)
 
 
 def dyadic_scales(finest: int, coarsest: int = 1) -> list[Fraction]:

@@ -3,14 +3,22 @@
 A graph lives over a tuple of measures: a set of index vectors, one atom
 index per measure.  Verification bounds the mass each measure gives to
 neighborhoods of spanned flats (plates for general arity, tubes for pairs)
-by K * scale^sigma at every dyadic scale in the window; all memberships and
-masses are exact, the (sigma, K) side of every comparison is float, and a
-claimed density is compared exactly.  One function, _verdict, turns
-(tuple, measure, per-scale masses) items into a VerifyResult: the plane and
-tube checks generate those items, and pruning and tube-to-plane conversion
-hand it the masses of the tuples they keep instead of measuring them again.
-The continuum quantifier over scales is truncated at the data's resolution:
-below it a discrete measure is atomic and the bounds say nothing.
+by K * scale^sigma at every dyadic scale in the window.  Every comparison is
+exact.  A graph holds sigma = p/q and K as rationals, and the plate oracle
+gives each mass as an integer count over its measure's weight denominator W,
+so mass <= K * scale^sigma holds exactly when the count is at most the cut
+T = floor(W K scale^sigma): the largest T with T^q <= (W K)^q scale^p, one
+integer q-th root per (measure, scale).  The constants the program chooses
+(C1, A, B, the tube threshold, K') stay the doubles it computes, and removal
+compares counts with floor(W b) for each such double bound b read as its
+exact dyadic value; removed masses are compared with their budgets as
+Fractions.  Floats remain only in report fields (ratios, bounds, tables,
+the chosen constants) and in pushforward_frostman.  One function, _verdict,
+turns (tuple, measure, per-scale counts) items into a VerifyResult: the
+plane and tube checks generate those items, and pruning and tube-to-plane
+conversion hand it the counts of the tuples they keep instead of measuring
+them again.  The continuum quantifier over scales is truncated at the data's
+resolution: below it a discrete measure is atomic and the bounds say nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactlin import Matrix, Vector, frac, nullspace, vsub
+from .exactlin import BudgetExceeded, Matrix, Vector, frac, nullspace, vsub
 from .flats import AffineFlat, dist2_point_flat, independence_test
 from .flatcollect import FlatCollection
 from .measures import DiscreteMeasure, PlateMassOracle, support_dist2
@@ -34,14 +42,18 @@ class TupleInDegenerateSet(ValueError):
 
 
 class ThinGraph:
-    """Graph over an ordered tuple of measures with claimed (sigma, K)."""
+    """Graph over an ordered tuple of measures with claimed (sigma, K).
+
+    sigma and K are kept exactly (a float argument as its exact dyadic
+    value); the sigma and big_k properties are their doubles, for reports.
+    """
 
     def __init__(
         self,
         measures: Sequence[DiscreteMeasure],
         tuples: Optional[Iterable[tuple[int, ...]]],
-        sigma: float,
-        big_k: float,
+        sigma,
+        big_k,
     ):
         self.measures = tuple(measures)
         if not self.measures:
@@ -50,8 +62,8 @@ class ThinGraph:
         if any(m.ambient_dim != n for m in self.measures):
             raise ValueError("ambient dimensions differ")
         self.ambient_dim = n
-        self.sigma = float(sigma)
-        self.big_k = float(big_k)
+        self.sigma_exact = Fraction(sigma)
+        self.k_exact = Fraction(big_k)
         if tuples is None:
             self.tuples: Optional[frozenset[tuple[int, ...]]] = None
         else:
@@ -68,6 +80,14 @@ class ThinGraph:
     @classmethod
     def complete(cls, measures, sigma, big_k) -> "ThinGraph":
         return cls(measures, None, sigma, big_k)
+
+    @property
+    def sigma(self) -> float:
+        return float(self.sigma_exact)
+
+    @property
+    def big_k(self) -> float:
+        return float(self.k_exact)
 
     @property
     def arity(self) -> int:
@@ -113,8 +133,8 @@ class ThinGraph:
         return ThinGraph(
             self.measures,
             kept,
-            self.sigma if sigma is None else sigma,
-            self.big_k if big_k is None else big_k,
+            self.sigma_exact if sigma is None else sigma,
+            self.k_exact if big_k is None else big_k,
         )
 
     def tuple_points(self, t: tuple[int, ...]) -> list[Vector]:
@@ -159,6 +179,54 @@ def _window(scales: Sequence, measures: Sequence[DiscreteMeasure] = ()) -> tuple
     return scales, [s * s for s in scales]
 
 
+# bit size allowed for the integer a cut takes the q-th root of: a sigma with
+# a huge denominator (a binary float such as 0.1 has q = 2^55) is refused
+_CUT_BITS = 1 << 20
+
+
+def _iroot(n: int, q: int) -> int:
+    """The largest t >= 0 with t^q <= n, for n >= 0 and q >= 1."""
+    if q == 1 or n < 2:
+        return n
+    # Newton's step from above, starting at a power of two >= the root
+    t = 1 << -(-n.bit_length() // q)
+    while True:
+        u = ((q - 1) * t + n // t ** (q - 1)) // q
+        if u >= t:
+            return t
+        t = u
+
+
+def _cut(w: int, big_k: Fraction, sigma: Fraction, s: Fraction) -> int:
+    """T = floor(w K s^sigma) for a scale s > 0: a count c over w is within
+    K s^sigma exactly when c <= T.  With w K = a/b, s = u/v and sigma = p/q,
+    T is the largest integer with T^q <= a^q u^p / (b^q v^p) (a negative p
+    trades u and v).  A negative K gives -1, below every count.  The bit
+    size of the power is checked before it is formed."""
+    wk = w * big_k
+    if wk <= 0:
+        return -1 if wk < 0 else 0
+    a, b = wk.numerator, wk.denominator
+    u, v = s.numerator, s.denominator
+    p, q = sigma.numerator, sigma.denominator
+    if p < 0:
+        u, v, p = v, u, -p
+    bits = q * max(a, b).bit_length() + p * max(u, v).bit_length()
+    if bits > _CUT_BITS:
+        raise BudgetExceeded(f"the cut for sigma = {sigma} needs a {bits}-bit root (cap {_CUT_BITS})")
+    return _iroot(a**q * u**p // (b**q * v**p), q)
+
+
+def _double_cuts(w: int, bounds: Sequence[float]) -> list[int]:
+    """floor(w b) for each double bound b read as its exact dyadic value: a
+    count over w exceeds b exactly when it exceeds floor(w b)."""
+    return [math.floor(w * Fraction(b)) for b in bounds]
+
+
+def _exceeds(counts: Sequence[int], cuts: Sequence[int]) -> bool:
+    return any(map(int.__gt__, counts, cuts))
+
+
 # failure wording, formatted with the worst Witness as w
 _PLANE_FAILURE = "tuple {w.tuple_} measure {w.measure_index} at scale {w.scale}: mass {w.mass}"
 _TUBE_FAILURE = "tube through atoms {w.tuple_} at radius {w.scale}: section mass {w.mass}"
@@ -167,33 +235,51 @@ _TUBE_FAILURE = "tube through atoms {w.tuple_} at radius {w.scale}: section mass
 def _verdict(
     g: ThinGraph, scales: list[Fraction], items: Iterable, failure: str, required_density=None
 ) -> VerifyResult:
-    """The one thin verdict: every (tuple, measure index, masses at the
-    window's scales) item against K * scale^sigma of g.  The first item to
-    reach the worst ratio is the witness, named by the failure template; the
-    table gives each scale's peak mass, bound and ratio; the density is
-    recomputed from g's tuples and compared exactly to a claim."""
+    """The one thin verdict: every (tuple, measure index j, counts at the
+    window's scales) item, counts over the weight denominator W_j of
+    measure j, against K * scale^sigma of g.  Per (measure, scale) cell it
+    keeps the peak count and the first item to reach it, and compares the
+    peak with the cut floor(W_j K scale^sigma).  The witness is the peak
+    with the worst float ratio among the failing cells (among all cells
+    when none fails), the earlier item and then the coarser scale on a tie,
+    named by the failure template.  Ratios, bounds and the table of each
+    scale's peak mass, bound and ratio are floats for the report.  The
+    density is recomputed from g's tuples and compared exactly to a claim."""
+    dens = [m.weight_den for m in g.measures]
+    peaks = [[-1] * len(scales) for _ in dens]  # -1: no item in the cell yet
+    firsts: list[list] = [[None] * len(scales) for _ in dens]
+    for n, (t, j, counts) in enumerate(items):
+        peak = peaks[j]
+        for i, c in enumerate(counts):
+            if c > peak[i]:
+                peak[i] = c
+                firsts[j][i] = (n, t)
     bounds = [g.big_k * float(s) ** g.sigma for s in scales]
-    peaks = [Fraction(0)] * len(scales)
+    ok, max_ratio = True, 0.0
     worst: Optional[Witness] = None
-    max_ratio = 0.0
-    for t, j, masses in items:
-        for i, (s, mass, bound) in enumerate(zip(scales, masses, bounds)):
-            if mass > peaks[i]:
-                peaks[i] = mass
-            ratio = float(mass) / bound if bound > 0 else math.inf
-            if ratio > max_ratio:
-                max_ratio = ratio
-                worst = Witness(t, j, s, mass, bound, ratio)
+    rank = None
+    for j, w in enumerate(dens):
+        for i, (s, bound, c, first) in enumerate(zip(scales, bounds, peaks[j], firsts[j])):
+            if first is None:
+                continue
+            fails = c > _cut(w, g.k_exact, g.sigma_exact, s)
+            ok = ok and not fails
+            mass = Fraction(c, w)
+            ratio = float(mass) / bound if bound > 0 else (math.inf if fails else 0.0)
+            max_ratio = max(max_ratio, ratio)
+            cell_rank = (fails, ratio, -first[0], -i)
+            if ratio > 0 and (rank is None or cell_rank > rank):
+                rank, worst = cell_rank, Witness(first[1], j, s, mass, bound, ratio)
     density = g.density()
-    ok = max_ratio <= 1.0
     text = None if ok else failure.format(w=worst) + f" > bound {worst.bound:.6g}"
     if required_density is not None and density < required_density:
         ok = False
         text = f"density {density} below required {required_density}"
-    table = sorted(
-        (s, m, b, float(m) / b if b > 0 else math.inf) for s, m, b in zip(scales, peaks, bounds)
-    )
-    return VerifyResult(ok, max_ratio, worst, density, table, text)
+    table = []
+    for i, (s, b) in enumerate(zip(scales, bounds)):
+        m = max(Fraction(max(p[i], 0), w) for p, w in zip(peaks, dens))
+        table.append((s, m, b, float(m) / b if b > 0 else math.inf))
+    return VerifyResult(ok, max_ratio, worst, density, sorted(table), text)
 
 
 def verify_thin_planes(
@@ -208,7 +294,7 @@ def verify_thin_planes(
 
 
 def _plane_items(g: ThinGraph, radii2: list[Fraction]) -> Iterator:
-    """(tuple, measure index, masses near its span at radii2) for every
+    """(tuple, measure index, counts near its span at radii2) for every
     tuple of g and measure; a dependent tuple raises."""
     oracles = [PlateMassOracle(m) for m in g.measures]
     independent = independence_test([m.points() for m in g.measures])
@@ -217,7 +303,7 @@ def _plane_items(g: ThinGraph, radii2: list[Fraction]) -> Iterator:
             raise TupleInDegenerateSet(f"tuple {t} is affinely dependent")
         pts = g.tuple_points(t)
         for j, oracle in enumerate(oracles):
-            yield t, j, oracle.masses_near_span(pts, radii2)
+            yield t, j, oracle.counts_near_span(pts, radii2)[0]
 
 
 def verify_thin_tubes(
@@ -235,29 +321,44 @@ def verify_thin_tubes(
     tube containing two support points lies inside the member tube through
     them at twice the radius.
     """
+    scales, radii2 = _tube_window(mu0, mu1, g, scales)
+    return _verdict(g, scales, _tube_items(mu0, mu1, g, radii2), _TUBE_FAILURE, required_density)
+
+
+def _tube_window(mu0, mu1, g: ThinGraph, scales: Sequence) -> tuple[list, list]:
+    """The window of a tube check of g over (mu0, mu1), after checking the
+    graph's measures and that the supports are separated."""
     if g.arity != 2 or (g.measures[0], g.measures[1]) != (mu0, mu1):
         raise ValueError("graph must live over (mu0, mu1)")
     # finite supports are at distance 0 exactly when they share a point
     if set(mu0.points()) & set(mu1.points()):
         raise ValueError("supports are not separated")
-    scales, radii2 = _window(scales, (mu0, mu1))
+    return _window(scales, (mu0, mu1))
 
-    def items():
-        # tuples come sorted: one run per mu0 atom, its G-section of mu1
-        for i0, run in itertools.groupby(g.iter_tuples(), key=lambda t: t[0]):
-            x0 = mu0.atoms[i0][0]
-            sec_oracle = PlateMassOracle(
-                DiscreteMeasure([mu1.atoms[i1] for _, i1 in run], mu1.resolution)
-            )
-            for i1, (y, _) in enumerate(mu1.atoms):
-                if y != x0:
-                    yield (i0, i1), 1, sec_oracle.masses_near_line(x0, y, radii2)
 
-    return _verdict(g, scales, items(), _TUBE_FAILURE, required_density)
+def _tube_items(mu0, mu1, g: ThinGraph, radii2: list[Fraction], full=None) -> Iterator:
+    """((i0, i1), 1, counts) for every tube of the family: the G-section of
+    mu1 is mu1's weights with zeros off the section, so one numerator pass
+    per line x0 -> y gives its count; with a dict full, the same pass also
+    stores mu1's full counts of the lines of the pairs in g, under the pair."""
+    oracle = PlateMassOracle(mu1)
+    weights = oracle.int_weights
+    # tuples come sorted: one run per mu0 atom, its G-section of mu1
+    for i0, run in itertools.groupby(g.iter_tuples(), key=lambda t: t[0]):
+        x0 = mu0.atoms[i0][0]
+        paired = {i1 for _, i1 in run}
+        section = [w if i1 in paired else 0 for i1, w in enumerate(weights)]
+        for i1, (y, _) in enumerate(mu1.atoms):
+            if full is not None and i1 in paired:
+                counts, full[i0, i1] = oracle.counts_near_span((x0, y), radii2, (section, weights))
+            else:
+                (counts,) = oracle.counts_near_span((x0, y), radii2, (section,))
+            yield (i0, i1), 1, counts
 
 
 def dyadic_tail_sum(scales: Sequence[Fraction], eps: float) -> float:
-    return sum(float(s) ** eps for s in scales)
+    # fsum rounds once: the same double on every Python
+    return math.fsum(float(s) ** eps for s in scales)
 
 
 @dataclass
@@ -267,13 +368,13 @@ class PruneResult:
     constant: float
     budget: float
     ok: bool
-    check: VerifyResult  # the output graph's verdict, from the masses in hand
+    check: VerifyResult  # the output graph's verdict, from the counts in hand
     witness: Optional[str] = None
 
 
 def prune_planes(
     g: ThinGraph,
-    epsilon: float,
+    epsilon,
     scales: Sequence,
     c1: Optional[float] = None,
 ) -> PruneResult:
@@ -284,12 +385,13 @@ def prune_planes(
     that makes the union bound over scales close below eps when each
     single-scale removal obeys the counting argument; the actually removed
     mass is measured exactly and compared against the eps budget.  The kept
-    tuples are independent and their masses are all in hand, so they are
+    tuples are independent and their counts are all in hand, so they are
     verified at the output's (sigma - eps, C1 K) without a second pass.
     """
-    eps = float(epsilon)
-    if eps <= 0:
+    eps_q = Fraction(epsilon)
+    if eps_q <= 0:
         raise ValueError("epsilon must be positive")
+    eps = float(eps_q)
     scales, radii2 = _window(scales, g.measures)
     s_sum = dyadic_tail_sum(scales, eps)
     if c1 is None:
@@ -297,6 +399,7 @@ def prune_planes(
     oracles = [PlateMassOracle(m) for m in g.measures]
     independent = independence_test([m.points() for m in g.measures])
     bounds = [c1 * g.big_k * float(s) ** (g.sigma - eps) for s in scales]
+    cuts = [_double_cuts(m.weight_den, bounds) for m in g.measures]
     removed: set[tuple[int, ...]] = set()
     kept = []
     for t in g.iter_tuples():
@@ -304,17 +407,17 @@ def prune_planes(
             removed.add(t)
             continue
         pts = g.tuple_points(t)
-        masses = []
-        for oracle in oracles:
-            masses.append(oracle.masses_near_span(pts, radii2))
-            if any(float(mass) > bound for mass, bound in zip(masses[-1], bounds)):
+        counts = []
+        for oracle, cut in zip(oracles, cuts):
+            counts.append(oracle.counts_near_span(pts, radii2)[0])
+            if _exceeds(counts[-1], cut):
                 removed.add(t)
                 break
         else:
-            kept.extend((t, j, m) for j, m in enumerate(masses))
-    out = g.without(removed, sigma=g.sigma - eps, big_k=c1 * g.big_k)
+            kept.extend((t, j, c) for j, c in enumerate(counts))
+    out = g.without(removed, sigma=g.sigma_exact - eps_q, big_k=Fraction(c1) * g.k_exact)
     removed_mass = g.density() - out.density()
-    ok = float(removed_mass) <= eps
+    ok = removed_mass <= eps_q
     return PruneResult(
         out,
         removed_mass,
@@ -342,7 +445,7 @@ def tubes_to_planes(
     mu0: DiscreteMeasure,
     mu1: DiscreteMeasure,
     g: ThinGraph,
-    epsilon: float,
+    epsilon,
     scales: Sequence,
 ) -> ConversionResult:
     """Convert a two-sided thin-tube graph into a thin 1-planes graph.
@@ -351,24 +454,26 @@ def tubes_to_planes(
     (mass > 10 eps^-2 C K r^(sigma - eps), either marginal) are removed;
     the output claims (sigma - eps, A K) with A = 10^(1 + sigma - eps) C / eps^2
     and the measured density loss must stay below B eps with B from the
-    geometric series of the removal bound.  The output is verified from the
-    line masses the removal measured: separated supports make every pair
-    independent, and the tube checks have bounded the window by both
-    resolutions.
+    geometric series of the removal bound.  The two tube checks take one
+    numerator pass per (anchor, line): the forward one also counts all of
+    mu1 on the line of each pair in g, the reverse one all of mu0, and the
+    removal and the output's verdict read those counts.  Separated supports
+    make every pair independent, and the tube checks have bounded the
+    window by both resolutions.
     """
-    eps = float(epsilon)
-    if eps <= 0:
+    eps_q = Fraction(epsilon)
+    if eps_q <= 0:
         raise ValueError("epsilon must be positive")
-    scales, radii2 = _window(scales)
-    sep2 = support_dist2(mu0, mu1)
-    if sep2 == 0:
-        raise ValueError("supports are not separated")
-    c_const = 1.0 / float(rational_sqrt_lower(sep2))
-    tube_fwd = verify_thin_tubes(mu0, mu1, g, scales)
+    eps = float(eps_q)
+    scales, radii2 = _tube_window(mu0, mu1, g, scales)
+    c_const = 1.0 / float(rational_sqrt_lower(support_dist2(mu0, mu1)))
+    full1: dict = {}
+    full0: dict = {}
+    tube_fwd = _verdict(g, scales, _tube_items(mu0, mu1, g, radii2, full1), _TUBE_FAILURE)
     g_rev = ThinGraph(
-        (mu1, mu0), [(b, a) for a, b in g.iter_tuples()], g.sigma, g.big_k
+        (mu1, mu0), [(b, a) for a, b in g.iter_tuples()], g.sigma_exact, g.k_exact
     )
-    tube_rev = verify_thin_tubes(mu1, mu0, g_rev, scales)
+    tube_rev = _verdict(g_rev, scales, _tube_items(mu1, mu0, g_rev, radii2, full0), _TUBE_FAILURE)
     if not (tube_fwd.ok and tube_rev.ok):
         return ConversionResult(
             None, 0.0, 0.0, Fraction(0), False, [tube_fwd, tube_rev],
@@ -376,35 +481,30 @@ def tubes_to_planes(
         )
     sigma, big_k = g.sigma, g.big_k
     threshold_scale = 10.0 * c_const * big_k / (eps * eps)
-    oracle0 = PlateMassOracle(mu0)
-    oracle1 = PlateMassOracle(mu1)
+    bounds = [threshold_scale * float(s) ** (sigma - eps) for s in scales]
+    cuts0 = _double_cuts(mu0.weight_den, bounds)
+    cuts1 = _double_cuts(mu1.weight_den, bounds)
     removed = set()
     kept = []
-    bounds = [threshold_scale * float(s) ** (sigma - eps) for s in scales]
     for t in g.iter_tuples():
-        x0, x1 = g.tuple_points(t)
-        m1 = oracle1.masses_near_line(x0, x1, radii2)
-        if any(float(m) > b for m, b in zip(m1, bounds)):
-            removed.add(t)
-            continue
-        m0 = oracle0.masses_near_line(x0, x1, radii2)
-        if any(float(m) > b for m, b in zip(m0, bounds)):
+        m0, m1 = full0.pop(t[::-1]), full1.pop(t)
+        if _exceeds(m1, cuts1) or _exceeds(m0, cuts0):
             removed.add(t)
         else:
             kept += [(t, 0, m0), (t, 1, m1)]
     a_const = (10.0 ** (1 + sigma - eps)) * c_const / (eps * eps)
-    out = g.without(removed, sigma=sigma - eps, big_k=a_const * big_k)
+    out = g.without(removed, sigma=g.sigma_exact - eps_q, big_k=Fraction(a_const) * g.k_exact)
     removed_mass = g.density() - out.density()
     b_const = 2.0 * (2.0**sigma) * eps * dyadic_tail_sum(scales, eps)
+    loss_ok = removed_mass <= Fraction(b_const) * eps_q
     planes = _verdict(out, scales, kept, _PLANE_FAILURE)
-    ok = planes.ok and float(removed_mass) <= b_const * eps
     witness = None
     if not planes.ok:
         witness = planes.failure
-    elif float(removed_mass) > b_const * eps:
+    elif not loss_ok:
         witness = f"density loss {removed_mass} exceeds B*eps = {b_const * eps:.6g}"
     return ConversionResult(
-        out, a_const, b_const, removed_mass, ok, [tube_fwd, tube_rev], planes, witness
+        out, a_const, b_const, removed_mass, planes.ok and loss_ok, [tube_fwd, tube_rev], planes, witness
     )
 
 
@@ -422,7 +522,7 @@ class MeasurePruneResult:
 def prune_against_measure(
     g: ThinGraph,
     nu: DiscreteMeasure,
-    epsilon: float,
+    epsilon,
     scales: Sequence,
     delta0: Optional[Fraction] = None,
     k_prime: Optional[float] = None,
@@ -436,9 +536,10 @@ def prune_against_measure(
     K * delta0^(-2 sigma) * S / (eps/2), and the measured removal must stay
     within the epsilon budget.
     """
-    eps = float(epsilon)
-    if eps <= 0:
+    eps_q = Fraction(epsilon)
+    if eps_q <= 0:
         raise ValueError("epsilon must be positive")
+    eps = float(eps_q)
     scales, radii2 = _window(scales)
     margins: dict[tuple[int, ...], Fraction] = {}
     for t in g.iter_tuples():
@@ -459,7 +560,7 @@ def prune_against_measure(
         for s in scales:  # descending: prefer the largest affordable margin
             trimmed = [t for t, m2 in margins.items() if m2 < s * s]
             mass = sum((g.tuple_weight(t) for t in trimmed), Fraction(0))
-            if float(mass / denom) <= eps / 2:
+            if mass / denom <= eps_q / 2:
                 delta0 = s
                 break
     else:
@@ -470,21 +571,19 @@ def prune_against_measure(
         k_prime = g.big_k * float(delta0) ** (-2 * g.sigma) * s_sum / (eps / 2)
     nu_oracle = PlateMassOracle(nu)
     independent = independence_test([m.points() for m in g.measures])
-    bounds = [k_prime * float(s) ** (g.sigma - eps) for s in scales]
+    cuts = _double_cuts(nu.weight_den, [k_prime * float(s) ** (g.sigma - eps) for s in scales])
     removed = set(margin_removed)
     for t in g.iter_tuples():
         if t in removed:
             continue
-        pts = g.tuple_points(t)
-        if not independent(t) or any(
-            float(mass) > bound
-            for mass, bound in zip(nu_oracle.masses_near_span(pts, radii2), bounds)
+        if not independent(t) or _exceeds(
+            nu_oracle.counts_near_span(g.tuple_points(t), radii2)[0], cuts
         ):
             removed.add(t)
-    out = g.without(removed, sigma=g.sigma - eps, big_k=g.big_k)
+    out = g.without(removed, sigma=g.sigma_exact - eps_q)
     removed_mass = g.density() - out.density()
     margin_mass = g.density() - g.without(margin_removed).density()
-    ok = float(removed_mass) <= eps
+    ok = removed_mass <= eps_q
     return MeasurePruneResult(
         out,
         removed_mass,
@@ -538,17 +637,27 @@ def product_graph(gs: Sequence[ThinGraph], frame, scales: Sequence) -> tuple[Thi
         tuple(itertools.chain.from_iterable(combo))
         for combo in itertools.product(*(list(gj.iter_tuples()) for gj in gs))
     ]
-    sigma = min(gj.sigma for gj in gs)
-    big_k = max(gj.big_k for gj in gs)
+    sigma = min(gj.sigma_exact for gj in gs)
+    big_k = max(gj.k_exact for gj in gs)
     out = ThinGraph(measures, tuples, sigma, big_k)
     scales, radii2 = _window(scales, measures)
     items = list(_plane_items(out, radii2))
     check = _verdict(out, scales, items, _PLANE_FAILURE)
     if not check.ok:
-        # report the achieved constant instead of failing: the direct
-        # verification is the product bound, from the masses in hand
-        achieved = big_k * max(check.max_ratio, 1.0)
-        out = ThinGraph(measures, tuples, sigma, achieved)
+        # report the achieved constant instead of failing: the least double
+        # K' with every scale's peak mass m <= K' scale^sigma, bisected
+        # between 0 (fails) and twice the float estimate (holds), then
+        # verified from the counts in hand
+        def holds(k: float) -> bool:
+            return all(
+                m.numerator <= _cut(m.denominator, Fraction(k), sigma, s) for s, m, _, _ in check.table
+            )
+
+        lo = 0.0
+        hi = 2 * max(float(m) / float(s) ** float(sigma) for s, m, _, _ in check.table)
+        while (mid := (lo + hi) / 2) not in (lo, hi):
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        out = ThinGraph(measures, tuples, sigma, hi)
         check = _verdict(out, scales, items, _PLANE_FAILURE)
     return out, check
 

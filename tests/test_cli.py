@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from flatbeck.measures import PlateMassOracle
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENES = ROOT / "scenes"
+GOLDEN = ROOT / "tests" / "golden"
 README_DEMOS = [
     line.split()[1:]
     for line in (ROOT / "README.md").read_text().splitlines()
@@ -302,40 +304,55 @@ class TestDeterminism:
         assert "report.json" in outputs[0]
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("argv", README_DEMOS, ids=lambda argv: argv[0])
+    def test_readme_demo_matches_golden(self, argv, tmp_path, monkeypatch):
+        """Each README demo at --seed 3 writes the bytes in
+        tests/golden/<command>/.  The command runs as README writes it, from
+        a directory holding a copy of scenes/, with the relative --out out,
+        so no path in the report depends on the checkout; a golden directory
+        is refreshed by copying out/ from such a run."""
+        shutil.copytree(SCENES, tmp_path / "scenes")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--seed", "3", "--out", "out"]) == EXIT_PASS
+        golden = GOLDEN / argv[0]
+        got = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+        assert got == {p.name: p.read_bytes() for p in golden.iterdir()}
 
-def count_span_masses(monkeypatch) -> list:
-    """Record every PlateMassOracle.masses_near_span call; masses_near_line
-    goes through it."""
+
+def count_numerator_passes(monkeypatch) -> list:
+    """Record every call of PlateMassOracle._counts, the integer core that
+    computes one span's numerators; every mass and count goes through it."""
     calls = []
-    masses = PlateMassOracle.masses_near_span
+    core = PlateMassOracle._counts
 
     def counting(self, *args):
         calls.append(1)
-        return masses(self, *args)
+        return core(self, *args)
 
-    monkeypatch.setattr(PlateMassOracle, "masses_near_span", counting)
+    monkeypatch.setattr(PlateMassOracle, "_counts", counting)
     return calls
 
 
 class TestThinPruneMeasuresOnce:
     # 32 x 32 pairs: the planes prune measures each pair against both
-    # measures once (2,048); the conversion adds the two tube checks, one
-    # line per (centre, direction) pair each way (2,048 more)
-    @pytest.mark.parametrize("mode, expected", [("planes", 2048), ("tubes2planes", 4096)])
+    # measures once (2,048); the conversion's two tube checks take one pass
+    # per (centre, direction) line each way (2,048), and those passes also
+    # give the full line counts that the removal and the output verdict read
+    @pytest.mark.parametrize("mode, expected", [("planes", 2048), ("tubes2planes", 2048)])
     def test_output_verified_from_masses_in_hand(self, mode, expected, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the output was measured again")
 
         monkeypatch.setattr(flatbeck.cli, "verify_thin_planes", refuse)
         monkeypatch.setattr(flatbeck.thin, "verify_thin_planes", refuse)
-        calls = count_span_masses(monkeypatch)
+        calls = count_numerator_passes(monkeypatch)
         scene = str(SCENES / "thin-parallel-segments.json")
         argv = ["thin-prune", "--scene", scene, "--mode", mode, "--out", str(tmp_path)]
         assert main(argv) == EXIT_PASS
         assert len(calls) == expected
 
     def test_window_below_resolution_refused_before_pruning(self, tmp_path, monkeypatch, capsys):
-        calls = count_span_masses(monkeypatch)
+        calls = count_numerator_passes(monkeypatch)
         scene = str(SCENES / "thin-parallel-segments.json")
         argv = ["thin-prune", "--scene", scene, "--scales", "1..9", "--out", str(tmp_path)]
         assert main(argv) == EXIT_INPUT
@@ -404,6 +421,28 @@ class TestThinVerifyTubesAndDensity:
             code = main(["thin-verify", "--scene", path, "--scales", "1..4", "--out", str(out)])
             runs.append((code, {p.name: p.read_bytes() for p in out.iterdir()}))
         assert runs[0] == runs[1]
+
+    def test_sigma_and_k_are_exact(self, tmp_path):
+        scene = parse_scene(write_scene(tmp_path, self.segments_body(sigma=0.29, K="20/3")))
+        g = scene.graphs["g"]
+        assert (g.sigma_exact, g.k_exact) == (Fraction(29, 100), Fraction(20, 3))
+        assert (g.sigma, g.big_k) == (0.29, 20 / 3)
+
+    def test_sigma_with_a_binary_denominator_exits_budget(self, tmp_path, capsys):
+        # the double nearest 0.1, written exactly: its denominator is 2^55
+        path = write_scene(tmp_path, self.segments_body(sigma=str(Fraction(0.1))))
+        argv = ["thin-verify", "--scene", path, "--scales", "1..4", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_BUDGET
+        assert "budget exceeded" in capsys.readouterr().err
+
+    def test_prune_epsilon_is_exact(self, tmp_path):
+        # epsilon 0.1 is 1/10, so the output claims sigma - eps = 9/10; as a
+        # double it would have a 2^55 denominator and exceed the root budget
+        body = self.segments_body()
+        body["params"] = {"epsilon": 0.1}
+        path = write_scene(tmp_path, body)
+        argv = ["thin-prune", "--scene", path, "--scales", "1..4", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_PASS
 
     @pytest.mark.parametrize("field, value", [("sigma", "x"), ("sigma", True), ("K", [1]), ("c", "x")])
     def test_malformed_number_is_input_error(self, tmp_path, capsys, field, value):

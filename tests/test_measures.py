@@ -378,6 +378,24 @@ class TestRestrictAndNormalize:
             restrict_and_normalize(mu, lambda p, w: False)
 
 
+def raw_points():
+    """1 to 5 (x, y, d) triples for the point (x/d, y/(d + 1))."""
+    return st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12)), min_size=1, max_size=5)
+
+
 class TestSupportDistance:
     def test_parallel_segments(self):
         assert support_dist2(segment_measure(y=0), segment_measure(y=1)) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_points(), raw_points())
+    def test_integer_scan_matches_fraction_reference(self, raw_a, raw_b):
+        # atoms over different denominators, so one common denominator is needed
+        a, b = (
+            DiscreteMeasure([((Fraction(x, d), Fraction(y, d + 1)), 1) for x, y, d in raw], D)
+            for raw in (raw_a, raw_b)
+        )
+        want = min(
+            sum((s - t) ** 2 for s, t in zip(p, q)) for p in a.points() for q in b.points()
+        )
+        assert support_dist2(a, b) == want

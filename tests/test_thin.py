@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatbeck import thin
+from flatbeck.exactlin import BudgetExceeded
 from flatbeck.flats import AffineFlat, affinely_independent, independence_test
 from flatbeck.genscenes import parallel_segments, segment_grid, square_grid
 from flatbeck.measures import DiscreteMeasure, dyadic_scales, support_dist2
@@ -222,6 +225,21 @@ class TestVerdictFromMassesInHand:
             assert not conv.planes_check.ok and not conv.ok
             assert (w.tuple_, w.measure_index, w.scale) == ((0, 7), 1, Fraction(1, 2))
 
+    @pytest.mark.parametrize("eps", [0.25, 3.0])
+    def test_sparse_graph_reads_full_line_counts(self, eps):
+        # on a sparse graph each G-section is lighter than the measure, so
+        # the removal and the output verdict must read the full line counts
+        # that the tube passes took, not the section counts
+        mu0, mu1 = parallel_segments(4)
+        tuples = [(i, j) for i in range(len(mu0)) for j in range(len(mu1)) if (i + 2 * j) % 3]
+        g = ThinGraph([mu0, mu1], tuples, sigma=1, big_k=6)
+        scales = dyadic_scales(4, 1)
+        conv = tubes_to_planes(mu0, mu1, g, eps, scales)
+        assert all(check.ok for check in conv.tube_checks)
+        assert conv.planes_check == verify_thin_planes(conv.graph, scales)
+        fresh = verify_thin_tubes(mu0, mu1, g, scales)
+        assert conv.tube_checks[0] == fresh
+
     def test_prune_that_removes_tuples(self):
         mu0 = DiscreteMeasure.uniform([(0, 0), (0, 1)], RES)
         mu1 = DiscreteMeasure.uniform([(1, 0), (2, 0), (3, 0), (1, 1)], RES)
@@ -236,7 +254,7 @@ class TestVerdictFromMassesInHand:
         def refuse(*args):
             raise AssertionError("measured before the window was checked")
 
-        monkeypatch.setattr(thin.PlateMassOracle, "masses_near_span", refuse)
+        monkeypatch.setattr(thin.PlateMassOracle, "_counts", refuse)
         mu0, mu1 = parallel_segments(4)
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
         with pytest.raises(ValueError, match="below a measure resolution"):
@@ -287,23 +305,39 @@ class TestProductGraph:
 
     def test_product_measures_each_mass_once(self, monkeypatch):
         """K = 8 fails on the axes frame, so the graph is verified again at
-        the achieved K from the same masses: 16 tuples x 2 measures give 32
-        oracle calls, and the result is that of a fresh verification."""
+        the achieved K from the same counts: 16 tuples x 2 measures give 32
+        numerator passes of the oracle's integer core, and the result is
+        that of a fresh verification."""
         calls = []
-        span = thin.PlateMassOracle.masses_near_span
+        core = thin.PlateMassOracle._counts
 
         def counting(self, *args):
             calls.append(1)
-            return span(self, *args)
+            return core(self, *args)
 
         frame, mx, my = self.axes_frame()
         g0 = ThinGraph([mx], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)
         g1 = ThinGraph([my], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)
-        monkeypatch.setattr(thin.PlateMassOracle, "masses_near_span", counting)
+        monkeypatch.setattr(thin.PlateMassOracle, "_counts", counting)
         out, check = product_graph([g0, g1], frame, dyadic_scales(5, 1))
         assert len(calls) == 32
         assert out.big_k == 24.0
         assert check == verify_thin_planes(out, dyadic_scales(5, 1))
+
+    @pytest.mark.parametrize(
+        "sigma", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 7)]
+    )
+    def test_achieved_k_is_the_least_double_that_verifies(self, sigma):
+        frame, mx, my = self.axes_frame()
+        gs = [ThinGraph([m], [(i,) for i in range(4)], sigma=sigma, big_k=1) for m in (mx, my)]
+        scales = dyadic_scales(5, 1)
+        out, check = product_graph(gs, frame, scales)
+        assert check.ok, check.failure
+        below = math.nextafter(out.big_k, 0.0)
+        peaks = [(s, m) for s, m, _, _ in check.table]
+        assert all(exactly_within(m, out.k_exact, sigma, s) for s, m in peaks)
+        assert not all(exactly_within(m, Fraction(below), sigma, s) for s, m in peaks)
+        assert not verify_thin_planes(ThinGraph(out.measures, out.tuples, sigma, below), scales).ok
 
     def test_concurrent_coplanar_lines_rejected(self):
         # three lines through the origin inside one plane of Q^3
@@ -338,6 +372,112 @@ class TestProductGraph:
         g = ThinGraph([mu_a, mu_b], [(0, 0), (1, 1)], sigma=1.0, big_k=16.0)
         out, check = product_graph([g], frame, dyadic_scales(4, 1))
         assert set(out.iter_tuples()) == set(g.iter_tuples())
+
+
+def exactly_within(mass: Fraction, big_k: Fraction, sigma: Fraction, s: Fraction) -> bool:
+    """mass <= K s^sigma over Fractions, for K > 0: (mass / K)^q <= s^p."""
+    return (mass / big_k) ** sigma.denominator <= s**sigma.numerator
+
+
+class TestExactCuts:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12),
+        st.integers(-6, 6),
+        st.integers(1, 6),
+        st.fractions(min_value=Fraction(1, 70), max_value=1, max_denominator=70),
+    )
+    def test_cut_is_the_floor_of_the_exact_bound(self, w, big_k, p, q, s):
+        # T^q <= (w K)^q s^p < (T + 1)^q, p and q as drawn (not reduced)
+        t = thin._cut(w, big_k, Fraction(p, q), s)
+        power = (w * big_k) ** q * s**p
+        assert 0 <= t and t**q <= power < (t + 1) ** q
+
+    @pytest.mark.parametrize(
+        "n, q", [(0, 3), (1, 5), (7, 1), (2**64, 2), (2**64 - 1, 2), (10**30, 7), (3**40, 40)]
+    )
+    def test_integer_root(self, n, q):
+        t = thin._iroot(n, q)
+        assert t**q <= n < (t + 1) ** q
+
+    def test_binary_float_sigma_is_refused_before_the_root(self):
+        # 0.1 as a double is 3602879701896397 / 2^55
+        with pytest.raises(BudgetExceeded, match="root"):
+            thin._cut(32, Fraction(6), Fraction(0.1), Fraction(1, 2))
+        g = ThinGraph.complete(parallel_segments(4), sigma=0.1, big_k=6.0)
+        with pytest.raises(BudgetExceeded):
+            verify_thin_planes(g, dyadic_scales(2, 1))
+
+
+def weighted_abscissae():
+    """2 to 4 distinct abscissae in 0..8, each with an integer weight 1..5."""
+    atom = st.tuples(st.integers(0, 8), st.integers(1, 5))
+    return st.lists(atom, min_size=2, max_size=4, unique_by=lambda a: a[0])
+
+
+class TestExactThinVerdicts:
+    """K = 5, sigma = 1 and scale 1/6 put the bound at 5/6, where the float
+    ratio of an exact tie reads 1.0000000000000002."""
+
+    TIE = Fraction(5, 6)
+    W = 600
+
+    def line_graph(self, near: Fraction, sigma=1, big_k=5) -> ThinGraph:
+        # weight near on the line y = 0 for both measures; a far atom of
+        # weight 1/600 fixes the weight denominator at W = 600
+        far = Fraction(1, self.W)
+        mus = [
+            DiscreteMeasure([((x, 0), near), ((x, 1), 1 - near - far), ((x, 2), far)], RES)
+            for x in (0, 1)
+        ]
+        return ThinGraph(mus, [(0, 0)], sigma=sigma, big_k=big_k)
+
+    def test_exact_tie_passes(self):
+        g = self.line_graph(self.TIE)
+        assert g.measures[0].weight_den == self.W
+        check = verify_thin_planes(g, [Fraction(1, 6)])
+        assert check.ok, check.failure
+        assert check.max_ratio > 1.0  # the float view of the same tie
+        assert check.worst.mass == self.TIE
+
+    def test_one_part_in_w_above_fails_with_its_witness(self):
+        check = verify_thin_planes(self.line_graph(self.TIE + Fraction(1, self.W)), [Fraction(1, 6)])
+        assert not check.ok
+        w = check.worst
+        assert (w.tuple_, w.measure_index, w.scale) == ((0, 0), 0, Fraction(1, 6))
+        assert w.mass == Fraction(501, 600) > 5 * Fraction(1, 6)
+        assert check.failure == "tuple (0, 0) measure 0 at scale 1/6: mass 167/200 > bound 0.833333"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weighted_abscissae(),
+        weighted_abscissae(),
+        st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 4), Fraction(-1, 3)]),
+        st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=9),
+    )
+    def test_verdict_matches_fraction_reference(self, raw0, raw1, sigma, big_k):
+        # atoms on y = 0 and y = 1/2 with integer weights; spans are lines
+        mus = [
+            DiscreteMeasure([((Fraction(x, 8), y), w) for x, w in raw], RES)
+            for raw, y in ((raw0, 0), (raw1, Fraction(1, 2)))
+        ]
+        g = ThinGraph.complete(mus, sigma=sigma, big_k=big_k)
+        scales = dyadic_scales(3, 1)
+        check = verify_thin_planes(g, scales)
+        oracles = [thin.PlateMassOracle(m) for m in mus]
+        over = [
+            (t, j, s, m)
+            for t in g.iter_tuples()
+            for j, o in enumerate(oracles)
+            for s, m in zip(scales, o.masses_near_span(g.tuple_points(t), [s * s for s in scales]))
+            if not exactly_within(m, big_k, sigma, s)
+        ]
+        assert check.ok == (not over)
+        if over:
+            w = check.worst
+            assert not exactly_within(w.mass, big_k, sigma, w.scale)
+            assert (w.tuple_, w.measure_index, w.scale, w.mass) in over
 
 
 class TestPushforwardFrostman:
