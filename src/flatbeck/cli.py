@@ -210,11 +210,6 @@ class Scene:
             return None if default is None else frac(default)
         return _rat(self.params[key], f"params.{key}")
 
-    def param_float(self, key: str, default=None) -> Optional[float]:
-        if key not in self.params:
-            return default
-        return float(_rat(self.params[key], f"params.{key}"))
-
 
 def _decimal(text: str) -> Fraction:
     """A JSON decimal as its exact value.  A literal over 100 characters or

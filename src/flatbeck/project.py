@@ -63,11 +63,11 @@ def radial_to_hyperplane(x: Sequence, h: AffineFlat, y: Sequence) -> Vector:
     y = vec(y)
     if h.dim != h.ambient_dim - 1:
         raise ValueError("screen must be a hyperplane")
-    if dist2_point_flat(x, h) == 0:
+    if h.contains_point(x):
         raise ValueError("projection center lies on the screen")
     if x == y:
         raise ValueError("ray through coincident points is undefined")
-    if dist2_point_flat(y, h) == 0:
+    if h.contains_point(y):
         return y
     line = AffineFlat.from_points([x, y])
     got = meet(line, h)
@@ -79,7 +79,7 @@ def radial_to_hyperplane(x: Sequence, h: AffineFlat, y: Sequence) -> Vector:
 def join_meet(q: AffineFlat, z: AffineFlat, v: Sequence) -> Vector:
     """aff(v, q) meet z, required to be a single point."""
     v = vec(v)
-    if dist2_point_flat(v, q) == 0:
+    if q.contains_point(v):
         raise ValueError("point lies on the projection center")
     joined = join([AffineFlat.point(v), q])
     got = meet(joined, z)
@@ -403,7 +403,7 @@ def exceptional_center_certificate(
         members = []
         for block in part:
             joined = join([coll.flats[i] for i in block])
-            on_it = dist2_point_flat(center, joined) == 0
+            on_it = joined.contains_point(center)
             total += joined.dim - (1 if on_it else 0)
             if on_it:
                 members.append(block)

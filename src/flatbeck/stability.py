@@ -12,10 +12,11 @@ by the product of the squared norms of the participating columns, so the
 floor is scale-free; with orthogonal (not orthonormal) bases this matches
 the orthonormal convention up to recorded factors.
 
-The frame scales every lifted atom and basis column to integers once, so a
-matrix is a lookup of integer columns with their scales.  Each (index pair,
-pick) gets one fraction-free elimination: its pivot columns give the rank,
-the pick-independence check and the columns of the cheap minor floor.
+The frame scales every lifted atom and basis column to integers once.  One
+kernel, _wedge, grows the row-subset minors of a column set by a column; a
+chain of wedges over a matrix's columns gives its greedy pivots (the rank)
+and every maximal minor of them (the cheap floor).  The chain over the atom
+columns, which come first, is memoised per (slot, atom) prefix.
 """
 
 from __future__ import annotations
@@ -30,17 +31,14 @@ from .exactlin import (
     BudgetExceeded,
     Vector,
     _integerized_points,
-    int_det,
     norm2,
     orthogonalize,
-    pivot_columns,
     vscale,
     vsub,
 )
 from .flats import (
     AffineFlat,
     FlatChart,
-    dist2_point_flat,
     join,
     linearize,
     meet,
@@ -90,12 +88,12 @@ class StableFrame:
                 raise ValueError(f"flat {j} carries no measures")
             for i, mu in enumerate(ms):
                 for p, _ in mu.atoms:
-                    if dist2_point_flat(p, f) != 0:
+                    if not f.contains_point(p):
                         raise ValueError(f"measure ({j},{i}) has an atom off flat {j}")
                     if norm2(p) > 1:
                         raise ValueError(f"measure ({j},{i}) leaves the unit ball")
         self.bases = [orthogonalize(linearize(f).col_list())[0] for f in self.flats]
-        # (scale, integer column) per lifted atom (p, 1) and per basis column
+        # (scale, integer column, squared norm) per lifted atom (p, 1) and basis column
         self.atom_columns = [
             [[_int_column(p + (Fraction(1),)) for p, _ in mu.atoms] for mu in ms]
             for ms in self.measures
@@ -144,10 +142,10 @@ Pick = dict[AtomSlot, int]
 IntMatrix = tuple[list[list[int]], list[int]]
 
 
-def _int_column(v: Vector) -> tuple[int, tuple[int, ...]]:
-    """(scale, integer column): v times the lcm of its denominators."""
+def _int_column(v: Vector) -> tuple[int, tuple[int, ...], int]:
+    """(scale, integer column, squared norm): v times the lcm of its denominators."""
     (col,), scale = _integerized_points([v])
-    return scale, col
+    return scale, col, sum(x * x for x in col)
 
 
 def build_matrix(frame: StableFrame, pick: Pick, idx: IndexPair) -> IntMatrix:
@@ -161,7 +159,47 @@ def build_matrix(frame: StableFrame, pick: Pick, idx: IndexPair) -> IntMatrix:
         cols.append(frame.atom_columns[j][i][pick[slot]])
     for j in idx.sorted_flats():
         cols.extend(frame.basis_columns[j])
-    return [list(r) for r in zip(*(c for _, c in cols))], [s for s, _ in cols]
+    return [list(r) for r in zip(*(c for _, c, _ in cols))], [s for s, _, _ in cols]
+
+
+def _wedge(minors: dict[int, int], col: Sequence[int]) -> dict[int, int]:
+    """minors maps a row bit mask to the determinant of a column set on those
+    rows, zeros left out; the same for the set with col appended, by
+    expansion along col: row i's term takes the sign of the number of rows
+    of the new mask after i.  Empty exactly when col is in the set's span."""
+    out: dict[int, int] = {}
+    for mask, d in minors.items():
+        for i, x in enumerate(col):
+            if x and not mask >> i & 1:
+                key = mask | 1 << i
+                t = -x * d if (mask >> i).bit_count() & 1 else x * d
+                out[key] = out.get(key, 0) + t
+    return {k: v for k, v in out.items() if v}
+
+
+# a chain of wedges: the minors of the pivot columns so far, their indices
+# in the matrix, and the products of their squared norms and of their scales
+WedgeState = tuple[dict[int, int], tuple[int, ...], int, int]
+
+
+def _pick_state(frame: StableFrame, memo: dict, idx: IndexPair, pick: Pick) -> WedgeState:
+    """The wedge chain over build_matrix(frame, pick, idx), stopped at full
+    rank.  memo keeps the state after each (slot, atom) prefix of the atom
+    columns: at most prod(1 + |supp mu|) states per frame."""
+    key = tuple((s, pick[s]) for s in idx.sorted_atoms())
+    k = len(key)
+    while k and key[:k] not in memo:
+        k -= 1
+    state = memo[key[:k]] if k else ({0: 1}, (), 1, 1)
+    cols = [frame.atom_columns[j][i][a] for (j, i), a in key[k:]]
+    cols += [column for j in idx.sorted_flats() for column in frame.basis_columns[j]]
+    for c, (scale, col, norm) in enumerate(cols, k):
+        minors, pivots, nprod, sprod = state
+        if len(pivots) < len(col) and (grown := _wedge(minors, col)):
+            state = grown, pivots + (c,), nprod * norm, sprod * scale
+        if c < len(key):
+            memo[key[: c + 1]] = state
+    return state
 
 
 def iter_picks(
@@ -189,32 +227,28 @@ class RankInconsistency:
     rank_b: int
 
 
-def _eliminate_picks(
-    frame: StableFrame, idx: IndexPair, budget: Optional[int] = None
-) -> list[tuple[Pick, IntMatrix, list[int]]] | RankInconsistency:
-    """One pivot_columns per pick of the index pair, in iter_picks order:
-    every (pick, matrix, pivots), or the first pick whose rank differs from
-    the first pick's."""
-    out: list[tuple[Pick, IntMatrix, list[int]]] = []
+def _pick_states(
+    frame: StableFrame, idx: IndexPair, memo: dict, budget: Optional[int] = None
+) -> list[tuple[Pick, WedgeState]] | RankInconsistency:
+    """The wedge state of every pick of the index pair, in iter_picks order,
+    or the first pick whose rank differs from the first pick's."""
+    out: list[tuple[Pick, WedgeState]] = []
     for p in iter_picks(frame, idx.sorted_atoms(), budget):
-        m = build_matrix(frame, p, idx)
-        pivots = pivot_columns(m[0])
-        if out and len(pivots) != len(out[0][2]):
-            first, _, first_pivots = out[0]
-            return RankInconsistency(idx, first, len(first_pivots), p, len(pivots))
-        out.append((p, m, pivots))
+        state = _pick_state(frame, memo, idx, p)
+        if out and len(state[1]) != len(out[0][1][1]):
+            return RankInconsistency(idx, out[0][0], len(out[0][1][1]), p, len(state[1]))
+        out.append((p, state))
     return out
 
 
 def rank_r(
-    frame: StableFrame,
-    idx: IndexPair,
-    budget: Optional[int] = 4096,
+    frame: StableFrame, idx: IndexPair, budget: Optional[int] = 4096, memo: Optional[dict] = None
 ) -> int | RankInconsistency:
     """The common rank of (B_Ibar(x), A_J) over atom picks, or an
-    inconsistency report naming two picks with different ranks."""
-    got = _eliminate_picks(frame, idx, budget)
-    return got if isinstance(got, RankInconsistency) else len(got[0][2])
+    inconsistency report naming two picks with different ranks.  Calls on
+    one frame may share a memo of atom-prefix states."""
+    got = _pick_states(frame, idx, {} if memo is None else memo, budget)
+    return got if isinstance(got, RankInconsistency) else len(got[0][1][1])
 
 
 def minor_floors(
@@ -225,10 +259,11 @@ def minor_floors(
     form divides each det^2 by the product of the participating squared
     column norms.
 
-    The cheap route fixes the pivot columns and maximizes over row subsets
+    The cheap route wedges the pivot columns and maximizes over row subsets
     only; the result is a true lower bound, and since the pivot columns are
     independent it is positive.  The exact route maximizes over all r-column
-    subsets.
+    subsets, walking them in combination order so that subsets sharing a
+    prefix share its wedges; a dependent prefix ends its branch.
 
     Scaling a column multiplies each minor through it by the column's
     factor, so the normalized value needs no rescaling on the integer
@@ -238,23 +273,25 @@ def minor_floors(
     if r == 0:
         return Fraction(1), Fraction(1)
     rows, scales = m
-    norms = [sum(x * x for x in c) for c in zip(*rows)]
+    cols = list(zip(*rows))
+    norms = [sum(x * x for x in c) for c in cols]
+    best = [(0, 1), (0, 1)]  # normalized and raw maxima as (numerator, denominator)
 
-    def best_over_rows(col_subset: Sequence[int]) -> tuple[Fraction, Fraction]:
-        best = 0
-        for row_subset in itertools.combinations(rows, r):
-            d = int_det([[row[c] for c in col_subset] for row in row_subset])
-            best = max(best, d * d)
-        denom = math.prod(norms[c] for c in col_subset)
-        raw = Fraction(best, math.prod(scales[c] for c in col_subset) ** 2)
-        return (Fraction(best, denom) if denom else Fraction(0)), raw
+    def walk(minors: dict[int, int], cs: tuple[int, ...], rest: Sequence[int]) -> None:
+        if len(cs) == r:
+            top = max(d * d for d in minors.values())
+            dens = math.prod(norms[c] for c in cs), math.prod(scales[c] for c in cs) ** 2
+            for k, den in enumerate(dens):
+                if top * best[k][1] > best[k][0] * den:
+                    best[k] = top, den
+            return
+        for k, c in enumerate(rest[: len(rest) - r + len(cs) + 1]):
+            grown = _wedge(minors, cols[c])
+            if grown:
+                walk(grown, cs + (c,), rest[k + 1 :])
 
-    if exact:
-        pairs = [
-            best_over_rows(cs) for cs in itertools.combinations(range(len(scales)), r)
-        ]
-        return max(p[0] for p in pairs), max(p[1] for p in pairs)
-    return best_over_rows(pivots)
+    walk({0: 1}, (), range(len(cols)) if exact else pivots)
+    return Fraction(*best[0]), Fraction(*best[1])
 
 
 @dataclass
@@ -307,10 +344,11 @@ def certify_stability(
         )
     pairs = _index_pairs(frame)
     ranks: dict[IndexPair, int] = {}
-    floor: Optional[Fraction] = None
-    raw_floor: Optional[Fraction] = None
+    memo: dict = {}
+    # least floors so far as (numerator, denominator), from 1/0 = infinity
+    floor = raw_floor = (1, 0)
     for idx in pairs:
-        got = _eliminate_picks(frame, idx)
+        got = _pick_states(frame, idx, memo)
         if isinstance(got, RankInconsistency):
             return CertificationResult(
                 False,
@@ -321,27 +359,29 @@ def certify_stability(
                     f"J={sorted(idx.flats_index)}: {got.rank_a} vs {got.rank_b}"
                 ),
             )
-        ranks[idx] = len(got[0][2])
-        for p, m, pivots in got:
-            val, raw = minor_floors(m, pivots)
-            if val < c2:
-                val, raw = minor_floors(m, pivots, exact=True)
-            if val < c2:
-                return CertificationResult(
-                    False,
-                    val,
-                    ranks,
-                    raw_floor=raw,
-                    witness=(
-                        f"normalized minor {val} < c2 {c2} at "
-                        f"Ibar={sorted(idx.atoms_index)} J={sorted(idx.flats_index)} pick={p}"
-                    ),
-                )
-            if floor is None or val < floor:
+        ranks[idx] = len(got[0][1][1])
+        for p, (minors, pivots, nprod, sprod) in got:
+            top = max(d * d for d in minors.values())
+            val, raw = (top, nprod), (top, sprod * sprod)
+            if top * c2.denominator < c2.numerator * nprod:
+                fval, fraw = minor_floors(build_matrix(frame, p, idx), pivots, exact=True)
+                if fval < c2:
+                    return CertificationResult(
+                        False,
+                        fval,
+                        ranks,
+                        raw_floor=fraw,
+                        witness=(
+                            f"normalized minor {fval} < c2 {c2} at "
+                            f"Ibar={sorted(idx.atoms_index)} J={sorted(idx.flats_index)} pick={p}"
+                        ),
+                    )
+                val, raw = fval.as_integer_ratio(), fraw.as_integer_ratio()
+            if val[0] * floor[1] < floor[0] * val[1]:
                 floor = val
-            if raw_floor is None or raw < raw_floor:
+            if raw[0] * raw_floor[1] < raw_floor[0] * raw[1]:
                 raw_floor = raw
-    return CertificationResult(True, floor, ranks, raw_floor=raw_floor)
+    return CertificationResult(True, Fraction(*floor), ranks, raw_floor=Fraction(*raw_floor))
 
 
 class StabilizationError(RuntimeError):
@@ -365,29 +405,22 @@ def stabilize(
     if work > budget:
         raise BudgetExceeded(f"{work} rank evaluations exceed budget {budget}")
     pairs = _index_pairs(frame)
-    best_pick: Optional[Pick] = None
-    best_score = -1
-    for p in picks:
-        score = sum(len(pivot_columns(build_matrix(frame, p, idx)[0])) for idx in pairs)
-        if score > best_score:
-            best_score = score
-            best_pick = p
-    assert best_pick is not None
-    if required_ranks:
-        for idx, want in required_ranks.items():
-            got = len(pivot_columns(build_matrix(frame, best_pick, idx)[0]))
-            if got != want:
-                raise StabilizationError(
-                    f"cannot stabilize: rank {got} != required {want} on "
-                    f"Ibar={sorted(idx.atoms_index)} J={sorted(idx.flats_index)}"
-                )
-    floor: Optional[Fraction] = None
-    for idx in pairs:
-        m = build_matrix(frame, best_pick, idx)
-        val, _ = minor_floors(m, pivot_columns(m[0]), exact=True)
-        if floor is None or val < floor:
-            floor = val
-    assert floor is not None and floor > 0
+    memo: dict = {}
+    best_pick = max(picks, key=lambda p: sum(len(_pick_state(frame, memo, idx, p)[1]) for idx in pairs))
+    for idx, want in (required_ranks or {}).items():
+        got = len(_pick_state(frame, memo, idx, best_pick)[1])
+        if got != want:
+            raise StabilizationError(
+                f"cannot stabilize: rank {got} != required {want} on "
+                f"Ibar={sorted(idx.atoms_index)} J={sorted(idx.flats_index)}"
+            )
+    floor = min(
+        minor_floors(
+            build_matrix(frame, best_pick, idx), _pick_state(frame, memo, idx, best_pick)[1], exact=True
+        )[0]
+        for idx in pairs
+    )
+    assert floor > 0
     target = floor / 2
     centers = {
         (j, i): frame.measures[j][i].atoms[best_pick[(j, i)]][0] for j, i in slots
@@ -432,13 +465,14 @@ def minimal_rank_report(
     n = frame.ambient_dim
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     violations: list[RankRuleViolation] = []
+    memo: dict = {}
     for i_size in range(k + 1):
         for i_set in itertools.combinations(range(k), i_size):
             rest = [j for j in range(k) if j not in i_set]
             for j_size in range(len(rest) + 1):
                 for j_set in itertools.combinations(rest, j_size):
                     idx = IndexPair(frame.block_atoms(i_set), frozenset(j_set))
-                    got = rank_r(frame, idx, budget=budget)
+                    got = rank_r(frame, idx, budget=budget, memo=memo)
                     if isinstance(got, RankInconsistency):
                         violations.append(
                             RankRuleViolation("rank-constant", i_set, j_set, got.rank_b, got.rank_a)
@@ -476,11 +510,12 @@ def rank_inequality_report(
     violations: list[RankRuleViolation] = []
     slots = frame.atom_slots()
     ranks: dict[IndexPair, int] = {}
+    memo: dict = {}
 
     def rk(idx: IndexPair) -> int:
         """rank_r of idx, once per index pair."""
         if idx not in ranks:
-            got = rank_r(frame, idx, budget=budget)
+            got = rank_r(frame, idx, budget=budget, memo=memo)
             if isinstance(got, RankInconsistency):
                 raise StabilizationError("rank not pick-independent; certify first")
             ranks[idx] = got

@@ -154,11 +154,10 @@ class TestBeckCommand:
         body = {"ambient_dim": 1, "params": {"epsilon": 0.29, "sigma": 1e-3, "eps": "1/4", "bad": "x"}}
         scene = parse_scene(write_scene(tmp_path, body))
         assert scene.param_rat("epsilon") == Fraction(29, 100)
-        assert scene.param_float("epsilon") == 0.29
-        assert scene.param_float("sigma") == 0.001
-        assert scene.param_float("eps") == 0.25
+        assert scene.param_rat("sigma") == Fraction(1, 1000)
+        assert scene.param_rat("eps") == Fraction(1, 4)
         with pytest.raises(SceneError, match="params.bad: malformed rational"):
-            scene.param_float("bad")
+            scene.param_rat("bad")
 
 
 def count_builds(monkeypatch) -> list:

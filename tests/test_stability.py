@@ -173,12 +173,13 @@ class TestBudgetsBeforeWork:
         = 160 ranks: it is refused before the first one."""
         frame = parse_scene(str(AXES_SCENE)).frames["axes"]
         calls = []
+        wedge = stability._wedge
 
-        def counting(rows):
+        def counting(minors, col):
             calls.append(1)
-            return pivot_columns(rows)
+            return wedge(minors, col)
 
-        monkeypatch.setattr(stability, "pivot_columns", counting)
+        monkeypatch.setattr(stability, "_wedge", counting)
         with pytest.raises(BudgetExceeded, match="^160 rank evaluations exceed budget 9"):
             stabilize(frame, budget=9)
         assert calls == []
@@ -275,6 +276,44 @@ class TestMinorFloors:
             assert got[0] > 0 and got[1] > 0
 
 
+@st.composite
+def degenerate_matrices(draw) -> Matrix:
+    """small_matrices with some rows zeroed and a combination of two of its
+    columns inserted, so that the chain meets zero rows and dependent
+    columns."""
+    rows = [list(r) for r in draw(small_matrices).entries]
+    for i in draw(st.sets(st.integers(0, len(rows) - 1), max_size=2)):
+        rows[i] = [Fraction(0)] * len(rows[i])
+    a, b = draw(st.integers(0, len(rows[0]) - 1)), draw(st.integers(0, len(rows[0]) - 1))
+    k, at = draw(fracs), draw(st.integers(0, len(rows[0])))
+    for r in rows:
+        r.insert(at, r[a] + k * r[b])
+    return Matrix(rows)
+
+
+class TestWedge:
+    @settings(max_examples=200, deadline=None)
+    @given(degenerate_matrices())
+    def test_chain_matches_greedy_pivots_and_laplace(self, m):
+        """Along the chain over the columns, the pivots are the greedy ones
+        and after k pivots every k-row minor of them is the Laplace minor of
+        the Fraction columns times their scales."""
+        rows, scales = int_columns(m)
+        minors, pivots = {0: 1}, []
+        for c, col in enumerate(zip(*rows)):
+            grown = stability._wedge(minors, col)
+            if not grown:
+                continue
+            minors = grown
+            pivots.append(c)
+            scale = math.prod(scales[p] for p in pivots)
+            for rs in itertools.combinations(range(m.rows), len(pivots)):
+                want = laplace_minors([m.entries[i] for i in rs])(tuple(pivots)) * scale
+                assert minors.get(sum(1 << i for i in rs), 0) == want
+            assert 0 not in minors.values()
+        assert pivots == greedy_pivots(m)
+
+
 def reference_certificate(frame: StableFrame, c2: Fraction) -> tuple:
     """certify_stability the textbook way, as (ok, floor, raw_floor, ranks,
     witness): Fraction matrices from Matrix.from_cols of the lifted atoms
@@ -332,6 +371,20 @@ class TestCertificateAgainstFractionReference:
         assert [c.ok for c in above] == [False, True, True]
         assert above[0].witness.startswith("normalized minor")
 
+    def test_witness_names_the_pick_just_below_c2(self):
+        # at 11/10 of the generator's floor the first frame fails on the
+        # exact floor v of one pick; every pick before it is above 11/10 of
+        # the floor, so with c2 just above v the witness names the same
+        # (index pair, pick), and at c2 = v that pick passes
+        frame, gen = random_minimal_frame(random.Random(4161), 4, (2, 1, 1))
+        low = self.check(frame, gen.floor * Fraction(11, 10))
+        assert not low.ok
+        where = low.witness.split(" at ")[1]
+        above = self.check(frame, low.floor + Fraction(1, 10**40))
+        assert not above.ok and above.witness.split(" at ")[1] == where
+        at = self.check(frame, low.floor)
+        assert at.ok or at.witness.split(" at ")[1] != where
+
     def test_rank_inconsistency_comes_before_any_floor(self):
         # on Ibar = {(0,0)}, J = {1} the first pick has rank 3 and the
         # normalized minor 1/5, the second (the origin) rank 2: at c2 = 1/4
@@ -388,13 +441,13 @@ class TestMinimalRankTable:
         rng = random.Random(7)
         frame, _ = random_minimal_frame(rng, 3, (1, 1, 1), atoms_per_measure=2)
         calls = []
-        eliminate = stability._eliminate_picks
+        rank_r = stability.rank_r
 
-        def counting(frame, idx, budget=None):
+        def counting(frame, idx, **kwargs):
             calls.append(idx)
-            return eliminate(frame, idx, budget)
+            return rank_r(frame, idx, **kwargs)
 
-        monkeypatch.setattr(stability, "_eliminate_picks", counting)
+        monkeypatch.setattr(stability, "rank_r", counting)
         assert rank_inequality_report(frame) == []
         # 352 evaluations when every grown pair was ranked again
         assert len(calls) == len(set(calls)) == 64
