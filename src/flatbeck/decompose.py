@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactlin import frac
-from .flats import AffineFlat, dist2_point_flat, join, spanned_flats
+from .flats import AffineFlat, join, spanned_flats
 from .flatcollect import FlatCollection, Partition
 from .measures import DiscreteMeasure, PlateMassOracle, irreducibility_modulus
 
@@ -72,6 +72,8 @@ def decompose(x: DiscreteMeasure, n: int, w, theta) -> DecompositionResult:
     if x.ambient_dim != n:
         raise ValueError("measure ambient dimension differs from n")
     w = frac(w)
+    w2 = w * w
+    oracle = PlateMassOracle(x)
     flats: list[AffineFlat] = []
     pieces: list[DiscreteMeasure] = []
     trace: list[TraceStep] = []
@@ -82,13 +84,10 @@ def decompose(x: DiscreteMeasure, n: int, w, theta) -> DecompositionResult:
             return DecompositionResult(flats, pieces, trace, final_cost=cost)
         n_count, _ = coll.minimizing_census()
         partition = coll.lexicographically_least_minimizer()
-        cover = [join([flats[i] for i in block]) for block in partition]
-        w2 = w * w
-        kept = [
-            (p, wt)
-            for p, wt in x.atoms
-            if all(dist2_point_flat(p, f) > w2 for f in cover)
-        ]
+        covered = 0
+        for block in partition:
+            covered |= oracle.atoms_near_flat(join([flats[i] for i in block]), w2)
+        kept = [a for i, a in enumerate(x.atoms) if not covered >> i & 1]
         if not kept or sum(wt for _, wt in kept) == 0:
             raise NotDiscretelyNC(
                 f"input not discretely NC at scale {w}: nothing remains off the "
@@ -96,9 +95,8 @@ def decompose(x: DiscreteMeasure, n: int, w, theta) -> DecompositionResult:
             )
         rest = DiscreteMeasure(kept, x.resolution)
         v = minimal_concentration_flat(rest, w, theta, min_dim=1)
-        piece_atoms = [
-            (p, wt) for p, wt in rest.atoms if dist2_point_flat(p, v) <= w2
-        ]
+        near = PlateMassOracle(rest).atoms_near_flat(v, w2)
+        piece_atoms = [a for i, a in enumerate(rest.atoms) if near >> i & 1]
         total = sum(wt for _, wt in piece_atoms)
         piece = DiscreteMeasure(
             [(p, wt / total) for p, wt in piece_atoms], x.resolution
@@ -146,11 +144,9 @@ def verify_decomposition(r: DecompositionResult, n: int, w, tau) -> Decompositio
     w2 = w * w
     tol2 = max(w2, r.pieces[0].resolution ** 2) if r.pieces else w2
     for i, (piece, flat) in enumerate(zip(r.pieces, r.flats)):
-        for p, _ in piece.atoms:
-            if dist2_point_flat(p, flat) > tol2:
-                stray = (i, p)
-                break
-        if stray:
+        off = ~PlateMassOracle(piece).atoms_near_flat(flat, tol2) & ((1 << len(piece)) - 1)
+        if off:
+            stray = (i, piece.atoms[(off & -off).bit_length() - 1][0])
             break
     report.add(
         "supports-in-flats",

@@ -7,8 +7,9 @@ so): Bareiss for ranks, pivot columns and determinants, and ``int_rref``,
 the Gauss-Jordan whose primitive integer rows are the canonical form of a
 row space.  ``int_kernel`` reads an integer kernel basis off those rows;
 ``nullspace`` and ``solve`` are their Fraction views.  ``orthogonalize`` is
-the one Gram-Schmidt: unnormalized orthogonal bases for point-to-flat
-distances and for the basis columns of stability frames.
+the one Gram-Schmidt: unnormalized orthogonal bases for the basis columns of
+stability frames (distances are integer numerators, see
+``flats._dist2_numerators``).
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ read, and ``dim`` is their count minus one.  Point and flat membership, join
 and meet are integer computations on those rows.  All metric predicates
 compare squared quantities so everything stays inside Q.
 
+_dist2_numerators is the one squared distance: integer numerators over one
+integer g of integer offsets from the span of independent integer rows.
+The plate oracle runs it over a measure's atoms; dist2_point_flat and
+dist2_flats are its one-offset Fraction views.
+
 The enumerator walks pencils of flats (see _pencils) and builds no
 elimination per subset.  Enumerated flats keep their picks: their Fraction
 directions are derived only when read.
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exactlin import (
@@ -27,12 +32,10 @@ from .exactlin import (
     Vector,
     _integerized_points,
     _integerized_rows,
-    dot,
     gram_det,
+    int_det,
     int_kernel,
     int_rref,
-    norm2,
-    orthogonalize,
     pivot_columns,
     solve,
     unit_vec,
@@ -47,7 +50,7 @@ from .exactlin import (
 class AffineFlat:
     """Affine subspace of Q^n with a canonical form for identity."""
 
-    __slots__ = ("ambient_dim", "basepoint", "_dirs", "_picks", "_rows", "_canon", "_member", "_ortho")
+    __slots__ = ("ambient_dim", "basepoint", "_dirs", "_picks", "_rows", "_canon", "_member")
 
     def __init__(self, basepoint: Sequence, directions: Iterable[Sequence] = ()):
         bp = vec(basepoint)
@@ -71,7 +74,6 @@ class AffineFlat:
             ("_rows", tuple(map(tuple, rows))),
             ("_canon", None),  # filled by canon
             ("_member", None),  # filled by _spans
-            ("_ortho", None),  # filled by dist2_point_flat
         ):
             object.__setattr__(self, name, value)
 
@@ -256,26 +258,64 @@ def meet(f: AffineFlat, g: AffineFlat) -> Optional[AffineFlat]:
     return _flat_from_span(_span_meet(f._rows, g._rows, f.ambient_dim + 1))
 
 
+def _dist2_numerators(
+    offsets: Sequence[Sequence[int]], norms: Sequence[int], dirs: Sequence[Sequence[int]]
+) -> tuple[int, list[int]]:
+    """The one exact squared distance, on integers: g and, per offset r with
+    |r|^2 in norms, num, so that r lies at squared distance num / g from the
+    span of the independent integer rows D = dirs.
+
+    With G = D D^T, g = det G and y = D r, num = |r|^2 g - y^T adj(G) y.
+    num / g does not depend on the basis of the span, so each row may be
+    scaled on its own.  For no rows num is |r|^2, for one row d it is
+    |r|^2 |d|^2 - (d.r)^2.  Dependent rows (g = 0) are a ValueError.
+    """
+    if not dirs:
+        return 1, list(norms)
+    gram = [[sum(map(mul, u, v)) for v in dirs] for u in dirs]
+    g = int_det([row[:] for row in gram])
+    if g == 0:
+        raise ValueError("directions are linearly dependent")
+    if len(dirs) == 1:
+        d = dirs[0]
+        return g, [q * g - sum(map(mul, d, r)) ** 2 for r, q in zip(offsets, norms)]
+    # adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i)
+    k = len(dirs)
+    adj = [[(-1) ** (i + j) * int_det([r[:i] + r[i + 1 :] for r in gram[:j] + gram[j + 1 :]])
+            for j in range(k)] for i in range(k)]
+    nums = []
+    for r, q in zip(offsets, norms):
+        y = [sum(map(mul, d, r)) for d in dirs]
+        nums.append(q * g - sum(map(mul, y, [sum(map(mul, row, y)) for row in adj])))
+    return g, nums
+
+
+def _dist2_offset(r: Sequence[int], dirs: Sequence[Sequence[int]], den: int) -> Fraction:
+    """Squared distance of the offset r / den from the span of the
+    independent integer rows dirs: the one-offset Fraction view of
+    _dist2_numerators."""
+    g, (num,) = _dist2_numerators([r], [sum(map(mul, r, r))], dirs)
+    return Fraction(num, g * den * den)
+
+
 def dist2_point_flat(p: Sequence, f: AffineFlat) -> Fraction:
     """Squared Euclidean distance from a point to a flat, exact."""
-    if f._ortho is None:
-        object.__setattr__(f, "_ortho", orthogonalize(f.directions))
-    basis, sq = f._ortho
-    r = vsub(vec(p), f.basepoint)
-    total = norm2(r)
-    for o, s in zip(basis, sq):
-        c = dot(r, o)
-        total -= c * c / s
-    return total
+    v = vec(p)
+    if len(v) != f.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    (a, b), den = _integerized_points([v, f.basepoint])
+    return _dist2_offset(tuple(map(sub, a, b)), f._direction_rows(), den)
 
 
 def dist2_flats(f: AffineFlat, g: AffineFlat) -> Fraction:
-    """Squared distance between two flats (0 iff they intersect)."""
+    """Squared distance between two flats (0 iff they intersect): the
+    distance of the offset between the basepoints from the sum of the
+    direction spaces."""
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    # the distance from g's basepoint to f translated along g
-    _, rows = int_rref(_integerized_rows(f.directions + g.directions))
-    return dist2_point_flat(g.basepoint, AffineFlat(f.basepoint, _reduced(rows)))
+    (a, b), den = _integerized_points([g.basepoint, f.basepoint])
+    _, rows = int_rref(f._direction_rows() + g._direction_rows())
+    return _dist2_offset(tuple(map(sub, a, b)), rows, den)
 
 
 def wedge_angle_sin2(b: Matrix, a: Matrix) -> Fraction:

@@ -2,10 +2,14 @@
 
 A measure is a finite weighted atom set at a declared resolution.  Ball and
 plate masses are exact; only the fitted Frostman constants (C, s) are floats.
+PlateMassOracle runs the one distance, ``flats._dist2_numerators``, over
+the atoms: plate masses, ball masses (point flats) and masks of atoms near
+a flat.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import statistics
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exactlin import Vector, _integerized_points, frac, gram_det, int_det, norm2, vec
-from .flats import AffineFlat, dist2_point_flat, lifted_tuple_matrix, spanned_flats
+from .exactlin import Vector, _integerized_points, frac, gram_det, norm2, vec
+from .flats import AffineFlat, _dist2_numerators, lifted_tuple_matrix, spanned_flats
 
 Atom = tuple[Vector, Fraction]
 
@@ -74,22 +78,16 @@ class PlateMassOracle:
     basepoint, is its anchor a.  The integer offsets r = den (p - a) of the
     atoms, over a common denominator den, and their |r|^2 are kept for the
     next call with the same anchor: callers ask for flats in runs through
-    one point.  With D integer rows spanning the directions, G = D D^T,
-    g = det G and adj(G), an atom lies at squared distance
+    one point.  flats._dist2_numerators puts each atom at squared distance
+    num / (g den^2) from the flat, num an integer, so num <= p g den^2 / q
+    exactly when num <= floor(p g den^2 / q): one division per radius, then
+    one integer comparison per atom and radius.
 
-        num / (g den^2),   num = |r|^2 g - y^T adj(G) y,   y = D r.
-
-    num / g is the same for every basis of the span, so D is scaled to
-    integers on its own, with no common denominator with a.  For a point
-    num is |r|^2, for a line |r|^2 |d|^2 - (d.r)^2.  As num is an integer,
-    num <= p g den^2 / q exactly when num <= floor(p g den^2 / q): one
-    division per radius, then one integer comparison per atom and radius.
-
-    The integer core computes the numerators of one span once and, per
-    weighting (integer weights over W, the measure's own by default) and
-    squared radius, returns the weight within as an integer count over W.
-    counts_near_span is its integer view; the masses_near_* methods divide
-    by W.
+    Per weighting (integer weights over W, the measure's own by default)
+    and squared radius, the integer core _counts returns the weight within
+    as an integer count over W.  counts_near_span is its integer view; the
+    masses_near_* methods divide by W; atoms_near_flat weights atom i by 2^i,
+    so its count is the mask of the atoms within.
     """
 
     def __init__(self, mu: DiscreteMeasure):
@@ -121,11 +119,17 @@ class PlateMassOracle:
 
     def masses_near_flat(self, f: AffineFlat, radii2: Sequence[Fraction]) -> list[Fraction]:
         """Masses within each squared radius of the flat f."""
+        return self._fractions(self._flat_counts(f, radii2, self.int_weights))
+
+    def atoms_near_flat(self, f: AffineFlat, r2: Fraction) -> int:
+        """The mask of the atoms within squared radius r2 of the flat f: bit
+        i is set iff atom i is."""
+        return self._flat_counts(f, [r2], [1 << i for i in range(len(self._int_pts))])[0]
+
+    def _flat_counts(self, f: AffineFlat, radii2: Sequence[Fraction], weights) -> list[int]:
         if f.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return self._fractions(
-            self._counts(f.basepoint, f._direction_rows(), radii2, (self.int_weights,))[0]
-        )
+        return self._counts(f.basepoint, f._direction_rows(), radii2, (weights,))[0]
 
     def masses_near_line(self, a: Vector, b: Vector, radii2: Sequence[Fraction]) -> list[Fraction]:
         """Masses within each squared radius of the line through a and b."""
@@ -149,25 +153,7 @@ class PlateMassOracle:
             self._shared = self._offsets(anchor)
             self._anchor = anchor
         den, offsets, norms = self._shared
-        if not dirs:
-            g, nums = 1, norms
-        elif len(dirs) == 1:
-            d = dirs[0]
-            g = sum(map(mul, d, d))
-            nums = [q * g - sum(map(mul, d, r)) ** 2 for r, q in zip(offsets, norms)]
-        else:
-            gram = [[sum(map(mul, u, v)) for v in dirs] for u in dirs]
-            g = int_det([row[:] for row in gram])
-            # adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i)
-            k = len(dirs)
-            adj = [[(-1) ** (i + j) * int_det([r[:i] + r[i + 1 :] for r in gram[:j] + gram[j + 1 :]])
-                    for j in range(k)] for i in range(k)]
-            nums = []
-            for r, q in zip(offsets, norms):
-                y = [sum(map(mul, d, r)) for d in dirs]
-                nums.append(q * g - sum(map(mul, y, [sum(map(mul, row, y)) for row in adj])))
-        if g == 0:
-            raise ValueError("span points are affinely dependent")
+        g, nums = _dist2_numerators(offsets, norms, dirs)
         scale = g * den * den
         cuts = [r2.numerator * scale // r2.denominator for r2 in radii2]
         return [[sum(itertools.compress(ws, map(c.__ge__, nums))) for c in cuts] for ws in weightings]
@@ -183,68 +169,41 @@ class FrostmanFit:
 def _max_ball_masses(mu: DiscreteMeasure, radii: Sequence[Fraction]) -> dict[Fraction, Fraction]:
     """Per-radius max over atom centers of the closed-ball mass; exact.
 
-    Collinear supports get a sorted sliding-window pass; otherwise integer
-    pairwise distances are computed once and reused across radii.
+    Weights are the oracle's integers over W.  Collinear supports get a
+    sliding window over the atoms sorted along the line; otherwise each
+    center's ball counts come from the oracle, as the neighbourhoods of the
+    point flat at the center.
     """
-    import bisect
-    import math as _math
-
-    pts, den = _integerized_points(mu.points())
-    ws = mu.weights()
-    out: dict[Fraction, Fraction] = {}
+    oracle = PlateMassOracle(mu)
+    pts, den = oracle._int_pts, oracle._den
+    radii2 = [r * r for r in radii]
     base = pts[0]
-    d = next((tuple(a - b for a, b in zip(p, base)) for p in pts if p != base), None)
-    collinear = d is not None
-    if collinear:
-        for p in pts:
-            r = tuple(a - b for a, b in zip(p, base))
-            if any(
-                r[i] * d[j] != r[j] * d[i]
-                for i in range(len(d))
-                for j in range(i + 1, len(d))
-            ):
-                collinear = False
-                break
-    if d is not None and collinear:
+    offsets = [tuple(a - b for a, b in zip(p, base)) for p in pts]
+    d = next((r for r in offsets if any(r)), None)
+    if d is not None and all(
+        r[i] * d[j] == r[j] * d[i] for r in offsets for i in range(len(d)) for j in range(i)
+    ):
+        # atoms i, j lie at squared distance (s_i - s_j)^2 / (|d|^2 den^2),
+        # with s = r.d their integer positions along the line
         d2 = sum(x * x for x in d)
-        s = [sum(a * b for a, b in zip(tuple(x - y for x, y in zip(p, base)), d)) for p in pts]
-        order = sorted(range(len(pts)), key=lambda i: s[i])
+        s = [sum(map(mul, r, d)) for r in offsets]
+        order = sorted(range(len(pts)), key=s.__getitem__)
         s_sorted = [s[i] for i in order]
-        prefix = [Fraction(0)]
-        for i in order:
-            prefix.append(prefix[-1] + ws[i])
-        for radius in radii:
-            r2 = radius * radius
-            bound = r2 * d2 * den * den  # (s_i - s_j)^2 * d2... see below
-            # condition: (si - sj)^2 <= r^2 * d2^2 * den^2 / d2 = r^2 * d2 * den^2
-            a_num = bound.numerator
-            a_den = bound.denominator
-            t_max = _math.isqrt(a_num // a_den)
-            best = Fraction(0)
-            for pos in s_sorted:
-                lo = bisect.bisect_left(s_sorted, pos - t_max)
-                hi = bisect.bisect_right(s_sorted, pos + t_max)
-                tot = prefix[hi] - prefix[lo]
-                if tot > best:
-                    best = tot
-            out[radius] = best
-        return out
-    rows = []
-    for c in pts:
-        rows.append([sum((a - b) ** 2 for a, b in zip(c, q)) for q in pts])
-    for radius in radii:
-        bound = radius * radius * den * den
-        rn, rd = bound.numerator, bound.denominator
-        best = Fraction(0)
-        for row in rows:
-            tot = Fraction(0)
-            for d2v, w in zip(row, ws):
-                if d2v * rd <= rn:
-                    tot += w
-            if tot > best:
-                best = tot
-        out[radius] = best
-    return out
+        prefix = list(itertools.accumulate((oracle.int_weights[i] for i in order), initial=0))
+        best = []
+        for r2 in radii2:
+            bound = r2 * d2 * den * den
+            t_max = math.isqrt(bound.numerator // bound.denominator)
+            best.append(max(
+                prefix[bisect.bisect_right(s_sorted, pos + t_max)]
+                - prefix[bisect.bisect_left(s_sorted, pos - t_max)]
+                for pos in s_sorted
+            ))
+    else:
+        best = [0] * len(radii)
+        for c in mu.points():
+            best = list(map(max, best, oracle.counts_near_span([c], radii2)[0]))
+    return {r: Fraction(b, mu.weight_den) for r, b in zip(radii, best)}
 
 
 def max_ball_mass(mu: DiscreteMeasure, radius: Fraction) -> Fraction:
@@ -293,10 +252,9 @@ def irreducibility_modulus(
         raise ValueError("no proper subflats of a point")
     w = frac(w)
     tol = mu.resolution if support_tolerance is None else frac(support_tolerance)
-    for p, _ in mu.atoms:
-        if dist2_point_flat(p, v) > tol * tol:
-            raise ValueError("support leaves the tolerance neighborhood of v")
     oracle = PlateMassOracle(mu)
+    if oracle.atoms_near_flat(v, tol * tol) != (1 << len(mu)) - 1:
+        raise ValueError("support leaves the tolerance neighborhood of v")
     best = Fraction(0)
     for h in spanned_flats(mu.points(), range(v.dim)):
         if not v.contains_flat(h):

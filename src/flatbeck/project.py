@@ -39,13 +39,12 @@ from .flats import (
     _reduced,
     _span_meet,
     dist2_flats,
-    dist2_point_flat,
     join,
     linearize,
     meet,
 )
 from .flatcollect import FlatCollection, iter_partitions
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, PlateMassOracle, irreducibility_modulus
 
 
 class ParallelRay(ValueError):
@@ -487,8 +486,6 @@ def irreducible_projection_check(
     derived from the center-screen distance.  All masses and memberships are
     exact; only the scale constant involves a rational square-root lower
     bound."""
-    from .measures import irreducibility_modulus
-
     w = frac(w)
     tau = frac(tau)
     eps = frac(eps)
@@ -499,11 +496,11 @@ def irreducible_projection_check(
     in_mod = irreducibility_modulus(mu, v, w, support_tolerance=max(w, mu.resolution))
     if in_mod > tau:
         raise ValueError(f"input modulus {in_mod} exceeds tau {tau}")
-    e2 = eps * eps
+    trimmed = PlateMassOracle(mu).atoms_near_flat(q, eps * eps)
     kept = []
     singular = Fraction(0)
-    for p, wt in mu.atoms:
-        if dist2_point_flat(p, q) <= e2:
+    for i, (p, wt) in enumerate(mu.atoms):
+        if trimmed >> i & 1:
             continue
         try:
             img = join_meet(q, u, p)

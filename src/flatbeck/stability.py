@@ -34,7 +34,6 @@ from .exactlin import (
     norm2,
     orthogonalize,
     vscale,
-    vsub,
 )
 from .flats import (
     AffineFlat,
@@ -44,7 +43,7 @@ from .flats import (
     meet,
     wedge_angle_sin2,
 )
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, PlateMassOracle
 
 AtomSlot = tuple[int, int]  # (flat index j, measure index i)
 
@@ -127,10 +126,8 @@ class StableFrame:
         for j, ms in enumerate(self.measures):
             row = []
             for i, mu in enumerate(ms):
-                c = centers[(j, i)]
-                kept = [
-                    (p, w) for p, w in mu.atoms if norm2(vsub(p, c)) <= r2
-                ]
+                ball = PlateMassOracle(mu).atoms_near_flat(AffineFlat.point(centers[(j, i)]), r2)
+                kept = [a for k, a in enumerate(mu.atoms) if ball >> k & 1]
                 row.append(DiscreteMeasure(kept, mu.resolution))
             new_measures.append(row)
         return StableFrame(self.flats, new_measures)
@@ -356,7 +353,8 @@ def certify_stability(
                 ranks,
                 witness=(
                     f"rank not constant on Ibar={sorted(idx.atoms_index)} "
-                    f"J={sorted(idx.flats_index)}: {got.rank_a} vs {got.rank_b}"
+                    f"J={sorted(idx.flats_index)}: {got.rank_a} vs {got.rank_b} "
+                    f"at picks {got.pick_a} and {got.pick_b}"
                 ),
             )
         ranks[idx] = len(got[0][1][1])

@@ -28,10 +28,11 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactlin import BudgetExceeded, Matrix, Vector, frac, nullspace, vsub
-from .flats import AffineFlat, dist2_point_flat, independence_test
+from .exactlin import BudgetExceeded, Matrix, Vector, _integerized_points, frac, nullspace, vsub
+from .flats import _dist2_offset, independence_test
 from .flatcollect import FlatCollection
 from .measures import DiscreteMeasure, PlateMassOracle, support_dist2
 from .project import rational_sqrt_lower
@@ -519,6 +520,21 @@ class MeasurePruneResult:
     witness: Optional[str] = None
 
 
+def _margin2(pts: Sequence[Sequence[int]], den: int) -> Fraction:
+    """The affine-independence margin of the points pts / den: the least
+    squared distance from one of them to the span of the others, 0 for a
+    dependent tuple (one of its points lies on the span of the rest)."""
+    best = None
+    for j, p in enumerate(pts):
+        base, *rest = pts[:j] + pts[j + 1 :]
+        try:
+            d2 = _dist2_offset(tuple(map(sub, p, base)), [tuple(map(sub, q, base)) for q in rest], den)
+        except ValueError:  # the others are dependent, so the tuple is
+            return Fraction(0)
+        best = d2 if best is None else min(best, d2)
+    return best
+
+
 def prune_against_measure(
     g: ThinGraph,
     nu: DiscreteMeasure,
@@ -541,19 +557,12 @@ def prune_against_measure(
         raise ValueError("epsilon must be positive")
     eps = float(eps_q)
     scales, radii2 = _window(scales)
-    margins: dict[tuple[int, ...], Fraction] = {}
-    for t in g.iter_tuples():
-        pts = g.tuple_points(t)
-        worst = None
-        for j in range(len(pts)):
-            others = pts[:j] + pts[j + 1 :]
-            if len(others) == 1:
-                d2 = dist2_point_flat(pts[j], AffineFlat.point(others[0]))
-            else:
-                d2 = dist2_point_flat(pts[j], AffineFlat.from_points(others))
-            if worst is None or d2 < worst:
-                worst = d2
-        margins[t] = worst if worst is not None else Fraction(0)
+    # every atom over one common denominator, measure after measure
+    ints, den = _integerized_points([p for m in g.measures for p in m.points()])
+    starts = list(itertools.accumulate((len(m) for m in g.measures), initial=0))
+    margins = {
+        t: _margin2([ints[s + i] for s, i in zip(starts, t)], den) for t in g.iter_tuples()
+    }
     if delta0 is None:
         delta0 = min(scales)
         denom = math.prod(m.total_mass for m in g.measures)

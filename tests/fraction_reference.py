@@ -1,7 +1,8 @@
 """Fraction references for the integer span algebra: plain Gauss-Jordan
 over ``Fraction`` and the join, meet, kernel, solve and flat-distance
-constructions built on it, independent of ``int_rref``, and a brute-force
-spanned-flat enumerator that shares no code with ``flats.spanned_flats``.
+constructions built on it, independent of ``int_rref``, a brute-force
+spanned-flat enumerator that shares no code with ``flats.spanned_flats``,
+and a brute-force ball mass that shares none with the plate oracle.
 """
 
 import itertools
@@ -133,3 +134,13 @@ def reference_spanned_flats(points, dims) -> list[AffineFlat]:
                 seen.add(span)
                 out.append(AffineFlat(combo[0], row_space([vsub(p, combo[0]) for p in combo[1:]])))
     return out
+
+
+def reference_max_ball_mass(atoms, radius: Fraction) -> Fraction:
+    """Brute force over Fraction: the heaviest closed ball of the radius
+    about an atom, for atoms given as (point, weight) pairs."""
+    r2 = radius * radius
+    return max(
+        sum((w for q, w in atoms if sum((a - b) ** 2 for a, b in zip(p, q)) <= r2), Fraction(0))
+        for p, _ in atoms
+    )

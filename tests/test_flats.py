@@ -107,8 +107,9 @@ def random_linear_subspace(rng, n=5):
 
 
 class TestPointDistanceOracle:
-    """dist2_point_flat (Gram-Schmidt) against the normal-equations distance
-    from a point flat, on a flat and on an equal flat built separately."""
+    """dist2_point_flat (integer numerators) against the normal-equations
+    distance from a point flat, on a flat and on an equal flat built
+    separately."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -131,7 +132,7 @@ class TestPointDistanceOracle:
         want = reference_dist2_flats(AffineFlat.point(p), f)
         assert dist2_point_flat(p, f) == want
         assert dist2_point_flat(p, g) == want
-        assert dist2_point_flat(p, f) == want  # second call reuses f's basis
+        assert dist2_point_flat(p, f) == want  # a second call on the same flat
 
 
 class TestDimensionSumFormula:

@@ -16,6 +16,7 @@ from flatbeck.measures import (
     restrict_and_normalize,
     support_dist2,
 )
+from fraction_reference import reference_dist2_flats, reference_max_ball_mass
 
 D = Fraction(1, 1024)
 
@@ -111,6 +112,36 @@ class TestPlateMassOracle:
         from flatbeck import thin
 
         assert thin.PlateMassOracle is PlateMassOracle
+
+
+class TestAtomsNearFlat:
+    """atoms_near_flat and dist2_point_flat against the normal-equations
+    distance of the Fraction reference, on random flats of Q^2 to Q^4."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(plate_cases())
+    def test_matches_the_fraction_reference(self, case):
+        atoms, span, radii2, hit, _ = case
+        assume(affinely_independent(span))
+        mu = DiscreteMeasure(atoms, D)
+        f = AffineFlat.from_points(span)
+        d2 = [reference_dist2_flats(AffineFlat.point(p), f) for p in mu.points()]
+        assert [dist2_point_flat(p, f) for p in mu.points()] == d2
+        oracle = PlateMassOracle(mu)
+        # one radius exactly at an atom's squared distance: the boundary is inside
+        for r2 in radii2 + [d2[hit]]:
+            assert oracle.atoms_near_flat(f, r2) == sum(1 << i for i, x in enumerate(d2) if x <= r2)
+        assert oracle.atoms_near_flat(f, d2[hit]) >> hit & 1
+
+    def test_ambient_mismatch_rejected(self):
+        oracle = PlateMassOracle(segment_measure())  # in Q^2
+        line = AffineFlat([0, 0, 0], [[1, 0, 0]])
+        with pytest.raises(ValueError, match="ambient"):
+            oracle.atoms_near_flat(line, Fraction(1))
+        with pytest.raises(ValueError, match="ambient"):
+            dist2_point_flat((0, 0), line)
+        with pytest.raises(ValueError, match="ambient"):
+            dist2_point_flat((0, 0, 0, 0), line)
 
 
 @st.composite
@@ -211,7 +242,9 @@ class TestAnchorMemo:
         anchors = [f.basepoint for f in spanned_flats(grid, range(2)) if v.contains_flat(f)]
         changes = 1 + sum(a != b for a, b in zip(anchors, anchors[1:]))
         assert len(flats) == len(anchors) > 800
-        assert len(offsets) <= changes <= 2 * 81
+        # one pass at v's basepoint for the tolerance check, then at most
+        # one per anchor change
+        assert len(offsets) <= 1 + changes <= 1 + 2 * 81
 
     def test_errors_after_the_anchor_is_memoised(self):
         oracle = PlateMassOracle(segment_measure())
@@ -270,6 +303,61 @@ class TestFrostmanFit:
         for scale, mass in fit.table:
             assert mass == max_ball_mass(mu, scale)
             assert isinstance(mass, Fraction)
+
+
+@st.composite
+def ball_cases(draw):
+    """Atoms of Q^2 or Q^3, on one line through two of them or not, and a
+    few radii."""
+    n = draw(st.integers(2, 3))
+    pts = draw(st.lists(st.tuples(*[atom_coord] * n), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        a, b = pts[0], pts[-1]
+        pts = [tuple(x + t * (y - x) for x, y in zip(a, b)) for t in draw(
+            st.lists(span_coord, min_size=1, max_size=7))]
+    atoms = [(p, draw(weight)) for p in pts]
+    radii = draw(st.lists(st.builds(Fraction, st.integers(0, 12), st.integers(1, 8)), min_size=1, max_size=3))
+    return atoms, radii
+
+
+class TestBallMassesAgainstFractionReference:
+    """Both branches of the ball masses, the sliding window on collinear
+    atoms and the oracle's point-flat counts otherwise, against brute force
+    over Fraction; radii at atom distances check that balls are closed."""
+
+    def test_collinear_segment(self):
+        # (1, 2, 2) / 3 is a unit vector, so atoms t apart along it are t apart
+        ts = [Fraction(0), Fraction(1, 6), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+        base = (Fraction(1, 5), Fraction(0), Fraction(-1, 3))
+        atoms = [
+            (tuple(b + t * x / 3 for b, x in zip(base, (1, 2, 2))), Fraction(k + 1, 21))
+            for k, t in enumerate(ts)
+        ]
+        mu = DiscreteMeasure(atoms, Fraction(1, 16))
+        radii = [Fraction(1, 12), Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]
+        fit = frostman_fit(mu, radii)
+        for r, mass in fit.table:
+            assert mass == max_ball_mass(mu, r) == reference_max_ball_mass(atoms, r)
+
+    def test_non_collinear_grid(self):
+        atoms = [
+            ((Fraction(i, 4), Fraction(j, 4)), Fraction(1 + (i * j) % 3, 40))
+            for i in range(4)
+            for j in range(4)
+        ]
+        mu = DiscreteMeasure(atoms, Fraction(1, 8))
+        radii = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]
+        fit = frostman_fit(mu, radii)
+        for r, mass in fit.table:
+            assert mass == max_ball_mass(mu, r) == reference_max_ball_mass(atoms, r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ball_cases())
+    def test_random_supports(self, case):
+        atoms, radii = case
+        mu = DiscreteMeasure(atoms, D)
+        for r in radii:
+            assert max_ball_mass(mu, r) == reference_max_ball_mass(mu.atoms, r)
 
 
 class TestIrreducibilityModulus:

@@ -333,9 +333,12 @@ def reference_certificate(frame: StableFrame, c2: Fraction) -> tuple:
                 cols += frame.bases[j]
             mats.append((pick, Matrix.from_cols(cols, rows=frame.ambient_dim + 1)))
         r = rank(mats[0][1])
-        for _, m in mats:
+        for pick, m in mats:
             if rank(m) != r:
-                witness = f"rank not constant on {where}: {r} vs {rank(m)}"
+                witness = (
+                    f"rank not constant on {where}: {r} vs {rank(m)} "
+                    f"at picks {mats[0][0]} and {pick}"
+                )
                 return False, None, None, ranks, witness
         ranks[idx] = r
         for pick, m in mats:
@@ -392,6 +395,7 @@ class TestCertificateAgainstFractionReference:
         for c2 in (Fraction(1, 10**12), Fraction(1, 4)):
             cert = self.check(coincident_atoms_frame(), c2)
             assert not cert.ok and cert.witness.startswith("rank not constant")
+            assert cert.witness.endswith("at picks {(0, 0): 0} and {(0, 0): 1}")
 
 
 class TestStabilize:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatbeck import thin
-from flatbeck.exactlin import BudgetExceeded
+from flatbeck.exactlin import BudgetExceeded, _integerized_points
 from flatbeck.flats import AffineFlat, affinely_independent, independence_test
 from flatbeck.genscenes import parallel_segments, segment_grid, square_grid
 from flatbeck.measures import DiscreteMeasure, dyadic_scales, support_dist2
@@ -24,6 +24,7 @@ from flatbeck.thin import (
     verify_thin_planes,
     verify_thin_tubes,
 )
+from fraction_reference import flat_from_span, reference_dist2_flats
 
 RES = Fraction(1, 1024)
 SCALES6 = dyadic_scales(6, 1)
@@ -280,6 +281,43 @@ class TestPruneAgainstMeasure:
         kept = set(out.graph.iter_tuples())
         assert (0, 0) not in kept  # the horizontal tuple through nu is gone
         assert (1, 1) in kept
+
+
+coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def margin_tuples(draw):
+    """2 to n + 1 points of Q^n, n = 2 or 3; the last may repeat an earlier
+    one or sit on the line through two, so some tuples are dependent."""
+    n = draw(st.integers(2, 3))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=n))
+    a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+    t = draw(coord)
+    pts.append(draw(st.sampled_from([a, tuple(x + t * (y - x) for x, y in zip(a, b))])))
+    if draw(st.booleans()):
+        pts.append(draw(st.tuples(*[coord] * n)))
+    return pts[: n + 1]
+
+
+class TestMarginAgainstFractionReference:
+    @settings(max_examples=150, deadline=None)
+    @given(margin_tuples())
+    def test_least_distance_to_the_span_of_the_others(self, pts):
+        """The prune margin on integer points against the normal-equations
+        distance of each point from the reference flat of the others; 0
+        exactly for a dependent tuple."""
+        ps = [tuple(map(Fraction, p)) for p in pts]
+        want = min(
+            reference_dist2_flats(
+                AffineFlat.point(p),
+                flat_from_span([q + (Fraction(1),) for q in ps[:j] + ps[j + 1 :]]),
+            )
+            for j, p in enumerate(ps)
+        )
+        ints, den = _integerized_points(ps)
+        assert thin._margin2(ints, den) == want
+        assert (want == 0) == (not affinely_independent(ps))
 
 
 class TestProductGraph:
