@@ -1,9 +1,9 @@
 """Exact rational geometry toolkit: flats, partition costs, discrete measures,
 stability certificates, thin-graph verification and discrete Beck dichotomies.
 
-All set memberships, ranks, minors and distances are computed over Q (via
-``fractions.Fraction``); floating point appears only in exponent fits and
-reported constants.
+All set memberships, ranks, minors, masses, distances and boxes are
+computed over Q (on integers or ``fractions.Fraction``); floating point
+appears only in exponent fits and reported ratios, masses and constants.
 """
 
 from fractions import Fraction

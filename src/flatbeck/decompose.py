@@ -17,7 +17,7 @@ from typing import Optional
 from .exactlin import frac
 from .flats import AffineFlat, join, spanned_flats
 from .flatcollect import FlatCollection, Partition
-from .measures import DiscreteMeasure, PlateMassOracle, irreducibility_modulus
+from .measures import DiscreteMeasure, PlateMassOracle, _oracle_modulus
 
 MAX_STEPS = 200
 
@@ -54,13 +54,17 @@ def minimal_concentration_flat(
     dimensional flats add nothing to the partition cost, so allowing them
     would break both termination and the plateau invariants.
     """
+    return _concentration_flat(mu, PlateMassOracle(mu), w, theta, min_dim)
+
+
+def _concentration_flat(mu, oracle: PlateMassOracle, w, theta, min_dim: int) -> AffineFlat:
+    """minimal_concentration_flat on the measure's plate oracle."""
     w = frac(w)
     theta = frac(theta)
     if not 0 < theta <= 1:
         raise ValueError("theta must lie in (0, 1]")
     threshold = theta * mu.total_mass
     n = mu.ambient_dim
-    oracle = PlateMassOracle(mu)
     for f in spanned_flats(mu.points(), range(min_dim, n)):
         if oracle.masses_near_flat(f, [w * w])[0] >= threshold:
             return f
@@ -94,8 +98,9 @@ def decompose(x: DiscreteMeasure, n: int, w, theta) -> DecompositionResult:
                 f"cost-{cost} cover at step {step}"
             )
         rest = DiscreteMeasure(kept, x.resolution)
-        v = minimal_concentration_flat(rest, w, theta, min_dim=1)
-        near = PlateMassOracle(rest).atoms_near_flat(v, w2)
+        rest_oracle = PlateMassOracle(rest)
+        v = _concentration_flat(rest, rest_oracle, w, theta, min_dim=1)
+        near = rest_oracle.atoms_near_flat(v, w2)
         piece_atoms = [a for i, a in enumerate(rest.atoms) if near >> i & 1]
         total = sum(wt for _, wt in piece_atoms)
         piece = DiscreteMeasure(
@@ -143,8 +148,9 @@ def verify_decomposition(r: DecompositionResult, n: int, w, tau) -> Decompositio
     stray = None
     w2 = w * w
     tol2 = max(w2, r.pieces[0].resolution ** 2) if r.pieces else w2
-    for i, (piece, flat) in enumerate(zip(r.pieces, r.flats)):
-        off = ~PlateMassOracle(piece).atoms_near_flat(flat, tol2) & ((1 << len(piece)) - 1)
+    oracles = [PlateMassOracle(piece) for piece in r.pieces]
+    for i, (piece, flat, oracle) in enumerate(zip(r.pieces, r.flats, oracles)):
+        off = ~oracle.atoms_near_flat(flat, tol2) & ((1 << len(piece)) - 1)
         if off:
             stray = (i, piece.atoms[(off & -off).bit_length() - 1][0])
             break
@@ -156,12 +162,10 @@ def verify_decomposition(r: DecompositionResult, n: int, w, tau) -> Decompositio
 
     worst: Optional[tuple[int, Fraction]] = None
     if stray is None:
-        for i, (piece, flat) in enumerate(zip(r.pieces, r.flats)):
+        for i, (piece, flat, oracle) in enumerate(zip(r.pieces, r.flats, oracles)):
             if flat.dim == 0:
                 continue
-            mod = irreducibility_modulus(
-                piece, flat, w, support_tolerance=max(w, piece.resolution)
-            )
+            mod = _oracle_modulus(piece, oracle, flat, w, max(w, piece.resolution))
             if worst is None or mod > worst[1]:
                 worst = (i, mod)
     if worst is None:

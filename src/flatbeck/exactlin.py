@@ -3,13 +3,16 @@
 Vectors are tuples of ``Fraction``; matrices are immutable row-major grids.
 Every elimination runs fraction-free on integerized copies, so intermediate
 entries stay bounded at the matrix sizes used here (sides up to a dozen or
-so): Bareiss for ranks, pivot columns and determinants, and ``int_rref``,
-the Gauss-Jordan whose primitive integer rows are the canonical form of a
-row space.  ``int_kernel`` reads an integer kernel basis off those rows;
-``nullspace`` and ``solve`` are their Fraction views.  ``orthogonalize`` is
-the one Gram-Schmidt: unnormalized orthogonal bases for the basis columns of
-stability frames (distances are integer numerators, see
-``flats._dist2_numerators``).
+so): ``bareiss``, the one Bareiss pass, gives pivot columns (ranks) and
+determinants together, and ``int_rref`` is the Gauss-Jordan whose
+primitive integer rows are the canonical form of a row space.
+``int_kernel`` reads an integer kernel basis off those rows; ``nullspace``
+and ``solve`` are their Fraction views.  ``_wedge`` is the one minor
+kernel: it grows the row-subset minors of a column set by a column, for
+stability certificates, the good-position margin and the hyperplane chart.
+``orthogonalize`` is the one Gram-Schmidt: unnormalized orthogonal bases
+for the basis columns of stability frames (distances are integer
+numerators, see ``flats._dist2_numerators``).
 """
 
 from __future__ import annotations
@@ -181,25 +184,26 @@ def _integerized_points(
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
-def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Pivot columns of an integer matrix, by fraction-free (Bareiss)
-    elimination: the columns outside the span of the columns before them.
-    Scaling rows or columns by nonzero factors leaves them unchanged."""
-    if not rows or not rows[0]:
-        return []
+def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """The one elimination kernel: fraction-free (Bareiss) elimination of an
+    integer matrix.  Returns its pivot columns, the columns outside the span
+    of the columns before them, and its determinant, 0 unless the matrix is
+    square and nonsingular.  Scaling rows or columns by nonzero factors
+    leaves the pivots unchanged."""
     m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
-    prev = 1
-    pr = 0
-    pivots = []
+    nr, nc = len(m), len(m[0]) if m else 0
+    prev = sign = 1
+    pivots: list[int] = []
     for pc in range(nc):
-        if pr >= nr:
+        pr = len(pivots)
+        if pr == nr:
             break
         piv = next((i for i in range(pr, nr) if m[i][pc]), None)
         if piv is None:
             continue
         if piv != pr:
             m[pr], m[piv] = m[piv], m[pr]
+            sign = -sign
         mp = m[pr]
         for i in range(pr + 1, nr):
             mi = m[i]
@@ -213,8 +217,12 @@ def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
             mi[pc] = 0
         prev = mp[pc]
         pivots.append(pc)
-        pr += 1
-    return pivots
+    return pivots, sign * prev if len(pivots) == nr == nc else 0
+
+
+def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The pivot columns of an integer matrix (bareiss)."""
+    return bareiss(rows)[0]
 
 
 def rank(m: Matrix) -> int:
@@ -222,43 +230,33 @@ def rank(m: Matrix) -> int:
     return len(pivot_columns(_integerized_rows(m.entries)))
 
 
-def int_det(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination);
-    the rows are overwritten."""
-    n = len(rows)
-    prev = 1
-    sign = 1
-    for pc in range(n):
-        piv = next((i for i in range(pc, n) if rows[i][pc]), None)
-        if piv is None:
-            return 0
-        if piv != pc:
-            rows[pc], rows[piv] = rows[piv], rows[pc]
-            sign = -sign
-        rp = rows[pc]
-        for i in range(pc + 1, n):
-            ri = rows[i]
-            f = ri[pc]
-            for j in range(pc + 1, n):
-                ri[j] = (ri[j] * rp[pc] - f * rp[j]) // prev
-            ri[pc] = 0
-        prev = rp[pc]
-    return sign * prev
+def _wedge(minors: dict[int, int], col: Sequence[int]) -> dict[int, int]:
+    """The one minor kernel.  minors maps a row bit mask to the determinant
+    of a column set on those rows, zeros left out; the same for the set with
+    col appended, by expansion along col: row i's term takes the sign of the
+    number of rows of the new mask after i.  Empty exactly when col is in
+    the set's span."""
+    out: dict[int, int] = {}
+    for mask, d in minors.items():
+        for i, x in enumerate(col):
+            if x and not mask >> i & 1:
+                key = mask | 1 << i
+                t = -x * d if (mask >> i).bit_count() & 1 else x * d
+                out[key] = out.get(key, 0) + t
+    return {k: v for k, v in out.items() if v}
 
 
 def det(m: Matrix) -> Fraction:
     """Exact determinant of a square matrix (fraction-free elimination)."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if m.rows == 0:
-        return Fraction(1)
     scale = Fraction(1)
     rows = []
     for r in m.entries:
         den = math.lcm(*(x.denominator for x in r))
         scale *= den
         rows.append([int(x * den) for x in r])
-    return Fraction(int_det(rows), 1) / scale
+    return Fraction(bareiss(rows)[1], 1) / scale
 
 
 def gram_det(m: Matrix) -> Fraction:

@@ -32,8 +32,8 @@ from .exactlin import (
     Vector,
     _integerized_points,
     _integerized_rows,
+    bareiss,
     gram_det,
-    int_det,
     int_kernel,
     int_rref,
     pivot_columns,
@@ -273,7 +273,7 @@ def _dist2_numerators(
     if not dirs:
         return 1, list(norms)
     gram = [[sum(map(mul, u, v)) for v in dirs] for u in dirs]
-    g = int_det([row[:] for row in gram])
+    g = bareiss(gram)[1]
     if g == 0:
         raise ValueError("directions are linearly dependent")
     if len(dirs) == 1:
@@ -281,7 +281,7 @@ def _dist2_numerators(
         return g, [q * g - sum(map(mul, d, r)) ** 2 for r, q in zip(offsets, norms)]
     # adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i)
     k = len(dirs)
-    adj = [[(-1) ** (i + j) * int_det([r[:i] + r[i + 1 :] for r in gram[:j] + gram[j + 1 :]])
+    adj = [[(-1) ** (i + j) * bareiss([r[:i] + r[i + 1 :] for r in gram[:j] + gram[j + 1 :]])[1]
             for j in range(k)] for i in range(k)]
     nums = []
     for r, q in zip(offsets, norms):
@@ -385,12 +385,6 @@ def affinely_independent(points: Sequence[Vector]) -> bool:
     """True iff the points span a flat of dimension len(points) - 1."""
     pts = [vec(p) for p in points]
     return len(pivot_columns(_lifted_integer_points(pts))) == len(pts)
-
-
-def lifted_tuple_matrix(points: Sequence[Sequence]) -> Matrix:
-    """Columns (x; 1) for each point: the linearized tuple matrix."""
-    pts = [vec(p) for p in points]
-    return Matrix.from_cols([p + (Fraction(1),) for p in pts], rows=len(pts[0]) + 1)
 
 
 def _lifted_integer_points(points: Sequence[Vector]) -> list[tuple[int, ...]]:

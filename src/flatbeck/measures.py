@@ -10,6 +10,7 @@ a flat.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import statistics
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exactlin import Vector, _integerized_points, frac, gram_det, norm2, vec
-from .flats import AffineFlat, _dist2_numerators, lifted_tuple_matrix, spanned_flats
+from .exactlin import Vector, _integerized_points, _wedge, frac, norm2, vec
+from .flats import AffineFlat, _dist2_numerators, _lifted_integer_points, spanned_flats
 
 Atom = tuple[Vector, Fraction]
 
@@ -250,9 +251,12 @@ def irreducibility_modulus(
     """
     if v.dim == 0:
         raise ValueError("no proper subflats of a point")
-    w = frac(w)
     tol = mu.resolution if support_tolerance is None else frac(support_tolerance)
-    oracle = PlateMassOracle(mu)
+    return _oracle_modulus(mu, PlateMassOracle(mu), v, frac(w), tol)
+
+
+def _oracle_modulus(mu, oracle: PlateMassOracle, v: AffineFlat, w: Fraction, tol) -> Fraction:
+    """irreducibility_modulus on the measure's plate oracle."""
     if oracle.atoms_near_flat(v, tol * tol) != (1 << len(mu)) - 1:
         raise ValueError("support leaves the tolerance neighborhood of v")
     best = Fraction(0)
@@ -267,8 +271,11 @@ def irreducibility_modulus(
 
 def good_position_margin(mus: Sequence[DiscreteMeasure]) -> Fraction:
     """Minimum over support tuples of the normalized Gram determinant of the
-    lifted tuple matrix; 0 exactly when some tuple is affinely dependent
-    (the tuple hits the degenerate set).
+    lifted tuple matrix, columns (p; 1); 0 exactly when some tuple is
+    affinely dependent (the tuple hits the degenerate set).  By Cauchy-Binet
+    it is the sum of the squared minors of the wedge chain over the lifted
+    integer columns (none for a dependent tuple) over the product of their
+    squared norms, which does not depend on the columns' scales.
     """
     if not mus:
         raise ValueError("no measures")
@@ -279,14 +286,11 @@ def good_position_margin(mus: Sequence[DiscreteMeasure]) -> Fraction:
         if not m.in_unit_ball():
             raise ValueError("supports must lie in the closed unit ball")
     best: Optional[Fraction] = None
-    supports = [m.points() for m in mus]
-    for combo in itertools.product(*supports):
-        lifted = lifted_tuple_matrix(combo)
-        g = gram_det(lifted)
-        norm = Fraction(1)
-        for c in range(lifted.cols):
-            norm *= norm2(lifted.col(c))
-        val = g / norm
+    for combo in itertools.product(*(_lifted_integer_points(m.points()) for m in mus)):
+        minors = functools.reduce(_wedge, combo, {0: 1})
+        val = Fraction(
+            sum(d * d for d in minors.values()), math.prod(sum(x * x for x in c) for c in combo)
+        )
         if best is None or val < best:
             best = val
         if best == 0:

@@ -12,10 +12,10 @@ by the product of the squared norms of the participating columns, so the
 floor is scale-free; with orthogonal (not orthonormal) bases this matches
 the orthonormal convention up to recorded factors.
 
-The frame scales every lifted atom and basis column to integers once.  One
-kernel, _wedge, grows the row-subset minors of a column set by a column; a
-chain of wedges over a matrix's columns gives its greedy pivots (the rank)
-and every maximal minor of them (the cheap floor).  The chain over the atom
+The frame scales every lifted atom and basis column to integers once.  The
+minor kernel, exactlin._wedge, grows the row-subset minors of a column set
+by a column; a chain of wedges over a matrix's columns gives its greedy
+pivots (the rank) and every maximal minor of them (the cheap floor).  The chain over the atom
 columns, which come first, is memoised per (slot, atom) prefix.
 """
 
@@ -31,6 +31,7 @@ from .exactlin import (
     BudgetExceeded,
     Vector,
     _integerized_points,
+    _wedge,
     norm2,
     orthogonalize,
     vscale,
@@ -157,21 +158,6 @@ def build_matrix(frame: StableFrame, pick: Pick, idx: IndexPair) -> IntMatrix:
     for j in idx.sorted_flats():
         cols.extend(frame.basis_columns[j])
     return [list(r) for r in zip(*(c for _, c, _ in cols))], [s for s, _, _ in cols]
-
-
-def _wedge(minors: dict[int, int], col: Sequence[int]) -> dict[int, int]:
-    """minors maps a row bit mask to the determinant of a column set on those
-    rows, zeros left out; the same for the set with col appended, by
-    expansion along col: row i's term takes the sign of the number of rows
-    of the new mask after i.  Empty exactly when col is in the set's span."""
-    out: dict[int, int] = {}
-    for mask, d in minors.items():
-        for i, x in enumerate(col):
-            if x and not mask >> i & 1:
-                key = mask | 1 << i
-                t = -x * d if (mask >> i).bit_count() & 1 else x * d
-                out[key] = out.get(key, 0) + t
-    return {k: v for k, v in out.items() if v}
 
 
 # a chain of wedges: the minors of the pivot columns so far, their indices

@@ -13,7 +13,9 @@ integer q-th root per (measure, scale).  The constants the program chooses
 compares counts with floor(W b) for each such double bound b read as its
 exact dyadic value; removed masses are compared with their budgets as
 Fractions.  Floats remain only in report fields (ratios, bounds, tables,
-the chosen constants) and in pushforward_frostman.  One function, _verdict,
+the chosen constants) and in pushforward_frostman's mass column and
+regression: its boxes are integer keys of an exact hyperplane chart, with
+integer weights.  One function, _verdict,
 turns (tuple, measure, per-scale counts) items into a VerifyResult: the
 plane and tube checks generate those items, and pruning and tube-to-plane
 conversion hand it the counts of the tuples they keep instead of measuring
@@ -23,16 +25,18 @@ resolution: below it a discrete measure is atomic and the bounds say nothing.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactlin import BudgetExceeded, Matrix, Vector, _integerized_points, frac, nullspace, vsub
-from .flats import _dist2_offset, independence_test
+from .exactlin import BudgetExceeded, Vector, _integerized_points, _wedge, frac
+from .flats import _dist2_offset, _lifted_integer_points, independence_test
 from .flatcollect import FlatCollection
 from .measures import DiscreteMeasure, PlateMassOracle, support_dist2
 from .project import rational_sqrt_lower
@@ -671,25 +675,6 @@ def product_graph(gs: Sequence[ThinGraph], frame, scales: Sequence) -> tuple[Thi
     return out, check
 
 
-def hyperplane_chart_point(points: Sequence[Vector]) -> tuple[tuple[float, ...], float]:
-    """Sign-canonicalized float chart point (unit normal, offset) for the
-    hyperplane spanned by the points; pushforward_frostman charts lines in
-    the plane (n = 2) on its own float path."""
-    base = points[0]
-    dirs = Matrix([list(vsub(p, base)) for p in points[1:]])
-    normals = nullspace(dirs)
-    if len(normals) != 1:
-        raise TupleInDegenerateSet("points do not span a hyperplane")
-    a = [float(x) for x in normals[0]]
-    norm = math.sqrt(sum(x * x for x in a))
-    a = [x / norm for x in a]
-    first = next((x for x in a if abs(x) > 1e-12), 1.0)
-    if first < 0:
-        a = [-x for x in a]
-    b = sum(x * float(c) for x, c in zip(a, base))
-    return tuple(a), b
-
-
 @dataclass
 class PushforwardFit:
     constant: float
@@ -697,65 +682,91 @@ class PushforwardFit:
     table: list[tuple[float, int, float]]  # (scale, occupied boxes, max box mass)
 
 
+def _plane_rows(prefix: Sequence[Sequence[int]], width: int, shift: int) -> list[list[int]]:
+    """Rows L for width - 2 lifted points (den p, den): for a lifted point v,
+    L v = 2^shift (a, b) with {x : a.x = b} the hyperplane through the
+    prefix's points and v's, and a = 0 when they do not span one.
+
+    (a, -b) is the cofactor normal: entry k is (-1)^k times the maximal
+    minor of (prefix, v) without row k, so it is orthogonal to every lifted
+    point.  That minor is linear in v, and its coefficient of v_i is read
+    off the wedge of the prefix's minors with the unit vector e_i."""
+    minors = functools.reduce(_wedge, prefix, {0: 1})
+    full = (1 << width) - 1
+    cols = [_wedge(minors, [int(j == i) for j in range(width)]) for i in range(width)]
+    signs = [(-1) ** k for k in range(width - 1)] + [(-1) ** width]
+    return [[sign * c.get(full ^ 1 << k, 0) << shift for c in cols] for k, sign in enumerate(signs)]
+
+
+def _combination(coefs: Sequence[int], cols: Sequence[Sequence[int]]) -> Iterable[int]:
+    """sum_i coefs[i] cols[i], entry by entry."""
+    terms = [map(mul, col, itertools.repeat(x)) for x, col in zip(coefs, cols) if x]
+    return functools.reduce(functools.partial(map, add), terms) if terms else [0] * len(cols[0])
+
+
+def _chart_boxes(g: ThinGraph, ks: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
+    """Per exponent k of ks, the boxes of side 2^-k occupied by the tuples'
+    hyperplanes, each with its weight as an integer over prod W_j.
+
+    The hyperplane {x : a.x = b} of a tuple comes from the plane rows of its
+    prefix t[:-1] applied to its lifted last point.  It is charted by the
+    first i with maximal |a_i| at the coordinates a_j / a_i (j != i) and
+    b / a_i; at the finest exponent K its key is i and those coordinates'
+    floors at scale 2^-K, by integer floor division of 2^K (a, b).  A
+    coarser exponent k shifts the keys of a finer exponent k' right by
+    k' - k, and floor(floor(y) / 2^m) = floor(y / 2^m) makes that the key
+    at scale 2^-k."""
+    top = max(ks)
+    width = g.ambient_dim + 1
+    lifted = [_lifted_integer_points(m.points()) for m in g.measures]
+    weights = [[w.numerator * (m.weight_den // w.denominator) for w in m.weights()] for m in g.measures]
+    finest: dict[tuple[int, ...], int] = collections.defaultdict(int)
+    # tuples come in product order: one run of last points per prefix
+    for prefix, run in itertools.groupby(g.iter_tuples(), key=itemgetter(slice(-1))):
+        rows = _plane_rows([pts[i] for pts, i in zip(lifted, prefix)], width, top)
+        w0 = math.prod(ws[i] for ws, i in zip(weights, prefix))
+        js = list(map(itemgetter(-1), run))
+        coords = list(zip(*map(lifted[-1].__getitem__, js)))
+        for j, v in zip(js, zip(*(_combination(row, coords) for row in rows))):
+            top_a = max(v[:-1], key=abs)  # the first of equal |a_i|
+            i = v.index(top_a)
+            ai = top_a >> top
+            if not ai:
+                raise TupleInDegenerateSet(f"tuple {(*prefix, j)} does not span a hyperplane")
+            finest[(i, *[x // ai for x in v[:i] + v[i + 1 :]])] += w0 * weights[-1][j]
+    # each level from the next finer one, which has no more boxes
+    levels = {top: finest}
+    for k in sorted(ks, reverse=True)[1:]:
+        finer = min(levels)
+        levels[k] = boxes = collections.defaultdict(int)
+        for (i, *xs), w in levels[finer].items():
+            boxes[(i, *[x >> finer - k for x in xs])] += w
+    return [levels[k] for k in ks]
+
+
 def pushforward_frostman(g: ThinGraph, scales: Sequence) -> PushforwardFit:
-    """Map every tuple to its spanned hyperplane's chart point, accumulate
-    product weights in dyadic boxes of the (normal, offset) chart, and fit
-    the box-counting exponent of the support of the resulting measure on
+    """Map every tuple to its spanned hyperplane's exact chart point (see
+    _chart_boxes), accumulate integer product weights in dyadic boxes, and
+    fit the box-counting exponent of the support of the resulting measure on
     hyperplane space (slope of log occupied-box count against log 1/scale);
-    the per-scale table also records the heaviest box mass.
+    the per-scale table also records the heaviest box mass.  Scales must be
+    2^-k for integers k >= 0.  Floats enter only the table and the fit.
     """
-    n = g.ambient_dim
-    if g.arity != n:
+    if g.arity != g.ambient_dim:
         raise ValueError("spans must be hyperplanes: need n measures, no other chart is declared")
-    scale_floats = sorted({float(frac(s)) for s in scales}, reverse=True)
-    boxes: list[dict[tuple[int, ...], float]] = [dict() for _ in scale_floats]
-    total = 0.0
-    if n == 2:
-        # float fast path: complete products over fine grids get large
-        pts0 = [(float(p[0]), float(p[1])) for p, _ in g.measures[0].atoms]
-        pts1 = [(float(p[0]), float(p[1])) for p, _ in g.measures[1].atoms]
-        ws0 = [float(w) for _, w in g.measures[0].atoms]
-        ws1 = [float(w) for _, w in g.measures[1].atoms]
-        for i0, i1 in g.iter_tuples():
-            x0, y0 = pts0[i0]
-            x1, y1 = pts1[i1]
-            ax, ay = -(y1 - y0), x1 - x0
-            norm = math.hypot(ax, ay)
-            if norm == 0:
-                raise TupleInDegenerateSet("coincident points")
-            ax, ay = ax / norm, ay / norm
-            first = ax if abs(ax) > 1e-12 else ay
-            if first < 0:
-                ax, ay = -ax, -ay
-            coords = (ax, ay, ax * x0 + ay * y0)
-            w = ws0[i0] * ws1[i1]
-            total += w
-            for bi, s in enumerate(scale_floats):
-                key = (
-                    math.floor(coords[0] / s),
-                    math.floor(coords[1] / s),
-                    math.floor(coords[2] / s),
-                )
-                boxes[bi][key] = boxes[bi].get(key, 0.0) + w
-    else:
-        for t in g.iter_tuples():
-            pts = g.tuple_points(t)
-            a, b = hyperplane_chart_point(pts)
-            w = float(g.tuple_weight(t))
-            total += w
-            coords = a + (b,)
-            for bi, s in enumerate(scale_floats):
-                key = tuple(math.floor(c / s) for c in coords)
-                boxes[bi][key] = boxes[bi].get(key, 0.0) + w
+    scales = sorted({frac(s) for s in scales}, reverse=True)
+    if len(scales) < 2:
+        raise ValueError("need at least two distinct scales")
+    for s in scales:
+        if s.numerator != 1 or s.denominator & (s.denominator - 1):
+            raise ValueError(f"scale {s} is not 2^-k for an integer k >= 0")
+    boxes = _chart_boxes(g, [s.denominator.bit_length() - 1 for s in scales])
+    total = sum(boxes[0].values())
     if total == 0:
         raise ValueError("graph carries no mass")
-    table = [
-        (s, len(bx), max(bx.values()) / total) for s, bx in zip(scale_floats, boxes)
-    ]
+    table = [(float(s), len(bx), max(bx.values()) / total) for s, bx in zip(scales, boxes)]
     xs = [math.log(s) for s, _, _ in table]
     ys = [math.log(c) for _, c, _ in table]
-    if len(set(xs)) < 2:
-        raise ValueError("need at least two distinct scales")
     slope, intercept = statistics.linear_regression(xs, ys)
     return PushforwardFit(math.exp(intercept), -slope, table)
 

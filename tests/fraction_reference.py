@@ -2,10 +2,12 @@
 over ``Fraction`` and the join, meet, kernel, solve and flat-distance
 constructions built on it, independent of ``int_rref``, a brute-force
 spanned-flat enumerator that shares no code with ``flats.spanned_flats``,
-and a brute-force ball mass that shares none with the plate oracle.
+a brute-force ball mass that shares none with the plate oracle, and the
+hyperplane chart's box key over ``Fraction``.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -144,3 +146,18 @@ def reference_max_ball_mass(atoms, radius: Fraction) -> Fraction:
         sum((w for q, w in atoms if sum((a - b) ** 2 for a, b in zip(p, q)) <= r2), Fraction(0))
         for p, _ in atoms
     )
+
+
+def reference_chart_key(points: Sequence[Sequence], s: Fraction) -> tuple[int, ...]:
+    """The box of side s holding the chart point of the hyperplane through
+    n affinely independent points of Q^n: with its Fraction normal a from
+    the reference kernel of the differences, b = a.p for its first point p,
+    and i the first index of maximal |a_i|, the key is i and the floors of
+    a_j / a_i (j != i) and b / a_i over s."""
+    pts = [vec(p) for p in points]
+    (a,) = reference_nullspace(Matrix([vsub(p, pts[0]) for p in pts[1:]]))
+    b = sum((x * y for x, y in zip(a, pts[0])), Fraction(0))
+    mags = [abs(x) for x in a]
+    i = mags.index(max(mags))
+    coords = [x / a[i] for j, x in enumerate(a) if j != i] + [b / a[i]]
+    return (i, *[math.floor(x / s) for x in coords])

@@ -275,6 +275,22 @@ class TestDecomposeCommand:
         report = json.loads((out / "report.json").read_text())
         assert "not discretely NC" in report["verdicts"][0]["witness"]
 
+    def test_one_plate_oracle_per_measure(self, tmp_path, monkeypatch):
+        """On the README demo, decompose and its verifier integerize each
+        measure they read once: the input, the rest of each of the three
+        steps and each of the three pieces."""
+        built = []
+        init = PlateMassOracle.__init__
+
+        def counting(self, mu):
+            built.append(mu)
+            init(self, mu)
+
+        monkeypatch.setattr(PlateMassOracle, "__init__", counting)
+        scene = str(SCENES / "decompose-skew-lines.json")
+        assert main(["decompose", "--scene", scene, "--out", str(tmp_path)]) == EXIT_PASS
+        assert len({id(mu) for mu in built}) == len(built) == 7
+
 
 class TestDeterminism:
     def test_same_scene_same_seed_identical_reports(self, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from flatbeck.exactlin import (
     Matrix,
     _integerized_rows,
+    bareiss,
     det,
     gram_det,
     int_kernel,
@@ -112,6 +113,39 @@ class TestDet:
             return total
 
         assert det(m) == laplace([list(r) for r in m.entries])
+
+
+def leibniz_det(rows) -> int:
+    """Sum over permutations, each signed by its inversion count."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+class TestBareiss:
+    @settings(max_examples=200)
+    @given(st.integers(1, 4).flatmap(lambda r: st.integers(1, 4).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r)
+    )))
+    def test_one_pass_gives_pivots_and_det(self, rows):
+        """The determinant is Leibniz's for a square matrix and 0 otherwise,
+        nonzero exactly when every row has a pivot; the input is not
+        modified (the pivots are checked in TestRank)."""
+        copy = [r[:] for r in rows]
+        pivots, d = bareiss(rows)
+        assert rows == copy
+        square = len(rows) == len(rows[0])
+        assert d == (leibniz_det(rows) if square else 0)
+        assert (d != 0) == (square and len(pivots) == len(rows))
+
+    def test_empty_matrix_has_det_one(self):
+        assert bareiss([]) == ([], 1)
 
 
 class TestGramDet:

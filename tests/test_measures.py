@@ -1,9 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from flatbeck.exactlin import Matrix, gram_det, norm2
 from flatbeck.flats import AffineFlat, affinely_independent, dist2_point_flat, spanned_flats
 from flatbeck.measures import (
     DiscreteMeasure,
@@ -80,9 +83,14 @@ def plate_cases(draw):
     return atoms, span, radii2, hit, stretch
 
 
+def reference_dist2(p, f):
+    """The Fraction reference squared distance from the point p to f."""
+    return reference_dist2_flats(AffineFlat.point(p), f)
+
+
 def reference_masses(mu, f, radii2):
     """Fraction reference: the weight of atoms within each squared radius."""
-    d2 = [dist2_point_flat(p, f) for p in mu.points()]
+    d2 = [reference_dist2(p, f) for p in mu.points()]
     return [sum((w for x, w in zip(d2, mu.weights()) if x <= r2), Fraction(0)) for r2 in radii2]
 
 
@@ -95,7 +103,7 @@ class TestPlateMassOracle:
         mu = DiscreteMeasure(atoms, D)
         f = AffineFlat.from_points(span)
         # one radius exactly at an atom's squared distance: the boundary is closed
-        radii2 = radii2 + [dist2_point_flat(mu.atoms[hit][0], f)]
+        radii2 = radii2 + [reference_dist2(mu.atoms[hit][0], f)]
         want = reference_masses(mu, f, radii2)
         oracle = PlateMassOracle(mu)
         assert oracle.masses_near_span(span, radii2) == want
@@ -125,7 +133,7 @@ class TestAtomsNearFlat:
         assume(affinely_independent(span))
         mu = DiscreteMeasure(atoms, D)
         f = AffineFlat.from_points(span)
-        d2 = [reference_dist2_flats(AffineFlat.point(p), f) for p in mu.points()]
+        d2 = [reference_dist2(p, f) for p in mu.points()]
         assert [dist2_point_flat(p, f) for p in mu.points()] == d2
         oracle = PlateMassOracle(mu)
         # one radius exactly at an atom's squared distance: the boundary is inside
@@ -172,7 +180,7 @@ class TestMassesNearEnumeratedFlats:
         for f in spanned_flats(mu.points(), range(mu.ambient_dim)):
             got = oracle.masses_near_flat(f, radii2)
             assert f._dirs is None  # the Fraction directions were not built
-            rs = radii2 + [dist2_point_flat(mu.atoms[hit][0], f)]
+            rs = radii2 + [reference_dist2(mu.atoms[hit][0], f)]
             want = reference_masses(mu, f, rs)
             assert got == want[:-1]
             assert oracle.masses_near_flat(f, rs) == want
@@ -218,7 +226,7 @@ class TestAnchorMemo:
                     oracle.masses_near_span(span, [Fraction(1)])
                 continue
             f = AffineFlat(anchor, dirs)
-            d2 = dist2_point_flat(mu.atoms[hit][0], f)
+            d2 = reference_dist2(mu.atoms[hit][0], f)
             # unsorted, with a duplicate, 0, exactly an atom's squared
             # distance (the boundary is closed) and just below it, where the
             # integer threshold must round down
@@ -421,7 +429,32 @@ class TestIrreducibilityModulus:
             irreducibility_modulus(mu, AffineFlat.point([0, 0]), 0)
 
 
+margin_coord = st.sampled_from([Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 2)])
+
+
+@st.composite
+def margin_cases(draw):
+    """One to n + 1 measures on Q^n, n = 1..3, with one or two atoms each
+    from a small coordinate set, so dependent tuples are common; every atom
+    lies in the unit ball."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n + 1))
+    atoms = st.lists(st.tuples(*[margin_coord] * n), min_size=1, max_size=2, unique=True)
+    return [DiscreteMeasure.uniform(draw(atoms), D) for _ in range(k)]
+
+
 class TestGoodPositionMargin:
+    @settings(max_examples=150, deadline=None)
+    @given(margin_cases())
+    def test_matches_the_normalized_gram_determinant(self, mus):
+        """Against gram_det of the Fraction lifted tuple matrix over the
+        product of its squared column norms, dependent tuples included."""
+        want = []
+        for combo in itertools.product(*(m.points() for m in mus)):
+            cols = [p + (Fraction(1),) for p in combo]
+            want.append(gram_det(Matrix.from_cols(cols)) / math.prod(map(norm2, cols)))
+        assert good_position_margin(mus) == min(want)
+
     def test_two_distinct_singletons_positive(self):
         a = DiscreteMeasure([((0, 0), 1)], D)
         b = DiscreteMeasure([((Fraction(1, 2), 0), 1)], D)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flatbeck import thin
 from flatbeck.exactlin import BudgetExceeded, _integerized_points
@@ -24,7 +24,7 @@ from flatbeck.thin import (
     verify_thin_planes,
     verify_thin_tubes,
 )
-from fraction_reference import flat_from_span, reference_dist2_flats
+from fraction_reference import flat_from_span, reference_chart_key, reference_dist2_flats
 
 RES = Fraction(1, 1024)
 SCALES6 = dyadic_scales(6, 1)
@@ -518,17 +518,42 @@ class TestExactThinVerdicts:
             assert (w.tuple_, w.measure_index, w.scale, w.mass) in over
 
 
+chart_coord = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+chart_weight = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
+
+
+@st.composite
+def chart_graphs(draw):
+    """A complete graph of n measures on Q^n, n = 2 or 3, with one to three
+    atoms each, and one to four distinct exponents k of scales 2^-k."""
+    n = draw(st.integers(2, 3))
+    atoms = st.lists(st.tuples(st.tuples(*[chart_coord] * n), chart_weight), min_size=1, max_size=3)
+    g = ThinGraph.complete([DiscreteMeasure(draw(atoms), RES) for _ in range(n)], sigma=1, big_k=1)
+    return g, draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
+
+
+def spans_hyperplanes(g):
+    independent = independence_test([m.points() for m in g.measures])
+    return all(map(independent, g.iter_tuples()))
+
+
 class TestPushforwardFrostman:
     def test_coincident_spans_give_zero_exponent(self):
-        mu0 = DiscreteMeasure.uniform([(0, 0), (Fraction(1, 4), 0)], RES)
-        mu1 = DiscreteMeasure.uniform([(Fraction(1, 2), 0), (Fraction(3, 4), 0)], RES)
-        # every tuple spans the same horizontal line: wait, those tuples are
-        # collinear with partners; use vertical offsets instead
+        # every tuple spans the same horizontal line
         mu0 = DiscreteMeasure.uniform([(0, 0)], RES)
         mu1 = DiscreteMeasure.uniform([(1, 0), (2, 0)], RES)
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=4.0)
         fit = pushforward_frostman(g, dyadic_scales(6, 2))
         assert abs(fit.exponent) < 1e-9
+
+    def test_coplanar_tuples_give_zero_exponent(self):
+        mus = [
+            DiscreteMeasure.uniform(pts, RES)
+            for pts in ([(0, 0, 1)], [(1, 0, 1)], [(0, 1, 1), (0, 2, 1), (3, 5, 1)])
+        ]
+        fit = pushforward_frostman(ThinGraph.complete(mus, sigma=1, big_k=4), dyadic_scales(6, 2))
+        assert [c for _, c, _ in fit.table] == [1] * 5
+        assert fit.exponent == 0
 
     def test_parallel_segments_exponent_near_two(self):
         mu0, mu1 = parallel_segments(10)
@@ -542,6 +567,52 @@ class TestPushforwardFrostman:
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=4.0)
         with pytest.raises(ValueError):
             pushforward_frostman(g, dyadic_scales(4, 2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(chart_graphs())
+    def test_boxes_match_the_fraction_reference(self, case):
+        """Every box key, at every scale, is the Fraction reference's key,
+        and its weight over prod W_j is the sum of its tuples' weights."""
+        g, ks = case
+        if not spans_hyperplanes(g):
+            with pytest.raises(TupleInDegenerateSet):
+                thin._chart_boxes(g, ks)
+            return
+        den = math.prod(m.weight_den for m in g.measures)
+        for k, boxes in zip(ks, thin._chart_boxes(g, ks)):
+            want = {}
+            for t in g.iter_tuples():
+                key = reference_chart_key(g.tuple_points(t), Fraction(1, 2**k))
+                want[key] = want.get(key, 0) + g.tuple_weight(t) * den
+            assert boxes == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(chart_graphs())
+    def test_a_shift_equals_per_scale_division(self, case):
+        g, ks = case
+        assume(spans_hyperplanes(g))
+        assert thin._chart_boxes(g, ks) == [thin._chart_boxes(g, [k])[0] for k in ks]
+
+    @pytest.mark.parametrize("points", [[(0, 0), (1, 1)], [(0, 0, 0), (1, 0, 0), (0, 1, 1)]])
+    def test_a_tie_charts_by_the_first_index(self, points):
+        # |a_0| = |a_1| for the line x = y; |a_1| = |a_2| for the plane y = z
+        g = ThinGraph.complete([DiscreteMeasure([(p, 1)], RES) for p in points], sigma=1, big_k=1)
+        (boxes,) = thin._chart_boxes(g, [3])
+        assert list(boxes) == [reference_chart_key(points, Fraction(1, 8))]
+
+    def test_dependent_tuple_rejected(self):
+        mu = DiscreteMeasure([((Fraction(1, 3), 0), 1)], RES)
+        with pytest.raises(TupleInDegenerateSet):
+            pushforward_frostman(ThinGraph.complete([mu, mu], sigma=1, big_k=1), dyadic_scales(4, 2))
+        collinear = [DiscreteMeasure([((i, i, 0), 1)], RES) for i in range(3)]
+        with pytest.raises(TupleInDegenerateSet):
+            pushforward_frostman(ThinGraph.complete(collinear, sigma=1, big_k=1), dyadic_scales(4, 2))
+
+    def test_scale_not_a_power_of_two_rejected(self):
+        mu0, mu1 = parallel_segments(3)
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=8.0)
+        with pytest.raises(ValueError, match="3/16"):
+            pushforward_frostman(g, [Fraction(1, 4), Fraction(3, 16)])
 
 
 class TestMarginalHeavySet:
