@@ -8,7 +8,6 @@ appears only in exponent fits and reported ratios, masses and constants.
 
 from fractions import Fraction
 
-from .exactlin import Matrix
 from .flats import AffineFlat
 from .flatcollect import FlatCollection
 from .measures import DiscreteMeasure
@@ -23,7 +22,6 @@ __all__ = [
     "DiscreteMeasure",
     "FlatCollection",
     "Fraction",
-    "Matrix",
     "PointConfig",
     "StableFrame",
     "ThinGraph",

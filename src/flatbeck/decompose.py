@@ -139,18 +139,19 @@ def verify_decomposition(r: DecompositionResult, n: int, w, tau) -> Decompositio
     pairwise disjoint, (iii) the flat collection has cost >= n.  The trace
     must have nondecreasing cost, strictly decreasing minimizing-partition
     count on every plateau, and at most one minimizing extension per
-    minimizing partition across each plateau step.
+    minimizing partition across each plateau step.  The supports check,
+    each piece within max(w, its resolution) of its flat, is the one the
+    modulus of (i) needs, so the modulus does not repeat it.
     """
     w = frac(w)
     tau = frac(tau)
     report = DecompositionReport()
 
     stray = None
-    w2 = w * w
-    tol2 = max(w2, r.pieces[0].resolution ** 2) if r.pieces else w2
     oracles = [PlateMassOracle(piece) for piece in r.pieces]
     for i, (piece, flat, oracle) in enumerate(zip(r.pieces, r.flats, oracles)):
-        off = ~oracle.atoms_near_flat(flat, tol2) & ((1 << len(piece)) - 1)
+        near = oracle.atoms_near_flat(flat, max(w, piece.resolution) ** 2)
+        off = ~near & ((1 << len(piece)) - 1)
         if off:
             stray = (i, piece.atoms[(off & -off).bit_length() - 1][0])
             break
@@ -165,7 +166,7 @@ def verify_decomposition(r: DecompositionResult, n: int, w, tau) -> Decompositio
         for i, (piece, flat, oracle) in enumerate(zip(r.pieces, r.flats, oracles)):
             if flat.dim == 0:
                 continue
-            mod = _oracle_modulus(piece, oracle, flat, w, max(w, piece.resolution))
+            mod = _oracle_modulus(piece, oracle, flat, w)
             if worst is None or mod > worst[1]:
                 worst = (i, mod)
     if worst is None:

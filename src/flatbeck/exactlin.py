@@ -1,27 +1,27 @@
-"""Exact rational linear algebra kernel.
+"""Exact rational linear algebra on integers.
 
-Vectors are tuples of ``Fraction``; matrices are immutable row-major grids.
-Every elimination runs fraction-free on integerized copies, so intermediate
-entries stay bounded at the matrix sizes used here (sides up to a dozen or
-so): ``bareiss``, the one Bareiss pass, gives pivot columns (ranks) and
-determinants together, and ``int_rref`` is the Gauss-Jordan whose
-primitive integer rows are the canonical form of a row space.
-``int_kernel`` reads an integer kernel basis off those rows; ``nullspace``
-and ``solve`` are their Fraction views.  ``_wedge`` is the one minor
-kernel: it grows the row-subset minors of a column set by a column, for
-stability certificates, the good-position margin and the hyperplane chart.
-``orthogonalize`` is the one Gram-Schmidt: unnormalized orthogonal bases
-for the basis columns of stability frames (distances are integer
-numerators, see ``flats._dist2_numerators``).
+Vectors are tuples of ``Fraction``; matrices are lists of integer rows, as
+callers scale rational ones row by row or column by column, which keeps
+ranks, row spaces and normalized minors.  Every elimination runs
+fraction-free, so entries stay bounded at the sizes used here (sides up to
+a dozen or so): ``bareiss``, the one Bareiss pass, gives pivot columns
+(ranks) and determinants together, and ``int_rref`` is the Gauss-Jordan
+whose primitive integer rows are the canonical form of a row space;
+``int_kernel`` reads an integer kernel basis off them.  ``_wedge`` is the
+one minor kernel: it grows the row-subset minors of a column set by a
+column, for stability certificates and the hyperplane chart;
+``wedge_norm2`` sums their squares, a Gram determinant.  ``orthogonalize``
+is the one Gram-Schmidt: unnormalized orthogonal bases for the basis
+columns of stability frames.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 
@@ -72,8 +72,8 @@ def unit_vec(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def orthogonalize(cols: Sequence[Sequence]) -> tuple[list[Vector], list[Fraction]]:
-    """Gram-Schmidt without normalization; returns vectors and squared norms."""
+def orthogonalize(cols: Sequence[Sequence]) -> list[Vector]:
+    """Gram-Schmidt without normalization."""
     basis: list[Vector] = []
     norms: list[Fraction] = []
     for c in cols:
@@ -84,83 +84,7 @@ def orthogonalize(cols: Sequence[Sequence]) -> tuple[list[Vector], list[Fraction
             raise ValueError("dependent columns in basis input")
         basis.append(v)
         norms.append(norm2(v))
-    return basis, norms
-
-
-class Matrix:
-    """Immutable exact matrix over Q."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: Iterable[Iterable]):
-        ents = tuple(vec(r) for r in rows)
-        if ents:
-            w = len(ents[0])
-            if any(len(r) != w for r in ents):
-                raise ValueError("inconsistent row widths")
-        else:
-            w = 0
-        object.__setattr__(self, "entries", ents)
-        object.__setattr__(self, "rows", len(ents))
-        object.__setattr__(self, "cols", w)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def from_cols(cls, cols: Sequence[Sequence], rows: int | None = None) -> "Matrix":
-        cols = [vec(c) for c in cols]
-        if not cols:
-            return cls([() for _ in range(rows or 0)])
-        return cls(zip(*cols, strict=True))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([unit_vec(n, i) for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([zero_vec(cols) for _ in range(rows)])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in r) for r in self.entries)
-        return f"Matrix[{self.rows}x{self.cols}]({body})"
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
-    def col_list(self) -> list[Vector]:
-        return [self.col(j) for j in range(self.cols)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_cols(self.entries, rows=self.cols)
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        return Matrix(a + b for a, b in zip(self.entries, other.entries))
-
-    def mat_vec(self, v: Sequence) -> Vector:
-        v = vec(v)
-        return tuple(dot(r, v) for r in self.entries)
-
-    def mat_mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ocols = other.col_list()
-        return Matrix([tuple(dot(r, c) for c in ocols) for r in self.entries])
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix([tuple(self.entries[i][j] for j in col_idx) for i in row_idx])
+    return basis
 
 
 def _integerized_rows(rows: Iterable[Vector]) -> list[list[int]]:
@@ -225,11 +149,6 @@ def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
     return bareiss(rows)[0]
 
 
-def rank(m: Matrix) -> int:
-    """Column-space dimension, exact."""
-    return len(pivot_columns(_integerized_rows(m.entries)))
-
-
 def _wedge(minors: dict[int, int], col: Sequence[int]) -> dict[int, int]:
     """The one minor kernel.  minors maps a row bit mask to the determinant
     of a column set on those rows, zeros left out; the same for the set with
@@ -246,28 +165,11 @@ def _wedge(minors: dict[int, int], col: Sequence[int]) -> dict[int, int]:
     return {k: v for k, v in out.items() if v}
 
 
-def det(m: Matrix) -> Fraction:
-    """Exact determinant of a square matrix (fraction-free elimination)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    scale = Fraction(1)
-    rows = []
-    for r in m.entries:
-        den = math.lcm(*(x.denominator for x in r))
-        scale *= den
-        rows.append([int(x * den) for x in r])
-    return Fraction(bareiss(rows)[1], 1) / scale
-
-
-def gram_det(m: Matrix) -> Fraction:
-    """det(m^T m): the sum of squared maximal minors, i.e. the squared
-    volume of the parallelepiped spanned by the columns.
-
-    Requires cols <= rows so the Gram matrix can be nonsingular at all.
-    """
-    if m.cols > m.rows:
-        raise ValueError("gram_det needs cols <= rows")
-    return det(m.transpose().mat_mul(m))
+def wedge_norm2(cols: Sequence[Sequence[int]]) -> int:
+    """|c_1 ^ ... ^ c_k|^2 = det(C^T C) for integer columns C: by
+    Cauchy-Binet, the sum of the squared minors of the wedge chain; 0
+    exactly when the columns are dependent, 1 for no columns."""
+    return sum(d * d for d in functools.reduce(_wedge, cols, {0: 1}).values())
 
 
 def int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
@@ -323,28 +225,3 @@ def int_kernel(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
             v[c] = -(big_l // r[c]) * r[f]
         basis.append(v)
     return basis
-
-
-def nullspace(m: Matrix) -> list[Vector]:
-    """Basis of the right kernel {x : m x = 0}, each vector 1 at its free
-    column: the int_kernel basis over Q."""
-    out = []
-    for v in int_kernel(_integerized_rows(m.entries), m.cols):
-        lead = next(x for x in reversed(v) if x)
-        out.append(tuple(Fraction(x, lead) for x in v))
-    return out
-
-
-def solve(m: Matrix, rhs: Sequence) -> Vector | None:
-    """One exact solution of m x = rhs, or None when inconsistent: the
-    pivot solution, 0 at every free column."""
-    rhs = vec(rhs)
-    if len(rhs) != m.rows:
-        raise ValueError("rhs length mismatch")
-    pivots, red = int_rref(_integerized_rows([r + (b,) for r, b in zip(m.entries, rhs)]))
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [Fraction(0)] * m.cols
-    for c, r in zip(pivots, red):
-        x[c] = Fraction(r[-1], r[c])
-    return tuple(x)

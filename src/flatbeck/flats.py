@@ -16,8 +16,9 @@ The plate oracle runs it over a measure's atoms; dist2_point_flat and
 dist2_flats are its one-offset Fraction views.
 
 The enumerator walks pencils of flats (see _pencils) and builds no
-elimination per subset.  Enumerated flats keep their picks: their Fraction
-directions are derived only when read.
+elimination per subset.  Enumerated flats keep their picks, joins and meets
+their rows: their Fraction directions are derived only when read.
+FlatChart reads chart coordinates off one int_rref per chart.
 """
 
 from __future__ import annotations
@@ -28,21 +29,19 @@ from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exactlin import (
-    Matrix,
     Vector,
     _integerized_points,
     _integerized_rows,
     bareiss,
-    gram_det,
+    dot,
     int_kernel,
     int_rref,
     pivot_columns,
-    solve,
     unit_vec,
+    vadd,
     vec,
     vsub,
-    vadd,
-    vscale,
+    wedge_norm2,
     zero_vec,
 )
 
@@ -98,17 +97,23 @@ class AffineFlat:
 
     @property
     def directions(self) -> tuple[Vector, ...]:
-        """A basis of the direction space; for a flat built from picks, the
-        RREF over Q of their differences, derived on first read."""
+        """A basis of the direction space, derived on first read when not
+        given: for a flat built from picks, the RREF over Q of their
+        differences; for a join or meet, that of _span_directions."""
         if self._dirs is None:
-            object.__setattr__(self, "_dirs", _directions(self._picks))
+            if self._picks is None:
+                rows, divisors = _span_directions(self._rows)
+                dirs = tuple(tuple(Fraction(x, s) for x in d) for d, s in zip(rows, divisors))
+            else:
+                dirs = _directions(self._picks)
+            object.__setattr__(self, "_dirs", dirs)
         return self._dirs
 
     def _direction_rows(self) -> list[tuple[int, ...]]:
         """Integer rows spanning the directions: the picks' differences, or
-        the directions over a common denominator for a flat with no picks."""
+        those read off the lifted rows by _span_directions."""
         if self._picks is None:
-            return _integerized_points(self.directions)[0]
+            return _span_directions(self._rows)[0]
         base = self._picks[0]
         return [tuple(a - b for a, b in zip(v[:-1], base)) for v in self._picks[1:]]
 
@@ -204,29 +209,38 @@ def _directions(lifted: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     return _reduced(rows)
 
 
-def linearize(f: AffineFlat) -> Matrix:
-    """(n+1)-row matrix whose column space is span(F x {1}).
+def linearize(f: AffineFlat) -> list[Vector]:
+    """dim F + 1 columns spanning span(F x {1}) in Q^(n+1): the direction
+    vectors padded with 0, then the lifted basepoint."""
+    return [d + (Fraction(0),) for d in f.directions] + [f.basepoint + (Fraction(1),)]
 
-    Column count is dim F + 1: the direction vectors padded with 0, then the
-    lifted basepoint.
-    """
-    cols = [d + (Fraction(0),) for d in f.directions] + [f.basepoint + (Fraction(1),)]
-    return Matrix.from_cols(cols, rows=f.ambient_dim + 1)
+
+def _span_directions(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Integer direction rows of a flat with the primitive int_rref rows
+    `rows`, and the divisor of each: with b the first row whose last entry t
+    is nonzero, and k the pivot of another row r, (t r - r[-1] b) / (t k),
+    last entry 0 dropped, is r's RREF row minus its multiple of the lifted
+    basepoint b / t (see _flat_from_span)."""
+    b = next(r for r in rows if r[-1])
+    t = b[-1]
+    out, divisors = [], []
+    for r in rows:
+        if r is not b:
+            out.append(tuple(t * x - r[-1] * y for x, y in zip(r[:-1], b)))
+            divisors.append(t * next(x for x in r if x))
+    return out, divisors
 
 
 def _flat_from_span(rows: Sequence[Sequence[int]]) -> Optional[AffineFlat]:
     """The flat whose lifted span has the primitive int_rref rows `rows`, or
     None when no vector of the span has a nonzero last coordinate (the
-    empty flat).  The first RREF row with a nonzero last coordinate, scaled
-    to 1 there, is the lifted basepoint; the other rows minus their multiple
-    of it are the lifted directions."""
-    red = _reduced(rows)
-    i = next((i for i, r in enumerate(red) if r[-1]), None)
-    if i is None:
+    empty flat).  The first row with a nonzero last coordinate, scaled to 1
+    there, is the lifted basepoint; the directions, the other RREF rows
+    minus their multiple of it, are derived on first read."""
+    b = next((r for r in rows if r[-1]), None)
+    if b is None:
         return None
-    base = vscale(1 / red[i][-1], red[i])
-    dirs = tuple(vsub(r, vscale(r[-1], base))[:-1] for j, r in enumerate(red) if j != i)
-    return AffineFlat._from_rows(base[:-1], rows, dirs)
+    return AffineFlat._from_rows(tuple(Fraction(x, b[-1]) for x in b[:-1]), rows, None)
 
 
 def _span_meet(
@@ -318,59 +332,82 @@ def dist2_flats(f: AffineFlat, g: AffineFlat) -> Fraction:
     return _dist2_offset(tuple(map(sub, a, b)), rows, den)
 
 
-def wedge_angle_sin2(b: Matrix, a: Matrix) -> Fraction:
-    """Squared sine factor between the column blocks b and a:
+def wedge_angle_sin2(b: Sequence[Sequence], a: Sequence[Sequence]) -> Fraction:
+    """Squared sine factor between the column lists b and a:
 
-        det((b,a)^T (b,a)) / (gram_det(b) * gram_det(a))
+        |b ^ a|^2 / (|b_wedge|^2 * |a_wedge|^2)
 
-    which is the square of the |sin| factor in |u_1 ^ ... ^ u_m| =
-    |w_wedge| * |v_wedge| * |sin|.  Rank-deficient (b, a) gives 0; a factor
-    with degenerate columns is an error.
+    with each squared wedge the Gram determinant of its columns
+    (wedge_norm2); it is the square of the |sin| factor in
+    |u_1 ^ ... ^ u_m| = |w_wedge| * |v_wedge| * |sin|.  Each column is
+    scaled to integers on its own, a factor that cancels.  Rank-deficient
+    (b, a) gives 0; a factor with degenerate columns is an error.
     """
-    if b.rows != a.rows:
+    cols = _integerized_rows([*b, *a])
+    if len({len(c) for c in cols}) > 1:
         raise ValueError("row counts differ")
-    if b.cols + a.cols > b.rows:
+    if cols and len(cols) > len(cols[0]):
         raise ValueError("more columns than rows")
-    gb = gram_det(b)
-    ga = gram_det(a)
+    gb, ga = wedge_norm2(cols[: len(b)]), wedge_norm2(cols[len(b) :])
     if gb == 0 or ga == 0:
         raise ValueError("degenerate factor")
-    concat = b.hstack(a)
-    return gram_det(concat) / (gb * ga)
+    return Fraction(wedge_norm2(cols), gb * ga)
 
 
 class FlatChart:
-    """Exact affine chart identifying a flat with Q^dim."""
+    """Exact affine chart identifying a flat with Q^dim: the coordinates of
+    a point are those of its offset from the basepoint in the basis
+    f.directions.
+
+    With D the directions over their common denominator den, one int_rref
+    of [D | I] gives the rows [R | C] with R = C D: R are the primitive RREF
+    rows of D, pivot k_i in column c_i.  An offset r of the direction space
+    is sum_i (r[c_i] / k_i) R_i, so its coordinates are
+    den sum_i (r[c_i] / k_i) C_i; an offset off it has a nonzero residual
+    (see _residual).
+    """
 
     def __init__(self, f: AffineFlat):
         self.flat = f
-        self._dirmat = Matrix.from_cols(list(f.directions), rows=f.ambient_dim)
+        n, k = f.ambient_dim, f.dim
+        dirs, self._den = _integerized_points(f.directions)
+        eye = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        self._pivots, rows = int_rref([d + e for d, e in zip(dirs, eye)])
+        self._off = _residual([r[:n] for r in rows], n)[2]
+        self._scale = math.lcm(*(r[c] for r, c in zip(rows, self._pivots)))
+        # coordinate j of r / d is den sum_i r[c_i] inverse[j][i] / (scale d)
+        scaled = [[self._scale // r[c] * x for x in r[n:]] for r, c in zip(rows, self._pivots)]
+        self._inverse = list(zip(*scaled))
+        self._dir_cols = list(zip(*f.directions)) or [()] * n
+
+    def _coords(self, v: Sequence, error: str) -> Vector:
+        """Coordinates of the offset v in the basis f.directions, or a
+        ValueError with the message error when v leaves their span."""
+        (r,), den = _integerized_points([vec(v)])
+        if any(self._off(r)):
+            raise ValueError(error)
+        at = [r[c] for c in self._pivots]
+        return tuple(
+            Fraction(self._den * sum(map(mul, at, row)), self._scale * den) for row in self._inverse
+        )
+
+    def _linear(self, coords: Sequence) -> Vector:
+        return tuple(dot(vec(coords), c) for c in self._dir_cols)
 
     def to_coords(self, p: Sequence) -> Vector:
-        r = vsub(vec(p), self.flat.basepoint)
-        x = solve(self._dirmat, r)
-        if x is None or self._dirmat.mat_vec(x) != r:
-            raise ValueError("point not on the chart flat")
-        return x
+        return self._coords(vsub(vec(p), self.flat.basepoint), "point not on the chart flat")
 
     def to_ambient(self, coords: Sequence) -> Vector:
-        return vadd(self.flat.basepoint, self._dirmat.mat_vec(vec(coords)))
+        return vadd(self.flat.basepoint, self._linear(coords))
 
     def flat_to_coords(self, g: AffineFlat) -> AffineFlat:
         """Image of a subflat g of the chart flat in chart coordinates."""
         base = self.to_coords(g.basepoint)
-        dirs = []
-        for d in g.directions:
-            x = solve(self._dirmat, d)
-            if x is None or self._dirmat.mat_vec(x) != vec(d):
-                raise ValueError("subflat leaves the chart flat")
-            dirs.append(x)
+        dirs = [self._coords(d, "subflat leaves the chart flat") for d in g.directions]
         return AffineFlat(base, dirs)
 
     def flat_to_ambient(self, g: AffineFlat) -> AffineFlat:
-        base = self.to_ambient(g.basepoint)
-        dirs = [self._dirmat.mat_vec(d) for d in g.directions]
-        return AffineFlat(base, dirs)
+        return AffineFlat(self.to_ambient(g.basepoint), [self._linear(d) for d in g.directions])
 
 
 def independence_test(point_lists: Sequence[Sequence[Sequence]]) -> Callable[[Sequence[int]], bool]:

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlin import Matrix, norm2, rank, vec
+from .exactlin import norm2, pivot_columns, vec
 from .flats import AffineFlat, FlatChart, affinely_independent
 from .flatcollect import FlatCollection, is_minimal
 from .measures import DiscreteMeasure
@@ -38,10 +38,10 @@ def random_flat(
 ) -> AffineFlat:
     """Random flat with independent small-integer directions."""
     base = random_point(rng, n, base_span, base_den)
-    dirs: list[list[Fraction]] = []
+    dirs: list[list[int]] = []
     while len(dirs) < dim:
-        cand = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        if any(x != 0 for x in cand) and rank(Matrix(dirs + [cand])) == len(dirs) + 1:
+        cand = [rng.randint(-3, 3) for _ in range(n)]
+        if len(pivot_columns(dirs + [cand])) == len(dirs) + 1:
             dirs.append(cand)
     return AffineFlat(base, dirs)
 

@@ -10,7 +10,6 @@ a flat.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import statistics
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exactlin import Vector, _integerized_points, _wedge, frac, norm2, vec
+from .exactlin import Vector, _integerized_points, frac, norm2, vec, wedge_norm2
 from .flats import AffineFlat, _dist2_numerators, _lifted_integer_points, spanned_flats
 
 Atom = tuple[Vector, Fraction]
@@ -252,13 +251,15 @@ def irreducibility_modulus(
     if v.dim == 0:
         raise ValueError("no proper subflats of a point")
     tol = mu.resolution if support_tolerance is None else frac(support_tolerance)
-    return _oracle_modulus(mu, PlateMassOracle(mu), v, frac(w), tol)
-
-
-def _oracle_modulus(mu, oracle: PlateMassOracle, v: AffineFlat, w: Fraction, tol) -> Fraction:
-    """irreducibility_modulus on the measure's plate oracle."""
+    oracle = PlateMassOracle(mu)
     if oracle.atoms_near_flat(v, tol * tol) != (1 << len(mu)) - 1:
         raise ValueError("support leaves the tolerance neighborhood of v")
+    return _oracle_modulus(mu, oracle, v, frac(w))
+
+
+def _oracle_modulus(mu, oracle: PlateMassOracle, v: AffineFlat, w: Fraction) -> Fraction:
+    """irreducibility_modulus on the measure's plate oracle, for a caller
+    that has checked the support."""
     best = Fraction(0)
     for h in spanned_flats(mu.points(), range(v.dim)):
         if not v.contains_flat(h):
@@ -272,10 +273,9 @@ def _oracle_modulus(mu, oracle: PlateMassOracle, v: AffineFlat, w: Fraction, tol
 def good_position_margin(mus: Sequence[DiscreteMeasure]) -> Fraction:
     """Minimum over support tuples of the normalized Gram determinant of the
     lifted tuple matrix, columns (p; 1); 0 exactly when some tuple is
-    affinely dependent (the tuple hits the degenerate set).  By Cauchy-Binet
-    it is the sum of the squared minors of the wedge chain over the lifted
-    integer columns (none for a dependent tuple) over the product of their
-    squared norms, which does not depend on the columns' scales.
+    affinely dependent (the tuple hits the degenerate set): wedge_norm2 of
+    the lifted integer columns over the product of their squared norms,
+    which does not depend on the columns' scales.
     """
     if not mus:
         raise ValueError("no measures")
@@ -287,10 +287,7 @@ def good_position_margin(mus: Sequence[DiscreteMeasure]) -> Fraction:
             raise ValueError("supports must lie in the closed unit ball")
     best: Optional[Fraction] = None
     for combo in itertools.product(*(_lifted_integer_points(m.points()) for m in mus)):
-        minors = functools.reduce(_wedge, combo, {0: 1})
-        val = Fraction(
-            sum(d * d for d in minors.values()), math.prod(sum(x * x for x in c) for c in combo)
-        )
+        val = Fraction(wedge_norm2(combo), math.prod(sum(x * x for x in c) for c in combo))
         if best is None or val < best:
             best = val
         if best == 0:

@@ -9,6 +9,7 @@ chosen so that span(dir U, dir E) = span(dir Q1, dir E).  The context
 builder constructs U inside that kernel (the choice of screen is ours to
 make), checks the alignment certificate exactly, and psi_matrix then
 recovers the exact (M, y0) parameter map and verifies it by substitution.
+Every rank, kernel and determinant here runs on exactlin's integer rows.
 """
 
 from __future__ import annotations
@@ -19,17 +20,16 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exactlin import (
-    Matrix,
     Vector,
     _integerized_rows,
-    det,
+    bareiss,
+    dot,
     frac,
+    int_kernel,
     int_rref,
-    nullspace,
-    rank,
+    pivot_columns,
     vec,
     vadd,
-    vscale,
     vsub,
     zero_vec,
 )
@@ -40,7 +40,6 @@ from .flats import (
     _span_meet,
     dist2_flats,
     join,
-    linearize,
     meet,
 )
 from .flatcollect import FlatCollection, iter_partitions
@@ -139,7 +138,7 @@ class ChartFrame:
         self.p = screen.dim
         t_dir = vsub(center.basepoint, screen.basepoint)
         cols = list(screen.directions) + [t_dir] + list(center.directions)
-        if rank(Matrix(cols)) != host.dim or len(cols) != host.dim:
+        if len(pivot_columns(_integerized_rows(cols))) != host.dim or len(cols) != host.dim:
             raise ValueError("screen, transverse direction and center do not frame the host")
         self._chart = FlatChart(AffineFlat(screen.basepoint, cols))
         if self._chart.flat != host:
@@ -172,16 +171,9 @@ def lift_hyperplane(cf: ChartFrame, hc: HyperplaneCoords) -> AffineFlat:
     if len(hc.a) != cf.p:
         raise ValueError("normal length differs from screen dimension")
     n1 = cf.host.dim
-    row = list(hc.a) + [hc.b] + [Fraction(0)] * (n1 - cf.p - 1)
-    m = Matrix([row])
-    dirs = nullspace(m)
-    base = [Fraction(0)] * n1
-    base[cf.p] = Fraction(1)  # the chart point (0, 1, 0) always solves
-    flat_in_chart = AffineFlat(base, dirs)
-    ambient = [cf.to_ambient(flat_in_chart.basepoint)]
-    for d in flat_in_chart.directions:
-        ambient.append(cf.to_ambient(vadd(flat_in_chart.basepoint, d)))
-    return AffineFlat(ambient[0], [vsub(p, ambient[0]) for p in ambient[1:]])
+    row = hc.a + (hc.b,) + (Fraction(0),) * (n1 - cf.p - 1)
+    base = [int(i == cf.p) for i in range(n1)]  # the chart point (0, 1, 0) always solves
+    return cf._chart.flat_to_ambient(AffineFlat(base, int_kernel(_integerized_rows([row]), n1)))
 
 
 @dataclass
@@ -252,11 +244,9 @@ def make_psi_context(
     if q1 is None or q1.dim != p:
         raise NonGenericConfiguration("target section is not a p-flat")
     # rank certificate: middle atoms with both end bases must fill the space
-    cert_cols = linearize(f1).col_list() + linearize(fk).col_list()
-    for (j, _), pt in sorted(fixed.items()):
-        if j not in (0,):
-            cert_cols.append(pt + (Fraction(1),))
-    if rank(Matrix.from_cols(cert_cols, rows=n + 1)) != n + 1:
+    cert = list(f1._rows) + list(fk._rows)
+    cert += _integerized_rows(pt + (Fraction(1),) for (j, _), pt in sorted(fixed.items()) if j != 0)
+    if len(pivot_columns(cert)) != n + 1:
         raise NonGenericConfiguration("rank certificate failed (middle atoms, end flats)")
 
     aligned = _integerized_rows(q1.directions + e_flat.directions)
@@ -268,15 +258,9 @@ def make_psi_context(
         coeff_rows = [
             [Fraction(rng.randint(-3, 3)) for _ in range(kd)] for _ in range(p)
         ]
-        dirs = []
-        for row in coeff_rows:
-            v = zero_vec(n)
-            for c, kv in zip(row, kernel):
-                v = vadd(v, vscale(c, kv))
-            dirs.append(v)
-        if rank(Matrix(dirs)) != p:
-            continue
-        if rank(Matrix(dirs + list(center.directions))) != p + center.dim:
+        dirs = [tuple(dot(row, col) for col in zip(*kernel)) for row in coeff_rows]
+        # p + dim C independent directions: the screen's and the center's
+        if len(pivot_columns(_integerized_rows(dirs + list(center.directions)))) != p + center.dim:
             continue
         base_offsets = [Fraction(rng.randint(-4, 4), 8) for _ in range(n1)]
         u0 = FlatChart(f1).to_ambient(base_offsets)
@@ -333,7 +317,7 @@ def psi_point_map(ctx: PsiContext, u_coords: Sequence) -> Vector:
 
 @dataclass
 class PsiMatrix:
-    m: Matrix
+    m: tuple[Vector, ...]  # the rows of M
     y0: Vector
     lipschitz2: float  # squared Frobenius norm of M, reported only
 
@@ -344,9 +328,12 @@ class PsiMatrix:
         i = next(i for i, x in enumerate(a) if x != 0)
         base_u = [Fraction(0)] * ctx.p
         base_u[i] = b / a[i]
-        base = vadd(self.y0, self.m.mat_vec(base_u))
-        dirs = [self.m.mat_vec(d) for d in nullspace(Matrix([list(a)]))]
+        base = vadd(self.y0, self._apply(base_u))
+        dirs = [self._apply(d) for d in int_kernel(_integerized_rows([a]), ctx.p)]
         return ctx.q1_chart.flat_to_ambient(AffineFlat(base, dirs))
+
+    def _apply(self, u: Sequence) -> Vector:
+        return tuple(dot(r, vec(u)) for r in self.m)
 
 
 def psi_matrix(ctx: PsiContext, verify_samples: int = 10, rng=None) -> PsiMatrix:
@@ -354,14 +341,11 @@ def psi_matrix(ctx: PsiContext, verify_samples: int = 10, rng=None) -> PsiMatrix
     coordinates, with M invertible; verified by substitution on sample
     hyperplanes when an rng is supplied."""
     y0 = ctx.q1_chart.to_coords(psi_point_map(ctx, zero_vec(ctx.p)))
-    cols = []
-    for i in range(ctx.p):
-        probe = [Fraction(1 if t == i else 0) for t in range(ctx.p)]
-        cols.append(vsub(ctx.q1_chart.to_coords(psi_point_map(ctx, probe)), y0))
-    m = Matrix.from_cols(cols, rows=ctx.p)
-    if det(m) == 0:
+    probes = [[int(t == i) for t in range(ctx.p)] for i in range(ctx.p)]
+    m = tuple(zip(*(vsub(ctx.q1_chart.to_coords(psi_point_map(ctx, e)), y0) for e in probes)))
+    if bareiss(_integerized_rows(m))[1] == 0:
         raise NonGenericConfiguration("singular parameter matrix; configuration bug")
-    out = PsiMatrix(m=m, y0=y0, lipschitz2=sum(float(x) ** 2 for r in m.entries for x in r))
+    out = PsiMatrix(m=m, y0=y0, lipschitz2=sum(float(x) ** 2 for r in m for x in r))
     if rng is not None:
         for _ in range(verify_samples):
             while True:
@@ -421,6 +405,8 @@ def projected_nc_report(
 
     A failure is only acceptable when the center carries an exact
     exceptionality certificate; generic rational centers should give none.
+    Only an empty meet with the screen, computed exactly, marks a center
+    degenerate; any other error propagates.
     """
     chart = FlatChart(screen)
     out = []
@@ -432,7 +418,7 @@ def projected_nc_report(
                 for f in coll.flats
             ]
             nc = FlatCollection(images).is_nc()
-        except (NonGenericScreen, ValueError) as e:
+        except NonGenericScreen as e:
             out.append(
                 CenterProjectionOutcome(c, False, True, witness=f"degenerate: {e}")
             )
@@ -504,7 +490,7 @@ def irreducible_projection_check(
             continue
         try:
             img = join_meet(q, u, p)
-        except (NonGenericScreen, ValueError):
+        except NonGenericScreen:
             # the ray through the center is parallel to the screen; this
             # singular set lies in a proper subflat and is trimmed like q(eps)
             singular += wt

@@ -92,7 +92,7 @@ class StableFrame:
                         raise ValueError(f"measure ({j},{i}) has an atom off flat {j}")
                     if norm2(p) > 1:
                         raise ValueError(f"measure ({j},{i}) leaves the unit ball")
-        self.bases = [orthogonalize(linearize(f).col_list())[0] for f in self.flats]
+        self.bases = [orthogonalize(linearize(f)) for f in self.flats]
         # (scale, integer column, squared norm) per lifted atom (p, 1) and basis column
         self.atom_columns = [
             [[_int_column(p + (Fraction(1),)) for p, _ in mu.atoms] for mu in ms]

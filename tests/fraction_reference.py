@@ -1,9 +1,12 @@
-"""Fraction references for the integer span algebra: plain Gauss-Jordan
-over ``Fraction`` and the join, meet, kernel, solve and flat-distance
-constructions built on it, independent of ``int_rref``, a brute-force
-spanned-flat enumerator that shares no code with ``flats.spanned_flats``,
-a brute-force ball mass that shares none with the plate oracle, and the
-hyperplane chart's box key over ``Fraction``.
+"""Fraction references for the integer linear algebra and span algebra:
+plain Gauss-Jordan over ``Fraction`` on lists of rows, and the rank,
+determinant, Gram determinant, kernel, solve, join, meet, flat-distance,
+chart-coordinate and psi constructions built on it.  Nothing here comes
+from ``flatbeck.exactlin``, so the references share no code with the
+integer kernels they check.  Also a brute-force spanned-flat enumerator
+that shares no code with ``flats.spanned_flats``, a brute-force ball mass
+that shares none with the plate oracle, and the hyperplane chart's box key
+over ``Fraction``.
 """
 
 import itertools
@@ -11,15 +14,37 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from flatbeck.exactlin import Matrix, Vector, vadd, vec, vscale, vsub, zero_vec
 from flatbeck.flats import AffineFlat
 
+Vector = tuple[Fraction, ...]
 
-def fraction_rref(m: Matrix) -> Matrix:
+
+def vec(xs) -> Vector:
+    return tuple(Fraction(x) for x in xs)
+
+
+def vsub(a: Sequence, b: Sequence) -> Vector:
+    return tuple(Fraction(x) - y for x, y in zip(a, b, strict=True))
+
+
+def vscale(c, a: Sequence) -> Vector:
+    return tuple(c * Fraction(x) for x in a)
+
+
+def dot(a: Sequence, b: Sequence) -> Fraction:
+    return sum((Fraction(x) * y for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def columns(cols: Sequence[Sequence], height: int) -> list[Vector]:
+    """The rows of the matrix with the given columns."""
+    return [tuple(Fraction(c[i]) for c in cols) for i in range(height)]
+
+
+def fraction_rref(rows: Sequence[Sequence]) -> list[Vector]:
     """Reference reduced row-echelon form: Gauss-Jordan over Fraction, zero
     rows at the bottom."""
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
+    rows = [list(vec(r)) for r in rows]
+    nr, nc = len(rows), len(rows[0]) if rows else 0
     pr = 0
     for pc in range(nc):
         if pr >= nr:
@@ -35,30 +60,59 @@ def fraction_rref(m: Matrix) -> Matrix:
                 f = rows[i][pc]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
         pr += 1
-    return Matrix(rows)
+    return [tuple(r) for r in rows]
 
 
 def row_space(rows: Sequence[Sequence]) -> tuple[Vector, ...]:
     """The nonzero rows of the reference RREF."""
-    if not rows:
-        return ()
-    return tuple(r for r in fraction_rref(Matrix(rows)).entries if any(r))
+    return tuple(r for r in fraction_rref(rows) if any(r))
 
 
-def _pivot_rows(red: Matrix) -> dict[int, Vector]:
+def reference_rank(rows: Sequence[Sequence]) -> int:
+    return len(row_space(rows))
+
+
+def reference_det(rows: Sequence[Sequence]) -> Fraction:
+    """Gaussian elimination over Fraction: the signed product of the
+    pivots of a square matrix."""
+    rows = [list(vec(r)) for r in rows]
+    n = len(rows)
+    assert all(len(r) == n for r in rows)
+    out = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            out = -out
+        out *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return out
+
+
+def reference_gram_det(cols: Sequence[Sequence]) -> Fraction:
+    """det(C^T C) for the matrix C with the given columns."""
+    return reference_det([[dot(u, v) for v in cols] for u in cols])
+
+
+def _pivot_rows(red: Sequence[Vector]) -> dict[int, Vector]:
     """Pivot column -> RREF row, for the nonzero rows of red."""
-    return {next(j for j, x in enumerate(r) if x): r for r in red.entries if any(r)}
+    return {next(j for j, x in enumerate(r) if x): r for r in red if any(r)}
 
 
-def reference_nullspace(m: Matrix) -> list[Vector]:
-    """The free-column kernel basis read off the reference RREF: 1 at the
-    free column f and minus the RREF entry in column f at each pivot."""
-    pivots = _pivot_rows(fraction_rref(m))
+def reference_nullspace(rows: Sequence[Sequence], width: int) -> list[Vector]:
+    """The free-column kernel basis of the rows in Q^width read off the
+    reference RREF: 1 at the free column f and minus the RREF entry in
+    column f at each pivot."""
+    pivots = _pivot_rows(fraction_rref(rows))
     basis = []
-    for f in range(m.cols):
+    for f in range(width):
         if f in pivots:
             continue
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * width
         v[f] = Fraction(1)
         for c, r in pivots.items():
             v[c] = -r[f]
@@ -66,16 +120,26 @@ def reference_nullspace(m: Matrix) -> list[Vector]:
     return basis
 
 
-def reference_solve(m: Matrix, rhs: Sequence) -> Optional[Vector]:
+def reference_solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
     """The pivot solution of m x = rhs off the reference RREF of the
     augmented matrix, or None when a pivot lands in the rhs column."""
-    pivots = _pivot_rows(fraction_rref(Matrix(r + (b,) for r, b in zip(m.entries, vec(rhs)))))
-    if m.cols in pivots:
+    width = len(rows[0])
+    pivots = _pivot_rows(fraction_rref([vec(r) + (Fraction(b),) for r, b in zip(rows, rhs, strict=True)]))
+    if width in pivots:
         return None
-    return tuple(pivots[c][-1] if c in pivots else Fraction(0) for c in range(m.cols))
+    return tuple(pivots[c][-1] if c in pivots else Fraction(0) for c in range(width))
 
 
-def flat_from_span(span_rows: Sequence[Vector]) -> Optional[AffineFlat]:
+def reference_chart_coords(f: AffineFlat, p: Sequence) -> Optional[Vector]:
+    """Coordinates of p - f.basepoint in the basis f.directions by the
+    reference solve, or None when p is off f."""
+    r = vsub(p, f.basepoint)
+    if not f.directions:
+        return () if not any(r) else None
+    return reference_solve(columns(f.directions, f.ambient_dim), r)
+
+
+def flat_from_span(span_rows: Sequence[Sequence]) -> Optional[AffineFlat]:
     """The flat whose lifted span is span(span_rows): the first RREF row with
     a nonzero last coordinate, scaled to 1 there, is the lifted basepoint,
     and the other rows minus their multiple of it are the directions."""
@@ -96,12 +160,10 @@ def reference_meet(f: AffineFlat, g: AffineFlat) -> Optional[AffineFlat]:
     """v = B1^T a = B2^T b for the lifted bases B1, B2: the kernel of
     [B1^T | -B2^T] gives the coefficient vectors (a, b)."""
     b1, b2 = f.canon, g.canon
-    m = Matrix.from_cols(list(b1) + [vscale(-1, r) for r in b2], rows=f.ambient_dim + 1)
+    m = columns(list(b1) + [vscale(-1, r) for r in b2], f.ambient_dim + 1)
     inter = []
-    for coeffs in reference_nullspace(m):
-        v = zero_vec(f.ambient_dim + 1)
-        for c, row in zip(coeffs, b1):
-            v = vadd(v, vscale(c, row))
+    for coeffs in reference_nullspace(m, len(b1) + len(b2)):
+        v = tuple(sum((c * row[i] for c, row in zip(coeffs, b1)), Fraction(0)) for i in range(f.ambient_dim + 1))
         if any(v):
             inter.append(v)
     return flat_from_span(inter) if inter else None
@@ -113,13 +175,32 @@ def reference_dist2_flats(f: AffineFlat, g: AffineFlat) -> Fraction:
     r = vsub(g.basepoint, f.basepoint)
     cols = list(f.directions) + [vscale(-1, d) for d in g.directions]
     if not cols:
-        return sum((x * x for x in r), Fraction(0))
-    m = Matrix.from_cols(cols, rows=f.ambient_dim)
-    mt = m.transpose()
-    x = reference_solve(mt.mat_mul(m), mt.mat_vec(r))
+        return dot(r, r)
+    x = reference_solve([[dot(u, v) for v in cols] for u in cols], [dot(u, r) for u in cols])
     assert x is not None  # normal equations are always consistent
-    res = vsub(r, m.mat_vec(x))
-    return sum((x * x for x in res), Fraction(0))
+    res = tuple(a - sum((c * u[i] for c, u in zip(x, cols)), Fraction(0)) for i, a in enumerate(r))
+    return dot(res, res)
+
+
+def reference_psi(ctx) -> tuple[AffineFlat, tuple[Vector, ...], Vector]:
+    """(Q1, rows of M, y0) for a psi context by the Fraction references:
+    Q1 = aff(E, F_1) meet F_k; the screen point with coordinates u is the
+    screen basepoint plus u times its directions, its image is
+    aff(that point, E) meet F_k, and y(u) = y0 + M u is the image in the
+    basis of Q1's directions."""
+    q1 = reference_meet(reference_join([ctx.e_flat, ctx.f1]), ctx.fk)
+    screen = ctx.chart.screen
+
+    def image(u):
+        x = tuple(b + sum((c * d[i] for c, d in zip(u, screen.directions)), Fraction(0))
+                  for i, b in enumerate(screen.basepoint))
+        return reference_chart_coords(
+            q1, reference_meet(reference_join([AffineFlat.point(x), ctx.e_flat]), ctx.fk).basepoint
+        )
+
+    y0 = image([0] * ctx.p)
+    cols = [vsub(image([int(i == j) for j in range(ctx.p)]), y0) for i in range(ctx.p)]
+    return q1, tuple(columns(cols, ctx.p)), y0
 
 
 def reference_spanned_flats(points, dims) -> list[AffineFlat]:
@@ -155,8 +236,8 @@ def reference_chart_key(points: Sequence[Sequence], s: Fraction) -> tuple[int, .
     and i the first index of maximal |a_i|, the key is i and the floors of
     a_j / a_i (j != i) and b / a_i over s."""
     pts = [vec(p) for p in points]
-    (a,) = reference_nullspace(Matrix([vsub(p, pts[0]) for p in pts[1:]]))
-    b = sum((x * y for x, y in zip(a, pts[0])), Fraction(0))
+    (a,) = reference_nullspace([vsub(p, pts[0]) for p in pts[1:]], len(pts[0]))
+    b = dot(a, pts[0])
     mags = [abs(x) for x in a]
     i = mags.index(max(mags))
     coords = [x / a[i] for j, x in enumerate(a) if j != i] + [b / a[i]]

@@ -13,7 +13,6 @@ import pytest
 
 from flatbeck.beck import PointConfig, dichotomy_report, enumerate_spanned_flats
 from flatbeck.decompose import decompose, verify_decomposition
-from flatbeck.exactlin import Matrix
 from flatbeck.flats import AffineFlat, wedge_angle_sin2
 from flatbeck.genscenes import (
     generic_points,
@@ -84,7 +83,7 @@ class TestCriterion2PsiParameterMap:
             except ValueError:
                 failures += 1
                 continue
-            #独立 double check on two more hyperplanes by direct comparison
+            # independent double check on two more hyperplanes by direct comparison
             for _ in range(2):
                 a = Fraction(rng.randint(1, 5))
                 b = Fraction(rng.randint(-5, 5), 2)
@@ -369,7 +368,6 @@ class TestCriterion9AngleBound:
         for _ in range(8):
             frame, cert = random_minimal_frame(rng, 3, (1, 1, 1), atoms_per_measure=2)
             c2 = cert.floor
-            n = frame.ambient_dim
             slots = frame.atom_slots()
             import itertools as it
 
@@ -382,9 +380,7 @@ class TestCriterion9AngleBound:
                     for slot in sorted(other_slots):
                         p = frame.measures[slot[0]][slot[1]].atoms[pick[slot]][0]
                         cols.append(p + (Fraction(1),))
-                    b_mat = Matrix.from_cols(cols, rows=n + 1)
-                    a_mat = Matrix.from_cols(frame.bases[j], rows=n + 1)
-                    sin2 = wedge_angle_sin2(b_mat, a_mat)
+                    sin2 = wedge_angle_sin2(cols, frame.bases[j])
                     checked += 1
                     if sin2 < c2:  # D(n) = 1 with column-normalized minors
                         ok = False

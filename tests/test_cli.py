@@ -291,6 +291,22 @@ class TestDecomposeCommand:
         assert main(["decompose", "--scene", scene, "--out", str(tmp_path)]) == EXIT_PASS
         assert len({id(mu) for mu in built}) == len(built) == 7
 
+    def test_one_tolerance_pass_per_piece(self, tmp_path, monkeypatch):
+        """On the README demo, each of the three pieces gets one tolerance
+        pass at r^2 = max(w, resolution)^2 = 1/1048576: the verifier's
+        supports check, which the modulus does not repeat."""
+        radii = []
+        near = PlateMassOracle.atoms_near_flat
+
+        def counting(self, f, r2):
+            radii.append(r2)
+            return near(self, f, r2)
+
+        monkeypatch.setattr(PlateMassOracle, "atoms_near_flat", counting)
+        scene = str(SCENES / "decompose-skew-lines.json")
+        assert main(["decompose", "--scene", scene, "--out", str(tmp_path)]) == EXIT_PASS
+        assert radii.count(Fraction(1, 1048576)) == 3
+
 
 class TestDeterminism:
     def test_same_scene_same_seed_identical_reports(self, tmp_path):

@@ -1,72 +1,72 @@
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from flatbeck.exactlin import (
-    Matrix,
     _integerized_rows,
     bareiss,
-    det,
-    gram_det,
     int_kernel,
     int_rref,
-    nullspace,
     pivot_columns,
-    rank,
-    solve,
+    wedge_norm2,
 )
 from flatbeck.flats import _reduced
-from fraction_reference import fraction_rref, reference_nullspace, reference_solve
+from fraction_reference import (
+    fraction_rref,
+    reference_det,
+    reference_gram_det,
+    reference_nullspace,
+    reference_rank,
+    reference_solve,
+)
 
 fracs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
 def matrices(max_rows=5, max_cols=5):
+    """Lists of Fraction rows of one width."""
     return st.integers(1, max_rows).flatmap(
         lambda r: st.integers(1, max_cols).flatmap(
-            lambda c: st.lists(
-                st.lists(fracs, min_size=c, max_size=c), min_size=r, max_size=r
-            ).map(Matrix)
+            lambda c: st.lists(st.lists(fracs, min_size=c, max_size=c), min_size=r, max_size=r)
         )
     )
 
 
-def oracle_rank(m: Matrix) -> int:
-    """Plain Gaussian elimination over Fraction, independent of Bareiss."""
-    rows = [list(r) for r in m.entries]
-    r = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
+def rank(rows) -> int:
+    """The rank of a Fraction matrix by pivot_columns of its rows, each
+    scaled to integers."""
+    return len(pivot_columns(_integerized_rows(rows)))
+
+
+def row_scales(rows) -> int:
+    """The product of the scales _integerized_rows gives the rows."""
+    return math.prod(math.lcm(*(x.denominator for x in r)) for r in rows)
+
+
+def transpose(rows):
+    return [list(c) for c in zip(*rows)]
 
 
 class TestRank:
     def test_identity(self):
-        assert rank(Matrix.identity(2)) == 2
+        assert pivot_columns([[1, 0], [0, 1]]) == [0, 1]
 
     def test_zero(self):
-        assert rank(Matrix.zero(3, 3)) == 0
+        assert pivot_columns([[0] * 3] * 3) == []
 
     def test_dependent_rows(self):
-        assert rank(Matrix([[1, 2], [2, 4]])) == 1
+        assert pivot_columns([[1, 2], [2, 4]]) == [0]
 
     @settings(max_examples=200)
     @given(matrices())
     def test_matches_gaussian_oracle(self, m):
-        assert rank(m) == oracle_rank(m)
+        assert rank(m) == reference_rank(m)
 
     @given(matrices(4, 4))
     def test_transpose_invariant(self, m):
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(transpose(m))
 
     @settings(max_examples=200)
     @given(matrices(), st.lists(st.integers(1, 6), min_size=5, max_size=5))
@@ -74,31 +74,35 @@ class TestRank:
         """Pivot columns are the columns outside the span of those before
         them, whatever the column scaling."""
         want = [
-            c for c in range(m.cols)
-            if oracle_rank(Matrix([r[: c + 1] for r in m.entries]))
-            > oracle_rank(Matrix([r[:c] for r in m.entries]))
+            c for c in range(len(m[0]))
+            if reference_rank([r[: c + 1] for r in m]) > reference_rank([r[:c] for r in m])
         ]
         ints = [
             [x.numerator * 6 // x.denominator * col_scales[c] for c, x in enumerate(r)]
-            for r in m.entries
+            for r in m
         ]
         assert pivot_columns(ints) == want
 
 
 class TestDet:
+    """bareiss's determinant against the Fraction elimination, on rows
+    scaled to integers: scaling a row scales the determinant."""
+
     def test_identity(self):
-        assert det(Matrix.identity(3)) == 1
+        assert bareiss([[1, 0, 0], [0, 1, 0], [0, 0, 1]])[1] == 1
 
     def test_known_2x2(self):
-        assert det(Matrix([[1, 2], [3, 4]])) == -2
+        assert bareiss([[1, 2], [3, 4]])[1] == -2
 
     def test_fractional(self):
-        assert det(Matrix([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])) == Fraction(1, 3)
+        m = [[Fraction(1, 2), 0], [0, Fraction(2, 3)]]
+        assert _integerized_rows(m) == [[1, 0], [0, 2]]
+        assert bareiss(_integerized_rows(m))[1] == reference_det(m) * 6 == 2
 
     @settings(max_examples=150)
     @given(matrices(4, 4))
     def test_laplace_oracle(self, m):
-        if m.rows != m.cols:
+        if len(m) != len(m[0]):
             return
 
         def laplace(rows):
@@ -112,7 +116,9 @@ class TestDet:
                 total += sign * rows[0][j] * laplace(minor)
             return total
 
-        assert det(m) == laplace([list(r) for r in m.entries])
+        want = laplace(m)
+        assert reference_det(m) == want
+        assert bareiss(_integerized_rows(m))[1] == want * row_scales(m)
 
 
 def leibniz_det(rows) -> int:
@@ -149,24 +155,30 @@ class TestBareiss:
 
 
 class TestGramDet:
+    """wedge_norm2, the Gram determinant of integer columns."""
+
     def test_orthonormal_integer_columns(self):
-        assert gram_det(Matrix([[1, 0], [0, 1], [0, 0]])) == 1
+        assert wedge_norm2([[1, 0, 0], [0, 1, 0]]) == 1
 
     def test_single_column(self):
-        assert gram_det(Matrix([[3], [4]])) == 25
+        assert wedge_norm2([[3, 4]]) == 25
 
     def test_rank_deficient(self):
-        assert gram_det(Matrix([[1, 2], [2, 4], [0, 0]])) == 0
+        assert wedge_norm2([[1, 2, 0], [2, 4, 0]]) == 0
 
     @settings(max_examples=100)
-    @given(matrices(6, 3))
-    def test_cauchy_binet_brute_force(self, m):
-        if m.cols > m.rows:
+    @given(matrices(3, 6))
+    def test_cauchy_binet_brute_force(self, cols):
+        """Against the Fraction Gram determinant and the sum of the squared
+        maximal minors, times the squared scales of the integer columns."""
+        if len(cols) > len(cols[0]):
             return
-        total = Fraction(0)
-        for rows_idx in itertools.combinations(range(m.rows), m.cols):
-            total += det(m.submatrix(rows_idx, range(m.cols))) ** 2
-        assert gram_det(m) == total
+        total = sum(
+            reference_det([[c[i] for c in cols] for i in rows]) ** 2
+            for rows in itertools.combinations(range(len(cols[0])), len(cols))
+        )
+        assert reference_gram_det(cols) == total
+        assert wedge_norm2(_integerized_rows(cols)) == total * row_scales(cols) ** 2
 
 
 class TestCanonicalRref:
@@ -184,19 +196,19 @@ class TestCanonicalRref:
 
     @given(matrices())
     def test_idempotent(self, m):
-        once = int_rref(_integerized_rows(m.entries))
+        once = int_rref(_integerized_rows(m))
         assert int_rref(once[1]) == once
 
     @settings(max_examples=100)
     @given(matrices(4, 4), fracs, fracs)
     def test_row_space_invariant(self, m, c1, c2):
-        if m.rows < 2:
+        if len(m) < 2:
             return
-        rows = [list(r) for r in m.entries]
+        rows = [list(r) for r in m]
         rows[0] = [a + c1 * b for a, b in zip(rows[0], rows[1])]
         if c2 != 0:
             rows[1] = [c2 * x for x in rows[1]]
-        assert int_rref(_integerized_rows(rows)) == int_rref(_integerized_rows(m.entries))
+        assert int_rref(_integerized_rows(rows)) == int_rref(_integerized_rows(m))
 
 
 mixed_fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
@@ -218,13 +230,13 @@ def deficient_matrices(draw):
         else:
             rows.append(draw(st.lists(mixed_fracs, min_size=nc, max_size=nc)))
     order = draw(st.permutations(range(len(rows))))
-    return Matrix([rows[i] for i in order])
+    return [rows[i] for i in order]
 
 
-def primitive_rows(red: Matrix) -> list[list[int]]:
+def primitive_rows(red) -> list[list[int]]:
     """Nonzero RREF rows scaled to primitive integer rows; RREF pivots are
     1, so the scaled pivots are positive."""
-    return _integerized_rows([r for r in red.entries if any(r)])
+    return _integerized_rows([r for r in red if any(r)])
 
 
 class TestIntRref:
@@ -235,16 +247,16 @@ class TestIntRref:
     def test_canonical_rref_matches_fraction_reference(self, m):
         """The rows divided by their pivots, as AffineFlat.canon reads
         them, are the reference RREF's nonzero rows."""
-        _, rows = int_rref(_integerized_rows(m.entries))
+        _, rows = int_rref(_integerized_rows(m))
         red = list(_reduced(rows))
-        assert Matrix(red + [(0,) * m.cols] * (m.rows - len(red))) == fraction_rref(m)
+        assert red + [(0,) * len(m[0])] * (len(m) - len(red)) == fraction_rref(m)
 
     @settings(max_examples=300)
     @given(deficient_matrices(), st.lists(st.integers(-5, 5).filter(bool), min_size=6, max_size=6))
     def test_primitive_rows_of_the_row_space(self, m, scales):
         """Rows scaled by any nonzero integers, of either sign, give the
         primitive, positive-pivot RREF rows of the row space."""
-        ints = [[scales[i] * x for x in r] for i, r in enumerate(_integerized_rows(m.entries))]
+        ints = [[scales[i] * x for x in r] for i, r in enumerate(_integerized_rows(m))]
         pivots, rows = int_rref(ints)
         want = primitive_rows(fraction_rref(m))
         assert rows == want
@@ -259,30 +271,47 @@ class TestIntRref:
         assert int_rref([]) == ([], [])
 
 
+def apply(m, x) -> tuple:
+    return tuple(sum((a * b for a, b in zip(r, x, strict=True)), Fraction(0)) for r in m)
+
+
+def kernel_solution(m, rhs):
+    """Solve m x = rhs by int_kernel of [m | rhs]: the rhs column is free
+    exactly when the system is consistent, and then its kernel vector v,
+    the last one, gives the pivot solution -v[:-1] / v[-1]."""
+    basis = int_kernel(_integerized_rows([list(r) + [b] for r, b in zip(m, rhs)]), len(m[0]) + 1)
+    if not basis or not basis[-1][-1]:
+        return None
+    return tuple(Fraction(-x, basis[-1][-1]) for x in basis[-1][:-1])
+
+
 class TestSolveNullspace:
+    """int_kernel: kernels, and solutions as kernel vectors of the
+    augmented matrix."""
+
     def test_unique_solution(self):
-        m = Matrix([[2, 0], [0, 4]])
-        assert solve(m, [1, 2]) == (Fraction(1, 2), Fraction(1, 2))
+        assert int_kernel([[2, 0, 1], [0, 4, 2]], 3) == [[-1, -1, 2]]
+        assert kernel_solution([[2, 0], [0, 4]], [1, 2]) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_inconsistent(self):
-        m = Matrix([[1, 1], [1, 1]])
-        assert solve(m, [0, 1]) is None
+        assert int_kernel([[1, 1, 0], [1, 1, 1]], 3) == [[-1, 1, 0]]
+        assert kernel_solution([[1, 1], [1, 1]], [0, 1]) is None
 
     @settings(max_examples=100)
     @given(matrices(4, 4))
     def test_nullspace_annihilates(self, m):
-        basis = nullspace(m)
-        assert len(basis) == m.cols - rank(m)
+        basis = int_kernel(_integerized_rows(m), len(m[0]))
+        assert len(basis) == len(m[0]) - reference_rank(m)
         for v in basis:
-            assert all(x == 0 for x in m.mat_vec(v))
+            assert not any(apply(m, v))
 
     @settings(max_examples=100)
     @given(matrices(4, 4), st.lists(fracs, min_size=4, max_size=4))
     def test_solution_verifies(self, m, x):
-        rhs = m.mat_vec(x[: m.cols] + [Fraction(0)] * max(0, m.cols - 4))
-        got = solve(m, rhs)
+        rhs = apply(m, x[: len(m[0])])
+        got = kernel_solution(m, rhs)
         assert got is not None
-        assert m.mat_vec(got) == rhs
+        assert apply(m, got) == rhs
 
     def test_kernel_of_no_rows_is_the_standard_basis(self):
         assert int_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -291,16 +320,23 @@ class TestSolveNullspace:
     @settings(max_examples=300)
     @given(deficient_matrices())
     def test_nullspace_matches_free_column_basis(self, m):
-        assert nullspace(m) == reference_nullspace(m)
+        """Each vector is one common multiple L of the reference's vector of
+        its free column, with L at that column."""
+        got = int_kernel(_integerized_rows(m), len(m[0]))
+        want = reference_nullspace(m, len(m[0]))
+        assert len(got) == len(want)
+        if got:
+            big_l = next(x for x in reversed(got[0]) if x)
+            assert [tuple(Fraction(x, big_l) for x in v) for v in got] == want
 
     @settings(max_examples=300)
     @given(deficient_matrices(), st.lists(mixed_fracs, min_size=5, max_size=5), st.booleans())
     def test_solve_matches_reference(self, m, x, consistent):
         """A right-hand side m x is consistent; a free one, on a
         rank-deficient m, usually is not."""
-        rhs = m.mat_vec(x[: m.cols]) if consistent else x[: m.rows] + [Fraction(0)] * (m.rows - 5)
-        got = solve(m, rhs)
+        rhs = apply(m, x[: len(m[0])]) if consistent else (x + [Fraction(0)] * 5)[: len(m)]
+        got = kernel_solution(m, rhs)
         assert got == reference_solve(m, rhs)
-        assert (got is None) == (rank(m.hstack(Matrix.from_cols([rhs], rows=m.rows))) > rank(m))
+        assert (got is None) == (reference_rank([list(r) + [b] for r, b in zip(m, rhs)]) > reference_rank(m))
         if got is not None:
-            assert m.mat_vec(got) == tuple(rhs)
+            assert apply(m, got) == tuple(rhs)

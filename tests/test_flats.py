@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flatbeck.exactlin import Matrix, gram_det, rank, vec, vsub
+from flatbeck.exactlin import vec, vsub
 from flatbeck.flats import (
     AffineFlat,
     FlatChart,
@@ -22,9 +22,13 @@ from flatbeck import flats as flats_module
 from flatbeck.genscenes import generic_points
 from flatbeck.measures import DiscreteMeasure, PlateMassOracle
 from fraction_reference import (
+    reference_chart_coords,
     reference_dist2_flats,
+    reference_gram_det,
     reference_join,
     reference_meet,
+    reference_rank,
+    reference_solve,
     reference_spanned_flats,
     row_space,
 )
@@ -42,18 +46,16 @@ def y_axis(n=2):
 
 class TestLinearize:
     def test_point_origin_in_plane(self):
-        m = linearize(AffineFlat.point([0, 0]))
-        assert (m.rows, m.cols) == (3, 1)
-        assert m.col(0) == vec([0, 0, 1])
+        assert linearize(AffineFlat.point([0, 0])) == [vec([0, 0, 1])]
 
     def test_x_axis(self):
-        m = linearize(x_axis())
-        assert m.cols == 2
+        cols = linearize(x_axis())
+        assert len(cols) == 2
         # column space must contain (t, 0, s) exactly
-        assert rank(m.hstack(Matrix.from_cols([vec([5, 0, 3])]))) == 2
+        assert reference_rank(cols + [vec([5, 0, 3])]) == 2
 
     def test_full_plane(self):
-        assert linearize(AffineFlat.full_space(2)).cols == 3
+        assert len(linearize(AffineFlat.full_space(2))) == 3
 
 
 class TestJoin:
@@ -69,7 +71,7 @@ class TestJoin:
         l2 = AffineFlat([0, 1, 0], [[1, 0, 0]])
         j = join([l1, l2])
         assert j.dim == 2
-        assert rank(linearize(l1).hstack(linearize(l2))) == 3
+        assert reference_rank(linearize(l1) + linearize(l2)) == 3
 
     def test_commutative_associative_up_to_canon(self):
         l1 = AffineFlat([0, 0, 0], [[1, 0, 0]])
@@ -101,7 +103,7 @@ def random_linear_subspace(rng, n=5):
     dirs = []
     while len(dirs) < d:
         cand = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        if rank(Matrix(dirs + [cand])) == len(dirs) + 1:
+        if reference_rank(dirs + [cand]) == len(dirs) + 1:
             dirs.append(cand)
     return AffineFlat([0] * n, dirs)
 
@@ -120,7 +122,7 @@ class TestPointDistanceOracle:
         fracs,
     )
     def test_matches_normal_equations(self, p, base, dirs, scale, shift):
-        assume(not dirs or rank(Matrix(dirs)) == len(dirs))
+        assume(reference_rank(dirs) == len(dirs))
         f = AffineFlat(base, dirs)
         # the same flat from another basepoint and a sheared, scaled basis
         other_dirs = [vec(scale * x for x in d) for d in dirs]
@@ -188,12 +190,8 @@ class TestNeighborhood:
     def test_gram_ratio_oracle(self, p):
         # dist^2 = gram(D, p - b) / gram(D): an independent volume-ratio route
         f = AffineFlat([0, 0, 1], [[1, 0, 0], [1, 1, 0]])
-        d = Matrix.from_cols(
-            [vec(v) for v in f.directions] + [vec([p[0] - 0, p[1] - 0, p[2] - 1])],
-            rows=3,
-        )
-        dirs = Matrix.from_cols([vec(v) for v in f.directions], rows=3)
-        expected = gram_det(d) / gram_det(dirs)
+        offset = [p[0] - 0, p[1] - 0, p[2] - 1]
+        expected = reference_gram_det(list(f.directions) + [offset]) / reference_gram_det(f.directions)
         assert dist2_point_flat(p, f) == expected
 
 
@@ -214,41 +212,52 @@ class TestFlatDistance:
 
 class TestWedgeAngle:
     def test_orthogonal_axes(self):
-        b = Matrix.from_cols([vec([1, 0])])
-        a = Matrix.from_cols([vec([0, 1])])
-        assert wedge_angle_sin2(b, a) == 1
+        assert wedge_angle_sin2([vec([1, 0])], [vec([0, 1])]) == 1
 
     def test_diagonal_half(self):
-        b = Matrix.from_cols([vec([1, 0])])
-        a = Matrix.from_cols([vec([1, 1])])
-        assert wedge_angle_sin2(b, a) == Fraction(1, 2)
+        assert wedge_angle_sin2([vec([1, 0])], [vec([1, 1])]) == Fraction(1, 2)
 
     def test_rank_deficient_returns_zero(self):
-        b = Matrix.from_cols([vec([1, 0])])
+        b = [vec([1, 0])]
         assert wedge_angle_sin2(b, b) == 0
 
     def test_degenerate_factor_errors(self):
-        b = Matrix.from_cols([vec([0, 0])])
-        a = Matrix.from_cols([vec([0, 1])])
         with pytest.raises(ValueError):
-            wedge_angle_sin2(b, a)
+            wedge_angle_sin2([vec([0, 0])], [vec([0, 1])])
 
     def test_range_and_column_op_invariance(self):
         rng = random.Random(3)
         for _ in range(40):
             b_cols = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(2)]
             a_cols = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(2)]
-            b = Matrix.from_cols([vec(c) for c in b_cols], rows=4)
-            a = Matrix.from_cols([vec(c) for c in a_cols], rows=4)
             try:
-                s = wedge_angle_sin2(b, a)
+                s = wedge_angle_sin2(b_cols, a_cols)
             except ValueError:
                 continue
             assert 0 <= s <= 1
             # shear one column of b by the other: value unchanged
             sheared = [b_cols[0], [x + 2 * y for x, y in zip(b_cols[1], b_cols[0])]]
-            b2 = Matrix.from_cols([vec(c) for c in sheared], rows=4)
-            assert wedge_angle_sin2(b2, a) == s
+            assert wedge_angle_sin2(sheared, a_cols) == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_fraction_gram_ratio(self, data):
+        """Against det((b,a)^T (b,a)) / (det(b^T b) det(a^T a)) by the
+        Fraction elimination, on columns of Q^2..Q^5 with mixed
+        denominators, a's first column sometimes in the span of b."""
+        n = data.draw(st.integers(2, 5))
+        column = st.lists(coords, min_size=n, max_size=n)
+        b = data.draw(st.lists(column, min_size=1, max_size=n - 1))
+        a = data.draw(st.lists(column, min_size=1, max_size=n - len(b)))
+        if data.draw(st.booleans()):
+            ts = data.draw(st.lists(coords, min_size=len(b), max_size=len(b)))
+            a[0] = [sum(t * c[i] for t, c in zip(ts, b)) for i in range(n)]
+        gb, ga = reference_gram_det(b), reference_gram_det(a)
+        if gb == 0 or ga == 0:
+            with pytest.raises(ValueError, match="degenerate factor"):
+                wedge_angle_sin2(b, a)
+        else:
+            assert wedge_angle_sin2(b, a) == reference_gram_det(b + a) / (gb * ga)
 
 
 class TestChart:
@@ -262,6 +271,44 @@ class TestChart:
         chart = FlatChart(x_axis(3))
         with pytest.raises(ValueError):
             chart.to_coords([0, 1, 0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_fraction_reference(self, data):
+        """On flats of Q^2..Q^4 of every dimension over denominators 1..7,
+        given by their directions or as a join (directions derived from
+        the rows): coordinates are those of the reference solve in the
+        basis f.directions, to_ambient inverts them, and points and
+        subflats off the flat are rejected."""
+        n = data.draw(st.integers(2, 4))
+        f = data.draw(random_flats(n))
+        if data.draw(st.booleans()):
+            f = join([AffineFlat.point(f.basepoint), f])
+        chart = FlatChart(f)
+        x = data.draw(st.lists(coords, min_size=f.dim, max_size=f.dim))
+        p = on_flat(f.basepoint, f.directions, x)
+        assert chart.to_ambient(x) == p
+        assert chart.to_coords(p) == reference_chart_coords(f, p) == tuple(x)
+        q = data.draw(st.tuples(*[coords] * n))
+        want = reference_chart_coords(f, q)
+        if want is None:
+            with pytest.raises(ValueError, match="point not on the chart flat"):
+                chart.to_coords(q)
+        else:
+            assert chart.to_coords(q) == want
+        factors = st.lists(coords, min_size=f.dim, max_size=f.dim)
+        on = [on_flat(f.basepoint, f.directions, data.draw(factors)) for _ in range(data.draw(st.integers(1, 3)))]
+        g = AffineFlat.from_points(on + data.draw(st.lists(st.just(q), max_size=1)))
+        if not f.contains_flat(g):
+            with pytest.raises(ValueError, match="subflat leaves the chart flat"):
+                chart.flat_to_coords(g)
+            return
+        image = chart.flat_to_coords(g)
+        assert image.basepoint == reference_chart_coords(f, g.basepoint)
+        assert image.directions == tuple(
+            reference_solve([list(c) for c in zip(*f.directions)], d) for d in g.directions
+        )
+        assert chart.flat_to_ambient(image) == g
 
 
 coords = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
@@ -384,7 +431,7 @@ def membership_cases(draw):
     vectors = st.tuples(*[coords] * n)
     base = draw(vectors)
     dirs = draw(st.lists(vectors, min_size=d, max_size=d))
-    assume(not dirs or rank(Matrix(dirs)) == d)
+    assume(reference_rank(dirs) == d)
     factors = st.lists(coords, min_size=d, max_size=d)
     if draw(st.booleans()):
         scales = draw(st.lists(coords.filter(bool), min_size=d, max_size=d))
@@ -415,7 +462,7 @@ class TestIntegerMembership:
         for p in points:
             assert f.contains_point(p) == (dist2_point_flat(p, f) == 0)
         for g in others:
-            want = rank(Matrix(f.canon + g.canon)) == rank(Matrix(f.canon))
+            want = reference_rank(f.canon + g.canon) == reference_rank(f.canon)
             assert f.contains_flat(g) == want
         assert f.contains_flat(others[0])
 
@@ -439,7 +486,7 @@ def random_flats(draw, n):
     d = draw(st.integers(0, n))
     vectors = st.tuples(*[coords] * n)
     dirs = draw(st.lists(vectors, min_size=d, max_size=d))
-    assume(not dirs or rank(Matrix(dirs)) == d)
+    assume(reference_rank(dirs) == d)
     return AffineFlat(draw(vectors), dirs)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flatbeck.exactlin import Matrix, gram_det, norm2
+from flatbeck.exactlin import norm2
 from flatbeck.flats import AffineFlat, affinely_independent, dist2_point_flat, spanned_flats
 from flatbeck.measures import (
     DiscreteMeasure,
@@ -19,7 +19,7 @@ from flatbeck.measures import (
     restrict_and_normalize,
     support_dist2,
 )
-from fraction_reference import reference_dist2_flats, reference_max_ball_mass
+from fraction_reference import reference_dist2_flats, reference_gram_det, reference_max_ball_mass
 
 D = Fraction(1, 1024)
 
@@ -447,12 +447,13 @@ class TestGoodPositionMargin:
     @settings(max_examples=150, deadline=None)
     @given(margin_cases())
     def test_matches_the_normalized_gram_determinant(self, mus):
-        """Against gram_det of the Fraction lifted tuple matrix over the
-        product of its squared column norms, dependent tuples included."""
+        """Against the Fraction Gram determinant of the lifted tuple matrix
+        over the product of its squared column norms, dependent tuples
+        included."""
         want = []
         for combo in itertools.product(*(m.points() for m in mus)):
             cols = [p + (Fraction(1),) for p in combo]
-            want.append(gram_det(Matrix.from_cols(cols)) / math.prod(map(norm2, cols)))
+            want.append(reference_gram_det(cols) / math.prod(map(norm2, cols)))
         assert good_position_margin(mus) == min(want)
 
     def test_two_distinct_singletons_positive(self):

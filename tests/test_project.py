@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flatbeck.exactlin import Matrix
+from flatbeck import project
+from flatbeck.cli import EXIT_INPUT, main
 from flatbeck.flats import AffineFlat, FlatChart, join
 from flatbeck.flatcollect import FlatCollection, PartitionSpaceTooLarge, bell_number
 from flatbeck.genscenes import nc_line_collection, psi_scene
@@ -28,6 +31,7 @@ from flatbeck.project import (
     radial_to_hyperplane,
     rational_sqrt_lower,
 )
+from fraction_reference import reference_psi
 
 RES = Fraction(1, 1024)
 X_AXIS = AffineFlat([0, 0], [[1, 0]])
@@ -175,7 +179,7 @@ class TestPsi:
         rng = random.Random(13)
         ctx = psi_scene(rng, n=3, dims=(2, 1, 1), p=1)
         pm = psi_matrix(ctx, verify_samples=10, rng=rng)
-        assert pm.m.rows == 1 and pm.lipschitz2 > 0
+        assert len(pm.m) == 1 and pm.lipschitz2 > 0
 
     def test_parameter_map_exact_p2(self):
         rng = random.Random(14)
@@ -184,7 +188,7 @@ class TestPsi:
         img = hyperplane_map_psi(ctx, w)
         assert img.dim == 1
         pm = psi_matrix(ctx, verify_samples=6, rng=rng)
-        assert pm.m.rows == 2
+        assert len(pm.m) == 2
 
     def test_point_map_is_affine(self):
         rng = random.Random(15)
@@ -244,8 +248,25 @@ class TestPsi:
     def test_identity_configuration_gives_identity_matrix(self):
         ctx = self._identity_context()
         pm = psi_matrix(ctx, verify_samples=5, rng=random.Random(0))
-        assert pm.m == Matrix.identity(1)
+        assert pm.m == ((1,),)
         assert pm.y0 == (Fraction(0),)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(3, (2, 1, 1), 1), (4, (3, 1, 2), 2), (4, (2, 2, 1), 1), (4, (2, 1, 2), 1)]),
+        st.integers(0, 2**32),
+    )
+    def test_parameter_map_matches_the_fraction_reference(self, profile, seed):
+        """Q1, its directions and (M, y0) against the Fraction joins, meets
+        and solves of the point map, on seeded scenes of four dimension
+        profiles."""
+        n, dims, p = profile
+        rng = random.Random(seed)
+        ctx = psi_scene(rng, n=n, dims=dims, p=p)
+        q1, m, y0 = reference_psi(ctx)
+        assert (ctx.q1.basepoint, ctx.q1.directions) == (q1.basepoint, q1.directions)
+        pm = psi_matrix(ctx, verify_samples=2, rng=rng)
+        assert (pm.m, pm.y0) == (m, y0)
 
     def test_nonaligned_screen_rejected(self):
         # replacing the aligned screen with a generic one breaks the exact
@@ -297,6 +318,36 @@ class TestProjectedNC:
         off_center = (0, 1, 0)
         img2 = flat_radial_image(off_center, line, screen)
         assert img2.dim == 1
+
+
+    def test_degenerate_center_reads_exceptional(self):
+        # the center and the first line span the plane z = 1, which misses
+        # the screen z = 0
+        coll = FlatCollection([
+            AffineFlat([0, 0, 1], [[1, 0, 0]]),
+            AffineFlat([0, 1, 0], [[0, 0, 1]]),
+            AffineFlat([1, 0, 0], [[0, 1, 1]]),
+        ])
+        screen = AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
+        (out,) = projected_nc_report(coll, [(0, 5, 1)], screen)
+        assert (out.nc, out.exceptional) == (False, True)
+        assert out.witness == "degenerate: projected flat misses the screen"
+
+    def test_failed_chart_is_not_a_pass(self, monkeypatch, tmp_path):
+        """A ValueError from the screen chart is an error, not an
+        exceptional center: the report raises and the command exits 2."""
+
+        def broken(self, g):
+            raise ValueError("subflat leaves the chart flat")
+
+        monkeypatch.setattr(project.FlatChart, "flat_to_coords", broken)
+        coll = FlatCollection([AffineFlat([0, 0, 0], [[1, 0, 0]]), AffineFlat([0, 1, 0], [[0, 0, 1]])])
+        screen = AffineFlat([0, 0, -2], [[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ValueError, match="subflat leaves the chart flat"):
+            projected_nc_report(coll, [(Fraction(1, 3), Fraction(1, 5), 7)], screen)
+        scene = Path(__file__).resolve().parent.parent / "scenes" / "project-nc-lines.json"
+        code = main(["project", "--scene", str(scene), "--centers", "5", "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
 
 
 class TestIrreducibleProjection:

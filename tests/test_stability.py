@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from flatbeck import stability
 from flatbeck.cli import parse_scene
-from flatbeck.exactlin import BudgetExceeded, Matrix, norm2, pivot_columns, rank
+from flatbeck.exactlin import BudgetExceeded, norm2, pivot_columns
 from flatbeck.flats import AffineFlat
 from flatbeck.genscenes import random_minimal_frame
 from flatbeck.measures import DiscreteMeasure
@@ -29,6 +29,7 @@ from flatbeck.stability import (
     rank_r,
     stabilize,
 )
+from fraction_reference import columns, reference_rank
 
 RES = Fraction(1, 1024)
 
@@ -208,13 +209,13 @@ def laplace_minors(rows):
     return minor
 
 
-def oracle_floors(m: Matrix, r: int, col_sets) -> tuple[Fraction, Fraction]:
+def oracle_floors(m, r: int, col_sets) -> tuple[Fraction, Fraction]:
     """(normalized, raw) squared-minor maxima over the given column sets,
-    by Laplace expansion on the Fraction entries."""
-    norms = [norm2(m.col(c)) for c in range(m.cols)]
+    by Laplace expansion on the rows of Fraction entries m."""
+    norms = [norm2(c) for c in zip(*m)]
     col_sets = [tuple(cs) for cs in col_sets]
     best_norm, best_raw = Fraction(0), Fraction(0)
-    for rs in itertools.combinations(m.entries, r):
+    for rs in itertools.combinations(m, r):
         minor = laplace_minors(rs)
         for cs in col_sets:
             denom = math.prod(norms[c] for c in cs)
@@ -230,42 +231,43 @@ small_matrices = st.integers(1, 5).flatmap(
     lambda nr: st.integers(1, 5).flatmap(
         lambda nc: st.lists(
             st.lists(fracs, min_size=nc, max_size=nc), min_size=nr, max_size=nr
-        ).map(Matrix)
+        )
     )
 )
 
 
-def int_columns(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Column-integerized copy of m: integer rows and the column scales."""
-    scales = [math.lcm(*(x.denominator for x in c)) for c in m.col_list()]
+def int_columns(m) -> tuple[list[list[int]], list[int]]:
+    """Column-integerized copy of the rows m: integer rows and the column
+    scales."""
+    scales = [math.lcm(*(x.denominator for x in c)) for c in zip(*m)]
     rows = [
         [x.numerator * (s // x.denominator) for x, s in zip(row, scales)]
-        for row in m.entries
+        for row in m
     ]
     return rows, scales
 
 
-def greedy_pivots(m: Matrix) -> list[int]:
+def greedy_pivots(m) -> list[int]:
     """Columns that raise the Fraction rank of the column prefix."""
-    ranks = [rank(Matrix([row[:c] for row in m.entries])) for c in range(m.cols + 1)]
-    return [c for c in range(m.cols) if ranks[c + 1] > ranks[c]]
+    ranks = [reference_rank([row[:c] for row in m]) for c in range(len(m[0]) + 1)]
+    return [c for c in range(len(m[0])) if ranks[c + 1] > ranks[c]]
 
 
 class TestMinorFloors:
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)
     def test_exact_route_matches_laplace(self, m):
-        r = rank(m)
+        r = reference_rank(m)
         im = int_columns(m)
         pivots = pivot_columns(im[0])
         assert len(pivots) == r
-        want = oracle_floors(m, r, itertools.combinations(range(m.cols), r))
+        want = oracle_floors(m, r, itertools.combinations(range(len(m[0])), r))
         assert minor_floors(im, pivots, exact=True) == (want if r else (1, 1))
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)
     def test_cheap_route_uses_the_greedy_pivots(self, m):
-        r = rank(m)
+        r = reference_rank(m)
         pivots = greedy_pivots(m)
         im = int_columns(m)
         assert pivot_columns(im[0]) == pivots
@@ -277,18 +279,18 @@ class TestMinorFloors:
 
 
 @st.composite
-def degenerate_matrices(draw) -> Matrix:
+def degenerate_matrices(draw) -> list:
     """small_matrices with some rows zeroed and a combination of two of its
     columns inserted, so that the chain meets zero rows and dependent
     columns."""
-    rows = [list(r) for r in draw(small_matrices).entries]
+    rows = [list(r) for r in draw(small_matrices)]
     for i in draw(st.sets(st.integers(0, len(rows) - 1), max_size=2)):
         rows[i] = [Fraction(0)] * len(rows[i])
     a, b = draw(st.integers(0, len(rows[0]) - 1)), draw(st.integers(0, len(rows[0]) - 1))
     k, at = draw(fracs), draw(st.integers(0, len(rows[0])))
     for r in rows:
         r.insert(at, r[a] + k * r[b])
-    return Matrix(rows)
+    return rows
 
 
 class TestWedge:
@@ -307,8 +309,8 @@ class TestWedge:
             minors = grown
             pivots.append(c)
             scale = math.prod(scales[p] for p in pivots)
-            for rs in itertools.combinations(range(m.rows), len(pivots)):
-                want = laplace_minors([m.entries[i] for i in rs])(tuple(pivots)) * scale
+            for rs in itertools.combinations(range(len(m)), len(pivots)):
+                want = laplace_minors([m[i] for i in rs])(tuple(pivots)) * scale
                 assert minors.get(sum(1 << i for i in rs), 0) == want
             assert 0 not in minors.values()
         assert pivots == greedy_pivots(m)
@@ -316,8 +318,8 @@ class TestWedge:
 
 def reference_certificate(frame: StableFrame, c2: Fraction) -> tuple:
     """certify_stability the textbook way, as (ok, floor, raw_floor, ranks,
-    witness): Fraction matrices from Matrix.from_cols of the lifted atoms
-    and frame.bases, ranks by exactlin.rank, floors by Laplace expansion on
+    witness): Fraction matrices with the lifted atoms and frame.bases as
+    columns, ranks by the Fraction elimination, floors by Laplace expansion on
     the greedy pivots and, below c2, over all column sets.  Within an index
     pair every pick's rank is checked before any floor."""
     ranks: dict = {}
@@ -331,12 +333,12 @@ def reference_certificate(frame: StableFrame, c2: Fraction) -> tuple:
             cols = [frame.measures[j][i].atoms[pick[(j, i)]][0] + (Fraction(1),) for j, i in slots]
             for j in flats:
                 cols += frame.bases[j]
-            mats.append((pick, Matrix.from_cols(cols, rows=frame.ambient_dim + 1)))
-        r = rank(mats[0][1])
+            mats.append((pick, columns(cols, frame.ambient_dim + 1)))
+        r = reference_rank(mats[0][1])
         for pick, m in mats:
-            if rank(m) != r:
+            if reference_rank(m) != r:
                 witness = (
-                    f"rank not constant on {where}: {r} vs {rank(m)} "
+                    f"rank not constant on {where}: {r} vs {reference_rank(m)} "
                     f"at picks {mats[0][0]} and {pick}"
                 )
                 return False, None, None, ranks, witness
@@ -344,7 +346,7 @@ def reference_certificate(frame: StableFrame, c2: Fraction) -> tuple:
         for pick, m in mats:
             val, raw = oracle_floors(m, r, [greedy_pivots(m)]) if r else (1, 1)
             if val < c2:
-                val, raw = oracle_floors(m, r, itertools.combinations(range(m.cols), r))
+                val, raw = oracle_floors(m, r, itertools.combinations(range(len(m[0])), r))
             if val < c2:
                 witness = f"normalized minor {val} < c2 {c2} at {where} pick={pick}"
                 return False, val, raw, ranks, witness
