@@ -12,10 +12,11 @@ worktree entry.  Then, for ten seeds from the first seed on and each
 workload in BENCHMARK.json, it runs the benchmark command for the run length
 BENCHMARK.json fixes, once on each side, alternating from pair to pair which
 side runs first, and writes ``BENCH_<n>.json`` at the root of the checkout:
-the SHAs, the git tree ids of the code each side ran, the Python version,
-the number of usable CPUs, every pair's end-to-end metrics and, per workload
-and side, the median and quartiles of ``work_ref``, ``setup_s`` and
-``peak_rss_mb`` with ``correct`` and ``failed``.
+the SHAs, the git tree ids of the code each side ran, each side's line
+count of ``src/flatbeck/*.py``, the Python version, the number of usable
+CPUs, every pair's end-to-end metrics and, per workload and side, the
+median and quartiles of ``work_ref``, ``setup_s`` and ``peak_rss_mb`` with
+``correct`` and ``failed``.
 """
 
 from __future__ import annotations
@@ -64,10 +65,15 @@ def identify_sides(root: Path) -> dict[str, dict]:
     }
 
 
-def _export(sha: str, dest: str) -> None:
-    """Write the tree of commit sha into dest."""
+def src_lines(root: Path) -> int:
+    """The line count of the package sources under root, src/flatbeck/*.py."""
+    return sum(len(p.read_text().splitlines()) for p in (root / "src" / "flatbeck").glob("*.py"))
+
+
+def _export(root: Path, sha: str, dest: str) -> None:
+    """Write the tree of commit sha of the repository at root into dest."""
     data = subprocess.run(
-        ["git", "archive", "--format=tar", sha], cwd=ROOT, capture_output=True, check=True
+        ["git", "archive", "--format=tar", sha], cwd=root, capture_output=True, check=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         # the archive comes from this repository; the filter only exists
@@ -135,8 +141,9 @@ def main(argv=None) -> int:
     seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     runs, pairs = [], []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
-        _export(sides["parent"]["sha"], parent_root)
+        _export(ROOT, sides["parent"]["sha"], parent_root)
         roots = {"parent": Path(parent_root), "change": ROOT}
+        lines = {side: src_lines(root) for side, root in roots.items()}
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
@@ -155,6 +162,7 @@ def main(argv=None) -> int:
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "seconds": bench["run_seconds"],
         "seeds": seeds,
+        "src_lines": lines,
         "workloads": summarize(runs),
         "pairs": pairs,
     }

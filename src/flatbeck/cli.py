@@ -100,6 +100,21 @@ def _vec(value, n: Optional[int], where: str):
     return out
 
 
+def _resolve(table: dict, kind: str, names, where: str) -> list:
+    """The scene objects of table named by names, one name or a list of
+    them, in order; None names every object in sorted order, so a
+    single-object flag left out takes the first.  A name the table lacks is
+    a dangling reference."""
+    if names is None:
+        names = sorted(table) or [None]
+    elif isinstance(names, str):
+        names = [names]
+    for x in names:
+        if x not in table:
+            raise SceneError(f"{where}: dangling {kind} reference {x!r}")
+    return [table[x] for x in names]
+
+
 class Scene:
     """Parsed scene: named points, flats, measures, graphs, frames, params."""
 
@@ -163,11 +178,7 @@ class Scene:
             where = f"graphs.{name}"
             if not isinstance(val, dict) or "measures" not in val:
                 raise SceneError(f"{where}: needs a measures list")
-            ms = []
-            for mname in val["measures"]:
-                if mname not in self.measures:
-                    raise SceneError(f"{where}: dangling measure reference {mname!r}")
-                ms.append(self.measures[mname])
+            ms = _resolve(self.measures, "measure", val["measures"], where)
             tuples = val.get("tuples", "complete")
             sigma = _rat(val.get("sigma", 1), f"{where}.sigma")
             big_k = _rat(val.get("K", 1), f"{where}.K")
@@ -186,19 +197,8 @@ class Scene:
             where = f"frames.{name}"
             if not isinstance(val, dict) or "flats" not in val or "measures" not in val:
                 raise SceneError(f"{where}: needs flats and measures lists")
-            fl = []
-            for fname in val["flats"]:
-                if fname not in self.flats:
-                    raise SceneError(f"{where}: dangling flat reference {fname!r}")
-                fl.append(self.flats[fname])
-            grid = []
-            for row in val["measures"]:
-                r = []
-                for mname in row:
-                    if mname not in self.measures:
-                        raise SceneError(f"{where}: dangling measure reference {mname!r}")
-                    r.append(self.measures[mname])
-                grid.append(r)
+            fl = _resolve(self.flats, "flat", val["flats"], where)
+            grid = [_resolve(self.measures, "measure", row, where) for row in val["measures"]]
             try:
                 self.frames[name] = StableFrame(fl, grid)
             except ValueError as e:
@@ -285,6 +285,12 @@ class Reporter:
         return EXIT_PASS if ok else EXIT_FAIL
 
 
+def _budget(args) -> dict:
+    """--budget as a keyword argument when given; left out, the called
+    function keeps its own default (beck 60 points, stability 200,000 picks)."""
+    return {} if args.budget is None else {"budget": args.budget}
+
+
 def _scale_window(arg: Optional[str], scene: Scene) -> list[Fraction]:
     spec = arg or scene.params.get("scales") or "1..6"
     if isinstance(spec, list) and len(spec) == 2:
@@ -300,14 +306,11 @@ def _scale_window(arg: Optional[str], scene: Scene) -> list[Fraction]:
 
 def cmd_analyze_flats(scene: Scene, args, rep: Reporter) -> None:
     names = args.flats.split(",") if args.flats else sorted(scene.flats)
-    missing = [x for x in names if x not in scene.flats]
-    if missing:
-        raise SceneError(f"dangling flat reference(s): {missing}")
-    flats = [scene.flats[x] for x in names]
+    flats = _resolve(scene.flats, "flat", names, "--flats")
     coll = FlatCollection(flats)
     cost = coll.cost()
     count, parts = coll.minimizing_census()
-    rep.info("flats", {x: {"dim": scene.flats[x].dim} for x in names})
+    rep.info("flats", {x: {"dim": f.dim} for x, f in zip(names, flats)})
     rep.info("cost", cost)
     rep.info("minimizing_partition_count", count)
     rep.info("minimizing_partitions", parts[:50])
@@ -316,10 +319,7 @@ def cmd_analyze_flats(scene: Scene, args, rep: Reporter) -> None:
 
 
 def cmd_decompose(scene: Scene, args, rep: Reporter) -> None:
-    name = args.measure or (sorted(scene.measures)[0] if scene.measures else None)
-    if name is None or name not in scene.measures:
-        raise SceneError(f"measure {name!r} not in scene")
-    mu = scene.measures[name]
+    mu = _resolve(scene.measures, "measure", args.measure or None, "--measure")[0]
     w = scene.param_rat("w", "0")
     theta = scene.param_rat("theta", "1/2")
     tau = scene.param_rat("tau", "1/2")
@@ -344,15 +344,12 @@ def cmd_decompose(scene: Scene, args, rep: Reporter) -> None:
 
 
 def cmd_stability(scene: Scene, args, rep: Reporter) -> None:
-    name = args.frame or (sorted(scene.frames)[0] if scene.frames else None)
-    if name is None or name not in scene.frames:
-        raise SceneError(f"frame {name!r} not in scene")
-    frame = scene.frames[name]
+    frame = _resolve(scene.frames, "frame", args.frame or None, "--frame")[0]
     c2 = scene.param_rat("c2", "0")
     if args.stabilize:
-        frame, c2 = stabilize(frame, budget=args.budget)
+        frame, c2 = stabilize(frame, **_budget(args))
         rep.info("stabilized_c2", c2)
-    cert = certify_stability(frame, c2, budget=args.budget)
+    cert = certify_stability(frame, c2, **_budget(args))
     rep.info("certified_floor", cert.floor)
     rep.info("certified_raw_floor", cert.raw_floor)
     rep.verdict("certified", cert.ok, witness=cert.witness, floor=cert.floor)
@@ -374,13 +371,9 @@ def cmd_stability(scene: Scene, args, rep: Reporter) -> None:
 
 
 def cmd_beck(scene: Scene, args, rep: Reporter) -> None:
-    names = args.points.split(",") if args.points else sorted(scene.points)
-    missing = [x for x in names if x not in scene.points]
-    if missing:
-        raise SceneError(f"dangling point reference(s): {missing}")
-    pts = [scene.points[x] for x in names]
+    pts = _resolve(scene.points, "point", args.points.split(",") if args.points else None, "--points")
     eps = scene.param_rat("epsilon", "1/10")
-    report = dichotomy_report(PointConfig(pts), eps, budget=args.budget)
+    report = dichotomy_report(PointConfig(pts), eps, **_budget(args))
     if not report.complete:
         raise EnumerationBudgetExceeded(report.note)
     rep.info("hyperplane_count", report.hyperplane_count)
@@ -394,10 +387,8 @@ def cmd_beck(scene: Scene, args, rep: Reporter) -> None:
 
 
 def cmd_thin_verify(scene: Scene, args, rep: Reporter) -> None:
-    name = args.graph or (sorted(scene.graphs)[0] if scene.graphs else None)
-    if name is None or name not in scene.graphs:
-        raise SceneError(f"graph {name!r} not in scene")
-    g = scene.graphs[name]
+    name = args.graph or min(scene.graphs, default=None)
+    g = _resolve(scene.graphs, "graph", name, "--graph")[0]
     scales = _scale_window(args.scales, scene)
     claimed = scene.graph_density_claims.get(name)
     if args.tubes:
@@ -428,10 +419,7 @@ def cmd_thin_verify(scene: Scene, args, rep: Reporter) -> None:
 
 
 def cmd_thin_prune(scene: Scene, args, rep: Reporter) -> None:
-    name = args.graph or (sorted(scene.graphs)[0] if scene.graphs else None)
-    if name is None or name not in scene.graphs:
-        raise SceneError(f"graph {name!r} not in scene")
-    g = scene.graphs[name]
+    g = _resolve(scene.graphs, "graph", args.graph or None, "--graph")[0]
     scales = _scale_window(args.scales, scene)
     eps = scene.param_rat("epsilon", "1/4")
     if args.mode == "planes":
@@ -449,9 +437,8 @@ def cmd_thin_prune(scene: Scene, args, rep: Reporter) -> None:
         rep.info("removed_mass", out.removed_mass)
         rep.verdict("tubes-to-planes", out.ok, witness=out.witness)
     elif args.mode == "against-measure":
-        if not args.nu or args.nu not in scene.measures:
-            raise SceneError("--nu must name a scene measure")
-        out = prune_against_measure(g, scene.measures[args.nu], eps, scales)
+        nu = _resolve(scene.measures, "measure", [args.nu], "--nu")[0]
+        out = prune_against_measure(g, nu, eps, scales)
         rep.info("removed_mass", out.removed_mass)
         rep.info("k_prime", out.k_prime)
         rep.info("delta0", out.delta0)
@@ -463,10 +450,7 @@ def cmd_thin_prune(scene: Scene, args, rep: Reporter) -> None:
 def cmd_project(scene: Scene, args, rep: Reporter) -> None:
     rng = random.Random(args.seed)
     if args.check == "nc":
-        names = args.flats.split(",") if args.flats else sorted(scene.flats)
-        flats = [scene.flats[x] for x in names if x in scene.flats]
-        if len(flats) != len(names):
-            raise SceneError("dangling flat reference in --flats")
+        flats = _resolve(scene.flats, "flat", args.flats.split(",") if args.flats else None, "--flats")
         coll = FlatCollection(flats)
         n = scene.ambient_dim
         screen = None
@@ -496,23 +480,14 @@ def cmd_project(scene: Scene, args, rep: Reporter) -> None:
         for k, v in needed.items():
             if not v:
                 raise SceneError(f"--{k} is required for --check irreducible")
-        if args.measure not in scene.measures:
-            raise SceneError(f"dangling measure reference {args.measure!r}")
-        for fname in (args.flat, args.center, args.screen):
-            if fname not in scene.flats:
-                raise SceneError(f"dangling flat reference {fname!r}")
+        mu = _resolve(scene.measures, "measure", args.measure, "--measure")[0]
+        v, q, u = (
+            _resolve(scene.flats, "flat", getattr(args, k), f"--{k}")[0] for k in ("flat", "center", "screen")
+        )
         w = scene.param_rat("w", "1/16")
         tau = scene.param_rat("tau", "1/2")
         eps = scene.param_rat("eps", None) or w
-        out = irreducible_projection_check(
-            scene.measures[args.measure],
-            scene.flats[args.flat],
-            scene.flats[args.center],
-            scene.flats[args.screen],
-            w,
-            tau,
-            eps,
-        )
+        out = irreducible_projection_check(mu, v, q, u, w, tau, eps)
         rep.info("input_modulus", out.input_modulus)
         rep.info("output_modulus", out.output_modulus)
         rep.info("scale", out.scale)
@@ -523,10 +498,8 @@ def cmd_project(scene: Scene, args, rep: Reporter) -> None:
 
 
 def cmd_pushforward_dim(scene: Scene, args, rep: Reporter) -> None:
-    name = args.graph or (sorted(scene.graphs)[0] if scene.graphs else None)
-    if name is None or name not in scene.graphs:
-        raise SceneError(f"graph {name!r} not in scene")
-    g = scene.graphs[name]
+    name = args.graph or min(scene.graphs, default=None)
+    g = _resolve(scene.graphs, "graph", name, "--graph")[0]
     scales = _scale_window(args.scales, scene)
     fit = pushforward_frostman(g, scales)
     rows = [(s, c, m) for s, c, m in fit.table]
@@ -554,7 +527,7 @@ def build_parser(command: str) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scales", default=None, help="dyadic window like 1..6")
     p.add_argument("--out", default="flatbeck-out")
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=int, default=None, help="left out: each command's own default")
     p.add_argument("--flats", default=None, help="comma-separated flat names")
     p.add_argument("--measure", default=None)
     p.add_argument("--frame", default=None)

@@ -6,6 +6,7 @@ of the lexicographically least minimizing partition, finds the lowest-
 dimensional flat capturing a theta-fraction of what is left, and appends it.
 The trace records cost and minimizing-partition count at every step; on any
 cost plateau the count must drop strictly, which is what forces termination.
+Every mass and atom mask comes from the measure's own plate oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 from .exactlin import frac
 from .flats import AffineFlat, join, spanned_flats
 from .flatcollect import FlatCollection, Partition
-from .measures import DiscreteMeasure, PlateMassOracle, _oracle_modulus
+from .measures import DiscreteMeasure, _oracle_modulus
 
 MAX_STEPS = 200
 
@@ -54,11 +55,6 @@ def minimal_concentration_flat(
     dimensional flats add nothing to the partition cost, so allowing them
     would break both termination and the plateau invariants.
     """
-    return _concentration_flat(mu, PlateMassOracle(mu), w, theta, min_dim)
-
-
-def _concentration_flat(mu, oracle: PlateMassOracle, w, theta, min_dim: int) -> AffineFlat:
-    """minimal_concentration_flat on the measure's plate oracle."""
     w = frac(w)
     theta = frac(theta)
     if not 0 < theta <= 1:
@@ -66,7 +62,7 @@ def _concentration_flat(mu, oracle: PlateMassOracle, w, theta, min_dim: int) -> 
     threshold = theta * mu.total_mass
     n = mu.ambient_dim
     for f in spanned_flats(mu.points(), range(min_dim, n)):
-        if oracle.masses_near_flat(f, [w * w])[0] >= threshold:
+        if mu.oracle.masses_near_flat(f, [w * w])[0] >= threshold:
             return f
     return AffineFlat.full_space(n)
 
@@ -77,7 +73,6 @@ def decompose(x: DiscreteMeasure, n: int, w, theta) -> DecompositionResult:
         raise ValueError("measure ambient dimension differs from n")
     w = frac(w)
     w2 = w * w
-    oracle = PlateMassOracle(x)
     flats: list[AffineFlat] = []
     pieces: list[DiscreteMeasure] = []
     trace: list[TraceStep] = []
@@ -90,7 +85,7 @@ def decompose(x: DiscreteMeasure, n: int, w, theta) -> DecompositionResult:
         partition = coll.lexicographically_least_minimizer()
         covered = 0
         for block in partition:
-            covered |= oracle.atoms_near_flat(join([flats[i] for i in block]), w2)
+            covered |= x.oracle.atoms_near_flat(join([flats[i] for i in block]), w2)
         kept = [a for i, a in enumerate(x.atoms) if not covered >> i & 1]
         if not kept or sum(wt for _, wt in kept) == 0:
             raise NotDiscretelyNC(
@@ -98,9 +93,8 @@ def decompose(x: DiscreteMeasure, n: int, w, theta) -> DecompositionResult:
                 f"cost-{cost} cover at step {step}"
             )
         rest = DiscreteMeasure(kept, x.resolution)
-        rest_oracle = PlateMassOracle(rest)
-        v = _concentration_flat(rest, rest_oracle, w, theta, min_dim=1)
-        near = rest_oracle.atoms_near_flat(v, w2)
+        v = minimal_concentration_flat(rest, w, theta, min_dim=1)
+        near = rest.oracle.atoms_near_flat(v, w2)
         piece_atoms = [a for i, a in enumerate(rest.atoms) if near >> i & 1]
         total = sum(wt for _, wt in piece_atoms)
         piece = DiscreteMeasure(
@@ -148,9 +142,8 @@ def verify_decomposition(r: DecompositionResult, n: int, w, tau) -> Decompositio
     report = DecompositionReport()
 
     stray = None
-    oracles = [PlateMassOracle(piece) for piece in r.pieces]
-    for i, (piece, flat, oracle) in enumerate(zip(r.pieces, r.flats, oracles)):
-        near = oracle.atoms_near_flat(flat, max(w, piece.resolution) ** 2)
+    for i, (piece, flat) in enumerate(zip(r.pieces, r.flats)):
+        near = piece.oracle.atoms_near_flat(flat, max(w, piece.resolution) ** 2)
         off = ~near & ((1 << len(piece)) - 1)
         if off:
             stray = (i, piece.atoms[(off & -off).bit_length() - 1][0])
@@ -163,10 +156,10 @@ def verify_decomposition(r: DecompositionResult, n: int, w, tau) -> Decompositio
 
     worst: Optional[tuple[int, Fraction]] = None
     if stray is None:
-        for i, (piece, flat, oracle) in enumerate(zip(r.pieces, r.flats, oracles)):
+        for i, (piece, flat) in enumerate(zip(r.pieces, r.flats)):
             if flat.dim == 0:
                 continue
-            mod = _oracle_modulus(piece, oracle, flat, w)
+            mod = _oracle_modulus(piece, flat, w)
             if worst is None or mod > worst[1]:
                 worst = (i, mod)
     if worst is None:

@@ -410,14 +410,6 @@ class FlatChart:
         return AffineFlat(self.to_ambient(g.basepoint), [self._linear(d) for d in g.directions])
 
 
-def independence_test(point_lists: Sequence[Sequence[Sequence]]) -> Callable[[Sequence[int]], bool]:
-    """Affine independence of one point picked by index from each list, as
-    in affinely_independent; each list is lifted once, and the rank ignores
-    row scales, so lists over different denominators mix."""
-    lifted = [_lifted_integer_points([vec(p) for p in pts]) for pts in point_lists]
-    return lambda picks: len(pivot_columns([rows[i] for rows, i in zip(lifted, picks)])) == len(picks)
-
-
 def affinely_independent(points: Sequence[Vector]) -> bool:
     """True iff the points span a flat of dimension len(points) - 1."""
     pts = [vec(p) for p in points]

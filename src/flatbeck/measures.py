@@ -4,7 +4,8 @@ A measure is a finite weighted atom set at a declared resolution.  Ball and
 plate masses are exact; only the fitted Frostman constants (C, s) are floats.
 PlateMassOracle runs the one distance, ``flats._dist2_numerators``, over
 the atoms: plate masses, ball masses (point flats) and masks of atoms near
-a flat.
+a flat.  A measure owns its oracle: ``DiscreteMeasure.oracle`` builds it on
+first read, so every caller of the same measure shares one integerization.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ Atom = tuple[Vector, Fraction]
 class DiscreteMeasure:
     """Finite weighted atom set at a declared resolution delta."""
 
-    __slots__ = ("ambient_dim", "atoms", "resolution", "total_mass", "weight_den")
+    __slots__ = ("ambient_dim", "atoms", "resolution", "total_mass", "weight_den", "_oracle")
 
     def __init__(self, atoms: Sequence[tuple[Sequence, object]], resolution):
         ats = tuple((vec(p), frac(w)) for p, w in atoms)
@@ -44,12 +45,20 @@ class DiscreteMeasure:
         object.__setattr__(self, "total_mass", sum(w for _, w in ats))
         # the common denominator W of the weights: exact masses are counts over W
         object.__setattr__(self, "weight_den", math.lcm(*(w.denominator for _, w in ats)))
+        object.__setattr__(self, "_oracle", None)  # filled by oracle
 
     def __setattr__(self, *a):
         raise AttributeError("DiscreteMeasure is immutable")
 
     def __len__(self) -> int:
         return len(self.atoms)
+
+    @property
+    def oracle(self) -> "PlateMassOracle":
+        """The measure's plate mass oracle, built on first read."""
+        if self._oracle is None:
+            object.__setattr__(self, "_oracle", PlateMassOracle(self))
+        return self._oracle
 
     def points(self) -> list[Vector]:
         return [p for p, _ in self.atoms]
@@ -174,7 +183,7 @@ def _max_ball_masses(mu: DiscreteMeasure, radii: Sequence[Fraction]) -> dict[Fra
     center's ball counts come from the oracle, as the neighbourhoods of the
     point flat at the center.
     """
-    oracle = PlateMassOracle(mu)
+    oracle = mu.oracle
     pts, den = oracle._int_pts, oracle._den
     radii2 = [r * r for r in radii]
     base = pts[0]
@@ -251,20 +260,18 @@ def irreducibility_modulus(
     if v.dim == 0:
         raise ValueError("no proper subflats of a point")
     tol = mu.resolution if support_tolerance is None else frac(support_tolerance)
-    oracle = PlateMassOracle(mu)
-    if oracle.atoms_near_flat(v, tol * tol) != (1 << len(mu)) - 1:
+    if mu.oracle.atoms_near_flat(v, tol * tol) != (1 << len(mu)) - 1:
         raise ValueError("support leaves the tolerance neighborhood of v")
-    return _oracle_modulus(mu, oracle, v, frac(w))
+    return _oracle_modulus(mu, v, frac(w))
 
 
-def _oracle_modulus(mu, oracle: PlateMassOracle, v: AffineFlat, w: Fraction) -> Fraction:
-    """irreducibility_modulus on the measure's plate oracle, for a caller
-    that has checked the support."""
+def _oracle_modulus(mu: DiscreteMeasure, v: AffineFlat, w: Fraction) -> Fraction:
+    """irreducibility_modulus for a caller that has checked the support."""
     best = Fraction(0)
     for h in spanned_flats(mu.points(), range(v.dim)):
         if not v.contains_flat(h):
             continue
-        m = oracle.masses_near_flat(h, [w * w])[0]
+        m = mu.oracle.masses_near_flat(h, [w * w])[0]
         if m > best:
             best = m
     return best / mu.total_mass

@@ -43,7 +43,7 @@ from .flats import (
     meet,
 )
 from .flatcollect import FlatCollection, iter_partitions
-from .measures import DiscreteMeasure, PlateMassOracle, irreducibility_modulus
+from .measures import DiscreteMeasure, irreducibility_modulus
 
 
 class ParallelRay(ValueError):
@@ -482,7 +482,7 @@ def irreducible_projection_check(
     in_mod = irreducibility_modulus(mu, v, w, support_tolerance=max(w, mu.resolution))
     if in_mod > tau:
         raise ValueError(f"input modulus {in_mod} exceeds tau {tau}")
-    trimmed = PlateMassOracle(mu).atoms_near_flat(q, eps * eps)
+    trimmed = mu.oracle.atoms_near_flat(q, eps * eps)
     kept = []
     singular = Fraction(0)
     for i, (p, wt) in enumerate(mu.atoms):

@@ -44,7 +44,7 @@ from .flats import (
     meet,
     wedge_angle_sin2,
 )
-from .measures import DiscreteMeasure, PlateMassOracle
+from .measures import DiscreteMeasure
 
 AtomSlot = tuple[int, int]  # (flat index j, measure index i)
 
@@ -127,7 +127,7 @@ class StableFrame:
         for j, ms in enumerate(self.measures):
             row = []
             for i, mu in enumerate(ms):
-                ball = PlateMassOracle(mu).atoms_near_flat(AffineFlat.point(centers[(j, i)]), r2)
+                ball = mu.oracle.atoms_near_flat(AffineFlat.point(centers[(j, i)]), r2)
                 kept = [a for k, a in enumerate(mu.atoms) if ball >> k & 1]
                 row.append(DiscreteMeasure(kept, mu.resolution))
             new_measures.append(row)

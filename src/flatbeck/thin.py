@@ -19,8 +19,11 @@ integer weights.  One function, _verdict,
 turns (tuple, measure, per-scale counts) items into a VerifyResult: the
 plane and tube checks generate those items, and pruning and tube-to-plane
 conversion hand it the counts of the tuples they keep instead of measuring
-them again.  The continuum quantifier over scales is truncated at the data's
-resolution: below it a discrete measure is atomic and the bounds say nothing.
+them again.  One span pass, _span_pass, serves every plane check and prune:
+it lifts the graph's atoms once, tests each tuple's independence and builds
+its direction rows once, and hands them to each measure's plate oracle.
+The continuum quantifier over scales is truncated at the data's resolution:
+below it a discrete measure is atomic and the bounds say nothing.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from fractions import Fraction
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactlin import BudgetExceeded, Vector, _integerized_points, _wedge, frac
-from .flats import _dist2_offset, _lifted_integer_points, independence_test
+from .exactlin import BudgetExceeded, Vector, _wedge, frac, pivot_columns
+from .flats import _dist2_offset, _lifted_integer_points
 from .flatcollect import FlatCollection
 from .measures import DiscreteMeasure, PlateMassOracle, support_dist2
 from .project import rational_sqrt_lower
@@ -301,14 +304,42 @@ def verify_thin_planes(
 def _plane_items(g: ThinGraph, radii2: list[Fraction]) -> Iterator:
     """(tuple, measure index, counts near its span at radii2) for every
     tuple of g and measure; a dependent tuple raises."""
-    oracles = [PlateMassOracle(m) for m in g.measures]
-    independent = independence_test([m.points() for m in g.measures])
-    for t in g.iter_tuples():
-        if not independent(t):
+    for t, counts in _span_pass(g, _lifted_atoms(g), g.measures, radii2):
+        if counts is None:
             raise TupleInDegenerateSet(f"tuple {t} is affinely dependent")
-        pts = g.tuple_points(t)
-        for j, oracle in enumerate(oracles):
-            yield t, j, oracle.counts_near_span(pts, radii2)[0]
+        for j, c in enumerate(counts):
+            yield t, j, c
+
+
+def _lifted_atoms(g: ThinGraph) -> list[list[tuple[int, ...]]]:
+    """Per measure of g, its atoms as lifted integer points (den p, den),
+    over one denominator den common to every atom of g."""
+    lifted = iter(_lifted_integer_points([p for m in g.measures for p in m.points()]))
+    return [list(itertools.islice(lifted, len(m))) for m in g.measures]
+
+
+def _span_pass(g: ThinGraph, lifted: list, measures: Sequence[DiscreteMeasure], radii2) -> Iterator:
+    """(t, counts) for each tuple t of g, in order: counts is None when t is
+    affinely dependent, else an iterator of each measure's counts near the
+    span of t's points at radii2, computed as it is read.
+
+    lifted is _lifted_atoms(g).  A tuple's independence is the rank of its
+    lifted rows, and its direction rows, their differences from the first,
+    are built once for every measure; each oracle's _counts takes them with
+    the tuple's first point as its anchor."""
+    oracles: list[PlateMassOracle] = [m.oracle for m in measures]
+
+    def counts(anchor: Vector, dirs: list[tuple[int, ...]]) -> Iterator[list[int]]:
+        for o in oracles:
+            yield o._counts(anchor, dirs, radii2, (o.int_weights,))[0]
+
+    for t in g.iter_tuples():
+        rows = [pts[i] for pts, i in zip(lifted, t)]
+        if len(pivot_columns(rows)) < len(rows):
+            yield t, None
+        else:
+            dirs = [tuple(map(sub, v, rows[0]))[:-1] for v in rows[1:]]
+            yield t, counts(g.measures[0].atoms[t[0]][0], dirs)
 
 
 def verify_thin_tubes(
@@ -346,7 +377,7 @@ def _tube_items(mu0, mu1, g: ThinGraph, radii2: list[Fraction], full=None) -> It
     mu1 is mu1's weights with zeros off the section, so one numerator pass
     per line x0 -> y gives its count; with a dict full, the same pass also
     stores mu1's full counts of the lines of the pairs in g, under the pair."""
-    oracle = PlateMassOracle(mu1)
+    oracle = mu1.oracle
     weights = oracle.int_weights
     # tuples come sorted: one run per mu0 atom, its G-section of mu1
     for i0, run in itertools.groupby(g.iter_tuples(), key=lambda t: t[0]):
@@ -401,25 +432,22 @@ def prune_planes(
     s_sum = dyadic_tail_sum(scales, eps)
     if c1 is None:
         c1 = (g.arity) * s_sum / eps
-    oracles = [PlateMassOracle(m) for m in g.measures]
-    independent = independence_test([m.points() for m in g.measures])
     bounds = [c1 * g.big_k * float(s) ** (g.sigma - eps) for s in scales]
     cuts = [_double_cuts(m.weight_den, bounds) for m in g.measures]
     removed: set[tuple[int, ...]] = set()
     kept = []
-    for t in g.iter_tuples():
-        if not independent(t):
+    for t, counts in _span_pass(g, _lifted_atoms(g), g.measures, radii2):
+        if counts is None:
             removed.add(t)
             continue
-        pts = g.tuple_points(t)
-        counts = []
-        for oracle, cut in zip(oracles, cuts):
-            counts.append(oracle.counts_near_span(pts, radii2)[0])
-            if _exceeds(counts[-1], cut):
+        got = []
+        for c, cut in zip(counts, cuts):
+            got.append(c)
+            if _exceeds(c, cut):
                 removed.add(t)
                 break
         else:
-            kept.extend((t, j, c) for j, c in enumerate(counts))
+            kept.extend((t, j, c) for j, c in enumerate(got))
     out = g.without(removed, sigma=g.sigma_exact - eps_q, big_k=Fraction(c1) * g.k_exact)
     removed_mass = g.density() - out.density()
     ok = removed_mass <= eps_q
@@ -524,18 +552,20 @@ class MeasurePruneResult:
     witness: Optional[str] = None
 
 
-def _margin2(pts: Sequence[Sequence[int]], den: int) -> Fraction:
+def _margin2(pts: Sequence[Sequence[int]], den: int) -> Fraction | float:
     """The affine-independence margin of the points pts / den: the least
     squared distance from one of them to the span of the others, 0 for a
-    dependent tuple (one of its points lies on the span of the rest)."""
-    best = None
-    for j, p in enumerate(pts):
+    dependent tuple (one of its points lies on the span of the rest), and
+    infinite for one point, which has no others.  The points may be lifted,
+    (den p, den): their offsets end in 0."""
+    best = math.inf
+    for j, p in enumerate(pts if len(pts) > 1 else ()):
         base, *rest = pts[:j] + pts[j + 1 :]
         try:
             d2 = _dist2_offset(tuple(map(sub, p, base)), [tuple(map(sub, q, base)) for q in rest], den)
         except ValueError:  # the others are dependent, so the tuple is
             return Fraction(0)
-        best = d2 if best is None else min(best, d2)
+        best = min(best, d2)
     return best
 
 
@@ -560,13 +590,12 @@ def prune_against_measure(
     if eps_q <= 0:
         raise ValueError("epsilon must be positive")
     eps = float(eps_q)
+    if nu.ambient_dim != g.ambient_dim:
+        raise ValueError("ambient dimensions differ")
     scales, radii2 = _window(scales)
-    # every atom over one common denominator, measure after measure
-    ints, den = _integerized_points([p for m in g.measures for p in m.points()])
-    starts = list(itertools.accumulate((len(m) for m in g.measures), initial=0))
-    margins = {
-        t: _margin2([ints[s + i] for s, i in zip(starts, t)], den) for t in g.iter_tuples()
-    }
+    lifted = _lifted_atoms(g)
+    den = lifted[0][0][-1]
+    margins = {t: _margin2([pts[i] for pts, i in zip(lifted, t)], den) for t in g.iter_tuples()}
     if delta0 is None:
         delta0 = min(scales)
         denom = math.prod(m.total_mass for m in g.measures)
@@ -582,16 +611,10 @@ def prune_against_measure(
     if k_prime is None:
         s_sum = dyadic_tail_sum(scales, eps)
         k_prime = g.big_k * float(delta0) ** (-2 * g.sigma) * s_sum / (eps / 2)
-    nu_oracle = PlateMassOracle(nu)
-    independent = independence_test([m.points() for m in g.measures])
     cuts = _double_cuts(nu.weight_den, [k_prime * float(s) ** (g.sigma - eps) for s in scales])
     removed = set(margin_removed)
-    for t in g.iter_tuples():
-        if t in removed:
-            continue
-        if not independent(t) or _exceeds(
-            nu_oracle.counts_near_span(g.tuple_points(t), radii2)[0], cuts
-        ):
+    for t, counts in _span_pass(g, lifted, (nu,), radii2):
+        if t not in removed and (counts is None or _exceeds(next(counts), cuts)):
             removed.add(t)
     out = g.without(removed, sigma=g.sigma_exact - eps_q)
     removed_mass = g.density() - out.density()

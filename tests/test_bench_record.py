@@ -104,3 +104,29 @@ class TestIdentifySides:
         git(tmp_path, "commit", "-qm", "new")
         assert dirty["change"]["trees"]["src"] == git(tmp_path, "rev-parse", "HEAD:src")
         assert git(tmp_path, "status", "--porcelain") == ""
+
+
+class TestSrcLines:
+    def test_each_side_counts_its_own_package_sources(self, tmp_path):
+        """The change side counts the working tree; the parent side counts
+        the tree exported from the parent commit."""
+        repo = tmp_path / "repo"
+        pkg = repo / "src" / "flatbeck"
+        pkg.mkdir(parents=True)
+        (pkg / "a.py").write_text("a = 1\nb = 2\n")
+        (pkg / "b.py").write_text("c = 3\n")
+        (repo / "src" / "other.py").write_text("not = 'counted'\n")
+        for c in ("perfbench", "scenes"):
+            (repo / c).mkdir()
+            (repo / c / "x.py").write_text("x = 1\n")
+        git(repo, "init", "-q")
+        git(repo, "add", "-A")
+        git(repo, "commit", "-qm", "base")
+        (pkg / "b.py").write_text("c = 3\nd = 4\ne = 5\n")
+        (pkg / "c.py").write_text("f = 6\n")
+        sides = record.identify_sides(repo)
+        exported = tmp_path / "parent"
+        exported.mkdir()
+        record._export(repo, sides["parent"]["sha"], str(exported))
+        assert record.src_lines(exported) == 3
+        assert record.src_lines(repo) == 6

@@ -144,7 +144,8 @@ class TestBeckCommand:
             "params": {"epsilon": 0.29},
         }
         out = tmp_path / "out"
-        assert main(["beck", "--scene", write_scene(tmp_path, body), "--out", str(out)]) == EXIT_PASS
+        argv = ["beck", "--scene", write_scene(tmp_path, body), "--budget", "100", "--out", str(out)]
+        assert main(argv) == EXIT_PASS
         report = json.loads((out / "report.json").read_text())
         assert report["concentrated"] is True
         assert report["covered"] == 71
@@ -188,6 +189,68 @@ class TestBeckEnumeratesOnce:
         code = main(["beck", "--scene", scene, "--budget", "19", "--out", str(tmp_path)])
         assert code == EXIT_BUDGET
         assert calls == []
+
+
+class TestBeckPointBudget:
+    """Left out, --budget leaves beck at dichotomy_report's own point budget
+    of 60; given, it applies."""
+
+    def scene(self, tmp_path):
+        # 61 points on a parabola, no three collinear
+        points = {f"p{x:02d}": [str(x), str(x * x)] for x in range(61)}
+        return write_scene(tmp_path, {"ambient_dim": 2, "points": points})
+
+    def test_default_cap_refuses_61_points_before_enumeration(self, tmp_path, monkeypatch, capsys):
+        calls = count_builds(monkeypatch)
+        assert main(["beck", "--scene", self.scene(tmp_path), "--out", str(tmp_path / "o")]) == EXIT_BUDGET
+        assert "point count 61 exceeds budget 60" in capsys.readouterr().err
+        assert calls == []
+
+    def test_explicit_budget_applies(self, tmp_path):
+        argv = ["beck", "--scene", self.scene(tmp_path), "--budget", "61", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_PASS
+
+
+IRREDUCIBLE = ["project", "--scene", str(SCENES / "stability-axes.json"), "--check", "irreducible"]
+DANGLING = [
+    (["analyze-flats", "--scene", str(SCENES / "project-nc-lines.json"), "--flats", "l1,nope"], "--flats", "flat"),
+    (["decompose", "--scene", str(SCENES / "decompose-skew-lines.json"), "--measure", "nope"], "--measure", "measure"),
+    (["stability", "--scene", str(SCENES / "stability-axes.json"), "--frame", "nope"], "--frame", "frame"),
+    (["beck", "--scene", str(SCENES / "beck-generic20.json"), "--points", "p00,nope"], "--points", "point"),
+    (["thin-verify", "--scene", str(SCENES / "thin-parallel-segments.json"), "--graph", "nope"], "--graph", "graph"),
+    (["thin-prune", "--scene", str(SCENES / "thin-parallel-segments.json"), "--graph", "nope"], "--graph", "graph"),
+    (
+        ["thin-prune", "--scene", str(SCENES / "thin-parallel-segments.json"), "--mode", "against-measure", "--nu", "nope"],
+        "--nu",
+        "measure",
+    ),
+    (["pushforward-dim", "--scene", str(SCENES / "thin-parallel-segments.json"), "--graph", "nope"], "--graph", "graph"),
+    (["project", "--scene", str(SCENES / "project-nc-lines.json"), "--flats", "l1,nope"], "--flats", "flat"),
+    (IRREDUCIBLE + ["--measure", "nope", "--flat", "x_axis", "--center", "y_axis", "--screen", "y_axis"], "--measure", "measure"),
+    (IRREDUCIBLE + ["--measure", "on_x", "--flat", "nope", "--center", "y_axis", "--screen", "y_axis"], "--flat", "flat"),
+    (IRREDUCIBLE + ["--measure", "on_x", "--flat", "x_axis", "--center", "nope", "--screen", "y_axis"], "--center", "flat"),
+    (IRREDUCIBLE + ["--measure", "on_x", "--flat", "x_axis", "--center", "y_axis", "--screen", "nope"], "--screen", "flat"),
+]
+
+
+class TestDanglingReferences:
+    @pytest.mark.parametrize("argv, flag, kind", DANGLING, ids=[f"{a[0]} {f}" for a, f, _ in DANGLING])
+    def test_each_flag_names_its_dangling_reference(self, argv, flag, kind, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {flag}: dangling {kind} reference 'nope'\n"
+
+    def test_a_left_out_nu_is_a_dangling_reference(self, tmp_path, capsys):
+        argv = ["thin-prune", "--scene", str(SCENES / "thin-parallel-segments.json"), "--mode", "against-measure"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: --nu: dangling measure reference None\n"
+
+    @pytest.mark.parametrize("section", ["flats", "measures"])
+    def test_a_frame_names_its_dangling_reference(self, section, tmp_path):
+        body = json.loads((SCENES / "stability-axes.json").read_text())
+        body["frames"]["axes"][section] = [["nope"]] if section == "measures" else ["nope"]
+        kind = section[:-1]
+        with pytest.raises(SceneError, match=f"^frames.axes: dangling {kind} reference 'nope'$"):
+            parse_scene(write_scene(tmp_path, body))
 
 
 class TestThinVerifyCommand:

@@ -116,6 +116,14 @@ class TestPlateMassOracle:
         with pytest.raises(ValueError):
             oracle.masses_near_span([(0, 0), (1, 1), (2, 2)], [Fraction(1)])
 
+    def test_a_measure_owns_one_oracle(self):
+        mu = segment_measure()
+        assert mu.oracle is mu.oracle
+        radii2 = [Fraction(0), Fraction(1, 16)]
+        assert mu.oracle.masses_near_span([(0, 0), (1, 0)], radii2) == PlateMassOracle(
+            mu
+        ).masses_near_span([(0, 0), (1, 0)], radii2)
+
     def test_thin_uses_the_same_oracle(self):
         from flatbeck import thin
 

@@ -10,7 +10,7 @@ from flatbeck.cli import EXIT_INPUT, main
 from flatbeck.flats import AffineFlat, FlatChart, join
 from flatbeck.flatcollect import FlatCollection, PartitionSpaceTooLarge, bell_number
 from flatbeck.genscenes import nc_line_collection, psi_scene
-from flatbeck.measures import DiscreteMeasure
+from flatbeck.measures import DiscreteMeasure, PlateMassOracle
 from flatbeck.project import (
     ChartFrame,
     HyperplaneCoords,
@@ -350,22 +350,28 @@ class TestProjectedNC:
         assert code == EXIT_INPUT
 
 
+def plane_case():
+    """(mu, v, q, u, w): a grid measure on the plane v: z = 0 in Q^3, a
+    center line q crossing v at one point and a screen line u."""
+    v = AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
+    grid = [
+        (Fraction(i, 8), Fraction(j, 8), Fraction(0))
+        for i in range(-4, 5)
+        for j in range(-4, 5)
+    ]
+    mu = DiscreteMeasure.uniform(grid, RES)
+    # center crosses the plane off-grid so the parallel singular line
+    # (y = 1/16) carries no atoms; eps = 1/8 trims the four nearest atoms
+    q = AffineFlat([Fraction(1, 16), Fraction(1, 16), 0], [[0, 0, 1]])
+    u = AffineFlat([0, Fraction(-3, 4), 0], [[1, 0, 0]])
+    return mu, v, q, u, Fraction(1, 8)
+
+
 class TestIrreducibleProjection:
     def test_plane_measure_projects_irreducible(self):
-        # measure on the plane z = 0 in Q^3; the center line crosses the
-        # plane at one point, so trimming around it is exercised
-        v = AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
-        grid = [
-            (Fraction(i, 8), Fraction(j, 8), Fraction(0))
-            for i in range(-4, 5)
-            for j in range(-4, 5)
-        ]
-        mu = DiscreteMeasure.uniform(grid, RES)
-        # center crosses the plane off-grid so the parallel singular line
-        # (y = 1/16) carries no atoms; eps = 1/8 trims the four nearest atoms
-        q = AffineFlat([Fraction(1, 16), Fraction(1, 16), 0], [[0, 0, 1]])
-        u = AffineFlat([0, Fraction(-3, 4), 0], [[1, 0, 0]])
-        w = Fraction(1, 8)
+        # the center line crosses the plane at one point, so trimming
+        # around it is exercised
+        mu, v, q, u, w = plane_case()
         report = irreducible_projection_check(
             mu, v, q, u, w=w, tau=Fraction(2, 5), eps=w
         )
@@ -373,6 +379,22 @@ class TestIrreducibleProjection:
         assert report.kept_mass < mu.total_mass  # trimming removed something
         assert report.singular_mass == 0
         assert report.image_flat_dim == 1
+
+    def test_two_plate_oracles_per_call(self, monkeypatch):
+        """The input measure's oracle serves the input modulus and the
+        q(eps) trim, and the pushed measure gets one: two integerizations
+        per call, where building an oracle per use took three."""
+        built = []
+        init = PlateMassOracle.__init__
+
+        def counting(self, mu):
+            built.append(mu)
+            init(self, mu)
+
+        monkeypatch.setattr(PlateMassOracle, "__init__", counting)
+        mu, v, q, u, w = plane_case()
+        assert irreducible_projection_check(mu, v, q, u, w=w, tau=Fraction(2, 5), eps=w).ok
+        assert len(built) == 2 and built[0] is mu and built[1] is not mu
 
     def test_sqrt_lower_bound(self):
         for x in [Fraction(2), Fraction(9), Fraction(1, 4), Fraction(7, 3)]:

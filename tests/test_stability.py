@@ -13,7 +13,7 @@ from flatbeck.cli import parse_scene
 from flatbeck.exactlin import BudgetExceeded, norm2, pivot_columns
 from flatbeck.flats import AffineFlat
 from flatbeck.genscenes import random_minimal_frame
-from flatbeck.measures import DiscreteMeasure
+from flatbeck.measures import DiscreteMeasure, PlateMassOracle
 from flatbeck.stability import (
     CertificationBudgetExceeded,
     IndexPair,
@@ -412,6 +412,29 @@ class TestStabilize:
         frame = two_axes_frame()  # singleton supports: already stable
         restricted, c2 = stabilize(frame)
         assert certify_stability(restricted, c2).ok
+
+    @pytest.mark.parametrize("demo", [True, False], ids=["demo", "three-halvings"])
+    def test_one_plate_oracle_per_original_measure(self, demo, monkeypatch):
+        """Every halving cuts the original measures to balls; each of them
+        builds its plate oracle once.  The README demo stabilizes at the
+        first radius, the coincident-atoms frame at the third."""
+        built, radii = [], []
+        init, restricted = PlateMassOracle.__init__, StableFrame.restricted
+
+        def counting(self, mu):
+            built.append(mu)
+            init(self, mu)
+
+        def halving(self, centers, radius):
+            radii.append(radius)
+            return restricted(self, centers, radius)
+
+        monkeypatch.setattr(PlateMassOracle, "__init__", counting)
+        monkeypatch.setattr(StableFrame, "restricted", halving)
+        frame = parse_scene(str(AXES_SCENE)).frames["axes"] if demo else coincident_atoms_frame()
+        stabilize(frame)
+        assert len(radii) == (1 if demo else 3)
+        assert sorted(map(id, built)) == sorted(id(mu) for row in frame.measures for mu in row)
 
     def test_degenerate_frame_errors_on_required_ranks(self):
         # all atoms on the line y = x, flats are the two axes: the full

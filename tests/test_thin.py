@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from flatbeck import thin
 from flatbeck.exactlin import BudgetExceeded, _integerized_points
-from flatbeck.flats import AffineFlat, affinely_independent, independence_test
+from flatbeck.flats import AffineFlat, affinely_independent
 from flatbeck.genscenes import parallel_segments, segment_grid, square_grid
 from flatbeck.measures import DiscreteMeasure, dyadic_scales, support_dist2
 from flatbeck.stability import StableFrame
@@ -24,7 +25,7 @@ from flatbeck.thin import (
     verify_thin_planes,
     verify_thin_tubes,
 )
-from fraction_reference import flat_from_span, reference_chart_key, reference_dist2_flats
+from fraction_reference import flat_from_span, reference_chart_key, reference_dist2_flats, reference_rank
 
 RES = Fraction(1, 1024)
 SCALES6 = dyadic_scales(6, 1)
@@ -83,9 +84,7 @@ class TestVerifyThinPlanes:
         b = DiscreteMeasure.uniform([(Fraction(1, 2), Fraction(1, 2)), (0, Fraction(2, 3))], RES)
         c = DiscreteMeasure.uniform([(Fraction(1, 3), Fraction(1, 3)), (Fraction(2, 5), Fraction(2, 5))], RES)
         g = ThinGraph.complete([a, b, c], sigma=1.0, big_k=2.0)
-        independent = independence_test([m.points() for m in g.measures])
-        got = {t: independent(t) for t in g.iter_tuples()}
-        assert got == {t: affinely_independent(g.tuple_points(t)) for t in g.iter_tuples()}
+        got = {t: affinely_independent(g.tuple_points(t)) for t in g.iter_tuples()}
         assert not got[(0, 0, 0)] and not got[(0, 0, 1)] and got[(1, 0, 0)]
         with pytest.raises(TupleInDegenerateSet):
             verify_thin_planes(g, dyadic_scales(4, 1))
@@ -270,6 +269,13 @@ class TestPruneAgainstMeasure:
         out = prune_against_measure(g, nu, epsilon=0.5, scales=dyadic_scales(4, 1))
         assert out.ok and out.removed_mass == 0
 
+    def test_nu_in_another_dimension_rejected(self):
+        mu0, mu1 = parallel_segments(4)
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
+        nu = DiscreteMeasure([((0, 0, 0), 1)], RES)
+        with pytest.raises(ValueError, match="ambient dimensions differ"):
+            prune_against_measure(g, nu, epsilon=0.5, scales=dyadic_scales(4, 1))
+
     def test_dirac_on_one_span_removes_its_tuples(self):
         mu0 = DiscreteMeasure.uniform([(0, 0), (0, Fraction(1, 4))], RES)
         mu1 = DiscreteMeasure.uniform([(1, 0), (1, Fraction(1, 4))], RES)
@@ -318,6 +324,143 @@ class TestMarginAgainstFractionReference:
         ints, den = _integerized_points(ps)
         assert thin._margin2(ints, den) == want
         assert (want == 0) == (not affinely_independent(ps))
+
+
+step = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def span_graphs(draw):
+    """(graph, index of the measure holding the planted atom, t): k = 1..n
+    measures on Q^n, n = 2..4, each over its own denominator with some zero
+    weights.  Atom 0 of measure j is base + lambda_j e_(j-1) (base for
+    j = 0), so tuple (0, ..., 0) spans base + span(e_0, ..., e_(k-2)); the
+    planted atom is base + t e_(k-1) + a part along that span, at distance
+    exactly t from it.  Sometimes the last measure also holds base, which
+    makes a tuple with two coincident points."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n))
+    base = draw(st.tuples(*[coord] * n))
+    firsts = [base] + [
+        tuple(x + draw(step) * (i == j) for i, x in enumerate(base)) for j in range(k - 1)
+    ]
+    atoms = []
+    for first in firsts:
+        den = draw(st.sampled_from([1, 2, 3, 5, 7]))
+        c = st.builds(Fraction, st.integers(-8, 8), st.just(den))
+        extra = draw(st.lists(st.tuples(st.tuples(*[c] * n), st.integers(0, 3)), max_size=2))
+        atoms.append([(first, Fraction(1, den))] + [(p, Fraction(w, den)) for p, w in extra])
+    t = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    along = [draw(coord) if i < k - 1 else t * (i == k - 1) for i in range(n)]
+    planted = draw(st.integers(0, k - 1))
+    atoms[planted].append((tuple(map(add, base, along)), Fraction(draw(st.integers(1, 3)), 4)))
+    if k > 1 and draw(st.booleans()):
+        atoms[-1].append((base, Fraction(1, 3)))
+    mus = [DiscreteMeasure(a, RES) for a in atoms]
+    index = st.tuples(*[st.integers(0, len(m) - 1) for m in mus])
+    tuples = {(0,) * k, *draw(st.lists(index, max_size=6))}
+    if k > 1 and mus[-1].atoms[-1][0] == base:
+        tuples.add((0,) * (k - 1) + (len(mus[-1]) - 1,))
+    sigma = draw(st.sampled_from([Fraction(1), Fraction(1, 2)]))
+    big_k = draw(st.sampled_from([Fraction(1), Fraction(3, 2)]))
+    return ThinGraph(mus, tuples, sigma, big_k), planted, t
+
+
+def reference_span(g, t):
+    """The reference flat spanned by the points of tuple t, None when they
+    are affinely dependent."""
+    lifted = [p + (Fraction(1),) for p in g.tuple_points(t)]
+    return flat_from_span(lifted) if reference_rank(lifted) == len(lifted) else None
+
+
+def reference_masses(mu, flat, scales):
+    """mu's mass within each scale of the flat, by normal-equations
+    distances."""
+    d2 = [(reference_dist2_flats(AffineFlat.point(p), flat), w) for p, w in mu.atoms]
+    return [sum((w for d, w in d2 if d <= s * s), Fraction(0)) for s in scales]
+
+
+def reference_margin2(g, t):
+    """The least squared distance from a point of t to the reference span of
+    the others; None for one point."""
+    pts = g.tuple_points(t)
+    if len(pts) == 1:
+        return None
+    return min(
+        reference_dist2_flats(
+            AffineFlat.point(p), flat_from_span([q + (Fraction(1),) for q in pts[:j] + pts[j + 1 :]])
+        )
+        for j, p in enumerate(pts)
+    )
+
+
+class TestSpanPassAgainstFractionReference:
+    """verify_thin_planes, prune_planes and prune_against_measure read
+    their counts from one span pass; each is checked against masses from
+    the Fraction reference distance, with a window scale exactly at the
+    planted atom's distance from the span of tuple (0, ..., 0)."""
+
+    EPS = Fraction(1, 4)
+
+    @settings(max_examples=120, deadline=None)
+    @given(span_graphs())
+    def test_verify_thin_planes(self, case):
+        g, planted, t = case
+        scales = sorted({Fraction(1, 8), Fraction(1, 2), t}, reverse=True)
+        spans = {u: reference_span(g, u) for u in g.iter_tuples()}
+        assert spans[(0,) * g.arity] is not None
+        if None in spans.values():
+            with pytest.raises(TupleInDegenerateSet):
+                verify_thin_planes(g, scales)
+            return
+        want = {(u, j): reference_masses(m, f, scales) for u, f in spans.items() for j, m in enumerate(g.measures)}
+        items = thin._plane_items(g, [s * s for s in scales])
+        got = {(u, j): [Fraction(c, g.measures[j].weight_den) for c in cs] for u, j, cs in items}
+        assert got == want
+        # the planted atom sits exactly at radius t, so it counts there
+        mu = g.measures[planted]
+        assert reference_dist2_flats(AffineFlat.point(mu.atoms[-1][0]), spans[(0,) * g.arity]) == t * t
+        check = verify_thin_planes(g, scales)
+        over = [key for key, ms in want.items() for s, m in zip(scales, ms)
+                if not exactly_within(m, g.k_exact, g.sigma_exact, s)]
+        assert check.ok == (not over)
+        assert [m for _, m, _, _ in check.table] == [
+            max(ms[i] for ms in want.values()) for i in reversed(range(len(scales)))
+        ]
+
+    @settings(max_examples=120, deadline=None)
+    @given(span_graphs(), st.sampled_from([0.5, 1.0, 4.0]))
+    def test_prune_planes(self, case, c1):
+        g, _, t = case
+        scales = sorted({Fraction(1, 8), Fraction(1, 2), t}, reverse=True)
+        bounds = [Fraction(c1 * g.big_k * float(s) ** (g.sigma - float(self.EPS))) for s in scales]
+        kept = set()
+        for u in g.iter_tuples():
+            f = reference_span(g, u)
+            if f is not None and all(
+                m <= b for mu in g.measures for m, b in zip(reference_masses(mu, f, scales), bounds)
+            ):
+                kept.add(u)
+        out = prune_planes(g, self.EPS, scales, c1=c1)
+        assert set(out.graph.iter_tuples()) == kept
+        assert out.check == verify_thin_planes(out.graph, scales)
+
+    @settings(max_examples=120, deadline=None)
+    @given(span_graphs(), st.sampled_from([0.25, 1.0]), st.sampled_from([Fraction(0), Fraction(1, 16)]))
+    def test_prune_against_measure(self, case, k_prime, delta0):
+        g, planted, t = case
+        nu = g.measures[planted]
+        scales = sorted({Fraction(1, 8), Fraction(1, 2), t}, reverse=True)
+        bounds = [Fraction(k_prime * float(s) ** (g.sigma - float(self.EPS))) for s in scales]
+        kept = set()
+        for u in g.iter_tuples():
+            f, m2 = reference_span(g, u), reference_margin2(g, u)
+            if f is not None and (m2 is None or m2 >= delta0 * delta0) and all(
+                m <= b for m, b in zip(reference_masses(nu, f, scales), bounds)
+            ):
+                kept.add(u)
+        out = prune_against_measure(g, nu, self.EPS, scales, delta0=delta0, k_prime=k_prime)
+        assert set(out.graph.iter_tuples()) == kept
 
 
 class TestProductGraph:
@@ -533,8 +676,7 @@ def chart_graphs(draw):
 
 
 def spans_hyperplanes(g):
-    independent = independence_test([m.points() for m in g.measures])
-    return all(map(independent, g.iter_tuples()))
+    return all(affinely_independent(g.tuple_points(t)) for t in g.iter_tuples())
 
 
 class TestPushforwardFrostman:
