@@ -10,10 +10,10 @@ read, and ``dim`` is their count minus one.  Point and flat membership, join
 and meet are integer computations on those rows.  All metric predicates
 compare squared quantities so everything stays inside Q.
 
-_dist2_numerators is the one squared distance: integer numerators over one
-integer g of integer offsets from the span of independent integer rows.
-The plate oracle runs it over a measure's atoms; dist2_point_flat and
-dist2_flats are its one-offset Fraction views.
+_dist2_form is the one squared distance: an integer quadratic form M over
+one integer g for the span of independent integer rows.  The plate oracle
+packs the forms of a batch of spans and runs them over a measure's atoms;
+dist2_point_flat and dist2_flats are its one-offset Fraction views.
 
 The enumerator walks pencils of flats (see _pencils) and builds no
 elimination per subset.  Enumerated flats keep their picks, joins and meets
@@ -116,6 +116,11 @@ class AffineFlat:
             return _span_directions(self._rows)[0]
         base = self._picks[0]
         return [tuple(a - b for a, b in zip(v[:-1], base)) for v in self._picks[1:]]
+
+    def _span(self) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+        """The first pick, or the lifted basepoint, and _direction_rows."""
+        anchor = self._picks[0] if self._picks else _lifted_integer_points([self.basepoint])[0]
+        return anchor, self._direction_rows()
 
     @property
     def canon(self) -> tuple[Vector, ...]:
@@ -272,44 +277,35 @@ def meet(f: AffineFlat, g: AffineFlat) -> Optional[AffineFlat]:
     return _flat_from_span(_span_meet(f._rows, g._rows, f.ambient_dim + 1))
 
 
-def _dist2_numerators(
-    offsets: Sequence[Sequence[int]], norms: Sequence[int], dirs: Sequence[Sequence[int]]
-) -> tuple[int, list[int]]:
-    """The one exact squared distance, on integers: g and, per offset r with
-    |r|^2 in norms, num, so that r lies at squared distance num / g from the
-    span of the independent integer rows D = dirs.
-
-    With G = D D^T, g = det G and y = D r, num = |r|^2 g - y^T adj(G) y.
-    num / g does not depend on the basis of the span, so each row may be
-    scaled on its own.  For no rows num is |r|^2, for one row d it is
-    |r|^2 |d|^2 - (d.r)^2.  Dependent rows (g = 0) are a ValueError.
-    """
-    if not dirs:
-        return 1, list(norms)
+def _dist2_form(dirs: Sequence[Sequence[int]], n: int) -> tuple[int, list[list[int]]]:
+    """The one exact squared distance: g and the integer n x n form M, so
+    that an integer offset r lies at squared distance r^T M r / g from the
+    span of the independent integer rows D = dirs.  With G = D D^T and
+    g = det G, M = g I - D^T adj(G) D is g times the projection off the
+    span, so 0 <= r^T M r <= g |r|^2, and M / g does not depend on the basis
+    of the span.  Dependent rows (g = 0) are a ValueError."""
+    k = len(dirs)
     gram = [[sum(map(mul, u, v)) for v in dirs] for u in dirs]
-    g = bareiss(gram)[1]
+    g = gram[0][0] if k == 1 else bareiss(gram)[1]
     if g == 0:
         raise ValueError("directions are linearly dependent")
-    if len(dirs) == 1:
+    if k == 1:
         d = dirs[0]
-        return g, [q * g - sum(map(mul, d, r)) ** 2 for r, q in zip(offsets, norms)]
+        return g, [[g * (a == b) - x * y for b, y in enumerate(d)] for a, x in enumerate(d)]
     # adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i)
-    k = len(dirs)
     adj = [[(-1) ** (i + j) * bareiss([r[:i] + r[i + 1 :] for r in gram[:j] + gram[j + 1 :]])[1]
             for j in range(k)] for i in range(k)]
-    nums = []
-    for r, q in zip(offsets, norms):
-        y = [sum(map(mul, d, r)) for d in dirs]
-        nums.append(q * g - sum(map(mul, y, [sum(map(mul, row, y)) for row in adj])))
-    return g, nums
+    cols = list(zip(*dirs)) or [()] * n
+    adj_cols = list(zip(*[[sum(map(mul, row, c)) for c in cols] for row in adj])) or [()] * n
+    return g, [[g * (a == b) - sum(map(mul, cols[a], adj_cols[b])) for b in range(n)] for a in range(n)]
 
 
 def _dist2_offset(r: Sequence[int], dirs: Sequence[Sequence[int]], den: int) -> Fraction:
     """Squared distance of the offset r / den from the span of the
-    independent integer rows dirs: the one-offset Fraction view of
-    _dist2_numerators."""
-    g, (num,) = _dist2_numerators([r], [sum(map(mul, r, r))], dirs)
-    return Fraction(num, g * den * den)
+    independent integer rows dirs: r^T M r / (g den^2), with (g, M) the
+    _dist2_form of dirs."""
+    g, m = _dist2_form(dirs, len(r))
+    return Fraction(sum(x * sum(map(mul, row, r)) for x, row in zip(r, m)), g * den * den)
 
 
 def dist2_point_flat(p: Sequence, f: AffineFlat) -> Fraction:

@@ -2,10 +2,11 @@
 
 A measure is a finite weighted atom set at a declared resolution.  Ball and
 plate masses are exact; only the fitted Frostman constants (C, s) are floats.
-PlateMassOracle runs the one distance, ``flats._dist2_numerators``, over
-the atoms: plate masses, ball masses (point flats) and masks of atoms near
-a flat.  A measure owns its oracle: ``DiscreteMeasure.oracle`` builds it on
-first read, so every caller of the same measure shares one integerization.
+PlateMassOracle runs the one distance, ``flats._dist2_form``, over the
+atoms for a whole batch of spans per pass: plate masses, ball masses (point
+flats) and masks of atoms near a flat.  A measure owns its oracle:
+``DiscreteMeasure.oracle`` builds it on first read, so every caller of the
+same measure shares one integerization.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exactlin import Vector, _integerized_points, frac, norm2, vec, wedge_norm2
-from .flats import AffineFlat, _dist2_numerators, _lifted_integer_points, spanned_flats
+from .flats import AffineFlat, _dist2_form, _lifted_integer_points, spanned_flats
 
 Atom = tuple[Vector, Fraction]
 
@@ -82,29 +83,27 @@ class DiscreteMeasure:
 class PlateMassOracle:
     """Exact masses a measure gives to the closed neighborhoods of flats.
 
-    The atoms are integerized once, and the weights as integers over the
-    measure's weight denominator W.  A flat's first spanning point, or its
-    basepoint, is its anchor a.  The integer offsets r = den (p - a) of the
-    atoms, over a common denominator den, and their |r|^2 are kept for the
-    next call with the same anchor: callers ask for flats in runs through
-    one point.  flats._dist2_numerators puts each atom at squared distance
-    num / (g den^2) from the flat, num an integer, so num <= p g den^2 / q
-    exactly when num <= floor(p g den^2 / q): one division per radius, then
-    one integer comparison per atom and radius.
-
-    Per weighting (integer weights over W, the measure's own by default)
-    and squared radius, the integer core _counts returns the weight within
-    as an integer count over W.  counts_near_span is its integer view; the
-    masses_near_* methods divide by W; atoms_near_flat weights atom i by 2^i,
-    so its count is the mask of the atoms within.
+    The atoms are integerized once, as points P over a common denominator
+    den, and the weights as integers over the measure's weight denominator
+    W.  A span is a lifted anchor (A, e), the point a = A / e, and integer
+    direction rows D.  With L = lcm(den, e) and r = L (P / den - a), an atom
+    lies at squared distance num / (g L^2), num = r^T M r with (g, M) =
+    _dist2_form(D): a quadratic in P, and num <= p g L^2 / q exactly when
+    num <= floor(p g L^2 / q).  The core _counts gives, per span, weighting
+    (integer weights over W) and squared radius, the weight within as a
+    count over W; the public methods are its batches of one, and
+    atoms_near_flat weights atom i by 2^i, so its count is a mask.
     """
 
     def __init__(self, mu: DiscreteMeasure):
-        self.ambient_dim = mu.ambient_dim
+        self.ambient_dim = n = mu.ambient_dim
         self._int_pts, self._den = _integerized_points(mu.points())
         self._wden = mu.weight_den
         self.int_weights = [w.numerator * (self._wden // w.denominator) for w in mu.weights()]
-        self._anchor = self._shared = None
+        # per atom, the monomials P_j P_k (twice for j < k), -2 P_j and 1 of num
+        self._monomials = [tuple(p[j] * p[k] * (1 + (j < k)) for j in range(n) for k in range(j, n))
+                           + tuple(-2 * x for x in p) + (1,) for p in self._int_pts]
+        self._norm2 = max(sum(x * x for x in p) for p in self._int_pts)
 
     def counts_near_span(
         self, points: Sequence[Vector], radii2: Sequence[Fraction], weightings=None
@@ -115,9 +114,9 @@ class PlateMassOracle:
         weighting."""
         if any(len(p) != self.ambient_dim for p in points):
             raise ValueError("ambient dimensions differ")
-        base, *rest = _integerized_points(points)[0]
+        (base, *rest), den = _integerized_points(points)
         dirs = [tuple(map(sub, p, base)) for p in rest]
-        return self._counts(tuple(points[0]), dirs, radii2, weightings or (self.int_weights,))
+        return self._counts([(base + (den,), dirs)], radii2, weightings or (self.int_weights,))[0]
 
     def masses_near_span(
         self, points: Sequence[Vector], radii2: Sequence[Fraction]
@@ -138,7 +137,7 @@ class PlateMassOracle:
     def _flat_counts(self, f: AffineFlat, radii2: Sequence[Fraction], weights) -> list[int]:
         if f.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return self._counts(f.basepoint, f._direction_rows(), radii2, (weights,))[0]
+        return self._counts([f._span()], radii2, (weights,))[0][0]
 
     def masses_near_line(self, a: Vector, b: Vector, radii2: Sequence[Fraction]) -> list[Fraction]:
         """Masses within each squared radius of the line through a and b."""
@@ -147,25 +146,60 @@ class PlateMassOracle:
     def _fractions(self, counts: list[int]) -> list[Fraction]:
         return [Fraction(c, self._wden) for c in counts]
 
-    def _offsets(self, anchor: Vector) -> tuple[int, list[tuple[int, ...]], list[int]]:
-        """den, the atoms' integer offsets r = den (p - anchor) and their |r|^2."""
-        (base,), den = _integerized_points([anchor], self._den)
-        scale = den // self._den
-        offsets = [tuple(x * scale - b for x, b in zip(p, base)) for p in self._int_pts]
-        return den, offsets, [sum(map(mul, r, r)) for r in offsets]
+    def _counts(self, spans, radii2, weightings) -> list[list[list[int]]]:
+        """The integer core: per span (anchor, dirs), per weighting, the
+        weight of the atoms within each squared radius, SPAN_CHUNK spans per
+        pass over the atoms.  Lane t, bits [w t, w t + w) of an int, holds
+        span t's value.  Per atom, one sum of monomials times packed
+        coefficients gives every num_t; per radius, the top bit of lane t of
+        CUT + 2^(w-1) - NUM is set exactly when num_t <= cut_t, as long as
+        both are below 2^(w-1): num_t <= g |r|^2 <= 2 g (s^2 max|P|^2 + |b|^2)
+        bounds them, each cut clamped to [-1, that bound].  The flags, times the atom's
+        weight, add up per weighting and radius, and w exceeds the bit size
+        of every weighting's total, so no lane carries into the next."""
+        out: list = []
+        n, den = self.ambient_dim, self._den
+        for start in range(0, len(spans), SPAN_CHUNK):
+            coeffs, scales, bounds = [], [], []
+            for anchor, dirs in spans[start : start + SPAN_CHUNK]:
+                g, m = _dist2_form(dirs, n)
+                big = math.lcm(den, anchor[-1])
+                s = big // den  # r = s P - b
+                b = [big // anchor[-1] * x for x in anchor[:-1]]
+                mb = [sum(map(mul, row, b)) for row in m]
+                coeffs.append([s * s * m[j][k] for j in range(n) for k in range(j, n)]
+                              + [s * x for x in mb] + [sum(map(mul, b, mb))])
+                scales.append(g * big * big)
+                bounds.append(2 * g * (s * s * self._norm2 + sum(x * x for x in b)))
+            width = 1 + max(max(bounds).bit_length(), *(sum(ws).bit_length() for ws in weightings))
+            top = 1 << (width - 1)
+            packed = [_pack(c, width) for c in zip(*coeffs)]
+            cuts = [_pack([min(max(p * c // q, -1), u) + top for c, u in zip(scales, bounds)], width)
+                    for p, q in ((r2.numerator, r2.denominator) for r2 in radii2)]
+            ones = _pack([1] * len(bounds), width)
+            acc = [[0] * len(cuts) for _ in weightings]
+            for z, mono in enumerate(self._monomials):
+                ws = [w[z] for w in weightings]
+                if any(ws):
+                    num = sum(map(mul, mono, packed))
+                    flags = [(c - num) >> (width - 1) & ones for c in cuts]
+                    for a, wt in zip(acc, ws):
+                        for i, f in enumerate(flags if wt else ()):
+                            a[i] += wt * f
+            lane = (1 << width) - 1
+            out += [[[x >> (width * t) & lane for x in a] for a in acc] for t in range(len(bounds))]
+        return out
 
-    def _counts(self, anchor, dirs, radii2, weightings) -> list[list[int]]:
-        """The integer core: the numerators of the span of anchor + dirs,
-        once, then per weighting the weight of the atoms with num <= cut at
-        each squared radius."""
-        if anchor != self._anchor:
-            self._shared = self._offsets(anchor)
-            self._anchor = anchor
-        den, offsets, norms = self._shared
-        g, nums = _dist2_numerators(offsets, norms, dirs)
-        scale = g * den * den
-        cuts = [r2.numerator * scale // r2.denominator for r2 in radii2]
-        return [[sum(itertools.compress(ws, map(c.__ge__, nums))) for c in cuts] for ws in weightings]
+
+SPAN_CHUNK = 256  # spans per pass of the plate oracle's core: the lanes of one int
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """sum_t values[t] 2^(width t); a negative value borrows from the lanes above."""
+    out = 0
+    for v in reversed(values):
+        out = (out << width) + v
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,8 +214,8 @@ def _max_ball_masses(mu: DiscreteMeasure, radii: Sequence[Fraction]) -> dict[Fra
 
     Weights are the oracle's integers over W.  Collinear supports get a
     sliding window over the atoms sorted along the line; otherwise each
-    center's ball counts come from the oracle, as the neighbourhoods of the
-    point flat at the center.
+    center's ball counts come from one oracle call, as the neighbourhoods
+    of the point flats at the centers.
     """
     oracle = mu.oracle
     pts, den = oracle._int_pts, oracle._den
@@ -209,9 +243,8 @@ def _max_ball_masses(mu: DiscreteMeasure, radii: Sequence[Fraction]) -> dict[Fra
                 for pos in s_sorted
             ))
     else:
-        best = [0] * len(radii)
-        for c in mu.points():
-            best = list(map(max, best, oracle.counts_near_span([c], radii2)[0]))
+        counts = oracle._counts([(p + (den,), []) for p in pts], radii2, (oracle.int_weights,))
+        best = [max(col) for col in zip(*(c for (c,) in counts))]
     return {r: Fraction(b, mu.weight_den) for r, b in zip(radii, best)}
 
 
@@ -259,22 +292,28 @@ def irreducibility_modulus(
     """
     if v.dim == 0:
         raise ValueError("no proper subflats of a point")
+    if mu.total_mass == 0:
+        raise ValueError("measure has zero total mass")
     tol = mu.resolution if support_tolerance is None else frac(support_tolerance)
-    if mu.oracle.atoms_near_flat(v, tol * tol) != (1 << len(mu)) - 1:
+    on_v, near = mu.oracle._flat_counts(v, [Fraction(0), tol * tol], [1 << i for i in range(len(mu))])
+    if near != (1 << len(mu)) - 1:
         raise ValueError("support leaves the tolerance neighborhood of v")
-    return _oracle_modulus(mu, v, frac(w))
+    return _oracle_modulus(mu, v, frac(w), on_v)
 
 
-def _oracle_modulus(mu: DiscreteMeasure, v: AffineFlat, w: Fraction) -> Fraction:
-    """irreducibility_modulus for a caller that has checked the support."""
-    best = Fraction(0)
-    for h in spanned_flats(mu.points(), range(v.dim)):
-        if not v.contains_flat(h):
-            continue
-        m = mu.oracle.masses_near_flat(h, [w * w])[0]
-        if m > best:
-            best = m
-    return best / mu.total_mass
+def _oracle_modulus(mu: DiscreteMeasure, v: AffineFlat, w: Fraction, on_v=None) -> Fraction:
+    """irreducibility_modulus for a caller that has checked the support.  A
+    spanned flat lies in v exactly when its spanning atoms do (the mask
+    on_v), so the candidates are the flats those span; they stream into the
+    oracle's core SPAN_CHUNK at a time, keeping only the heaviest count."""
+    oracle = mu.oracle
+    if on_v is None:
+        on_v = oracle.atoms_near_flat(v, Fraction(0))
+    flats = spanned_flats([p for i, p in enumerate(mu.points()) if on_v >> i & 1], range(v.dim))
+    best = 0
+    while chunk := [f._span() for f in itertools.islice(flats, SPAN_CHUNK)]:
+        best = max(best, *(c for ((c,),) in oracle._counts(chunk, [w * w], (oracle.int_weights,))))
+    return Fraction(best, mu.weight_den) / mu.total_mass
 
 
 def good_position_margin(mus: Sequence[DiscreteMeasure]) -> Fraction:

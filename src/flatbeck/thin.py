@@ -21,7 +21,8 @@ plane and tube checks generate those items, and pruning and tube-to-plane
 conversion hand it the counts of the tuples they keep instead of measuring
 them again.  One span pass, _span_pass, serves every plane check and prune:
 it lifts the graph's atoms once, tests each tuple's independence and builds
-its direction rows once, and hands them to each measure's plate oracle.
+its span once, and hands each measure's plate oracle a chunk of spans at a
+time.
 The continuum quantifier over scales is truncated at the data's resolution:
 below it a discrete measure is atomic and the bounds say nothing.
 """
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .exactlin import BudgetExceeded, Vector, _wedge, frac, pivot_columns
 from .flats import _dist2_offset, _lifted_integer_points
 from .flatcollect import FlatCollection
-from .measures import DiscreteMeasure, PlateMassOracle, support_dist2
+from .measures import SPAN_CHUNK, DiscreteMeasure, PlateMassOracle, support_dist2
 from .project import rational_sqrt_lower
 
 
@@ -304,7 +305,7 @@ def verify_thin_planes(
 def _plane_items(g: ThinGraph, radii2: list[Fraction]) -> Iterator:
     """(tuple, measure index, counts near its span at radii2) for every
     tuple of g and measure; a dependent tuple raises."""
-    for t, counts in _span_pass(g, _lifted_atoms(g), g.measures, radii2):
+    for t, counts in _span_pass(g.iter_tuples(), _lifted_atoms(g), g.measures, radii2):
         if counts is None:
             raise TupleInDegenerateSet(f"tuple {t} is affinely dependent")
         for j, c in enumerate(counts):
@@ -318,28 +319,27 @@ def _lifted_atoms(g: ThinGraph) -> list[list[tuple[int, ...]]]:
     return [list(itertools.islice(lifted, len(m))) for m in g.measures]
 
 
-def _span_pass(g: ThinGraph, lifted: list, measures: Sequence[DiscreteMeasure], radii2) -> Iterator:
-    """(t, counts) for each tuple t of g, in order: counts is None when t is
-    affinely dependent, else an iterator of each measure's counts near the
-    span of t's points at radii2, computed as it is read.
+def _span_pass(tuples: Iterable, lifted: list, measures: Sequence[DiscreteMeasure], radii2) -> Iterator:
+    """(t, counts) for each tuple t, in order: counts is None when t is
+    affinely dependent, else each measure's counts near the span of t's
+    points at radii2.
 
     lifted is _lifted_atoms(g).  A tuple's independence is the rank of its
-    lifted rows, and its direction rows, their differences from the first,
-    are built once for every measure; each oracle's _counts takes them with
-    the tuple's first point as its anchor."""
+    lifted rows, and its span, the first row and the differences from it,
+    is built once for every measure.  The tuples go to the oracles
+    SPAN_CHUNK at a time: one core call per chunk and measure."""
     oracles: list[PlateMassOracle] = [m.oracle for m in measures]
-
-    def counts(anchor: Vector, dirs: list[tuple[int, ...]]) -> Iterator[list[int]]:
-        for o in oracles:
-            yield o._counts(anchor, dirs, radii2, (o.int_weights,))[0]
-
-    for t in g.iter_tuples():
-        rows = [pts[i] for pts, i in zip(lifted, t)]
-        if len(pivot_columns(rows)) < len(rows):
-            yield t, None
-        else:
-            dirs = [tuple(map(sub, v, rows[0]))[:-1] for v in rows[1:]]
-            yield t, counts(g.measures[0].atoms[t[0]][0], dirs)
+    tuples = iter(tuples)
+    while chunk := list(itertools.islice(tuples, SPAN_CHUNK)):
+        spans = {}
+        for t in chunk:
+            rows = [pts[i] for pts, i in zip(lifted, t)]
+            if len(pivot_columns(rows)) == len(rows):
+                spans[t] = rows[0], [tuple(map(sub, v, rows[0]))[:-1] for v in rows[1:]]
+        got = [o._counts(list(spans.values()), radii2, (o.int_weights,)) for o in oracles]
+        counts = dict(zip(spans, zip(*got)))
+        for t in chunk:
+            yield t, [c for (c,) in counts[t]] if t in counts else None
 
 
 def verify_thin_tubes(
@@ -374,22 +374,24 @@ def _tube_window(mu0, mu1, g: ThinGraph, scales: Sequence) -> tuple[list, list]:
 
 def _tube_items(mu0, mu1, g: ThinGraph, radii2: list[Fraction], full=None) -> Iterator:
     """((i0, i1), 1, counts) for every tube of the family: the G-section of
-    mu1 is mu1's weights with zeros off the section, so one numerator pass
-    per line x0 -> y gives its count; with a dict full, the same pass also
-    stores mu1's full counts of the lines of the pairs in g, under the pair."""
+    mu1 is mu1's weights with zeros off the section, so one core call per
+    centre x0 gives the counts of all its lines x0 -> y; with a dict full,
+    the same call also stores mu1's full counts of the lines of the pairs in
+    g, under the pair."""
     oracle = mu1.oracle
     weights = oracle.int_weights
+    lifted0, lifted1 = _lifted_atoms(g)
     # tuples come sorted: one run per mu0 atom, its G-section of mu1
     for i0, run in itertools.groupby(g.iter_tuples(), key=lambda t: t[0]):
-        x0 = mu0.atoms[i0][0]
+        x0 = lifted0[i0]
         paired = {i1 for _, i1 in run}
         section = [w if i1 in paired else 0 for i1, w in enumerate(weights)]
-        for i1, (y, _) in enumerate(mu1.atoms):
+        spans = [(x0, [tuple(map(sub, y, x0))[:-1]]) for y in lifted1]
+        weightings = (section,) if full is None else (section, weights)
+        for i1, counts in enumerate(oracle._counts(spans, radii2, weightings)):
             if full is not None and i1 in paired:
-                counts, full[i0, i1] = oracle.counts_near_span((x0, y), radii2, (section, weights))
-            else:
-                (counts,) = oracle.counts_near_span((x0, y), radii2, (section,))
-            yield (i0, i1), 1, counts
+                full[i0, i1] = counts[1]
+            yield (i0, i1), 1, counts[0]
 
 
 def dyadic_tail_sum(scales: Sequence[Fraction], eps: float) -> float:
@@ -436,7 +438,7 @@ def prune_planes(
     cuts = [_double_cuts(m.weight_den, bounds) for m in g.measures]
     removed: set[tuple[int, ...]] = set()
     kept = []
-    for t, counts in _span_pass(g, _lifted_atoms(g), g.measures, radii2):
+    for t, counts in _span_pass(g.iter_tuples(), _lifted_atoms(g), g.measures, radii2):
         if counts is None:
             removed.add(t)
             continue
@@ -613,8 +615,9 @@ def prune_against_measure(
         k_prime = g.big_k * float(delta0) ** (-2 * g.sigma) * s_sum / (eps / 2)
     cuts = _double_cuts(nu.weight_den, [k_prime * float(s) ** (g.sigma - eps) for s in scales])
     removed = set(margin_removed)
-    for t, counts in _span_pass(g, lifted, (nu,), radii2):
-        if t not in removed and (counts is None or _exceeds(next(counts), cuts)):
+    unmarked = (t for t in g.iter_tuples() if t not in margin_removed)
+    for t, counts in _span_pass(unmarked, lifted, (nu,), radii2):
+        if counts is None or _exceeds(counts[0], cuts):
             removed.add(t)
     out = g.without(removed, sigma=g.sigma_exact - eps_q)
     removed_mass = g.density() - out.density()

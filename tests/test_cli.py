@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import flatbeck.cli
+import flatbeck.measures
 import flatbeck.thin
 from flatbeck.cli import (
     EXIT_BUDGET,
@@ -414,24 +415,26 @@ class TestDeterminism:
 
 
 def count_numerator_passes(monkeypatch) -> list:
-    """Record every call of PlateMassOracle._counts, the integer core that
-    computes one span's numerators; every mass and count goes through it."""
+    """Record the number of spans in every call of PlateMassOracle._counts,
+    the integer core that evaluates a batch of spans; every mass and count
+    goes through it."""
     calls = []
     core = PlateMassOracle._counts
 
-    def counting(self, *args):
-        calls.append(1)
-        return core(self, *args)
+    def counting(self, spans, *args):
+        calls.append(len(spans))
+        return core(self, spans, *args)
 
     monkeypatch.setattr(PlateMassOracle, "_counts", counting)
     return calls
 
 
 class TestThinPruneMeasuresOnce:
-    # 32 x 32 pairs: the planes prune measures each pair against both
-    # measures once (2,048); the conversion's two tube checks take one pass
-    # per (centre, direction) line each way (2,048), and those passes also
-    # give the full line counts that the removal and the output verdict read
+    # 32 x 32 pairs: the planes prune measures each pair's span against
+    # both measures once (2,048 spans); the conversion's two tube checks
+    # measure each (centre, direction) line once each way (2,048), and
+    # those counts also give the full line counts that the removal and the
+    # output verdict read
     @pytest.mark.parametrize("mode, expected", [("planes", 2048), ("tubes2planes", 2048)])
     def test_output_verified_from_masses_in_hand(self, mode, expected, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -443,7 +446,7 @@ class TestThinPruneMeasuresOnce:
         scene = str(SCENES / "thin-parallel-segments.json")
         argv = ["thin-prune", "--scene", scene, "--mode", mode, "--out", str(tmp_path)]
         assert main(argv) == EXIT_PASS
-        assert len(calls) == expected
+        assert sum(calls) == expected
 
     def test_window_below_resolution_refused_before_pruning(self, tmp_path, monkeypatch, capsys):
         calls = count_numerator_passes(monkeypatch)
@@ -546,12 +549,9 @@ class TestThinVerifyTubesAndDensity:
 
 
 class TestProjectIrreducibleCommand:
-    def test_plane_scene(self, tmp_path):
-        grid = [
-            [str(Fraction(i, 8)), str(Fraction(j, 8)), "0"]
-            for i in range(-4, 5)
-            for j in range(-4, 5)
-        ]
+    GRID = [[str(Fraction(i, 8)), str(Fraction(j, 8)), "0"] for i in range(-4, 5) for j in range(-4, 5)]
+
+    def run(self, tmp_path, measure):
         body = {
             "ambient_dim": 3,
             "flats": {
@@ -559,21 +559,33 @@ class TestProjectIrreducibleCommand:
                 "q": {"basepoint": ["1/16", "1/16", "0"], "directions": [["0", "0", "1"]]},
                 "u": {"basepoint": ["0", "-3/4", "0"], "directions": [["1", "0", "0"]]},
             },
-            "measures": {"m": {"uniform_on": grid, "resolution": "1/1024"}},
+            "measures": {"m": measure},
             "params": {"w": "1/8", "tau": "2/5", "eps": "1/8"},
         }
         path = write_scene(tmp_path, body)
-        out = tmp_path / "out"
-        code = main(
+        return main(
             [
                 "project", "--scene", path, "--check", "irreducible",
                 "--measure", "m", "--flat", "v", "--center", "q", "--screen", "u",
-                "--out", str(out),
+                "--out", str(tmp_path / "out"),
             ]
         )
+
+    def test_plane_scene(self, tmp_path):
+        out = tmp_path / "out"
+        code = self.run(tmp_path, {"uniform_on": self.GRID, "resolution": "1/1024"})
         assert code == EXIT_PASS
         report = json.loads((out / "report.json").read_text())
         assert report["verdicts"][0]["check"] == "projected-irreducibility"
+
+    def test_zero_mass_measure_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("candidates enumerated for a zero-mass measure")
+
+        monkeypatch.setattr(flatbeck.measures, "spanned_flats", refuse)
+        code = self.run(tmp_path, {"atoms": [[p, "0"] for p in self.GRID], "resolution": "1/1024"})
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: measure has zero total mass\n"
 
 
 class TestAnalyzeFlats:

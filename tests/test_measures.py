@@ -2,15 +2,18 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from flatbeck import measures
 from flatbeck.exactlin import norm2
 from flatbeck.flats import AffineFlat, affinely_independent, dist2_point_flat, spanned_flats
 from flatbeck.measures import (
     DiscreteMeasure,
     PlateMassOracle,
+    SPAN_CHUNK,
     dyadic_scales,
     frostman_fit,
     good_position_margin,
@@ -130,6 +133,66 @@ class TestPlateMassOracle:
         assert thin.PlateMassOracle is PlateMassOracle
 
 
+@st.composite
+def packed_batches(draw):
+    """Atoms of Q^2 to Q^4, two weightings with zeros, and a batch of 0 to
+    8 spans of mixed dimension.  A span is a lifted anchor (k A, k e) of the
+    point A / e, whose coordinates have denominators foreign to the atoms',
+    and integer direction rows; with dependent, one span gets a repeated or
+    zero row.  With big, every coordinate and radius is scaled by 2^40 (its
+    square for the radii), so the numerators pass 2^70."""
+    n = draw(st.integers(2, 4))
+    scale = 2**40 if draw(st.booleans()) else 1
+    pts = draw(st.lists(st.tuples(*[atom_coord] * n), min_size=1, max_size=6))
+    pts = [tuple(scale * x for x in p) for p in pts]
+    weightings = [draw(st.lists(st.integers(0, 5), min_size=len(pts), max_size=len(pts))) for _ in range(2)]
+    spans = []
+    for _ in range(draw(st.integers(0, 8))):
+        anchor = [scale * draw(span_coord) for _ in range(n)]
+        e = math.lcm(*(x.denominator for x in anchor)) * draw(st.integers(1, 3))
+        k = draw(st.integers(0, n - 1))
+        dirs = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=k, max_size=k))
+        spans.append(((*(int(x * e) for x in anchor), e), dirs))
+    dependent = bool(spans) and draw(st.booleans())
+    if dependent:
+        _, dirs = spans[draw(st.integers(0, len(spans) - 1))]
+        dirs.append(dirs[0] if dirs else (0,) * n)
+    radii2 = draw(st.lists(st.builds(Fraction, st.integers(0, 40), st.integers(1, 9)), max_size=2))
+    hit = draw(st.integers(0, 7)), draw(st.integers(0, len(pts) - 1))
+    return pts, weightings, spans, [r * scale * scale for r in radii2], hit, dependent, scale > 1
+
+
+class TestPackedCore:
+    """PlateMassOracle._counts, the batched core, against the Fraction
+    reference distance of every atom from every span of the batch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(packed_batches())
+    def test_matches_the_fraction_reference(self, case):
+        pts, weightings, spans, radii2, hit, dependent, big = case
+        oracle = PlateMassOracle(DiscreteMeasure([(p, 1) for p in pts], D))
+        if dependent:
+            with pytest.raises(ValueError, match="dependent"):
+                oracle._counts(spans, radii2, weightings)
+            return
+        assume(all(affinely_independent([a[:-1]] + [tuple(x + a[-1] * y for x, y in zip(a, d)) for d in dirs])
+                   for a, dirs in spans))
+        flats = [AffineFlat([Fraction(x, a[-1]) for x in a[:-1]], dirs) for a, dirs in spans]
+        d2 = [[reference_dist2(p, f) for p in pts] for f in flats]
+        # a negative radius and one past every atom, whose thresholds must
+        # be clamped into the lane, and one exactly at an atom's squared
+        # distance: the boundary is closed
+        radii2 = radii2 + [Fraction(-10**40), Fraction(10**40)] + ([d2[hit[0] % len(spans)][hit[1]]] if spans else [])
+        want = [[[sum(w for x, w in zip(row, ws) if x <= r2) for r2 in radii2] for ws in weightings] for row in d2]
+        with mock.patch.object(measures, "_pack", wraps=measures._pack) as pack:
+            assert oracle._counts(spans, radii2, weightings) == want
+        if big and spans and any(map(any, pts)):
+            assert max(width for (_, width), _ in pack.call_args_list) > 70
+        with mock.patch.object(measures, "SPAN_CHUNK", 3):  # batches of up to 8 cross it
+            assert oracle._counts(spans, radii2, weightings) == want
+        assert oracle._counts([], radii2, weightings) == []
+
+
 class TestAtomsNearFlat:
     """atoms_near_flat and dist2_point_flat against the normal-equations
     distance of the Fraction reference, on random flats of Q^2 to Q^4."""
@@ -221,6 +284,9 @@ def anchored_call_sequences(draw):
 
 
 class TestAnchorMemo:
+    """Calls that share an anchor, as runs of enumerated flats and graph
+    tuples do, and calls that switch it: no call leaks into the next."""
+
     @settings(max_examples=200, deadline=None)
     @given(anchored_call_sequences())
     def test_call_sequences_match_the_fraction_reference(self, case):
@@ -249,18 +315,19 @@ class TestAnchorMemo:
                 got = oracle.masses_near_line(*span, radii2)
             assert got == want
 
-    def test_one_offset_pass_per_anchor_change(self, monkeypatch):
+    def test_modulus_measures_each_candidate_once(self, monkeypatch):
         grid = [(Fraction(i, 8), Fraction(j, 8), Fraction(0)) for i in range(-4, 5) for j in range(-4, 5)]
         mu = DiscreteMeasure.uniform(grid, D)
         v = AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
-        offsets, flats = count_calls(monkeypatch, "_offsets"), count_calls(monkeypatch, "masses_near_flat")
+        calls = count_calls(monkeypatch, "_counts")
         assert irreducibility_modulus(mu, v, Fraction(1, 8)) == Fraction(1, 3)
-        anchors = [f.basepoint for f in spanned_flats(grid, range(2)) if v.contains_flat(f)]
-        changes = 1 + sum(a != b for a, b in zip(anchors, anchors[1:]))
-        assert len(flats) == len(anchors) > 800
-        # one pass at v's basepoint for the tolerance check, then at most
-        # one per anchor change
-        assert len(offsets) <= 1 + changes <= 1 + 2 * 81
+        candidates = [f._span() for f in spanned_flats(grid, range(2)) if v.contains_flat(f)]
+        assert len(candidates) > 800
+        # one call at v for the tolerance check and the mask of the atoms on
+        # v, then every candidate once, SPAN_CHUNK to a call
+        assert calls[0] == [v._span()]
+        assert sorted(s for spans in calls[1:] for s in spans) == sorted(candidates)
+        assert len(calls) <= 1 + math.ceil(len(candidates) / SPAN_CHUNK)
 
     def test_errors_after_the_anchor_is_memoised(self):
         oracle = PlateMassOracle(segment_measure())

@@ -487,21 +487,21 @@ class TestProductGraph:
     def test_product_measures_each_mass_once(self, monkeypatch):
         """K = 8 fails on the axes frame, so the graph is verified again at
         the achieved K from the same counts: 16 tuples x 2 measures give 32
-        numerator passes of the oracle's integer core, and the result is
-        that of a fresh verification."""
+        spans through the oracle's integer core, and the result is that of
+        a fresh verification."""
         calls = []
         core = thin.PlateMassOracle._counts
 
-        def counting(self, *args):
-            calls.append(1)
-            return core(self, *args)
+        def counting(self, spans, *args):
+            calls.append(len(spans))
+            return core(self, spans, *args)
 
         frame, mx, my = self.axes_frame()
         g0 = ThinGraph([mx], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)
         g1 = ThinGraph([my], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)
         monkeypatch.setattr(thin.PlateMassOracle, "_counts", counting)
         out, check = product_graph([g0, g1], frame, dyadic_scales(5, 1))
-        assert len(calls) == 32
+        assert sum(calls) == 32
         assert out.big_k == 24.0
         assert check == verify_thin_planes(out, dyadic_scales(5, 1))
 
