@@ -1,6 +1,9 @@
 """Discrete Beck dichotomy: enumerate spanned flats of a finite point set,
 search for low-dimensional concentration families, count hyperplanes through
 a given flat.
+
+The dichotomy buckets the flats of one pencil walk by dimension, prunes
+cover-search subtrees that cannot reach the target, and caps its nodes.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from .exactlin import BudgetExceeded, pivot_columns, vec
 from .flats import AffineFlat, _lifted_integer_points, _pencils, _spanned, spanned_flats
 
 DEFAULT_POINT_BUDGET = 60
+COVER_NODE_BUDGET = 1_000_000  # cover-search nodes a dichotomy may expand
 
 
 class EnumerationBudgetExceeded(BudgetExceeded):
@@ -66,13 +70,14 @@ def concentrated_span_count(x: PointConfig, f: AffineFlat) -> int:
     on_f = sum(1 << i for i, v in enumerate(lifted) if f._spans(v))
     return sum(
         len(pivot_columns([v for i, v in enumerate(lifted) if mask >> i & 1])) == n
-        for _, _, mask in _pencils(lifted, f._rows, on_f, -1, n - 1 - f.dim)
+        for picks, _, mask in _pencils(lifted, f._rows, on_f, -1, n - 1 - f.dim)
+        if len(picks) == n - 1 - f.dim
     )
 
 
 @dataclass
 class DichotomyReport:
-    concentrated: bool
+    concentrated: Optional[bool]  # None when a budget cut the search off
     family: Optional[list[AffineFlat]]
     covered: Optional[int]
     hyperplane_count: Optional[int]
@@ -93,54 +98,69 @@ def dichotomy_report(
     Candidate flats are spanned by point subsets and have dimension >= 1
     (zero-dimensional flats would cover any finite set for free and void the
     dichotomy); the search walks families in decreasing dimension budget.
+    Over a budget the report is incomplete and its verdict None.
     """
     n = x.ambient_dim
     big_n = len(x.points)
     if big_n > budget:
         return DichotomyReport(
-            False, None, None, None, None, complete=False,
+            None, None, None, None, None, complete=False,
             note=f"point count {big_n} exceeds budget {budget}",
         )
     if n < 2:
         raise ValueError("spanned hyperplanes need ambient dimension >= 2")
     need = big_n - math.floor(epsilon * big_n)
-    # candidate flats of each dimension 1..n-1 with their cover masks
-    by_dim = {d: [(mask, f) for f, mask in _spanned(x.points, d)] for d in range(1, n)}
-    for cands in by_dim.values():
-        # dominated masks are useless for covering
-        cands.sort(key=lambda t: -bin(t[0]).count("1"))
+    # (popcount, cover mask, flat) per dimension 1..n-1, from one walk
+    by_dim: list[list] = [[] for _ in range(n)]
+    for f, mask in _spanned(x.points, n - 1, 1):
+        by_dim[f.dim].append((mask.bit_count(), mask, f))
+    for cands in by_dim:
+        cands.sort(key=lambda t: -t[0])  # dominated masks are useless for covering
     count = len(by_dim[n - 1])
     ratio = count / float(big_n) ** n
-
-    hit = _first_cover(by_dim, need, n - 1, 0, [], n - 1)
+    # best[b]: the most points a family of dimension sum <= b can cover
+    top = [c[0][0] if c else 0 for c in by_dim]
+    best = [0]
+    for b in range(1, n):
+        best.append(max(top[d] + best[b - d] for d in range(1, b + 1)))
+    try:
+        hit = _first_cover(by_dim, best, need, n - 1, 0, [], n - 1, [0])
+    except EnumerationBudgetExceeded as e:
+        return DichotomyReport(None, None, None, count, ratio, complete=False, note=str(e))
     if hit is not None:
         return DichotomyReport(True, hit[1], hit[0], count, ratio, complete=True)
     return DichotomyReport(False, None, None, count, ratio, complete=True)
 
 
 def _first_cover(
-    by_dim: dict[int, list[tuple[int, AffineFlat]]],
-    need: int,
-    dim_budget: int,
-    mask: int,
-    chosen: list[AffineFlat],
-    start_dim: int,
+    by_dim: list[list[tuple[int, int, AffineFlat]]], best: list[int], need: int,
+    dim_budget: int, mask: int, chosen: list[AffineFlat], start_dim: int, nodes: list[int],
 ) -> Optional[tuple[int, list[AffineFlat]]]:
     """(covered, family) for the first family, in decreasing dimension, that
     extends chosen within dim_budget and covers at least need points; None
-    when there is none.  Module-level, not a recursive closure: a closure
-    that calls itself is a reference cycle that would keep by_dim alive
-    until the cycle collector runs."""
-    covered = bin(mask).count("1")
+    when there is none.  Subtrees where covered + best[b] cannot reach need
+    are skipped, and a dimension's candidates, by popcount highest first,
+    stop at the first that cannot, so the first hit is the unbounded
+    search's.  nodes[0] counts expanded nodes against COVER_NODE_BUDGET.
+    Module-level, not a recursive closure: a closure that calls itself is a
+    reference cycle that would keep by_dim alive until the cycle collector
+    runs."""
+    covered = mask.bit_count()
     if covered >= need:
         return covered, chosen
-    if dim_budget == 0:
+    if covered + best[dim_budget] < need:
         return None
+    if nodes[0] >= COVER_NODE_BUDGET:
+        raise EnumerationBudgetExceeded(f"cover search exceeds {COVER_NODE_BUDGET} nodes")
+    nodes[0] += 1
     for d in range(min(start_dim, dim_budget), 0, -1):
-        for cov, f in by_dim[d]:
+        rest = best[dim_budget - d]
+        for pop, cov, f in by_dim[d]:
+            if covered + pop + rest < need:
+                break
             if cov & ~mask == 0:
                 continue  # adds nothing
-            hit = _first_cover(by_dim, need, dim_budget - d, mask | cov, chosen + [f], d)
+            hit = _first_cover(by_dim, best, need, dim_budget - d, mask | cov, chosen + [f], d, nodes)
             if hit is not None:
                 return hit  # first hit is enough: report it
     return None

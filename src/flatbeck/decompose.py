@@ -135,15 +135,19 @@ def verify_decomposition(r: DecompositionResult, n: int, w, tau) -> Decompositio
     count on every plateau, and at most one minimizing extension per
     minimizing partition across each plateau step.  The supports check,
     each piece within max(w, its resolution) of its flat, is the one the
-    modulus of (i) needs, so the modulus does not repeat it.
+    modulus of (i) needs: one core call per piece, at radii 0 and that
+    tolerance, gives the modulus its atoms on the flat and the check its mask.
     """
     w = frac(w)
     tau = frac(tau)
     report = DecompositionReport()
 
     stray = None
+    on_flat = []  # per piece, the mask of its atoms on its flat
     for i, (piece, flat) in enumerate(zip(r.pieces, r.flats)):
-        near = piece.oracle.atoms_near_flat(flat, max(w, piece.resolution) ** 2)
+        radii2 = [Fraction(0), max(w, piece.resolution) ** 2]
+        on, near = piece.oracle._flat_counts(flat, radii2, [1 << j for j in range(len(piece))])
+        on_flat.append(on)
         off = ~near & ((1 << len(piece)) - 1)
         if off:
             stray = (i, piece.atoms[(off & -off).bit_length() - 1][0])
@@ -159,7 +163,7 @@ def verify_decomposition(r: DecompositionResult, n: int, w, tau) -> Decompositio
         for i, (piece, flat) in enumerate(zip(r.pieces, r.flats)):
             if flat.dim == 0:
                 continue
-            mod = _oracle_modulus(piece, flat, w)
+            mod = _oracle_modulus(piece, flat, w, on_flat[i])
             if worst is None or mod > worst[1]:
                 worst = (i, mod)
     if worst is None:

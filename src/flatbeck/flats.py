@@ -16,8 +16,9 @@ packs the forms of a batch of spans and runs them over a measure's atoms;
 dist2_point_flat and dist2_flats are its one-offset Fraction views.
 
 The enumerator walks pencils of flats (see _pencils) and builds no
-elimination per subset.  Enumerated flats keep their picks, joins and meets
-their rows: their Fraction directions are derived only when read.
+elimination per subset; one walk, in preorder, serves every dimension up to
+its depth.  Enumerated flats keep their picks, joins and meets their rows:
+their Fraction directions are derived only when read.
 FlatChart reads chart coordinates off one int_rref per chart.
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul, sub
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactlin import (
     Vector,
@@ -114,8 +115,7 @@ class AffineFlat:
         those read off the lifted rows by _span_directions."""
         if self._picks is None:
             return _span_directions(self._rows)[0]
-        base = self._picks[0]
-        return [tuple(a - b for a, b in zip(v[:-1], base)) for v in self._picks[1:]]
+        return _pick_span(self._picks)[1]
 
     def _span(self) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
         """The first pick, or the lifted basepoint, and _direction_rows."""
@@ -161,7 +161,7 @@ class AffineFlat:
         of the lifted flat: a zero residual (see _residual)."""
         if self._member is None:
             object.__setattr__(self, "_member", _residual(self._rows, len(self._rows[0]))[2])
-        return not any(self._member(v))
+        return not any(sum(map(mul, a, v)) for a in self._member)
 
     def contains_point(self, p: Sequence) -> bool:
         v = vec(p)
@@ -175,26 +175,23 @@ class AffineFlat:
         return all(self._spans(r) for r in other._rows)
 
 
-def _residual(rows: Sequence[Sequence[int]], width: int) -> tuple[list, list, Callable]:
-    """(pivots, free columns, r) for primitive integer RREF rows in Q^width.
+def _residual(rows: Sequence[Sequence[int]], width: int) -> tuple[list, list, list]:
+    """(pivots, free columns, forms) for primitive integer RREF rows in
+    Q^width; the residual of v is [sum(map(mul, a, v)) for a in forms].
 
-    With the rows K_i, pivot k_i in column c_i and L = lcm(k_i), r(v) lists
-    L v[j] - sum_i (L / k_i) v[c_i] K_i[j] over the free columns j: the free
-    part of the vector of span(rows, v) that is zero at every pivot.  So
-    r(v) = 0 iff v lies in the span, and span(rows, u) = span(rows, v) iff
-    r(u) is a multiple of r(v).  Scaling v does not change the answer.
+    With the rows K_i, pivot k_i in column c_i and L = lcm(k_i), the residual
+    lists L v[j] - sum_i (L / k_i) v[c_i] K_i[j] over the free columns j: the
+    free part of the vector of span(rows, v) that is zero at every pivot.  So
+    it is zero iff v lies in the span, and span(rows, u) = span(rows, v) iff
+    u's is a multiple of v's.  Scaling v does not change the answer.
     """
     pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
     big_l = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
     scaled = [[big_l // r[c] * x for x in r] for r, c in zip(rows, pivots)]
     free = [j for j in range(width) if j not in pivots]
-    cols = [(j, [s[j] for s in scaled]) for j in free]
-
-    def r(v: Sequence[int]) -> list[int]:
-        coeffs = [v[c] for c in pivots]
-        return [big_l * v[j] - sum(map(mul, coeffs, col)) for j, col in cols]
-
-    return pivots, free, r
+    at = dict(zip(pivots, scaled))
+    forms = [[-at[c][j] if c in at else big_l * (c == j) for c in range(width)] for j in free]
+    return pivots, free, forms
 
 
 def _reduced(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
@@ -380,7 +377,7 @@ class FlatChart:
         """Coordinates of the offset v in the basis f.directions, or a
         ValueError with the message error when v leaves their span."""
         (r,), den = _integerized_points([vec(v)])
-        if any(self._off(r)):
+        if any(sum(map(mul, a, r)) for a in self._off):
             raise ValueError(error)
         at = [r[c] for c in self._pivots]
         return tuple(
@@ -421,8 +418,10 @@ def _lifted_integer_points(points: Sequence[Vector]) -> list[tuple[int, ...]]:
 def _pencils(
     lifted: Sequence[Sequence[int]], rows: tuple, mask: int, last: int, depth: int
 ) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
-    """(picks, rows, mask) for each distinct span of span(rows) and `depth`
-    more lifted points; bit i of a mask is set iff lifted[i] is on the span.
+    """(picks, rows, mask) for span(rows) and each distinct span of it and up
+    to `depth` more lifted points, in preorder, so a walk to any depth gives
+    the nodes of a shallower one in its order; a node's depth is len(picks),
+    and bit i of a mask is set iff lifted[i] is on the span.
 
     One residual pass groups the points off the mask by primitive residual
     with a positive first entry: a group is the points new to one child
@@ -430,18 +429,19 @@ def _pencils(
     after the last pick; then the picks are its lexicographically least
     basis, so each span comes once, in combination order.  Its rows are the
     parent's reduced at the residual's pivot, plus the residual: exactly
-    int_rref's.  Its mask is the parent's OR the group.
+    int_rref's.  Its mask is the parent's OR the group.  The last level
+    yields its children without walking them.
     """
-    if depth == 0:
-        yield (), rows, mask
+    yield (), rows, mask
+    if depth == 0 or not lifted:
         return
     width = len(lifted[0])
-    pivots, free, residual = _residual(rows, width)
+    pivots, free, forms = _residual(rows, width)
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, v in enumerate(lifted):
         if mask >> i & 1:
             continue
-        w = residual(v)
+        w = [sum(map(mul, a, v)) for a in forms]
         g = math.gcd(*w)
         if next(filter(None, w)) < 0:
             g = -g
@@ -467,19 +467,31 @@ def _pencils(
                 r = tuple(x // g for x in r)
             child.append(r)
         child.insert(sum(q < c for q in pivots), tuple(w))
+        if depth == 1:
+            yield (k,), tuple(child), mask | group
+            continue
         for picks, out, m in _pencils(lifted, tuple(child), mask | group, k, depth - 1):
             yield (k, *picks), out, m
 
 
-def _spanned(points: Sequence[Vector], d: int) -> Iterator[tuple[AffineFlat, int]]:
-    """(flat, mask) for each distinct d-flat spanned by points, in the order
-    of spanned_flats; bit i of mask is set iff points[i] is on the flat."""
+def _pick_span(picks: Sequence[Sequence[int]]) -> tuple[Sequence[int], list[tuple[int, ...]]]:
+    """The span (anchor, dirs) of lifted picks that the plate oracle's core
+    reads: the first pick and the others' differences from it, last entry
+    (their shared denominator) dropped."""
+    base = picks[0]
+    return base, [tuple(map(sub, v[:-1], base)) for v in picks[1:]]
+
+
+def _spanned(points: Sequence[Vector], d: int, low: Optional[int] = None) -> Iterator[tuple[AffineFlat, int]]:
+    """(flat, mask) for each distinct flat of dimension low..d (d alone when
+    low is None) spanned by points: the nodes of one pencil walk to d + 1
+    picks, so each dimension comes in the order of spanned_flats.  Bit i of
+    mask is set iff points[i] is on the flat."""
     pts = [vec(p) for p in points]
-    if not pts:
-        return
     lifted = _lifted_integer_points(pts)
     for picks, rows, mask in _pencils(lifted, (), 0, -1, d + 1):
-        yield AffineFlat._from_rows(pts[picks[0]], rows, None, [lifted[i] for i in picks]), mask
+        if len(picks) > (d if low is None else low):
+            yield AffineFlat._from_rows(pts[picks[0]], rows, None, [lifted[i] for i in picks]), mask
 
 
 def spanned_flats(points: Sequence[Vector], dims: Iterable[int]) -> Iterator[AffineFlat]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exactlin import Vector, _integerized_points, frac, norm2, vec, wedge_norm2
-from .flats import AffineFlat, _dist2_form, _lifted_integer_points, spanned_flats
+from .flats import AffineFlat, _dist2_form, _lifted_integer_points, _pencils, _pick_span
 
 Atom = tuple[Vector, Fraction]
 
@@ -301,17 +301,19 @@ def irreducibility_modulus(
     return _oracle_modulus(mu, v, frac(w), on_v)
 
 
-def _oracle_modulus(mu: DiscreteMeasure, v: AffineFlat, w: Fraction, on_v=None) -> Fraction:
+def _oracle_modulus(mu: DiscreteMeasure, v: AffineFlat, w: Fraction, on_v: int) -> Fraction:
     """irreducibility_modulus for a caller that has checked the support.  A
     spanned flat lies in v exactly when its spanning atoms do (the mask
-    on_v), so the candidates are the flats those span; they stream into the
-    oracle's core SPAN_CHUNK at a time, keeping only the heaviest count."""
+    on_v), so the candidates are the nodes of one pencil walk over those
+    atoms to v.dim picks, read as spans straight off the picks; they stream
+    into the oracle's core SPAN_CHUNK at a time, keeping only the heaviest
+    count.  No atom on v means no candidate, and modulus 0."""
     oracle = mu.oracle
-    if on_v is None:
-        on_v = oracle.atoms_near_flat(v, Fraction(0))
-    flats = spanned_flats([p for i, p in enumerate(mu.points()) if on_v >> i & 1], range(v.dim))
+    lifted = [p + (oracle._den,) for i, p in enumerate(oracle._int_pts) if on_v >> i & 1]
+    spans = (_pick_span([lifted[i] for i in picks])
+             for picks, _, _ in _pencils(lifted, (), 0, -1, v.dim) if picks)
     best = 0
-    while chunk := [f._span() for f in itertools.islice(flats, SPAN_CHUNK)]:
+    while chunk := list(itertools.islice(spans, SPAN_CHUNK)):
         best = max(best, *(c for ((c,),) in oracle._counts(chunk, [w * w], (oracle.int_weights,))))
     return Fraction(best, mu.weight_den) / mu.total_mass
 

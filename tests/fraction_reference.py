@@ -4,7 +4,8 @@ determinant, Gram determinant, kernel, solve, join, meet, flat-distance,
 chart-coordinate and psi constructions built on it.  Nothing here comes
 from ``flatbeck.exactlin``, so the references share no code with the
 integer kernels they check.  Also a brute-force spanned-flat enumerator
-that shares no code with ``flats.spanned_flats``, a brute-force ball mass
+that shares no code with ``flats.spanned_flats`` and the unbounded
+dichotomy search on its flats, a brute-force ball mass
 that shares none with the plate oracle, and the hyperplane chart's box key
 over ``Fraction``.
 """
@@ -217,6 +218,40 @@ def reference_spanned_flats(points, dims) -> list[AffineFlat]:
                 seen.add(span)
                 out.append(AffineFlat(combo[0], row_space([vsub(p, combo[0]) for p in combo[1:]])))
     return out
+
+
+def reference_dichotomy(points, epsilon) -> Optional[tuple[int, list[AffineFlat]]]:
+    """The unbounded dichotomy search over the brute-force flats: the flats
+    of each dimension 1..n-1 from reference_spanned_flats, with their masks
+    of the points on them by Fraction rank, stably sorted by popcount,
+    highest first; then an exhaustive depth-first search for the first
+    family, in decreasing dimension within dimension sum n - 1, that covers
+    at least N - floor(epsilon N) points.  (covered, family), or None."""
+    pts = [vec(p) for p in points]
+    n = len(pts[0])
+    need = len(pts) - math.floor(Fraction(epsilon) * len(pts))
+    by_dim = {}
+    for d in range(1, n):
+        cands = []
+        for f in reference_spanned_flats(pts, [d]):
+            span = [x + (Fraction(0),) for x in f.directions] + [f.basepoint + (Fraction(1),)]
+            mask = sum(1 << i for i, p in enumerate(pts) if reference_rank(span + [p + (Fraction(1),)]) == d + 1)
+            cands.append((mask, f))
+        by_dim[d] = sorted(cands, key=lambda t: -bin(t[0]).count("1"))
+
+    def search(budget, mask, chosen, start):
+        covered = bin(mask).count("1")
+        if covered >= need:
+            return covered, chosen
+        for d in range(min(start, budget), 0, -1):
+            for m, f in by_dim[d]:
+                if m & ~mask:
+                    hit = search(budget - d, mask | m, chosen + [f], d)
+                    if hit is not None:
+                        return hit
+        return None
+
+    return search(n - 1, 0, [], n - 1)
 
 
 def reference_max_ball_mass(atoms, radius: Fraction) -> Fraction:

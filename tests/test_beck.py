@@ -1,19 +1,24 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from flatbeck import beck
 from flatbeck.beck import (
     PointConfig,
     concentrated_span_count,
     dichotomy_report,
     enumerate_spanned_flats,
 )
+from flatbeck.cli import main
 from flatbeck.flats import AffineFlat, _spanned, dist2_point_flat
 from flatbeck.genscenes import generic_points
-from fraction_reference import reference_rank, reference_spanned_flats
+from fraction_reference import reference_dichotomy, reference_rank, reference_spanned_flats
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 class TestEnumerateSpannedFlats:
@@ -208,3 +213,96 @@ class TestSpanCountAgainstBruteForce:
     def test_quotient_count_matches_enumeration(self, case):
         pts, f = case
         assert concentrated_span_count(PointConfig(pts), f) == brute_span_count(pts, f)
+
+
+class TestOneWalk:
+    @settings(max_examples=100, deadline=None)
+    @given(repeated_points())
+    def test_buckets_equal_single_dimension_walks(self, pts):
+        """One walk to every dimension gives, per dimension, the flats,
+        masks and picks of a walk to that dimension alone, in its order."""
+        n = len(pts[0])
+        walk = list(_spanned(pts, n - 1, 0))
+        for d in range(n):
+            bucket = [(f._rows, f._picks, m) for f, m in walk if f.dim == d]
+            assert bucket == [(f._rows, f._picks, m) for f, m in _spanned(pts, d)]
+
+
+@st.composite
+def planted_sets(draw):
+    """Points of Q^3 or Q^4 over denominators 1..7: a few planted lines and
+    planes (in Q^4 also 3-flats) through drawn points, each carrying up to
+    four points, plus up to three stray points; at most 9 points in Q^3 and
+    8 in Q^4, so the unbounded reference search stays small."""
+    n = draw(st.integers(3, 4))
+    pts = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, n - 1))
+        base = draw(st.tuples(*[coords] * n))
+        dirs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=d, max_size=d))
+        for _ in range(draw(st.integers(2, 4))):
+            ts = draw(st.lists(coords, min_size=d, max_size=d))
+            pts.append(tuple(b + sum(t * u[j] for t, u in zip(ts, dirs)) for j, b in enumerate(base)))
+    pts += draw(st.lists(st.tuples(*[coords] * n), max_size=3))
+    pts = list(dict.fromkeys(pts))[: 9 if n == 3 else 8]
+    assume(len(pts) >= 2)
+    return pts, draw(st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(2, 10), Fraction(3, 10)]))
+
+
+def count_nodes(monkeypatch) -> list:
+    """Record every call of beck._first_cover, the search's one node
+    function, which calls itself through the module."""
+    calls = []
+    search = beck._first_cover
+
+    def counting(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(beck, "_first_cover", counting)
+    return calls
+
+
+class TestBoundedCoverSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(planted_sets())
+    def test_matches_the_unbounded_search(self, case):
+        """The bound drops only subtrees without a hit: the verdict, the
+        cover and the family are the unbounded search's."""
+        pts, eps = case
+        rep = dichotomy_report(PointConfig(pts), eps)
+        want = reference_dichotomy(pts, eps)
+        assert rep.complete
+        assert rep.concentrated == (want is not None)
+        if want is not None:
+            assert (rep.covered, rep.family) == want
+
+    def test_one_node_when_the_top_covers_fall_short(self, tmp_path, monkeypatch):
+        """20 generic points of Q^3: the best line and plane cover at most
+        2 + 3 points of the 18 needed, so the root is the only node."""
+        calls = count_nodes(monkeypatch)
+        scene = str(SCENES / "beck-generic20.json")
+        assert main(["beck", "--scene", scene, "--out", str(tmp_path)]) == 0
+        assert calls == [1]
+
+    def test_sixteen_generic_points_of_q4(self, monkeypatch):
+        """The unbounded search visits 1,720,301 nodes here; the bound
+        (best[3] = 6 of the 15 needed) stops at the root."""
+        calls = count_nodes(monkeypatch)
+        rep = dichotomy_report(PointConfig(generic_points(random.Random(0), 4, 16)))
+        assert (rep.complete, rep.concentrated, rep.hyperplane_count) == (True, False, 1820)
+        assert calls == [1]
+
+    def test_node_budget_cuts_the_search_off(self, monkeypatch):
+        """Two skew lines need the root and one line node; a budget of one
+        node leaves the report incomplete, never read as not concentrated."""
+        l1 = [(Fraction(i, 8), Fraction(0), Fraction(0)) for i in range(8)]
+        l2 = [(Fraction(0), Fraction(1), Fraction(i, 8)) for i in range(8)]
+        x = PointConfig(l1 + l2)
+        monkeypatch.setattr(beck, "COVER_NODE_BUDGET", 2)
+        assert dichotomy_report(x).concentrated is True
+        monkeypatch.setattr(beck, "COVER_NODE_BUDGET", 1)
+        rep = dichotomy_report(x)
+        assert (rep.complete, rep.concentrated, rep.family) == (False, None, None)
+        assert rep.note == "cover search exceeds 1 nodes"
+        assert rep.hyperplane_count == len(enumerate_spanned_flats(x, 2))

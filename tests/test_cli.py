@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import flatbeck.beck
 import flatbeck.cli
 import flatbeck.measures
 import flatbeck.thin
@@ -212,6 +213,33 @@ class TestBeckPointBudget:
         assert main(argv) == EXIT_PASS
 
 
+class TestBeckNodeBudget:
+    """Past beck.COVER_NODE_BUDGET the cover search stops: beck exits 4 and
+    writes no report, so a cut-off search never reads as not concentrated."""
+
+    def scene(self, tmp_path):
+        # two skew lines of 8 points: the search expands the root and the
+        # node holding the first line
+        l1 = [[f"{i}/8", "0", "0"] for i in range(8)]
+        l2 = [["0", "1", f"{i}/8"] for i in range(8)]
+        points = {f"p{i:02d}": p for i, p in enumerate(l1 + l2)}
+        return write_scene(tmp_path, {"ambient_dim": 3, "points": points})
+
+    def test_over_budget_exits_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(flatbeck.beck, "COVER_NODE_BUDGET", 1)
+        out = tmp_path / "o"
+        assert main(["beck", "--scene", self.scene(tmp_path), "--out", str(out)]) == EXIT_BUDGET
+        assert "budget exceeded: cover search exceeds 1 nodes" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_within_budget_passes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(flatbeck.beck, "COVER_NODE_BUDGET", 2)
+        out = tmp_path / "o"
+        assert main(["beck", "--scene", self.scene(tmp_path), "--out", str(out)]) == EXIT_PASS
+        report = json.loads((out / "report.json").read_text())
+        assert (report["concentrated"], report["covered"], report["family_dims"]) == (True, 16, [1, 1])
+
+
 IRREDUCIBLE = ["project", "--scene", str(SCENES / "stability-axes.json"), "--check", "irreducible"]
 DANGLING = [
     (["analyze-flats", "--scene", str(SCENES / "project-nc-lines.json"), "--flats", "l1,nope"], "--flats", "flat"),
@@ -356,20 +384,22 @@ class TestDecomposeCommand:
         assert len({id(mu) for mu in built}) == len(built) == 7
 
     def test_one_tolerance_pass_per_piece(self, tmp_path, monkeypatch):
-        """On the README demo, each of the three pieces gets one tolerance
-        pass at r^2 = max(w, resolution)^2 = 1/1048576: the verifier's
-        supports check, which the modulus does not repeat."""
+        """On the README demo (w = 0), each of the three pieces gets one
+        one-flat core call at radii 0 and max(w, resolution)^2 = 1/1048576:
+        the verifier's supports check, whose mask of the atoms on the flat
+        the modulus walks, so the modulus makes no one-flat call of its
+        own.  The nine calls before them are the extraction loop's."""
         radii = []
-        near = PlateMassOracle.atoms_near_flat
+        counts = PlateMassOracle._flat_counts
 
-        def counting(self, f, r2):
-            radii.append(r2)
-            return near(self, f, r2)
+        def counting(self, f, radii2, weights):
+            radii.append(list(radii2))
+            return counts(self, f, radii2, weights)
 
-        monkeypatch.setattr(PlateMassOracle, "atoms_near_flat", counting)
+        monkeypatch.setattr(PlateMassOracle, "_flat_counts", counting)
         scene = str(SCENES / "decompose-skew-lines.json")
         assert main(["decompose", "--scene", scene, "--out", str(tmp_path)]) == EXIT_PASS
-        assert radii.count(Fraction(1, 1048576)) == 3
+        assert radii == [[0]] * 9 + [[0, Fraction(1, 1048576)]] * 3
 
 
 class TestDeterminism:
@@ -582,7 +612,7 @@ class TestProjectIrreducibleCommand:
         def refuse(*args):
             raise AssertionError("candidates enumerated for a zero-mass measure")
 
-        monkeypatch.setattr(flatbeck.measures, "spanned_flats", refuse)
+        monkeypatch.setattr(flatbeck.measures, "_pencils", refuse)
         code = self.run(tmp_path, {"atoms": [[p, "0"] for p in self.GRID], "resolution": "1/1024"})
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == "input error: measure has zero total mass\n"

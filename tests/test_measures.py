@@ -22,7 +22,13 @@ from flatbeck.measures import (
     restrict_and_normalize,
     support_dist2,
 )
-from fraction_reference import reference_dist2_flats, reference_gram_det, reference_max_ball_mass
+from fraction_reference import (
+    reference_dist2_flats,
+    reference_gram_det,
+    reference_max_ball_mass,
+    reference_spanned_flats,
+)
+from test_flats import count_builds
 
 D = Fraction(1, 1024)
 
@@ -497,6 +503,41 @@ class TestIrreducibilityModulus:
             for w in (0, Fraction(1, 8), Fraction(1, 2))
         ]
         assert vals == sorted(vals)
+
+    def test_no_atom_exactly_on_v(self):
+        """Every atom lies within the tolerance of the plane z = 0 and none
+        on it: no candidate flat lies in v, so the modulus is 0 and the
+        walk over no atoms yields no span."""
+        pts = [(Fraction(i, 4), Fraction(j, 4), Fraction(1, 2048)) for i in range(2) for j in range(2)]
+        mu = DiscreteMeasure.uniform(pts, Fraction(1, 1024))
+        v = AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
+        assert irreducibility_modulus(mu, v, Fraction(1, 8)) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        enumerated_flat_cases(),
+        st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 2)]),
+        st.integers(0, 255),
+        st.integers(1, 3),
+    )
+    def test_walk_matches_the_reference_flats(self, case, w, on_v, k):
+        """The modulus reads its candidate spans off the walk's picks and
+        builds no AffineFlat; it equals the heaviest reference mass over the
+        brute-force flats of dimension < dim v spanned by the atoms of the
+        mask on_v, and 0 when the mask holds no atom."""
+        atoms, _, _ = case
+        mu = DiscreteMeasure(atoms, D)
+        assume(mu.total_mass > 0)
+        n = mu.ambient_dim
+        v = AffineFlat([0] * n, [[int(i == j) for j in range(n)] for i in range(min(k, n))])
+        on_v &= (1 << len(mu)) - 1
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_builds(patch)
+            got = measures._oracle_modulus(mu, v, w, on_v)
+        assert calls == []
+        flats = reference_spanned_flats([p for i, p in enumerate(mu.points()) if on_v >> i & 1], range(v.dim))
+        want = max((reference_masses(mu, f, [w * w])[0] for f in flats), default=0)
+        assert got == want / mu.total_mass
 
     def test_point_flat_rejected(self):
         mu = DiscreteMeasure([((0, 0), 1)], Fraction(1, 4))
