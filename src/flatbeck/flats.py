@@ -24,10 +24,11 @@ FlatChart reads chart coordinates off one int_rref per chart.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import mul, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exactlin import (
     Vector,
@@ -417,22 +418,21 @@ def _lifted_integer_points(points: Sequence[Vector]) -> list[tuple[int, ...]]:
 
 def _pencils(
     lifted: Sequence[Sequence[int]], rows: tuple, mask: int, last: int, depth: int
-) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
+) -> Iterator[tuple[tuple[int, ...], Callable[[], tuple], int]]:
     """(picks, rows, mask) for span(rows) and each distinct span of it and up
     to `depth` more lifted points, in preorder, so a walk to any depth gives
     the nodes of a shallower one in its order; a node's depth is len(picks),
-    and bit i of a mask is set iff lifted[i] is on the span.
+    rows() gives its rows and bit i of a mask is set iff lifted[i] is on it.
 
     One residual pass groups the points off the mask by primitive residual
     with a positive first entry: a group is the points new to one child
     span(rows, v).  The child is walked only when its first point k comes
     after the last pick; then the picks are its lexicographically least
-    basis, so each span comes once, in combination order.  Its rows are the
-    parent's reduced at the residual's pivot, plus the residual: exactly
-    int_rref's.  Its mask is the parent's OR the group.  The last level
-    yields its children without walking them.
+    basis, so each span comes once, in combination order.  Its rows are
+    _pencil_rows', and its mask is the parent's OR the group.  The last
+    level yields its children without walking them or building their rows.
     """
-    yield (), rows, mask
+    yield (), lambda: rows, mask
     if depth == 0 or not lifted:
         return
     width = len(lifted[0])
@@ -453,25 +453,32 @@ def _pencils(
     for key, (k, group) in groups.items():
         if k < last:
             continue
-        w = [0] * width
-        for j, x in zip(free, key):
-            w[j] = x
-        c = free[next(i for i, x in enumerate(key) if x)]
-        p = w[c]
-        child = []
-        for r in rows:
-            f = r[c]
-            if f:
-                r = [a * p - f * b for a, b in zip(r, w)]
-                g = math.gcd(*r)
-                r = tuple(x // g for x in r)
-            child.append(r)
-        child.insert(sum(q < c for q in pivots), tuple(w))
+        child = functools.partial(_pencil_rows, rows, pivots, free, key)
         if depth == 1:
-            yield (k,), tuple(child), mask | group
+            yield (k,), child, mask | group
             continue
-        for picks, out, m in _pencils(lifted, tuple(child), mask | group, k, depth - 1):
+        for picks, out, m in _pencils(lifted, child(), mask | group, k, depth - 1):
             yield (k, *picks), out, m
+
+
+def _pencil_rows(rows: tuple, pivots: list, free: list, key: tuple) -> tuple:
+    """The rows of span(rows, v), v with primitive residual key: those rows
+    reduced at the residual's pivot, plus the residual: exactly int_rref's."""
+    w = [0] * (len(pivots) + len(free))
+    for j, x in zip(free, key):
+        w[j] = x
+    p = next(filter(None, key))
+    c = free[key.index(p)]
+    child = []
+    for r in rows:
+        f = r[c]
+        if f:
+            r = [a * p - f * b for a, b in zip(r, w)]
+            g = math.gcd(*r)
+            r = tuple([x // g for x in r])
+        child.append(r)
+    child.insert(len([q for q in pivots if q < c]), tuple(w))
+    return tuple(child)
 
 
 def _pick_span(picks: Sequence[Sequence[int]]) -> tuple[Sequence[int], list[tuple[int, ...]]]:
@@ -491,7 +498,7 @@ def _spanned(points: Sequence[Vector], d: int, low: Optional[int] = None) -> Ite
     lifted = _lifted_integer_points(pts)
     for picks, rows, mask in _pencils(lifted, (), 0, -1, d + 1):
         if len(picks) > (d if low is None else low):
-            yield AffineFlat._from_rows(pts[picks[0]], rows, None, [lifted[i] for i in picks]), mask
+            yield AffineFlat._from_rows(pts[picks[0]], rows(), None, [lifted[i] for i in picks]), mask
 
 
 def spanned_flats(points: Sequence[Vector], dims: Iterable[int]) -> Iterator[AffineFlat]:

@@ -2,11 +2,11 @@
 
 A measure is a finite weighted atom set at a declared resolution.  Ball and
 plate masses are exact; only the fitted Frostman constants (C, s) are floats.
-PlateMassOracle runs the one distance, ``flats._dist2_form``, over the
-atoms for a whole batch of spans per pass: plate masses, ball masses (point
-flats) and masks of atoms near a flat.  A measure owns its oracle:
-``DiscreteMeasure.oracle`` builds it on first read, so every caller of the
-same measure shares one integerization.
+PlateMassOracle runs the one distance, ``flats._dist2_form`` (for a
+hyperplane's normal, a linear numerator) over the atoms for a batch of
+spans per pass: plate and ball masses and masks of atoms near a flat.  A
+measure owns its oracle: ``DiscreteMeasure.oracle`` builds it on first
+read, so every caller of the same measure shares one integerization.
 """
 
 from __future__ import annotations
@@ -88,16 +88,17 @@ class PlateMassOracle:
     W.  A span is a lifted anchor (A, e), the point a = A / e, and integer
     direction rows D.  With L = lcm(den, e) and r = L (P / den - a), an atom
     lies at squared distance num / (g L^2), num = r^T M r with (g, M) =
-    _dist2_form(D): a quadratic in P, and num <= p g L^2 / q exactly when
-    num <= floor(p g L^2 / q).  The core _counts gives, per span, weighting
-    (integer weights over W) and squared radius, the weight within as a
-    count over W; the public methods are its batches of one, and
-    atoms_near_flat weights atom i by 2^i, so its count is a mask.
+    _dist2_form(D), a quadratic in P: within p / q when num <= floor(p g L^2
+    / q).  The core _counts gives, per span, weighting (integer weights over
+    W) and squared radius, the weight within as a count over W, and
+    _hyperplane_counts does so for hyperplanes, num linear in P; the public
+    methods are batches of one, and atoms_near_flat weights atom i by 2^i.
     """
 
     def __init__(self, mu: DiscreteMeasure):
         self.ambient_dim = n = mu.ambient_dim
         self._int_pts, self._den = _integerized_points(mu.points())
+        self._lifted = [p + (self._den,) for p in self._int_pts]
         self._wden = mu.weight_den
         self.int_weights = [w.numerator * (self._wden // w.denominator) for w in mu.weights()]
         # per atom, the monomials P_j P_k (twice for j < k), -2 P_j and 1 of num
@@ -105,25 +106,16 @@ class PlateMassOracle:
                            + tuple(-2 * x for x in p) + (1,) for p in self._int_pts]
         self._norm2 = max(sum(x * x for x in p) for p in self._int_pts)
 
-    def counts_near_span(
-        self, points: Sequence[Vector], radii2: Sequence[Fraction], weightings=None
-    ) -> list[list[int]]:
-        """Per weighting, the counts over the measure's weight_den within
-        each squared radius of the affine span of the points, which must be
-        affinely independent; one pass over the atoms serves every
-        weighting."""
-        if any(len(p) != self.ambient_dim for p in points):
-            raise ValueError("ambient dimensions differ")
-        (base, *rest), den = _integerized_points(points)
-        dirs = [tuple(map(sub, p, base)) for p in rest]
-        return self._counts([(base + (den,), dirs)], radii2, weightings or (self.int_weights,))[0]
-
     def masses_near_span(
         self, points: Sequence[Vector], radii2: Sequence[Fraction]
     ) -> list[Fraction]:
         """Masses within each squared radius of the affine span of the
         points, which must be affinely independent."""
-        return self._fractions(self.counts_near_span(points, radii2)[0])
+        if any(len(p) != self.ambient_dim for p in points):
+            raise ValueError("ambient dimensions differ")
+        (base, *rest), den = _integerized_points(points)
+        dirs = [tuple(map(sub, p, base)) for p in rest]
+        return self._fractions(self._counts([(base + (den,), dirs)], radii2, (self.int_weights,))[0][0])
 
     def masses_near_flat(self, f: AffineFlat, radii2: Sequence[Fraction]) -> list[Fraction]:
         """Masses within each squared radius of the flat f."""
@@ -147,51 +139,76 @@ class PlateMassOracle:
         return [Fraction(c, self._wden) for c in counts]
 
     def _counts(self, spans, radii2, weightings) -> list[list[list[int]]]:
-        """The integer core: per span (anchor, dirs), per weighting, the
-        weight of the atoms within each squared radius, SPAN_CHUNK spans per
-        pass over the atoms.  Lane t, bits [w t, w t + w) of an int, holds
-        span t's value.  Per atom, one sum of monomials times packed
-        coefficients gives every num_t; per radius, the top bit of lane t of
-        CUT + 2^(w-1) - NUM is set exactly when num_t <= cut_t, as long as
-        both are below 2^(w-1): num_t <= g |r|^2 <= 2 g (s^2 max|P|^2 + |b|^2)
-        bounds them, each cut clamped to [-1, that bound].  The flags, times the atom's
-        weight, add up per weighting and radius, and w exceeds the bit size
-        of every weighting's total, so no lane carries into the next."""
-        out: list = []
+        """The quadratic core: per span (anchor, dirs), per weighting, the
+        weight of the atoms within each squared radius, by _tally over the
+        atoms' monomials: num_t <= floor(p g L^2 / q), and 0 <= num_t <=
+        g |r|^2 <= 2 g (s^2 max|P|^2 + |b|^2)."""
         n, den = self.ambient_dim, self._den
-        for start in range(0, len(spans), SPAN_CHUNK):
-            coeffs, scales, bounds = [], [], []
-            for anchor, dirs in spans[start : start + SPAN_CHUNK]:
-                g, m = _dist2_form(dirs, n)
-                big = math.lcm(den, anchor[-1])
-                s = big // den  # r = s P - b
-                b = [big // anchor[-1] * x for x in anchor[:-1]]
-                mb = [sum(map(mul, row, b)) for row in m]
-                coeffs.append([s * s * m[j][k] for j in range(n) for k in range(j, n)]
-                              + [s * x for x in mb] + [sum(map(mul, b, mb))])
-                scales.append(g * big * big)
-                bounds.append(2 * g * (s * s * self._norm2 + sum(x * x for x in b)))
-            width = 1 + max(max(bounds).bit_length(), *(sum(ws).bit_length() for ws in weightings))
-            top = 1 << (width - 1)
-            packed = [_pack(c, width) for c in zip(*coeffs)]
-            cuts = [_pack([min(max(p * c // q, -1), u) + top for c, u in zip(scales, bounds)], width)
-                    for p, q in ((r2.numerator, r2.denominator) for r2 in radii2)]
-            ones = _pack([1] * len(bounds), width)
-            acc = [[0] * len(cuts) for _ in weightings]
-            for z, mono in enumerate(self._monomials):
-                ws = [w[z] for w in weightings]
-                if any(ws):
-                    num = sum(map(mul, mono, packed))
+        coeffs, scales, bounds = [], [], []
+        for anchor, dirs in spans:
+            g, m = _dist2_form(dirs, n)
+            big = math.lcm(den, anchor[-1])
+            s = big // den  # r = s P - b
+            b = [big // anchor[-1] * x for x in anchor[:-1]]
+            mb = [sum(map(mul, row, b)) for row in m]
+            coeffs.append([s * s * m[j][k] for j in range(n) for k in range(j, n)]
+                          + [s * x for x in mb] + [sum(map(mul, b, mb))])
+            scales.append(g * big * big)
+            bounds.append(2 * g * (s * s * self._norm2 + sum(x * x for x in b)))
+        return _tally(self._monomials, coeffs, scales, bounds, radii2, weightings, False)
+
+    def _hyperplane_counts(self, normals, radii2, weightings) -> list[list[list[int]]]:
+        """The hyperplane core: _counts for the hyperplanes {x : a.x = b} of
+        integer normals (a, b), a != 0.  Atom P / den lies at squared
+        distance num^2 / (|a|^2 den^2), num = a.P - b den, linear in the
+        lifted atom (P, den), and |num| <= isqrt(|a|^2 max|P|^2) + 1 + |b| den."""
+        den = self._den
+        norms = [sum(x * x for x in v[:-1]) for v in normals]
+        bounds = [math.isqrt(a2 * self._norm2) + 1 + abs(v[-1]) * den for a2, v in zip(norms, normals)]
+        coeffs = [(*v[:-1], -v[-1]) for v in normals]
+        return _tally(self._lifted, coeffs, [a2 * den * den for a2 in norms], bounds, radii2, weightings, True)
+
+
+SPAN_CHUNK = 256  # spans per pass of the plate oracle's cores: the lanes of one int
+
+
+def _tally(rows, coeffs, scales, bounds, radii2, weightings, linear: bool) -> list[list[list[int]]]:
+    """The packed pass of both cores: per span t and weighting, the weight
+    of the rows whose num_t = row . coeffs[t] is within each squared radius
+    p / q: num_t <= cut_t = floor(p scales[t] / q) or, linear, |num_t| <=
+    cut_t = isqrt of it, clamped to [-1, bounds[t]] >= |num_t|.  Lane t,
+    bits [w t, w t + w) of an int, holds span t's value: per row, one sum
+    of products with the packed coefficients gives every num_t; per radius,
+    the top bit of lane t of CUT + 2^(w-1) - NUM (and, linear, of CUT +
+    2^(w-1) + NUM) is set exactly when num_t <= cut_t (-num_t <= cut_t),
+    as 2^(w-1) exceeds each bound (twice it, linear).  The flags, times the
+    row's weight, add up, and 2^w exceeds each weighting's total."""
+    out: list = []
+    for start in range(0, len(coeffs), SPAN_CHUNK):
+        part = slice(start, start + SPAN_CHUNK)
+        chunk, bound = coeffs[part], bounds[part]
+        width = 1 + max((max(bound) << linear).bit_length(), *(sum(ws).bit_length() for ws in weightings))
+        top = 1 << (width - 1)
+        packed = [_pack(c, width) for c in zip(*chunk)]
+        cuts = [_pack([top + min(math.isqrt(v) if linear and v >= 0 else max(v, -1), u)
+                       for v, u in zip((p * c // q for c in scales[part]), bound)], width)
+                for p, q in ((r2.numerator, r2.denominator) for r2 in radii2)]
+        ones = _pack([1] * len(chunk), width)
+        acc = [[0] * len(cuts) for _ in weightings]
+        for z, row in enumerate(rows):
+            ws = [w[z] for w in weightings]
+            if any(ws):
+                num = sum(map(mul, row, packed))
+                if linear:
+                    flags = [((c - num) & (c + num)) >> (width - 1) & ones for c in cuts]
+                else:
                     flags = [(c - num) >> (width - 1) & ones for c in cuts]
-                    for a, wt in zip(acc, ws):
-                        for i, f in enumerate(flags if wt else ()):
-                            a[i] += wt * f
-            lane = (1 << width) - 1
-            out += [[[x >> (width * t) & lane for x in a] for a in acc] for t in range(len(bounds))]
-        return out
-
-
-SPAN_CHUNK = 256  # spans per pass of the plate oracle's core: the lanes of one int
+                for a, wt in zip(acc, ws):
+                    for i, f in enumerate(flags if wt else ()):
+                        a[i] += wt * f
+        lane = (1 << width) - 1
+        out += [[[x >> (width * t) & lane for x in a] for a in acc] for t in range(len(chunk))]
+    return out
 
 
 def _pack(values: Sequence[int], width: int) -> int:
@@ -243,7 +260,7 @@ def _max_ball_masses(mu: DiscreteMeasure, radii: Sequence[Fraction]) -> dict[Fra
                 for pos in s_sorted
             ))
     else:
-        counts = oracle._counts([(p + (den,), []) for p in pts], radii2, (oracle.int_weights,))
+        counts = oracle._counts([(p, []) for p in oracle._lifted], radii2, (oracle.int_weights,))
         best = [max(col) for col in zip(*(c for (c,) in counts))]
     return {r: Fraction(b, mu.weight_den) for r, b in zip(radii, best)}
 
@@ -309,7 +326,7 @@ def _oracle_modulus(mu: DiscreteMeasure, v: AffineFlat, w: Fraction, on_v: int) 
     into the oracle's core SPAN_CHUNK at a time, keeping only the heaviest
     count.  No atom on v means no candidate, and modulus 0."""
     oracle = mu.oracle
-    lifted = [p + (oracle._den,) for i, p in enumerate(oracle._int_pts) if on_v >> i & 1]
+    lifted = [p for i, p in enumerate(oracle._lifted) if on_v >> i & 1]
     spans = (_pick_span([lifted[i] for i in picks])
              for picks, _, _ in _pencils(lifted, (), 0, -1, v.dim) if picks)
     best = 0

@@ -15,8 +15,8 @@ the orthonormal convention up to recorded factors.
 The frame scales every lifted atom and basis column to integers once.  The
 minor kernel, exactlin._wedge, grows the row-subset minors of a column set
 by a column; a chain of wedges over a matrix's columns gives its greedy
-pivots (the rank) and every maximal minor of them (the cheap floor).  The chain over the atom
-columns, which come first, is memoised per (slot, atom) prefix.
+pivots (the rank) and every maximal minor of them (the cheap floor).  The chain is
+memoised per prefix of its atom columns, which come first, and flat blocks.
 """
 
 from __future__ import annotations
@@ -167,21 +167,25 @@ WedgeState = tuple[dict[int, int], tuple[int, ...], int, int]
 
 def _pick_state(frame: StableFrame, memo: dict, idx: IndexPair, pick: Pick) -> WedgeState:
     """The wedge chain over build_matrix(frame, pick, idx), stopped at full
-    rank.  memo keeps the state after each (slot, atom) prefix of the atom
-    columns: at most prod(1 + |supp mu|) states per frame."""
-    key = tuple((s, pick[s]) for s in idx.sorted_atoms())
+    rank.  The key, each atom column's (slot, atom) and then J's flats (each
+    a block of basis columns), fixes the columns in order, so memo keeps the
+    state after each key prefix: at most 2^k prod(1 + |supp mu|) states."""
+    atoms = [(s, pick[s]) for s in idx.sorted_atoms()]
+    key = (*atoms, *idx.sorted_flats())
+    blocks = [[frame.atom_columns[j][i][a]] for (j, i), a in atoms]
+    blocks += [frame.basis_columns[j] for j in key[len(atoms) :]]
     k = len(key)
     while k and key[:k] not in memo:
         k -= 1
     state = memo[key[:k]] if k else ({0: 1}, (), 1, 1)
-    cols = [frame.atom_columns[j][i][a] for (j, i), a in key[k:]]
-    cols += [column for j in idx.sorted_flats() for column in frame.basis_columns[j]]
-    for c, (scale, col, norm) in enumerate(cols, k):
-        minors, pivots, nprod, sprod = state
-        if len(pivots) < len(col) and (grown := _wedge(minors, col)):
-            state = grown, pivots + (c,), nprod * norm, sprod * scale
-        if c < len(key):
-            memo[key[: c + 1]] = state
+    c = sum(map(len, blocks[:k]))  # the next column's index in the matrix
+    for e in range(k, len(key)):
+        for scale, col, norm in blocks[e]:
+            minors, pivots, nprod, sprod = state
+            if len(pivots) < len(col) and (grown := _wedge(minors, col)):
+                state = grown, pivots + (c,), nprod * norm, sprod * scale
+            c += 1
+        memo[key[: e + 1]] = state
     return state
 
 

@@ -3,28 +3,28 @@
 A graph lives over a tuple of measures: a set of index vectors, one atom
 index per measure.  Verification bounds the mass each measure gives to
 neighborhoods of spanned flats (plates for general arity, tubes for pairs)
-by K * scale^sigma at every dyadic scale in the window.  Every comparison is
-exact.  A graph holds sigma = p/q and K as rationals, and the plate oracle
-gives each mass as an integer count over its measure's weight denominator W,
-so mass <= K * scale^sigma holds exactly when the count is at most the cut
-T = floor(W K scale^sigma): the largest T with T^q <= (W K)^q scale^p, one
-integer q-th root per (measure, scale).  The constants the program chooses
-(C1, A, B, the tube threshold, K') stay the doubles it computes, and removal
-compares counts with floor(W b) for each such double bound b read as its
-exact dyadic value; removed masses are compared with their budgets as
-Fractions.  Floats remain only in report fields (ratios, bounds, tables,
-the chosen constants) and in pushforward_frostman's mass column and
-regression: its boxes are integer keys of an exact hyperplane chart, with
-integer weights.  One function, _verdict,
-turns (tuple, measure, per-scale counts) items into a VerifyResult: the
-plane and tube checks generate those items, and pruning and tube-to-plane
-conversion hand it the counts of the tuples they keep instead of measuring
-them again.  One span pass, _span_pass, serves every plane check and prune:
-it lifts the graph's atoms once, tests each tuple's independence and builds
-its span once, and hands each measure's plate oracle a chunk of spans at a
-time.
-The continuum quantifier over scales is truncated at the data's resolution:
-below it a discrete measure is atomic and the bounds say nothing.
+by K * scale^sigma at every dyadic scale in the window, exactly: sigma = p/q
+and K are rationals, the plate oracle gives each mass as an integer count
+over its measure's weight denominator W, and the count must be at most
+T = floor(W K scale^sigma), the largest T with T^q <= (W K)^q scale^p.  The
+constants the program chooses (C1, A, B, the tube threshold, K') stay
+doubles; removal compares counts with floor(W b) for each double bound b
+read exactly, and removed masses with their budgets as Fractions.  Floats
+remain only in report fields and in pushforward_frostman's mass column and
+regression: its boxes are integer keys of an exact hyperplane chart.
+Densities and section masses sum products of the oracles' integer weights.
+
+_verdict turns (tuple, measure, per-scale counts) items into a
+VerifyResult: the plane and tube checks generate them, and pruning and
+tube-to-plane conversion hand it the counts they already hold.  One span
+pass, _span_pass, serves every plane check and prune: it lifts the graph's
+atoms once and builds each tuple's span once for every measure.  At arity n
+the span is the tuple's cofactor normal (a, b) (_normals), a = 0 for a
+dependent tuple, and the oracle's hyperplane core counts it, as it counts
+the tubes when n = 2; the pushforward chart reads the same normals.  Below
+arity n a rank test and the quadratic core remain.  The continuum
+quantifier over scales is truncated at the data's resolution: below it a
+discrete measure is atomic and the bounds say nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exactlin import BudgetExceeded, Vector, _wedge, frac, pivot_columns
 from .flats import _dist2_offset, _lifted_integer_points
@@ -127,13 +127,15 @@ class ThinGraph:
 
     def density(self) -> Fraction:
         """Product-measure mass of the tuple set over the product of total
-        masses; recomputed from the tuples, never trusted."""
+        masses; recomputed from the tuples, never trusted, from the oracles'
+        integer weights."""
         if self._density is None:
             if self.tuples is None:
                 self._density = Fraction(1)
             else:
-                total = sum(map(self.tuple_weight, self.tuples), Fraction(0))
-                self._density = total / math.prod(m.total_mass for m in self.measures)
+                ws = [m.oracle.int_weights for m in self.measures]
+                total = sum(math.prod(w[i] for w, i in zip(ws, t)) for t in self.tuples)
+                self._density = Fraction(total, math.prod(map(sum, ws)))
         return self._density
 
     def without(self, removed: Iterable[tuple[int, ...]], sigma=None, big_k=None) -> "ThinGraph":
@@ -319,27 +321,37 @@ def _lifted_atoms(g: ThinGraph) -> list[list[tuple[int, ...]]]:
     return [list(itertools.islice(lifted, len(m))) for m in g.measures]
 
 
+def _tuple_spans(lifted: list, tuples: Iterable) -> tuple[Iterator, Callable]:
+    """(t, span) for each tuple t, in order, span None when t is affinely
+    dependent, and the oracle core that reads the spans.  lifted is
+    _lifted_atoms(g).  At arity n a span is t's normal (a, b), and a = 0
+    means dependent; below it, the first lifted point and the differences
+    from it, when the lifted rows have full rank."""
+    if len(lifted) == len(lifted[0][0]) - 1:
+        spans = ((t, v if any(v[:-1]) else None) for ts, vs in _normals(lifted, tuples) for t, v in zip(ts, vs))
+        return spans, PlateMassOracle._hyperplane_counts
+
+    def span(t):
+        rows = [pts[i] for pts, i in zip(lifted, t)]
+        if len(pivot_columns(rows)) == len(rows):
+            return rows[0], [tuple(map(sub, v, rows[0]))[:-1] for v in rows[1:]]
+        return None  # dependent
+
+    return ((t, span(t)) for t in tuples), PlateMassOracle._counts
+
+
 def _span_pass(tuples: Iterable, lifted: list, measures: Sequence[DiscreteMeasure], radii2) -> Iterator:
     """(t, counts) for each tuple t, in order: counts is None when t is
     affinely dependent, else each measure's counts near the span of t's
-    points at radii2.
-
-    lifted is _lifted_atoms(g).  A tuple's independence is the rank of its
-    lifted rows, and its span, the first row and the differences from it,
-    is built once for every measure.  The tuples go to the oracles
-    SPAN_CHUNK at a time: one core call per chunk and measure."""
+    points at radii2.  Each span, from _tuple_spans, serves every measure:
+    one core call per SPAN_CHUNK spans and measure."""
     oracles: list[PlateMassOracle] = [m.oracle for m in measures]
-    tuples = iter(tuples)
-    while chunk := list(itertools.islice(tuples, SPAN_CHUNK)):
-        spans = {}
-        for t in chunk:
-            rows = [pts[i] for pts, i in zip(lifted, t)]
-            if len(pivot_columns(rows)) == len(rows):
-                spans[t] = rows[0], [tuple(map(sub, v, rows[0]))[:-1] for v in rows[1:]]
-        got = [o._counts(list(spans.values()), radii2, (o.int_weights,)) for o in oracles]
-        counts = dict(zip(spans, zip(*got)))
-        for t in chunk:
-            yield t, [c for (c,) in counts[t]] if t in counts else None
+    spans, core = _tuple_spans(lifted, tuples)
+    while chunk := list(itertools.islice(spans, SPAN_CHUNK)):
+        live = [span for _, span in chunk if span is not None]
+        got = zip(*[core(o, live, radii2, (o.int_weights,)) for o in oracles])
+        for t, span in chunk:
+            yield t, None if span is None else [c for (c,) in next(got)]
 
 
 def verify_thin_tubes(
@@ -375,20 +387,20 @@ def _tube_window(mu0, mu1, g: ThinGraph, scales: Sequence) -> tuple[list, list]:
 def _tube_items(mu0, mu1, g: ThinGraph, radii2: list[Fraction], full=None) -> Iterator:
     """((i0, i1), 1, counts) for every tube of the family: the G-section of
     mu1 is mu1's weights with zeros off the section, so one core call per
-    centre x0 gives the counts of all its lines x0 -> y; with a dict full,
-    the same call also stores mu1's full counts of the lines of the pairs in
-    g, under the pair."""
+    centre x0 gives the counts of all its lines x0 -> y (see _tuple_spans;
+    separated supports make them independent); with a dict full, the same
+    call also stores mu1's full counts of the lines of the pairs in g,
+    under the pair."""
     oracle = mu1.oracle
     weights = oracle.int_weights
-    lifted0, lifted1 = _lifted_atoms(g)
+    lifted = _lifted_atoms(g)
     # tuples come sorted: one run per mu0 atom, its G-section of mu1
     for i0, run in itertools.groupby(g.iter_tuples(), key=lambda t: t[0]):
-        x0 = lifted0[i0]
         paired = {i1 for _, i1 in run}
         section = [w if i1 in paired else 0 for i1, w in enumerate(weights)]
-        spans = [(x0, [tuple(map(sub, y, x0))[:-1]]) for y in lifted1]
+        spans, core = _tuple_spans(lifted, [(i0, i1) for i1 in range(len(weights))])
         weightings = (section,) if full is None else (section, weights)
-        for i1, counts in enumerate(oracle._counts(spans, radii2, weightings)):
+        for i1, counts in enumerate(core(oracle, [span for _, span in spans], radii2, weightings)):
             if full is not None and i1 in paired:
                 full[i0, i1] = counts[1]
             yield (i0, i1), 1, counts[0]
@@ -439,17 +451,10 @@ def prune_planes(
     removed: set[tuple[int, ...]] = set()
     kept = []
     for t, counts in _span_pass(g.iter_tuples(), _lifted_atoms(g), g.measures, radii2):
-        if counts is None:
+        if counts is None or any(map(_exceeds, counts, cuts)):
             removed.add(t)
-            continue
-        got = []
-        for c, cut in zip(counts, cuts):
-            got.append(c)
-            if _exceeds(c, cut):
-                removed.add(t)
-                break
         else:
-            kept.extend((t, j, c) for j, c in enumerate(got))
+            kept.extend((t, j, c) for j, c in enumerate(counts))
     out = g.without(removed, sigma=g.sigma_exact - eps_q, big_k=Fraction(c1) * g.k_exact)
     removed_mass = g.density() - out.density()
     ok = removed_mass <= eps_q
@@ -600,11 +605,11 @@ def prune_against_measure(
     margins = {t: _margin2([pts[i] for pts, i in zip(lifted, t)], den) for t in g.iter_tuples()}
     if delta0 is None:
         delta0 = min(scales)
-        denom = math.prod(m.total_mass for m in g.measures)
+        ws = [m.oracle.int_weights for m in g.measures]
+        denom = math.prod(map(sum, ws))
         for s in scales:  # descending: prefer the largest affordable margin
-            trimmed = [t for t, m2 in margins.items() if m2 < s * s]
-            mass = sum((g.tuple_weight(t) for t in trimmed), Fraction(0))
-            if mass / denom <= eps_q / 2:
+            trimmed = sum(math.prod(w[i] for w, i in zip(ws, t)) for t, m2 in margins.items() if m2 < s * s)
+            if Fraction(trimmed, denom) <= eps_q / 2:
                 delta0 = s
                 break
     else:
@@ -724,42 +729,44 @@ def _plane_rows(prefix: Sequence[Sequence[int]], width: int, shift: int) -> list
     return [[sign * c.get(full ^ 1 << k, 0) << shift for c in cols] for k, sign in enumerate(signs)]
 
 
-def _combination(coefs: Sequence[int], cols: Sequence[Sequence[int]]) -> Iterable[int]:
-    """sum_i coefs[i] cols[i], entry by entry."""
-    terms = [map(mul, col, itertools.repeat(x)) for x, col in zip(coefs, cols) if x]
-    return functools.reduce(functools.partial(map, add), terms) if terms else [0] * len(cols[0])
+def _normals(lifted: list, tuples: Iterable, shift: int = 0) -> Iterator:
+    """(ts, normals) per run ts of tuples of n atom indices sharing a prefix,
+    in order: per tuple t, L v = 2^shift (a, b) with {x : a.x = b} the
+    hyperplane spanned by t's lifted points, a = 0 when they span none.  L
+    is the plane rows of the prefix t[:-1], v is t's last lifted point, and
+    each row of L combines the columns of the run's v at once."""
+    width = len(lifted[0][0])
+    for prefix, run in itertools.groupby(tuples, key=itemgetter(slice(-1))):
+        rows = _plane_rows([pts[i] for pts, i in zip(lifted, prefix)], width, shift)
+        ts = list(run)
+        cols = list(zip(*map(lifted[-1].__getitem__, map(itemgetter(-1), ts))))
+        terms = [[map(mul, c, itertools.repeat(x)) for x, c in zip(row, cols) if x] for row in rows]
+        yield ts, zip(*[functools.reduce(functools.partial(map, add), t, [0] * len(ts)) for t in terms])
 
 
 def _chart_boxes(g: ThinGraph, ks: Sequence[int]) -> list[dict[tuple[int, ...], int]]:
     """Per exponent k of ks, the boxes of side 2^-k occupied by the tuples'
     hyperplanes, each with its weight as an integer over prod W_j.
 
-    The hyperplane {x : a.x = b} of a tuple comes from the plane rows of its
-    prefix t[:-1] applied to its lifted last point.  It is charted by the
-    first i with maximal |a_i| at the coordinates a_j / a_i (j != i) and
-    b / a_i; at the finest exponent K its key is i and those coordinates'
-    floors at scale 2^-K, by integer floor division of 2^K (a, b).  A
-    coarser exponent k shifts the keys of a finer exponent k' right by
-    k' - k, and floor(floor(y) / 2^m) = floor(y / 2^m) makes that the key
-    at scale 2^-k."""
+    The hyperplane {x : a.x = b} of a tuple, its normal from _normals, is
+    charted by the first i with maximal |a_i| at the coordinates a_j / a_i
+    (j != i) and b / a_i; at the finest exponent K its key is i and those
+    coordinates' floors at scale 2^-K, by integer floor division of 2^K
+    (a, b).  A coarser exponent k shifts the keys of a finer exponent k'
+    right by k' - k, and floor(floor(y) / 2^m) = floor(y / 2^m) makes that
+    the key at scale 2^-k."""
     top = max(ks)
-    width = g.ambient_dim + 1
-    lifted = [_lifted_integer_points(m.points()) for m in g.measures]
-    weights = [[w.numerator * (m.weight_den // w.denominator) for w in m.weights()] for m in g.measures]
+    weights = [m.oracle.int_weights for m in g.measures]
     finest: dict[tuple[int, ...], int] = collections.defaultdict(int)
-    # tuples come in product order: one run of last points per prefix
-    for prefix, run in itertools.groupby(g.iter_tuples(), key=itemgetter(slice(-1))):
-        rows = _plane_rows([pts[i] for pts, i in zip(lifted, prefix)], width, top)
-        w0 = math.prod(ws[i] for ws, i in zip(weights, prefix))
-        js = list(map(itemgetter(-1), run))
-        coords = list(zip(*map(lifted[-1].__getitem__, js)))
-        for j, v in zip(js, zip(*(_combination(row, coords) for row in rows))):
+    for ts, vs in _normals(_lifted_atoms(g), g.iter_tuples(), top):
+        w0 = math.prod(w[i] for w, i in zip(weights, ts[0][:-1]))
+        for t, v in zip(ts, vs):
             top_a = max(v[:-1], key=abs)  # the first of equal |a_i|
             i = v.index(top_a)
             ai = top_a >> top
             if not ai:
-                raise TupleInDegenerateSet(f"tuple {(*prefix, j)} does not span a hyperplane")
-            finest[(i, *[x // ai for x in v[:i] + v[i + 1 :]])] += w0 * weights[-1][j]
+                raise TupleInDegenerateSet(f"tuple {t} does not span a hyperplane")
+            finest[(i, *[x // ai for x in v[:i] + v[i + 1 :]])] += w0 * weights[-1][t[-1]]
     # each level from the next finer one, which has no more boxes
     levels = {top: finest}
     for k in sorted(ks, reverse=True)[1:]:
@@ -807,25 +814,18 @@ class MarginalReport:
 def marginal_heavy_set(g: ThinGraph, i: int, threshold) -> MarginalReport:
     """Atoms of measure i whose graph-section mass ratio meets the
     threshold, with the Fubini accounting exposed: integrating the section
-    ratios against measure i recovers the graph density exactly."""
+    ratios against measure i recovers the graph density exactly.  Sums run
+    over the oracles' integer weights."""
     threshold = frac(threshold)
-    mu = g.measures[i]
-    other_total = Fraction(1)
-    for j, m in enumerate(g.measures):
-        if j != i:
-            other_total *= m.total_mass
-    section_mass: dict[int, Fraction] = {a: Fraction(0) for a in range(len(mu))}
+    ws = [m.oracle.int_weights for m in g.measures]
+    others = ws[:i] + ws[i + 1 :]
+    section = dict.fromkeys(range(len(ws[i])), 0)  # integer section masses
     for t in g.iter_tuples():
-        w = Fraction(1)
-        for j, (idx, m) in enumerate(zip(t, g.measures)):
-            if j != i:
-                w *= m.atoms[idx][1]
-        section_mass[t[i]] += w
-    ratios = {a: m / other_total for a, m in section_mass.items()}
+        section[t[i]] += math.prod(w[k] for w, k in zip(others, t[:i] + t[i + 1 :]))
+    other_total = math.prod(map(sum, others))
+    ratios = {a: Fraction(m, other_total) for a, m in section.items()}
     heavy = [a for a, r in sorted(ratios.items()) if r >= threshold]
-    fubini = sum(
-        (mu.atoms[a][1] * r for a, r in ratios.items()), Fraction(0)
-    ) / mu.total_mass
+    fubini = Fraction(sum(ws[i][a] * m for a, m in section.items()), sum(ws[i]) * other_total)
     return MarginalReport(heavy, ratios, fubini)
 
 

@@ -2,11 +2,12 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flatbeck import beck
+from flatbeck import beck, flats
 from flatbeck.beck import (
     PointConfig,
     concentrated_span_count,
@@ -14,7 +15,8 @@ from flatbeck.beck import (
     enumerate_spanned_flats,
 )
 from flatbeck.cli import main
-from flatbeck.flats import AffineFlat, _spanned, dist2_point_flat
+from flatbeck.exactlin import int_rref
+from flatbeck.flats import AffineFlat, _lifted_integer_points, _spanned, dist2_point_flat
 from flatbeck.genscenes import generic_points
 from fraction_reference import reference_dichotomy, reference_rank, reference_spanned_flats
 
@@ -226,6 +228,21 @@ class TestOneWalk:
         for d in range(n):
             bucket = [(f._rows, f._picks, m) for f, m in walk if f.dim == d]
             assert bucket == [(f._rows, f._picks, m) for f, m in _spanned(pts, d)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_points())
+    def test_leaf_rows_built_only_when_read(self, pts):
+        """A walk read for picks and masks builds the rows of its inner
+        nodes only, one _pencil_rows call per node above the last level;
+        read, a leaf's rows are int_rref's of its lifted picks."""
+        lifted = _lifted_integer_points(pts)
+        depth = len(pts[0])
+        with mock.patch.object(flats, "_pencil_rows", wraps=flats._pencil_rows) as built:
+            nodes = list(flats._pencils(lifted, (), 0, -1, depth))
+        inner = sum(0 < len(picks) < depth for picks, _, _ in nodes)
+        assert built.call_count == inner
+        for picks, rows, _ in nodes:
+            assert rows() == tuple(map(tuple, int_rref([lifted[i] for i in picks])[1]))
 
 
 @st.composite

@@ -445,17 +445,18 @@ class TestDeterminism:
 
 
 def count_numerator_passes(monkeypatch) -> list:
-    """Record the number of spans in every call of PlateMassOracle._counts,
-    the integer core that evaluates a batch of spans; every mass and count
-    goes through it."""
+    """Record the number of spans in every call of the plate oracle's two
+    integer cores, PlateMassOracle._counts and _hyperplane_counts, which
+    each evaluate a batch of spans; every mass and count goes through one of
+    them."""
     calls = []
-    core = PlateMassOracle._counts
+    for name in ("_counts", "_hyperplane_counts"):
 
-    def counting(self, spans, *args):
-        calls.append(len(spans))
-        return core(self, spans, *args)
+        def counting(self, spans, *args, core=getattr(PlateMassOracle, name)):
+            calls.append(len(spans))
+            return core(self, spans, *args)
 
-    monkeypatch.setattr(PlateMassOracle, "_counts", counting)
+        monkeypatch.setattr(PlateMassOracle, name, counting)
     return calls
 
 

@@ -119,6 +119,56 @@ class TestRankR:
         assert isinstance(got, RankInconsistency)
 
 
+def fresh_chain(frame: StableFrame, idx: IndexPair, pick) -> stability.WedgeState:
+    """The wedge chain over every column of build_matrix, one column at a
+    time, with no memo: greedy pivots, their minors and the products of
+    their squared norms and scales."""
+    rows, scales = build_matrix(frame, pick, idx)
+    state = {0: 1}, (), 1, 1
+    for c, (col, scale) in enumerate(zip(zip(*rows), scales)):
+        minors, pivots, nprod, sprod = state
+        if len(pivots) < len(col) and (grown := stability._wedge(minors, col)):
+            state = grown, pivots + (c,), nprod * sum(x * x for x in col), sprod * scale
+    return state
+
+
+class TestPrefixMemo:
+    """_pick_state memoises the chain per prefix of atom entries and then
+    of flats; a shared memo must give every state a fresh chain gives."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6), st.randoms(use_true_random=False))
+    def test_memoised_states_equal_fresh_chains(self, seed, rnd):
+        """Every (index pair, pick) of a frame, in a drawn order, so states
+        are read back after atom prefixes and after flat prefixes."""
+        frame, _ = random_minimal_frame(random.Random(seed), 3, (1, 1, 1), atoms_per_measure=2)
+        combos = [(idx, pick) for idx in stability._index_pairs(frame)
+                  for pick in stability.iter_picks(frame, idx.sorted_atoms())]
+        rnd.shuffle(combos)
+        memo: dict = {}
+        for idx, pick in combos:
+            assert stability._pick_state(frame, memo, idx, pick) == fresh_chain(frame, idx, pick)
+
+    def test_wedge_count_on_a_seeded_frame(self, monkeypatch):
+        """Frame 0 of the seed-1 frames-certify workload: with flat prefixes
+        in the memo, certification runs 753 wedges (1,538 with atom prefixes
+        alone) and the minimal rank table 147 (180), at the same floor."""
+        frame, cert = random_minimal_frame(random.Random(1), 4, (2, 1, 1), atoms_per_measure=2)
+        calls = []
+        wedge = stability._wedge
+
+        def counting(minors, col):
+            calls.append(1)
+            return wedge(minors, col)
+
+        monkeypatch.setattr(stability, "_wedge", counting)
+        got = certify_stability(frame, cert.floor)
+        assert (len(calls), got.floor, got.raw_floor) == (753, cert.floor, cert.raw_floor)
+        calls.clear()
+        minimal_rank_report(frame)
+        assert len(calls) == 147
+
+
 class TestCertify:
     def test_axes_with_clusters_certify(self):
         frame = transversal_lines_grid_frame()

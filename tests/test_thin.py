@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
 from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flatbeck import thin
+from flatbeck import measures, thin
 from flatbeck.exactlin import BudgetExceeded, _integerized_points
 from flatbeck.flats import AffineFlat, affinely_independent
 from flatbeck.genscenes import parallel_segments, segment_grid, square_grid
@@ -26,6 +27,7 @@ from flatbeck.thin import (
     verify_thin_tubes,
 )
 from fraction_reference import flat_from_span, reference_chart_key, reference_dist2_flats, reference_rank
+from test_cli import count_numerator_passes
 
 RES = Fraction(1, 1024)
 SCALES6 = dyadic_scales(6, 1)
@@ -255,6 +257,7 @@ class TestVerdictFromMassesInHand:
             raise AssertionError("measured before the window was checked")
 
         monkeypatch.setattr(thin.PlateMassOracle, "_counts", refuse)
+        monkeypatch.setattr(thin.PlateMassOracle, "_hyperplane_counts", refuse)
         mu0, mu1 = parallel_segments(4)
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
         with pytest.raises(ValueError, match="below a measure resolution"):
@@ -369,7 +372,13 @@ def span_graphs(draw):
 def reference_span(g, t):
     """The reference flat spanned by the points of tuple t, None when they
     are affinely dependent."""
-    lifted = [p + (Fraction(1),) for p in g.tuple_points(t)]
+    return reference_span_of(g.tuple_points(t))
+
+
+def reference_span_of(points):
+    """The reference flat spanned by the points, None when they are
+    affinely dependent."""
+    lifted = [tuple(map(Fraction, p)) + (Fraction(1),) for p in points]
     return flat_from_span(lifted) if reference_rank(lifted) == len(lifted) else None
 
 
@@ -463,6 +472,125 @@ class TestSpanPassAgainstFractionReference:
         assert set(out.graph.iter_tuples()) == kept
 
 
+atom_coord = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
+plane_coord = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([3, 5, 7]))
+
+
+@st.composite
+def hyperplane_batches(draw):
+    """(atoms, points, dependent, radii2, hit): atoms of Q^n, n = 2..4, with
+    weights of mixed denominators, zeros among them, and 1 to 8 tuples of n
+    points over denominators foreign to the atoms'; with dependent, the last
+    point of one tuple lies on the line through its first two (n > 2) or on
+    its first (n = 2)."""
+    n = draw(st.integers(2, 4))
+    weight = st.builds(Fraction, st.integers(0, 5), st.integers(1, 6))
+    atoms = draw(st.lists(st.tuples(st.tuples(*[atom_coord] * n), weight), min_size=1, max_size=8))
+    points = draw(st.lists(st.lists(st.tuples(*[plane_coord] * n), min_size=n, max_size=n), min_size=1, max_size=8))
+    dependent = draw(st.booleans())
+    if dependent:
+        t, c = draw(st.integers(0, len(points) - 1)), draw(plane_coord) if n > 2 else 0
+        a, b = points[t][0], points[t][1]
+        points[t][-1] = tuple(x + c * (y - x) for x, y in zip(a, b))
+    radii2 = draw(st.lists(st.builds(Fraction, st.integers(0, 40), st.integers(1, 9)), max_size=2))
+    hit = draw(st.integers(0, 7)), draw(st.integers(0, len(atoms) - 1))
+    return atoms, points, dependent, radii2, hit
+
+
+class TestHyperplaneCore:
+    """PlateMassOracle._hyperplane_counts on the cofactor normals of
+    thin._normals, against the Fraction reference distance of every atom
+    from the reference hyperplane of every tuple."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hyperplane_batches())
+    def test_matches_the_fraction_reference(self, case):
+        atoms, points, dependent, radii2, hit = case
+        n = len(points[0])
+        # measure j holds point j of every tuple; tuple k picks atom k of each
+        lifted = thin._lifted_atoms(ThinGraph([DiscreteMeasure([(p, 1) for p in col], RES) for col in zip(*points)], None, 1, 1))
+        normals = [v for _, vs in thin._normals(lifted, [(k,) * n for k in range(len(points))]) for v in vs]
+        planes = [reference_span_of(pts) for pts in points]
+        assert [f is None for f in planes] == [not any(v[:-1]) for v in normals]
+        assert None in planes or not dependent
+        if None in planes:
+            k = planes.index(None)
+            g = ThinGraph([DiscreteMeasure([(p, 1)], RES) for p in points[k]], None, 1, 1)
+            with pytest.raises(TupleInDegenerateSet):
+                verify_thin_planes(g, [Fraction(1, 2)])
+            return
+        mu = DiscreteMeasure(atoms, RES)
+        oracle = mu.oracle
+        weightings = [oracle.int_weights, [i % 3 for i in range(len(atoms))]]
+        d2 = [[reference_dist2_flats(AffineFlat.point(p), f) for p, _ in atoms] for f in planes]
+        # a negative radius and one past every atom, whose cuts must be
+        # clamped into the lane, and one exactly at an atom's squared
+        # distance: the boundary is closed
+        radii2 = radii2 + [Fraction(-10**40), Fraction(10**40), d2[hit[0] % len(planes)][hit[1]]]
+        want = [[[sum(w for x, w in zip(row, ws) if x <= r2) for r2 in radii2] for ws in weightings] for row in d2]
+        assert oracle._hyperplane_counts(normals, radii2, weightings) == want
+        with mock.patch.object(measures, "SPAN_CHUNK", 3):  # batches of up to 8 cross it
+            assert oracle._hyperplane_counts(normals, radii2, weightings) == want
+        assert oracle._hyperplane_counts([], radii2, weightings) == []
+
+    def test_lanes_about_half_as_wide_as_the_quadratic_cores(self):
+        """The line through (0, 0) and (3, 4) in Q^2, against atoms of size
+        2^40: the quadratic core's lanes hold g |r|^2, about 2 * 40 + 2 * 3
+        bits, the hyperplane core's |a| |P| + |b| den, about 40 + 3, and the
+        counts agree.  The hyperplane core's width is 1 + the bit size of
+        its reach 2 u, u = isqrt(|a|^2 max|P|^2) + 1 + |b| den."""
+        big = 2**40
+        mu = DiscreteMeasure([((big, 0), 1), ((0, big), 1), ((3 * big, 4 * big), 1)], RES)
+        oracle = mu.oracle
+        # the atoms lie at squared distances 16 big^2 / 25, 9 big^2 / 25 and 0
+        radii2 = [Fraction(0), Fraction(9 * big * big, 25), Fraction(16 * big * big, 25) - 1]
+        weightings = [oracle.int_weights]
+        widths = {}
+        for name, spans in (("_counts", [((0, 0, 1), [(3, 4)])]), ("_hyperplane_counts", [(4, -3, 0)])):
+            with mock.patch.object(measures, "_pack", wraps=measures._pack) as pack:
+                got = getattr(oracle, name)(spans, radii2, weightings)
+            widths[name] = {width for (_, width), _ in pack.call_args_list}
+            assert got == [[[1, 2, 2]]]
+        u = math.isqrt(25 * 25 * big * big) + 1
+        assert widths["_hyperplane_counts"] == {1 + (2 * u).bit_length()} == {47}
+        # the quadratic reach: 2 g (s^2 max|P|^2 + |b|^2) with g = |d|^2 = 25
+        assert widths["_counts"] == {1 + (2 * 25 * 25 * big * big).bit_length()} == {92}
+
+
+@st.composite
+def sparse_graphs(draw):
+    """2 or 3 measures on Q^2, weights of mixed denominators with zeros,
+    and a sparse tuple set."""
+    k = draw(st.integers(2, 3))
+    weight = st.builds(Fraction, st.integers(0, 5), st.sampled_from([1, 2, 3, 7, 12]))
+    mus = []
+    for j in range(k):
+        ws = draw(st.lists(weight, min_size=1, max_size=4).filter(any))
+        mus.append(DiscreteMeasure([((i, j), w) for i, w in enumerate(ws)], RES))
+    index = st.tuples(*[st.integers(0, len(m) - 1) for m in mus])
+    return ThinGraph(mus, draw(st.lists(index, max_size=12)), 1, 1)
+
+
+class TestIntegerWeights:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_graphs(), st.integers(0, 2))
+    def test_density_and_sections_match_the_fraction_sums(self, g, i):
+        """density() and marginal_heavy_set sum products of the oracles'
+        integer weights and divide once; the Fraction sums (of tuple_weight
+        for the density) give the same values."""
+        totals = math.prod(m.total_mass for m in g.measures)
+        assert g.density() == sum(map(g.tuple_weight, g.iter_tuples()), Fraction(0)) / totals
+        i %= g.arity
+        others = [j for j in range(g.arity) if j != i]
+        rep = marginal_heavy_set(g, i, Fraction(1, 3))
+        want = {a: Fraction(0) for a in range(len(g.measures[i]))}
+        for t in g.iter_tuples():
+            want[t[i]] += math.prod(g.measures[j].atoms[t[j]][1] for j in others)
+        other_total = math.prod(g.measures[j].total_mass for j in others)
+        assert rep.section_ratios == {a: m / other_total for a, m in want.items()}
+        assert rep.fubini_total == g.density()
+
+
 class TestProductGraph:
     def axes_frame(self):
         lx = AffineFlat([0, 0], [[1, 0]])
@@ -487,19 +615,12 @@ class TestProductGraph:
     def test_product_measures_each_mass_once(self, monkeypatch):
         """K = 8 fails on the axes frame, so the graph is verified again at
         the achieved K from the same counts: 16 tuples x 2 measures give 32
-        spans through the oracle's integer core, and the result is that of
+        spans through the oracle's integer cores, and the result is that of
         a fresh verification."""
-        calls = []
-        core = thin.PlateMassOracle._counts
-
-        def counting(self, spans, *args):
-            calls.append(len(spans))
-            return core(self, spans, *args)
-
         frame, mx, my = self.axes_frame()
         g0 = ThinGraph([mx], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)
         g1 = ThinGraph([my], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)
-        monkeypatch.setattr(thin.PlateMassOracle, "_counts", counting)
+        calls = count_numerator_passes(monkeypatch)
         out, check = product_graph([g0, g1], frame, dyadic_scales(5, 1))
         assert sum(calls) == 32
         assert out.big_k == 24.0
