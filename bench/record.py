@@ -13,7 +13,8 @@ workload in BENCHMARK.json, it runs the benchmark command for the run length
 BENCHMARK.json fixes, once on each side, alternating from pair to pair which
 side runs first, and writes ``BENCH_<n>.json`` at the root of the checkout:
 the SHAs, the git tree ids of the code each side ran, each side's line
-count of ``src/flatbeck/*.py``, the Python version, the number of usable
+count of ``src/flatbeck/*.py`` in total (``src_lines``) and per file
+(``src_files``), the Python version, the number of usable
 CPUs, every pair's end-to-end metrics and, per workload and side, the
 median and quartiles of ``work_ref``, ``setup_s`` and ``peak_rss_mb`` with
 ``correct`` and ``failed``.
@@ -65,9 +66,10 @@ def identify_sides(root: Path) -> dict[str, dict]:
     }
 
 
-def src_lines(root: Path) -> int:
-    """The line count of the package sources under root, src/flatbeck/*.py."""
-    return sum(len(p.read_text().splitlines()) for p in (root / "src" / "flatbeck").glob("*.py"))
+def src_files(root: Path) -> dict[str, int]:
+    """The line count of each package source under root, src/flatbeck/*.py,
+    by file name."""
+    return {p.name: len(p.read_text().splitlines()) for p in sorted((root / "src" / "flatbeck").glob("*.py"))}
 
 
 def _export(root: Path, sha: str, dest: str) -> None:
@@ -143,7 +145,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
         _export(ROOT, sides["parent"]["sha"], parent_root)
         roots = {"parent": Path(parent_root), "change": ROOT}
-        lines = {side: src_lines(root) for side, root in roots.items()}
+        files = {side: src_files(root) for side, root in roots.items()}
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
@@ -162,7 +164,8 @@ def main(argv=None) -> int:
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "seconds": bench["run_seconds"],
         "seeds": seeds,
-        "src_lines": lines,
+        "src_lines": {side: sum(counts.values()) for side, counts in files.items()},
+        "src_files": files,
         "workloads": summarize(runs),
         "pairs": pairs,
     }

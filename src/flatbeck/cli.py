@@ -55,17 +55,6 @@ from .thin import (
     verify_thin_tubes,
 )
 
-COMMANDS = (
-    "analyze-flats",
-    "decompose",
-    "stability",
-    "beck",
-    "thin-verify",
-    "thin-prune",
-    "project",
-    "pushforward-dim",
-)
-
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
@@ -204,6 +193,9 @@ class Scene:
             except ValueError as e:
                 raise SceneError(f"{where}: {e}")
         self.params: dict = raw.get("params") or {}
+        seed = self.params.get("seed", 0)
+        if type(seed) is not int:
+            raise SceneError(f"params.seed: expected an integer, got {seed!r}")
 
     def param_rat(self, key: str, default=None) -> Optional[Fraction]:
         if key not in self.params:
@@ -551,8 +543,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(__doc__)
         return EXIT_PASS
     command = argv[0]
-    if command not in COMMANDS:
-        print(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}", file=sys.stderr)
+    if command not in HANDLERS:
+        print(f"unknown command {command!r}; expected one of {', '.join(HANDLERS)}", file=sys.stderr)
         return EXIT_UNKNOWN
     parser = build_parser(command)
     try:
@@ -564,9 +556,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SceneError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    seed = args.seed if args.seed is not None else int(scene.params.get("seed", 0))
-    args.seed = seed
-    rep = Reporter(args.out, command, args.scene, seed)
+    if args.seed is None:
+        args.seed = scene.params.get("seed", 0)
+    rep = Reporter(args.out, command, args.scene, args.seed)
     try:
         HANDLERS[command](scene, args, rep)
     except SceneError as e:

@@ -4,13 +4,15 @@ Vectors are tuples of ``Fraction``; matrices are lists of integer rows, as
 callers scale rational ones row by row or column by column, which keeps
 ranks, row spaces and normalized minors.  Every elimination runs
 fraction-free, so entries stay bounded at the sizes used here (sides up to
-a dozen or so): ``bareiss``, the one Bareiss pass, gives pivot columns
-(ranks) and determinants together, and ``int_rref`` is the Gauss-Jordan
-whose primitive integer rows are the canonical form of a row space;
-``int_kernel`` reads an integer kernel basis off them.  ``_wedge`` is the
-one minor kernel: it grows the row-subset minors of a column set by a
-column, for stability certificates and the hyperplane chart;
-``wedge_norm2`` sums their squares, a Gram determinant.  ``orthogonalize``
+a dozen or so): ``pivot_columns``, the one Bareiss pass, gives every
+rank, and ``int_rref`` is the Gauss-Jordan whose primitive integer rows are
+the canonical form of a row space; ``int_kernel`` reads an integer kernel
+basis off them.  ``_wedge`` is the one minor kernel: it grows the
+row-subset minors of a column set by a column, so its chain over a square
+matrix's columns gives the determinant, and it serves stability
+certificates, distance forms and hyperplane normals; ``_cofactors`` wedges
+each unit column onto a set, and ``wedge_norm2`` sums the squared minors,
+a Gram determinant.  ``orthogonalize``
 is the one Gram-Schmidt: unnormalized orthogonal bases for the basis
 columns of stability frames.
 """
@@ -108,15 +110,14 @@ def _integerized_points(
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
-def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
     """The one elimination kernel: fraction-free (Bareiss) elimination of an
-    integer matrix.  Returns its pivot columns, the columns outside the span
-    of the columns before them, and its determinant, 0 unless the matrix is
-    square and nonsingular.  Scaling rows or columns by nonzero factors
-    leaves the pivots unchanged."""
+    integer matrix, returning its pivot columns, the columns outside the
+    span of the columns before them (so the rank is their count).  Scaling
+    rows or columns by nonzero factors leaves them unchanged."""
     m = [list(r) for r in rows]
     nr, nc = len(m), len(m[0]) if m else 0
-    prev = sign = 1
+    prev = 1
     pivots: list[int] = []
     for pc in range(nc):
         pr = len(pivots)
@@ -125,9 +126,7 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
         piv = next((i for i in range(pr, nr) if m[i][pc]), None)
         if piv is None:
             continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-            sign = -sign
+        m[pr], m[piv] = m[piv], m[pr]
         mp = m[pr]
         for i in range(pr + 1, nr):
             mi = m[i]
@@ -141,12 +140,7 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
             mi[pc] = 0
         prev = mp[pc]
         pivots.append(pc)
-    return pivots, sign * prev if len(pivots) == nr == nc else 0
-
-
-def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The pivot columns of an integer matrix (bareiss)."""
-    return bareiss(rows)[0]
+    return pivots
 
 
 def _wedge(minors: dict[int, int], col: Sequence[int]) -> dict[int, int]:
@@ -163,6 +157,13 @@ def _wedge(minors: dict[int, int], col: Sequence[int]) -> dict[int, int]:
                 t = -x * d if (mask >> i).bit_count() & 1 else x * d
                 out[key] = out.get(key, 0) + t
     return {k: v for k, v in out.items() if v}
+
+
+def _cofactors(minors: dict[int, int], width: int) -> list[dict[int, int]]:
+    """Per unit vector e_i of Q^width, the minors of the column set of
+    minors with e_i appended (_wedge): the coefficients of v_i in the
+    minors of the set with v appended, which are linear in v."""
+    return [_wedge(minors, [int(j == i) for j in range(width)]) for i in range(width)]
 
 
 def wedge_norm2(cols: Sequence[Sequence[int]]) -> int:

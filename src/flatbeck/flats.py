@@ -11,7 +11,9 @@ and meet are integer computations on those rows.  All metric predicates
 compare squared quantities so everything stays inside Q.
 
 _dist2_form is the one squared distance: an integer quadratic form M over
-one integer g for the span of independent integer rows.  The plate oracle
+one integer g for the span of independent integer rows, read by
+Cauchy-Binet off the rows' wedge chain and its cofactors (closed for one
+row).  The plate oracle
 packs the forms of a batch of spans and runs them over a measure's atoms;
 dist2_point_flat and dist2_flats are its one-offset Fraction views.
 
@@ -32,9 +34,10 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exactlin import (
     Vector,
+    _cofactors,
     _integerized_points,
     _integerized_rows,
-    bareiss,
+    _wedge,
     dot,
     int_kernel,
     int_rref,
@@ -278,24 +281,27 @@ def meet(f: AffineFlat, g: AffineFlat) -> Optional[AffineFlat]:
 def _dist2_form(dirs: Sequence[Sequence[int]], n: int) -> tuple[int, list[list[int]]]:
     """The one exact squared distance: g and the integer n x n form M, so
     that an integer offset r lies at squared distance r^T M r / g from the
-    span of the independent integer rows D = dirs.  With G = D D^T and
-    g = det G, M = g I - D^T adj(G) D is g times the projection off the
-    span, so 0 <= r^T M r <= g |r|^2, and M / g does not depend on the basis
-    of the span.  Dependent rows (g = 0) are a ValueError."""
-    k = len(dirs)
-    gram = [[sum(map(mul, u, v)) for v in dirs] for u in dirs]
-    g = gram[0][0] if k == 1 else bareiss(gram)[1]
-    if g == 0:
-        raise ValueError("directions are linearly dependent")
-    if k == 1:
+    span of the independent integer rows D = dirs.  g = det(D D^T) is the
+    sum of the squared minors of the wedge chain over D, and by
+    Cauchy-Binet r^T M r = |D ^ r|^2, the sum of the squared minors of D
+    with r appended; those minors are linear in r, with coefficients the
+    cofactor minors c_i, so M = sum over row sets of c c^T.  M is g times
+    the projection off the span, so 0 <= r^T M r <= g |r|^2, and M / g does
+    not depend on the basis of the span.  Dependent rows (g = 0) are a
+    ValueError."""
+    if len(dirs) == 1:  # the closed form g I - d d^T
         d = dirs[0]
+        g = sum(x * x for x in d)
+        if g == 0:
+            raise ValueError("directions are linearly dependent")
         return g, [[g * (a == b) - x * y for b, y in enumerate(d)] for a, x in enumerate(d)]
-    # adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i)
-    adj = [[(-1) ** (i + j) * bareiss([r[:i] + r[i + 1 :] for r in gram[:j] + gram[j + 1 :]])[1]
-            for j in range(k)] for i in range(k)]
-    cols = list(zip(*dirs)) or [()] * n
-    adj_cols = list(zip(*[[sum(map(mul, row, c)) for c in cols] for row in adj])) or [()] * n
-    return g, [[g * (a == b) - sum(map(mul, cols[a], adj_cols[b])) for b in range(n)] for a in range(n)]
+    minors = functools.reduce(_wedge, dirs, {0: 1})
+    if not minors:
+        raise ValueError("directions are linearly dependent")
+    cols = _cofactors(minors, n)
+    masks = set().union(*cols)
+    vs = [[c.get(mask, 0) for mask in masks] for c in cols]
+    return sum(d * d for d in minors.values()), [[sum(map(mul, u, v)) for v in vs] for u in vs]
 
 
 def _dist2_offset(r: Sequence[int], dirs: Sequence[Sequence[int]], den: int) -> Fraction:

@@ -11,7 +11,6 @@ read, so every caller of the same measure shares one integerization.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import statistics
@@ -229,39 +228,13 @@ class FrostmanFit:
 def _max_ball_masses(mu: DiscreteMeasure, radii: Sequence[Fraction]) -> dict[Fraction, Fraction]:
     """Per-radius max over atom centers of the closed-ball mass; exact.
 
-    Weights are the oracle's integers over W.  Collinear supports get a
-    sliding window over the atoms sorted along the line; otherwise each
-    center's ball counts come from one oracle call, as the neighbourhoods
-    of the point flats at the centers.
+    Each center's ball counts come from one oracle call, as the
+    neighbourhoods of the point flats at the centers; weights are the
+    oracle's integers over W.
     """
     oracle = mu.oracle
-    pts, den = oracle._int_pts, oracle._den
-    radii2 = [r * r for r in radii]
-    base = pts[0]
-    offsets = [tuple(a - b for a, b in zip(p, base)) for p in pts]
-    d = next((r for r in offsets if any(r)), None)
-    if d is not None and all(
-        r[i] * d[j] == r[j] * d[i] for r in offsets for i in range(len(d)) for j in range(i)
-    ):
-        # atoms i, j lie at squared distance (s_i - s_j)^2 / (|d|^2 den^2),
-        # with s = r.d their integer positions along the line
-        d2 = sum(x * x for x in d)
-        s = [sum(map(mul, r, d)) for r in offsets]
-        order = sorted(range(len(pts)), key=s.__getitem__)
-        s_sorted = [s[i] for i in order]
-        prefix = list(itertools.accumulate((oracle.int_weights[i] for i in order), initial=0))
-        best = []
-        for r2 in radii2:
-            bound = r2 * d2 * den * den
-            t_max = math.isqrt(bound.numerator // bound.denominator)
-            best.append(max(
-                prefix[bisect.bisect_right(s_sorted, pos + t_max)]
-                - prefix[bisect.bisect_left(s_sorted, pos - t_max)]
-                for pos in s_sorted
-            ))
-    else:
-        counts = oracle._counts([(p, []) for p in oracle._lifted], radii2, (oracle.int_weights,))
-        best = [max(col) for col in zip(*(c for (c,) in counts))]
+    counts = oracle._counts([(p, []) for p in oracle._lifted], [r * r for r in radii], (oracle.int_weights,))
+    best = [max(col) for col in zip(*(c for (c,) in counts))]
     return {r: Fraction(b, mu.weight_den) for r, b in zip(radii, best)}
 
 
@@ -386,4 +359,4 @@ def dyadic_scales(finest: int, coarsest: int = 1) -> list[Fraction]:
     """Scales 2^-coarsest down to 2^-finest, descending."""
     if finest < coarsest:
         raise ValueError("finest must be <= coarsest as an exponent")
-    return [Fraction(1, 2**j) for j in range(coarsest, finest + 1)]
+    return [Fraction(1, 2) ** j for j in range(coarsest, finest + 1)]

@@ -9,7 +9,7 @@ chosen so that span(dir U, dir E) = span(dir Q1, dir E).  The context
 builder constructs U inside that kernel (the choice of screen is ours to
 make), checks the alignment certificate exactly, and psi_matrix then
 recovers the exact (M, y0) parameter map and verifies it by substitution.
-Every rank, kernel and determinant here runs on exactlin's integer rows.
+Every rank and kernel here runs on exactlin's integer rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Callable, Optional, Sequence
 from .exactlin import (
     Vector,
     _integerized_rows,
-    bareiss,
     dot,
     frac,
     int_kernel,
@@ -343,7 +342,7 @@ def psi_matrix(ctx: PsiContext, verify_samples: int = 10, rng=None) -> PsiMatrix
     y0 = ctx.q1_chart.to_coords(psi_point_map(ctx, zero_vec(ctx.p)))
     probes = [[int(t == i) for t in range(ctx.p)] for i in range(ctx.p)]
     m = tuple(zip(*(vsub(ctx.q1_chart.to_coords(psi_point_map(ctx, e)), y0) for e in probes)))
-    if bareiss(_integerized_rows(m))[1] == 0:
+    if len(pivot_columns(_integerized_rows(m))) < ctx.p:
         raise NonGenericConfiguration("singular parameter matrix; configuration bug")
     out = PsiMatrix(m=m, y0=y0, lipschitz2=sum(float(x) ** 2 for r in m for x in r))
     if rng is not None:

@@ -12,7 +12,8 @@ by the product of the squared norms of the participating columns, so the
 floor is scale-free; with orthogonal (not orthonormal) bases this matches
 the orthonormal convention up to recorded factors.
 
-The frame scales every lifted atom and basis column to integers once.  The
+The frame scales every lifted atom and basis column to integers once and
+keeps each one's squared norm; matrices and floors read those columns.  The
 minor kernel, exactlin._wedge, grows the row-subset minors of a column set
 by a column; a chain of wedges over a matrix's columns gives its greedy
 pivots (the rank) and every maximal minor of them (the cheap floor).  The chain is
@@ -135,20 +136,21 @@ class StableFrame:
 
 
 Pick = dict[AtomSlot, int]
-# integer rows and column scales: column c over Q is column c of the rows
-# divided by scales[c]
-IntMatrix = tuple[list[list[int]], list[int]]
+# (scale, integer column, squared norm): column c over Q is the integer
+# column divided by the scale
+Column = tuple[int, tuple[int, ...], int]
 
 
-def _int_column(v: Vector) -> tuple[int, tuple[int, ...], int]:
-    """(scale, integer column, squared norm): v times the lcm of its denominators."""
+def _int_column(v: Vector) -> Column:
+    """v as a Column, scaled by the lcm of its denominators."""
     (col,), scale = _integerized_points([v])
     return scale, col, sum(x * x for x in col)
 
 
-def build_matrix(frame: StableFrame, pick: Pick, idx: IndexPair) -> IntMatrix:
-    """Columns: lifted picked atoms over sorted Ibar, then the orthogonal
-    basis columns of every flat in sorted J; slots outside Ibar are ignored."""
+def build_matrix(frame: StableFrame, pick: Pick, idx: IndexPair) -> list[Column]:
+    """The frame's columns of (B_Ibar(x), A_J): lifted picked atoms over
+    sorted Ibar, then the orthogonal basis columns of every flat in sorted
+    J; slots outside Ibar are ignored."""
     cols = []
     for slot in idx.sorted_atoms():
         j, i = slot
@@ -157,7 +159,7 @@ def build_matrix(frame: StableFrame, pick: Pick, idx: IndexPair) -> IntMatrix:
         cols.append(frame.atom_columns[j][i][pick[slot]])
     for j in idx.sorted_flats():
         cols.extend(frame.basis_columns[j])
-    return [list(r) for r in zip(*(c for _, c, _ in cols))], [s for s, _, _ in cols]
+    return cols
 
 
 # a chain of wedges: the minors of the pivot columns so far, their indices
@@ -239,12 +241,12 @@ def rank_r(
 
 
 def minor_floors(
-    m: IntMatrix, pivots: Sequence[int], exact: bool = False
+    m: Sequence[Column], pivots: Sequence[int], exact: bool = False
 ) -> tuple[Fraction, Fraction]:
     """(normalized, raw) lower bounds - exact values when exact=True - for
-    the largest squared r x r minor, r = len(pivots), where the normalized
-    form divides each det^2 by the product of the participating squared
-    column norms.
+    the largest squared r x r minor of the columns m, as build_matrix gives
+    them, r = len(pivots), where the normalized form divides each det^2 by
+    the product of the participating squared column norms, read off m.
 
     The cheap route wedges the pivot columns and maximizes over row subsets
     only; the result is a true lower bound, and since the pivot columns are
@@ -259,25 +261,22 @@ def minor_floors(
     r = len(pivots)
     if r == 0:
         return Fraction(1), Fraction(1)
-    rows, scales = m
-    cols = list(zip(*rows))
-    norms = [sum(x * x for x in c) for c in cols]
     best = [(0, 1), (0, 1)]  # normalized and raw maxima as (numerator, denominator)
 
     def walk(minors: dict[int, int], cs: tuple[int, ...], rest: Sequence[int]) -> None:
         if len(cs) == r:
             top = max(d * d for d in minors.values())
-            dens = math.prod(norms[c] for c in cs), math.prod(scales[c] for c in cs) ** 2
+            dens = math.prod(m[c][2] for c in cs), math.prod(m[c][0] for c in cs) ** 2
             for k, den in enumerate(dens):
                 if top * best[k][1] > best[k][0] * den:
                     best[k] = top, den
             return
         for k, c in enumerate(rest[: len(rest) - r + len(cs) + 1]):
-            grown = _wedge(minors, cols[c])
+            grown = _wedge(minors, m[c][1])
             if grown:
                 walk(grown, cs + (c,), rest[k + 1 :])
 
-    walk({0: 1}, (), range(len(cols)) if exact else pivots)
+    walk({0: 1}, (), range(len(m)) if exact else pivots)
     return Fraction(*best[0]), Fraction(*best[1])
 
 

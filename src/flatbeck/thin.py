@@ -39,7 +39,7 @@ from fractions import Fraction
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .exactlin import BudgetExceeded, Vector, _wedge, frac, pivot_columns
+from .exactlin import BudgetExceeded, Vector, _cofactors, _wedge, frac, pivot_columns
 from .flats import _dist2_offset, _lifted_integer_points
 from .flatcollect import FlatCollection
 from .measures import SPAN_CHUNK, DiscreteMeasure, PlateMassOracle, support_dist2
@@ -102,10 +102,6 @@ class ThinGraph:
     def arity(self) -> int:
         return len(self.measures)
 
-    @property
-    def k(self) -> int:
-        return self.arity - 1
-
     def tuple_count(self) -> int:
         if self.tuples is None:
             total = 1
@@ -119,11 +115,6 @@ class ThinGraph:
             yield from itertools.product(*(range(len(m)) for m in self.measures))
         else:
             yield from sorted(self.tuples)
-
-    def __contains__(self, t: tuple[int, ...]) -> bool:
-        if self.tuples is None:
-            return all(0 <= i < len(m) for i, m in zip(t, self.measures))
-        return tuple(t) in self.tuples
 
     def density(self) -> Fraction:
         """Product-measure mass of the tuple set over the product of total
@@ -689,7 +680,7 @@ def product_graph(gs: Sequence[ThinGraph], frame, scales: Sequence) -> tuple[Thi
     check = _verdict(out, scales, items, _PLANE_FAILURE)
     if not check.ok:
         # report the achieved constant instead of failing: the least double
-        # K' with every scale's peak mass m <= K' scale^sigma, bisected
+        # K' with every scale's peak mass m <= K' scale^sigma, found by halving
         # between 0 (fails) and twice the float estimate (holds), then
         # verified from the counts in hand
         def holds(k: float) -> bool:
@@ -724,7 +715,7 @@ def _plane_rows(prefix: Sequence[Sequence[int]], width: int, shift: int) -> list
     off the wedge of the prefix's minors with the unit vector e_i."""
     minors = functools.reduce(_wedge, prefix, {0: 1})
     full = (1 << width) - 1
-    cols = [_wedge(minors, [int(j == i) for j in range(width)]) for i in range(width)]
+    cols = _cofactors(minors, width)
     signs = [(-1) ** k for k in range(width - 1)] + [(-1) ** width]
     return [[sign * c.get(full ^ 1 << k, 0) << shift for c in cols] for k, sign in enumerate(signs)]
 

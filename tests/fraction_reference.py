@@ -1,7 +1,8 @@
 """Fraction references for the integer linear algebra and span algebra:
 plain Gauss-Jordan over ``Fraction`` on lists of rows, and the rank,
 determinant, Gram determinant, kernel, solve, join, meet, flat-distance,
-chart-coordinate and psi constructions built on it.  Nothing here comes
+Gram-adjugate distance form, chart-coordinate and psi constructions built
+on it.  Nothing here comes
 from ``flatbeck.exactlin``, so the references share no code with the
 integer kernels they check.  Also a brute-force spanned-flat enumerator
 that shares no code with ``flats.spanned_flats`` and the unbounded
@@ -181,6 +182,26 @@ def reference_dist2_flats(f: AffineFlat, g: AffineFlat) -> Fraction:
     assert x is not None  # normal equations are always consistent
     res = tuple(a - sum((c * u[i] for c, u in zip(x, cols)), Fraction(0)) for i, a in enumerate(r))
     return dot(res, res)
+
+
+def reference_dist2_form(dirs: Sequence[Sequence[int]], n: int) -> tuple[int, list[list[int]]]:
+    """The Gram-adjugate squared-distance form of the independent integer
+    rows D = dirs in Z^n: with G = D D^T, g = det G and
+    M = g I - D^T adj(G) D, every determinant by reference_det.  Dependent
+    rows (g = 0) are a ValueError."""
+    k = len(dirs)
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in dirs] for u in dirs]
+    g = int(reference_det(gram))
+    if g == 0:
+        raise ValueError("directions are linearly dependent")
+    # adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i)
+    adj = [[(-1) ** (i + j) * int(reference_det([r[:i] + r[i + 1 :] for r in gram[:j] + gram[j + 1 :]]))
+            for j in range(k)] for i in range(k)]
+    return g, [
+        [g * (a == b) - sum(dirs[i][a] * adj[i][j] * dirs[j][b] for i in range(k) for j in range(k))
+         for b in range(n)]
+        for a in range(n)
+    ]
 
 
 def reference_psi(ctx) -> tuple[AffineFlat, tuple[Vector, ...], Vector]:

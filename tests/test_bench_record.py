@@ -128,5 +128,5 @@ class TestSrcLines:
         exported = tmp_path / "parent"
         exported.mkdir()
         record._export(repo, sides["parent"]["sha"], str(exported))
-        assert record.src_lines(exported) == 3
-        assert record.src_lines(repo) == 6
+        assert record.src_files(exported) == {"a.py": 2, "b.py": 1}
+        assert record.src_files(repo) == {"a.py": 2, "b.py": 3, "c.py": 1}

@@ -125,6 +125,40 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_BUDGET
 
 
+class TestMalformedParams:
+    """Malformed seeds and scale windows are input errors (exit 2) or run as
+    given; none escapes as an exception, which would exit 1."""
+
+    SEGMENTS = SCENES / "thin-parallel-segments.json"
+
+    def scene_with(self, tmp_path, **params):
+        body = json.loads(self.SEGMENTS.read_text())
+        body["params"].update(params)
+        return write_scene(tmp_path, body)
+
+    @pytest.mark.parametrize("seed", ["x", "3", 1.5, True, None])
+    def test_non_integer_seed_is_an_input_error(self, tmp_path, capsys, seed):
+        path = self.scene_with(tmp_path, seed=seed)
+        assert main(["thin-verify", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert "input error: params.seed: expected an integer" in capsys.readouterr().err
+
+    def test_scales_above_one_run_as_given(self, tmp_path):
+        """-1..3 is the window 2 down to 1/8, from the flag or the scene."""
+        flag, param = tmp_path / "flag", tmp_path / "param"
+        argv = ["thin-verify", "--scene", str(self.SEGMENTS), "--scales=-1..3", "--out", str(flag)]
+        assert main(argv) == EXIT_PASS
+        path = self.scene_with(tmp_path, scales=[-1, 3])
+        assert main(["thin-verify", "--scene", path, "--out", str(param)]) == EXIT_PASS
+        table = (flag / "segments-scales.csv").read_text()
+        assert [row.split(",")[0] for row in table.splitlines()[1:]] == ["1/8", "1/4", "1/2", "1", "2"]
+        assert (param / "segments-scales.csv").read_text() == table
+
+    def test_pushforward_refuses_scales_above_one(self, tmp_path, capsys):
+        argv = ["pushforward-dim", "--scene", str(self.SEGMENTS), "--scales=-2..3", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_INPUT
+        assert "input error: scale 4 is not 2^-k" in capsys.readouterr().err
+
+
 class TestBeckCommand:
     def test_generic_points_counted(self, tmp_path):
         path = beck_scene(tmp_path, count=20)

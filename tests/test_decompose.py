@@ -3,11 +3,14 @@ from fractions import Fraction
 import pytest
 
 from flatbeck.decompose import (
+    DecompositionResult,
     NotDiscretelyNC,
+    TraceStep,
     decompose,
     minimal_concentration_flat,
     verify_decomposition,
 )
+from flatbeck.flatcollect import FlatCollection
 from flatbeck.flats import AffineFlat
 from flatbeck.measures import DiscreteMeasure
 
@@ -207,3 +210,33 @@ class TestVerifyDecomposition:
         report = verify_decomposition(result, 3, 0, Fraction(1, 2))
         clause = {c.name: c for c in report.clauses}["cost-at-least-n"]
         assert not clause.passed
+
+
+def trace_of(flats) -> DecompositionResult:
+    """A result with no pieces whose trace is the flats' own: step s holds
+    the cost, minimizing-partition count and least minimizer of the first
+    s flats."""
+    trace = []
+    for s in range(len(flats)):
+        coll = FlatCollection(flats[:s])
+        trace.append(TraceStep(s, coll.cost(), coll.minimizing_census()[0], coll.lexicographically_least_minimizer()))
+    return DecompositionResult(list(flats), [], trace, FlatCollection(flats).cost())
+
+
+class TestTraceClauses:
+    """Hand-built traces that break the plateau and extension clauses."""
+
+    def test_count_that_does_not_drop_on_a_plateau(self):
+        # a second point keeps the cost at 0 and the count at 1
+        r = trace_of([AffineFlat.point((0, 0)), AffineFlat.point((1, 0))])
+        clauses = {c.name: c for c in verify_decomposition(r, 2, 0, 1).clauses}
+        assert clauses["plateau-count-strictly-decreasing"].witness == "plateau at step 0: N 1 -> 1"
+        assert clauses["at-most-one-minimizing-extension"].passed
+
+    def test_partition_with_two_minimizing_extensions(self):
+        # the origin lies on both axes, so it joins either block of
+        # {x axis}, {y axis} at the same cost 2
+        axes = [AffineFlat((0, 0), [(1, 0)]), AffineFlat((0, 0), [(0, 1)])]
+        r = trace_of(axes + [AffineFlat.point((0, 0)), AffineFlat.point((1, 1))])
+        clause = {c.name: c for c in verify_decomposition(r, 2, 0, 1).clauses}["at-most-one-minimizing-extension"]
+        assert clause.witness == "partition ((0,), (1,)) at step 2 has 2 minimizing extensions"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from flatbeck.exactlin import (
     _integerized_rows,
-    bareiss,
+    _wedge,
     int_kernel,
     int_rref,
     pivot_columns,
@@ -49,6 +50,13 @@ def transpose(rows):
     return [list(c) for c in zip(*rows)]
 
 
+def wedge_det(rows) -> int:
+    """The determinant of an integer matrix as the full minor of the _wedge
+    chain over its columns: 0 unless the matrix is square, and 1 for no
+    rows."""
+    return functools.reduce(_wedge, zip(*rows), {0: 1}).get((1 << len(rows)) - 1, 0)
+
+
 class TestRank:
     def test_identity(self):
         assert pivot_columns([[1, 0], [0, 1]]) == [0, 1]
@@ -85,19 +93,19 @@ class TestRank:
 
 
 class TestDet:
-    """bareiss's determinant against the Fraction elimination, on rows
-    scaled to integers: scaling a row scales the determinant."""
+    """The wedge chain's determinant against the Fraction elimination, on
+    rows scaled to integers: scaling a row scales the determinant."""
 
     def test_identity(self):
-        assert bareiss([[1, 0, 0], [0, 1, 0], [0, 0, 1]])[1] == 1
+        assert wedge_det([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 
     def test_known_2x2(self):
-        assert bareiss([[1, 2], [3, 4]])[1] == -2
+        assert wedge_det([[1, 2], [3, 4]]) == -2
 
     def test_fractional(self):
         m = [[Fraction(1, 2), 0], [0, Fraction(2, 3)]]
         assert _integerized_rows(m) == [[1, 0], [0, 2]]
-        assert bareiss(_integerized_rows(m))[1] == reference_det(m) * 6 == 2
+        assert wedge_det(_integerized_rows(m)) == reference_det(m) * 6 == 2
 
     @settings(max_examples=150)
     @given(matrices(4, 4))
@@ -118,7 +126,7 @@ class TestDet:
 
         want = laplace(m)
         assert reference_det(m) == want
-        assert bareiss(_integerized_rows(m))[1] == want * row_scales(m)
+        assert wedge_det(_integerized_rows(m)) == want * row_scales(m)
 
 
 def leibniz_det(rows) -> int:
@@ -140,18 +148,21 @@ class TestBareiss:
         lambda c: st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r)
     )))
     def test_one_pass_gives_pivots_and_det(self, rows):
-        """The determinant is Leibniz's for a square matrix and 0 otherwise,
-        nonzero exactly when every row has a pivot; the input is not
-        modified (the pivots are checked in TestRank)."""
+        """The wedge chain's determinant is Leibniz's, sign included, for a
+        square matrix and 0 otherwise, nonzero exactly when pivot_columns
+        gives every row a pivot; pivot_columns leaves its input as it is
+        (the pivots are checked in TestRank)."""
         copy = [r[:] for r in rows]
-        pivots, d = bareiss(rows)
+        pivots = pivot_columns(rows)
         assert rows == copy
         square = len(rows) == len(rows[0])
+        d = wedge_det(rows)
         assert d == (leibniz_det(rows) if square else 0)
         assert (d != 0) == (square and len(pivots) == len(rows))
 
     def test_empty_matrix_has_det_one(self):
-        assert bareiss([]) == ([], 1)
+        assert pivot_columns([]) == []
+        assert wedge_det([]) == 1
 
 
 class TestGramDet:

@@ -24,6 +24,7 @@ from flatbeck.measures import DiscreteMeasure, PlateMassOracle
 from fraction_reference import (
     reference_chart_coords,
     reference_dist2_flats,
+    reference_dist2_form,
     reference_gram_det,
     reference_join,
     reference_meet,
@@ -135,6 +136,35 @@ class TestPointDistanceOracle:
         assert dist2_point_flat(p, f) == want
         assert dist2_point_flat(p, g) == want
         assert dist2_point_flat(p, f) == want  # a second call on the same flat
+
+
+@st.composite
+def direction_rows(draw):
+    """(n, rows): 0 to n integer rows in Z^n for n from 1 to 4, the last
+    sometimes an integer combination of the others, so dependent rows
+    occur."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), max_size=n))
+    if rows and draw(st.booleans()):
+        cs = draw(st.lists(st.integers(-2, 2), min_size=len(rows) - 1, max_size=len(rows) - 1))
+        rows[-1] = [sum(c * r[i] for c, r in zip(cs, rows)) for i in range(n)]
+    return n, rows
+
+
+class TestDist2FormAgainstGramAdjugate:
+    @settings(max_examples=400, deadline=None)
+    @given(direction_rows())
+    def test_cauchy_binet_form_is_the_gram_adjugate_form(self, case):
+        """_dist2_form's (g, M) are the Gram-adjugate integers, and
+        dependent rows raise ValueError in both."""
+        n, rows = case
+        try:
+            want = reference_dist2_form(rows, n)
+        except ValueError:
+            with pytest.raises(ValueError):
+                flats_module._dist2_form(rows, n)
+            return
+        assert flats_module._dist2_form(rows, n) == want
 
 
 class TestDimensionSumFormula:

@@ -394,6 +394,13 @@ class TestFrostmanFit:
             assert isinstance(mass, Fraction)
 
 
+class TestDyadicScales:
+    def test_exact_for_every_integer_exponent(self):
+        """A negative exponent gives a scale above 1, not a TypeError."""
+        assert dyadic_scales(3, -1) == [2, 1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+        assert all(isinstance(s, Fraction) for s in dyadic_scales(3, -1))
+
+
 @st.composite
 def ball_cases(draw):
     """Atoms of Q^2 or Q^3, on one line through two of them or not, and a
@@ -410,9 +417,9 @@ def ball_cases(draw):
 
 
 class TestBallMassesAgainstFractionReference:
-    """Both branches of the ball masses, the sliding window on collinear
-    atoms and the oracle's point-flat counts otherwise, against brute force
-    over Fraction; radii at atom distances check that balls are closed."""
+    """The ball masses, the oracle's point-flat counts, against brute force
+    over Fraction on collinear and spread supports; radii at atom distances
+    check that balls are closed."""
 
     def test_collinear_segment(self):
         # (1, 2, 2) / 3 is a unit vector, so atoms t apart along it are t apart

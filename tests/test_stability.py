@@ -18,6 +18,7 @@ from flatbeck.stability import (
     CertificationBudgetExceeded,
     IndexPair,
     RankInconsistency,
+    RankRuleViolation,
     StabilizationError,
     StableFrame,
     build_matrix,
@@ -69,22 +70,22 @@ def coincident_atoms_frame() -> StableFrame:
 class TestBuildMatrix:
     def test_basis_only(self):
         frame = two_axes_frame()
-        rows, scales = build_matrix(frame, {}, IndexPair.of((), [0]))
-        assert (len(rows), len(rows[0]), len(scales)) == (3, 2, 2)
+        cols = build_matrix(frame, {}, IndexPair.of((), [0]))
+        assert [len(col) for _, col, _ in cols] == [3, 3]
 
     def test_single_lifted_atom(self):
         frame = two_axes_frame()
-        rows, scales = build_matrix(frame, {(0, 0): 0}, IndexPair.of([(0, 0)], ()))
-        col = tuple(Fraction(row[0], scales[0]) for row in rows)
-        assert col == (Fraction(1, 2), Fraction(0), Fraction(1))
+        [(scale, col, norm)] = build_matrix(frame, {(0, 0): 0}, IndexPair.of([(0, 0)], ()))
+        assert tuple(Fraction(x, scale) for x in col) == (Fraction(1, 2), Fraction(0), Fraction(1))
+        assert norm == sum(x * x for x in col)
 
     def test_two_lines_one_atom_each_rank_two(self):
         frame = two_axes_frame()
-        rows, _ = build_matrix(
+        cols = build_matrix(
             frame, {(0, 0): 0, (1, 0): 0}, IndexPair.of([(0, 0), (1, 0)], ())
         )
-        assert (len(rows), len(rows[0])) == (3, 2)
-        assert len(pivot_columns(rows)) == 2
+        assert [len(col) for _, col, _ in cols] == [3, 3]
+        assert len(pivot_columns(int_rows(cols))) == 2
 
     def test_missing_pick_rejected(self):
         frame = two_axes_frame()
@@ -123,9 +124,8 @@ def fresh_chain(frame: StableFrame, idx: IndexPair, pick) -> stability.WedgeStat
     """The wedge chain over every column of build_matrix, one column at a
     time, with no memo: greedy pivots, their minors and the products of
     their squared norms and scales."""
-    rows, scales = build_matrix(frame, pick, idx)
     state = {0: 1}, (), 1, 1
-    for c, (col, scale) in enumerate(zip(zip(*rows), scales)):
+    for c, (scale, col, _) in enumerate(build_matrix(frame, pick, idx)):
         minors, pivots, nprod, sprod = state
         if len(pivots) < len(col) and (grown := stability._wedge(minors, col)):
             state = grown, pivots + (c,), nprod * sum(x * x for x in col), sprod * scale
@@ -286,15 +286,20 @@ small_matrices = st.integers(1, 5).flatmap(
 )
 
 
-def int_columns(m) -> tuple[list[list[int]], list[int]]:
-    """Column-integerized copy of the rows m: integer rows and the column
-    scales."""
-    scales = [math.lcm(*(x.denominator for x in c)) for c in zip(*m)]
-    rows = [
-        [x.numerator * (s // x.denominator) for x, s in zip(row, scales)]
-        for row in m
-    ]
-    return rows, scales
+def int_columns(m) -> list[tuple[int, tuple[int, ...], int]]:
+    """Column-integerized copy of the rows m, as build_matrix gives a
+    matrix: per column its scale, integer column and squared norm."""
+    out = []
+    for c in zip(*m):
+        scale = math.lcm(*(x.denominator for x in c))
+        col = tuple(x.numerator * (scale // x.denominator) for x in c)
+        out.append((scale, col, sum(x * x for x in col)))
+    return out
+
+
+def int_rows(cols) -> list[list[int]]:
+    """The integer rows of a matrix given as build_matrix columns."""
+    return [list(r) for r in zip(*(col for _, col, _ in cols))]
 
 
 def greedy_pivots(m) -> list[int]:
@@ -309,7 +314,7 @@ class TestMinorFloors:
     def test_exact_route_matches_laplace(self, m):
         r = reference_rank(m)
         im = int_columns(m)
-        pivots = pivot_columns(im[0])
+        pivots = pivot_columns(int_rows(im))
         assert len(pivots) == r
         want = oracle_floors(m, r, itertools.combinations(range(len(m[0])), r))
         assert minor_floors(im, pivots, exact=True) == (want if r else (1, 1))
@@ -320,9 +325,9 @@ class TestMinorFloors:
         r = reference_rank(m)
         pivots = greedy_pivots(m)
         im = int_columns(m)
-        assert pivot_columns(im[0]) == pivots
+        assert pivot_columns(int_rows(im)) == pivots
         want = oracle_floors(m, r, [pivots])
-        got = minor_floors(im, pivot_columns(im[0]))
+        got = minor_floors(im, pivot_columns(int_rows(im)))
         assert got == (want if r else (1, 1))
         if r:
             assert got[0] > 0 and got[1] > 0
@@ -350,15 +355,15 @@ class TestWedge:
         """Along the chain over the columns, the pivots are the greedy ones
         and after k pivots every k-row minor of them is the Laplace minor of
         the Fraction columns times their scales."""
-        rows, scales = int_columns(m)
+        cols = int_columns(m)
         minors, pivots = {0: 1}, []
-        for c, col in enumerate(zip(*rows)):
+        for c, (_, col, _) in enumerate(cols):
             grown = stability._wedge(minors, col)
             if not grown:
                 continue
             minors = grown
             pivots.append(c)
-            scale = math.prod(scales[p] for p in pivots)
+            scale = math.prod(cols[p][0] for p in pivots)
             for rs in itertools.combinations(range(len(m)), len(pivots)):
                 want = laplace_minors([m[i] for i in rs])(tuple(pivots)) * scale
                 assert minors.get(sum(1 << i for i in rs), 0) == want
@@ -510,6 +515,23 @@ class TestMinimalRankTable:
             assert table[((0, 1, 2), ())] == 4
             assert table[((1, 2), (0,))] == 5
             assert table[((), (0, 1, 2))] == 5
+
+    def test_rule_violations_reported(self):
+        """Two copies of one line in Q^2: r({0}, {1}) = 2 < n_01 + 1 = 3.
+        With two measures on the x axis, r({0}, {}) = 2 != n_0 = 1."""
+        lx = AffineFlat([0, 0], [[1, 0]])
+        ly = AffineFlat([0, 0], [[0, 1]])
+        m0 = DiscreteMeasure([((Fraction(1, 2), Fraction(0)), 1)], RES)
+        m1 = DiscreteMeasure([((Fraction(1, 4), Fraction(0)), 1)], RES)
+        _, violations = minimal_rank_report(StableFrame([lx, lx], [[m0], [m1]]))
+        assert violations == [
+            RankRuleViolation(rule, i_set, j_set, 2, 3)
+            for i_set, j_set in (((), (0, 1)), ((0,), (1,)), ((1,), (0,)))
+            for rule in ("r(I,J)>=n_IJ+1", "r(I,[k]-I)=n+1")
+        ]
+        my = DiscreteMeasure([((Fraction(0), Fraction(1, 2)), 1)], RES)
+        _, violations = minimal_rank_report(StableFrame([lx, ly], [[m0, m1], [my]]))
+        assert RankRuleViolation("r(I,0)=n_I", (0,), (), 2, 1) in violations
 
     def test_rank_inequalities_hold(self):
         rng = random.Random(7)

@@ -194,6 +194,22 @@ class TestTubesToPlanes:
         assert not out.ok
         assert "precondition" in out.witness
 
+    def test_heavy_line_through_a_light_pair_is_removed(self):
+        """Both atoms of the one pair are light, so each section passes its
+        tube check, but mu1's unpaired atoms are heavy and lie on the pair's
+        line: its full count 1 crosses 10 c K r^(sigma - eps) / eps^2 =
+        40 r^(1/2) / 64 (c = 1), so the pair goes."""
+        res = Fraction(1, 16)
+        mu0 = DiscreteMeasure([((0, 0), Fraction(1, 1024)), ((0, 1), Fraction(1023, 1024))], res)
+        mu1 = DiscreteMeasure(
+            [((1, 0), Fraction(1, 1024)), ((2, 0), Fraction(1, 2)), ((3, 0), Fraction(511, 1024))], res
+        )
+        g = ThinGraph([mu0, mu1], [(0, 0)], sigma=1, big_k=Fraction(1, 64))
+        out = tubes_to_planes(mu0, mu1, g, epsilon=Fraction(1, 2), scales=dyadic_scales(3, 1))
+        assert all(check.ok for check in out.tube_checks)
+        assert out.graph.tuple_count() == 0
+        assert out.removed_mass == g.density() == Fraction(1, 1024**2)
+
     def test_support_distance_scanned_once(self, monkeypatch):
         calls = []
 
