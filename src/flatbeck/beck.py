@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import BudgetExceeded, pivot_columns, vec
+from .exactlin import BudgetExceeded, int_rref, vec
 from .flats import AffineFlat, _lifted_integer_points, _pencils, _spanned, spanned_flats
 
 DEFAULT_POINT_BUDGET = 60
@@ -69,7 +69,7 @@ def concentrated_span_count(x: PointConfig, f: AffineFlat) -> int:
     lifted = _lifted_integer_points(x.points)
     on_f = sum(1 << i for i, v in enumerate(lifted) if f._spans(v))
     return sum(
-        len(pivot_columns([v for i, v in enumerate(lifted) if mask >> i & 1])) == n
+        len(int_rref([v for i, v in enumerate(lifted) if mask >> i & 1])[0]) == n
         for picks, _, mask in _pencils(lifted, f._rows, on_f, -1, n - 1 - f.dim)
         if len(picks) == n - 1 - f.dim
     )

@@ -104,6 +104,14 @@ def _resolve(table: dict, kind: str, names, where: str) -> list:
     return [table[x] for x in names]
 
 
+def _object(raw: dict, key: str) -> dict:
+    """raw[key] as an object, {} when absent or empty; else an input error."""
+    val = raw.get(key) or {}
+    if not isinstance(val, dict):
+        raise SceneError(f"{key}: expected an object")
+    return val
+
+
 class Scene:
     """Parsed scene: named points, flats, measures, graphs, frames, params."""
 
@@ -116,10 +124,10 @@ class Scene:
             raise SceneError(f"{path}: missing or malformed ambient_dim")
         n = self.ambient_dim
         self.points: dict[str, tuple] = {}
-        for name, val in (raw.get("points") or {}).items():
+        for name, val in _object(raw, "points").items():
             self.points[name] = _vec(val, n, f"points.{name}")
         self.flats: dict[str, AffineFlat] = {}
-        for name, val in (raw.get("flats") or {}).items():
+        for name, val in _object(raw, "flats").items():
             where = f"flats.{name}"
             if not isinstance(val, dict) or "basepoint" not in val:
                 raise SceneError(f"{where}: needs basepoint and directions")
@@ -133,7 +141,7 @@ class Scene:
             except ValueError as e:
                 raise SceneError(f"{where}: {e}")
         self.measures: dict[str, DiscreteMeasure] = {}
-        for name, val in (raw.get("measures") or {}).items():
+        for name, val in _object(raw, "measures").items():
             where = f"measures.{name}"
             if not isinstance(val, dict):
                 raise SceneError(f"{where}: expected an object")
@@ -163,7 +171,7 @@ class Scene:
                 raise SceneError(f"{where}: {e}")
         self.graphs: dict[str, ThinGraph] = {}
         self.graph_density_claims: dict[str, Optional[Fraction]] = {}
-        for name, val in (raw.get("graphs") or {}).items():
+        for name, val in _object(raw, "graphs").items():
             where = f"graphs.{name}"
             if not isinstance(val, dict) or "measures" not in val:
                 raise SceneError(f"{where}: needs a measures list")
@@ -182,7 +190,7 @@ class Scene:
                 _rat(val["c"], f"{where}.c") if "c" in val else None
             )
         self.frames: dict[str, StableFrame] = {}
-        for name, val in (raw.get("frames") or {}).items():
+        for name, val in _object(raw, "frames").items():
             where = f"frames.{name}"
             if not isinstance(val, dict) or "flats" not in val or "measures" not in val:
                 raise SceneError(f"{where}: needs flats and measures lists")
@@ -192,7 +200,7 @@ class Scene:
                 self.frames[name] = StableFrame(fl, grid)
             except ValueError as e:
                 raise SceneError(f"{where}: {e}")
-        self.params: dict = raw.get("params") or {}
+        self.params: dict = _object(raw, "params")
         seed = self.params.get("seed", 0)
         if type(seed) is not int:
             raise SceneError(f"params.seed: expected an integer, got {seed!r}")

@@ -4,17 +4,17 @@ Vectors are tuples of ``Fraction``; matrices are lists of integer rows, as
 callers scale rational ones row by row or column by column, which keeps
 ranks, row spaces and normalized minors.  Every elimination runs
 fraction-free, so entries stay bounded at the sizes used here (sides up to
-a dozen or so): ``pivot_columns``, the one Bareiss pass, gives every
-rank, and ``int_rref`` is the Gauss-Jordan whose primitive integer rows are
-the canonical form of a row space; ``int_kernel`` reads an integer kernel
-basis off them.  ``_wedge`` is the one minor kernel: it grows the
-row-subset minors of a column set by a column, so its chain over a square
-matrix's columns gives the determinant, and it serves stability
-certificates, distance forms and hyperplane normals; ``_cofactors`` wedges
-each unit column onto a set, and ``wedge_norm2`` sums the squared minors,
-a Gram determinant.  ``orthogonalize``
-is the one Gram-Schmidt: unnormalized orthogonal bases for the basis
-columns of stability frames.
+a dozen or so).  ``int_rref`` is the one elimination: a Gauss-Jordan pass
+whose pivot columns give every rank and whose primitive integer rows are
+the canonical form of a row space; ``_residual`` reads the integer kernel
+basis off those rows, and ``int_kernel`` is that basis for any rows.
+``_wedge`` is the one minor kernel: it grows the row-subset minors of a
+column set by a column, so its chain over a square matrix's columns gives
+the determinant, and it serves stability certificates, distance forms and
+hyperplane normals; ``_cofactors`` wedges each unit column onto a set, and
+``wedge_norm2`` sums the squared minors, a Gram determinant.
+``orthogonalize`` is the one Gram-Schmidt: unnormalized orthogonal bases
+for the basis columns of stability frames.
 """
 
 from __future__ import annotations
@@ -110,39 +110,6 @@ def _integerized_points(
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
-def pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The one elimination kernel: fraction-free (Bareiss) elimination of an
-    integer matrix, returning its pivot columns, the columns outside the
-    span of the columns before them (so the rank is their count).  Scaling
-    rows or columns by nonzero factors leaves them unchanged."""
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0]) if m else 0
-    prev = 1
-    pivots: list[int] = []
-    for pc in range(nc):
-        pr = len(pivots)
-        if pr == nr:
-            break
-        piv = next((i for i in range(pr, nr) if m[i][pc]), None)
-        if piv is None:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        mp = m[pr]
-        for i in range(pr + 1, nr):
-            mi = m[i]
-            f = mi[pc]
-            if f:
-                for j in range(pc + 1, nc):
-                    mi[j] = (mi[j] * mp[pc] - f * mp[j]) // prev
-            elif prev != 1 or mp[pc] != 1:
-                for j in range(pc + 1, nc):
-                    mi[j] = (mi[j] * mp[pc]) // prev
-            mi[pc] = 0
-        prev = mp[pc]
-        pivots.append(pc)
-    return pivots
-
-
 def _wedge(minors: dict[int, int], col: Sequence[int]) -> dict[int, int]:
     """The one minor kernel.  minors maps a row bit mask to the determinant
     of a column set on those rows, zeros left out; the same for the set with
@@ -206,23 +173,27 @@ def int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]
     return pivots, m[: len(pivots)]
 
 
-def int_kernel(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
-    """Integer basis of the right kernel {x in Q^width : rows x = 0}.
+def _residual(rows: Sequence[Sequence[int]], width: int) -> tuple[list, list, list]:
+    """(pivots, free columns, forms) for primitive integer RREF rows in
+    Q^width; the residual of v is [sum(map(mul, a, v)) for a in forms].
 
-    Read off int_rref: with the rows K_i, pivot k_i in column c_i and
-    L = lcm(k_i), the vector for the free column f has L at f,
-    -(L / k_i) K_i[f] at each c_i and 0 elsewhere.  Its last nonzero entry
-    is the one at f, since K_i[f] != 0 needs c_i < f.
+    With the rows K_i, pivot k_i in column c_i and L = lcm(k_i), the residual
+    lists L v[j] - sum_i (L / k_i) v[c_i] K_i[j] over the free columns j: the
+    free part of the vector of span(rows, v) that is zero at every pivot.  So
+    it is zero iff v lies in the span, and span(rows, u) = span(rows, v) iff
+    u's is a multiple of v's.  Scaling v does not change the answer.  The
+    forms are an integer basis of the kernel of the rows (int_kernel).
     """
-    pivots, red = int_rref(rows)
-    big_l = math.lcm(*(r[c] for r, c in zip(red, pivots)))
-    basis = []
-    for f in range(width):
-        if f in pivots:
-            continue
-        v = [0] * width
-        v[f] = big_l
-        for c, r in zip(pivots, red):
-            v[c] = -(big_l // r[c]) * r[f]
-        basis.append(v)
-    return basis
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
+    big_l = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
+    scaled = [[big_l // r[c] * x for x in r] for r, c in zip(rows, pivots)]
+    free = [j for j in range(width) if j not in pivots]
+    at = dict(zip(pivots, scaled))
+    forms = [[-at[c][j] if c in at else big_l * (c == j) for c in range(width)] for j in free]
+    return pivots, free, forms
+
+
+def int_kernel(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """Integer basis of the right kernel {x in Q^width : rows x = 0}: the
+    residual forms of the int_rref rows, the one for free column f ending at f."""
+    return _residual(int_rref(rows)[1], width)[2]

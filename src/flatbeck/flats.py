@@ -7,13 +7,14 @@ A flat is stored as a basepoint with its direction basis, but identity
 (``int_rref``) of its linearization, the linear span of F x {1} in
 Q^(n+1); ``canon``, the same rows over Q, is derived from them on first
 read, and ``dim`` is their count minus one.  Point and flat membership, join
-and meet are integer computations on those rows.  All metric predicates
-compare squared quantities so everything stays inside Q.
+and meet are integer computations on those rows and on their kernel, kept
+once read.  All metric predicates compare squared quantities so everything
+stays inside Q.
 
 _dist2_form is the one squared distance: an integer quadratic form M over
 one integer g for the span of independent integer rows, read by
-Cauchy-Binet off the rows' wedge chain and its cofactors (closed for one
-row).  The plate oracle
+Cauchy-Binet off the rows' wedge chain and its cofactors (closed for no
+row and for one).  The plate oracle
 packs the forms of a batch of spans and runs them over a measure's atoms;
 dist2_point_flat and dist2_flats are its one-offset Fraction views.
 
@@ -22,14 +23,19 @@ elimination per subset; one walk, in preorder, serves every dimension up to
 its depth.  Enumerated flats keep their picks, joins and meets their rows:
 their Fraction directions are derived only when read.
 FlatChart reads chart coordinates off one int_rref per chart.
+_plane_rows is the cofactor-normal kernel: the matrix taking a lifted point
+to the normal of its hyperplane with n - 1 given ones.  _normals runs it
+over thin-graph tuples and over the point subsets whose general position
+genscenes tests.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exactlin import (
@@ -37,11 +43,11 @@ from .exactlin import (
     _cofactors,
     _integerized_points,
     _integerized_rows,
+    _residual,
     _wedge,
     dot,
     int_kernel,
     int_rref,
-    pivot_columns,
     unit_vec,
     vadd,
     vec,
@@ -160,12 +166,15 @@ class AffineFlat:
         _, rows = int_rref(lifted)
         return cls._from_rows(pts[0], rows, _directions(lifted))
 
-    def _spans(self, v: Sequence[int]) -> bool:
-        """True iff the integer vector v of Q^(n+1) lies in the linear span
-        of the lifted flat: a zero residual (see _residual)."""
+    def _kernel(self) -> list[list[int]]:
+        """The residual forms of the lifted rows, a kernel basis, kept once read."""
         if self._member is None:
             object.__setattr__(self, "_member", _residual(self._rows, len(self._rows[0]))[2])
-        return not any(sum(map(mul, a, v)) for a in self._member)
+        return self._member
+
+    def _spans(self, v: Sequence[int]) -> bool:
+        """True iff the integer vector v of Q^(n+1) lies in the lifted span: a zero residual."""
+        return not any(sum(map(mul, a, v)) for a in self._kernel())
 
     def contains_point(self, p: Sequence) -> bool:
         v = vec(p)
@@ -177,25 +186,6 @@ class AffineFlat:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
         return all(self._spans(r) for r in other._rows)
-
-
-def _residual(rows: Sequence[Sequence[int]], width: int) -> tuple[list, list, list]:
-    """(pivots, free columns, forms) for primitive integer RREF rows in
-    Q^width; the residual of v is [sum(map(mul, a, v)) for a in forms].
-
-    With the rows K_i, pivot k_i in column c_i and L = lcm(k_i), the residual
-    lists L v[j] - sum_i (L / k_i) v[c_i] K_i[j] over the free columns j: the
-    free part of the vector of span(rows, v) that is zero at every pivot.  So
-    it is zero iff v lies in the span, and span(rows, u) = span(rows, v) iff
-    u's is a multiple of v's.  Scaling v does not change the answer.
-    """
-    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
-    big_l = math.lcm(*(r[c] for r, c in zip(rows, pivots)))
-    scaled = [[big_l // r[c] * x for x in r] for r, c in zip(rows, pivots)]
-    free = [j for j in range(width) if j not in pivots]
-    at = dict(zip(pivots, scaled))
-    forms = [[-at[c][j] if c in at else big_l * (c == j) for c in range(width)] for j in free]
-    return pivots, free, forms
 
 
 def _reduced(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
@@ -249,13 +239,10 @@ def _flat_from_span(rows: Sequence[Sequence[int]]) -> Optional[AffineFlat]:
     return AffineFlat._from_rows(tuple(Fraction(x, b[-1]) for x in b[:-1]), rows, None)
 
 
-def _span_meet(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width: int
-) -> list[list[int]]:
-    """Primitive int_rref rows of span(a) meet span(b) in Q^width: the
-    vectors orthogonal to both kernels, ker(ker a + ker b)."""
-    _, rows = int_rref(int_kernel(int_kernel(a, width) + int_kernel(b, width), width))
-    return rows
+def _span_meet(kernels: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """Primitive int_rref rows of the meet of spans in Q^width, given the
+    rows of their kernels: the vectors orthogonal to every one of them."""
+    return int_rref(int_kernel(kernels, width))[1]
 
 
 def join(fs: Sequence[AffineFlat]) -> AffineFlat:
@@ -275,7 +262,7 @@ def meet(f: AffineFlat, g: AffineFlat) -> Optional[AffineFlat]:
     """Intersection flat, or None when the flats do not meet."""
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return _flat_from_span(_span_meet(f._rows, g._rows, f.ambient_dim + 1))
+    return _flat_from_span(_span_meet(f._kernel() + g._kernel(), f.ambient_dim + 1))
 
 
 def _dist2_form(dirs: Sequence[Sequence[int]], n: int) -> tuple[int, list[list[int]]]:
@@ -289,7 +276,9 @@ def _dist2_form(dirs: Sequence[Sequence[int]], n: int) -> tuple[int, list[list[i
     the projection off the span, so 0 <= r^T M r <= g |r|^2, and M / g does
     not depend on the basis of the span.  Dependent rows (g = 0) are a
     ValueError."""
-    if len(dirs) == 1:  # the closed form g I - d d^T
+    if not dirs:  # closed forms: 1 and I for no rows, g I - d d^T for one
+        return 1, [[int(a == b) for b in range(n)] for a in range(n)]
+    if len(dirs) == 1:
         d = dirs[0]
         g = sum(x * x for x in d)
         if g == 0:
@@ -413,7 +402,7 @@ class FlatChart:
 def affinely_independent(points: Sequence[Vector]) -> bool:
     """True iff the points span a flat of dimension len(points) - 1."""
     pts = [vec(p) for p in points]
-    return len(pivot_columns(_lifted_integer_points(pts))) == len(pts)
+    return len(int_rref(_lifted_integer_points(pts))[0]) == len(pts)
 
 
 def _lifted_integer_points(points: Sequence[Vector]) -> list[tuple[int, ...]]:
@@ -485,6 +474,37 @@ def _pencil_rows(rows: tuple, pivots: list, free: list, key: tuple) -> tuple:
         child.append(r)
     child.insert(len([q for q in pivots if q < c]), tuple(w))
     return tuple(child)
+
+
+def _plane_rows(prefix: Sequence[Sequence[int]], width: int, shift: int) -> list[list[int]]:
+    """Rows L for width - 2 lifted points (den p, den): for a lifted point v,
+    L v = 2^shift (a, b) with {x : a.x = b} the hyperplane through the
+    prefix's points and v's, and a = 0 when they do not span one.
+
+    (a, -b) is the cofactor normal: entry k is (-1)^k times the maximal
+    minor of (prefix, v) without row k, so it is orthogonal to every lifted
+    point.  That minor is linear in v, and its coefficient of v_i is read
+    off the wedge of the prefix's minors with the unit vector e_i."""
+    minors = functools.reduce(_wedge, prefix, {0: 1})
+    full = (1 << width) - 1
+    cols = _cofactors(minors, width)
+    signs = [(-1) ** k for k in range(width - 1)] + [(-1) ** width]
+    return [[sign * c.get(full ^ 1 << k, 0) << shift for c in cols] for k, sign in enumerate(signs)]
+
+
+def _normals(lifted: list, tuples: Iterable, shift: int = 0) -> Iterator:
+    """(ts, normals) per run ts of tuples of n atom indices sharing a prefix,
+    in order: per tuple t, L v = 2^shift (a, b) with {x : a.x = b} the
+    hyperplane spanned by t's lifted points, a = 0 when they span none.  L
+    is the plane rows of the prefix t[:-1], v is t's last lifted point, and
+    each row of L combines the columns of the run's v at once."""
+    width = len(lifted[0][0])
+    for prefix, run in itertools.groupby(tuples, key=itemgetter(slice(-1))):
+        rows = _plane_rows([pts[i] for pts, i in zip(lifted, prefix)], width, shift)
+        ts = list(run)
+        cols = list(zip(*map(lifted[-1].__getitem__, map(itemgetter(-1), ts))))
+        terms = [[map(mul, c, itertools.repeat(x)) for x, c in zip(row, cols) if x] for row in rows]
+        yield ts, zip(*[functools.reduce(functools.partial(map, add), t, [0] * len(ts)) for t in terms])
 
 
 def _pick_span(picks: Sequence[Sequence[int]]) -> tuple[Sequence[int], list[tuple[int, ...]]]:

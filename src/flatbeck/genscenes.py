@@ -10,12 +10,14 @@ quickly).
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .exactlin import norm2, pivot_columns, vec
-from .flats import AffineFlat, FlatChart, affinely_independent
+from .exactlin import int_rref, norm2, vec
+from .flats import AffineFlat, FlatChart, _lifted_integer_points, _normals
 from .flatcollect import FlatCollection, is_minimal
 from .measures import DiscreteMeasure
 from .stability import CertificationResult, StableFrame, certify_stability
@@ -41,7 +43,7 @@ def random_flat(
     dirs: list[list[int]] = []
     while len(dirs) < dim:
         cand = [rng.randint(-3, 3) for _ in range(n)]
-        if len(pivot_columns(dirs + [cand])) == len(dirs) + 1:
+        if len(int_rref(dirs + [cand])[0]) == len(dirs) + 1:
             dirs.append(cand)
     return AffineFlat(base, dirs)
 
@@ -167,10 +169,13 @@ def generic_points(
     max_tries: int = 100_000,
 ) -> list[tuple]:
     """Distinct random rational points; optionally in general position (no
-    n + 1 of them on a common hyperplane), verified exactly."""
-    import itertools as it
-
+    n + 1 of them on a common hyperplane), verified exactly by incidence:
+    a candidate x is refused when a.x = b for the hyperplane normal (a, b) of
+    some n accepted points (a = 0 when they span none); an accepted point
+    adds the normals of the n-subsets through it (flats._normals)."""
     pts: list[tuple] = []
+    lifted: list[tuple[int, ...]] = []
+    normals: list[tuple[int, ...]] = []
     tries = 0
     while len(pts) < count:
         tries += 1
@@ -179,10 +184,14 @@ def generic_points(
         p = random_point(rng, n, span, den)
         if p in pts:
             continue
-        if no_n_coplanar and not all(
-            affinely_independent(combo + (p,)) for combo in it.combinations(pts, n)
-        ):
-            continue
+        (v,) = _lifted_integer_points([p])
+        if no_n_coplanar:
+            w = v[:-1] + (-v[-1],)  # (den x, -den): a.w = den (a.x - b)
+            if any(not sum(map(mul, c, w)) for c in normals):
+                continue
+            lifted.append(v)
+            new = [(*s, len(pts)) for s in itertools.combinations(range(len(pts)), n - 1)]
+            normals += [c for _, cs in _normals([lifted] * n, new) for c in cs]
         pts.append(p)
     return pts
 

@@ -26,7 +26,6 @@ from .exactlin import (
     frac,
     int_kernel,
     int_rref,
-    pivot_columns,
     vec,
     vadd,
     vsub,
@@ -137,7 +136,7 @@ class ChartFrame:
         self.p = screen.dim
         t_dir = vsub(center.basepoint, screen.basepoint)
         cols = list(screen.directions) + [t_dir] + list(center.directions)
-        if len(pivot_columns(_integerized_rows(cols))) != host.dim or len(cols) != host.dim:
+        if len(int_rref(_integerized_rows(cols))[0]) != host.dim or len(cols) != host.dim:
             raise ValueError("screen, transverse direction and center do not frame the host")
         self._chart = FlatChart(AffineFlat(screen.basepoint, cols))
         if self._chart.flat != host:
@@ -245,11 +244,12 @@ def make_psi_context(
     # rank certificate: middle atoms with both end bases must fill the space
     cert = list(f1._rows) + list(fk._rows)
     cert += _integerized_rows(pt + (Fraction(1),) for (j, _), pt in sorted(fixed.items()) if j != 0)
-    if len(pivot_columns(cert)) != n + 1:
+    if len(int_rref(cert)[0]) != n + 1:
         raise NonGenericConfiguration("rank certificate failed (middle atoms, end flats)")
 
     aligned = _integerized_rows(q1.directions + e_flat.directions)
-    kernel = _reduced(_span_meet(aligned, _integerized_rows(f1.directions), n))
+    kernels = int_kernel(aligned, n) + int_kernel(_integerized_rows(f1.directions), n)
+    kernel = _reduced(_span_meet(kernels, n))
     if len(kernel) < p:
         raise NonGenericConfiguration("aligned screen kernel too small")
     kd = len(kernel)
@@ -259,7 +259,7 @@ def make_psi_context(
         ]
         dirs = [tuple(dot(row, col) for col in zip(*kernel)) for row in coeff_rows]
         # p + dim C independent directions: the screen's and the center's
-        if len(pivot_columns(_integerized_rows(dirs + list(center.directions)))) != p + center.dim:
+        if len(int_rref(_integerized_rows(dirs + list(center.directions)))[0]) != p + center.dim:
             continue
         base_offsets = [Fraction(rng.randint(-4, 4), 8) for _ in range(n1)]
         u0 = FlatChart(f1).to_ambient(base_offsets)
@@ -342,7 +342,7 @@ def psi_matrix(ctx: PsiContext, verify_samples: int = 10, rng=None) -> PsiMatrix
     y0 = ctx.q1_chart.to_coords(psi_point_map(ctx, zero_vec(ctx.p)))
     probes = [[int(t == i) for t in range(ctx.p)] for i in range(ctx.p)]
     m = tuple(zip(*(vsub(ctx.q1_chart.to_coords(psi_point_map(ctx, e)), y0) for e in probes)))
-    if len(pivot_columns(_integerized_rows(m))) < ctx.p:
+    if len(int_rref(_integerized_rows(m))[0]) < ctx.p:
         raise NonGenericConfiguration("singular parameter matrix; configuration bug")
     out = PsiMatrix(m=m, y0=y0, lipschitz2=sum(float(x) ** 2 for r in m for x in r))
     if rng is not None:

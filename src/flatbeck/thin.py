@@ -19,10 +19,10 @@ VerifyResult: the plane and tube checks generate them, and pruning and
 tube-to-plane conversion hand it the counts they already hold.  One span
 pass, _span_pass, serves every plane check and prune: it lifts the graph's
 atoms once and builds each tuple's span once for every measure.  At arity n
-the span is the tuple's cofactor normal (a, b) (_normals), a = 0 for a
-dependent tuple, and the oracle's hyperplane core counts it, as it counts
+the span is the tuple's cofactor normal (a, b) (flats._normals), a = 0 for
+a dependent tuple, and the oracle's hyperplane core counts it, as it counts
 the tubes when n = 2; the pushforward chart reads the same normals.  Below
-arity n a rank test and the quadratic core remain.  The continuum
+arity n an int_rref rank test and the quadratic core remain.  The continuum
 quantifier over scales is truncated at the data's resolution: below it a
 discrete measure is atomic and the bounds say nothing.
 """
@@ -30,17 +30,16 @@ discrete measure is atomic and the bounds say nothing.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, mul, sub
+from operator import sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .exactlin import BudgetExceeded, Vector, _cofactors, _wedge, frac, pivot_columns
-from .flats import _dist2_offset, _lifted_integer_points
+from .exactlin import BudgetExceeded, Vector, frac, int_rref
+from .flats import _dist2_offset, _lifted_integer_points, _normals, _pick_span
 from .flatcollect import FlatCollection
 from .measures import SPAN_CHUNK, DiscreteMeasure, PlateMassOracle, support_dist2
 from .project import rational_sqrt_lower
@@ -317,16 +316,14 @@ def _tuple_spans(lifted: list, tuples: Iterable) -> tuple[Iterator, Callable]:
     dependent, and the oracle core that reads the spans.  lifted is
     _lifted_atoms(g).  At arity n a span is t's normal (a, b), and a = 0
     means dependent; below it, the first lifted point and the differences
-    from it, when the lifted rows have full rank."""
+    from it (flats._pick_span), when the lifted rows have full rank."""
     if len(lifted) == len(lifted[0][0]) - 1:
         spans = ((t, v if any(v[:-1]) else None) for ts, vs in _normals(lifted, tuples) for t, v in zip(ts, vs))
         return spans, PlateMassOracle._hyperplane_counts
 
     def span(t):
         rows = [pts[i] for pts, i in zip(lifted, t)]
-        if len(pivot_columns(rows)) == len(rows):
-            return rows[0], [tuple(map(sub, v, rows[0]))[:-1] for v in rows[1:]]
-        return None  # dependent
+        return _pick_span(rows) if len(int_rref(rows)[0]) == len(rows) else None
 
     return ((t, span(t)) for t in tuples), PlateMassOracle._counts
 
@@ -702,37 +699,6 @@ class PushforwardFit:
     constant: float
     exponent: float
     table: list[tuple[float, int, float]]  # (scale, occupied boxes, max box mass)
-
-
-def _plane_rows(prefix: Sequence[Sequence[int]], width: int, shift: int) -> list[list[int]]:
-    """Rows L for width - 2 lifted points (den p, den): for a lifted point v,
-    L v = 2^shift (a, b) with {x : a.x = b} the hyperplane through the
-    prefix's points and v's, and a = 0 when they do not span one.
-
-    (a, -b) is the cofactor normal: entry k is (-1)^k times the maximal
-    minor of (prefix, v) without row k, so it is orthogonal to every lifted
-    point.  That minor is linear in v, and its coefficient of v_i is read
-    off the wedge of the prefix's minors with the unit vector e_i."""
-    minors = functools.reduce(_wedge, prefix, {0: 1})
-    full = (1 << width) - 1
-    cols = _cofactors(minors, width)
-    signs = [(-1) ** k for k in range(width - 1)] + [(-1) ** width]
-    return [[sign * c.get(full ^ 1 << k, 0) << shift for c in cols] for k, sign in enumerate(signs)]
-
-
-def _normals(lifted: list, tuples: Iterable, shift: int = 0) -> Iterator:
-    """(ts, normals) per run ts of tuples of n atom indices sharing a prefix,
-    in order: per tuple t, L v = 2^shift (a, b) with {x : a.x = b} the
-    hyperplane spanned by t's lifted points, a = 0 when they span none.  L
-    is the plane rows of the prefix t[:-1], v is t's last lifted point, and
-    each row of L combines the columns of the run's v at once."""
-    width = len(lifted[0][0])
-    for prefix, run in itertools.groupby(tuples, key=itemgetter(slice(-1))):
-        rows = _plane_rows([pts[i] for pts, i in zip(lifted, prefix)], width, shift)
-        ts = list(run)
-        cols = list(zip(*map(lifted[-1].__getitem__, map(itemgetter(-1), ts))))
-        terms = [[map(mul, c, itertools.repeat(x)) for x, c in zip(row, cols) if x] for row in rows]
-        yield ts, zip(*[functools.reduce(functools.partial(map, add), t, [0] * len(ts)) for t in terms])
 
 
 def _chart_boxes(g: ThinGraph, ks: Sequence[int]) -> list[dict[tuple[int, ...], int]]:

@@ -7,8 +7,9 @@ from ``flatbeck.exactlin``, so the references share no code with the
 integer kernels they check.  Also a brute-force spanned-flat enumerator
 that shares no code with ``flats.spanned_flats`` and the unbounded
 dichotomy search on its flats, a brute-force ball mass
-that shares none with the plate oracle, and the hyperplane chart's box key
-over ``Fraction``.
+that shares none with the plate oracle, the hyperplane chart's box key
+over ``Fraction``, and the rejection loop of ``genscenes.generic_points``
+with a reference rank per point subset.
 """
 
 import itertools
@@ -298,3 +299,26 @@ def reference_chart_key(points: Sequence[Sequence], s: Fraction) -> tuple[int, .
     i = mags.index(max(mags))
     coords = [x / a[i] for j, x in enumerate(a) if j != i] + [b / a[i]]
     return (i, *[math.floor(x / s) for x in coords])
+
+
+def reference_generic_points(
+    rng, n: int, count: int, span: int = 16, den: int = 16, no_n_coplanar: bool = True, max_tries: int = 100_000
+) -> list[Vector]:
+    """genscenes.generic_points' draws and rejections, testing general
+    position the plain way: a candidate joins when, with every n of the
+    accepted points, its lifted point (p, 1) gives rank n + 1."""
+    pts: list[Vector] = []
+    tries = 0
+    while len(pts) < count:
+        tries += 1
+        if tries > max_tries:
+            raise RuntimeError("rejection sampling exhausted")
+        p = tuple(Fraction(rng.randint(-span, span), den) for _ in range(n))
+        if p in pts:
+            continue
+        if no_n_coplanar and not all(
+            reference_rank([q + (1,) for q in combo + (p,)]) == n + 1 for combo in itertools.combinations(pts, n)
+        ):
+            continue
+        pts.append(p)
+    return pts

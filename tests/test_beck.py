@@ -18,7 +18,7 @@ from flatbeck.cli import main
 from flatbeck.exactlin import int_rref
 from flatbeck.flats import AffineFlat, _lifted_integer_points, _spanned, dist2_point_flat
 from flatbeck.genscenes import generic_points
-from fraction_reference import reference_dichotomy, reference_rank, reference_spanned_flats
+from fraction_reference import reference_dichotomy, reference_generic_points, reference_rank, reference_spanned_flats
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -47,6 +47,38 @@ class TestEnumerateSpannedFlats:
         pts = generic_points(rng, 3, 8, no_n_coplanar=False)
         x = PointConfig(pts)
         assert len(enumerate_spanned_flats(x, 2)) <= math.comb(8, 3)
+
+
+class TestGenericPointsAgainstFractionReference:
+    """generic_points' incidence test draws and keeps the same points as
+    the reference loop with a rank per subset, and exhausts its tries on
+    the same seeds with the same error; on the two small grids some seeds
+    exhaust and some finish."""
+
+    @pytest.mark.parametrize(
+        "n, count, kw, small",
+        [
+            (2, 10, {}, False),
+            (3, 12, {}, False),
+            (4, 7, {}, False),
+            (3, 10, {"no_n_coplanar": False}, False),
+            (2, 8, {"span": 2, "den": 1, "max_tries": 300}, True),
+            (3, 7, {"span": 1, "den": 1, "max_tries": 300}, True),
+        ],
+    )
+    def test_same_points_or_error_on_every_seed(self, n, count, kw, small):
+        def outcome(fn, seed):
+            try:
+                return fn(random.Random(seed), n, count, **kw)
+            except RuntimeError as e:
+                return str(e)
+
+        exhausted = 0
+        for seed in range(15):
+            want = outcome(reference_generic_points, seed)
+            assert outcome(generic_points, seed) == want
+            exhausted += want == "rejection sampling exhausted"
+        assert 0 < exhausted < 15 if small else exhausted == 0
 
 
 class TestConcentratedSpanCount:

@@ -24,7 +24,8 @@ from flatbeck.cli import (
 )
 from flatbeck.flats import AffineFlat
 from flatbeck.genscenes import generic_points
-from flatbeck.measures import PlateMassOracle
+from flatbeck.measures import PlateMassOracle, dyadic_scales
+from flatbeck.thin import prune_against_measure
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENES = ROOT / "scenes"
@@ -141,6 +142,14 @@ class TestMalformedParams:
         path = self.scene_with(tmp_path, seed=seed)
         assert main(["thin-verify", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
         assert "input error: params.seed: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["params", "points", "flats", "measures", "graphs", "frames"])
+    def test_section_not_an_object_is_an_input_error(self, tmp_path, capsys, section):
+        body = json.loads(self.SEGMENTS.read_text())
+        body[section] = [1]
+        path = write_scene(tmp_path, body)
+        assert main(["thin-verify", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert f"input error: {section}: expected an object" in capsys.readouterr().err
 
     def test_scales_above_one_run_as_given(self, tmp_path):
         """-1..3 is the window 2 down to 1/8, from the flag or the scene."""
@@ -520,6 +529,21 @@ class TestThinPruneMeasuresOnce:
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().out == ""
         assert calls == []
+
+
+class TestThinPruneAgainstMeasure:
+    def test_demo_graph_against_its_bottom_measure(self, tmp_path):
+        """Pruning the demo graph against its own bottom measure removes
+        nothing, and the report gives what prune_against_measure gives."""
+        path = SCENES / "thin-parallel-segments.json"
+        argv = ["thin-prune", "--scene", str(path), "--mode", "against-measure", "--nu", "bottom", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_PASS
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert (report["delta0"], report["removed_mass"]) == ("1/2", "0")
+        assert report["verdicts"] == [{"check": "prune-budget", "passed": True, "witness": None}]
+        scene = parse_scene(str(path))
+        out = prune_against_measure(scene.graphs["segments"], scene.measures["bottom"], Fraction(1, 4), dyadic_scales(5, 1))
+        assert (out.delta0, out.removed_mass, out.k_prime, out.ok) == (Fraction(1, 2), 0, report["k_prime"], True)
 
 
 class TestThinVerifyTubesAndDensity:

@@ -10,7 +10,6 @@ from flatbeck.exactlin import (
     _wedge,
     int_kernel,
     int_rref,
-    pivot_columns,
     wedge_norm2,
 )
 from flatbeck.flats import _reduced
@@ -36,9 +35,9 @@ def matrices(max_rows=5, max_cols=5):
 
 
 def rank(rows) -> int:
-    """The rank of a Fraction matrix by pivot_columns of its rows, each
-    scaled to integers."""
-    return len(pivot_columns(_integerized_rows(rows)))
+    """The rank of a Fraction matrix by the int_rref pivots of its rows,
+    each scaled to integers."""
+    return len(int_rref(_integerized_rows(rows))[0])
 
 
 def row_scales(rows) -> int:
@@ -59,13 +58,13 @@ def wedge_det(rows) -> int:
 
 class TestRank:
     def test_identity(self):
-        assert pivot_columns([[1, 0], [0, 1]]) == [0, 1]
+        assert int_rref([[1, 0], [0, 1]])[0] == [0, 1]
 
     def test_zero(self):
-        assert pivot_columns([[0] * 3] * 3) == []
+        assert int_rref([[0] * 3] * 3)[0] == []
 
     def test_dependent_rows(self):
-        assert pivot_columns([[1, 2], [2, 4]]) == [0]
+        assert int_rref([[1, 2], [2, 4]])[0] == [0]
 
     @settings(max_examples=200)
     @given(matrices())
@@ -89,7 +88,7 @@ class TestRank:
             [x.numerator * 6 // x.denominator * col_scales[c] for c, x in enumerate(r)]
             for r in m
         ]
-        assert pivot_columns(ints) == want
+        assert int_rref(ints)[0] == want
 
 
 class TestDet:
@@ -143,17 +142,20 @@ def leibniz_det(rows) -> int:
 
 
 class TestBareiss:
+    """The wedge determinant and int_rref's pivots on the same small integer
+    matrices."""
+
     @settings(max_examples=200)
     @given(st.integers(1, 4).flatmap(lambda r: st.integers(1, 4).flatmap(
         lambda c: st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r)
     )))
     def test_one_pass_gives_pivots_and_det(self, rows):
         """The wedge chain's determinant is Leibniz's, sign included, for a
-        square matrix and 0 otherwise, nonzero exactly when pivot_columns
-        gives every row a pivot; pivot_columns leaves its input as it is
-        (the pivots are checked in TestRank)."""
+        square matrix and 0 otherwise, nonzero exactly when int_rref
+        gives every row a pivot; int_rref leaves its input as it is (the
+        pivots are checked in TestRank)."""
         copy = [r[:] for r in rows]
-        pivots = pivot_columns(rows)
+        pivots = int_rref(rows)[0]
         assert rows == copy
         square = len(rows) == len(rows[0])
         d = wedge_det(rows)
@@ -161,7 +163,7 @@ class TestBareiss:
         assert (d != 0) == (square and len(pivots) == len(rows))
 
     def test_empty_matrix_has_det_one(self):
-        assert pivot_columns([]) == []
+        assert int_rref([]) == ([], [])
         assert wedge_det([]) == 1
 
 

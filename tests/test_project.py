@@ -350,6 +350,28 @@ class TestProjectedNC:
         assert code == EXIT_INPUT
 
 
+class TestProjectedNcCertificate:
+    """Three NC lines of Q^3, two of them through the origin."""
+
+    LINES = [
+        AffineFlat([0, 0, 0], [[1, 0, 0]]),
+        AffineFlat([0, 0, 0], [[0, 1, 1]]),
+        AffineFlat([0, 1, 3], [[1, 1, 0]]),
+    ]
+
+    def test_failure_at_an_exceptional_centre_is_certified(self):
+        coll = FlatCollection(self.LINES)
+        assert coll.is_nc()
+        screen = AffineFlat([5, 0, 0], [[1, -1, 0], [1, 0, -1]])
+        (out,) = projected_nc_report(coll, [(0, 0, 0)], screen)
+        assert (out.nc, out.exceptional) == (False, True)
+        assert out.witness.startswith("partition ((0,), (1,), (2,)) drops to projected dimension sum 1")
+
+    def test_generic_centre_has_no_certificate(self):
+        centre = (Fraction(1, 3), Fraction(2, 7), Fraction(-1, 5))
+        assert exceptional_center_certificate(FlatCollection(self.LINES), centre) is None
+
+
 def plane_case():
     """(mu, v, q, u, w): a grid measure on the plane v: z = 0 in Q^3, a
     center line q crossing v at one point and a screen line u."""
@@ -395,6 +417,36 @@ class TestIrreducibleProjection:
         mu, v, q, u, w = plane_case()
         assert irreducible_projection_check(mu, v, q, u, w=w, tau=Fraction(2, 5), eps=w).ok
         assert len(built) == 2 and built[0] is mu and built[1] is not mu
+
+    def test_atom_on_a_singular_ray_is_trimmed(self):
+        """An atom at (1/2, 1/16, 0) spans with q a plane parallel to u: one
+        of 82 atoms is singular, and the check still passes."""
+        mu, v, q, u, w = plane_case()
+        mu = DiscreteMeasure.uniform([p for p, _ in mu.atoms] + [(Fraction(1, 2), Fraction(1, 16), 0)], RES)
+        report = irreducible_projection_check(mu, v, q, u, w=w, tau=Fraction(2, 5), eps=w)
+        assert report.ok, report.witness
+        assert report.singular_mass == Fraction(1, 82)
+
+    def test_everything_trimmed_is_a_degenerate_report(self):
+        """In the plane y = 1/16 with q the vertical line there, every atom
+        is trimmed or spans with q the plane itself, which misses u."""
+        _, _, _, u, w = plane_case()
+        v = AffineFlat([0, Fraction(1, 16), 0], [[1, 0, 0], [0, 0, 1]])
+        grid = [(Fraction(i, 8), Fraction(1, 16), Fraction(j, 8)) for i in range(-4, 5) for j in range(-4, 5)]
+        q = AffineFlat([Fraction(1, 16), Fraction(1, 16), 0], [[0, 0, 1]])
+        report = irreducible_projection_check(DiscreteMeasure.uniform(grid, RES), v, q, u, w=w, tau=Fraction(2, 5), eps=w)
+        assert not report.ok
+        assert (report.witness, report.kept_mass, report.image_flat_dim) == ("trimming removed everything", 0, -1)
+
+    def test_point_image_flat_is_a_degenerate_report(self):
+        """q inside v and u vertical: aff(v, q) = v meets u in one point."""
+        mu, v, _, _, w = plane_case()
+        q = AffineFlat([Fraction(1, 16), Fraction(1, 16), 0], [[1, 0, 0]])
+        u = AffineFlat([0, Fraction(-3, 4), 0], [[0, 0, 1]])
+        report = irreducible_projection_check(mu, v, q, u, w=w, tau=Fraction(2, 5), eps=w)
+        assert not report.ok
+        assert (report.witness, report.image_flat_dim) == ("image flat degenerate", -1)
+        assert report.kept_mass > 0
 
     def test_sqrt_lower_bound(self):
         for x in [Fraction(2), Fraction(9), Fraction(1, 4), Fraction(7, 3)]:

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flatbeck import measures, thin
+from flatbeck import flats, measures, thin
 from flatbeck.exactlin import BudgetExceeded, _integerized_points
 from flatbeck.flats import AffineFlat, affinely_independent
 from flatbeck.genscenes import parallel_segments, segment_grid, square_grid
@@ -515,7 +515,7 @@ def hyperplane_batches(draw):
 
 class TestHyperplaneCore:
     """PlateMassOracle._hyperplane_counts on the cofactor normals of
-    thin._normals, against the Fraction reference distance of every atom
+    flats._normals, against the Fraction reference distance of every atom
     from the reference hyperplane of every tuple."""
 
     @settings(max_examples=200, deadline=None)
@@ -525,7 +525,7 @@ class TestHyperplaneCore:
         n = len(points[0])
         # measure j holds point j of every tuple; tuple k picks atom k of each
         lifted = thin._lifted_atoms(ThinGraph([DiscreteMeasure([(p, 1) for p in col], RES) for col in zip(*points)], None, 1, 1))
-        normals = [v for _, vs in thin._normals(lifted, [(k,) * n for k in range(len(points))]) for v in vs]
+        normals = [v for _, vs in flats._normals(lifted, [(k,) * n for k in range(len(points))]) for v in vs]
         planes = [reference_span_of(pts) for pts in points]
         assert [f is None for f in planes] == [not any(v[:-1]) for v in normals]
         assert None in planes or not dependent
