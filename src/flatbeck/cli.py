@@ -167,6 +167,8 @@ class Scene:
                             )
                         )
                     self.measures[name] = DiscreteMeasure(atoms, res)
+            except SceneError:
+                raise  # already located
             except ValueError as e:
                 raise SceneError(f"{where}: {e}")
         self.graphs: dict[str, ThinGraph] = {}

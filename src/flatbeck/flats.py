@@ -1,6 +1,6 @@
-"""Affine flats of Q^n: linearization, join, meet, exact distances, the
-squared-sine angle surrogate and the enumerator of flats spanned by point
-subsets.
+"""Affine flats of Q^n: linearization, join, meet, the join-meet projector,
+exact distances, the squared-sine angle surrogate and the enumerator of
+flats spanned by point subsets.
 
 A flat is stored as a basepoint with its direction basis, but identity
 (equality, hashing, dedup) goes through the primitive integer RREF rows
@@ -10,6 +10,10 @@ read, and ``dim`` is their count minus one.  Point and flat membership, join
 and meet are integer computations on those rows and on their kernel, kept
 once read.  All metric predicates compare squared quantities so everything
 stays inside Q.
+
+projector is the one radial projection x -> aff(x, Q) meet U: one integer
+matrix for a centre Q and a screen U whose lifted spans are complementary,
+applied to every point and flat (radial_point, radial_flat).
 
 _dist2_form is the one squared distance: an integer quadratic form M over
 one integer g for the span of independent integer rows, read by
@@ -263,6 +267,49 @@ def meet(f: AffineFlat, g: AffineFlat) -> Optional[AffineFlat]:
     if f.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimensions differ")
     return _flat_from_span(_span_meet(f._kernel() + g._kernel(), f.ambient_dim + 1))
+
+
+class NonGenericScreen(ValueError):
+    """A join with the projection centre that misses the screen."""
+
+
+def projector(q: AffineFlat, u: AffineFlat) -> list[list[int]]:
+    """The join-meet projection x -> aff(x, q) meet u from the centre q onto
+    the screen u, as the integer matrix L = d P on lifted points: with Q q's
+    rows, K u's kernel forms and G = K Q^T, P = I - Q^T G^-1 K projects
+    onto u's lifted span along q's.  int_rref([G | I]) has the rows
+    (k_i e_i | C_i), so d G^-1 = ((d / k_i) C_i) for d = lcm(k_i).  A
+    ValueError unless G is square and invertible, which holds exactly when
+    the lifted spans are complementary."""
+    if q.ambient_dim != u.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    kernel, m = u._kernel(), len(q._rows)
+    eye = [[int(i == j) for j in range(m)] for i in range(m)]
+    pivots, rows = int_rref([[sum(map(mul, a, r)) for r in q._rows] + e for a, e in zip(kernel, eye)])
+    if len(kernel) != m or pivots != list(range(m)):
+        raise ValueError("centre and screen are not complementary")
+    d = math.lcm(*(r[i] for i, r in enumerate(rows)))
+    dk = [[sum(d // r[i] * c * a for c, a in zip(r[m:], col)) for col in zip(*kernel)] for i, r in enumerate(rows)]
+    return [[d * (i == j) - sum(map(mul, qi, col)) for j, col in enumerate(zip(*dk))] for i, qi in enumerate(zip(*q._rows))]
+
+
+def radial_point(proj: Sequence[Sequence[int]], p: Sequence) -> Vector:
+    """aff(p, q) meet u for the projector of (q, u): L p^ over its last
+    entry; NonGenericScreen when that entry is 0 (the ray from q through p
+    is parallel to u) and a ValueError when L p^ = 0 (p lies on q)."""
+    v = _lifted_integer_points([vec(p)])[0]
+    y = [sum(map(mul, r, v)) for r in proj]
+    if not any(y):
+        raise ValueError("point lies on the projection center")
+    if y[-1] == 0:
+        raise NonGenericScreen("join does not meet the screen in a point")
+    return tuple(Fraction(x, y[-1]) for x in y[:-1])
+
+
+def radial_flat(proj: Sequence[Sequence[int]], f: AffineFlat) -> Optional[AffineFlat]:
+    """aff(f, q) meet u for the projector of (q, u): the flat of the span of
+    L F^, None when it is empty."""
+    return _flat_from_span(int_rref([[sum(map(mul, r, v)) for r in proj] for v in f._rows])[1])
 
 
 def _dist2_form(dirs: Sequence[Sequence[int]], n: int) -> tuple[int, list[list[int]]]:

@@ -10,6 +10,11 @@ builder constructs U inside that kernel (the choice of screen is ours to
 make), checks the alignment certificate exactly, and psi_matrix then
 recovers the exact (M, y0) parameter map and verifies it by substitution.
 Every rank and kernel here runs on exactlin's integer rows.
+
+Every radial image of a point or flat reads flats.projector, which refuses
+a centre and screen that are not complementary with a ValueError, never
+NonGenericScreen.  hyperplane_map_psi alone joins and meets: it is
+psi_matrix's independent substitution check.
 """
 
 from __future__ import annotations
@@ -34,11 +39,15 @@ from .exactlin import (
 from .flats import (
     AffineFlat,
     FlatChart,
+    NonGenericScreen,
     _reduced,
     _span_meet,
     dist2_flats,
     join,
     meet,
+    projector,
+    radial_flat,
+    radial_point,
 )
 from .flatcollect import FlatCollection, iter_partitions
 from .measures import DiscreteMeasure, irreducibility_modulus
@@ -48,40 +57,20 @@ class ParallelRay(ValueError):
     pass
 
 
-class NonGenericScreen(ValueError):
-    pass
-
-
 def radial_to_hyperplane(x: Sequence, h: AffineFlat, y: Sequence) -> Vector:
     """Unique intersection of the line through x and y with the hyperplane
-    screen h; errors when the ray is parallel to the screen."""
-    x = vec(x)
-    y = vec(y)
+    screen h; errors when x lies on h, y = x or the ray is parallel to h."""
     if h.dim != h.ambient_dim - 1:
         raise ValueError("screen must be a hyperplane")
-    if h.contains_point(x):
-        raise ValueError("projection center lies on the screen")
-    if x == y:
-        raise ValueError("ray through coincident points is undefined")
-    if h.contains_point(y):
-        return y
-    line = AffineFlat.from_points([x, y])
-    got = meet(line, h)
-    if got is None or got.dim != 0:
-        raise ParallelRay("ray parallel to the screen")
-    return got.basepoint
+    try:
+        return radial_point(projector(AffineFlat.point(x), h), y)
+    except NonGenericScreen:
+        raise ParallelRay("ray parallel to the screen") from None
 
 
 def join_meet(q: AffineFlat, z: AffineFlat, v: Sequence) -> Vector:
     """aff(v, q) meet z, required to be a single point."""
-    v = vec(v)
-    if q.contains_point(v):
-        raise ValueError("point lies on the projection center")
-    joined = join([AffineFlat.point(v), q])
-    got = meet(joined, z)
-    if got is None or got.dim != 0:
-        raise NonGenericScreen("join does not meet the screen in a point")
-    return got.basepoint
+    return radial_point(projector(q, z), v)
 
 
 def flat_radial_image(x: Sequence, v: AffineFlat, screen: AffineFlat) -> AffineFlat:
@@ -89,8 +78,7 @@ def flat_radial_image(x: Sequence, v: AffineFlat, screen: AffineFlat) -> AffineF
     screen: meet(join(x, v), screen).  Has dim v when x is off v and
     dim v - 1 when x lies on v (for screens generic to the configuration).
     """
-    joined = join([AffineFlat.point(vec(x)), v])
-    got = meet(joined, screen)
+    got = radial_flat(projector(AffineFlat.point(x), screen), v)
     if got is None:
         raise NonGenericScreen("projected flat misses the screen")
     return got
@@ -286,7 +274,7 @@ def make_psi_context(
             for i in range(p):
                 probe = [Fraction(1 if t == i else 0) for t in range(p)]
                 psi_point_map(ctx, probe)
-        except (ValueError, NonGenericScreen):
+        except ValueError:
             continue
         return ctx
     raise NonGenericConfiguration("failed to build an aligned screen")
@@ -412,23 +400,12 @@ def projected_nc_report(
     for c in centers:
         c = vec(c)
         try:
-            images = [
-                chart.flat_to_coords(flat_radial_image(c, f, screen))
-                for f in coll.flats
-            ]
-            nc = FlatCollection(images).is_nc()
+            nc = FlatCollection([chart.flat_to_coords(flat_radial_image(c, f, screen)) for f in coll.flats]).is_nc()
         except NonGenericScreen as e:
-            out.append(
-                CenterProjectionOutcome(c, False, True, witness=f"degenerate: {e}")
-            )
+            out.append(CenterProjectionOutcome(c, False, True, witness=f"degenerate: {e}"))
             continue
-        if nc:
-            out.append(CenterProjectionOutcome(c, True, False))
-        else:
-            cert = exceptional_center_certificate(coll, c)
-            out.append(
-                CenterProjectionOutcome(c, False, cert is not None, witness=cert)
-            )
+        cert = None if nc else exceptional_center_certificate(coll, c)
+        out.append(CenterProjectionOutcome(c, nc, cert is not None, witness=cert))
     return out
 
 
@@ -478,6 +455,7 @@ def irreducible_projection_check(
         raise ValueError("trimming radius must satisfy eps <= w")
     if tau > Fraction(1, 2):
         raise ValueError("needs tau <= 1/2")
+    proj = projector(q, u)
     in_mod = irreducibility_modulus(mu, v, w, support_tolerance=max(w, mu.resolution))
     if in_mod > tau:
         raise ValueError(f"input modulus {in_mod} exceeds tau {tau}")
@@ -488,29 +466,24 @@ def irreducible_projection_check(
         if trimmed >> i & 1:
             continue
         try:
-            img = join_meet(q, u, p)
+            kept.append((radial_point(proj, p), wt))
         except NonGenericScreen:
             # the ray through the center is parallel to the screen; this
             # singular set lies in a proper subflat and is trimmed like q(eps)
             singular += wt
-            continue
-        kept.append(((p, wt), img))
-    kept_mass = sum((wt for (_, wt), _ in kept), Fraction(0))
+    kept_mass = sum((wt for _, wt in kept), Fraction(0))
     if kept_mass == 0:
         return ProjectedIrreducibilityReport(
             False, in_mod, Fraction(1), Fraction(0), Fraction(0), -1, singular,
             witness="trimming removed everything",
         )
-    image_flat = meet(join([v, q]), u)
+    image_flat = radial_flat(proj, v)
     if image_flat is None or image_flat.dim < 1:
         return ProjectedIrreducibilityReport(
             False, in_mod, Fraction(1), Fraction(0), kept_mass, -1, singular,
             witness="image flat degenerate",
         )
-    pushed = pushforward(
-        DiscreteMeasure([(img, wt) for (_, wt), img in kept], mu.resolution),
-        lambda p: p,
-    )
+    pushed = pushforward(DiscreteMeasure(kept, mu.resolution), lambda p: p)
     sep = rational_sqrt_lower(dist2_flats(q, u))
     scale = sep * w / 4
     out_mod = irreducibility_modulus(

@@ -18,6 +18,7 @@ minor kernel, exactlin._wedge, grows the row-subset minors of a column set
 by a column; a chain of wedges over a matrix's columns gives its greedy
 pivots (the rank) and every maximal minor of them (the cheap floor).  The chain is
 memoised per prefix of its atom columns, which come first, and flat blocks.
+projected_stability_check moves flats and atoms with one flats.projector.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ from .exactlin import (
 from .flats import (
     AffineFlat,
     FlatChart,
-    join,
     linearize,
-    meet,
+    projector,
+    radial_flat,
+    radial_point,
     wedge_angle_sin2,
 )
 from .measures import DiscreteMeasure
@@ -558,8 +560,6 @@ def projected_stability_check(
     spanned by the picked i0 atoms, re-certify stability of the image frame
     inside the screen u, and report the achieved floor and the squared sine
     between the center span and the screen."""
-    from .project import join_meet  # local import to avoid a cycle
-
     i0 = sorted(set(i0))
     if not i0:
         raise ValueError("i0 must be nonempty")
@@ -571,59 +571,35 @@ def projected_stability_check(
     n0 = center.dim
     if u.ambient_dim != n or u.dim != n - n0 - 1:
         raise ValueError(f"screen must have dimension {n - n0 - 1}")
-    if meet(u, center) is not None or join([u, center]).dim != n:
-        raise ValueError("screen not transversal to the center span")
+    proj = projector(center, u)
     sin2 = wedge_angle_sin2(linearize(center), linearize(u))
 
     chart = FlatChart(u)
     image_flats = []
-    image_measures = []
-    for j in range(frame.k):
-        remaining = [
-            (i, mu)
-            for i, mu in enumerate(frame.measures[j])
-            if (j, i) not in set(i0)
-        ]
+    image_atoms = []  # per flat, per measure: chart atoms and resolution
+    for j, (f, ms) in enumerate(zip(frame.flats, frame.measures)):
+        remaining = [mu for i, mu in enumerate(ms) if (j, i) not in i0]
         if not remaining:
             continue
-        joined = join([frame.flats[j], center])
-        img = meet(joined, u)
+        img = radial_flat(proj, f)
         if img is None:
-            return ProjectedStabilityReport(
-                False, sin2, None, None, witness=f"flat {j} projects to nothing"
-            )
+            return ProjectedStabilityReport(False, sin2, None, None, witness=f"flat {j} projects to nothing")
         image_flats.append(chart.flat_to_coords(img))
-        row = []
-        for _, mu in remaining:
-            atom_imgs = []
-            for p, wgt in mu.atoms:
-                y = join_meet(center, u, p)
-                atom_imgs.append((chart.to_coords(y), wgt))
-            row.append(DiscreteMeasure(atom_imgs, mu.resolution))
-        image_measures.append(row)
+        image_atoms.append(
+            [([(chart.to_coords(radial_point(proj, p)), w) for p, w in mu.atoms], mu.resolution) for mu in remaining]
+        )
     if not image_flats:
         raise ValueError("i0 covers every measure; nothing to project")
     # exact power-of-two rescale back into the unit ball if projection
     # pushed anything out (mirrors rescaling by ~1/C after projecting)
-    peak = max(
-        norm2(p) for row in image_measures for mu in row for p, _ in mu.atoms
-    )
+    peak = max(norm2(p) for row in image_atoms for atoms, _ in row for p, _ in atoms)
     lam = Fraction(1)
     while peak * lam * lam > 1:
         lam /= 2
-    if lam != 1:
-        image_flats = [
-            AffineFlat(vscale(lam, f.basepoint), f.directions) for f in image_flats
-        ]
-        image_measures = [
-            [
-                DiscreteMeasure(
-                    [(vscale(lam, p), w) for p, w in mu.atoms], mu.resolution
-                )
-                for mu in row
-            ]
-            for row in image_measures
-        ]
+    image_flats = [AffineFlat(vscale(lam, f.basepoint), f.directions) for f in image_flats]
+    image_measures = [
+        [DiscreteMeasure([(vscale(lam, p), w) for p, w in atoms], res) for atoms, res in row] for row in image_atoms
+    ]
     try:
         image = StableFrame(image_flats, image_measures)
     except ValueError as e:

@@ -1,8 +1,8 @@
 """Fraction references for the integer linear algebra and span algebra:
 plain Gauss-Jordan over ``Fraction`` on lists of rows, and the rank,
-determinant, Gram determinant, kernel, solve, join, meet, flat-distance,
-Gram-adjugate distance form, chart-coordinate and psi constructions built
-on it.  Nothing here comes
+determinant, Gram determinant, kernel, solve, join, meet, join-meet
+projection, flat-distance, Gram-adjugate distance form, chart-coordinate
+and psi constructions built on it.  Nothing here comes
 from ``flatbeck.exactlin``, so the references share no code with the
 integer kernels they check.  Also a brute-force spanned-flat enumerator
 that shares no code with ``flats.spanned_flats`` and the unbounded
@@ -170,6 +170,15 @@ def reference_meet(f: AffineFlat, g: AffineFlat) -> Optional[AffineFlat]:
         if any(v):
             inter.append(v)
     return flat_from_span(inter) if inter else None
+
+
+def reference_join_meet(q: AffineFlat, u: AffineFlat, x) -> Optional[AffineFlat]:
+    """aff(x, q) meet u by reference_join, then reference_meet: the join and
+    meet that the centre-screen projector replaces, for x a flat or a
+    point; None when it is empty."""
+    if not isinstance(x, AffineFlat):
+        x = AffineFlat.point(x)
+    return reference_meet(reference_join([x, q]), u)
 
 
 def reference_dist2_flats(f: AffineFlat, g: AffineFlat) -> Fraction:

@@ -151,6 +151,48 @@ class TestMalformedParams:
         assert main(["thin-verify", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
         assert f"input error: {section}: expected an object" in capsys.readouterr().err
 
+    VALID = {
+        "ambient_dim": 2,
+        "flats": {"x": {"basepoint": ["0", "0"], "directions": [["1", "0"]]}},
+        "measures": {"m": {"atoms": [[["1/2", "0"], "1"]]}},
+        "graphs": {"g": {"measures": ["m", "m"]}},
+        "frames": {"fr": {"flats": ["x"], "measures": [["m"]]}},
+    }
+
+    @pytest.mark.parametrize(
+        "section, name, value, message",
+        [
+            ("flats", "x", ["0", "0"], "flats.x: needs basepoint and directions"),
+            ("flats", "x", {"directions": []}, "flats.x: needs basepoint and directions"),
+            (
+                "flats", "x", {"basepoint": ["0", "0"], "directions": [["1", "2"], ["2", "4"]]},
+                "flats.x: directions are linearly dependent",
+            ),
+            ("measures", "m", ["x"], "measures.m: expected an object"),
+            ("measures", "m", {"uniform_on": [["0"]]}, "measures.m.uniform_on[0]: expected 2 coordinates, got 1"),
+            ("measures", "m", {"atoms": [["1/2", "0", "1"]]}, "measures.m.atoms[0]: expected [point, weight]"),
+            ("measures", "m", {"atoms": [[["1/2", "0"], "-1"]]}, "measures.m: negative atom weight"),
+            ("graphs", "g", {"tuples": "complete"}, "graphs.g: needs a measures list"),
+            ("graphs", "g", {"measures": ["m", "m"], "tuples": [[0]]}, "graphs.g: tuple arity mismatch"),
+            ("frames", "fr", {"flats": ["x"]}, "frames.fr: needs flats and measures lists"),
+            ("frames", "fr", {"flats": ["x"], "measures": []}, "frames.fr: one measure list per flat required"),
+        ],
+        ids=[
+            "flat-not-object", "flat-no-basepoint", "flat-dependent", "measure-not-object",
+            "uniform-coordinates", "atom-not-pair", "atom-negative", "graph-no-measures", "graph-arity", "frame-no-measures",
+            "frame-mismatch",
+        ],
+    )
+    def test_malformed_entry_is_an_input_error(self, tmp_path, capsys, section, name, value, message):
+        """Each malformed scene entry exits 2 with its own location; the
+        scene is refused while it is parsed, before any command runs."""
+        body = json.loads(json.dumps(self.VALID))
+        parse_scene(write_scene(tmp_path, body, "valid.json"))
+        body[section][name] = value
+        path = write_scene(tmp_path, body)
+        assert main(["analyze-flats", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_scales_above_one_run_as_given(self, tmp_path):
         """-1..3 is the window 2 down to 1/8, from the flag or the scene."""
         flag, param = tmp_path / "flag", tmp_path / "param"
@@ -640,13 +682,15 @@ class TestThinVerifyTubesAndDensity:
 class TestProjectIrreducibleCommand:
     GRID = [[str(Fraction(i, 8)), str(Fraction(j, 8)), "0"] for i in range(-4, 5) for j in range(-4, 5)]
 
-    def run(self, tmp_path, measure):
+    SCREEN = {"basepoint": ["0", "-3/4", "0"], "directions": [["1", "0", "0"]]}
+
+    def run(self, tmp_path, measure, screen=SCREEN, scene=None, out=None):
         body = {
             "ambient_dim": 3,
             "flats": {
                 "v": {"basepoint": ["0", "0", "0"], "directions": [["1", "0", "0"], ["0", "1", "0"]]},
                 "q": {"basepoint": ["1/16", "1/16", "0"], "directions": [["0", "0", "1"]]},
-                "u": {"basepoint": ["0", "-3/4", "0"], "directions": [["1", "0", "0"]]},
+                "u": screen,
             },
             "measures": {"m": measure},
             "params": {"w": "1/8", "tau": "2/5", "eps": "1/8"},
@@ -654,9 +698,9 @@ class TestProjectIrreducibleCommand:
         path = write_scene(tmp_path, body)
         return main(
             [
-                "project", "--scene", path, "--check", "irreducible",
+                "project", "--scene", scene or path, "--check", "irreducible",
                 "--measure", "m", "--flat", "v", "--center", "q", "--screen", "u",
-                "--out", str(tmp_path / "out"),
+                "--out", out or str(tmp_path / "out"),
             ]
         )
 
@@ -666,6 +710,31 @@ class TestProjectIrreducibleCommand:
         assert code == EXIT_PASS
         report = json.loads((out / "report.json").read_text())
         assert report["verdicts"][0]["check"] == "projected-irreducibility"
+
+    def test_plane_scene_matches_golden(self, tmp_path, monkeypatch):
+        """The report, run from the scene's directory with the relative
+        --out out, is the bytes in tests/golden/project-irreducible/."""
+        monkeypatch.chdir(tmp_path)
+        code = self.run(tmp_path, {"uniform_on": self.GRID, "resolution": "1/1024"}, scene="scene.json", out="out")
+        assert code == EXIT_PASS
+        golden = GOLDEN / "project-irreducible"
+        got = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert got == {p.name: p.read_bytes() for p in golden.iterdir()}
+
+    @pytest.mark.parametrize(
+        "screen",
+        [
+            {"basepoint": ["0", "1/16", "5"], "directions": [["1", "0", "0"]]},
+            {"basepoint": ["0", "-3/4", "0"], "directions": [["0", "0", "1"]]},
+        ],
+        ids=["meets-center", "shares-direction"],
+    )
+    def test_non_complementary_screen_is_an_input_error(self, tmp_path, capsys, screen):
+        """A screen that meets the center line, or runs along it, is refused
+        before any atom is projected, not read as a failed check (exit 1)."""
+        code = self.run(tmp_path, {"uniform_on": self.GRID, "resolution": "1/1024"}, screen)
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: centre and screen are not complementary\n"
 
     def test_zero_mass_measure_is_an_input_error(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):

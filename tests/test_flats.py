@@ -9,12 +9,16 @@ from flatbeck.exactlin import vec, vsub
 from flatbeck.flats import (
     AffineFlat,
     FlatChart,
+    NonGenericScreen,
     affinely_independent,
     dist2_flats,
     dist2_point_flat,
     join,
     linearize,
     meet,
+    projector,
+    radial_flat,
+    radial_point,
     spanned_flats,
     wedge_angle_sin2,
 )
@@ -27,6 +31,7 @@ from fraction_reference import (
     reference_dist2_form,
     reference_gram_det,
     reference_join,
+    reference_join_meet,
     reference_meet,
     reference_rank,
     reference_solve,
@@ -511,9 +516,11 @@ class TestIntegerMembership:
 
 
 @st.composite
-def random_flats(draw, n):
-    """A flat of Q^n over denominators 1..7 with independent directions."""
-    d = draw(st.integers(0, n))
+def random_flats(draw, n, d=None):
+    """A flat of Q^n over denominators 1..7 with independent directions, of
+    dimension d or, when None, of any dimension."""
+    if d is None:
+        d = draw(st.integers(0, n))
     vectors = st.tuples(*[coords] * n)
     dirs = draw(st.lists(vectors, min_size=d, max_size=d))
     assume(reference_rank(dirs) == d)
@@ -572,3 +579,99 @@ class TestSpanAlgebraAgainstFractionReference:
     @given(st.integers(2, 4).flatmap(lambda n: st.lists(random_flats(n), min_size=1, max_size=3)))
     def test_joins_match(self, fs):
         assert flat_key(join(fs)) == flat_key(reference_join(fs))
+
+
+@st.composite
+def projection_cases(draw):
+    """A centre q and a screen u of Q^2..Q^4 with complementary lifted
+    spans, a point x and a flat v.  x is free, on the centre, on the screen
+    or on a ray from the centre parallel to the screen; v is free, through
+    a point of the centre, inside the screen or a flat through the centre
+    along the screen's directions, whose image is empty."""
+    n = draw(st.integers(2, 4))
+    dq = draw(st.integers(0, n - 1))
+    q, u = draw(random_flats(n, dq)), draw(random_flats(n, n - 1 - dq))
+    assume(reference_rank(q.canon + u.canon) == n + 1)
+
+    def on(f):
+        return on_flat(f.basepoint, f.directions, draw(st.lists(coords, min_size=f.dim, max_size=f.dim)))
+
+    x_kind = draw(st.sampled_from(["free", "centre", "screen", "parallel"]))
+    if x_kind == "free":
+        x = draw(st.tuples(*[coords] * n))
+    elif x_kind == "centre":
+        x = on(q)
+    elif x_kind == "screen":
+        x = on(u)
+    else:
+        offset = on(AffineFlat([0] * n, u.directions))
+        assume(any(offset))
+        x = tuple(a + b for a, b in zip(on(q), offset))
+    v_kind = draw(st.sampled_from(["free", "centre", "screen", "missing"]))
+    if v_kind == "free":
+        v = draw(random_flats(n))
+    elif v_kind == "centre":
+        v = AffineFlat(on(q), draw(random_flats(n)).directions)
+    elif v_kind == "screen":
+        v = AffineFlat.from_points([on(u) for _ in range(draw(st.integers(1, 3)))])
+    else:
+        v = AffineFlat(on(q), draw(st.lists(st.sampled_from(u.directions), unique=True)) if u.dim else [])
+    return q, u, x, v
+
+
+class TestProjectorAgainstJoinMeet:
+    """The centre-screen projector against the join, then meet, of the
+    Fraction references: on complementary pairs a point's image is the
+    meet's one point, NonGenericScreen when the meet is empty and a
+    ValueError on the centre; a flat's image is the meet, basepoint and
+    directions alike."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(projection_cases())
+    def test_images_match(self, case):
+        q, u, x, v = case
+        proj = projector(q, u)
+        want = reference_join_meet(q, u, x)
+        if q.contains_point(x):
+            assert want is None
+            with pytest.raises(ValueError, match="point lies on the projection center"):
+                radial_point(proj, x)
+        elif want is None:
+            with pytest.raises(NonGenericScreen):
+                radial_point(proj, x)
+        else:
+            assert want.dim == 0 and radial_point(proj, x) == want.basepoint
+        assert flat_key(radial_flat(proj, v)) == flat_key(reference_join_meet(q, u, v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(random_flats(n), random_flats(n))))
+    def test_refuses_exactly_the_non_complementary_pairs(self, pair):
+        q, u = pair
+        n = q.ambient_dim
+        if q.dim + u.dim == n - 1 and reference_rank(q.canon + u.canon) == n + 1:
+            assert len(projector(q, u)) == n + 1
+        else:
+            with pytest.raises(ValueError, match="centre and screen are not complementary"):
+                projector(q, u)
+
+    def test_refuses_a_centre_meeting_the_screen(self):
+        q = AffineFlat([0, 0, 0], [[0, 0, 1]])
+        with pytest.raises(ValueError, match="centre and screen are not complementary"):
+            projector(q, AffineFlat([0, 0, 5], [[1, 0, 0]]))
+        assert projector(q, AffineFlat([0, 1, 0], [[1, 0, 0]]))
+
+    def test_refuses_a_centre_sharing_a_direction_with_the_screen(self):
+        # disjoint, but the lifted spans share (0, 0, 1, 0)
+        q = AffineFlat([0, 0, 0], [[0, 0, 1]])
+        with pytest.raises(ValueError, match="centre and screen are not complementary"):
+            projector(q, AffineFlat([0, 1, 0], [[0, 0, 1]]))
+
+
+class TestAffineFlatRefusals:
+    def test_direction_length_mismatch(self):
+        with pytest.raises(ValueError, match="direction length mismatch"):
+            AffineFlat([0, 0], [[0, 1], [1, 0, 0]])
+
+    def test_dependent_directions(self):
+        with pytest.raises(ValueError, match="directions are linearly dependent"):
+            AffineFlat([0, 0, 0], [[1, 2, 0], [2, 4, 0]])

@@ -15,6 +15,7 @@ from flatbeck.project import (
     ChartFrame,
     HyperplaneCoords,
     NonGenericConfiguration,
+    NonGenericScreen,
     ParallelRay,
     PsiContext,
     chart_project,
@@ -24,6 +25,7 @@ from flatbeck.project import (
     irreducible_projection_check,
     join_meet,
     lift_hyperplane,
+    make_psi_context,
     projected_nc_report,
     psi_matrix,
     psi_point_map,
@@ -77,12 +79,101 @@ class TestJoinMeet:
         with pytest.raises(ValueError):
             join_meet(q, z, (0, 0, 1))
 
+    @pytest.mark.parametrize(
+        "screen",
+        [
+            AffineFlat([0, Fraction(1, 16), 5], [[1, 0, 0]]),  # meets the center
+            AffineFlat([0, Fraction(-3, 4), 0], [[0, 0, 1]]),  # shares its direction
+        ],
+        ids=["meets", "shares-direction"],
+    )
+    def test_non_complementary_pair_is_an_input_error(self, screen):
+        """Refused as a ValueError, never NonGenericScreen, so no such pair
+        reads as a parallel ray or an exceptional center."""
+        q = AffineFlat([Fraction(1, 16), Fraction(1, 16), 0], [[0, 0, 1]])
+        for call in (
+            lambda: join_meet(q, screen, (1, 0, 0)),
+            lambda: flat_radial_image((1, 0, 0), q, screen),
+        ):
+            with pytest.raises(ValueError, match="centre and screen are not complementary") as info:
+                call()
+            assert not isinstance(info.value, NonGenericScreen)
+
 
 def q3_chart():
     host = AffineFlat.full_space(3)
     screen = AffineFlat([0, 0, 0], [[1, 0, 0]])  # u axis
     center = AffineFlat([0, 1, 0], [[0, 0, 1]])  # t = 1 fiber base with w dirs
     return ChartFrame(host, screen, center)
+
+
+PLANE = AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
+
+
+def line_through(base, direction):
+    return AffineFlat(base, [direction])
+
+
+class TestMakePsiContextRefusals:
+    """Each refusal of make_psi_context, on a hand-built configuration that
+    passes every check before it: PLANE is z = 0 in Q^3, and in Q^4
+    the flats are spanned by unit vectors."""
+
+    E = [[int(i == j) for j in range(4)] for i in range(4)]
+    CASES = {
+        "first flat too small": (
+            [line_through([0, 0, 0], [1, 0, 0]), line_through([0, 0, 1], [0, 1, 0])], {}, ValueError,
+            r"first flat must have dimension at least p \+ 1",
+        ),
+        "fixed atom count": (
+            [PLANE, line_through([0, 0, 1], [1, 0, 0]), line_through([1, 1, 0], [0, 0, 1])], {}, ValueError,
+            "need exactly dim F_1 - p fixed atoms on the first flat",
+        ),
+        "dependent first-flat atoms": (
+            [AffineFlat([0] * 4, E[:3]), AffineFlat([0, 0, 0, 1], E[:1]), AffineFlat([1, 1, 0, 1], E[3:])],
+            {(0, 1): (0, 0, 0, 0), (0, 2): (0, 0, 0, 0)}, NonGenericConfiguration,
+            "fixed first-flat atoms are affinely dependent",
+        ),
+        "fixed atoms span": (
+            [PLANE, line_through([0, 0, 1], [1, 0, 0]), line_through([1, 1, 0], [0, 0, 1])],
+            {(0, 1): (0, 0, 0), (1, 0): (0, 0, 0)}, NonGenericConfiguration,
+            "fixed atoms span the wrong dimension",
+        ),
+        "joint flat": (
+            [PLANE, line_through([0, 0, 1], [1, 0, 0]), line_through([1, 1, 0], [0, 0, 1])],
+            {(0, 1): (0, 0, 0), (1, 0): (1, 0, 0)}, NonGenericConfiguration,
+            "joint flat has unexpected dimension",
+        ),
+        "target section": (
+            [AffineFlat([0] * 4, E[:2]), AffineFlat([0, 0, 1, 0], E[3:]), AffineFlat([0] * 4, [E[0], E[2]])],
+            {(0, 1): (0, 0, 0, 0), (1, 0): (0, 0, 1, 0)}, NonGenericConfiguration,
+            "target section is not a p-flat",
+        ),
+        "rank certificate": (
+            [AffineFlat([0] * 4, E[:2]), AffineFlat([0, 0, 1, 0], E[3:]), AffineFlat([0] * 4, E[:1])],
+            {(0, 1): (0, 0, 0, 0), (1, 0): (0, 0, 1, 0)}, NonGenericConfiguration,
+            "rank certificate failed",
+        ),
+        "screen kernel": (
+            [PLANE, line_through([0, 0, 1], [1, 0, 0]), line_through([1, 1, 0], [0, 0, 1])],
+            {(0, 1): (0, 0, 0), (1, 0): (0, 0, 1)}, NonGenericConfiguration,
+            "aligned screen kernel too small",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_refusal(self, name):
+        flats, fixed, error, message = self.CASES[name]
+        with pytest.raises(error, match=message):
+            make_psi_context(flats, fixed, 1, random.Random(1))
+
+    def test_no_screen_within_the_tries(self):
+        flats = [PLANE, line_through([0, 0, 1], [1, 0, 0]), line_through([1, 1, 0], [1, 0, 1])]
+        fixed = {(0, 1): (0, 0, 0), (1, 0): (0, 0, 1)}
+        with pytest.raises(NonGenericConfiguration, match="failed to build an aligned screen"):
+            make_psi_context(flats, fixed, 1, random.Random(1), max_tries=0)
+        ctx = make_psi_context(flats, fixed, 1, random.Random(1))
+        assert ctx.q1 == flats[2]
 
 
 class TestChartProject:

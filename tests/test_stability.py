@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from flatbeck import stability
 from flatbeck.cli import parse_scene
 from flatbeck.exactlin import BudgetExceeded, int_rref, norm2
-from flatbeck.flats import AffineFlat
+from flatbeck.flats import AffineFlat, NonGenericScreen
 from flatbeck.genscenes import random_minimal_frame
 from flatbeck.measures import DiscreteMeasure, PlateMassOracle
 from flatbeck.stability import (
@@ -554,20 +554,26 @@ class TestMinimalRankTable:
         assert len(calls) == len(set(calls)) == 64
 
 
+def three_lines_and_screen():
+    """A seeded frame of three lines in Q^3 and a generic plane screen
+    transversal to its first picked atom."""
+    rng = random.Random(31)
+    frame, cert = random_minimal_frame(rng, 3, (1, 1, 1), atoms_per_measure=2)
+    from flatbeck.genscenes import random_flat
+    from flatbeck.flats import meet, join
+
+    for _ in range(50):
+        u = random_flat(rng, 3, 2)
+        first = frame.measures[0][0].atoms[0][0]
+        center = AffineFlat.point(first)
+        if meet(u, center) is None and join([u, center]).dim == 3:
+            break
+    return frame, u
+
+
 class TestProjectedStability:
     def test_three_lines_project_to_certified_pair(self):
-        rng = random.Random(31)
-        frame, cert = random_minimal_frame(rng, 3, (1, 1, 1), atoms_per_measure=2)
-        # screen: a generic 2-flat transversal to the first picked atom
-        from flatbeck.genscenes import random_flat
-        from flatbeck.flats import meet, join
-
-        for _ in range(50):
-            u = random_flat(rng, 3, 2)
-            first = frame.measures[0][0].atoms[0][0]
-            center = AffineFlat.point(first)
-            if meet(u, center) is None and join([u, center]).dim == 3:
-                break
+        frame, u = three_lines_and_screen()
         report = projected_stability_check(frame, [(0, 0)], u)
         assert report.ok, report.witness
         assert report.sin2_theta > 0
@@ -587,3 +593,52 @@ class TestProjectedStability:
         u = AffineFlat([0, Fraction(1, 3)], [[1, 1]])
         with pytest.raises(ValueError):
             projected_stability_check(frame, [], u)
+
+    def test_screen_through_the_center_rejected(self):
+        # a line, the right dimension, through the center atom (1/4, 0)
+        u = AffineFlat([Fraction(1, 4), 0], [[1, 1]])
+        with pytest.raises(ValueError, match="centre and screen are not complementary"):
+            projected_stability_check(transversal_lines_grid_frame(), [(0, 0)], u)
+
+    def test_atom_on_a_parallel_ray_rejected(self):
+        # the ray from (1/4, 0) through the atom (0, 1/4) runs along the screen
+        u = AffineFlat([0, -1], [[-1, 1]])
+        with pytest.raises(NonGenericScreen, match="join does not meet the screen in a point"):
+            projected_stability_check(transversal_lines_grid_frame(), [(0, 0)], u)
+
+    def test_images_outside_the_unit_ball_rescaled(self):
+        # from (1/4, 0), the atom (0, t) lands at x = 1/4 + 1/(4t) on y = -1,
+        # chart coordinate 16 x, up to 20: halved five times, to 20/32
+        u = AffineFlat([0, -1], [[Fraction(1, 16), 0]])
+        report = projected_stability_check(transversal_lines_grid_frame(), [(0, 0)], u)
+        assert report.ok, report.witness
+        [[mu]] = report.image_frame.measures
+        ts = [Fraction(8 + i, 32) for i in range(3)]
+        assert [p for p, _ in mu.atoms] == [(16 * (Fraction(1, 4) + 1 / (4 * t)) / 32,) for t in ts]
+
+    def test_rescaled_image_frame_matches_the_unscaled_one(self):
+        """Screen directions 4 times shorter put every chart image 4 times
+        further out, past the unit ball; halving twice gives back the frame
+        of the longer directions, flats and atoms alike."""
+        frame, u = three_lines_and_screen()
+        near, far = (
+            projected_stability_check(
+                frame, [(0, 0)], AffineFlat(u.basepoint, [[x / s for x in d] for d in u.directions])
+            ).image_frame
+            for s in (4, 16)
+        )
+        assert max(norm2(p) for row in near.measures for mu in row for p, _ in mu.atoms) * 16 > 1
+        assert [(f, f.basepoint) for f in far.flats] == [(f, f.basepoint) for f in near.flats]
+        assert [[mu.atoms for mu in row] for row in far.measures] == [[mu.atoms for mu in row] for row in near.measures]
+
+    def test_image_frame_refusal_reported(self, monkeypatch):
+        """The image frame is built from the projected atoms; a refusal of
+        StableFrame is a failing report that carries its message."""
+        frame = transversal_lines_grid_frame()
+
+        def refuse(flats, measures):
+            raise ValueError("image frame refused")
+
+        monkeypatch.setattr(stability, "StableFrame", refuse)
+        report = projected_stability_check(frame, [(0, 0)], AffineFlat([0, -1], [[1, 0]]))
+        assert (report.ok, report.image_frame, report.witness) == (False, None, "image frame refused")
