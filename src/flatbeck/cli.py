@@ -452,6 +452,8 @@ def cmd_thin_prune(scene: Scene, args, rep: Reporter) -> None:
 def cmd_project(scene: Scene, args, rep: Reporter) -> None:
     rng = random.Random(args.seed)
     if args.check == "nc":
+        if args.centers < 1:
+            raise SceneError(f"--centers {args.centers}: expected at least 1")
         flats = _resolve(scene.flats, "flat", args.flats.split(",") if args.flats else None, "--flats")
         coll = FlatCollection(flats)
         n = scene.ambient_dim
@@ -488,7 +490,7 @@ def cmd_project(scene: Scene, args, rep: Reporter) -> None:
         )
         w = scene.param_rat("w", "1/16")
         tau = scene.param_rat("tau", "1/2")
-        eps = scene.param_rat("eps", None) or w
+        eps = scene.param_rat("eps", w)
         out = irreducible_projection_check(mu, v, q, u, w, tau, eps)
         rep.info("input_modulus", out.input_modulus)
         rep.info("output_modulus", out.output_modulus)

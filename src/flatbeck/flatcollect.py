@@ -3,8 +3,9 @@ non-concentration (NC) predicate and minimal-subfamily search.
 
 The cost of a collection is the minimum over set partitions of the index set
 of the summed dimensions of the blockwise joins.  Enumeration is exact and
-capped (Bell numbers grow fast); block join dimensions are memoized per
-index subset so the partition sweep only adds cached integers.
+capped (Bell numbers grow fast); block joins are memoized per index subset,
+so the partition sweep joins each subset once and then adds cached
+dimensions.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class FlatCollection:
             self.ambient_dim = None
         self.flats = flats
         self.cap = cap
-        self._subset_dims: dict[frozenset[int], int] = {}
+        self._subset_joins: dict[frozenset[int], AffineFlat] = {}
         self._cost: Optional[int] = None
         self._minimizers: Optional[list[Partition]] = None
 
@@ -101,15 +102,18 @@ class FlatCollection:
     def extended(self, flat: AffineFlat) -> "FlatCollection":
         return FlatCollection(self.flats + [flat], cap=self.cap)
 
-    def subset_join_dim(self, idx: Sequence[int]) -> int:
+    def subset_join(self, idx: Sequence[int]) -> AffineFlat:
+        """The join of the flats at the indices, built once per index subset."""
         key = frozenset(idx)
         if not key:
             raise ValueError("empty index subset")
-        got = self._subset_dims.get(key)
+        got = self._subset_joins.get(key)
         if got is None:
-            got = join([self.flats[i] for i in key]).dim
-            self._subset_dims[key] = got
+            got = self._subset_joins[key] = join([self.flats[i] for i in key])
         return got
+
+    def subset_join_dim(self, idx: Sequence[int]) -> int:
+        return self.subset_join(idx).dim
 
     def cost_of_partition(self, p: Sequence[Sequence[int]]) -> int:
         norm = normalize_partition(p, len(self.flats))

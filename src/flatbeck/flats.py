@@ -13,7 +13,8 @@ stays inside Q.
 
 projector is the one radial projection x -> aff(x, Q) meet U: one integer
 matrix for a centre Q and a screen U whose lifted spans are complementary,
-applied to every point and flat (radial_point, radial_flat).
+built once per pair by its callers and applied to every point and flat
+(radial_point, radial_flat).
 
 _dist2_form is the one squared distance: an integer quadratic form M over
 one integer g for the span of independent integer rows, read by
@@ -26,7 +27,8 @@ The enumerator walks pencils of flats (see _pencils) and builds no
 elimination per subset; one walk, in preorder, serves every dimension up to
 its depth.  Enumerated flats keep their picks, joins and meets their rows:
 their Fraction directions are derived only when read.
-FlatChart reads chart coordinates off one int_rref per chart.
+FlatChart reads chart coordinates off one int_rref per chart and tests an
+offset against the flat's own kernel forms.
 _plane_rows is the cofactor-normal kernel: the matrix taking a lifted point
 to the normal of its hyperplane with n - 1 given ones.  _normals runs it
 over thin-graph tuples and over the point subsets whose general position
@@ -399,8 +401,8 @@ class FlatChart:
     of [D | I] gives the rows [R | C] with R = C D: R are the primitive RREF
     rows of D, pivot k_i in column c_i.  An offset r of the direction space
     is sum_i (r[c_i] / k_i) R_i, so its coordinates are
-    den sum_i (r[c_i] / k_i) C_i; an offset off it has a nonzero residual
-    (see _residual).
+    den sum_i (r[c_i] / k_i) C_i; an offset off it lifts to (r, 0) outside
+    the flat's lifted span (AffineFlat._spans).
     """
 
     def __init__(self, f: AffineFlat):
@@ -409,7 +411,6 @@ class FlatChart:
         dirs, self._den = _integerized_points(f.directions)
         eye = [tuple(int(i == j) for j in range(k)) for i in range(k)]
         self._pivots, rows = int_rref([d + e for d, e in zip(dirs, eye)])
-        self._off = _residual([r[:n] for r in rows], n)[2]
         self._scale = math.lcm(*(r[c] for r, c in zip(rows, self._pivots)))
         # coordinate j of r / d is den sum_i r[c_i] inverse[j][i] / (scale d)
         scaled = [[self._scale // r[c] * x for x in r[n:]] for r, c in zip(rows, self._pivots)]
@@ -420,7 +421,7 @@ class FlatChart:
         """Coordinates of the offset v in the basis f.directions, or a
         ValueError with the message error when v leaves their span."""
         (r,), den = _integerized_points([vec(v)])
-        if any(sum(map(mul, a, r)) for a in self._off):
+        if not self.flat._spans(r + (0,)):
             raise ValueError(error)
         at = [r[c] for c in self._pivots]
         return tuple(

@@ -1,5 +1,6 @@
-"""Radial and join-meet projections, the hyperplane chart on a flat, and the
-hyperplane map psi with its affine matrix form.
+"""Pushforwards of measures, the hyperplane chart on a flat, the hyperplane
+map psi with its affine matrix form, and NC preservation and
+irreducibility under radial projection.
 
 psi sends a hyperplane W of the screen U inside the first flat to the meet
 of aff(E, H_W) with the last flat, where H_W is the unique hyperplane of the
@@ -11,14 +12,18 @@ make), checks the alignment certificate exactly, and psi_matrix then
 recovers the exact (M, y0) parameter map and verifies it by substitution.
 Every rank and kernel here runs on exactlin's integer rows.
 
-Every radial image of a point or flat reads flats.projector, which refuses
-a centre and screen that are not complementary with a ValueError, never
-NonGenericScreen.  hyperplane_map_psi alone joins and meets: it is
+Each centre-screen pair gets one flats.projector, and every radial image of
+a point or flat is read off it (flats.radial_point, flats.radial_flat): a
+PsiContext holds the projector of (E, F_k), projected_nc_report builds one
+per centre and irreducible_projection_check one per call.  projector
+refuses a centre and screen that are not complementary with a ValueError,
+never NonGenericScreen.  hyperplane_map_psi alone joins and meets: it is
 psi_matrix's independent substitution check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,37 +58,6 @@ from .flatcollect import FlatCollection, iter_partitions
 from .measures import DiscreteMeasure, irreducibility_modulus
 
 
-class ParallelRay(ValueError):
-    pass
-
-
-def radial_to_hyperplane(x: Sequence, h: AffineFlat, y: Sequence) -> Vector:
-    """Unique intersection of the line through x and y with the hyperplane
-    screen h; errors when x lies on h, y = x or the ray is parallel to h."""
-    if h.dim != h.ambient_dim - 1:
-        raise ValueError("screen must be a hyperplane")
-    try:
-        return radial_point(projector(AffineFlat.point(x), h), y)
-    except NonGenericScreen:
-        raise ParallelRay("ray parallel to the screen") from None
-
-
-def join_meet(q: AffineFlat, z: AffineFlat, v: Sequence) -> Vector:
-    """aff(v, q) meet z, required to be a single point."""
-    return radial_point(projector(q, z), v)
-
-
-def flat_radial_image(x: Sequence, v: AffineFlat, screen: AffineFlat) -> AffineFlat:
-    """Image flat of v under radial projection from the point x onto the
-    screen: meet(join(x, v), screen).  Has dim v when x is off v and
-    dim v - 1 when x lies on v (for screens generic to the configuration).
-    """
-    got = radial_flat(projector(AffineFlat.point(x), screen), v)
-    if got is None:
-        raise NonGenericScreen("projected flat misses the screen")
-    return got
-
-
 def pushforward(mu: DiscreteMeasure, point_map: Callable[[Vector], Sequence]) -> DiscreteMeasure:
     """Map atoms, keep weights, merge coincident images by weight addition."""
     merged: dict[Vector, Fraction] = {}
@@ -111,30 +85,23 @@ class HyperplaneCoords:
             raise ValueError("zero normal")
 
 
-class ChartFrame:
+class ChartFrame(FlatChart):
     """(u, t, w) affine chart on a host flat F with screen U = {(u,0,0)} and
-    center C = {(0,1,w)}."""
+    center C = {(0,1,w)}: the FlatChart of the flat through U's basepoint
+    with U's directions, C's basepoint minus U's and C's directions.  Those
+    lie in F and are independent (AffineFlat refuses them otherwise), so
+    as many of them as dim F span F itself."""
 
     def __init__(self, host: AffineFlat, screen: AffineFlat, center: AffineFlat):
         if not (host.contains_flat(screen) and host.contains_flat(center)):
             raise ValueError("screen and center must lie inside the host flat")
-        self.host = host
-        self.screen = screen
-        self.center = center
-        self.p = screen.dim
-        t_dir = vsub(center.basepoint, screen.basepoint)
-        cols = list(screen.directions) + [t_dir] + list(center.directions)
-        if len(int_rref(_integerized_rows(cols))[0]) != host.dim or len(cols) != host.dim:
+        cols = list(screen.directions) + [vsub(center.basepoint, screen.basepoint)] + list(center.directions)
+        if len(cols) != host.dim:
             raise ValueError("screen, transverse direction and center do not frame the host")
-        self._chart = FlatChart(AffineFlat(screen.basepoint, cols))
-        if self._chart.flat != host:
-            raise ValueError("chart does not span the host flat")
+        super().__init__(AffineFlat(screen.basepoint, cols))
+        self.host, self.screen, self.center, self.p = host, screen, center, screen.dim
 
-    def to_chart(self, ambient_point: Sequence) -> Vector:
-        return self._chart.to_coords(ambient_point)
-
-    def to_ambient(self, coords: Sequence) -> Vector:
-        return self._chart.to_ambient(coords)
+    to_chart = FlatChart.to_coords
 
     def split(self, coords: Vector) -> tuple[Vector, Fraction, Vector]:
         u = coords[: self.p]
@@ -159,7 +126,7 @@ def lift_hyperplane(cf: ChartFrame, hc: HyperplaneCoords) -> AffineFlat:
     n1 = cf.host.dim
     row = hc.a + (hc.b,) + (Fraction(0),) * (n1 - cf.p - 1)
     base = [int(i == cf.p) for i in range(n1)]  # the chart point (0, 1, 0) always solves
-    return cf._chart.flat_to_ambient(AffineFlat(base, int_kernel(_integerized_rows([row]), n1)))
+    return cf.flat_to_ambient(AffineFlat(base, int_kernel(_integerized_rows([row]), n1)))
 
 
 @dataclass
@@ -184,6 +151,11 @@ class PsiContext:
     def fk(self) -> AffineFlat:
         return self.flats[-1]
 
+    @functools.cached_property
+    def projector(self) -> list[list[int]]:
+        """The projector of (E, F_k), which the point map reads."""
+        return projector(self.e_flat, self.fk)
+
 
 class NonGenericConfiguration(ValueError):
     pass
@@ -203,7 +175,9 @@ def make_psi_context(
     The screen direction is drawn inside the kernel subspace
     span(dir Q1, dir E) meet dir F_1, which is what makes psi exactly affine
     rather than merely projective; the alignment certificate
-    span(dir U, dir E) = span(dir Q1, dir E) is re-checked exactly.
+    span(dir U, dir E) = span(dir Q1, dir E) is re-checked exactly.  E and
+    F_k must be complementary, checked once before any screen is drawn; then
+    an aligned screen misses E and its point map sends no point to infinity.
     """
     flats = list(flats)
     k = len(flats)
@@ -240,6 +214,13 @@ def make_psi_context(
     kernel = _reduced(_span_meet(kernels, n))
     if len(kernel) < p:
         raise NonGenericConfiguration("aligned screen kernel too small")
+    ctx = PsiContext(
+        flats=flats, p=p, e_flat=e_flat, j_flat=j_flat, q1=q1, chart=None, q1_chart=FlatChart(q1), fixed_atoms=fixed
+    )
+    try:
+        ctx.projector
+    except ValueError:
+        raise NonGenericConfiguration("fixed atom span and last flat are not complementary") from None
     kd = len(kernel)
     for _ in range(max_tries):
         coeff_rows = [
@@ -253,30 +234,11 @@ def make_psi_context(
         u0 = FlatChart(f1).to_ambient(base_offsets)
         try:
             screen = AffineFlat(u0, dirs)
-            cf = ChartFrame(f1, screen, center)
+            ctx.chart = ChartFrame(f1, screen, center)
         except ValueError:
             continue
-        lhs = int_rref(_integerized_rows(screen.directions + e_flat.directions))
-        if lhs != int_rref(aligned):
-            continue
-        ctx = PsiContext(
-            flats=flats,
-            p=p,
-            e_flat=e_flat,
-            j_flat=j_flat,
-            q1=q1,
-            chart=cf,
-            q1_chart=FlatChart(q1),
-            fixed_atoms=fixed,
-        )
-        try:
-            psi_point_map(ctx, zero_vec(p))
-            for i in range(p):
-                probe = [Fraction(1 if t == i else 0) for t in range(p)]
-                psi_point_map(ctx, probe)
-        except ValueError:
-            continue
-        return ctx
+        if int_rref(_integerized_rows(screen.directions + e_flat.directions)) == int_rref(aligned):
+            return ctx
     raise NonGenericConfiguration("failed to build an aligned screen")
 
 
@@ -298,8 +260,7 @@ def psi_point_map(ctx: PsiContext, u_coords: Sequence) -> Vector:
     """The underlying point map: the screen point with chart coordinate u is
     joined with E and intersected with F_k."""
     coords = tuple(vec(u_coords)) + (Fraction(0),) * (ctx.f1.dim - ctx.p)
-    x = ctx.chart.to_ambient(coords)
-    return join_meet(ctx.e_flat, ctx.fk, x)
+    return radial_point(ctx.projector, ctx.chart.to_ambient(coords))
 
 
 @dataclass
@@ -372,7 +333,7 @@ def exceptional_center_certificate(
         total = 0
         members = []
         for block in part:
-            joined = join([coll.flats[i] for i in block])
+            joined = coll.subset_join(block)
             on_it = joined.contains_point(center)
             total += joined.dim - (1 if on_it else 0)
             if on_it:
@@ -399,11 +360,12 @@ def projected_nc_report(
     out = []
     for c in centers:
         c = vec(c)
-        try:
-            nc = FlatCollection([chart.flat_to_coords(flat_radial_image(c, f, screen)) for f in coll.flats]).is_nc()
-        except NonGenericScreen as e:
-            out.append(CenterProjectionOutcome(c, False, True, witness=f"degenerate: {e}"))
+        proj = projector(AffineFlat.point(c), screen)
+        images = [radial_flat(proj, f) for f in coll.flats]
+        if None in images:
+            out.append(CenterProjectionOutcome(c, False, True, witness="degenerate: projected flat misses the screen"))
             continue
+        nc = FlatCollection([chart.flat_to_coords(g) for g in images]).is_nc()
         cert = None if nc else exceptional_center_certificate(coll, c)
         out.append(CenterProjectionOutcome(c, nc, cert is not None, witness=cert))
     return out

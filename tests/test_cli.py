@@ -125,6 +125,13 @@ class TestExitCodes:
         argv = ["project", "--scene", path, "--check", "nc", "--centers", "2", "--seed", "13"]
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_BUDGET
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_center_is_an_input_error(self, tmp_path, capsys, count):
+        """A count below 1 tests nothing, so it is refused, not passed."""
+        argv = ["project", "--scene", str(SCENES / "project-nc-lines.json"), "--centers", count]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: --centers {count}: expected at least 1\n"
+
 
 class TestMalformedParams:
     """Malformed seeds and scale windows are input errors (exit 2) or run as
@@ -684,7 +691,7 @@ class TestProjectIrreducibleCommand:
 
     SCREEN = {"basepoint": ["0", "-3/4", "0"], "directions": [["1", "0", "0"]]}
 
-    def run(self, tmp_path, measure, screen=SCREEN, scene=None, out=None):
+    def run(self, tmp_path, measure, screen=SCREEN, scene=None, out=None, eps="1/8"):
         body = {
             "ambient_dim": 3,
             "flats": {
@@ -693,7 +700,7 @@ class TestProjectIrreducibleCommand:
                 "u": screen,
             },
             "measures": {"m": measure},
-            "params": {"w": "1/8", "tau": "2/5", "eps": "1/8"},
+            "params": {"w": "1/8", "tau": "2/5", "eps": eps},
         }
         path = write_scene(tmp_path, body)
         return main(
@@ -720,6 +727,12 @@ class TestProjectIrreducibleCommand:
         golden = GOLDEN / "project-irreducible"
         got = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
         assert got == {p.name: p.read_bytes() for p in golden.iterdir()}
+
+    def test_zero_eps_trims_nothing(self, tmp_path):
+        """eps = 0 is read as given, not as w: no atom is trimmed."""
+        code = self.run(tmp_path, {"uniform_on": self.GRID, "resolution": "1/1024"}, eps="0")
+        assert code == EXIT_PASS
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["kept_mass"] == "1"
 
     @pytest.mark.parametrize(
         "screen",

@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatbeck import project
-from flatbeck.cli import EXIT_INPUT, main
-from flatbeck.flats import AffineFlat, FlatChart, join
+from flatbeck import flatcollect, project
+from flatbeck.cli import EXIT_INPUT, EXIT_PASS, main
+from flatbeck.flats import AffineFlat, FlatChart, join, projector, radial_flat, radial_point
 from flatbeck.flatcollect import FlatCollection, PartitionSpaceTooLarge, bell_number
 from flatbeck.genscenes import nc_line_collection, psi_scene
 from flatbeck.measures import DiscreteMeasure, PlateMassOracle
@@ -16,21 +16,17 @@ from flatbeck.project import (
     HyperplaneCoords,
     NonGenericConfiguration,
     NonGenericScreen,
-    ParallelRay,
     PsiContext,
     chart_project,
     exceptional_center_certificate,
-    flat_radial_image,
     hyperplane_map_psi,
     irreducible_projection_check,
-    join_meet,
     lift_hyperplane,
     make_psi_context,
     projected_nc_report,
     psi_matrix,
     psi_point_map,
     pushforward,
-    radial_to_hyperplane,
     rational_sqrt_lower,
 )
 from fraction_reference import reference_psi
@@ -39,36 +35,58 @@ RES = Fraction(1, 1024)
 X_AXIS = AffineFlat([0, 0], [[1, 0]])
 
 
+def from_point(x, screen=X_AXIS):
+    """The projector from the point x onto the screen."""
+    return projector(AffineFlat.point(x), screen)
+
+
+def count_projectors(monkeypatch) -> list:
+    """The (centre, screen) of each projector that project builds from now on."""
+    built = []
+
+    def counting(q, u):
+        built.append((q, u))
+        return projector(q, u)
+
+    monkeypatch.setattr(project, "projector", counting)
+    return built
+
+
 class TestRadialToHyperplane:
+    """Radial projection from a point onto a hyperplane: radial_point of its
+    projector."""
+
     def test_vertical_ray(self):
-        assert radial_to_hyperplane((0, 2), X_AXIS, (0, 1)) == (0, 0)
+        assert radial_point(from_point((0, 2)), (0, 1)) == (0, 0)
 
     def test_screen_point_fixed(self):
-        assert radial_to_hyperplane((0, 2), X_AXIS, (Fraction(1, 3), 0)) == (
+        assert radial_point(from_point((0, 2)), (Fraction(1, 3), 0)) == (
             Fraction(1, 3),
             0,
         )
 
     def test_parallel_ray(self):
-        with pytest.raises(ParallelRay):
-            radial_to_hyperplane((0, 1), X_AXIS, (1, 1))
+        with pytest.raises(NonGenericScreen):
+            radial_point(from_point((0, 1)), (1, 1))
 
     def test_center_on_screen_rejected(self):
-        with pytest.raises(ValueError):
-            radial_to_hyperplane((1, 0), X_AXIS, (0, 1))
+        with pytest.raises(ValueError, match="centre and screen are not complementary"):
+            from_point((1, 0))
 
 
 class TestJoinMeet:
+    """aff(v, q) meet z for a centre flat q: radial_point of the projector
+    of (q, z)."""
+
     def test_point_center_matches_radial(self):
-        center = AffineFlat.point([0, 2])
-        got = join_meet(center, X_AXIS, (0, 1))
-        assert got == radial_to_hyperplane((0, 2), X_AXIS, (0, 1))
+        got = radial_point(projector(AffineFlat.point([0, 2]), X_AXIS), (1, 1))
+        assert got == (2, 0)
 
     def test_line_center_in_q3(self):
         q = AffineFlat([0, 0, 1], [[1, 0, 0]])
         z = AffineFlat([0, 0, 0], [[0, 1, 0]])
         v = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-        y = join_meet(q, z, v)
+        y = radial_point(projector(q, z), v)
         # the image lies on the screen and on the join of v and q
         assert z.contains_point(y)
         assert join([AffineFlat.point(v), q]).contains_point(y)
@@ -77,7 +95,7 @@ class TestJoinMeet:
         q = AffineFlat([0, 0, 1], [[1, 0, 0]])
         z = AffineFlat([0, 0, 0], [[0, 1, 0]])
         with pytest.raises(ValueError):
-            join_meet(q, z, (0, 0, 1))
+            radial_point(projector(q, z), (0, 0, 1))
 
     @pytest.mark.parametrize(
         "screen",
@@ -91,13 +109,9 @@ class TestJoinMeet:
         """Refused as a ValueError, never NonGenericScreen, so no such pair
         reads as a parallel ray or an exceptional center."""
         q = AffineFlat([Fraction(1, 16), Fraction(1, 16), 0], [[0, 0, 1]])
-        for call in (
-            lambda: join_meet(q, screen, (1, 0, 0)),
-            lambda: flat_radial_image((1, 0, 0), q, screen),
-        ):
-            with pytest.raises(ValueError, match="centre and screen are not complementary") as info:
-                call()
-            assert not isinstance(info.value, NonGenericScreen)
+        with pytest.raises(ValueError, match="centre and screen are not complementary") as info:
+            projector(q, screen)
+        assert not isinstance(info.value, NonGenericScreen)
 
 
 def q3_chart():
@@ -159,13 +173,23 @@ class TestMakePsiContextRefusals:
             {(0, 1): (0, 0, 0), (1, 0): (0, 0, 1)}, NonGenericConfiguration,
             "aligned screen kernel too small",
         ),
+        # E, the z axis, meets the last flat at (0, 0, 2)
+        "complementary pair": (
+            [PLANE, line_through([0, 0, 1], [1, 0, 0]), line_through([0, 0, 2], [1, 1, 0])],
+            {(0, 1): (0, 0, 0), (1, 0): (0, 0, 1)}, NonGenericConfiguration,
+            "fixed atom span and last flat are not complementary",
+        ),
     }
 
     @pytest.mark.parametrize("name", CASES)
     def test_refusal(self, name):
+        """Each refusal comes before the first screen is drawn."""
         flats, fixed, error, message = self.CASES[name]
+        rng = random.Random(1)
+        state = rng.getstate()
         with pytest.raises(error, match=message):
-            make_psi_context(flats, fixed, 1, random.Random(1))
+            make_psi_context(flats, fixed, 1, rng)
+        assert rng.getstate() == state
 
     def test_no_screen_within_the_tries(self):
         flats = [PLANE, line_through([0, 0, 1], [1, 0, 0]), line_through([1, 1, 0], [1, 0, 1])]
@@ -174,6 +198,46 @@ class TestMakePsiContextRefusals:
             make_psi_context(flats, fixed, 1, random.Random(1), max_tries=0)
         ctx = make_psi_context(flats, fixed, 1, random.Random(1))
         assert ctx.q1 == flats[2]
+
+    def test_one_projector_per_context(self, monkeypatch):
+        """The projector of (E, F_k) is built once, before the screens are
+        drawn, and psi_matrix reads the context's own."""
+        flats = [PLANE, line_through([0, 0, 1], [1, 0, 0]), line_through([1, 1, 0], [1, 0, 1])]
+        built = count_projectors(monkeypatch)
+        ctx = make_psi_context(flats, {(0, 1): (0, 0, 0), (1, 0): (0, 0, 1)}, 1, random.Random(1))
+        assert built == [(ctx.e_flat, ctx.fk)]
+        psi_matrix(ctx, verify_samples=2, rng=random.Random(0))
+        assert len(built) == 1
+
+
+class TestChartFrame:
+    def test_is_the_chart_of_the_host(self, monkeypatch):
+        """The chart of screen, transverse direction and centre directions,
+        built with no elimination of its own."""
+
+        def refuse(*args):
+            raise AssertionError("ChartFrame ran int_rref")
+
+        monkeypatch.setattr(project, "int_rref", refuse)
+        cf = q3_chart()
+        assert cf.flat == cf.host
+        assert cf.to_chart((3, -1, 5)) == cf.to_coords((3, -1, 5)) == (3, -1, 5)
+
+    @pytest.mark.parametrize(
+        "screen, center, message",
+        [
+            (AffineFlat([0, 0, 1], [[1, 0, 0]]), AffineFlat([0, 1, 0], [[0, 0, 1]]), "must lie inside the host flat"),
+            (AffineFlat.point([0, 0, 0]), AffineFlat.point([0, 1, 0]), "do not frame the host"),
+            (AffineFlat([0, 0, 0], [[1, 0, 0]]), AffineFlat.point([1, 0, 0]), "directions are linearly dependent"),
+        ],
+        ids=["outside", "too-few-columns", "dependent-columns"],
+    )
+    def test_refusals(self, screen, center, message):
+        """In the plane z = 0: a screen off it, a point screen and a point
+        centre that give one column of two, and a centre on the screen
+        line."""
+        with pytest.raises(ValueError, match=message):
+            ChartFrame(PLANE, screen, center)
 
 
 class TestChartProject:
@@ -207,7 +271,8 @@ class TestPushforward:
 
     def test_radial_map_preserves_mass(self):
         mu = DiscreteMeasure.uniform([(0, 1), (1, 1), (2, 1)], RES)
-        out = pushforward(mu, lambda p: radial_to_hyperplane((0, 2), X_AXIS, p))
+        proj = from_point((0, 2))
+        out = pushforward(mu, lambda p: radial_point(proj, p))
         assert out.total_mass == mu.total_mass
         assert len(out) <= 3
 
@@ -263,7 +328,7 @@ class TestPsi:
             u = chart_project(chart, coords)
             w = HyperplaneCoords((Fraction(1),), u[0])
             lhs = hyperplane_map_psi(ctx, w)
-            y = join_meet(ctx.e_flat, ctx.fk, x)
+            y = radial_point(projector(ctx.e_flat, ctx.fk), x)
             assert lhs == AffineFlat.point(y)
 
     def test_parameter_map_exact_p1(self):
@@ -359,6 +424,45 @@ class TestPsi:
         pm = psi_matrix(ctx, verify_samples=2, rng=rng)
         assert (pm.m, pm.y0) == (m, y0)
 
+    @pytest.mark.parametrize(
+        "screen, center, w, message",
+        [
+            # the centre (5, 5, 0) is off E, and H_W, the line through it
+            # and the origin, misses E: aff(E, H_W) is all of Q^3
+            (
+                AffineFlat([0, 0, 0], [[1, 0, 0]]), AffineFlat.point([5, 5, 0]), HyperplaneCoords((1,), 0),
+                "joined hyperplane has wrong dimension",
+            ),
+            # H_W is the line y = 1 of z = 0: aff(E, H_W), the plane y = 1,
+            # misses F_3
+            (
+                AffineFlat([0, 0, 0], [[1, 1, 0]]), AffineFlat.point([0, 1, 0]), HyperplaneCoords((1,), 1),
+                r"psi image is not a \(p-1\)-flat",
+            ),
+        ],
+        ids=["centre-off-E", "parallel-image"],
+    )
+    def test_chart_off_the_configuration_refused(self, screen, center, w, message):
+        ctx = self._identity_context()
+        ctx.chart = ChartFrame(ctx.f1, screen, center)
+        with pytest.raises(NonGenericConfiguration, match=message):
+            hyperplane_map_psi(ctx, w)
+
+    def test_image_off_the_target_section_refused(self):
+        """A context whose target section is not aff(E, F_1) meet F_3."""
+        ctx = self._identity_context()
+        ctx.q1 = AffineFlat([0, 1, 1], [[1, 0, 0]])
+        with pytest.raises(NonGenericConfiguration, match="psi image leaves the target section"):
+            hyperplane_map_psi(ctx, HyperplaneCoords((1,), 0))
+
+    def test_screen_through_e_gives_a_singular_matrix(self):
+        """The screen x = z = 0 crosses E at (0, 1, 0): its points 0 and
+        (0, 2, 0) both span with E the plane x = 0, one image point."""
+        ctx = self._identity_context()
+        ctx.chart = ChartFrame(ctx.f1, AffineFlat([0, 0, 0], [[0, 2, 0]]), AffineFlat.point([1, 0, 0]))
+        with pytest.raises(NonGenericConfiguration, match="singular parameter matrix"):
+            psi_matrix(ctx)
+
     def test_nonaligned_screen_rejected(self):
         # replacing the aligned screen with a generic one breaks the exact
         # affinity, which psi_matrix must detect rather than approximate
@@ -387,6 +491,14 @@ class TestProjectedNC:
         assert bad == []
         assert sum(1 for o in outcomes if o.nc) == len(centers)
 
+    def test_one_projector_per_center(self, monkeypatch, tmp_path):
+        """The README demo's 25 centres build 25 projectors, one for all
+        three lines of each."""
+        built = count_projectors(monkeypatch)
+        scene = Path(__file__).resolve().parent.parent / "scenes" / "project-nc-lines.json"
+        assert main(["project", "--scene", str(scene), "--centers", "25", "--out", str(tmp_path)]) == EXIT_PASS
+        assert len(built) == 25
+
     def test_exceptional_center_is_certified(self):
         # two crossing lines: their joint point is exceptional (projecting
         # from it collapses both lines through one point)
@@ -404,10 +516,10 @@ class TestProjectedNC:
         line = AffineFlat([0, 0, 1], [[1, 0, 1]])
         screen = AffineFlat([0, 0, -1], [[1, 0, 0], [0, 1, 0]])
         on_center = (Fraction(1, 2), 0, Fraction(3, 2))
-        img = flat_radial_image(on_center, line, screen)
+        img = radial_flat(from_point(on_center, screen), line)
         assert img.dim == 0  # center on the flat drops its dimension
         off_center = (0, 1, 0)
-        img2 = flat_radial_image(off_center, line, screen)
+        img2 = radial_flat(from_point(off_center, screen), line)
         assert img2.dim == 1
 
 
@@ -461,6 +573,21 @@ class TestProjectedNcCertificate:
     def test_generic_centre_has_no_certificate(self):
         centre = (Fraction(1, 3), Fraction(2, 7), Fraction(-1, 5))
         assert exceptional_center_certificate(FlatCollection(self.LINES), centre) is None
+
+    def test_one_join_per_index_subset(self, monkeypatch):
+        """The sweep over five skew lines visits Bell(6) - Bell(5) = 151
+        blocks, but joins each of the 31 index subsets once."""
+        joins = []
+
+        def counting(fs):
+            joins.append(len(fs))
+            return join(fs)
+
+        for module in (flatcollect, project):
+            monkeypatch.setattr(module, "join", counting)
+        centre = (Fraction(1, 3), Fraction(2, 7), Fraction(-1, 5))
+        assert exceptional_center_certificate(FlatCollection(skew_lines(5)), centre) is None
+        assert len(joins) == 31
 
 
 def plane_case():

@@ -642,3 +642,28 @@ class TestProjectedStability:
         monkeypatch.setattr(stability, "StableFrame", refuse)
         report = projected_stability_check(frame, [(0, 0)], AffineFlat([0, -1], [[1, 0]]))
         assert (report.ok, report.image_frame, report.witness) == (False, None, "image frame refused")
+
+    def test_flat_along_the_screen_projects_to_nothing(self):
+        """The x axis carries the centre atom (1/4, 0) and one more measure;
+        it is parallel to the screen y = -1, so its image is empty."""
+        frame = transversal_lines_grid_frame()
+        frame = StableFrame(frame.flats, [frame.measures[0] * 2, frame.measures[1]])
+        report = projected_stability_check(frame, [(0, 0)], AffineFlat([0, -1], [[1, 0]]))
+        assert (report.ok, report.image_frame, report.witness) == (False, None, "flat 0 projects to nothing")
+
+    def test_i0_covering_every_measure_rejected(self):
+        # the centre is the line x + y = 1/4, so the screen is a point
+        with pytest.raises(ValueError, match="i0 covers every measure; nothing to project"):
+            projected_stability_check(transversal_lines_grid_frame(), [(0, 0), (1, 0)], AffineFlat.point([1, 1]))
+
+    def test_failed_certification_reported(self):
+        """From (0, 0, 1/2) onto z = 0 the x and y axes and their atoms stay
+        put: the image is coincident_atoms_frame, whose rank drops at the
+        shared origin."""
+        half, origin = Fraction(1, 2), (0, 0, 0)
+        axes = [AffineFlat(origin, [[int(i == j) for j in range(3)]]) for i in range(3)]
+        atoms = [[(half, 0, 0), origin], [(0, half, 0), origin], [(0, 0, half)]]
+        frame = StableFrame(axes, [[DiscreteMeasure.uniform(a, RES)] for a in atoms])
+        report = projected_stability_check(frame, [(2, 0)], AffineFlat(origin, [[1, 0, 0], [0, 1, 0]]))
+        assert not report.ok and report.image_frame is not None
+        assert report.witness.startswith("rank not constant")
