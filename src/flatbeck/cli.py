@@ -289,7 +289,10 @@ class Reporter:
 
 def _budget(args) -> dict:
     """--budget as a keyword argument when given; left out, the called
-    function keeps its own default (beck 60 points, stability 200,000 picks)."""
+    function keeps its own default: 60 points for beck, and for stability
+    200,000 (index pair, pick) combinations, 2^k prod(1 + |supp mu|), for
+    certification and the minimal rank table and, with --stabilize,
+    (prod |supp mu| + 1) 2^(slots + k) rank evaluations."""
     return {} if args.budget is None else {"budget": args.budget}
 
 
@@ -356,7 +359,7 @@ def cmd_stability(scene: Scene, args, rep: Reporter) -> None:
     rep.info("certified_raw_floor", cert.raw_floor)
     rep.verdict("certified", cert.ok, witness=cert.witness, floor=cert.floor)
     if sum(frame.dims()) == frame.ambient_dim:
-        table, violations = minimal_rank_report(frame)
+        table, violations = minimal_rank_report(frame, **_budget(args))
         rep.info(
             "rank_table",
             {f"I={list(i)} J={list(j)}": r for (i, j), r in sorted(table.items())},

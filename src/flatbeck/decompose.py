@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactlin import frac
-from .flats import AffineFlat, join, spanned_flats
+from .flats import AffineFlat, spanned_flats
 from .flatcollect import FlatCollection, Partition
 from .measures import DiscreteMeasure, _oracle_modulus
 
@@ -85,7 +85,7 @@ def decompose(x: DiscreteMeasure, n: int, w, theta) -> DecompositionResult:
         partition = coll.lexicographically_least_minimizer()
         covered = 0
         for block in partition:
-            covered |= x.oracle.atoms_near_flat(join([flats[i] for i in block]), w2)
+            covered |= x.oracle.atoms_near_flat(coll.subset_join(block), w2)
         kept = [a for i, a in enumerate(x.atoms) if not covered >> i & 1]
         if not kept or sum(wt for _, wt in kept) == 0:
             raise NotDiscretelyNC(

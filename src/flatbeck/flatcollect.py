@@ -99,9 +99,6 @@ class FlatCollection:
     def __len__(self) -> int:
         return len(self.flats)
 
-    def extended(self, flat: AffineFlat) -> "FlatCollection":
-        return FlatCollection(self.flats + [flat], cap=self.cap)
-
     def subset_join(self, idx: Sequence[int]) -> AffineFlat:
         """The join of the flats at the indices, built once per index subset."""
         key = frozenset(idx)
@@ -207,7 +204,7 @@ def find_minimal_subfamily(
     if not v.is_nc():
         raise NotNonConcentrated("collection not NC")
     blocks = normalize_partition(parts, len(v.flats))
-    joined = [join([v.flats[i] for i in b]) for b in blocks]
+    joined = [v.subset_join(b) for b in blocks]
     t = len(joined)
     for size in range(2, t):
         for combo in itertools.combinations(range(t), size):

@@ -18,7 +18,12 @@ minor kernel, exactlin._wedge, grows the row-subset minors of a column set
 by a column; a chain of wedges over a matrix's columns gives its greedy
 pivots (the rank) and every maximal minor of them (the cheap floor).  The chain is
 memoised per prefix of its atom columns, which come first, and flat blocks.
-projected_stability_check moves flats and atoms with one flats.projector.
+
+Every rank walk ranks (index pair, pick) combinations of one frame, at most
+2^k prod(1 + |supp mu|) of them over all index pairs; that closed form is
+checked against one budget, PICK_BUDGET unless the caller gives one, before
+any index pair is built.  projected_stability_check moves flats and atoms
+with one flats.projector.
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ from .flats import (
 from .measures import DiscreteMeasure
 
 AtomSlot = tuple[int, int]  # (flat index j, measure index i)
+
+# the default bound on a frame's (index pair, pick) combinations
+PICK_BUDGET = 200_000
+# the ball radii stabilize tries, 1 down to 2^-(HALVINGS - 1)
+HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -193,16 +203,9 @@ def _pick_state(frame: StableFrame, memo: dict, idx: IndexPair, pick: Pick) -> W
     return state
 
 
-def iter_picks(
-    frame: StableFrame,
-    slots: Sequence[AtomSlot],
-    budget: Optional[int] = None,
-) -> list[Pick]:
+def iter_picks(frame: StableFrame, slots: Sequence[AtomSlot]) -> list[Pick]:
     """All atom picks over the slots, in product order."""
     sizes = [len(frame.measures[j][i]) for j, i in slots]
-    total = math.prod(sizes)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"{total} picks exceed budget {budget}")
     return [
         dict(zip(slots, combo))
         for combo in itertools.product(*(range(s) for s in sizes))
@@ -219,27 +222,17 @@ class RankInconsistency:
 
 
 def _pick_states(
-    frame: StableFrame, idx: IndexPair, memo: dict, budget: Optional[int] = None
+    frame: StableFrame, idx: IndexPair, memo: dict
 ) -> list[tuple[Pick, WedgeState]] | RankInconsistency:
     """The wedge state of every pick of the index pair, in iter_picks order,
     or the first pick whose rank differs from the first pick's."""
     out: list[tuple[Pick, WedgeState]] = []
-    for p in iter_picks(frame, idx.sorted_atoms(), budget):
+    for p in iter_picks(frame, idx.sorted_atoms()):
         state = _pick_state(frame, memo, idx, p)
         if out and len(state[1]) != len(out[0][1][1]):
             return RankInconsistency(idx, out[0][0], len(out[0][1][1]), p, len(state[1]))
         out.append((p, state))
     return out
-
-
-def rank_r(
-    frame: StableFrame, idx: IndexPair, budget: Optional[int] = 4096, memo: Optional[dict] = None
-) -> int | RankInconsistency:
-    """The common rank of (B_Ibar(x), A_J) over atom picks, or an
-    inconsistency report naming two picks with different ranks.  Calls on
-    one frame may share a memo of atom-prefix states."""
-    got = _pick_states(frame, idx, {} if memo is None else memo, budget)
-    return got if isinstance(got, RankInconsistency) else len(got[0][1][1])
 
 
 def minor_floors(
@@ -312,10 +305,42 @@ def _index_pairs(frame: StableFrame) -> list[IndexPair]:
     return pairs
 
 
+def _check_picks(frame: StableFrame, budget: int) -> None:
+    """Refuse a frame whose (index pair, pick) combinations, summed over its
+    index pairs in closed form, exceed the budget: every rank walk over the
+    frame ranks some of them."""
+    total = 2**frame.k * math.prod(1 + s for s in frame.support_sizes().values())
+    if total > budget:
+        raise CertificationBudgetExceeded(
+            f"{total} (index, pick) combinations exceed budget {budget}"
+        )
+
+
+def _rank_table(
+    frame: StableFrame, budget: int, pairs: Optional[Iterable[IndexPair]] = None
+) -> dict[IndexPair, int | RankInconsistency]:
+    """The rank of each of the pairs (every index pair of the frame when
+    None) over one memo, or its RankInconsistency, after _check_picks."""
+    _check_picks(frame, budget)
+    memo: dict = {}
+    table: dict[IndexPair, int | RankInconsistency] = {}
+    for idx in _index_pairs(frame) if pairs is None else pairs:
+        got = _pick_states(frame, idx, memo)
+        table[idx] = got if isinstance(got, RankInconsistency) else len(got[0][1][1])
+    return table
+
+
+def rank_r(frame: StableFrame, idx: IndexPair) -> int | RankInconsistency:
+    """The common rank of (B_Ibar(x), A_J) over atom picks, or an
+    inconsistency report naming two picks with different ranks; refused
+    when the frame's combinations exceed PICK_BUDGET."""
+    return _rank_table(frame, PICK_BUDGET, [idx])[idx]
+
+
 def certify_stability(
     frame: StableFrame,
     c2: Fraction,
-    budget: int = 200_000,
+    budget: int = PICK_BUDGET,
 ) -> CertificationResult:
     """Certify c-stable position with the squared, column-normalized floor c2:
     every index pair must have a pick-independent rank, and every pick's
@@ -324,12 +349,7 @@ def certify_stability(
     when that is below c2: the verdict is exact, but the reported floor can
     rise with c2."""
     c2 = Fraction(c2)
-    # sum over index pairs of the picks on their atoms, in closed form
-    total = 2**frame.k * math.prod(1 + s for s in frame.support_sizes().values())
-    if total > budget:
-        raise CertificationBudgetExceeded(
-            f"{total} (index, pick) combinations exceed budget {budget}"
-        )
+    _check_picks(frame, budget)
     pairs = _index_pairs(frame)
     ranks: dict[IndexPair, int] = {}
     memo: dict = {}
@@ -377,32 +397,21 @@ class StabilizationError(RuntimeError):
     pass
 
 
-def stabilize(
-    frame: StableFrame,
-    required_ranks: Optional[dict[IndexPair, int]] = None,
-    max_halvings: int = 40,
-    budget: int = 200_000,
-) -> tuple[StableFrame, Fraction]:
+def stabilize(frame: StableFrame, budget: int = PICK_BUDGET) -> tuple[StableFrame, Fraction]:
     """Find the atom tuple with the maximum possible rank-vector sum,
     restrict every measure to a ball around its chosen atom, and shrink the
     balls dyadically until certification passes with c2 equal to half the
     normalized-minor floor achieved by the chosen tuple."""
     slots = frame.atom_slots()
-    picks = iter_picks(frame, slots, budget=budget)
-    # one rank per pick and index pair, then one more per pair
-    work = (len(picks) + 1) * 2 ** (len(slots) + frame.k)
+    # one rank per pick and index pair, then one more per pair: at least
+    # the frame's 2^k prod(1 + |supp mu|) combinations, as 1 + s <= 2 s
+    work = (math.prod(frame.support_sizes().values()) + 1) * 2 ** (len(slots) + frame.k)
     if work > budget:
         raise BudgetExceeded(f"{work} rank evaluations exceed budget {budget}")
     pairs = _index_pairs(frame)
     memo: dict = {}
+    picks = iter_picks(frame, slots)
     best_pick = max(picks, key=lambda p: sum(len(_pick_state(frame, memo, idx, p)[1]) for idx in pairs))
-    for idx, want in (required_ranks or {}).items():
-        got = len(_pick_state(frame, memo, idx, best_pick)[1])
-        if got != want:
-            raise StabilizationError(
-                f"cannot stabilize: rank {got} != required {want} on "
-                f"Ibar={sorted(idx.atoms_index)} J={sorted(idx.flats_index)}"
-            )
     floor = min(
         minor_floors(
             build_matrix(frame, best_pick, idx), _pick_state(frame, memo, idx, best_pick)[1], exact=True
@@ -415,7 +424,7 @@ def stabilize(
         (j, i): frame.measures[j][i].atoms[best_pick[(j, i)]][0] for j, i in slots
     }
     radius = Fraction(1)
-    for _ in range(max_halvings):
+    for _ in range(HALVINGS):
         restricted = frame.restricted(centers, radius)
         cert = certify_stability(restricted, target, budget=budget)
         if cert.ok:
@@ -438,7 +447,7 @@ class RankRuleViolation:
 
 
 def minimal_rank_report(
-    frame: StableFrame, budget: Optional[int] = 4096
+    frame: StableFrame, budget: int = PICK_BUDGET
 ) -> tuple[dict[tuple[tuple[int, ...], tuple[int, ...]], int], list[RankRuleViolation]]:
     """Rank table r(I, J) over block-level disjoint index sets, checked
     against the minimal-position rules (dimension sums written n_I):
@@ -452,90 +461,70 @@ def minimal_rank_report(
     """
     k = frame.k
     n = frame.ambient_dim
+    pairs = {
+        (i_set, j_set): IndexPair(frame.block_atoms(i_set), frozenset(j_set))
+        for i_size in range(k + 1)
+        for i_set in itertools.combinations(range(k), i_size)
+        for j_size in range(k - i_size + 1)
+        for j_set in itertools.combinations([j for j in range(k) if j not in i_set], j_size)
+    }
+    ranks = _rank_table(frame, budget, pairs.values())
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     violations: list[RankRuleViolation] = []
-    memo: dict = {}
-    for i_size in range(k + 1):
-        for i_set in itertools.combinations(range(k), i_size):
-            rest = [j for j in range(k) if j not in i_set]
-            for j_size in range(len(rest) + 1):
-                for j_set in itertools.combinations(rest, j_size):
-                    idx = IndexPair(frame.block_atoms(i_set), frozenset(j_set))
-                    got = rank_r(frame, idx, budget=budget, memo=memo)
-                    if isinstance(got, RankInconsistency):
-                        violations.append(
-                            RankRuleViolation("rank-constant", i_set, j_set, got.rank_b, got.rank_a)
-                        )
-                        continue
-                    table[(i_set, j_set)] = got
-                    n_i = dimension_sum(frame, i_set)
-                    n_ij = dimension_sum(frame, set(i_set) | set(j_set))
-                    if not j_set:
-                        if got != n_i:
-                            violations.append(
-                                RankRuleViolation("r(I,0)=n_I", i_set, j_set, got, n_i)
-                            )
-                    else:
-                        if got < n_ij + 1:
-                            violations.append(
-                                RankRuleViolation("r(I,J)>=n_IJ+1", i_set, j_set, got, n_ij + 1)
-                            )
-                        if set(i_set) | set(j_set) == set(range(k)) and got != n + 1:
-                            violations.append(
-                                RankRuleViolation("r(I,[k]-I)=n+1", i_set, j_set, got, n + 1)
-                            )
+    for (i_set, j_set), idx in pairs.items():
+        got = ranks[idx]
+        if isinstance(got, RankInconsistency):
+            violations.append(
+                RankRuleViolation("rank-constant", i_set, j_set, got.rank_b, got.rank_a)
+            )
+            continue
+        table[(i_set, j_set)] = got
+        n_i = dimension_sum(frame, i_set)
+        n_ij = dimension_sum(frame, set(i_set) | set(j_set))
+        if not j_set:
+            if got != n_i:
+                violations.append(
+                    RankRuleViolation("r(I,0)=n_I", i_set, j_set, got, n_i)
+                )
+        else:
+            if got < n_ij + 1:
+                violations.append(
+                    RankRuleViolation("r(I,J)>=n_IJ+1", i_set, j_set, got, n_ij + 1)
+                )
+            if set(i_set) | set(j_set) == set(range(k)) and got != n + 1:
+                violations.append(
+                    RankRuleViolation("r(I,[k]-I)=n+1", i_set, j_set, got, n + 1)
+                )
     return table, violations
 
 
-def rank_inequality_report(
-    frame: StableFrame, budget: Optional[int] = 2048
-) -> list[RankRuleViolation]:
-    """Exhaustive check of the one-step rank inequalities:
+def rank_inequality_report(frame: StableFrame) -> list[RankRuleViolation]:
+    """Exhaustive check, over every index pair, of the fill-step rank
+    inequality
 
-      r(Ibar + (j,i), J) <= r(Ibar, J) + 1
-      r(Ibar, J + j)     <= r(Ibar, J) + n_j + 1
-      r(Ibar + all of flat j's slots, J) >= r(Ibar, J + j) - 1
+      r(Ibar + all of flat j's slots, J) >= r(Ibar, J + j) - 1.
+
+    The one-step bounds r(Ibar + (j,i), J) <= r(Ibar, J) + 1 and
+    r(Ibar, J + j) <= r(Ibar, J) + n_j + 1 need no check: with ranks
+    independent of the picks, each grown matrix is one of (Ibar, J)'s
+    matrices plus one column, or plus flat j's n_j + 1 basis columns.
     """
-    violations: list[RankRuleViolation] = []
+    ranks = _rank_table(frame, PICK_BUDGET)
+    if any(isinstance(r, RankInconsistency) for r in ranks.values()):
+        raise StabilizationError("rank not pick-independent; certify first")
     slots = frame.atom_slots()
-    ranks: dict[IndexPair, int] = {}
-    memo: dict = {}
-
-    def rk(idx: IndexPair) -> int:
-        """rank_r of idx, once per index pair."""
-        if idx not in ranks:
-            got = rank_r(frame, idx, budget=budget, memo=memo)
-            if isinstance(got, RankInconsistency):
-                raise StabilizationError("rank not pick-independent; certify first")
-            ranks[idx] = got
-        return ranks[idx]
-
-    for idx in _index_pairs(frame):
-        base = rk(idx)
-        for slot in slots:
-            if slot in idx.atoms_index:
-                continue
-            grown = IndexPair(idx.atoms_index | {slot}, idx.flats_index)
-            if rk(grown) > base + 1:
-                violations.append(
-                    RankRuleViolation("atom-step", tuple(sorted(idx.atoms_index)), tuple(sorted(idx.flats_index)), rk(grown), base + 1)
-                )
+    violations: list[RankRuleViolation] = []
+    for idx in ranks:
         for j in range(frame.k):
             if j in idx.flats_index:
                 continue
-            grown_j = IndexPair(idx.atoms_index, idx.flats_index | {j})
-            up = rk(grown_j)
-            n_j = frame.flats[j].dim
-            if up > base + n_j + 1:
+            up = ranks[IndexPair(idx.atoms_index, idx.flats_index | {j})]
+            filled = ranks[
+                IndexPair(idx.atoms_index | {s for s in slots if s[0] == j}, idx.flats_index)
+            ]
+            if filled < up - 1:
                 violations.append(
-                    RankRuleViolation("flat-step", tuple(sorted(idx.atoms_index)), tuple(sorted(idx.flats_index)), up, base + n_j + 1)
-                )
-            filled = IndexPair(
-                idx.atoms_index | {s for s in slots if s[0] == j}, idx.flats_index
-            )
-            if rk(filled) < up - 1:
-                violations.append(
-                    RankRuleViolation("fill-step", tuple(sorted(idx.atoms_index)), tuple(sorted(idx.flats_index)), rk(filled), up - 1)
+                    RankRuleViolation("fill-step", tuple(sorted(idx.atoms_index)), tuple(sorted(idx.flats_index)), filled, up - 1)
                 )
     return violations
 
@@ -553,19 +542,15 @@ def projected_stability_check(
     frame: StableFrame,
     i0: Iterable[AtomSlot],
     u: AffineFlat,
-    pick: Optional[Pick] = None,
-    budget: int = 200_000,
 ) -> ProjectedStabilityReport:
     """Project the measures outside i0 through the join-meet map with center
-    spanned by the picked i0 atoms, re-certify stability of the image frame
-    inside the screen u, and report the achieved floor and the squared sine
-    between the center span and the screen."""
+    spanned by the first atom of each i0 measure, re-certify stability of
+    the image frame inside the screen u, and report the achieved floor and
+    the squared sine between the center span and the screen."""
     i0 = sorted(set(i0))
     if not i0:
         raise ValueError("i0 must be nonempty")
-    if pick is None:
-        pick = {slot: 0 for slot in i0}
-    pts = [frame.measures[j][i].atoms[pick[(j, i)]][0] for j, i in i0]
+    pts = [frame.measures[j][i].atoms[0][0] for j, i in i0]
     center = AffineFlat.from_points(pts)
     n = frame.ambient_dim
     n0 = center.dim
@@ -604,7 +589,7 @@ def projected_stability_check(
         image = StableFrame(image_flats, image_measures)
     except ValueError as e:
         return ProjectedStabilityReport(False, sin2, None, None, witness=str(e))
-    cert = certify_stability(image, Fraction(0), budget=budget)
+    cert = certify_stability(image, Fraction(0))
     if not cert.ok:
         return ProjectedStabilityReport(False, sin2, None, image, witness=cert.witness)
     ok = cert.floor is not None and cert.floor > 0

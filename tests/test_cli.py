@@ -2,6 +2,7 @@ import json
 import math
 import random
 import shutil
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,10 @@ import pytest
 
 import flatbeck.beck
 import flatbeck.cli
+import flatbeck.flatcollect
+import flatbeck.flats
 import flatbeck.measures
+import flatbeck.stability
 import flatbeck.thin
 from flatbeck.cli import (
     EXIT_BUDGET,
@@ -107,10 +111,11 @@ class TestExitCodes:
         assert main(["beck", "--scene", path, "--budget", "5", "--out", str(tmp_path / "o")]) == EXIT_BUDGET
 
     def test_pick_budget_exceeded(self, tmp_path, capsys):
-        # 3 x 3 atom picks against a budget of 3: a budget overrun, not an input error
+        # (3 x 3 + 1) 2^(2 + 2) rank evaluations of the ball search against a
+        # budget of 3: a budget overrun, not an input error
         argv = ["stability", "--scene", str(SCENES / "stability-axes.json"), "--stabilize"]
         assert main(argv + ["--budget", "3", "--out", str(tmp_path / "o")]) == EXIT_BUDGET
-        assert "budget exceeded: 9 picks exceed budget 3" in capsys.readouterr().err
+        assert "budget exceeded: 160 rank evaluations exceed budget 3" in capsys.readouterr().err
 
     def test_partition_cap_exceeded(self, tmp_path):
         # thirteen lines: Bell(13) partitions, over the default cap of 12
@@ -305,6 +310,47 @@ class TestBeckPointBudget:
         assert main(argv) == EXIT_PASS
 
 
+class TestStabilityPickBudget:
+    """One --budget bounds certification and the minimal rank table: the
+    2^2 (1 + 65)^2 = 17,424 (index pair, pick) combinations of the two axes
+    of Q^2 with one 65-atom measure each."""
+
+    def scene(self, tmp_path):
+        def measure(axis):
+            atoms = [["0", "0"] for _ in range(65)]
+            for i, atom in enumerate(atoms):
+                atom[axis] = f"{i + 1}/128"
+            return {"resolution": "1/1024", "uniform_on": atoms}
+
+        body = {
+            "ambient_dim": 2,
+            "flats": {
+                "x_axis": {"basepoint": ["0", "0"], "directions": [["1", "0"]]},
+                "y_axis": {"basepoint": ["0", "0"], "directions": [["0", "1"]]},
+            },
+            "measures": {"on_x": measure(0), "on_y": measure(1)},
+            "frames": {"axes": {"flats": ["x_axis", "y_axis"], "measures": [["on_x"], ["on_y"]]}},
+        }
+        return ["stability", "--scene", write_scene(tmp_path, body), "--out", str(tmp_path / "o")]
+
+    def test_default_budget_reaches_the_rank_table(self, tmp_path):
+        assert main(self.scene(tmp_path)) == EXIT_PASS
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert [v["check"] for v in report["verdicts"]] == ["certified", "minimal-rank-rules"]
+
+    def test_budget_one_below_the_combinations_refused_first(self, tmp_path, monkeypatch, capsys):
+        def refuse(minors, col):
+            raise AssertionError("a wedge ran before the budget check")
+
+        monkeypatch.setattr(flatbeck.stability, "_wedge", refuse)
+        assert main(self.scene(tmp_path) + ["--budget", "17423"]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert "budget exceeded: 17424 (index, pick) combinations exceed budget 17423" in err
+
+    def test_budget_at_the_combinations_passes(self, tmp_path):
+        assert main(self.scene(tmp_path) + ["--budget", "17424"]) == EXIT_PASS
+
+
 class TestBeckNodeBudget:
     """Past beck.COVER_NODE_BUDGET the cover search stops: beck exits 4 and
     writes no report, so a cut-off search never reads as not concentrated."""
@@ -492,6 +538,32 @@ class TestDecomposeCommand:
         scene = str(SCENES / "decompose-skew-lines.json")
         assert main(["decompose", "--scene", scene, "--out", str(tmp_path)]) == EXIT_PASS
         assert radii == [[0]] * 9 + [[0, Fraction(1, 1048576)]] * 3
+
+    def test_every_join_is_a_subset_join(self, tmp_path, monkeypatch):
+        """On the README demo, every join the extraction loop and the
+        verifier make is a FlatCollection.subset_join, which the partition
+        sweep has already made: none is made outside it."""
+        real, depth, inside, outside = flatbeck.flats.join, [0], [], []
+        subset_join = flatbeck.flatcollect.FlatCollection.subset_join
+
+        def tracking_subset_join(self, idx):
+            depth[0] += 1
+            try:
+                return subset_join(self, idx)
+            finally:
+                depth[0] -= 1
+
+        def tracking_join(fs):
+            (inside if depth[0] else outside).append(len(fs))
+            return real(fs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("flatbeck") and getattr(module, "join", None) is real:
+                monkeypatch.setattr(module, "join", tracking_join)
+        monkeypatch.setattr(flatbeck.flatcollect.FlatCollection, "subset_join", tracking_subset_join)
+        scene = str(SCENES / "decompose-skew-lines.json")
+        assert main(["decompose", "--scene", scene, "--out", str(tmp_path)]) == EXIT_PASS
+        assert inside and outside == []
 
 
 class TestDeterminism:

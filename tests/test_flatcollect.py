@@ -79,7 +79,7 @@ class TestCost:
             flats.append(line(b, d))
         prev = FlatCollection([])
         for f in flats:
-            ext = prev.extended(f)
+            ext = FlatCollection(prev.flats + [f])
             assert ext.cost() >= prev.cost()
             prev = ext
 

@@ -620,6 +620,21 @@ class TestIrreducibleProjection:
         assert report.singular_mass == 0
         assert report.image_flat_dim == 1
 
+    @pytest.mark.parametrize(
+        "tau, eps, message",
+        [
+            (Fraction(2, 5), Fraction(1, 4), r"^trimming radius must satisfy eps <= w$"),
+            (Fraction(3, 5), Fraction(1, 8), r"^needs tau <= 1/2$"),
+            (Fraction(3, 10), Fraction(1, 8), r"^input modulus 1/3 exceeds tau 3/10$"),
+        ],
+        ids=["eps-above-w", "tau-above-half", "modulus-above-tau"],
+    )
+    def test_arguments_refused(self, tau, eps, message):
+        """w = 1/8 on the plane case, whose input modulus is 1/3."""
+        mu, v, q, u, w = plane_case()
+        with pytest.raises(ValueError, match=message):
+            irreducible_projection_check(mu, v, q, u, w=w, tau=tau, eps=eps)
+
     def test_two_plate_oracles_per_call(self, monkeypatch):
         """The input measure's oracle serves the input modulus and the
         q(eps) trim, and the pushed measure gets one: two integerizations

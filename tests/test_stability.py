@@ -204,7 +204,7 @@ class TestBudgetsBeforeWork:
 
     def test_pick_budget_checked_before_index_pairs(self, monkeypatch):
         refuse_index_pairs(monkeypatch)
-        with pytest.raises(BudgetExceeded, match="9 picks exceed budget 1"):
+        with pytest.raises(BudgetExceeded, match="160 rank evaluations exceed budget 1"):
             stabilize(transversal_lines_grid_frame(), budget=1)
 
     def test_closed_form_matches_the_per_pair_sum(self):
@@ -234,6 +234,35 @@ class TestBudgetsBeforeWork:
         with pytest.raises(BudgetExceeded, match="^160 rank evaluations exceed budget 9"):
             stabilize(frame, budget=9)
         assert calls == []
+
+
+RANK_WALKS = {
+    "rank_r": lambda frame, budget: rank_r(frame, IndexPair.of([(0, 0)], [1])),
+    "minimal_rank_report": lambda frame, budget: minimal_rank_report(frame, budget=budget),
+    "rank_inequality_report": lambda frame, budget: rank_inequality_report(frame),
+}
+
+
+class TestOnePickBudget:
+    """Every rank walk is bounded by the frame's 2^k prod(1 + |supp mu|)
+    (index pair, pick) combinations, 2^2 (1 + 3)^2 = 64 on the grid frame:
+    minimal_rank_report against its budget, rank_r and
+    rank_inequality_report against PICK_BUDGET as it reads when called."""
+
+    @pytest.mark.parametrize("walk", sorted(RANK_WALKS))
+    def test_refused_one_below_the_combinations(self, walk, monkeypatch):
+        frame = transversal_lines_grid_frame()
+        monkeypatch.setattr(stability, "PICK_BUDGET", 64)
+        RANK_WALKS[walk](frame, 64)
+        monkeypatch.setattr(stability, "PICK_BUDGET", 63)
+        refuse_index_pairs(monkeypatch)
+
+        def refuse(minors, col):
+            raise AssertionError("a wedge ran before the budget check")
+
+        monkeypatch.setattr(stability, "_wedge", refuse)
+        with pytest.raises(CertificationBudgetExceeded, match=r"^64 \(index, pick\) combinations exceed budget 63$"):
+            RANK_WALKS[walk](frame, 63)
 
 
 def laplace_minors(rows):
@@ -491,17 +520,47 @@ class TestStabilize:
         assert len(radii) == (1 if demo else 3)
         assert sorted(map(id, built)) == sorted(id(mu) for row in frame.measures for mu in row)
 
-    def test_degenerate_frame_errors_on_required_ranks(self):
-        # all atoms on the line y = x, flats are the two axes: the full
-        # atom pick can never reach the rank the minimal table demands
+    def test_atoms_closer_than_the_last_radius_never_stabilize(self):
+        """The x measure's atoms, (2^-50, 0) and the origin, sit closer
+        than the last ball radius 2^-(HALVINGS - 1): every ball around the
+        chosen atom keeps both, and picking the origin drops r({(0,0)}, {1})."""
         lx = AffineFlat([0, 0], [[1, 0]])
         ly = AffineFlat([0, 0], [[0, 1]])
-        mx = DiscreteMeasure([((Fraction(0), Fraction(0)), 1)], RES)
-        my = DiscreteMeasure([((Fraction(0), Fraction(0)), 1)], RES)
-        frame = StableFrame([lx, ly], [[mx], [my]])
-        required = {IndexPair.of([(0, 0), (1, 0)], ()): 2}
-        with pytest.raises(StabilizationError):
-            stabilize(frame, required_ranks=required)
+        mx = DiscreteMeasure.uniform([(Fraction(1, 2**50), 0), (0, 0)], RES)
+        my = DiscreteMeasure.uniform([(0, Fraction(1, 2)), (0, 0)], RES)
+        assert Fraction(1, 2**50) < Fraction(1, 2 ** (stability.HALVINGS - 1))
+        with pytest.raises(StabilizationError, match="^cannot stabilize at configured ball radii$"):
+            stabilize(StableFrame([lx, ly], [[mx], [my]]))
+
+
+class TestStableFrameRefusals:
+    @pytest.mark.parametrize(
+        "flats, measures, message",
+        [
+            ([], [], "empty frame"),
+            ([AffineFlat([0, 0], [[1, 0]])], [], "one measure list per flat required"),
+            (
+                [AffineFlat([0, 0], [[1, 0]]), AffineFlat([0, 0, 0], [[1, 0, 0]])],
+                [[DiscreteMeasure([((Fraction(1, 2), 0), 1)], RES)], [DiscreteMeasure([((Fraction(1, 2), 0, 0), 1)], RES)]],
+                "ambient dimensions differ",
+            ),
+            ([AffineFlat([0, 0], [[1, 0]])], [[]], "flat 0 carries no measures"),
+            (
+                [AffineFlat([0, 0], [[1, 0]])],
+                [[DiscreteMeasure([((Fraction(1, 2), 0), 1)], RES), DiscreteMeasure([((0, Fraction(1, 2)), 1)], RES)]],
+                r"measure \(0,1\) has an atom off flat 0",
+            ),
+            (
+                [AffineFlat([0, 0], [[1, 0]])],
+                [[DiscreteMeasure([((Fraction(3, 2), 0), 1)], RES)]],
+                r"measure \(0,0\) leaves the unit ball",
+            ),
+        ],
+        ids=["empty", "measure-lists", "ambient", "no-measures", "off-flat", "unit-ball"],
+    )
+    def test_refused(self, flats, measures, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StableFrame(flats, measures)
 
 
 class TestMinimalRankTable:
@@ -533,6 +592,33 @@ class TestMinimalRankTable:
         _, violations = minimal_rank_report(StableFrame([lx, ly], [[m0, m1], [my]]))
         assert RankRuleViolation("r(I,0)=n_I", (0,), (), 2, 1) in violations
 
+    def test_pick_dependent_ranks_reported(self):
+        """The axes share the origin as their second atom: picking it drops
+        r({0}, {1}), r({1}, {0}) and r({0, 1}, {}) by one, and those block
+        pairs leave the table."""
+        table, violations = minimal_rank_report(coincident_atoms_frame())
+        assert violations == [
+            RankRuleViolation("rank-constant", (0,), (1,), 2, 3),
+            RankRuleViolation("rank-constant", (1,), (0,), 2, 3),
+            RankRuleViolation("rank-constant", (0, 1), (), 1, 2),
+        ]
+        assert sorted(table) == [((), ()), ((), (0,)), ((), (0, 1)), ((), (1,)), ((0,), ()), ((1,), ())]
+
+    def test_rank_inequalities_refuse_pick_dependent_ranks(self):
+        with pytest.raises(StabilizationError, match="^rank not pick-independent; certify first$"):
+            rank_inequality_report(coincident_atoms_frame())
+
+    def test_fill_step_violated_by_a_plane_with_one_measure(self):
+        """Q^2 as a plane with one single-atom measure: its slots add one
+        column, its basis three, so r({(0,0)}, {}) = 1 < r({}, {0}) - 1 = 2,
+        and the same from Ibar = {(0,0)}."""
+        plane = AffineFlat([0, 0], [[1, 0], [0, 1]])
+        frame = StableFrame([plane], [[DiscreteMeasure([((Fraction(1, 2), Fraction(1, 4)), 1)], RES)]])
+        assert rank_inequality_report(frame) == [
+            RankRuleViolation("fill-step", (), (), 1, 2),
+            RankRuleViolation("fill-step", ((0, 0),), (), 1, 2),
+        ]
+
     def test_rank_inequalities_hold(self):
         rng = random.Random(7)
         frame, _ = random_minimal_frame(rng, 3, (1, 1, 1), atoms_per_measure=2)
@@ -542,13 +628,13 @@ class TestMinimalRankTable:
         rng = random.Random(7)
         frame, _ = random_minimal_frame(rng, 3, (1, 1, 1), atoms_per_measure=2)
         calls = []
-        rank_r = stability.rank_r
+        pick_states = stability._pick_states
 
-        def counting(frame, idx, **kwargs):
+        def counting(frame, idx, memo):
             calls.append(idx)
-            return rank_r(frame, idx, **kwargs)
+            return pick_states(frame, idx, memo)
 
-        monkeypatch.setattr(stability, "rank_r", counting)
+        monkeypatch.setattr(stability, "_pick_states", counting)
         assert rank_inequality_report(frame) == []
         # 352 evaluations when every grown pair was ranked again
         assert len(calls) == len(set(calls)) == 64
