@@ -93,13 +93,15 @@ def _resolve(table: dict, kind: str, names, where: str) -> list:
     """The scene objects of table named by names, one name or a list of
     them, in order; None names every object in sorted order, so a
     single-object flag left out takes the first.  A name the table lacks is
-    a dangling reference."""
+    a dangling reference, and so is one that is not a string."""
     if names is None:
         names = sorted(table) or [None]
     elif isinstance(names, str):
         names = [names]
+    elif not isinstance(names, list):
+        raise SceneError(f"{where}: expected a {kind} name or a list of them, got {names!r}")
     for x in names:
-        if x not in table:
+        if not isinstance(x, str) or x not in table:
             raise SceneError(f"{where}: dangling {kind} reference {x!r}")
     return [table[x] for x in names]
 
@@ -110,6 +112,13 @@ def _object(raw: dict, key: str) -> dict:
     if not isinstance(val, dict):
         raise SceneError(f"{key}: expected an object")
     return val
+
+
+def _list(value, where: str) -> list:
+    """value when it is a list; else an input error."""
+    if not isinstance(value, list):
+        raise SceneError(f"{where}: expected a list")
+    return value
 
 
 class Scene:
@@ -134,7 +143,7 @@ class Scene:
             base = _vec(val["basepoint"], n, f"{where}.basepoint")
             dirs = [
                 _vec(d, n, f"{where}.directions[{i}]")
-                for i, d in enumerate(val.get("directions", []))
+                for i, d in enumerate(_list(val.get("directions", []), f"{where}.directions"))
             ]
             try:
                 self.flats[name] = AffineFlat(base, dirs)
@@ -150,12 +159,12 @@ class Scene:
                 if "uniform_on" in val:
                     pts = [
                         _vec(p, n, f"{where}.uniform_on[{i}]")
-                        for i, p in enumerate(val["uniform_on"])
+                        for i, p in enumerate(_list(val["uniform_on"], f"{where}.uniform_on"))
                     ]
                     self.measures[name] = DiscreteMeasure.uniform(pts, res)
                 else:
                     atoms = []
-                    for i, entry in enumerate(val.get("atoms", [])):
+                    for i, entry in enumerate(_list(val.get("atoms", []), f"{where}.atoms")):
                         if not (isinstance(entry, list) and len(entry) == 2):
                             raise SceneError(
                                 f"{where}.atoms[{i}]: expected [point, weight]"
@@ -179,13 +188,17 @@ class Scene:
                 raise SceneError(f"{where}: needs a measures list")
             ms = _resolve(self.measures, "measure", val["measures"], where)
             tuples = val.get("tuples", "complete")
+            if tuples != "complete":
+                for i, t in enumerate(_list(tuples, f"{where}.tuples")):
+                    if not all(type(x) is int for x in _list(t, f"{where}.tuples[{i}]")):
+                        raise SceneError(f"{where}.tuples[{i}]: expected integer atom indices")
             sigma = _rat(val.get("sigma", 1), f"{where}.sigma")
             big_k = _rat(val.get("K", 1), f"{where}.K")
             try:
                 if tuples == "complete":
                     self.graphs[name] = ThinGraph.complete(ms, sigma, big_k)
                 else:
-                    self.graphs[name] = ThinGraph(ms, [tuple(t) for t in tuples], sigma, big_k)
+                    self.graphs[name] = ThinGraph(ms, tuples, sigma, big_k)
             except ValueError as e:
                 raise SceneError(f"{where}: {e}")
             self.graph_density_claims[name] = (
@@ -197,7 +210,8 @@ class Scene:
             if not isinstance(val, dict) or "flats" not in val or "measures" not in val:
                 raise SceneError(f"{where}: needs flats and measures lists")
             fl = _resolve(self.flats, "flat", val["flats"], where)
-            grid = [_resolve(self.measures, "measure", row, where) for row in val["measures"]]
+            rows = _list(val["measures"], f"{where}.measures")
+            grid = [_resolve(self.measures, "measure", row, where) for row in rows]
             try:
                 self.frames[name] = StableFrame(fl, grid)
             except ValueError as e:

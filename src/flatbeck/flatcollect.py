@@ -18,7 +18,7 @@ from .flats import AffineFlat, join
 
 Partition = tuple[tuple[int, ...], ...]
 
-DEFAULT_PARTITION_CAP = 12
+PARTITION_CAP = 12  # most flats a collection sweeps the partitions of
 
 
 class PartitionSpaceTooLarge(BudgetExceeded):
@@ -81,7 +81,7 @@ def bell_number(m: int) -> int:
 class FlatCollection:
     """Indexed family of flats with a partition-cost cache."""
 
-    def __init__(self, flats: Sequence[AffineFlat], cap: int = DEFAULT_PARTITION_CAP):
+    def __init__(self, flats: Sequence[AffineFlat]):
         flats = list(flats)
         if flats:
             n = flats[0].ambient_dim
@@ -91,7 +91,6 @@ class FlatCollection:
         else:
             self.ambient_dim = None
         self.flats = flats
-        self.cap = cap
         self._subset_joins: dict[frozenset[int], AffineFlat] = {}
         self._cost: Optional[int] = None
         self._minimizers: Optional[list[Partition]] = None
@@ -117,11 +116,11 @@ class FlatCollection:
         return sum(self.subset_join_dim(b) for b in norm)
 
     def check_cap(self) -> None:
-        """Refuse, before any walk, a partition space over the cap."""
+        """Refuse, before any walk, a partition space over PARTITION_CAP."""
         m = len(self.flats)
-        if m > self.cap:
+        if m > PARTITION_CAP:
             raise PartitionSpaceTooLarge(
-                f"{m} flats means Bell({m}) = {bell_number(m)} partitions; cap is {self.cap}"
+                f"{m} flats means Bell({m}) = {bell_number(m)} partitions; cap is {PARTITION_CAP}"
             )
 
     def _compute(self) -> None:

@@ -21,7 +21,7 @@ one integer g for the span of independent integer rows, read by
 Cauchy-Binet off the rows' wedge chain and its cofactors (closed for no
 row and for one).  The plate oracle
 packs the forms of a batch of spans and runs them over a measure's atoms;
-dist2_point_flat and dist2_flats are its one-offset Fraction views.
+dist2_flats is its one-offset Fraction view.
 
 The enumerator walks pencils of flats (see _pencils) and builds no
 elimination per subset; one walk, in preorder, serves every dimension up to
@@ -350,15 +350,6 @@ def _dist2_offset(r: Sequence[int], dirs: Sequence[Sequence[int]], den: int) -> 
     return Fraction(sum(x * sum(map(mul, row, r)) for x, row in zip(r, m)), g * den * den)
 
 
-def dist2_point_flat(p: Sequence, f: AffineFlat) -> Fraction:
-    """Squared Euclidean distance from a point to a flat, exact."""
-    v = vec(p)
-    if len(v) != f.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    (a, b), den = _integerized_points([v, f.basepoint])
-    return _dist2_offset(tuple(map(sub, a, b)), f._direction_rows(), den)
-
-
 def dist2_flats(f: AffineFlat, g: AffineFlat) -> Fraction:
     """Squared distance between two flats (0 iff they intersect): the
     distance of the offset between the basepoints from the sum of the
@@ -445,12 +436,6 @@ class FlatChart:
 
     def flat_to_ambient(self, g: AffineFlat) -> AffineFlat:
         return AffineFlat(self.to_ambient(g.basepoint), [self._linear(d) for d in g.directions])
-
-
-def affinely_independent(points: Sequence[Vector]) -> bool:
-    """True iff the points span a flat of dimension len(points) - 1."""
-    pts = [vec(p) for p in points]
-    return len(int_rref(_lifted_integer_points(pts))[0]) == len(pts)
 
 
 def _lifted_integer_points(points: Sequence[Vector]) -> list[tuple[int, ...]]:

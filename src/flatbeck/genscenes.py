@@ -23,23 +23,13 @@ from .measures import DiscreteMeasure
 from .stability import CertificationResult, StableFrame, certify_stability
 
 
-def rational(rng: random.Random, span: int = 8, den: int = 8) -> Fraction:
-    return Fraction(rng.randint(-span, span), den)
+def random_point(rng: random.Random, n: int, span: int, den: int):
+    return tuple(Fraction(rng.randint(-span, span), den) for _ in range(n))
 
 
-def random_point(rng: random.Random, n: int, span: int = 8, den: int = 8):
-    return tuple(rational(rng, span, den) for _ in range(n))
-
-
-def random_flat(
-    rng: random.Random,
-    n: int,
-    dim: int,
-    base_span: int = 2,
-    base_den: int = 8,
-) -> AffineFlat:
+def random_flat(rng: random.Random, n: int, dim: int) -> AffineFlat:
     """Random flat with independent small-integer directions."""
-    base = random_point(rng, n, base_span, base_den)
+    base = random_point(rng, n, 2, 8)
     dirs: list[list[int]] = []
     while len(dirs) < dim:
         cand = [rng.randint(-3, 3) for _ in range(n)]
@@ -48,30 +38,21 @@ def random_flat(
     return AffineFlat(base, dirs)
 
 
-def random_minimal_flats(
-    rng: random.Random, n: int, dims: Sequence[int], max_tries: int = 500
-) -> list[AffineFlat]:
+def random_minimal_flats(rng: random.Random, n: int, dims: Sequence[int]) -> list[AffineFlat]:
     """Flats of the given dimensions forming a minimal collection in Q^n."""
     if sum(dims) < n:
         raise ValueError("dimension sum below ambient dimension")
-    for _ in range(max_tries):
+    for _ in range(500):
         flats = [random_flat(rng, n, d) for d in dims]
         if is_minimal(flats, ambient_dim=n):
             return flats
     raise RuntimeError("failed to draw a minimal collection")
 
 
-def cluster_on_flat(
-    rng: random.Random,
-    f: AffineFlat,
-    count: int,
-    center_span: int = 6,
-    center_den: int = 32,
-    spread_den: int = 512,
-) -> list[tuple]:
+def cluster_on_flat(rng: random.Random, f: AffineFlat, count: int) -> list[tuple]:
     """Distinct points of the flat clustered around a random chart point."""
     chart = FlatChart(f)
-    center = [Fraction(rng.randint(-center_span, center_span), center_den) for _ in range(f.dim)]
+    center = random_point(rng, f.dim, 6, 32)
     pts = []
     seen = set()
     guard = 0
@@ -79,9 +60,7 @@ def cluster_on_flat(
         guard += 1
         if guard > 100 * count:
             raise RuntimeError("failed to sample distinct cluster points")
-        offset = [
-            c + Fraction(rng.randint(-4, 4), spread_den) for c in center
-        ]
+        offset = [c + Fraction(rng.randint(-4, 4), 512) for c in center]
         p = chart.to_ambient(offset)
         if p in seen:
             continue
@@ -95,12 +74,11 @@ def random_minimal_frame(
     n: int,
     dims: Sequence[int],
     atoms_per_measure: int = 2,
-    resolution: Fraction = Fraction(1, 1024),
-    max_tries: int = 200,
 ) -> tuple[StableFrame, CertificationResult]:
     """Certified frame over a minimal collection: dim V_j cluster measures on
-    each flat, certified at the achieved normalized-minor floor."""
-    for _ in range(max_tries):
+    each flat at resolution 1/1024, certified at the achieved
+    normalized-minor floor."""
+    for _ in range(200):
         try:
             flats = random_minimal_flats(rng, n, dims)
             grid = []
@@ -112,7 +90,7 @@ def random_minimal_frame(
                     if any(norm2(vec(p)) > 1 for p in pts):
                         ok = False
                         break
-                    row.append(DiscreteMeasure.uniform(pts, resolution))
+                    row.append(DiscreteMeasure.uniform(pts, Fraction(1, 1024)))
                 if not ok:
                     break
                 grid.append(row)
@@ -127,27 +105,18 @@ def random_minimal_frame(
     raise RuntimeError("failed to build a certified minimal frame")
 
 
-def segment_grid(
-    j: int,
-    y_offset: Fraction = Fraction(0),
-    ambient: int = 2,
-    axis: int = 0,
-) -> DiscreteMeasure:
-    """Uniform measure on the 2^-j grid of the unit segment at height y."""
+def segment_grid(j: int, y_offset: Fraction = Fraction(0)) -> DiscreteMeasure:
+    """Uniform measure on the 2^-j grid of the unit segment [0, 1] x {y} of
+    the plane."""
     count = 2**j
-    pts = []
-    for i in range(count):
-        p = [Fraction(0)] * ambient
-        p[axis] = Fraction(i, count)
-        p[(axis + 1) % ambient] = y_offset
-        pts.append(tuple(p))
+    pts = [(Fraction(i, count), y_offset) for i in range(count)]
     return DiscreteMeasure.uniform(pts, Fraction(1, count))
 
 
-def parallel_segments(j: int, separation: Fraction = Fraction(1)) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    """Two parallel unit segments discretized at 2^-j, the classic thin-tube
-    scene."""
-    return segment_grid(j, Fraction(0)), segment_grid(j, separation)
+def parallel_segments(j: int) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    """Two parallel unit segments at distance 1, discretized at 2^-j, the
+    classic thin-tube scene."""
+    return segment_grid(j), segment_grid(j, Fraction(1))
 
 
 def square_grid(j: int) -> DiscreteMeasure:
@@ -201,7 +170,6 @@ def psi_scene(
     n: int = 3,
     dims: Sequence[int] = (2, 1, 1),
     p: int = 1,
-    max_tries: int = 100,
 ):
     """A full hyperplane-map context: random flats of the given dimensions,
     fixed atoms on every flat but the last, and an exactly aligned screen.
@@ -215,7 +183,7 @@ def psi_scene(
         raise ValueError("dimension surplus does not match p")
     if dims[0] < p + 1 or sum(dims[:-1]) > n:
         raise ValueError("infeasible dimension profile")
-    for _ in range(max_tries):
+    for _ in range(100):
         flats = [random_flat(rng, n, d) for d in dims]
         fixed: dict[tuple[int, int], tuple] = {}
         try:

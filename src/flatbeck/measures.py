@@ -17,7 +17,7 @@ import statistics
 from operator import mul, sub
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactlin import Vector, _integerized_points, frac, norm2, vec, wedge_norm2
 from .flats import AffineFlat, _dist2_form, _lifted_integer_points, _pencils, _pick_span
@@ -73,10 +73,8 @@ class DiscreteMeasure:
         return all(norm2(p) <= 1 for p, _ in self.atoms)
 
     @classmethod
-    def uniform(cls, points: Sequence[Sequence], resolution, total=1) -> "DiscreteMeasure":
-        pts = [vec(p) for p in points]
-        w = frac(total) / len(pts)
-        return cls([(p, w) for p in pts], resolution)
+    def uniform(cls, points: Sequence[Sequence], resolution) -> "DiscreteMeasure":
+        return cls([(p, Fraction(1, len(points))) for p in points], resolution)
 
 
 class PlateMassOracle:
@@ -238,12 +236,6 @@ def _max_ball_masses(mu: DiscreteMeasure, radii: Sequence[Fraction]) -> dict[Fra
     return {r: Fraction(b, mu.weight_den) for r, b in zip(radii, best)}
 
 
-def max_ball_mass(mu: DiscreteMeasure, radius: Fraction) -> Fraction:
-    """Max over atom centers of the closed-ball mass; exact."""
-    radius = frac(radius)
-    return _max_ball_masses(mu, [radius])[radius]
-
-
 def frostman_fit(mu: DiscreteMeasure, scales: Sequence) -> FrostmanFit:
     """Least-squares fit of log max-ball-mass against log scale.
 
@@ -332,17 +324,6 @@ def good_position_margin(mus: Sequence[DiscreteMeasure]) -> Fraction:
             break
     assert best is not None
     return best
-
-
-def restrict_and_normalize(
-    mu: DiscreteMeasure, region: Callable[[Vector, Fraction], bool]
-) -> DiscreteMeasure:
-    """Filter atoms by the region predicate and rescale weights to mass 1."""
-    kept = [(p, w) for p, w in mu.atoms if region(p, w)]
-    total = sum((w for _, w in kept), Fraction(0))
-    if total == 0:
-        raise ValueError("restriction keeps no mass")
-    return DiscreteMeasure([(p, w / total) for p, w in kept], mu.resolution)
 
 
 def support_dist2(a: DiscreteMeasure, b: DiscreteMeasure) -> Fraction:

@@ -101,22 +101,6 @@ class ChartFrame(FlatChart):
         super().__init__(AffineFlat(screen.basepoint, cols))
         self.host, self.screen, self.center, self.p = host, screen, center, screen.dim
 
-    to_chart = FlatChart.to_coords
-
-    def split(self, coords: Vector) -> tuple[Vector, Fraction, Vector]:
-        u = coords[: self.p]
-        t = coords[self.p]
-        w = coords[self.p + 1 :]
-        return u, t, w
-
-
-def chart_project(cf: ChartFrame, coords: Sequence) -> Vector:
-    """The center-fiber projection in chart coordinates: (u,t,w) -> u/(1-t)."""
-    u, t, _ = cf.split(vec(coords))
-    if t == 1:
-        raise ValueError("center fiber")
-    return tuple(x / (1 - t) for x in u)
-
 
 def lift_hyperplane(cf: ChartFrame, hc: HyperplaneCoords) -> AffineFlat:
     """The unique hyperplane H_W of the host flat containing the center with
@@ -161,12 +145,14 @@ class NonGenericConfiguration(ValueError):
     pass
 
 
+SCREEN_TRIES = 200  # screens make_psi_context draws before it gives up
+
+
 def make_psi_context(
     flats: Sequence[AffineFlat],
     fixed_atoms: dict[tuple[int, int], Sequence],
     p: int,
     rng,
-    max_tries: int = 200,
 ) -> PsiContext:
     """Build the Setup context: E from the fixed atoms, J = aff(E, F_1),
     Q1 = J meet F_k, and an exactly aligned screen U in F_1 with its center
@@ -222,7 +208,7 @@ def make_psi_context(
     except ValueError:
         raise NonGenericConfiguration("fixed atom span and last flat are not complementary") from None
     kd = len(kernel)
-    for _ in range(max_tries):
+    for _ in range(SCREEN_TRIES):
         coeff_rows = [
             [Fraction(rng.randint(-3, 3)) for _ in range(kd)] for _ in range(p)
         ]
@@ -371,14 +357,12 @@ def projected_nc_report(
     return out
 
 
-def rational_sqrt_lower(x: Fraction, precision_bits: int = 24) -> Fraction:
-    """A rational lower bound for sqrt(x)."""
+def rational_sqrt_lower(x: Fraction) -> Fraction:
+    """A rational lower bound for sqrt(x), within 2^-24 of it."""
     x = frac(x)
     if x < 0:
         raise ValueError("negative input")
-    if x == 0:
-        return Fraction(0)
-    scale = 1 << precision_bits
+    scale = 1 << 24
     val = math.isqrt(x.numerator * x.denominator * scale * scale)
     return Fraction(val, x.denominator * scale)
 

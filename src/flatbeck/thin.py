@@ -38,7 +38,7 @@ from fractions import Fraction
 from operator import sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .exactlin import BudgetExceeded, Vector, frac, int_rref
+from .exactlin import BudgetExceeded, frac, int_rref
 from .flats import _dist2_offset, _lifted_integer_points, _normals, _pick_span
 from .flatcollect import FlatCollection
 from .measures import SPAN_CHUNK, DiscreteMeasure, PlateMassOracle, support_dist2
@@ -101,14 +101,6 @@ class ThinGraph:
     def arity(self) -> int:
         return len(self.measures)
 
-    def tuple_count(self) -> int:
-        if self.tuples is None:
-            total = 1
-            for m in self.measures:
-                total *= len(m)
-            return total
-        return len(self.tuples)
-
     def iter_tuples(self) -> Iterator[tuple[int, ...]]:
         if self.tuples is None:
             yield from itertools.product(*(range(len(m)) for m in self.measures))
@@ -137,15 +129,6 @@ class ThinGraph:
             self.sigma_exact if sigma is None else sigma,
             self.k_exact if big_k is None else big_k,
         )
-
-    def tuple_points(self, t: tuple[int, ...]) -> list[Vector]:
-        return [m.atoms[i][0] for i, m in zip(t, self.measures)]
-
-    def tuple_weight(self, t: tuple[int, ...]) -> Fraction:
-        w = Fraction(1)
-        for i, m in zip(t, self.measures):
-            w *= m.atoms[i][1]
-        return w
 
 
 @dataclass

@@ -75,6 +75,11 @@ def reference_rank(rows: Sequence[Sequence]) -> int:
     return len(row_space(rows))
 
 
+def reference_affinely_independent(points: Sequence[Sequence]) -> bool:
+    """True iff the lifted points (p, 1) have full reference rank."""
+    return reference_rank([tuple(p) + (1,) for p in points]) == len(points)
+
+
 def reference_det(rows: Sequence[Sequence]) -> Fraction:
     """Gaussian elimination over Fraction: the signed product of the
     pivots of a square matrix."""

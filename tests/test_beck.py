@@ -16,7 +16,7 @@ from flatbeck.beck import (
 )
 from flatbeck.cli import main
 from flatbeck.exactlin import int_rref
-from flatbeck.flats import AffineFlat, _lifted_integer_points, _spanned, dist2_point_flat
+from flatbeck.flats import AffineFlat, _lifted_integer_points, _spanned, dist2_flats
 from flatbeck.genscenes import generic_points
 from fraction_reference import reference_dichotomy, reference_generic_points, reference_rank, reference_spanned_flats
 
@@ -207,7 +207,7 @@ class TestCoverMasks:
     def test_integer_masks_match_contains_point(self, pts):
         for d in range(len(pts[0])):
             for f, mask in _spanned(pts, d):
-                want = sum(1 << i for i, p in enumerate(pts) if dist2_point_flat(p, f) == 0)
+                want = sum(1 << i for i, p in enumerate(pts) if dist2_flats(AffineFlat.point(p), f) == 0)
                 assert mask == want
 
 

@@ -176,6 +176,7 @@ class TestMalformedParams:
         [
             ("flats", "x", ["0", "0"], "flats.x: needs basepoint and directions"),
             ("flats", "x", {"directions": []}, "flats.x: needs basepoint and directions"),
+            ("flats", "x", {"basepoint": "0"}, "flats.x.basepoint: expected a coordinate list"),
             (
                 "flats", "x", {"basepoint": ["0", "0"], "directions": [["1", "2"], ["2", "4"]]},
                 "flats.x: directions are linearly dependent",
@@ -190,7 +191,7 @@ class TestMalformedParams:
             ("frames", "fr", {"flats": ["x"], "measures": []}, "frames.fr: one measure list per flat required"),
         ],
         ids=[
-            "flat-not-object", "flat-no-basepoint", "flat-dependent", "measure-not-object",
+            "flat-not-object", "flat-no-basepoint", "basepoint-not-list", "flat-dependent", "measure-not-object",
             "uniform-coordinates", "atom-not-pair", "atom-negative", "graph-no-measures", "graph-arity", "frame-no-measures",
             "frame-mismatch",
         ],
@@ -204,6 +205,49 @@ class TestMalformedParams:
         path = write_scene(tmp_path, body)
         assert main(["analyze-flats", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
         assert capsys.readouterr().err == f"input error: {message}\n"
+
+    LISTS = {
+        "ambient_dim": 2,
+        "flats": {"a": {"basepoint": ["0", "0"], "directions": [["1", "0"]]}},
+        "measures": {"m": {"atoms": [[["0", "0"], "1/2"], [["1/2", "0"], "1/2"]]}},
+        "graphs": {"g": {"measures": ["m", "m"], "tuples": [[0, 1]]}},
+        "frames": {"f": {"flats": ["a"], "measures": [["m"]]}},
+    }
+
+    @pytest.mark.parametrize(
+        "section, name, field, value, where",
+        [
+            ("flats", "a", "directions", 5, "flats.a.directions"),
+            ("measures", "m", "atoms", 5, "measures.m.atoms"),
+            ("measures", "m", "uniform_on", 5, "measures.m.uniform_on"),
+            ("measures", "m", "uniform_on", [], "measures.m"),
+            ("graphs", "g", "measures", 5, "graphs.g"),
+            ("graphs", "g", "tuples", 5, "graphs.g.tuples"),
+            ("graphs", "g", "tuples", [5], "graphs.g.tuples[0]"),
+            ("graphs", "g", "tuples", [[0, 1.5]], "graphs.g.tuples[0]"),
+            ("graphs", "g", "tuples", [[0, True]], "graphs.g.tuples[0]"),
+            ("frames", "f", "flats", 5, "frames.f"),
+            ("frames", "f", "flats", [["a"]], "frames.f"),
+            ("frames", "f", "measures", 5, "frames.f.measures"),
+            ("frames", "f", "measures", [5], "frames.f"),
+        ],
+        ids=[
+            "directions", "atoms", "uniform-on", "uniform-on-empty", "graph-measures", "tuples",
+            "tuple-not-list", "tuple-decimal-index", "tuple-bool-index", "frame-flats", "frame-flat-not-name", "frame-measures",
+            "frame-measure-row",
+        ],
+    )
+    def test_malformed_list_is_an_input_error(self, tmp_path, capsys, section, name, field, value, where):
+        """A list field holding another JSON value, or a list of the wrong
+        entries, exits 2 with one line that names the field; a TypeError
+        would escape main and exit 1."""
+        body = json.loads(json.dumps(self.LISTS))
+        parse_scene(write_scene(tmp_path, body, "valid.json"))
+        body[section][name][field] = value
+        path = write_scene(tmp_path, body)
+        assert main(["analyze-flats", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {where}: ") and err.count("\n") == 1
 
     def test_scales_above_one_run_as_given(self, tmp_path):
         """-1..3 is the window 2 down to 1/8, from the flag or the scene."""

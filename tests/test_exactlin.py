@@ -3,13 +3,17 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatbeck.exactlin import (
     _integerized_rows,
     _wedge,
+    frac,
     int_kernel,
     int_rref,
+    orthogonalize,
+    vec,
     wedge_norm2,
 )
 from flatbeck.flats import _reduced
@@ -353,3 +357,16 @@ class TestSolveNullspace:
         assert (got is None) == (reference_rank([list(r) + [b] for r, b in zip(m, rhs)]) > reference_rank(m))
         if got is not None:
             assert apply(m, got) == tuple(rhs)
+
+
+class TestRefusals:
+    def test_float_is_never_coerced(self):
+        """The exact-arithmetic contract: a float reaches no rational."""
+        with pytest.raises(TypeError, match="refusing to coerce float 0.5"):
+            frac(0.5)
+        with pytest.raises(TypeError, match="refusing to coerce float"):
+            vec([Fraction(1, 2), 0.25])
+
+    def test_orthogonalize_refuses_dependent_columns(self):
+        with pytest.raises(ValueError, match="dependent columns"):
+            orthogonalize([[1, 2, 0], [0, 1, 0], [1, 3, 0]])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatbeck import flatcollect
 from flatbeck.flats import AffineFlat, join
 from flatbeck.flatcollect import (
     FlatCollection,
@@ -63,10 +64,11 @@ class TestCost:
     def test_one_line_in_q3(self):
         assert FlatCollection([line([0, 0, 0], [1, 0, 0])]).cost() == 1
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(flatcollect, "PARTITION_CAP", 4)
         pts = [AffineFlat.point([i, 0]) for i in range(5)]
         with pytest.raises(PartitionSpaceTooLarge):
-            FlatCollection(pts, cap=4).cost()
+            FlatCollection(pts).cost()
 
     def test_monotone_under_extension(self):
         rng = random.Random(11)

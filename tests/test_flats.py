@@ -10,9 +10,7 @@ from flatbeck.flats import (
     AffineFlat,
     FlatChart,
     NonGenericScreen,
-    affinely_independent,
     dist2_flats,
-    dist2_point_flat,
     join,
     linearize,
     meet,
@@ -115,7 +113,7 @@ def random_linear_subspace(rng, n=5):
 
 
 class TestPointDistanceOracle:
-    """dist2_point_flat (integer numerators) against the normal-equations
+    """dist2_flats from a point flat (integer numerators) against the normal-equations
     distance from a point flat, on a flat and on an equal flat built
     separately."""
 
@@ -138,9 +136,9 @@ class TestPointDistanceOracle:
         g = AffineFlat(vec(a + b for a, b in zip(vec(base), offset)), other_dirs)
         assert g == f
         want = reference_dist2_flats(AffineFlat.point(p), f)
-        assert dist2_point_flat(p, f) == want
-        assert dist2_point_flat(p, g) == want
-        assert dist2_point_flat(p, f) == want  # a second call on the same flat
+        assert dist2_flats(AffineFlat.point(p), f) == want
+        assert dist2_flats(AffineFlat.point(p), g) == want
+        assert dist2_flats(AffineFlat.point(p), f) == want  # a second call on the same flat
 
 
 @st.composite
@@ -227,7 +225,7 @@ class TestNeighborhood:
         f = AffineFlat([0, 0, 1], [[1, 0, 0], [1, 1, 0]])
         offset = [p[0] - 0, p[1] - 0, p[2] - 1]
         expected = reference_gram_det(list(f.directions) + [offset]) / reference_gram_det(f.directions)
-        assert dist2_point_flat(p, f) == expected
+        assert dist2_flats(AffineFlat.point(p), f) == expected
 
 
 class TestFlatDistance:
@@ -495,7 +493,7 @@ class TestIntegerMembership:
     def test_matches_fraction_reference(self, case):
         f, points, others = case
         for p in points:
-            assert f.contains_point(p) == (dist2_point_flat(p, f) == 0)
+            assert f.contains_point(p) == (dist2_flats(AffineFlat.point(p), f) == 0)
         for g in others:
             want = reference_rank(f.canon + g.canon) == reference_rank(f.canon)
             assert f.contains_flat(g) == want

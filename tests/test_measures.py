@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flatbeck import measures
 from flatbeck.exactlin import norm2
-from flatbeck.flats import AffineFlat, affinely_independent, dist2_point_flat, spanned_flats
+from flatbeck.flats import AffineFlat, dist2_flats, spanned_flats
 from flatbeck.measures import (
     DiscreteMeasure,
     PlateMassOracle,
@@ -18,11 +18,10 @@ from flatbeck.measures import (
     frostman_fit,
     good_position_margin,
     irreducibility_modulus,
-    max_ball_mass,
-    restrict_and_normalize,
     support_dist2,
 )
 from fraction_reference import (
+    reference_affinely_independent,
     reference_dist2_flats,
     reference_gram_det,
     reference_max_ball_mass,
@@ -103,12 +102,26 @@ def reference_masses(mu, f, radii2):
     return [sum((w for x, w in zip(d2, mu.weights()) if x <= r2), Fraction(0)) for r2 in radii2]
 
 
+class TestDiscreteMeasureRefusals:
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            ([], "measure needs at least one atom"),
+            ([((0, 0), 1), ((0, 0, 0), 1)], "atom dimension mismatch"),
+        ],
+        ids=["empty", "mixed-dimensions"],
+    )
+    def test_refused(self, atoms, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteMeasure(atoms, D)
+
+
 class TestPlateMassOracle:
     @settings(max_examples=150, deadline=None)
     @given(plate_cases())
     def test_matches_the_fraction_reference(self, case):
         atoms, span, radii2, hit, stretch = case
-        assume(affinely_independent(span))
+        assume(reference_affinely_independent(span))
         mu = DiscreteMeasure(atoms, D)
         f = AffineFlat.from_points(span)
         # one radius exactly at an atom's squared distance: the boundary is closed
@@ -181,8 +194,10 @@ class TestPackedCore:
             with pytest.raises(ValueError, match="dependent"):
                 oracle._counts(spans, radii2, weightings)
             return
-        assume(all(affinely_independent([a[:-1]] + [tuple(x + a[-1] * y for x, y in zip(a, d)) for d in dirs])
-                   for a, dirs in spans))
+        assume(all(
+            reference_affinely_independent([a[:-1]] + [tuple(x + a[-1] * y for x, y in zip(a, d)) for d in dirs])
+            for a, dirs in spans
+        ))
         flats = [AffineFlat([Fraction(x, a[-1]) for x in a[:-1]], dirs) for a, dirs in spans]
         d2 = [[reference_dist2(p, f) for p in pts] for f in flats]
         # a negative radius and one past every atom, whose thresholds must
@@ -200,18 +215,18 @@ class TestPackedCore:
 
 
 class TestAtomsNearFlat:
-    """atoms_near_flat and dist2_point_flat against the normal-equations
+    """atoms_near_flat and dist2_flats from a point against the normal-equations
     distance of the Fraction reference, on random flats of Q^2 to Q^4."""
 
     @settings(max_examples=150, deadline=None)
     @given(plate_cases())
     def test_matches_the_fraction_reference(self, case):
         atoms, span, radii2, hit, _ = case
-        assume(affinely_independent(span))
+        assume(reference_affinely_independent(span))
         mu = DiscreteMeasure(atoms, D)
         f = AffineFlat.from_points(span)
         d2 = [reference_dist2(p, f) for p in mu.points()]
-        assert [dist2_point_flat(p, f) for p in mu.points()] == d2
+        assert [dist2_flats(AffineFlat.point(p), f) for p in mu.points()] == d2
         oracle = PlateMassOracle(mu)
         # one radius exactly at an atom's squared distance: the boundary is inside
         for r2 in radii2 + [d2[hit]]:
@@ -224,9 +239,9 @@ class TestAtomsNearFlat:
         with pytest.raises(ValueError, match="ambient"):
             oracle.atoms_near_flat(line, Fraction(1))
         with pytest.raises(ValueError, match="ambient"):
-            dist2_point_flat((0, 0), line)
+            dist2_flats(AffineFlat.point((0, 0)), line)
         with pytest.raises(ValueError, match="ambient"):
-            dist2_point_flat((0, 0, 0, 0), line)
+            dist2_flats(AffineFlat.point((0, 0, 0, 0)), line)
 
 
 @st.composite
@@ -301,7 +316,7 @@ class TestAnchorMemo:
         oracle = PlateMassOracle(mu)
         for anchor, dirs, door, radii2, hit in calls:
             span = [anchor] + [tuple(a + x for a, x in zip(anchor, d)) for d in dirs]
-            if not affinely_independent(span):
+            if not reference_affinely_independent(span):
                 with pytest.raises(ValueError):
                     oracle.masses_near_span(span, [Fraction(1)])
                 continue
@@ -390,7 +405,7 @@ class TestFrostmanFit:
         mu = segment_measure(n_atoms=8)
         fit = frostman_fit(mu, [Fraction(1, 2), Fraction(1, 4)])
         for scale, mass in fit.table:
-            assert mass == max_ball_mass(mu, scale)
+            assert mass == measures._max_ball_masses(mu, [scale])[scale]
             assert isinstance(mass, Fraction)
 
 
@@ -433,7 +448,7 @@ class TestBallMassesAgainstFractionReference:
         radii = [Fraction(1, 12), Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]
         fit = frostman_fit(mu, radii)
         for r, mass in fit.table:
-            assert mass == max_ball_mass(mu, r) == reference_max_ball_mass(atoms, r)
+            assert mass == measures._max_ball_masses(mu, [r])[r] == reference_max_ball_mass(atoms, r)
 
     def test_non_collinear_grid(self):
         atoms = [
@@ -445,7 +460,7 @@ class TestBallMassesAgainstFractionReference:
         radii = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]
         fit = frostman_fit(mu, radii)
         for r, mass in fit.table:
-            assert mass == max_ball_mass(mu, r) == reference_max_ball_mass(atoms, r)
+            assert mass == measures._max_ball_masses(mu, [r])[r] == reference_max_ball_mass(atoms, r)
 
     @settings(max_examples=150, deadline=None)
     @given(ball_cases())
@@ -453,7 +468,7 @@ class TestBallMassesAgainstFractionReference:
         atoms, radii = case
         mu = DiscreteMeasure(atoms, D)
         for r in radii:
-            assert max_ball_mass(mu, r) == reference_max_ball_mass(mu.atoms, r)
+            assert measures._max_ball_masses(mu, [r])[r] == reference_max_ball_mass(mu.atoms, r)
 
 
 class TestIrreducibilityModulus:
@@ -599,28 +614,6 @@ class TestGoodPositionMargin:
         # lifted columns (0,0,1),(1,0,1),(0,1,1): det = 1, so gram det = 1;
         # squared column norms are 1, 2, 2
         assert margin == Fraction(1, 4)
-
-
-class TestRestrictAndNormalize:
-    def test_whole_region_normalizes(self):
-        mu = DiscreteMeasure([((0, 0), 2), ((1, 0), 2)], D)
-        out = restrict_and_normalize(mu, lambda p, w: True)
-        assert out.total_mass == 1
-
-    def test_single_atom_becomes_dirac(self):
-        mu = DiscreteMeasure([((0, 0), 2), ((1, 0), 2)], D)
-        out = restrict_and_normalize(mu, lambda p, w: p[0] == 0)
-        assert len(out) == 1 and out.total_mass == 1
-
-    def test_half_mass_region_doubles_weights(self):
-        mu = DiscreteMeasure([((0, 0), Fraction(1, 2)), ((1, 0), Fraction(1, 2))], D)
-        out = restrict_and_normalize(mu, lambda p, w: p[0] == 0)
-        assert out.atoms[0][1] == 1
-
-    def test_empty_region_rejected(self):
-        mu = DiscreteMeasure([((0, 0), 1)], D)
-        with pytest.raises(ValueError):
-            restrict_and_normalize(mu, lambda p, w: False)
 
 
 def raw_points():

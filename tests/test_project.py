@@ -17,7 +17,6 @@ from flatbeck.project import (
     NonGenericConfiguration,
     NonGenericScreen,
     PsiContext,
-    chart_project,
     exceptional_center_certificate,
     hyperplane_map_psi,
     irreducible_projection_check,
@@ -191,11 +190,13 @@ class TestMakePsiContextRefusals:
             make_psi_context(flats, fixed, 1, rng)
         assert rng.getstate() == state
 
-    def test_no_screen_within_the_tries(self):
+    def test_no_screen_within_the_tries(self, monkeypatch):
         flats = [PLANE, line_through([0, 0, 1], [1, 0, 0]), line_through([1, 1, 0], [1, 0, 1])]
         fixed = {(0, 1): (0, 0, 0), (1, 0): (0, 0, 1)}
-        with pytest.raises(NonGenericConfiguration, match="failed to build an aligned screen"):
-            make_psi_context(flats, fixed, 1, random.Random(1), max_tries=0)
+        with monkeypatch.context() as m:
+            m.setattr(project, "SCREEN_TRIES", 0)
+            with pytest.raises(NonGenericConfiguration, match="failed to build an aligned screen"):
+                make_psi_context(flats, fixed, 1, random.Random(1))
         ctx = make_psi_context(flats, fixed, 1, random.Random(1))
         assert ctx.q1 == flats[2]
 
@@ -221,7 +222,7 @@ class TestChartFrame:
         monkeypatch.setattr(project, "int_rref", refuse)
         cf = q3_chart()
         assert cf.flat == cf.host
-        assert cf.to_chart((3, -1, 5)) == cf.to_coords((3, -1, 5)) == (3, -1, 5)
+        assert cf.to_coords((3, -1, 5)) == (3, -1, 5)
 
     @pytest.mark.parametrize(
         "screen, center, message",
@@ -238,24 +239,6 @@ class TestChartFrame:
         line."""
         with pytest.raises(ValueError, match=message):
             ChartFrame(PLANE, screen, center)
-
-
-class TestChartProject:
-    def test_documented_value(self):
-        cf = q3_chart()
-        assert chart_project(cf, (1, Fraction(1, 2), 0)) == (2,)
-
-    def test_screen_fixed_at_t_zero(self):
-        cf = q3_chart()
-        assert chart_project(cf, (Fraction(5, 7), 0, 3)) == (Fraction(5, 7),)
-
-    def test_negative_t(self):
-        cf = q3_chart()
-        assert chart_project(cf, (3, -1, 5)) == (Fraction(3, 2),)
-
-    def test_center_fiber_rejected(self):
-        with pytest.raises(ValueError):
-            chart_project(q3_chart(), (1, 1, 0))
 
 
 class TestPushforward:
@@ -302,8 +285,8 @@ class TestLiftHyperplane:
         for coords in [(Fraction(3, 4), 0, 0), (Fraction(3, 8), Fraction(1, 2), 1)]:
             pt = cf.to_ambient(coords)
             assert h.contains_point(pt)
-            u = chart_project(cf, cf.to_chart(pt))
-            assert hc.a[0] * u[0] == hc.b
+            u, t, _ = cf.to_coords(pt)
+            assert hc.a[0] * u / (1 - t) == hc.b
 
 
 class TestPsi:
@@ -324,9 +307,8 @@ class TestPsi:
         chart = ctx.chart
         for raw in [(Fraction(1, 8), Fraction(3, 16)), (Fraction(-1, 4), Fraction(1, 8))]:
             x = FlatChart(ctx.f1).to_ambient(raw)
-            coords = chart.to_chart(x)
-            u = chart_project(chart, coords)
-            w = HyperplaneCoords((Fraction(1),), u[0])
+            u, t = chart.to_coords(x)
+            w = HyperplaneCoords((Fraction(1),), u / (1 - t))
             lhs = hyperplane_map_psi(ctx, w)
             y = radial_point(projector(ctx.e_flat, ctx.fk), x)
             assert lhs == AffineFlat.point(y)
@@ -687,6 +669,11 @@ class TestIrreducibleProjection:
             assert r * r <= x
             assert (r + Fraction(1, 1000)) ** 2 > x
 
+    def test_sqrt_lower_bound_at_zero_and_below(self):
+        assert rational_sqrt_lower(Fraction(0)) == 0
+        with pytest.raises(ValueError, match="negative input"):
+            rational_sqrt_lower(Fraction(-1, 4))
+
 
 def skew_lines(count):
     return [AffineFlat([i, 0, 0], [[0, 1, i + 1]]) for i in range(count)]
@@ -700,13 +687,14 @@ class TestPartitionCap:
         assert issubclass(PartitionSpaceTooLarge, RuntimeError)
         assert not issubclass(PartitionSpaceTooLarge, ValueError)
 
-    def test_exceptional_certificate_checks_the_cap(self):
-        coll = FlatCollection(skew_lines(5), cap=4)
+    def test_exceptional_certificate_checks_the_cap(self, monkeypatch):
+        monkeypatch.setattr(flatcollect, "PARTITION_CAP", 4)
+        coll = FlatCollection(skew_lines(5))
         with pytest.raises(PartitionSpaceTooLarge, match=f"Bell\\(5\\) = {bell_number(5)} "):
             exceptional_center_certificate(coll, (0, 0, 1))
 
     def test_projected_nc_refuses_thirteen_lines(self):
-        coll = FlatCollection(skew_lines(13), cap=13)
+        coll = FlatCollection(skew_lines(13))
         screen = AffineFlat([0, 0, -5], [[1, 0, 0], [0, 1, 0]])
         with pytest.raises(PartitionSpaceTooLarge, match=str(bell_number(13))):
             projected_nc_report(coll, [(Fraction(1, 3), Fraction(1, 5), 7)], screen)
