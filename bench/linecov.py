@@ -1,6 +1,6 @@
 """Line coverage of the flatbeck package under the test suite, stdlib only.
 
-    python3 bench/linecov.py [--package DIR] [pytest arguments ...]
+    python3 bench/linecov.py [--package DIR] [--ceiling FILE] [pytest arguments ...]
 
 Run it from the root of a flatbeck checkout.  It runs pytest in this
 process under ``sys.settrace``, records which lines of the package's
@@ -11,7 +11,9 @@ instructions to, so blank lines, comments and function docstrings never
 count.  A code object stops being traced once every one of its lines has
 run.  Bytecode caches are not written, so nothing lands under ``src/``;
 pytest runs without its cache provider.  The default pytest arguments are
-``-q tests``.
+``-q tests``.  With ``--ceiling``, a file holding one integer, the exit
+code is 1 (or pytest's, when it failed) whenever more statements than that
+never ran.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ def never_ran(package: Path, ran: dict[str, set[int]]) -> dict[str, tuple[int, l
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--package", type=Path, default=ROOT / "src" / "flatbeck")
+    p.add_argument("--ceiling", type=Path, help="a file holding the most statements that may never run")
     args, pytest_args = p.parse_known_args(argv)
     import pytest
 
@@ -108,6 +111,9 @@ def main(argv=None) -> int:
         total, missed = total + count, missed + len(lines)
         print(f"{name}: {len(lines)} of {count} statements never ran" + "".join(f" {x}" for x in lines))
     print(f"total: {missed} of {total} statements never ran; pytest exit code {int(code)}")
+    if args.ceiling is not None and missed > (ceiling := int(args.ceiling.read_text())):
+        print(f"ceiling: {missed} statements never ran, above the {ceiling} of {args.ceiling}")
+        return int(code) or 1
     return int(code)
 
 

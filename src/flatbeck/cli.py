@@ -221,9 +221,9 @@ class Scene:
         if type(seed) is not int:
             raise SceneError(f"params.seed: expected an integer, got {seed!r}")
 
-    def param_rat(self, key: str, default=None) -> Optional[Fraction]:
+    def param_rat(self, key: str, default) -> Fraction:
         if key not in self.params:
-            return None if default is None else frac(default)
+            return frac(default)
         return _rat(self.params[key], f"params.{key}")
 
 

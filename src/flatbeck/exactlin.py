@@ -140,6 +140,12 @@ def wedge_norm2(cols: Sequence[Sequence[int]]) -> int:
     return sum(d * d for d in functools.reduce(_wedge, cols, {0: 1}).values())
 
 
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """v over the gcd of its entries, its first nonzero entry positive."""
+    g = math.gcd(*v)
+    return tuple([x // g for x in v] if next(filter(None, v)) > 0 else [-x // g for x in v])
+
+
 def int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
@@ -158,10 +164,7 @@ def int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]
         if piv is None:
             continue
         m[pr], m[piv] = m[piv], m[pr]
-        g = math.gcd(*m[pr])
-        if m[pr][pc] < 0:
-            g = -g
-        mp = m[pr] = [x // g for x in m[pr]]
+        mp = m[pr] = list(_primitive(m[pr]))
         p = mp[pc]
         for i in range(nr):
             f = m[i][pc]

@@ -14,15 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from operator import mul, sub
+from operator import mul
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import Vector, _integerized_points, frac, norm2, vec, wedge_norm2
-from .flats import AffineFlat, _dist2_form, _lifted_integer_points, _pencils, _pick_span
-
-Atom = tuple[Vector, Fraction]
+from .exactlin import Vector, _integerized_points, _primitive, frac, int_rref, norm2, vec, wedge_norm2
+from .flats import AffineFlat, _dist2_form, _lifted_integer_points, _normals, _pick_span, _span_directions
 
 
 class DiscreteMeasure:
@@ -110,9 +108,7 @@ class PlateMassOracle:
         points, which must be affinely independent."""
         if any(len(p) != self.ambient_dim for p in points):
             raise ValueError("ambient dimensions differ")
-        (base, *rest), den = _integerized_points(points)
-        dirs = [tuple(map(sub, p, base)) for p in rest]
-        return self._fractions(self._counts([(base + (den,), dirs)], radii2, (self.int_weights,))[0][0])
+        return self._fractions(self._counts([_pick_span(_lifted_integer_points(points))], radii2, (self.int_weights,))[0][0])
 
     def masses_near_flat(self, f: AffineFlat, radii2: Sequence[Fraction]) -> list[Fraction]:
         """Masses within each squared radius of the flat f."""
@@ -268,9 +264,11 @@ def irreducibility_modulus(
     by the total mass.  The measure is (w, tau)-irreducible in v for any
     tau >= tau*.
 
-    Candidates are the flats spanned by atom subsets of size <= dim v (exact
-    for w = 0: the heaviest proper subflat can be replaced by the span of the
-    atoms it captures).
+    Candidates are the flats spanned by atoms on v, of dimension < k = dim v
+    (exact for w = 0: the heaviest proper subflat can be replaced by the
+    span of the atoms it captures).  F in H gives F(w) in H(w), so with S
+    their span, only the spanned hyperplanes of v are measured when dim S
+    >= k - 1 (a basis of S extends any spanned flat to one), else S alone.
     """
     if v.dim == 0:
         raise ValueError("no proper subflats of a point")
@@ -284,19 +282,38 @@ def irreducibility_modulus(
 
 
 def _oracle_modulus(mu: DiscreteMeasure, v: AffineFlat, w: Fraction, on_v: int) -> Fraction:
-    """irreducibility_modulus for a caller that has checked the support.  A
-    spanned flat lies in v exactly when its spanning atoms do (the mask
-    on_v), so the candidates are the nodes of one pencil walk over those
-    atoms to v.dim picks, read as spans straight off the picks; they stream
-    into the oracle's core SPAN_CHUNK at a time, keeping only the heaviest
-    count.  No atom on v means no candidate, and modulus 0."""
-    oracle = mu.oracle
+    """irreducibility_modulus for a caller that has checked the support; on_v
+    masks atoms exactly on v (a subset of the radius-0 mask).  One _normals
+    pass over their k-tuples, charted on the pivot columns c of v's RREF
+    direction rows B (one-to-one on v), gives each hyperplane (a, b) of v, a
+    = 0 for none, kept once as primitive.  With (g, M) = _dist2_form(B) and
+    ã = a placed on c, N = (g I - M) ã is g ã projected on dir(v), and N.x =
+    g ã.x - ã.M P0 / den on v, P0 the first lifted atom: _hyperplane_counts
+    counts the atoms of on_v on the slab (den N).x = den g b - ã.M P0, and
+    _counts the rest on a tuple's span.  No atom in on_v: modulus 0."""
+    oracle, k = mu.oracle, v.dim
     lifted = [p for i, p in enumerate(oracle._lifted) if on_v >> i & 1]
-    spans = (_pick_span([lifted[i] for i in picks])
-             for picks, _, _ in _pencils(lifted, (), 0, -1, v.dim) if picks)
-    best = 0
-    while chunk := list(itertools.islice(spans, SPAN_CHUNK)):
-        best = max(best, *(c for ((c,),) in oracle._counts(chunk, [w * w], (oracle.int_weights,))))
+    if not lifted:
+        return Fraction(0)
+    pivots, rows = int_rref(v._direction_rows())
+    chart = [tuple(p[c] for c in pivots) + p[-1:] for p in lifted]
+    tuples = itertools.combinations(range(len(lifted)), k)
+    hyper = {_primitive(ab): t for ts, ns in _normals([chart] * k, tuples) for t, ab in zip(ts, ns) if any(ab[:-1])}
+    if not hyper:  # dim S < k - 1: S alone, on the quadratic core
+        c = oracle._counts([(lifted[0], _span_directions(int_rref(lifted)[1])[0])], [w * w], (oracle.int_weights,))
+        return Fraction(c[0][0][0], mu.weight_den) / mu.total_mass
+    on, rest = ([x * (on_v >> i & 1 == s) for i, x in enumerate(oracle.int_weights)] for s in (1, 0))
+    g, m = _dist2_form(rows, mu.ambient_dim)
+    lift = [[oracle._den * (g * (i == c) - row[c]) for c in pivots] + [0] for i, row in enumerate(m)]
+    lift.append([-sum(map(mul, m[c], lifted[0])) for c in pivots] + [oracle._den * g])
+    best, candidates = 0, iter(hyper.items())
+    while chunk := list(itertools.islice(candidates, SPAN_CHUNK)):
+        normals = [_primitive([sum(map(mul, row, ab)) for row in lift]) for ab, _ in chunk]
+        counts = [c for ((c,),) in oracle._hyperplane_counts(normals, [w * w], (on,))]
+        if any(rest):
+            spans = [_pick_span([lifted[i] for i in t]) for _, t in chunk]
+            counts = [c + d for c, ((d,),) in zip(counts, oracle._counts(spans, [w * w], (rest,)))]
+        best = max(best, *counts)
     return Fraction(best, mu.weight_den) / mu.total_mass
 
 

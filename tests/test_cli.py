@@ -297,11 +297,12 @@ class TestBeckCommand:
     def test_decimal_params_keep_their_doubles(self, tmp_path):
         body = {"ambient_dim": 1, "params": {"epsilon": 0.29, "sigma": 1e-3, "eps": "1/4", "bad": "x"}}
         scene = parse_scene(write_scene(tmp_path, body))
-        assert scene.param_rat("epsilon") == Fraction(29, 100)
-        assert scene.param_rat("sigma") == Fraction(1, 1000)
-        assert scene.param_rat("eps") == Fraction(1, 4)
+        assert scene.param_rat("epsilon", "1/10") == Fraction(29, 100)
+        assert scene.param_rat("sigma", "0") == Fraction(1, 1000)
+        assert scene.param_rat("eps", "0") == Fraction(1, 4)
+        assert scene.param_rat("absent", "1/3") == Fraction(1, 3)
         with pytest.raises(SceneError, match="params.bad: malformed rational"):
-            scene.param_rat("bad")
+            scene.param_rat("bad", "0")
 
 
 def count_builds(monkeypatch) -> list:
@@ -869,7 +870,7 @@ class TestProjectIrreducibleCommand:
         def refuse(*args):
             raise AssertionError("candidates enumerated for a zero-mass measure")
 
-        monkeypatch.setattr(flatbeck.measures, "_pencils", refuse)
+        monkeypatch.setattr(flatbeck.measures, "_normals", refuse)
         code = self.run(tmp_path, {"atoms": [[p, "0"] for p in self.GRID], "resolution": "1/1024"})
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == "input error: measure has zero total mass\n"

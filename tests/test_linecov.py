@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -52,3 +53,17 @@ class TestLineCoverage:
         assert "toy.py: 1 of 5 statements never ran 8\n" in out
         assert "total: 1 of 5 statements never ran; pytest exit code 0" in out
         assert not (package / "__pycache__").exists()
+
+    def test_ceiling_fails_a_run_that_misses_more_statements(self, tmp_path, capsys):
+        package = toy_package(tmp_path)
+        test = tmp_path / "test_linecov_toy.py"
+        test.write_text("from linecov_toy.toy import sign\n\n\ndef test_sign():\n    assert sign(2) == 1\n")
+        ceiling = tmp_path / "ceiling"
+        for allowed, code in ((1, 0), (0, 1)):
+            ceiling.write_text(f"{allowed}\n")
+            for name in [m for m in sys.modules if m.startswith(("linecov_toy", "test_linecov_toy"))]:
+                del sys.modules[name]  # so each run imports and traces the toy afresh
+            assert linecov.main(["--package", str(package), "--ceiling", str(ceiling), "-q", str(test)]) == code
+        out = capsys.readouterr().out
+        assert out.count("ceiling: ") == 1
+        assert f"ceiling: 1 statements never ran, above the 0 of {ceiling}\n" in out

@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+from operator import add, mul
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from flatbeck import measures
 from flatbeck.exactlin import norm2
@@ -25,6 +26,7 @@ from fraction_reference import (
     reference_dist2_flats,
     reference_gram_det,
     reference_max_ball_mass,
+    reference_rank,
     reference_spanned_flats,
 )
 from test_flats import count_builds
@@ -337,18 +339,27 @@ class TestAnchorMemo:
             assert got == want
 
     def test_modulus_measures_each_candidate_once(self, monkeypatch):
+        """Every atom of the grid lies on the plane v, so the candidates are
+        its lines: each distinct one reaches the hyperplane core once, as a
+        normal (a, b) whose hyperplane meets the grid in that line's atoms,
+        no pencil walk runs, and the quadratic core sees only the tolerance
+        check at v."""
         grid = [(Fraction(i, 8), Fraction(j, 8), Fraction(0)) for i in range(-4, 5) for j in range(-4, 5)]
         mu = DiscreteMeasure.uniform(grid, D)
         v = AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
-        calls = count_calls(monkeypatch, "_counts")
+        lines = [frozenset(i for i, p in enumerate(grid) if f.contains_point(p)) for f in spanned_flats(grid, [1])]
+        assert len(lines) > 800
+        counts = count_calls(monkeypatch, "_counts")
+        normals = count_calls(monkeypatch, "_hyperplane_counts")
+        walks = []
+        monkeypatch.setattr("flatbeck.flats._pencils", lambda *a: walks.append(a))
+        monkeypatch.setattr(measures, "_pencils", lambda *a: walks.append(a), raising=False)
         assert irreducibility_modulus(mu, v, Fraction(1, 8)) == Fraction(1, 3)
-        candidates = [f._span() for f in spanned_flats(grid, range(2)) if v.contains_flat(f)]
-        assert len(candidates) > 800
-        # one call at v for the tolerance check and the mask of the atoms on
-        # v, then every candidate once, SPAN_CHUNK to a call
-        assert calls[0] == [v._span()]
-        assert sorted(s for spans in calls[1:] for s in spans) == sorted(candidates)
-        assert len(calls) <= 1 + math.ceil(len(candidates) / SPAN_CHUNK)
+        assert walks == []
+        assert counts == [[v._span()]]
+        got = [frozenset(i for i, p in enumerate(grid) if sum(map(mul, nu, p)) == nu[-1])
+               for batch in normals for nu in batch]
+        assert sorted(got, key=sorted) == sorted(lines, key=sorted)
 
     def test_errors_after_the_anchor_is_memoised(self):
         oracle = PlateMassOracle(segment_measure())
@@ -471,6 +482,35 @@ class TestBallMassesAgainstFractionReference:
             assert measures._max_ball_masses(mu, [r])[r] == reference_max_ball_mass(mu.atoms, r)
 
 
+@st.composite
+def modulus_cases(draw):
+    """A flat v of dimension k = 1..n in Q^n, n = 1..4 (k = n is the whole
+    space), with directions of small entries, often axes; 0 to 5 atoms on
+    v, at combinations of the first r <= k directions (r < k - 1 puts them
+    in a flat below v's hyperplanes); 0 to 3 atoms
+    off v by at most 1/16 a coordinate, within any tolerance >= 1/8; mixed
+    weights with zeros; and a w."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4])
+    dirs = draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))
+    assume(reference_rank(dirs) == k)
+    base = draw(st.tuples(*[span_coord] * n))
+    v = AffineFlat(base, dirs)
+    r = draw(st.integers(0, k))
+    t = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 4]))
+    pts = []
+    for _ in range(draw(st.integers(0, 5))):
+        ts = [draw(t) if j < r else 0 for j in range(k)]
+        pts.append(tuple(b + sum(c * d[i] for c, d in zip(ts, dirs)) for i, b in enumerate(base)))
+    for _ in range(draw(st.integers(0 if pts else 1, 3))):
+        p = draw(st.sampled_from(pts)) if pts else base
+        shift = draw(st.tuples(*[st.builds(Fraction, st.integers(-1, 1), st.just(16))] * n))
+        pts.append(tuple(map(add, p, shift)))
+    atoms = [(p, draw(weight)) for p in pts]
+    return atoms, v, draw(st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 2)]))
+
+
 class TestIrreducibilityModulus:
     def test_all_atoms_on_one_hyperplane(self):
         v = AffineFlat.full_space(2)
@@ -543,16 +583,16 @@ class TestIrreducibilityModulus:
         st.integers(1, 3),
     )
     def test_walk_matches_the_reference_flats(self, case, w, on_v, k):
-        """The modulus reads its candidate spans off the walk's picks and
-        builds no AffineFlat; it equals the heaviest reference mass over the
-        brute-force flats of dimension < dim v spanned by the atoms of the
-        mask on_v, and 0 when the mask holds no atom."""
+        """The modulus builds no AffineFlat; it equals the heaviest reference
+        mass over the brute-force flats of dimension < dim v spanned by the
+        atoms of the mask on_v, and 0 when the mask holds no atom.  on_v is
+        a subset of the atoms exactly on v, as both callers pass."""
         atoms, _, _ = case
         mu = DiscreteMeasure(atoms, D)
         assume(mu.total_mass > 0)
         n = mu.ambient_dim
         v = AffineFlat([0] * n, [[int(i == j) for j in range(n)] for i in range(min(k, n))])
-        on_v &= (1 << len(mu)) - 1
+        on_v &= sum(1 << i for i, p in enumerate(mu.points()) if reference_dist2(p, v) == 0)
         with pytest.MonkeyPatch.context() as patch:
             calls = count_builds(patch)
             got = measures._oracle_modulus(mu, v, w, on_v)
@@ -560,6 +600,46 @@ class TestIrreducibilityModulus:
         flats = reference_spanned_flats([p for i, p in enumerate(mu.points()) if on_v >> i & 1], range(v.dim))
         want = max((reference_masses(mu, f, [w * w])[0] for f in flats), default=0)
         assert got == want / mu.total_mass
+
+    @settings(max_examples=100, deadline=None)
+    @given(modulus_cases(), st.data())
+    def test_hyperplane_pass_matches_the_reference_flats(self, case, data):
+        """The modulus, through both doors, against the heaviest reference
+        mass over every brute-force flat of dimension < dim v spanned by the
+        atoms on v; w is often exactly an atom's distance from one of them,
+        where the closed neighbourhood must count it."""
+        atoms, v, w = case
+        mu = DiscreteMeasure(atoms, D)
+        assume(mu.total_mass > 0)
+        on_v = sum(1 << i for i, p in enumerate(mu.points()) if reference_dist2(p, v) == 0)
+        cands = reference_spanned_flats([p for i, p in enumerate(mu.points()) if on_v >> i & 1], range(v.dim))
+        exact = sorted({d2 for f in cands for p in mu.points() if (d2 := reference_dist2(p, f)) > 0
+                        and all(math.isqrt(x) ** 2 == x for x in (d2.numerator, d2.denominator))})
+        if exact and data.draw(st.booleans()):
+            d2 = data.draw(st.sampled_from(exact))
+            w = Fraction(math.isqrt(d2.numerator), math.isqrt(d2.denominator))
+        # the cases the pass must get right, on the statistics page
+        event(f"dim v {'= n' if v.dim == mu.ambient_dim else '< n'}")
+        event("atoms off v" if on_v != (1 << len(mu)) - 1 else "every atom on v")
+        rank = reference_rank([p + (1,) for i, p in enumerate(mu.points()) if on_v >> i & 1])
+        event("no atom on v" if rank == 0 else "on-v span below k - 1" if rank < v.dim else "on-v span >= k - 1")
+        event("w an atom's distance" if w * w in exact else "w drawn")
+        want = max((reference_masses(mu, f, [w * w])[0] for f in cands), default=0) / mu.total_mass
+        assert measures._oracle_modulus(mu, v, w, on_v) == want
+        assert irreducibility_modulus(mu, v, w, support_tolerance=1) == want
+        with mock.patch.object(measures, "SPAN_CHUNK", 2):  # the candidates cross chunks
+            assert measures._oracle_modulus(mu, v, w, on_v) == want
+
+    def test_support_beyond_the_tolerance_rejected(self):
+        """An atom 1/8 off the plane z = 0 is refused at the default
+        tolerance, the resolution 1/1024, and measured at tolerance 1/8: the
+        one atom on v spans a point, which holds half the mass."""
+        pts = [(Fraction(0), Fraction(0), Fraction(0)), (Fraction(1), Fraction(0), Fraction(1, 8))]
+        mu = DiscreteMeasure.uniform(pts, Fraction(1, 1024))
+        v = AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ValueError, match="support leaves the tolerance neighborhood of v"):
+            irreducibility_modulus(mu, v, 0)
+        assert irreducibility_modulus(mu, v, Fraction(1, 8), support_tolerance=Fraction(1, 8)) == Fraction(1, 2)
 
     def test_point_flat_rejected(self):
         mu = DiscreteMeasure([((0, 0), 1)], Fraction(1, 4))

@@ -290,6 +290,29 @@ class TestLiftHyperplane:
 
 
 class TestPsi:
+    def test_scene_draw_retries_a_non_generic_configuration(self, monkeypatch):
+        """Seed 44 of the (4, (2, 2, 1), 1) profile draws a non-generic
+        configuration first; psi_scene draws again, and returns the second
+        context.  This pins the retry that hypothesis's seeds reach only
+        now and then."""
+        outcomes = []
+        make = project.make_psi_context
+
+        def recorded(*args):
+            try:
+                ctx = make(*args)
+            except NonGenericConfiguration:
+                outcomes.append("non-generic")
+                raise
+            outcomes.append(ctx)
+            return ctx
+
+        monkeypatch.setattr(project, "make_psi_context", recorded)
+        ctx = psi_scene(random.Random(44), n=4, dims=(2, 2, 1), p=1)
+        assert outcomes == ["non-generic", ctx]
+        q1, _, _ = reference_psi(ctx)
+        assert (ctx.q1.basepoint, ctx.q1.directions) == (q1.basepoint, q1.directions)
+
     def test_p1_scene_dimensions(self):
         rng = random.Random(11)
         ctx = psi_scene(rng, n=3, dims=(2, 1, 1), p=1)
