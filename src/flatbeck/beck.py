@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactlin import BudgetExceeded, int_rref, vec
-from .flats import AffineFlat, _lifted_integer_points, _pencils, _spanned, spanned_flats
+from .flats import AffineFlat, _lifted_integer_points, _pencils, spanned_flats
 
 DEFAULT_POINT_BUDGET = 60
 COVER_NODE_BUDGET = 1_000_000  # cover-search nodes a dichotomy may expand
@@ -49,7 +49,7 @@ def enumerate_spanned_flats(x: PointConfig, k: int) -> set[AffineFlat]:
     n = x.ambient_dim
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    return set(spanned_flats(x.points, [k]))
+    return {f for f, _ in spanned_flats(x.points, k, k)}
 
 
 def concentrated_span_count(x: PointConfig, f: AffineFlat) -> int:
@@ -70,7 +70,7 @@ def concentrated_span_count(x: PointConfig, f: AffineFlat) -> int:
     on_f = sum(1 << i for i, v in enumerate(lifted) if f._spans(v))
     return sum(
         len(int_rref([v for i, v in enumerate(lifted) if mask >> i & 1])[0]) == n
-        for picks, _, mask in _pencils(lifted, f._rows, on_f, -1, n - 1 - f.dim)
+        for picks, _, mask in _pencils(lifted, f._rows, on_f, n - 1 - f.dim)
         if len(picks) == n - 1 - f.dim
     )
 
@@ -112,7 +112,7 @@ def dichotomy_report(
     need = big_n - math.floor(epsilon * big_n)
     # (popcount, cover mask, flat) per dimension 1..n-1, from one walk
     by_dim: list[list] = [[] for _ in range(n)]
-    for f, mask in _spanned(x.points, n - 1, 1):
+    for f, mask in spanned_flats(x.points, 1, n - 1):
         by_dim[f.dim].append((mask.bit_count(), mask, f))
     for cands in by_dim:
         cands.sort(key=lambda t: -t[0])  # dominated masks are useless for covering

@@ -61,7 +61,7 @@ def minimal_concentration_flat(
         raise ValueError("theta must lie in (0, 1]")
     threshold = theta * mu.total_mass
     n = mu.ambient_dim
-    for f in spanned_flats(mu.points(), range(min_dim, n)):
+    for f, _ in spanned_flats(mu.points(), min_dim, n - 1):
         if mu.oracle.masses_near_flat(f, [w * w])[0] >= threshold:
             return f
     return AffineFlat.full_space(n)

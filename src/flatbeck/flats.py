@@ -23,10 +23,11 @@ row and for one).  The plate oracle
 packs the forms of a batch of spans and runs them over a measure's atoms;
 dist2_flats is its one-offset Fraction view.
 
-The enumerator walks pencils of flats (see _pencils) and builds no
-elimination per subset; one walk, in preorder, serves every dimension up to
-its depth.  Enumerated flats keep their picks, joins and meets their rows:
-their Fraction directions are derived only when read.
+The enumerator, spanned_flats, walks pencils of flats level by level (see
+_pencils) and builds no elimination per subset; one walk serves a whole
+dimension range, dimension by dimension.  Enumerated flats keep their
+picks, joins and meets their rows: their Fraction directions are derived
+only when read.
 FlatChart reads chart coordinates off one int_rref per chart and tests an
 offset against the flat's own kernel forms.
 _plane_rows is the cofactor-normal kernel: the matrix taking a lifted point
@@ -445,48 +446,48 @@ def _lifted_integer_points(points: Sequence[Vector]) -> list[tuple[int, ...]]:
 
 
 def _pencils(
-    lifted: Sequence[Sequence[int]], rows: tuple, mask: int, last: int, depth: int
+    lifted: Sequence[Sequence[int]], rows: tuple, mask: int, depth: int
 ) -> Iterator[tuple[tuple[int, ...], Callable[[], tuple], int]]:
     """(picks, rows, mask) for span(rows) and each distinct span of it and up
-    to `depth` more lifted points, in preorder, so a walk to any depth gives
-    the nodes of a shallower one in its order; a node's depth is len(picks),
-    rows() gives its rows and bit i of a mask is set iff lifted[i] is on it.
+    to `depth` more lifted points, level by level: level d holds the spans of
+    d picks in combination order, so one walk gives every level in the order
+    a walk to that level alone gives.  rows() gives a node's rows and bit i
+    of a mask is set iff lifted[i] is on it.
 
-    One residual pass groups the points off the mask by primitive residual
-    with a positive first entry: a group is the points new to one child
-    span(rows, v).  The child is walked only when its first point k comes
-    after the last pick; then the picks are its lexicographically least
-    basis, so each span comes once, in combination order.  Its rows are
-    _pencil_rows', and its mask is the parent's OR the group.  The last
-    level yields its children without walking them or building their rows.
+    A node is expanded by one residual pass over the points off its mask,
+    grouped by primitive residual with a positive first entry: a group is
+    the points new to one child span(rows, v).  The child is kept only when
+    its first point k comes after the node's last pick; then the picks are
+    its lexicographically least basis, so each span comes once.  Its rows
+    are _pencil_rows', built once when the child is expanded in turn and,
+    on the last level, only when read; its mask is the parent's OR the
+    group.
     """
     yield (), lambda: rows, mask
-    if depth == 0 or not lifted:
-        return
-    width = len(lifted[0])
-    pivots, free, forms = _residual(rows, width)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, v in enumerate(lifted):
-        if mask >> i & 1:
-            continue
-        w = [sum(map(mul, a, v)) for a in forms]
-        g = math.gcd(*w)
-        if next(filter(None, w)) < 0:
-            g = -g
-        key = tuple([x // g for x in w])
-        if key in groups:
-            groups[key][1] |= 1 << i
-        else:
-            groups[key] = [i, 1 << i]
-    for key, (k, group) in groups.items():
-        if k < last:
-            continue
-        child = functools.partial(_pencil_rows, rows, pivots, free, key)
-        if depth == 1:
-            yield (k,), child, mask | group
-            continue
-        for picks, out, m in _pencils(lifted, child(), mask | group, k, depth - 1):
-            yield (k, *picks), out, m
+    level = [((), rows, mask)] if lifted else []
+    for left in range(depth - 1, -1, -1):  # levels below the children
+        nxt = []
+        for picks, parent, on in level:
+            pivots, free, forms = _residual(parent, len(lifted[0]))
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for i, v in enumerate(lifted):
+                if on >> i & 1:
+                    continue
+                w = [sum(map(mul, a, v)) for a in forms]
+                g = math.gcd(*w)
+                if next(filter(None, w)) < 0:
+                    g = -g
+                groups.setdefault(tuple([x // g for x in w]), [i, 0])[1] |= 1 << i
+            for key, (k, group) in groups.items():
+                if picks and k < picks[-1]:
+                    continue
+                child = functools.partial(_pencil_rows, parent, pivots, free, key)
+                if left:  # an inner node: its rows, built once, expand it
+                    built = child()
+                    nxt.append(((*picks, k), built, on | group))
+                    child = lambda built=built: built
+                yield (*picks, k), child, on | group
+        level = nxt
 
 
 def _pencil_rows(rows: tuple, pivots: list, free: list, key: tuple) -> tuple:
@@ -548,26 +549,17 @@ def _pick_span(picks: Sequence[Sequence[int]]) -> tuple[Sequence[int], list[tupl
     return base, [tuple(map(sub, v[:-1], base)) for v in picks[1:]]
 
 
-def _spanned(points: Sequence[Vector], d: int, low: Optional[int] = None) -> Iterator[tuple[AffineFlat, int]]:
-    """(flat, mask) for each distinct flat of dimension low..d (d alone when
-    low is None) spanned by points: the nodes of one pencil walk to d + 1
-    picks, so each dimension comes in the order of spanned_flats.  Bit i of
-    mask is set iff points[i] is on the flat."""
-    pts = [vec(p) for p in points]
-    lifted = _lifted_integer_points(pts)
-    for picks, rows, mask in _pencils(lifted, (), 0, -1, d + 1):
-        if len(picks) > (d if low is None else low):
-            yield AffineFlat._from_rows(pts[picks[0]], rows(), None, [lifted[i] for i in picks]), mask
-
-
-def spanned_flats(points: Sequence[Vector], dims: Iterable[int]) -> Iterator[AffineFlat]:
-    """Distinct flats spanned by point subsets, dimension by dimension in the
-    order of dims and, within a dimension, in combination order.
+def spanned_flats(points: Sequence[Vector], low: int, high: int) -> Iterator[tuple[AffineFlat, int]]:
+    """(flat, mask) for each distinct flat of dimension low..high spanned by
+    point subsets, dimension by dimension and, within a dimension, in
+    combination order; bit i of mask is set iff points[i] is on the flat.
 
     A flat of dimension d comes from an affinely independent subset of d + 1
     points.  Each flat is yielded once, as built from the first subset that
-    spans it, by the pencil walk of _pencils.
+    spans it, by one pencil walk (_pencils) to high + 1 picks.
     """
-    for d in dict.fromkeys(dims):
-        for f, _ in _spanned(points, d):
-            yield f
+    pts = [vec(p) for p in points]
+    lifted = _lifted_integer_points(pts)
+    for picks, rows, mask in _pencils(lifted, (), 0, high + 1):
+        if len(picks) > low:
+            yield AffineFlat._from_rows(pts[picks[0]], rows(), None, [lifted[i] for i in picks]), mask

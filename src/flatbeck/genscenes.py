@@ -141,18 +141,22 @@ def generic_points(
     n + 1 of them on a common hyperplane), verified exactly by incidence:
     a candidate x is refused when a.x = b for the hyperplane normal (a, b) of
     some n accepted points (a = 0 when they span none); an accepted point
-    adds the normals of the n-subsets through it (flats._normals)."""
+    adds the normals of the n-subsets through it (flats._normals).  A refused
+    point stays refused, so each decided point is tested once, and the
+    sampling is exhausted once all (2 span + 1)^n grid points are decided."""
     pts: list[tuple] = []
+    decided: set[tuple] = set()
     lifted: list[tuple[int, ...]] = []
     normals: list[tuple[int, ...]] = []
     tries = 0
     while len(pts) < count:
         tries += 1
-        if tries > max_tries:
+        if tries > max_tries or len(decided) == (2 * span + 1) ** n:
             raise RuntimeError("rejection sampling exhausted")
         p = random_point(rng, n, span, den)
-        if p in pts:
+        if p in decided:
             continue
+        decided.add(p)
         (v,) = _lifted_integer_points([p])
         if no_n_coplanar:
             w = v[:-1] + (-v[-1],)  # (den x, -den): a.w = den (a.x - b)

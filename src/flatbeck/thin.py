@@ -570,7 +570,7 @@ def prune_against_measure(
     eps = float(eps_q)
     if nu.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    scales, radii2 = _window(scales)
+    scales, radii2 = _window(scales, (*g.measures, nu))
     lifted = _lifted_atoms(g)
     den = lifted[0][0][-1]
     margins = {t: _margin2([pts[i] for pts, i in zip(lifted, t)], den) for t in g.iter_tuples()}

@@ -16,7 +16,7 @@ from flatbeck.beck import (
 )
 from flatbeck.cli import main
 from flatbeck.exactlin import int_rref
-from flatbeck.flats import AffineFlat, _lifted_integer_points, _spanned, dist2_flats
+from flatbeck.flats import AffineFlat, _lifted_integer_points, dist2_flats, spanned_flats
 from flatbeck.genscenes import generic_points
 from fraction_reference import reference_dichotomy, reference_generic_points, reference_rank, reference_spanned_flats
 
@@ -79,6 +79,22 @@ class TestGenericPointsAgainstFractionReference:
             assert outcome(generic_points, seed) == want
             exhausted += want == "rejection sampling exhausted"
         assert 0 < exhausted < 15 if small else exhausted == 0
+
+    def test_exhausted_grid_stops_drawing(self):
+        """Q^1 at span 1 has three grid points, so a fourth cannot be drawn:
+        the loop raises once all three are decided, after a handful of
+        draws, where the reference loop draws until max_tries."""
+        rng = random.Random(0)
+        draws = []
+        draw = rng.randint
+        rng.randint = lambda a, b: draws.append((a, b)) or draw(a, b)
+        with pytest.raises(RuntimeError, match="^rejection sampling exhausted$"):
+            generic_points(rng, 1, 4, span=1)
+        assert 3 <= len(draws) <= 20
+        with pytest.raises(RuntimeError, match="^rejection sampling exhausted$"):
+            reference_generic_points(random.Random(0), 1, 4, span=1, max_tries=1_000)
+        got = generic_points(random.Random(0), 1, 3, span=1)
+        assert got == reference_generic_points(random.Random(0), 1, 3, span=1)
 
 
 class TestConcentratedSpanCount:
@@ -205,10 +221,9 @@ class TestCoverMasks:
     @settings(max_examples=150, deadline=None)
     @given(repeated_points())
     def test_integer_masks_match_contains_point(self, pts):
-        for d in range(len(pts[0])):
-            for f, mask in _spanned(pts, d):
-                want = sum(1 << i for i, p in enumerate(pts) if dist2_flats(AffineFlat.point(p), f) == 0)
-                assert mask == want
+        for f, mask in spanned_flats(pts, 0, len(pts[0]) - 1):
+            want = sum(1 << i for i, p in enumerate(pts) if dist2_flats(AffineFlat.point(p), f) == 0)
+            assert mask == want
 
 
 def brute_span_count(pts, f) -> int:
@@ -256,10 +271,10 @@ class TestOneWalk:
         """One walk to every dimension gives, per dimension, the flats,
         masks and picks of a walk to that dimension alone, in its order."""
         n = len(pts[0])
-        walk = list(_spanned(pts, n - 1, 0))
+        walk = list(spanned_flats(pts, 0, n - 1))
         for d in range(n):
             bucket = [(f._rows, f._picks, m) for f, m in walk if f.dim == d]
-            assert bucket == [(f._rows, f._picks, m) for f, m in _spanned(pts, d)]
+            assert bucket == [(f._rows, f._picks, m) for f, m in spanned_flats(pts, d, d)]
 
     @settings(max_examples=60, deadline=None)
     @given(repeated_points())
@@ -270,7 +285,7 @@ class TestOneWalk:
         lifted = _lifted_integer_points(pts)
         depth = len(pts[0])
         with mock.patch.object(flats, "_pencil_rows", wraps=flats._pencil_rows) as built:
-            nodes = list(flats._pencils(lifted, (), 0, -1, depth))
+            nodes = list(flats._pencils(lifted, (), 0, depth))
         inner = sum(0 < len(picks) < depth for picks, _, _ in nodes)
         assert built.call_count == inner
         for picks, rows, _ in nodes:

@@ -711,6 +711,14 @@ class TestThinPruneAgainstMeasure:
         out = prune_against_measure(scene.graphs["segments"], scene.measures["bottom"], Fraction(1, 4), dyadic_scales(5, 1))
         assert (out.delta0, out.removed_mass, out.k_prime, out.ok) == (Fraction(1, 2), 0, report["k_prime"], True)
 
+    def test_window_below_the_resolution_is_an_input_error(self, tmp_path, capsys):
+        """The demo measures have resolution 1/32, so the window 1..6 reaches
+        below it: an input error, as in planes mode."""
+        argv = ["thin-prune", "--scene", str(SCENES / "thin-parallel-segments.json"), "--scales", "1..6", "--out", str(tmp_path)]
+        for mode in (["--mode", "planes"], ["--mode", "against-measure", "--nu", "bottom"]):
+            assert main(argv + mode) == EXIT_INPUT
+            assert capsys.readouterr().err == "input error: scale window reaches below a measure resolution\n"
+
 
 class TestThinVerifyTubesAndDensity:
     def segments_body(self, claimed=None, **fields):

@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from flatbeck import decompose as decompose_module, flats
 from flatbeck.decompose import (
     DecompositionResult,
     NotDiscretelyNC,
@@ -13,6 +16,8 @@ from flatbeck.decompose import (
 from flatbeck.flatcollect import FlatCollection
 from flatbeck.flats import AffineFlat
 from flatbeck.measures import DiscreteMeasure
+from fraction_reference import reference_spanned_flats
+from test_measures import reference_dist2, reference_masses
 
 RES = Fraction(1, 1024)
 
@@ -63,6 +68,38 @@ def plateau_scene():
     return DiscreteMeasure(atoms, RES)
 
 
+def rational_sqrt(q: Fraction):
+    """The rational square root of q >= 0, or None when it has none."""
+    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(a, b) if (a * a, b * b) == (q.numerator, q.denominator) else None
+
+
+near = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 4]))
+
+
+@st.composite
+def concentration_cases(draw):
+    """Atoms of Q^2 or Q^3 with positive weights, some shifted along an axis
+    from earlier ones so that some distances to candidate flats are
+    rational; min_dim 0 or 1; theta 1 or k/6; and w drawn, or (exact)
+    exactly the distance of an atom from a candidate of the reference."""
+    n = draw(st.integers(2, 3))
+    pts = draw(st.lists(st.tuples(*[near] * n), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        p = list(draw(st.sampled_from(pts)))
+        p[draw(st.integers(0, n - 1))] += draw(near)
+        pts.append(tuple(p))
+    pts = list(dict.fromkeys(pts))
+    mu = DiscreteMeasure([(p, Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 6)))) for p in pts], RES)
+    min_dim = draw(st.integers(0, 1))
+    theta = draw(st.one_of(st.just(Fraction(1)), st.builds(Fraction, st.integers(1, 6), st.just(6))))
+    cands = reference_spanned_flats(pts, range(min_dim, n))
+    at = sorted({r for f in cands for p in pts if (r := rational_sqrt(reference_dist2(p, f)))})
+    exact = bool(at) and draw(st.booleans())
+    w = draw(st.sampled_from(at)) if exact else draw(st.builds(Fraction, st.integers(0, 4), st.integers(1, 4)))
+    return mu, w, theta, min_dim, exact
+
+
 class TestMinimalConcentrationFlat:
     def test_all_mass_on_a_line(self):
         mu = DiscreteMeasure.uniform(
@@ -90,6 +127,46 @@ class TestMinimalConcentrationFlat:
         assert got.dim == 0
         got1 = minimal_concentration_flat(mu, 0, Fraction(1, 2), min_dim=1)
         assert got1.dim == 1
+
+    @pytest.mark.parametrize("theta", [0, Fraction(-1, 2), Fraction(3, 2)])
+    def test_theta_outside_the_unit_interval_refused(self, theta):
+        mu = DiscreteMeasure.uniform([(0, 0), (1, 0)], RES)
+        with pytest.raises(ValueError, match=r"^theta must lie in \(0, 1\]$"):
+            minimal_concentration_flat(mu, 0, theta)
+
+    def test_one_walk_per_call(self, monkeypatch):
+        """Every dimension comes off one pencil walk: on the generic cloud
+        the search runs through every level to the full space, and on the
+        plane scene it stops at its plane, with one _pencils call each."""
+        walks = []
+        walk = flats._pencils
+        monkeypatch.setattr(flats, "_pencils", lambda *a: walks.append(a) or walk(*a))
+        cloud = DiscreteMeasure.uniform([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], RES)
+        for min_dim in (0, 1):
+            assert minimal_concentration_flat(cloud, 0, 1, min_dim) == AffineFlat.full_space(3)
+        plane = DiscreteMeasure.uniform([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], RES)
+        assert minimal_concentration_flat(plane, 0, Fraction(1, 2)).dim == 2
+        assert len(walks) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(concentration_cases())
+    def test_first_reference_flat_that_captures_theta(self, case):
+        """The search returns the first flat of the brute-force enumeration
+        over dimensions min_dim..n-1, in its order, whose w-neighbourhood
+        holds theta of the mass, and the full space when none does."""
+        mu, w, theta, min_dim, exact = case
+        n = mu.ambient_dim
+        cands = reference_spanned_flats(mu.points(), range(min_dim, n))
+        want = next((f for f in cands if reference_masses(mu, f, [w * w])[0] >= theta * mu.total_mass), None)
+        got = minimal_concentration_flat(mu, w, theta, min_dim)
+        event(f"min_dim {min_dim}")
+        if exact:
+            event("w at an atom's distance")
+        if want is None:
+            event(f"full space at theta {'1' if theta == 1 else '< 1'}")
+            assert got == AffineFlat.full_space(n)
+        else:
+            assert (got.canon, got.basepoint, got.directions) == (want.canon, want.basepoint, want.directions)
 
 
 class TestDecompose:
@@ -141,6 +218,20 @@ class TestDecompose:
             result = decompose(scene, n, 0, theta)
             costs = [t.cost for t in result.trace] + [result.final_cost]
             assert all(a <= b for a, b in zip(costs, costs[1:]))
+
+    def test_ambient_mismatch_refused(self):
+        with pytest.raises(ValueError, match="^measure ambient dimension differs from n$"):
+            decompose(skew_lines_cloud_scene(), 2, 0, Fraction(2, 5))
+
+    def test_step_cap_is_an_error(self, monkeypatch):
+        """The skew-lines scene extracts three flats and reaches cost 3 at
+        the check of a fourth pass; capped at three passes, the loop raises
+        rather than return what it has."""
+        monkeypatch.setattr(decompose_module, "MAX_STEPS", 3)
+        with pytest.raises(RuntimeError, match="^decomposition failed to terminate within the step cap$"):
+            decompose(skew_lines_cloud_scene(), 3, 0, Fraction(2, 5))
+        monkeypatch.setattr(decompose_module, "MAX_STEPS", 4)
+        assert decompose(skew_lines_cloud_scene(), 3, 0, Fraction(2, 5)).final_cost == 3
 
 
 class TestRandomizedInvariants:
@@ -210,6 +301,21 @@ class TestVerifyDecomposition:
         report = verify_decomposition(result, 3, 0, Fraction(1, 2))
         clause = {c.name: c for c in report.clauses}["cost-at-least-n"]
         assert not clause.passed
+
+    def test_point_flat_piece_passes_vacuously(self):
+        """A piece on a point flat has no proper subflat to concentrate on,
+        so it is not measured and its clause passes even at tau = 0."""
+        r = trace_of([AffineFlat.point((1, 1)), AffineFlat((0, 0), [(1, 0)])])
+        r.pieces = [
+            DiscreteMeasure([((1, 1), 1)], RES),
+            DiscreteMeasure.uniform([(0, 0), (1, 0), (2, 0)], RES),
+        ]
+        clauses = {c.name: c for c in verify_decomposition(r, 2, 0, Fraction(1, 3)).clauses}
+        assert clauses["supports-in-flats"].passed
+        assert (clauses["irreducible-pieces"].passed, clauses["irreducible-pieces"].witness) == (True, None)
+        r.pieces[0] = DiscreteMeasure.uniform([(1, 1), (1, 2)], RES)
+        clauses = {c.name: c for c in verify_decomposition(r, 2, 0, Fraction(1, 3)).clauses}
+        assert clauses["supports-in-flats"].witness == "piece 0 atom (Fraction(1, 1), Fraction(2, 1)) off its flat"
 
 
 def trace_of(flats) -> DecompositionResult:

@@ -349,9 +349,9 @@ coords = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
 
 @st.composite
 def forced_point_sets(draw):
-    """Points of Q^2..Q^4 over denominators 1..7 and a list of dimensions.
-    Later points may be forced onto the line through two earlier points or
-    the plane through three, or repeat one."""
+    """Points of Q^2..Q^4 over denominators 1..7 and a dimension range
+    (low, high) within 0..n-1.  Later points may be forced onto the line
+    through two earlier points or the plane through three, or repeat one."""
     n = draw(st.integers(2, 4))
     pts = draw(st.lists(st.tuples(*[coords] * n), min_size=2, max_size=4))
     for _ in range(draw(st.integers(0, 3))):
@@ -361,8 +361,8 @@ def forced_point_sets(draw):
             on[0][j] + sum(t * (q[j] - on[0][j]) for t, q in zip(ts, on[1:]))
             for j in range(n)
         ))
-    dims = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
-    return pts, dims
+    low = draw(st.integers(0, n - 1))
+    return pts, (low, draw(st.integers(low, n - 1)))
 
 
 def count_builds(monkeypatch) -> list:
@@ -383,12 +383,18 @@ class TestSpannedFlats:
     @settings(max_examples=200, deadline=None)
     @given(forced_point_sets())
     def test_matches_fraction_reference(self, case):
-        pts, dims = case
-        got = list(spanned_flats(pts, dims))
-        want = reference_spanned_flats(pts, dims)
-        assert [(f.canon, f.basepoint, f.directions) for f in got] == [
+        """One walk over low..high gives the brute force's flats in its
+        order, each with the mask of the points on it by Fraction rank."""
+        pts, (low, high) = case
+        got = list(spanned_flats(pts, low, high))
+        want = reference_spanned_flats(pts, range(low, high + 1))
+        assert [(f.canon, f.basepoint, f.directions) for f, _ in got] == [
             (f.canon, f.basepoint, f.directions) for f in want
         ]
+        for f, mask in got:
+            span = list(f.canon)
+            on = [reference_rank(span + [vec(p) + (Fraction(1),)]) == len(span) for p in pts]
+            assert mask == sum(1 << i for i, hit in enumerate(on) if hit)
 
     @settings(max_examples=200, deadline=None)
     @given(forced_point_sets())
@@ -407,7 +413,7 @@ class TestSpannedFlats:
 
     def test_coplanar_lattice_builds_each_flat_once(self, monkeypatch):
         calls = count_builds(monkeypatch)
-        flats = list(spanned_flats(coplanar_lattice(), [1, 2]))
+        flats = [f for f, _ in spanned_flats(coplanar_lattice(), 1, 2)]
         assert [f.dim for f in flats].count(2) == 1
         assert len(calls) == len(flats)
 
@@ -422,7 +428,7 @@ class TestSpannedFlats:
             raise AssertionError("int_rref called")
 
         monkeypatch.setattr(flats_module, "int_rref", refuse)
-        got = list(spanned_flats(pts, [0, 1, 2]))
+        got = [f for f, _ in spanned_flats(pts, 0, 2)]
         assert [f.dim for f in got].count(0) == len(pts)
         with pytest.raises(AssertionError, match="int_rref called"):
             got[-1].directions
@@ -432,8 +438,8 @@ class TestSpannedFlats:
     def test_rows_match_the_fraction_construction(self, case):
         """Each enumerated flat's rows, hash and dim equal those of the flat
         rebuilt from its basepoint and Fraction directions."""
-        pts, dims = case
-        for f in spanned_flats(pts, dims):
+        pts, (low, high) = case
+        for f, _ in spanned_flats(pts, low, high):
             g = AffineFlat(f.basepoint, f.directions)
             assert f == g and hash(f) == hash(g)
             assert f.dim == len(f.directions)

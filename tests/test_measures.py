@@ -271,7 +271,7 @@ class TestMassesNearEnumeratedFlats:
         atoms, radii2, hit = case
         mu = DiscreteMeasure(atoms, D)
         oracle = PlateMassOracle(mu)
-        for f in spanned_flats(mu.points(), range(mu.ambient_dim)):
+        for f, _ in spanned_flats(mu.points(), 0, mu.ambient_dim - 1):
             got = oracle.masses_near_flat(f, radii2)
             assert f._dirs is None  # the Fraction directions were not built
             rs = radii2 + [reference_dist2(mu.atoms[hit][0], f)]
@@ -347,7 +347,7 @@ class TestAnchorMemo:
         grid = [(Fraction(i, 8), Fraction(j, 8), Fraction(0)) for i in range(-4, 5) for j in range(-4, 5)]
         mu = DiscreteMeasure.uniform(grid, D)
         v = AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
-        lines = [frozenset(i for i, p in enumerate(grid) if f.contains_point(p)) for f in spanned_flats(grid, [1])]
+        lines = [frozenset(i for i, p in enumerate(grid) if f.contains_point(p)) for f, _ in spanned_flats(grid, 1, 1)]
         assert len(lines) > 800
         counts = count_calls(monkeypatch, "_counts")
         normals = count_calls(monkeypatch, "_hyperplane_counts")

@@ -294,6 +294,22 @@ class TestVerdictFromMassesInHand:
 
 
 class TestPruneAgainstMeasure:
+    @pytest.mark.parametrize("coarse", ["graph", "nu"])
+    def test_window_checked_against_every_resolution_first(self, coarse, monkeypatch):
+        """A window below the graph's resolution (1/16 under 2^-7) or below
+        nu's (1/4 under 2^-4) is refused before any margin or mass."""
+        def refuse(*args):
+            raise AssertionError("measured before the window was checked")
+
+        monkeypatch.setattr(thin.PlateMassOracle, "_counts", refuse)
+        monkeypatch.setattr(thin.PlateMassOracle, "_hyperplane_counts", refuse)
+        monkeypatch.setattr(thin, "_margin2", refuse)
+        mu0, mu1 = parallel_segments(4)
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
+        nu, fine = (mu0, 7) if coarse == "graph" else (DiscreteMeasure([((10, 10), 1)], Fraction(1, 4)), 4)
+        with pytest.raises(ValueError, match="below a measure resolution"):
+            prune_against_measure(g, nu, Fraction(1, 4), dyadic_scales(fine, 1))
+
     def test_far_measure_removes_nothing(self):
         mu0, mu1 = parallel_segments(4)
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
@@ -670,6 +686,35 @@ class TestProductGraph:
         assert not all(exactly_within(m, Fraction(below), sigma, s) for s, m in peaks)
         assert not verify_thin_planes(ThinGraph(out.measures, out.tuples, sigma, below), scales).ok
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("one-flat", r"dimension sums do not fill the ambient space"),
+            ("graph-count", r"one graph per frame flat required"),
+            ("arity", r"graph 0 arity differs from flat 0 measures"),
+            ("measures", r"graph 1 measures differ from the frame's"),
+        ],
+    )
+    def test_refused(self, case, message):
+        """Each refusal before the ranks, on the axes frame or a variant of
+        it: a lone line in Q^2, one graph for two flats, a graph of arity 2
+        on a flat with one measure, and a graph on another measure than its
+        flat's."""
+        frame, mx, my = self.axes_frame()
+        g0 = ThinGraph([mx], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)
+        g1 = ThinGraph([my], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)
+        gs = [g0, g1]
+        if case == "one-flat":
+            frame, gs = StableFrame(frame.flats[:1], [[mx]]), [g0]
+        elif case == "graph-count":
+            gs = [g0]
+        elif case == "arity":
+            gs = [ThinGraph([mx, mx], [(0, 1)], sigma=1.0, big_k=8.0), g1]
+        else:
+            gs = [g0, ThinGraph([mx], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)]
+        with pytest.raises(NotMinimalStable, match=message):
+            product_graph(gs, frame, dyadic_scales(5, 1))
+
     def test_concurrent_coplanar_lines_rejected(self):
         # three lines through the origin inside one plane of Q^3
         l1 = AffineFlat([0, 0, 0], [[1, 0, 0]])
@@ -684,7 +729,24 @@ class TestProductGraph:
         gs = [
             ThinGraph(ms[j], [(0,)], sigma=1.0, big_k=4.0) for j in range(3)
         ]
-        with pytest.raises(NotMinimalStable):
+        with pytest.raises(NotMinimalStable, match=r"rank certificate r\(full, \{\}\) = 2 != 3"):
+            product_graph(gs, frame, dyadic_scales(4, 1))
+
+    def test_coplanar_lines_fail_the_block_certificate(self):
+        """Three lines in the plane z = 0 of Q^3 with affinely independent
+        atoms pass r(full, {}) = 3, but with any block's own basis the
+        columns stay in that plane: r(minus 0, {0}) = 3, not 4."""
+        l1 = AffineFlat([0, 0, 0], [[1, 0, 0]])
+        l2 = AffineFlat([0, 0, 0], [[0, 1, 0]])
+        l3 = AffineFlat([0, Fraction(1, 4), 0], [[1, 0, 0]])
+        ms = [
+            [DiscreteMeasure([((Fraction(1, 2), 0, 0), 1)], RES)],
+            [DiscreteMeasure([((0, Fraction(1, 2), 0), 1)], RES)],
+            [DiscreteMeasure([((Fraction(1, 8), Fraction(1, 4), 0), 1)], RES)],
+        ]
+        frame = StableFrame([l1, l2, l3], ms)
+        gs = [ThinGraph(ms[j], [(0,)], sigma=1.0, big_k=4.0) for j in range(3)]
+        with pytest.raises(NotMinimalStable, match=r"rank certificate r\(minus 0, \{0\}\) = 3 != 4"):
             product_graph(gs, frame, dyadic_scales(4, 1))
 
     def test_single_flat_product_is_input(self):
