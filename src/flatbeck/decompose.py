@@ -76,11 +76,13 @@ def decompose(x: DiscreteMeasure, n: int, w, theta) -> DecompositionResult:
     flats: list[AffineFlat] = []
     pieces: list[DiscreteMeasure] = []
     trace: list[TraceStep] = []
-    for step in range(MAX_STEPS):
+    for step in range(MAX_STEPS + 1):
         coll = FlatCollection(flats)
         cost = coll.cost()
         if cost >= n:
             return DecompositionResult(flats, pieces, trace, final_cost=cost)
+        if step == MAX_STEPS:
+            raise RuntimeError("decomposition failed to terminate within the step cap")
         n_count, _ = coll.minimizing_census()
         partition = coll.lexicographically_least_minimizer()
         covered = 0
@@ -103,7 +105,6 @@ def decompose(x: DiscreteMeasure, n: int, w, theta) -> DecompositionResult:
         trace.append(TraceStep(step, cost, n_count, partition))
         flats.append(v)
         pieces.append(piece)
-    raise RuntimeError("decomposition failed to terminate within the step cap")
 
 
 @dataclass

@@ -12,7 +12,10 @@ basis off those rows, and ``int_kernel`` is that basis for any rows.
 column set by a column, so its chain over a square matrix's columns gives
 the determinant, and it serves stability certificates, distance forms and
 hyperplane normals; ``_cofactors`` wedges each unit column onto a set, and
-``wedge_norm2`` sums the squared minors, a Gram determinant.
+``wedge_norm2`` sums the squared minors, a Gram determinant.  A wedge reads
+its terms from ``_expansion``, one plan per (source row masks in order,
+width), kept in a cache of PLAN_CACHE plans; unlike a static table over
+every row mask of a width, it visits only the masks the sources reach.
 ``orthogonalize`` is the one Gram-Schmidt: unnormalized orthogonal bases
 for the basis columns of stability frames.
 """
@@ -110,20 +113,46 @@ def _integerized_points(
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
+# the most expansion plans kept: each (source masks, width) pattern is one,
+# and one at width 9 holds at most 630 terms
+PLAN_CACHE = 1024
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _expansion(masks: tuple[int, ...], width: int) -> tuple:
+    """The plan of a wedge onto minors with these row masks, in this order,
+    by a column of the width: per row mask of the grown set, its terms
+    (source index s, row i, sign), where the mask is masks[s] with row i
+    added and the sign is that of the number of rows of masks[s] after i.
+    Masks come in the order a scan of each source's missing rows, source by
+    source, first reaches them."""
+    out: dict[int, list] = {}
+    for s, mask in enumerate(masks):
+        for i in range(width):
+            if not mask >> i & 1:
+                sign = -1 if (mask >> i).bit_count() & 1 else 1
+                out.setdefault(mask | 1 << i, []).append((s, i, sign))
+    return tuple((key, tuple(terms)) for key, terms in out.items())
+
+
 def _wedge(minors: dict[int, int], col: Sequence[int]) -> dict[int, int]:
     """The one minor kernel.  minors maps a row bit mask to the determinant
     of a column set on those rows, zeros left out; the same for the set with
     col appended, by expansion along col: row i's term takes the sign of the
     number of rows of the new mask after i.  Empty exactly when col is in
-    the set's span."""
+    the set's span.  The terms come from the _expansion plan of minors'
+    masks, so a call only sums the terms of col's nonzero entries, in the
+    plan's mask order."""
+    ds = tuple(minors.values())
     out: dict[int, int] = {}
-    for mask, d in minors.items():
-        for i, x in enumerate(col):
-            if x and not mask >> i & 1:
-                key = mask | 1 << i
-                t = -x * d if (mask >> i).bit_count() & 1 else x * d
-                out[key] = out.get(key, 0) + t
-    return {k: v for k, v in out.items() if v}
+    for key, terms in _expansion(tuple(minors), len(col)):
+        t = 0
+        for s, i, sign in terms:
+            if x := col[i]:
+                t += sign * x * ds[s]
+        if t:
+            out[key] = t
+    return out
 
 
 def _cofactors(minors: dict[int, int], width: int) -> list[dict[int, int]]:

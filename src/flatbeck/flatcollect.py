@@ -48,9 +48,6 @@ def normalize_partition(blocks: Sequence[Sequence[int]], m: int) -> Partition:
 
 def iter_partitions(m: int) -> Iterator[Partition]:
     """All set partitions of range(m), canonically ordered blocks."""
-    if m == 0:
-        yield ()
-        return
     blocks: list[list[int]] = []
 
     def rec(i: int) -> Iterator[Partition]:
@@ -137,9 +134,6 @@ class FlatCollection:
                 minimizers = [p]
             elif c == best:
                 minimizers.append(p)
-        if best is None:  # empty collection
-            best = 0
-            minimizers = [()]
         self._cost = best
         self._minimizers = sorted(minimizers)
 

@@ -225,13 +225,14 @@ class TestDecompose:
 
     def test_step_cap_is_an_error(self, monkeypatch):
         """The skew-lines scene extracts three flats and reaches cost 3 at
-        the check of a fourth pass; capped at three passes, the loop raises
-        rather than return what it has."""
-        monkeypatch.setattr(decompose_module, "MAX_STEPS", 3)
+        the check after the third; the cap admits MAX_STEPS extractions, so
+        capped at two, the loop raises rather than return what it has."""
+        monkeypatch.setattr(decompose_module, "MAX_STEPS", 2)
         with pytest.raises(RuntimeError, match="^decomposition failed to terminate within the step cap$"):
             decompose(skew_lines_cloud_scene(), 3, 0, Fraction(2, 5))
-        monkeypatch.setattr(decompose_module, "MAX_STEPS", 4)
-        assert decompose(skew_lines_cloud_scene(), 3, 0, Fraction(2, 5)).final_cost == 3
+        monkeypatch.setattr(decompose_module, "MAX_STEPS", 3)
+        result = decompose(skew_lines_cloud_scene(), 3, 0, Fraction(2, 5))
+        assert result.final_cost == 3 and len(result.flats) == 3
 
 
 class TestRandomizedInvariants:

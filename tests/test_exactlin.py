@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatbeck import exactlin
 from flatbeck.exactlin import (
+    _expansion,
     _integerized_rows,
     _wedge,
     frac,
@@ -169,6 +171,50 @@ class TestBareiss:
     def test_empty_matrix_has_det_one(self):
         assert int_rref([]) == ([], [])
         assert wedge_det([]) == 1
+
+
+ENTRIES = st.integers(-3, 3) | st.sampled_from([10**20, -(10**20)])
+
+
+def wedge_columns(width: int):
+    """Integer columns of the width, dense or at most two nonzero entries."""
+    dense = st.lists(ENTRIES, min_size=width, max_size=width)
+    sparse = st.dictionaries(st.integers(0, width - 1), ENTRIES, max_size=2).map(
+        lambda at: [at.get(i, 0) for i in range(width)]
+    )
+    return dense | sparse
+
+
+class TestWedgeChain:
+    """Each step of the _wedge chain against the Fraction determinant of
+    every row subset of the columns so far."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(wedge_columns(w), max_size=w + 1))
+    ))
+    def test_every_step_holds_exactly_the_nonzero_minors(self, chain):
+        width, cols = chain
+        minors = {0: 1}
+        for k, col in enumerate(cols, 1):
+            minors = _wedge(minors, col)
+            want = {}
+            for rows in itertools.combinations(range(width), k):
+                d = reference_det([[c[i] for c in cols[:k]] for i in rows])
+                if d:
+                    want[sum(1 << i for i in rows)] = d
+            assert minors == want
+
+    def test_plan_depends_on_the_width(self):
+        """Chains of two widths from the same masks read different plans."""
+        assert _wedge({0: 1}, [1, 2]) == {1: 1, 2: 2}
+        assert _wedge({0: 1}, [1, 2, 3]) == {1: 1, 2: 2, 4: 3}
+        assert _wedge({1: 1}, [0, 5]) == {3: 5}
+        assert _wedge({1: 1}, [0, 5, 7]) == {3: 5, 5: 7}
+
+    def test_plan_cache_is_bounded(self):
+        maxsize = _expansion.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize == exactlin.PLAN_CACHE > 0
 
 
 class TestGramDet:

@@ -56,7 +56,10 @@ class TestCost:
         assert v.cost_of_partition([[0]]) == 1
 
     def test_empty_collection_costs_zero(self):
+        # iter_partitions(0) yields the empty partition, of cost 0, once
+        assert list(iter_partitions(0)) == [()]
         assert FlatCollection([]).cost() == 0
+        assert FlatCollection([]).minimizing_census() == (1, [()])
 
     def test_two_axes_cost(self):
         assert FlatCollection([X_AXIS2, Y_AXIS2]).cost() == 2

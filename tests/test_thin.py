@@ -794,10 +794,32 @@ class TestExactCuts:
         t = thin._iroot(n, q)
         assert t**q <= n < (t + 1) ** q
 
+    @pytest.mark.parametrize("sigma", [Fraction(1), Fraction(2, 3), Fraction(-3, 2)])
+    def test_cut_without_a_positive_bound(self, sigma):
+        """K = 0 bounds every count by 0 and K < 0 bounds none, below 0."""
+        for w in (1, 7, 600):
+            assert thin._cut(w, Fraction(0), sigma, Fraction(1, 4)) == 0
+            assert thin._cut(w, Fraction(-1, 3), sigma, Fraction(1, 4)) == -1
+
+    def test_graph_without_a_positive_bound(self):
+        """Each tuple (i, i) spans the line y = 2i through weightless atoms
+        for i = 0, so every count near that line is 0 at the window, and
+        through weighted atoms for i = 1.  K = 0 passes the zero counts and
+        fails at the first positive one; K < 0 fails at count 0 already."""
+        mus = [DiscreteMeasure([((x, 0), 0), ((x, 2), 1)], RES) for x in (0, 1)]
+        scales = dyadic_scales(2, 1)
+        assert verify_thin_planes(ThinGraph(mus, [(0, 0)], sigma=1, big_k=0), scales).ok
+        out = verify_thin_planes(ThinGraph(mus, [(0, 0), (1, 1)], sigma=1, big_k=0), scales)
+        assert not out.ok and out.worst.tuple_ == (1, 1) and out.worst.mass == 1
+        out = verify_thin_planes(ThinGraph(mus, [(0, 0)], sigma=1, big_k=-1), scales)
+        assert not out.ok and out.worst.tuple_ == (0, 0) and out.worst.mass == 0
+
     def test_binary_float_sigma_is_refused_before_the_root(self):
         # 0.1 as a double is 3602879701896397 / 2^55
         with pytest.raises(BudgetExceeded, match="root"):
             thin._cut(32, Fraction(6), Fraction(0.1), Fraction(1, 2))
+        # a zero bound takes no root, so the same sigma is not refused there
+        assert thin._cut(32, Fraction(0), Fraction(0.1), Fraction(1, 2)) == 0
         g = ThinGraph.complete(parallel_segments(4), sigma=0.1, big_k=6.0)
         with pytest.raises(BudgetExceeded):
             verify_thin_planes(g, dyadic_scales(2, 1))
