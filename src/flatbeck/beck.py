@@ -2,8 +2,9 @@
 search for low-dimensional concentration families, count hyperplanes through
 a given flat.
 
-The dichotomy buckets the flats of one pencil walk by dimension, prunes
-cover-search subtrees that cannot reach the target, and caps its nodes.
+The dichotomy buckets the nodes of one pencil walk by dimension, prunes
+cover-search subtrees that cannot reach the target, and caps its nodes; it
+builds flats only for the family it returns.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ class PointConfig:
             raise ValueError("points must be pairwise distinct")
         self.ambient_dim = n
         self.points = pts
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def enumerate_spanned_flats(x: PointConfig, k: int) -> set[AffineFlat]:
@@ -110,10 +108,12 @@ def dichotomy_report(
     if n < 2:
         raise ValueError("spanned hyperplanes need ambient dimension >= 2")
     need = big_n - math.floor(epsilon * big_n)
-    # (popcount, cover mask, flat) per dimension 1..n-1, from one walk
+    # (popcount, cover mask, (picks, rows)) per dimension 1..n-1, from one walk
+    lifted = _lifted_integer_points(x.points)
     by_dim: list[list] = [[] for _ in range(n)]
-    for f, mask in spanned_flats(x.points, 1, n - 1):
-        by_dim[f.dim].append((mask.bit_count(), mask, f))
+    for picks, rows, mask in _pencils(lifted, (), 0, n):
+        if len(picks) > 1:
+            by_dim[len(picks) - 1].append((mask.bit_count(), mask, (picks, rows)))
     for cands in by_dim:
         cands.sort(key=lambda t: -t[0])  # dominated masks are useless for covering
     count = len(by_dim[n - 1])
@@ -128,23 +128,24 @@ def dichotomy_report(
     except EnumerationBudgetExceeded as e:
         return DichotomyReport(None, None, None, count, ratio, complete=False, note=str(e))
     if hit is not None:
-        return DichotomyReport(True, hit[1], hit[0], count, ratio, complete=True)
+        family = [AffineFlat._from_rows(x.points[p[0]], rows(), None, [lifted[i] for i in p]) for p, rows in hit[1]]
+        return DichotomyReport(True, family, hit[0], count, ratio, complete=True)
     return DichotomyReport(False, None, None, count, ratio, complete=True)
 
 
 def _first_cover(
-    by_dim: list[list[tuple[int, int, AffineFlat]]], best: list[int], need: int,
-    dim_budget: int, mask: int, chosen: list[AffineFlat], start_dim: int, nodes: list[int],
-) -> Optional[tuple[int, list[AffineFlat]]]:
-    """(covered, family) for the first family, in decreasing dimension, that
-    extends chosen within dim_budget and covers at least need points; None
-    when there is none.  Subtrees where covered + best[b] cannot reach need
-    are skipped, and a dimension's candidates, by popcount highest first,
-    stop at the first that cannot, so the first hit is the unbounded
-    search's.  nodes[0] counts expanded nodes against COVER_NODE_BUDGET.
-    Module-level, not a recursive closure: a closure that calls itself is a
-    reference cycle that would keep by_dim alive until the cycle collector
-    runs."""
+    by_dim: list[list[tuple[int, int, tuple]]], best: list[int], need: int,
+    dim_budget: int, mask: int, chosen: list[tuple], start_dim: int, nodes: list[int],
+) -> Optional[tuple[int, list[tuple]]]:
+    """(covered, family) for the first family of pencil nodes (picks, rows),
+    in decreasing dimension, that extends chosen within dim_budget and
+    covers at least need points; None when there is none.  Subtrees where
+    covered + best[b] cannot reach need are skipped, and a dimension's
+    candidates, by popcount highest first, stop at the first that cannot,
+    so the first hit is the unbounded search's.  nodes[0] counts expanded
+    nodes against COVER_NODE_BUDGET.  Module-level, not a recursive
+    closure: a closure that calls itself is a reference cycle that would
+    keep by_dim alive until the cycle collector runs."""
     covered = mask.bit_count()
     if covered >= need:
         return covered, chosen
@@ -155,12 +156,12 @@ def _first_cover(
     nodes[0] += 1
     for d in range(min(start_dim, dim_budget), 0, -1):
         rest = best[dim_budget - d]
-        for pop, cov, f in by_dim[d]:
+        for pop, cov, node in by_dim[d]:
             if covered + pop + rest < need:
                 break
             if cov & ~mask == 0:
                 continue  # adds nothing
-            hit = _first_cover(by_dim, best, need, dim_budget - d, mask | cov, chosen + [f], d, nodes)
+            hit = _first_cover(by_dim, best, need, dim_budget - d, mask | cov, chosen + [node], d, nodes)
             if hit is not None:
                 return hit  # first hit is enough: report it
     return None

@@ -194,6 +194,8 @@ class Scene:
                         raise SceneError(f"{where}.tuples[{i}]: expected integer atom indices")
             sigma = _rat(val.get("sigma", 1), f"{where}.sigma")
             big_k = _rat(val.get("K", 1), f"{where}.K")
+            if big_k <= 0:
+                raise SceneError(f"{where}.K: must be positive, got {big_k}")
             try:
                 if tuples == "complete":
                     self.graphs[name] = ThinGraph.complete(ms, sigma, big_k)

@@ -6,7 +6,8 @@ of the lexicographically least minimizing partition, finds the lowest-
 dimensional flat capturing a theta-fraction of what is left, and appends it.
 The trace records cost and minimizing-partition count at every step; on any
 cost plateau the count must drop strictly, which is what forces termination.
-Every mass and atom mask comes from the measure's own plate oracle.
+Every mass and atom mask comes from the measure's own plate oracle; the
+concentration search counts pick spans and builds only the flat it returns.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactlin import frac
-from .flats import AffineFlat, spanned_flats
+from .flats import AffineFlat, _pencils, _pick_span
 from .flatcollect import FlatCollection, Partition
 from .measures import DiscreteMeasure, _oracle_modulus
 
@@ -59,11 +60,13 @@ def minimal_concentration_flat(
     theta = frac(theta)
     if not 0 < theta <= 1:
         raise ValueError("theta must lie in (0, 1]")
-    threshold = theta * mu.total_mass
-    n = mu.ambient_dim
-    for f, _ in spanned_flats(mu.points(), min_dim, n - 1):
-        if mu.oracle.masses_near_flat(f, [w * w])[0] >= threshold:
-            return f
+    threshold = theta * mu.total_mass * mu.weight_den  # as a count over W
+    n, oracle, lifted = mu.ambient_dim, mu.oracle, mu.oracle._lifted
+    for picks, rows, _ in _pencils(lifted, (), 0, n):
+        if len(picks) > min_dim:
+            picked = [lifted[i] for i in picks]
+            if oracle._counts([_pick_span(picked)], [w * w], (oracle.int_weights,))[0][0][0] >= threshold:
+                return AffineFlat._from_rows(mu.points()[picks[0]], rows(), None, picked)
     return AffineFlat.full_space(n)
 
 

@@ -25,9 +25,10 @@ dist2_flats is its one-offset Fraction view.
 
 The enumerator, spanned_flats, walks pencils of flats level by level (see
 _pencils) and builds no elimination per subset; one walk serves a whole
-dimension range, dimension by dimension.  Enumerated flats keep their
-picks, joins and meets their rows: their Fraction directions are derived
-only when read.
+dimension range, dimension by dimension; the dichotomy and the
+concentration search read its nodes and build only the flats they return.
+Enumerated flats keep their picks, joins and meets their rows: their
+Fraction directions are derived only when read.
 FlatChart reads chart coordinates off one int_rref per chart and tests an
 offset against the flat's own kernel forms.
 _plane_rows is the cofactor-normal kernel: the matrix taking a lifted point

@@ -108,11 +108,8 @@ class PlateMassOracle:
         points, which must be affinely independent."""
         if any(len(p) != self.ambient_dim for p in points):
             raise ValueError("ambient dimensions differ")
-        return self._fractions(self._counts([_pick_span(_lifted_integer_points(points))], radii2, (self.int_weights,))[0][0])
-
-    def masses_near_flat(self, f: AffineFlat, radii2: Sequence[Fraction]) -> list[Fraction]:
-        """Masses within each squared radius of the flat f."""
-        return self._fractions(self._flat_counts(f, radii2, self.int_weights))
+        counts = self._counts([_pick_span(_lifted_integer_points(points))], radii2, (self.int_weights,))
+        return [Fraction(c, self._wden) for c in counts[0][0]]
 
     def atoms_near_flat(self, f: AffineFlat, r2: Fraction) -> int:
         """The mask of the atoms within squared radius r2 of the flat f: bit
@@ -127,9 +124,6 @@ class PlateMassOracle:
     def masses_near_line(self, a: Vector, b: Vector, radii2: Sequence[Fraction]) -> list[Fraction]:
         """Masses within each squared radius of the line through a and b."""
         return self.masses_near_span((a, b), radii2)
-
-    def _fractions(self, counts: list[int]) -> list[Fraction]:
-        return [Fraction(c, self._wden) for c in counts]
 
     def _counts(self, spans, radii2, weightings) -> list[list[list[int]]]:
         """The quadratic core: per span (anchor, dirs), per weighting, the

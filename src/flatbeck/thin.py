@@ -382,6 +382,14 @@ def dyadic_tail_sum(scales: Sequence[Fraction], eps: float) -> float:
     return math.fsum(float(s) ** eps for s in scales)
 
 
+def _epsilon(epsilon) -> tuple[Fraction, float]:
+    """A pruning epsilon, exact and as a double; it must be positive."""
+    eps_q = Fraction(epsilon)
+    if eps_q <= 0:
+        raise ValueError("epsilon must be positive")
+    return eps_q, float(eps_q)
+
+
 @dataclass
 class PruneResult:
     graph: ThinGraph
@@ -409,10 +417,7 @@ def prune_planes(
     tuples are independent and their counts are all in hand, so they are
     verified at the output's (sigma - eps, C1 K) without a second pass.
     """
-    eps_q = Fraction(epsilon)
-    if eps_q <= 0:
-        raise ValueError("epsilon must be positive")
-    eps = float(eps_q)
+    eps_q, eps = _epsilon(epsilon)
     scales, radii2 = _window(scales, g.measures)
     s_sum = dyadic_tail_sum(scales, eps)
     if c1 is None:
@@ -472,10 +477,7 @@ def tubes_to_planes(
     make every pair independent, and the tube checks have bounded the
     window by both resolutions.
     """
-    eps_q = Fraction(epsilon)
-    if eps_q <= 0:
-        raise ValueError("epsilon must be positive")
-    eps = float(eps_q)
+    eps_q, eps = _epsilon(epsilon)
     scales, radii2 = _tube_window(mu0, mu1, g, scales)
     c_const = 1.0 / float(rational_sqrt_lower(support_dist2(mu0, mu1)))
     full1: dict = {}
@@ -564,10 +566,7 @@ def prune_against_measure(
     K * delta0^(-2 sigma) * S / (eps/2), and the measured removal must stay
     within the epsilon budget.
     """
-    eps_q = Fraction(epsilon)
-    if eps_q <= 0:
-        raise ValueError("epsilon must be positive")
-    eps = float(eps_q)
+    eps_q, eps = _epsilon(epsilon)
     if nu.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimensions differ")
     scales, radii2 = _window(scales, (*g.measures, nu))

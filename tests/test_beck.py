@@ -49,6 +49,36 @@ class TestEnumerateSpannedFlats:
         assert len(enumerate_spanned_flats(x, 2)) <= math.comb(8, 3)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([], "empty point set"),
+            ([(0, 0), (0, 0, 0)], "dimension mismatch"),
+            ([(0, 0), (1, 0), (Fraction(0), Fraction(0, 3))], "points must be pairwise distinct"),
+        ],
+        ids=["empty", "mixed-dimensions", "repeated"],
+    )
+    def test_point_set(self, points, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PointConfig(points)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_dimension_outside_one_to_n_minus_one(self, k):
+        x = PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        with pytest.raises(ValueError, match="^need 1 <= k <= n-1$"):
+            enumerate_spanned_flats(x, k)
+
+    def test_span_count_needs_a_proper_flat(self):
+        x = PointConfig([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        with pytest.raises(ValueError, match="^flat must be proper$"):
+            concentrated_span_count(x, AffineFlat.full_space(3))
+
+    def test_dichotomy_needs_two_dimensions(self):
+        with pytest.raises(ValueError, match=r"^spanned hyperplanes need ambient dimension >= 2$"):
+            dichotomy_report(PointConfig([(0,), (1,), (2,)]))
+
+
 class TestGenericPointsAgainstFractionReference:
     """generic_points' incidence test draws and keeps the same points as
     the reference loop with a rank per subset, and exhausts its tries on

@@ -15,6 +15,7 @@ import flatbeck.flats
 import flatbeck.measures
 import flatbeck.stability
 import flatbeck.thin
+from flatbeck.beck import PointConfig, dichotomy_report
 from flatbeck.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -26,10 +27,11 @@ from flatbeck.cli import (
     main,
     parse_scene,
 )
-from flatbeck.flats import AffineFlat
 from flatbeck.genscenes import generic_points
 from flatbeck.measures import PlateMassOracle, dyadic_scales
 from flatbeck.thin import prune_against_measure
+from fraction_reference import reference_dichotomy
+from test_flats import count_builds
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENES = ROOT / "scenes"
@@ -206,6 +208,18 @@ class TestMalformedParams:
         assert main(["analyze-flats", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
         assert capsys.readouterr().err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize("big_k, shown", [(0, "0"), (-1.0, "-1")], ids=["zero", "negative-double"])
+    def test_graph_bound_must_be_positive(self, tmp_path, capsys, big_k, shown):
+        """A thin graph's K is positive: K <= 0 exits 2 while the scene is
+        parsed, not 1 with a failing verdict."""
+        body = json.loads(json.dumps(self.VALID))
+        body["graphs"]["g"]["K"] = "1/1000"
+        parse_scene(write_scene(tmp_path, body, "valid.json"))
+        body["graphs"]["g"]["K"] = big_k
+        path = write_scene(tmp_path, body)
+        assert main(["thin-verify", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: graphs.g.K: must be positive, got {shown}\n"
+
     LISTS = {
         "ambient_dim": 2,
         "flats": {"a": {"basepoint": ["0", "0"], "directions": [["1", "0"]]}},
@@ -305,27 +319,34 @@ class TestBeckCommand:
             scene.param_rat("bad", "0")
 
 
-def count_builds(monkeypatch) -> list:
-    """Record every AffineFlat._from_rows call: the one constructor behind
-    spanned_flats and from_points."""
-    calls = []
-    build = AffineFlat._from_rows.__func__
-
-    def counting(cls, *args):
-        calls.append(1)
-        return build(cls, *args)
-
-    monkeypatch.setattr(AffineFlat, "_from_rows", classmethod(counting))
-    return calls
+SKEW_LINES = [(Fraction(i, 8), 0, 0) for i in range(8)] + [(0, 1, Fraction(i, 8)) for i in range(8)]
+PLANAR_GRID = [(Fraction(i, 4), Fraction(j, 4), Fraction(i + 2 * j, 4)) for i in range(5) for j in range(4)]
 
 
 class TestBeckEnumeratesOnce:
     def test_each_spanned_flat_built_once(self, tmp_path, monkeypatch):
+        """The dichotomy reads the pencil walk's masks and builds flats only
+        for the family it reports: none for the 20 generic points of the
+        demo, whose C(20, 2) + C(20, 3) = 1,330 lines and planes cover no
+        family."""
         calls = count_builds(monkeypatch)
         scene = str(SCENES / "beck-generic20.json")
         assert main(["beck", "--scene", scene, "--out", str(tmp_path)]) == EXIT_PASS
-        # every line and every plane of 20 generic points, once each
-        assert len(calls) == math.comb(20, 2) + math.comb(20, 3) == 1330
+        assert calls == []
+
+    @pytest.mark.parametrize("points", [SKEW_LINES, PLANAR_GRID], ids=["skew-lines-8+8", "grid-5x4"])
+    def test_only_the_family_is_built(self, monkeypatch, points):
+        """On a concentrated set each flat of the family is built once and
+        no other flat is built; the family is the Fraction reference's."""
+        want = reference_dichotomy(points, Fraction(1, 10))
+        calls = count_builds(monkeypatch)
+        rep = dichotomy_report(PointConfig(points))
+        assert rep.concentrated
+        assert calls == rep.family
+        assert len({f._rows for f in calls}) == len(calls)
+        assert (rep.covered, [(f.canon, f.basepoint, f.directions) for f in rep.family]) == (
+            want[0], [(f.canon, f.basepoint, f.directions) for f in want[1]]
+        )
 
     def test_point_budget_checked_before_enumeration(self, tmp_path, monkeypatch):
         calls = count_builds(monkeypatch)
@@ -568,18 +589,21 @@ class TestDecomposeCommand:
 
     def test_one_tolerance_pass_per_piece(self, tmp_path, monkeypatch):
         """On the README demo (w = 0), each of the three pieces gets one
-        one-flat core call at radii 0 and max(w, resolution)^2 = 1/1048576:
+        one-span core call at radii 0 and max(w, resolution)^2 = 1/1048576:
         the verifier's supports check, whose mask of the atoms on the flat
-        the modulus walks, so the modulus makes no one-flat call of its
-        own.  The nine calls before them are the extraction loop's."""
+        the modulus walks, so the modulus makes no core call of its own.
+        The nine calls before them are the extraction loop's: per step, its
+        cover's blocks (0, 1, then 2), the concentration search's one
+        candidate span and the piece's mask."""
         radii = []
-        counts = PlateMassOracle._flat_counts
+        counts = PlateMassOracle._counts
 
-        def counting(self, f, radii2, weights):
+        def counting(self, spans, radii2, weightings):
+            assert len(spans) == len(weightings) == 1
             radii.append(list(radii2))
-            return counts(self, f, radii2, weights)
+            return counts(self, spans, radii2, weightings)
 
-        monkeypatch.setattr(PlateMassOracle, "_flat_counts", counting)
+        monkeypatch.setattr(PlateMassOracle, "_counts", counting)
         scene = str(SCENES / "decompose-skew-lines.json")
         assert main(["decompose", "--scene", scene, "--out", str(tmp_path)]) == EXIT_PASS
         assert radii == [[0]] * 9 + [[0, Fraction(1, 1048576)]] * 3

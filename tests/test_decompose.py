@@ -17,6 +17,7 @@ from flatbeck.flatcollect import FlatCollection
 from flatbeck.flats import AffineFlat
 from flatbeck.measures import DiscreteMeasure
 from fraction_reference import reference_spanned_flats
+from test_flats import count_builds
 from test_measures import reference_dist2, reference_masses
 
 RES = Fraction(1, 1024)
@@ -137,16 +138,30 @@ class TestMinimalConcentrationFlat:
     def test_one_walk_per_call(self, monkeypatch):
         """Every dimension comes off one pencil walk: on the generic cloud
         the search runs through every level to the full space, and on the
-        plane scene it stops at its plane, with one _pencils call each."""
+        plane scene it stops at its plane, with one _pencils call each (the
+        name the search reads is patched)."""
         walks = []
         walk = flats._pencils
-        monkeypatch.setattr(flats, "_pencils", lambda *a: walks.append(a) or walk(*a))
+        monkeypatch.setattr(decompose_module, "_pencils", lambda *a: walks.append(a) or walk(*a))
         cloud = DiscreteMeasure.uniform([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], RES)
         for min_dim in (0, 1):
             assert minimal_concentration_flat(cloud, 0, 1, min_dim) == AffineFlat.full_space(3)
         plane = DiscreteMeasure.uniform([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], RES)
         assert minimal_concentration_flat(plane, 0, Fraction(1, 2)).dim == 2
         assert len(walks) == 3
+
+    def test_only_the_returned_flat_is_built(self, monkeypatch):
+        """The search counts its candidates on their pick spans: on the
+        plane scene it builds one flat, the plane it returns, and on the
+        generic cloud none, as the full space comes from AffineFlat's own
+        constructor."""
+        calls = count_builds(monkeypatch)
+        plane = DiscreteMeasure.uniform([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], RES)
+        assert calls == [minimal_concentration_flat(plane, 0, Fraction(1, 2))]
+        calls.clear()
+        cloud = DiscreteMeasure.uniform([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], RES)
+        assert minimal_concentration_flat(cloud, 0, 1) == AffineFlat.full_space(3)
+        assert calls == []
 
     @settings(max_examples=150, deadline=None)
     @given(concentration_cases())

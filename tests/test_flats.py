@@ -203,9 +203,9 @@ class TestAffineDimensionFormula:
 
 def in_neighborhood(p, f, w) -> bool:
     """Whether the w-neighborhood of f holds p, read off the mass oracle as
-    the mass it gives a one-atom measure at p."""
+    the mask of the atoms near f of a one-atom measure at p."""
     oracle = PlateMassOracle(DiscreteMeasure([(p, 1)], Fraction(1, 1024)))
-    return oracle.masses_near_flat(f, [Fraction(w) ** 2]) == [1]
+    return oracle.atoms_near_flat(f, Fraction(w) ** 2) == 1
 
 
 class TestNeighborhood:
@@ -366,14 +366,14 @@ def forced_point_sets(draw):
 
 
 def count_builds(monkeypatch) -> list:
-    """Record every AffineFlat._from_rows call: the one constructor behind
-    spanned_flats and from_points."""
+    """Record the flat of every AffineFlat._from_rows call: the one
+    constructor behind spanned_flats and from_points."""
     calls = []
     build = AffineFlat._from_rows.__func__
 
     def counting(cls, *args):
-        calls.append(1)
-        return build(cls, *args)
+        calls.append(build(cls, *args))
+        return calls[-1]
 
     monkeypatch.setattr(AffineFlat, "_from_rows", classmethod(counting))
     return calls

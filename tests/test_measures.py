@@ -34,6 +34,13 @@ from test_flats import count_builds
 D = Fraction(1, 1024)
 
 
+def flat_masses(oracle, f, radii2):
+    """The masses within each squared radius of the flat f, read off the
+    span of f (its picks, or its basepoint and lifted rows) by _flat_counts
+    with the measure's weights."""
+    return [Fraction(c, oracle._wden) for c in oracle._flat_counts(f, radii2, oracle.int_weights)]
+
+
 def segment_measure(n_atoms=16, y=0):
     pts = [(Fraction(i, n_atoms), Fraction(y)) for i in range(n_atoms)]
     return DiscreteMeasure.uniform(pts, Fraction(1, n_atoms))
@@ -42,28 +49,22 @@ def segment_measure(n_atoms=16, y=0):
 class TestMassInPlate:
     def test_plate_containing_everything(self):
         mu = segment_measure()
-        core = AffineFlat([0, 0], [[1, 0]])
-        assert PlateMassOracle(mu).masses_near_flat(core, [1]) == [mu.total_mass]
+        assert PlateMassOracle(mu).masses_near_span([(0, 0), (1, 0)], [1]) == [mu.total_mass]
 
     def test_far_core_zero(self):
         mu = segment_measure()
-        core = AffineFlat([0, 5], [[1, 0]])
-        assert PlateMassOracle(mu).masses_near_flat(core, [Fraction(1, 100) ** 2]) == [0]
+        assert PlateMassOracle(mu).masses_near_span([(0, 5), (1, 5)], [Fraction(1, 100) ** 2]) == [0]
 
     def test_atoms_on_core(self):
         mu = DiscreteMeasure.uniform(
             [(Fraction(i), Fraction(0)) for i in range(4)], Fraction(1, 4)
         )
-        core = AffineFlat([0, 0], [[1, 0]])
-        got = PlateMassOracle(mu).masses_near_flat(core, [Fraction(1, 10**9) ** 2])
+        got = PlateMassOracle(mu).masses_near_span([(0, 0), (1, 0)], [Fraction(1, 10**9) ** 2])
         assert got == [mu.total_mass]
 
     def test_monotone_in_radius_and_additive(self):
         mu = segment_measure()
-        core = AffineFlat.point([0, 0])
-        masses = PlateMassOracle(mu).masses_near_flat(
-            core, [Fraction(1, 2**j) ** 2 for j in (3, 2, 1)]
-        )
+        masses = PlateMassOracle(mu).masses_near_span([(0, 0)], [Fraction(1, 2**j) ** 2 for j in (3, 2, 1)])
         assert masses == sorted(masses)
 
 
@@ -131,9 +132,9 @@ class TestPlateMassOracle:
         want = reference_masses(mu, f, radii2)
         oracle = PlateMassOracle(mu)
         assert oracle.masses_near_span(span, radii2) == want
-        assert oracle.masses_near_flat(f, radii2) == want
+        assert flat_masses(oracle, f, radii2) == want
         stretched = AffineFlat(f.basepoint, [[stretch * x for x in d] for d in f.directions])
-        assert oracle.masses_near_flat(stretched, radii2) == want
+        assert flat_masses(oracle, stretched, radii2) == want
 
     def test_dependent_span_rejected(self):
         oracle = PlateMassOracle(segment_measure())
@@ -272,13 +273,13 @@ class TestMassesNearEnumeratedFlats:
         mu = DiscreteMeasure(atoms, D)
         oracle = PlateMassOracle(mu)
         for f, _ in spanned_flats(mu.points(), 0, mu.ambient_dim - 1):
-            got = oracle.masses_near_flat(f, radii2)
+            got = flat_masses(oracle, f, radii2)
             assert f._dirs is None  # the Fraction directions were not built
             rs = radii2 + [reference_dist2(mu.atoms[hit][0], f)]
             want = reference_masses(mu, f, rs)
             assert got == want[:-1]
-            assert oracle.masses_near_flat(f, rs) == want
-            assert oracle.masses_near_flat(AffineFlat(f.basepoint, f.directions), rs) == want
+            assert flat_masses(oracle, f, rs) == want
+            assert flat_masses(oracle, AffineFlat(f.basepoint, f.directions), rs) == want
 
 
 @st.composite
@@ -333,7 +334,7 @@ class TestAnchorMemo:
             if door == "span":
                 got = oracle.masses_near_span(span, radii2)
             elif door == "flat":
-                got = oracle.masses_near_flat(f, radii2)
+                got = flat_masses(oracle, f, radii2)
             else:
                 got = oracle.masses_near_line(*span, radii2)
             assert got == want
@@ -370,7 +371,7 @@ class TestAnchorMemo:
         with pytest.raises(ValueError, match="ambient"):
             oracle.masses_near_span([(0, 0, 0), (1, 0, 0)], [Fraction(1)])
         with pytest.raises(ValueError, match="ambient"):
-            oracle.masses_near_flat(AffineFlat([0, 0, 0], [[1, 0, 0]]), [Fraction(1)])
+            oracle.atoms_near_flat(AffineFlat([0, 0, 0], [[1, 0, 0]]), Fraction(1))
         with pytest.raises(ValueError, match="ambient"):  # the anchor fits, a later point does not
             oracle.masses_near_span([(0, 0), (1, 0, 7)], [Fraction(0)])
         assert oracle.masses_near_span(line, [Fraction(0)]) == [1]

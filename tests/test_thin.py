@@ -340,6 +340,28 @@ class TestPruneAgainstMeasure:
 coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
 
 
+class TestEpsilonRefused:
+    @pytest.mark.parametrize("eps", [0, Fraction(-1, 4), -0.5], ids=["zero", "negative", "negative-double"])
+    @pytest.mark.parametrize("step", ["prune_planes", "tubes_to_planes", "prune_against_measure"])
+    def test_non_positive_epsilon(self, step, eps, monkeypatch):
+        """Each pruning step refuses epsilon <= 0 before it measures anything."""
+        def refuse(*args):
+            raise AssertionError("measured before epsilon was checked")
+
+        monkeypatch.setattr(thin.PlateMassOracle, "_counts", refuse)
+        monkeypatch.setattr(thin.PlateMassOracle, "_hyperplane_counts", refuse)
+        mu0, mu1 = parallel_segments(4)
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
+        scales = dyadic_scales(4, 1)
+        calls = {
+            "prune_planes": lambda: prune_planes(g, eps, scales),
+            "tubes_to_planes": lambda: tubes_to_planes(mu0, mu1, g, eps, scales),
+            "prune_against_measure": lambda: prune_against_measure(g, mu0, eps, scales),
+        }
+        with pytest.raises(ValueError, match="^epsilon must be positive$"):
+            calls[step]()
+
+
 @st.composite
 def margin_tuples(draw):
     """2 to n + 1 points of Q^n, n = 2 or 3; the last may repeat an earlier
