@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactlin import BudgetExceeded, int_rref, vec
-from .flats import AffineFlat, _lifted_integer_points, _pencils, spanned_flats
+from .flats import AffineFlat, _lifted_integer_points, _node_flat, _pencils, spanned_flats
 
 DEFAULT_POINT_BUDGET = 60
 COVER_NODE_BUDGET = 1_000_000  # cover-search nodes a dichotomy may expand
@@ -128,7 +128,7 @@ def dichotomy_report(
     except EnumerationBudgetExceeded as e:
         return DichotomyReport(None, None, None, count, ratio, complete=False, note=str(e))
     if hit is not None:
-        family = [AffineFlat._from_rows(x.points[p[0]], rows(), None, [lifted[i] for i in p]) for p, rows in hit[1]]
+        family = [_node_flat(x.points, lifted, picks, rows) for picks, rows in hit[1]]
         return DichotomyReport(True, family, hit[0], count, ratio, complete=True)
     return DichotomyReport(False, None, None, count, ratio, complete=True)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactlin import frac
-from .flats import AffineFlat, _pencils, _pick_span
+from .flats import AffineFlat, _node_flat, _pencils, _pick_span
 from .flatcollect import FlatCollection, Partition
 from .measures import DiscreteMeasure, _oracle_modulus
 
@@ -64,9 +64,9 @@ def minimal_concentration_flat(
     n, oracle, lifted = mu.ambient_dim, mu.oracle, mu.oracle._lifted
     for picks, rows, _ in _pencils(lifted, (), 0, n):
         if len(picks) > min_dim:
-            picked = [lifted[i] for i in picks]
-            if oracle._counts([_pick_span(picked)], [w * w], (oracle.int_weights,))[0][0][0] >= threshold:
-                return AffineFlat._from_rows(mu.points()[picks[0]], rows(), None, picked)
+            span = _pick_span([lifted[i] for i in picks])
+            if oracle._counts([span], [w * w], (oracle.int_weights,))[0][0][0] >= threshold:
+                return _node_flat(mu.points(), lifted, picks, rows)
     return AffineFlat.full_space(n)
 
 

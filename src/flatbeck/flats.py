@@ -25,8 +25,8 @@ dist2_flats is its one-offset Fraction view.
 
 The enumerator, spanned_flats, walks pencils of flats level by level (see
 _pencils) and builds no elimination per subset; one walk serves a whole
-dimension range, dimension by dimension; the dichotomy and the
-concentration search read its nodes and build only the flats they return.
+dimension range; the dichotomy and the concentration search read its nodes
+and build, by _node_flat as it does, only the flats they return.
 Enumerated flats keep their picks, joins and meets their rows: their
 Fraction directions are derived only when read.
 FlatChart reads chart coordinates off one int_rref per chart and tests an
@@ -550,6 +550,11 @@ def _pick_span(picks: Sequence[Sequence[int]]) -> tuple[Sequence[int], list[tupl
     return base, [tuple(map(sub, v[:-1], base)) for v in picks[1:]]
 
 
+def _node_flat(points: Sequence[Vector], lifted: Sequence, picks: tuple[int, ...], rows: Callable) -> AffineFlat:
+    """The flat of a _pencils node (picks, rows) over lifted: based at its first pick, spanned by its picks."""
+    return AffineFlat._from_rows(points[picks[0]], rows(), None, [lifted[i] for i in picks])
+
+
 def spanned_flats(points: Sequence[Vector], low: int, high: int) -> Iterator[tuple[AffineFlat, int]]:
     """(flat, mask) for each distinct flat of dimension low..high spanned by
     point subsets, dimension by dimension and, within a dimension, in
@@ -563,4 +568,4 @@ def spanned_flats(points: Sequence[Vector], low: int, high: int) -> Iterator[tup
     lifted = _lifted_integer_points(pts)
     for picks, rows, mask in _pencils(lifted, (), 0, high + 1):
         if len(picks) > low:
-            yield AffineFlat._from_rows(pts[picks[0]], rows(), None, [lifted[i] for i in picks]), mask
+            yield _node_flat(pts, lifted, picks, rows), mask

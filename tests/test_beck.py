@@ -5,7 +5,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from flatbeck import beck, flats
 from flatbeck.beck import (
@@ -357,19 +357,32 @@ def count_nodes(monkeypatch) -> list:
     return calls
 
 
+SKEW_LINES = [(Fraction(i, 8), 0, 0) for i in range(8)] + [(0, 1, Fraction(i, 8)) for i in range(8)]
+PLANAR_GRID = [(Fraction(i, 4), Fraction(j, 4), Fraction(i + 2 * j, 4)) for i in range(5) for j in range(4)]
+
+
 class TestBoundedCoverSearch:
     @settings(max_examples=40, deadline=None)
     @given(planted_sets())
+    @example((SKEW_LINES, Fraction(1, 10)))
+    @example((PLANAR_GRID, Fraction(1, 10)))
     def test_matches_the_unbounded_search(self, case):
         """The bound drops only subtrees without a hit: the verdict, the
-        cover and the family are the unbounded search's."""
+        cover and the family are the unbounded search's, each flat with its
+        basepoint and directions.  The family's flats are the only flats
+        built, each once (explicit: skew lines 8 + 8 in Q^3 and a 5 x 4 grid
+        in a plane of Q^3)."""
         pts, eps = case
-        rep = dichotomy_report(PointConfig(pts), eps)
+        with mock.patch.object(AffineFlat, "_from_rows", wraps=AffineFlat._from_rows) as built:
+            rep = dichotomy_report(PointConfig(pts), eps)
         want = reference_dichotomy(pts, eps)
         assert rep.complete
         assert rep.concentrated == (want is not None)
+        assert built.call_count == len(rep.family or [])
+        assert len({c.args[1] for c in built.call_args_list}) == built.call_count
         if want is not None:
-            assert (rep.covered, rep.family) == want
+            shown = [[(f.canon, f.basepoint, f.directions) for f in fam] for fam in (rep.family, want[1])]
+            assert (rep.covered, shown[0]) == (want[0], shown[1])
 
     def test_one_node_when_the_top_covers_fall_short(self, tmp_path, monkeypatch):
         """20 generic points of Q^3: the best line and plane cover at most

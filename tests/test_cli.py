@@ -15,7 +15,6 @@ import flatbeck.flats
 import flatbeck.measures
 import flatbeck.stability
 import flatbeck.thin
-from flatbeck.beck import PointConfig, dichotomy_report
 from flatbeck.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -30,7 +29,6 @@ from flatbeck.cli import (
 from flatbeck.genscenes import generic_points
 from flatbeck.measures import PlateMassOracle, dyadic_scales
 from flatbeck.thin import prune_against_measure
-from fraction_reference import reference_dichotomy
 from test_flats import count_builds
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -319,8 +317,13 @@ class TestBeckCommand:
             scene.param_rat("bad", "0")
 
 
-SKEW_LINES = [(Fraction(i, 8), 0, 0) for i in range(8)] + [(0, 1, Fraction(i, 8)) for i in range(8)]
-PLANAR_GRID = [(Fraction(i, 4), Fraction(j, 4), Fraction(i + 2 * j, 4)) for i in range(5) for j in range(4)]
+def count_walks(monkeypatch) -> list:
+    """Record every pencil walk the dichotomy starts (the _pencils name
+    beck reads is patched)."""
+    walks = []
+    walk = flatbeck.beck._pencils
+    monkeypatch.setattr(flatbeck.beck, "_pencils", lambda *a: walks.append(a) or walk(*a))
+    return walks
 
 
 class TestBeckEnumeratesOnce:
@@ -334,26 +337,12 @@ class TestBeckEnumeratesOnce:
         assert main(["beck", "--scene", scene, "--out", str(tmp_path)]) == EXIT_PASS
         assert calls == []
 
-    @pytest.mark.parametrize("points", [SKEW_LINES, PLANAR_GRID], ids=["skew-lines-8+8", "grid-5x4"])
-    def test_only_the_family_is_built(self, monkeypatch, points):
-        """On a concentrated set each flat of the family is built once and
-        no other flat is built; the family is the Fraction reference's."""
-        want = reference_dichotomy(points, Fraction(1, 10))
-        calls = count_builds(monkeypatch)
-        rep = dichotomy_report(PointConfig(points))
-        assert rep.concentrated
-        assert calls == rep.family
-        assert len({f._rows for f in calls}) == len(calls)
-        assert (rep.covered, [(f.canon, f.basepoint, f.directions) for f in rep.family]) == (
-            want[0], [(f.canon, f.basepoint, f.directions) for f in want[1]]
-        )
-
     def test_point_budget_checked_before_enumeration(self, tmp_path, monkeypatch):
-        calls = count_builds(monkeypatch)
+        walks = count_walks(monkeypatch)
         scene = str(SCENES / "beck-generic20.json")
         code = main(["beck", "--scene", scene, "--budget", "19", "--out", str(tmp_path)])
         assert code == EXIT_BUDGET
-        assert calls == []
+        assert walks == []
 
 
 class TestBeckPointBudget:
@@ -366,10 +355,10 @@ class TestBeckPointBudget:
         return write_scene(tmp_path, {"ambient_dim": 2, "points": points})
 
     def test_default_cap_refuses_61_points_before_enumeration(self, tmp_path, monkeypatch, capsys):
-        calls = count_builds(monkeypatch)
+        walks = count_walks(monkeypatch)
         assert main(["beck", "--scene", self.scene(tmp_path), "--out", str(tmp_path / "o")]) == EXIT_BUDGET
         assert "point count 61 exceeds budget 60" in capsys.readouterr().err
-        assert calls == []
+        assert walks == []
 
     def test_explicit_budget_applies(self, tmp_path):
         argv = ["beck", "--scene", self.scene(tmp_path), "--budget", "61", "--out", str(tmp_path / "o")]
