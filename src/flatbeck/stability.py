@@ -13,11 +13,12 @@ floor is scale-free; with orthogonal (not orthonormal) bases this matches
 the orthonormal convention up to recorded factors.
 
 The frame scales every lifted atom and basis column to integers once and
-keeps each one's squared norm; matrices and floors read those columns.  The
+keeps each one's squared norm, one block per flat and per atom entry.  The
 minor kernel, exactlin._wedge, grows the row-subset minors of a column set
 by a column; a chain of wedges over a matrix's columns gives its greedy
-pivots (the rank) and every maximal minor of them (the cheap floor).  The chain is
-memoised per prefix of its atom columns, which come first, and flat blocks.
+pivots (the rank) and every maximal minor of them (the cheap floor).  One
+trie per call shares the chains, a node per block: an index pair's picks,
+in product order, each descend from the first slot that changed.
 
 Every rank walk ranks (index pair, pick) combinations of one frame, at most
 2^k prod(1 + |supp mu|) of them over all index pairs; that closed form is
@@ -106,12 +107,12 @@ class StableFrame:
                     if norm2(p) > 1:
                         raise ValueError(f"measure ({j},{i}) leaves the unit ball")
         self.bases = [orthogonalize(linearize(f)) for f in self.flats]
-        # (scale, integer column, squared norm) per lifted atom (p, 1) and basis column
-        self.atom_columns = [
-            [[_int_column(p + (Fraction(1),)) for p, _ in mu.atoms] for mu in ms]
-            for ms in self.measures
-        ]
-        self.basis_columns = [[_int_column(b) for b in bs] for bs in self.bases]
+        # (scale, integer column, squared norm) per column, one block per key
+        # of a matrix: a flat j's basis, an atom entry ((j, i), a)'s lifted atom
+        self.blocks: dict = {j: [_int_column(b) for b in bs] for j, bs in enumerate(self.bases)}
+        for j, i in self.atom_slots():
+            for a, (p, _) in enumerate(self.measures[j][i].atoms):
+                self.blocks[(j, i), a] = [_int_column(p + (Fraction(1),))]
 
     @property
     def k(self) -> int:
@@ -165,51 +166,39 @@ def build_matrix(frame: StableFrame, pick: Pick, idx: IndexPair) -> list[Column]
     J; slots outside Ibar are ignored."""
     cols = []
     for slot in idx.sorted_atoms():
-        j, i = slot
         if slot not in pick:
             raise ValueError(f"pick missing atom slot {slot}")
-        cols.append(frame.atom_columns[j][i][pick[slot]])
+        cols += frame.blocks[slot, pick[slot]]
     for j in idx.sorted_flats():
-        cols.extend(frame.basis_columns[j])
+        cols += frame.blocks[j]
     return cols
 
 
 # a chain of wedges: the minors of the pivot columns so far, their indices
 # in the matrix, and the products of their squared norms and of their scales
 WedgeState = tuple[dict[int, int], tuple[int, ...], int, int]
+# a trie node: the wedge state after its columns, the next column's index in
+# the matrix and its children, keyed by atom entry (slot, atom) or flat j
+Node = tuple[WedgeState, int, dict]
+Walk = list[tuple[tuple[int, ...], WedgeState]]
 
 
-def _pick_state(frame: StableFrame, memo: dict, idx: IndexPair, pick: Pick) -> WedgeState:
-    """The wedge chain over build_matrix(frame, pick, idx), stopped at full
-    rank.  The key, each atom column's (slot, atom) and then J's flats (each
-    a block of basis columns), fixes the columns in order, so memo keeps the
-    state after each key prefix: at most 2^k prod(1 + |supp mu|) states."""
-    atoms = [(s, pick[s]) for s in idx.sorted_atoms()]
-    key = (*atoms, *idx.sorted_flats())
-    blocks = [[frame.atom_columns[j][i][a]] for (j, i), a in atoms]
-    blocks += [frame.basis_columns[j] for j in key[len(atoms) :]]
-    k = len(key)
-    while k and key[:k] not in memo:
-        k -= 1
-    state = memo[key[:k]] if k else ({0: 1}, (), 1, 1)
-    c = sum(map(len, blocks[:k]))  # the next column's index in the matrix
-    for e in range(k, len(key)):
-        for scale, col, norm in blocks[e]:
+def _trie() -> Node:
+    return ({0: 1}, (), 1, 1), 0, {}
+
+
+def _child(frame: StableFrame, node: Node, key) -> Node:
+    """node's child along key, made on first use by wedging key's block."""
+    got = node[2].get(key)
+    if got is None:
+        state, c, _ = node
+        for scale, col, norm in frame.blocks[key]:
             minors, pivots, nprod, sprod = state
             if len(pivots) < len(col) and (grown := _wedge(minors, col)):
                 state = grown, pivots + (c,), nprod * norm, sprod * scale
             c += 1
-        memo[key[: e + 1]] = state
-    return state
-
-
-def iter_picks(frame: StableFrame, slots: Sequence[AtomSlot]) -> list[Pick]:
-    """All atom picks over the slots, in product order."""
-    sizes = [len(frame.measures[j][i]) for j, i in slots]
-    return [
-        dict(zip(slots, combo))
-        for combo in itertools.product(*(range(s) for s in sizes))
-    ]
+        got = node[2][key] = state, c, {}
+    return got
 
 
 @dataclass
@@ -221,17 +210,30 @@ class RankInconsistency:
     rank_b: int
 
 
-def _pick_states(
-    frame: StableFrame, idx: IndexPair, memo: dict
-) -> list[tuple[Pick, WedgeState]] | RankInconsistency:
-    """The wedge state of every pick of the index pair, in iter_picks order,
-    or the first pick whose rank differs from the first pick's."""
-    out: list[tuple[Pick, WedgeState]] = []
-    for p in iter_picks(frame, idx.sorted_atoms()):
-        state = _pick_state(frame, memo, idx, p)
-        if out and len(state[1]) != len(out[0][1][1]):
-            return RankInconsistency(idx, out[0][0], len(out[0][1][1]), p, len(state[1]))
-        out.append((p, state))
+def _pick_states(frame: StableFrame, idx: IndexPair, trie: Node, constant: bool = True) -> Walk | RankInconsistency:
+    """The index pair's picks in product order, each with the chain over
+    build_matrix(frame, pick, idx) stopped at full rank: the trie's node
+    after its atom entries, then J's flats.  Each pick descends from the
+    first slot that changed, the last nonzero one, on the previous pick's
+    path.  With constant, a rank change returns its RankInconsistency."""
+    slots, flats = idx.sorted_atoms(), idx.sorted_flats()
+    last = max(len(slots) - 1, 0)
+    path = [trie]  # path[s]: the node after the previous pick's first s entries
+    out: Walk = []
+    for pick in itertools.product(*(range(len(frame.measures[j][i])) for j, i in slots)):
+        e = last
+        while e and not pick[e]:
+            e -= 1
+        del path[e + 1 :]
+        for s in range(e, len(slots)):
+            path.append(_child(frame, path[s], (slots[s], pick[s])))
+        node = path[-1]
+        for j in flats:
+            node = _child(frame, node, j)
+        if constant and out and len(node[0][1]) != len(out[0][1][1]):
+            a, b = (dict(zip(slots, p)) for p in (out[0][0], pick))
+            return RankInconsistency(idx, a, len(out[0][1][1]), b, len(node[0][1]))
+        out.append((pick, node[0]))
     return out
 
 
@@ -285,9 +287,6 @@ class CertificationResult:
     raw_floor: Optional[Fraction] = None  # unnormalized squared minor floor
     witness: Optional[str] = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 class CertificationBudgetExceeded(BudgetExceeded):
     pass
@@ -320,12 +319,12 @@ def _rank_table(
     frame: StableFrame, budget: int, pairs: Optional[Iterable[IndexPair]] = None
 ) -> dict[IndexPair, int | RankInconsistency]:
     """The rank of each of the pairs (every index pair of the frame when
-    None) over one memo, or its RankInconsistency, after _check_picks."""
+    None) over one trie, or its RankInconsistency, after _check_picks."""
     _check_picks(frame, budget)
-    memo: dict = {}
+    trie = _trie()
     table: dict[IndexPair, int | RankInconsistency] = {}
     for idx in _index_pairs(frame) if pairs is None else pairs:
-        got = _pick_states(frame, idx, memo)
+        got = _pick_states(frame, idx, trie)
         table[idx] = got if isinstance(got, RankInconsistency) else len(got[0][1][1])
     return table
 
@@ -352,11 +351,11 @@ def certify_stability(
     _check_picks(frame, budget)
     pairs = _index_pairs(frame)
     ranks: dict[IndexPair, int] = {}
-    memo: dict = {}
+    trie = _trie()
     # least floors so far as (numerator, denominator), from 1/0 = infinity
     floor = raw_floor = (1, 0)
     for idx in pairs:
-        got = _pick_states(frame, idx, memo)
+        got = _pick_states(frame, idx, trie)
         if isinstance(got, RankInconsistency):
             return CertificationResult(
                 False,
@@ -369,10 +368,11 @@ def certify_stability(
                 ),
             )
         ranks[idx] = len(got[0][1][1])
-        for p, (minors, pivots, nprod, sprod) in got:
+        for pick, (minors, pivots, nprod, sprod) in got:
             top = max(d * d for d in minors.values())
             val, raw = (top, nprod), (top, sprod * sprod)
             if top * c2.denominator < c2.numerator * nprod:
+                p = dict(zip(idx.sorted_atoms(), pick))
                 fval, fraw = minor_floors(build_matrix(frame, p, idx), pivots, exact=True)
                 if fval < c2:
                     return CertificationResult(
@@ -409,15 +409,15 @@ def stabilize(frame: StableFrame, budget: int = PICK_BUDGET) -> tuple[StableFram
     if work > budget:
         raise BudgetExceeded(f"{work} rank evaluations exceed budget {budget}")
     pairs = _index_pairs(frame)
-    memo: dict = {}
-    picks = iter_picks(frame, slots)
-    best_pick = max(picks, key=lambda p: sum(len(_pick_state(frame, memo, idx, p)[1]) for idx in pairs))
-    floor = min(
-        minor_floors(
-            build_matrix(frame, best_pick, idx), _pick_state(frame, memo, idx, best_pick)[1], exact=True
-        )[0]
-        for idx in pairs
-    )
+    trie = _trie()
+    states = {idx: dict(_pick_states(frame, idx, trie, constant=False)) for idx in pairs}
+
+    def pivots(idx: IndexPair, p: Pick) -> tuple[int, ...]:
+        return states[idx][tuple(p[s] for s in idx.sorted_atoms())][1]
+
+    picks = (dict(zip(slots, p)) for p in itertools.product(*map(range, frame.support_sizes().values())))
+    best_pick = max(picks, key=lambda p: sum(len(pivots(idx, p)) for idx in pairs))
+    floor = min(minor_floors(build_matrix(frame, best_pick, idx), pivots(idx, best_pick), exact=True)[0] for idx in pairs)
     assert floor > 0
     target = floor / 2
     centers = {

@@ -384,6 +384,23 @@ class TestBoundedCoverSearch:
             shown = [[(f.canon, f.basepoint, f.directions) for f in fam] for fam in (rep.family, want[1])]
             assert (rep.covered, shown[0]) == (want[0], shown[1])
 
+    def test_backtracks_from_a_node_whose_candidates_all_fail(self, monkeypatch):
+        """Lines A, B and C of Q^3 with four of the ten points each, A
+        through a point of each of the skew lines B and C, and 8 points
+        needed.  No plane holds 8.  A, enumerated first, passes the bound
+        (4 + 4 >= 8), but A with B or with C covers 7, so A's node runs out
+        of candidates and the search backtracks to B and C, the unbounded
+        search's family: root, A, A + B, A + C, B, B + A, B + C."""
+        a = [(0, 0, 0), (0, 1, 0), (0, Fraction(1, 2), 0), (0, Fraction(1, 4), 0)]
+        pts = a + [(Fraction(i, 8), 0, 0) for i in (1, 2, 3)] + [(0, 1, Fraction(i, 8)) for i in (1, 2, 3)]
+        calls = count_nodes(monkeypatch)
+        rep = dichotomy_report(PointConfig(pts), Fraction(1, 5))
+        want = reference_dichotomy(pts, Fraction(1, 5))
+        assert len(calls) == 7
+        shown = [[(f.canon, f.basepoint, f.directions) for f in fam] for fam in (rep.family, want[1])]
+        assert (rep.covered, shown[0]) == (want[0], shown[1])
+        assert [f.directions for f in rep.family] == [((1, 0, 0),), ((0, 0, 1),)]
+
     def test_one_node_when_the_top_covers_fall_short(self, tmp_path, monkeypatch):
         """20 generic points of Q^3: the best line and plane cover at most
         2 + 3 points of the 18 needed, so the root is the only node."""

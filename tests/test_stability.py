@@ -133,25 +133,51 @@ def fresh_chain(frame: StableFrame, idx: IndexPair, pick) -> stability.WedgeStat
 
 
 class TestPrefixMemo:
-    """_pick_state memoises the chain per prefix of atom entries and then
-    of flats; a shared memo must give every state a fresh chain gives."""
+    """The pick walk shares chains in a trie, a node per atom entry and
+    then per flat; a shared trie must give every state a fresh chain gives."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6), st.randoms(use_true_random=False))
     def test_memoised_states_equal_fresh_chains(self, seed, rnd):
-        """Every (index pair, pick) of a frame, in a drawn order, so states
-        are read back after atom prefixes and after flat prefixes."""
+        """Every index pair of a frame, in a drawn order, walked through one
+        trie, so states are read back after other pairs made atom and flat
+        nodes: each walk gives every pick once, in product order, and each
+        (index pair, pick) the state of a fresh chain."""
         frame, _ = random_minimal_frame(random.Random(seed), 3, (1, 1, 1), atoms_per_measure=2)
-        combos = [(idx, pick) for idx in stability._index_pairs(frame)
-                  for pick in stability.iter_picks(frame, idx.sorted_atoms())]
-        rnd.shuffle(combos)
-        memo: dict = {}
-        for idx, pick in combos:
-            assert stability._pick_state(frame, memo, idx, pick) == fresh_chain(frame, idx, pick)
+        pairs = stability._index_pairs(frame)
+        rnd.shuffle(pairs)
+        trie = stability._trie()
+        for idx in pairs:
+            slots = idx.sorted_atoms()
+            walked = stability._pick_states(frame, idx, trie, constant=False)
+            assert [pick for pick, _ in walked] == list(itertools.product(range(2), repeat=len(slots)))
+            for pick, state in walked:
+                assert state == fresh_chain(frame, idx, dict(zip(slots, pick)))
+
+    def test_each_pick_descends_from_the_first_changed_slot(self, monkeypatch):
+        """A walk in product order takes one step per atom node of the
+        picks' prefixes, prod(sizes[:s + 1]) at slot s, and one per flat of J
+        and pick: no pick descends again through a slot that did not change."""
+        frame, _ = random_minimal_frame(random.Random(1), 4, (2, 1, 1), atoms_per_measure=2)
+        steps = []
+        child = stability._child
+
+        def counting(frame, node, key):
+            steps.append(key)
+            return child(frame, node, key)
+
+        monkeypatch.setattr(stability, "_child", counting)
+        trie = stability._trie()
+        for idx in stability._index_pairs(frame):
+            steps.clear()
+            walked = stability._pick_states(frame, idx, trie, constant=False)
+            sizes = [len(frame.measures[j][i]) for j, i in idx.sorted_atoms()]
+            atom_steps = sum(math.prod(sizes[: s + 1]) for s in range(len(sizes)))
+            assert len(steps) == atom_steps + len(walked) * len(idx.flats_index)
 
     def test_wedge_count_on_a_seeded_frame(self, monkeypatch):
-        """Frame 0 of the seed-1 frames-certify workload: with flat prefixes
-        in the memo, certification runs 753 wedges (1,538 with atom prefixes
+        """Frame 0 of the seed-1 frames-certify workload: with flat nodes in
+        the trie, certification runs 753 wedges (1,538 with atom nodes
         alone) and the minimal rank table 147 (180), at the same floor."""
         frame, cert = random_minimal_frame(random.Random(1), 4, (2, 1, 1), atoms_per_measure=2)
         calls = []
@@ -630,9 +656,9 @@ class TestMinimalRankTable:
         calls = []
         pick_states = stability._pick_states
 
-        def counting(frame, idx, memo):
+        def counting(frame, idx, trie):
             calls.append(idx)
-            return pick_states(frame, idx, memo)
+            return pick_states(frame, idx, trie)
 
         monkeypatch.setattr(stability, "_pick_states", counting)
         assert rank_inequality_report(frame) == []
