@@ -11,11 +11,13 @@ Exit codes: 0 all checks pass, 1 a verification failed (witness in the
 report), 2 input error, 3 unknown command, 4 budget exceeded.
 
 Usage:
-    flatbeck <command> --scene <path> [--seed N] [--scales A..B] [--out DIR]
-             [--budget N] [command-specific flags]
+    flatbeck <command> --scene <path> [--seed N] [--out DIR] [command flags]
+    flatbeck <command> --help
 
 Commands: analyze-flats, decompose, stability, beck, thin-verify,
-thin-prune, project, pushforward-dim.
+thin-prune, project, pushforward-dim.  Each parses only the flags its
+handler reads, its row of COMMAND_FLAGS, which --help lists; any other
+flag exits 2 before the scene is read.
 """
 
 from __future__ import annotations
@@ -315,7 +317,9 @@ def _budget(args) -> dict:
 def _scale_window(arg: Optional[str], scene: Scene) -> list[Fraction]:
     spec = arg or scene.params.get("scales") or "1..6"
     if isinstance(spec, list) and len(spec) == 2:
-        coarse, fine = int(spec[0]), int(spec[1])
+        if not all(type(x) is int for x in spec):
+            raise SceneError(f"params.scales: expected two integers, got {spec!r}")
+        coarse, fine = spec
     else:
         try:
             coarse_s, fine_s = str(spec).split("..")
@@ -457,15 +461,23 @@ def cmd_thin_prune(scene: Scene, args, rep: Reporter) -> None:
         rep.info("b_const", out.b_const)
         rep.info("removed_mass", out.removed_mass)
         rep.verdict("tubes-to-planes", out.ok, witness=out.witness)
-    elif args.mode == "against-measure":
+    else:  # against-measure
         nu = _resolve(scene.measures, "measure", [args.nu], "--nu")[0]
         out = prune_against_measure(g, nu, eps, scales)
         rep.info("removed_mass", out.removed_mass)
         rep.info("k_prime", out.k_prime)
         rep.info("delta0", out.delta0)
         rep.verdict("prune-budget", out.ok, witness=out.witness)
-    else:
-        raise SceneError(f"unknown prune mode {args.mode!r}")
+
+
+def _draw(make, ok, what: str):
+    """The first of 100 draws of make() that ok accepts; when none is, an
+    input error, since the scene leaves no room for the draw."""
+    for _ in range(100):
+        x = make()
+        if ok(x):
+            return x
+    raise SceneError(f"failed to draw {what}")
 
 
 def cmd_project(scene: Scene, args, rep: Reporter) -> None:
@@ -475,20 +487,17 @@ def cmd_project(scene: Scene, args, rep: Reporter) -> None:
             raise SceneError(f"--centers {args.centers}: expected at least 1")
         flats = _resolve(scene.flats, "flat", args.flats.split(",") if args.flats else None, "--flats")
         coll = FlatCollection(flats)
+        coll.check_cap()
         n = scene.ambient_dim
-        screen = None
-        for _ in range(100):
-            cand = random_flat(rng, n, n - 1)
-            if all(cand != f for f in flats):
-                screen = cand
-                break
-        if screen is None:
-            raise SceneError("failed to draw a screen")
-        centers = []
-        while len(centers) < args.centers:
-            c = tuple(Fraction(rng.randint(-64, 64), 32) for _ in range(n))
-            if all(not f.contains_point(c) for f in flats) and not screen.contains_point(c):
-                centers.append(c)
+        screen = _draw(lambda: random_flat(rng, n, n - 1), lambda u: all(u != f for f in flats), "a screen")
+        centers = [
+            _draw(
+                lambda: tuple(Fraction(rng.randint(-64, 64), 32) for _ in range(n)),
+                lambda c: all(not f.contains_point(c) for f in flats) and not screen.contains_point(c),
+                "a centre off the flats and the screen",
+            )
+            for _ in range(args.centers)
+        ]
         outcomes = projected_nc_report(coll, centers, screen)
         bad = [o for o in outcomes if not o.nc and not o.exceptional]
         rep.info("centers_tested", len(outcomes))
@@ -498,14 +507,14 @@ def cmd_project(scene: Scene, args, rep: Reporter) -> None:
             not bad,
             witness="; ".join(str(o.center) for o in bad) or None,
         )
-    elif args.check == "irreducible":
+    else:  # irreducible
         needed = {"measure": args.measure, "flat": args.flat, "center": args.center, "screen": args.screen}
         for k, v in needed.items():
             if not v:
                 raise SceneError(f"--{k} is required for --check irreducible")
         mu = _resolve(scene.measures, "measure", args.measure, "--measure")[0]
         v, q, u = (
-            _resolve(scene.flats, "flat", getattr(args, k), f"--{k}")[0] for k in ("flat", "center", "screen")
+            _resolve(scene.flats, "flat", needed[k], f"--{k}")[0] for k in ("flat", "center", "screen")
         )
         w = scene.param_rat("w", "1/16")
         tau = scene.param_rat("tau", "1/2")
@@ -516,8 +525,6 @@ def cmd_project(scene: Scene, args, rep: Reporter) -> None:
         rep.info("scale", out.scale)
         rep.info("kept_mass", out.kept_mass)
         rep.verdict("projected-irreducibility", out.ok, witness=out.witness)
-    else:
-        raise SceneError(f"unknown project check {args.check!r}")
 
 
 def cmd_pushforward_dim(scene: Scene, args, rep: Reporter) -> None:
@@ -544,27 +551,48 @@ HANDLERS = {
 }
 
 
+# every flag once, with its argparse keywords
+FLAGS = {
+    "scene": {"required": True},
+    "seed": {"type": int},
+    "out": {"default": "flatbeck-out"},
+    "scales": {"help": "dyadic window like 1..6"},
+    "budget": {"type": int, "help": "left out: the command's own default"},
+    "flats": {"help": "comma-separated flat names"},
+    "measure": {},
+    "frame": {},
+    "graph": {},
+    "points": {"help": "comma-separated point names"},
+    "tubes": {"action": "store_true", "help": "verify tubes instead of planes"},
+    "mode": {"default": "planes", "choices": ("planes", "tubes2planes", "against-measure")},
+    "nu": {"help": "auxiliary measure for against-measure pruning"},
+    "stabilize": {"action": "store_true"},
+    "check": {"default": "nc", "choices": ("nc", "irreducible")},
+    "flat": {},
+    "center": {},
+    "screen": {},
+    "centers": {"type": int, "default": 20},
+}
+COMMON = ("scene", "seed", "out")  # every command reads these; the report header records the seed
+# the flags each command's handler reads beyond COMMON
+COMMAND_FLAGS = {
+    "analyze-flats": ("flats",),
+    "decompose": ("measure",),
+    "stability": ("frame", "stabilize", "budget"),
+    "beck": ("points", "budget"),
+    "thin-verify": ("graph", "scales", "tubes"),
+    "thin-prune": ("graph", "scales", "mode", "nu"),
+    "project": ("check", "centers", "flats", "measure", "flat", "center", "screen"),
+    "pushforward-dim": ("graph", "scales"),
+}
+
+
 def build_parser(command: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"flatbeck {command}")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--scales", default=None, help="dyadic window like 1..6")
-    p.add_argument("--out", default="flatbeck-out")
-    p.add_argument("--budget", type=int, default=None, help="left out: each command's own default")
-    p.add_argument("--flats", default=None, help="comma-separated flat names")
-    p.add_argument("--measure", default=None)
-    p.add_argument("--frame", default=None)
-    p.add_argument("--graph", default=None)
-    p.add_argument("--points", default=None, help="comma-separated point names")
-    p.add_argument("--tubes", action="store_true", help="verify tubes instead of planes")
-    p.add_argument("--mode", default="planes", help="prune mode: planes|tubes2planes|against-measure")
-    p.add_argument("--nu", default=None, help="auxiliary measure for against-measure pruning")
-    p.add_argument("--stabilize", action="store_true")
-    p.add_argument("--check", default="nc", help="project check: nc|irreducible")
-    p.add_argument("--flat", default=None)
-    p.add_argument("--center", default=None)
-    p.add_argument("--screen", default=None)
-    p.add_argument("--centers", type=int, default=20)
+    """The common flags and command's row of COMMAND_FLAGS, nothing else;
+    no abbreviations, so --flat never reads as --flats."""
+    p = argparse.ArgumentParser(prog=f"flatbeck {command}", allow_abbrev=False)
+    for name in COMMON + COMMAND_FLAGS[command]:
+        p.add_argument(f"--{name}", **FLAGS[name])
     return p
 
 
@@ -580,8 +608,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser(command)
     try:
         args = parser.parse_args(argv[1:])
-    except SystemExit:
-        return EXIT_INPUT
+    except SystemExit as e:  # 0 after --help, 2 for a flag the command does not read
+        return EXIT_PASS if e.code == 0 else EXIT_INPUT
     try:
         scene = parse_scene(args.scene)
     except SceneError as e:

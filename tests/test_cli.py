@@ -1,5 +1,8 @@
+import ast
+import inspect
 import json
 import math
+import re
 import random
 import shutil
 import sys
@@ -16,13 +19,18 @@ import flatbeck.measures
 import flatbeck.stability
 import flatbeck.thin
 from flatbeck.cli import (
+    COMMAND_FLAGS,
+    COMMON,
     EXIT_BUDGET,
     EXIT_FAIL,
     EXIT_INPUT,
     EXIT_PASS,
     EXIT_UNKNOWN,
+    FLAGS,
+    HANDLERS,
     Scene,
     SceneError,
+    build_parser,
     main,
     parse_scene,
 )
@@ -117,7 +125,7 @@ class TestExitCodes:
         assert main(argv + ["--budget", "3", "--out", str(tmp_path / "o")]) == EXIT_BUDGET
         assert "budget exceeded: 160 rank evaluations exceed budget 3" in capsys.readouterr().err
 
-    def test_partition_cap_exceeded(self, tmp_path):
+    def thirteen_lines(self, tmp_path):
         # thirteen lines: Bell(13) partitions, over the default cap of 12
         body = {
             "ambient_dim": 3,
@@ -127,8 +135,28 @@ class TestExitCodes:
             },
         }
         path = write_scene(tmp_path, body)
-        argv = ["project", "--scene", path, "--check", "nc", "--centers", "2", "--seed", "13"]
-        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_BUDGET
+        return ["project", "--scene", path, "--check", "nc", "--centers", "2", "--seed", "13", "--out", str(tmp_path / "o")]
+
+    def test_partition_cap_exceeded(self, tmp_path):
+        assert main(self.thirteen_lines(tmp_path)) == EXIT_BUDGET
+
+    def test_partition_cap_checked_before_the_draws(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("screen drawn past the partition cap")
+
+        monkeypatch.setattr(flatbeck.cli, "random_flat", refuse)
+        assert main(self.thirteen_lines(tmp_path)) == EXIT_BUDGET
+
+    def test_full_space_flat_leaves_no_centre(self, tmp_path, capsys):
+        """Every centre drawn lies on the plane itself: after 100 draws for
+        the first centre the scene is refused, where an unbounded loop hung."""
+        body = {
+            "ambient_dim": 2,
+            "flats": {"plane": {"basepoint": ["0", "0"], "directions": [["1", "0"], ["0", "1"]]}},
+        }
+        argv = ["project", "--scene", write_scene(tmp_path, body), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: failed to draw a centre off the flats and the screen\n"
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_no_center_is_an_input_error(self, tmp_path, capsys, count):
@@ -136,6 +164,95 @@ class TestExitCodes:
         argv = ["project", "--scene", str(SCENES / "project-nc-lines.json"), "--centers", count]
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_INPUT
         assert capsys.readouterr().err == f"input error: --centers {count}: expected at least 1\n"
+
+
+def refuse_scene(monkeypatch):
+    """Patch parse_scene to raise, so a run that gets past the parser fails."""
+    def refuse(path):
+        raise AssertionError(f"scene {path} read")
+
+    monkeypatch.setattr(flatbeck.cli, "parse_scene", refuse)
+
+
+def flag_argv(name: str) -> list[str]:
+    """--name with a value its FLAGS entry accepts."""
+    spec = FLAGS[name]
+    if spec.get("action") == "store_true":
+        return [f"--{name}"]
+    return [f"--{name}", spec.get("choices", ["1"])[0]]
+
+
+UNREAD = [
+    (command, name)
+    for command, row in COMMAND_FLAGS.items()
+    for name in FLAGS
+    if name not in COMMON + row
+]
+
+
+def args_read(fn) -> set[str]:
+    """The args.<name> attributes fn reads, with _budget(args) as budget;
+    any other call passing args itself fails the walk."""
+    read = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args):
+            assert ast.unparse(node.func) == "_budget", f"{fn.__name__} passes args to {ast.unparse(node)}"
+            read.add("budget")
+    return read
+
+
+class TestFlagTable:
+    """Each command parses the common flags and its row of COMMAND_FLAGS,
+    the flags its handler reads; any other flag exits 2 before the scene
+    is read."""
+
+    def test_one_row_per_command_and_every_flag_read(self):
+        assert list(COMMAND_FLAGS) == list(HANDLERS)
+        rows = set(COMMON).union(*COMMAND_FLAGS.values())
+        assert rows == set(FLAGS)
+
+    def test_each_parser_accepts_exactly_its_row(self):
+        pairs = 0
+        for command, row in COMMAND_FLAGS.items():
+            options = {o for a in build_parser(command)._actions for o in a.option_strings}
+            assert options == {"-h", "--help"} | {f"--{name}" for name in COMMON + row}
+            pairs += len(options) - 2
+        assert pairs == 47  # of 8 x 19 = 152 before the table
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_row_is_what_the_handler_reads(self, command):
+        assert args_read(HANDLERS[command]) - set(COMMON) == set(COMMAND_FLAGS[command])
+
+    @pytest.mark.parametrize("command,name", UNREAD, ids=[f"{c}--{n}" for c, n in UNREAD])
+    def test_unread_flag_exits_2_before_the_scene_is_read(self, command, name, monkeypatch, capsys):
+        refuse_scene(monkeypatch)
+        assert main([command, "--scene", "scene.json"] + flag_argv(name)) == EXIT_INPUT
+        assert f"unrecognized arguments: --{name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["thin-prune", "--mode", "tube"], ["project", "--check", "irreducibles"]])
+    def test_unknown_choice_exits_2_before_the_scene_is_read(self, argv, monkeypatch, capsys):
+        refuse_scene(monkeypatch)
+        assert main(argv + ["--scene", "scene.json"]) == EXIT_INPUT
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_help_lists_only_the_row(self, command, monkeypatch, capsys):
+        refuse_scene(monkeypatch)
+        assert main([command, "--help"]) == EXIT_PASS
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help"} | {f"--{name}" for name in COMMON + COMMAND_FLAGS[command]}
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["--help"]])
+    def test_top_level_help_prints_the_usage(self, argv, capsys):
+        assert main(argv) == EXIT_PASS
+        assert capsys.readouterr().out == flatbeck.cli.__doc__ + "\n"
+
+    def test_readme_table_is_the_flag_table(self):
+        text = (ROOT / "README.md").read_text()
+        rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.M))
+        assert {c: tuple(re.findall(r"`--([a-z]+)", r)) for c, r in rows.items()} == COMMAND_FLAGS
 
 
 class TestMalformedParams:
@@ -260,6 +377,52 @@ class TestMalformedParams:
         assert main(["analyze-flats", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {where}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "scales", [[1.5, 4.9], [True, 4], [1, False], [1, 4.0], ["1", 4], [1, None]], ids=str
+    )
+    def test_scales_entries_must_be_integers(self, tmp_path, capsys, scales):
+        """Each entry of params.scales is a JSON integer, as params.seed is:
+        a decimal or a boolean is refused, not truncated by int()."""
+        path = self.scene_with(tmp_path, scales=scales)
+        assert main(["thin-verify", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert "input error: params.scales: expected two integers, got [" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scales", ["1-6", "1..", "a..b", "1..2..3"])
+    def test_malformed_scale_window_is_an_input_error(self, tmp_path, capsys, scales):
+        argv = ["thin-verify", "--scene", str(self.SEGMENTS), "--scales", scales, "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: bad scale window {scales!r}; expected like 1..6\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1, 2]", "top level must be an object"),
+            ("{}", "missing or malformed ambient_dim"),
+            ('{"ambient_dim": "two"}', "missing or malformed ambient_dim"),
+            ('{"ambient_dim": 2,', "invalid JSON"),
+        ],
+    )
+    def test_malformed_scene_file_is_an_input_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "scene.json"
+        path.write_text(text)
+        assert main(["analyze-flats", "--scene", str(path), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: {path}: {message}")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["thin-verify", "--tubes"], "tube verification needs an arity-2 graph"),
+            (["thin-prune", "--mode", "tubes2planes"], "conversion needs an arity-2 graph"),
+        ],
+    )
+    def test_tube_commands_refuse_other_arities(self, tmp_path, capsys, argv, message):
+        body = json.loads(self.SEGMENTS.read_text())
+        for g in body["graphs"].values():
+            g["measures"] = g["measures"][:1]
+        path = write_scene(tmp_path, body)
+        assert main(argv + ["--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_scales_above_one_run_as_given(self, tmp_path):
         """-1..3 is the window 2 down to 1/8, from the flag or the scene."""
@@ -848,6 +1011,13 @@ class TestProjectIrreducibleCommand:
                 "--out", out or str(tmp_path / "out"),
             ]
         )
+
+    @pytest.mark.parametrize("flag", ["--measure", "--flat", "--center", "--screen"])
+    def test_each_irreducible_flag_is_required(self, tmp_path, capsys, flag):
+        argv = IRREDUCIBLE + ["--measure", "on_x", "--flat", "x_axis", "--center", "y_axis", "--screen", "y_axis"]
+        i = argv.index(flag)
+        assert main(argv[:i] + argv[i + 2:] + ["--out", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {flag} is required for --check irreducible\n"
 
     def test_plane_scene(self, tmp_path):
         out = tmp_path / "out"
