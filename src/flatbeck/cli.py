@@ -17,7 +17,8 @@ Usage:
 Commands: analyze-flats, decompose, stability, beck, thin-verify,
 thin-prune, project, pushforward-dim.  Each parses only the flags its
 handler reads, its row of COMMAND_FLAGS, which --help lists; any other
-flag exits 2 before the scene is read.
+flag exits 2 before the scene is read, and so does a flag of the row that
+the --mode or --check given does not read (MODE_FLAGS).
 """
 
 from __future__ import annotations
@@ -314,18 +315,31 @@ def _budget(args) -> dict:
     return {} if args.budget is None else {"budget": args.budget}
 
 
+def _window_ends(spec: str) -> Optional[list[int]]:
+    """[A, B] of a window spelled A..B; None for any other string."""
+    try:
+        coarse, fine = spec.split("..")
+        return [int(coarse), int(fine)]
+    except ValueError:
+        return None
+
+
 def _scale_window(arg: Optional[str], scene: Scene) -> list[Fraction]:
-    spec = arg or scene.params.get("scales") or "1..6"
-    if isinstance(spec, list) and len(spec) == 2:
-        if not all(type(x) is int for x in spec):
+    """The window of --scales when given, else of params.scales whenever
+    the scene has the key, else 1..6.  params.scales is [A, B] of JSON
+    integers or an A..B string; anything else there is an input error."""
+    if arg is not None:
+        ends = _window_ends(arg)
+        if ends is None:
+            raise SceneError(f"bad scale window {arg!r}; expected like 1..6")
+    elif "scales" in scene.params:
+        spec = scene.params["scales"]
+        ends = spec if isinstance(spec, list) else _window_ends(spec) if isinstance(spec, str) else None
+        if ends is None or len(ends) != 2 or not all(type(x) is int for x in ends):
             raise SceneError(f"params.scales: expected two integers, got {spec!r}")
-        coarse, fine = spec
     else:
-        try:
-            coarse_s, fine_s = str(spec).split("..")
-            coarse, fine = int(coarse_s), int(fine_s)
-        except ValueError:
-            raise SceneError(f"bad scale window {spec!r}; expected like 1..6")
+        ends = [1, 6]
+    coarse, fine = ends
     return dyadic_scales(fine, coarse)
 
 
@@ -417,9 +431,7 @@ def cmd_thin_verify(scene: Scene, args, rep: Reporter) -> None:
     scales = _scale_window(args.scales, scene)
     claimed = scene.graph_density_claims.get(name)
     if args.tubes:
-        if g.arity != 2:
-            raise SceneError("tube verification needs an arity-2 graph")
-        out = verify_thin_tubes(g.measures[0], g.measures[1], g, scales, required_density=claimed)
+        out = verify_thin_tubes(g, scales, required_density=claimed)
     else:
         out = verify_thin_planes(g, scales, required_density=claimed)
     rep.info("csv", rep.csv_table(f"{name}-scales", out.table, ["scale", "max_mass", "bound", "ratio"]))
@@ -454,9 +466,7 @@ def cmd_thin_prune(scene: Scene, args, rep: Reporter) -> None:
         rep.verdict("prune-budget", out.ok, witness=out.witness)
         rep.verdict("pruned-graph-verifies", out.check.ok, witness=out.check.failure)
     elif args.mode == "tubes2planes":
-        if g.arity != 2:
-            raise SceneError("conversion needs an arity-2 graph")
-        out = tubes_to_planes(g.measures[0], g.measures[1], g, eps, scales)
+        out = tubes_to_planes(g, eps, scales)
         rep.info("a_const", out.a_const)
         rep.info("b_const", out.b_const)
         rep.info("removed_mass", out.removed_mass)
@@ -585,6 +595,19 @@ COMMAND_FLAGS = {
     "project": ("check", "centers", "flats", "measure", "flat", "center", "screen"),
     "pushforward-dim": ("graph", "scales"),
 }
+# for a command whose handler reads some of its row in one mode only: the
+# mode flag and, per mode, the flags of the row that mode reads
+MODE_FLAGS = {
+    "thin-prune": ("mode", {
+        "planes": ("graph", "scales"),
+        "tubes2planes": ("graph", "scales"),
+        "against-measure": ("graph", "scales", "nu"),
+    }),
+    "project": ("check", {
+        "nc": ("centers", "flats"),
+        "irreducible": ("measure", "flat", "center", "screen"),
+    }),
+}
 
 
 def build_parser(command: str) -> argparse.ArgumentParser:
@@ -608,7 +631,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser(command)
     try:
         args = parser.parse_args(argv[1:])
-    except SystemExit as e:  # 0 after --help, 2 for a flag the command does not read
+        if command in MODE_FLAGS:
+            # from argv, not args: --centers has a default
+            flag, rows = MODE_FLAGS[command]
+            mode = getattr(args, flag)
+            given = {a[2:].partition("=")[0] for a in argv[1:] if a.startswith("--")}
+            unread = sorted(given & set(COMMAND_FLAGS[command]) - {flag, *rows[mode]})
+            if unread:
+                parser.error(f"--{flag} {mode} does not read --{unread[0]}")
+    except SystemExit as e:  # 0 after --help, 2 for a flag the command or its mode does not read
         return EXIT_PASS if e.code == 0 else EXIT_INPUT
     try:
         scene = parse_scene(args.scene)

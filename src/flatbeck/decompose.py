@@ -44,17 +44,16 @@ class DecompositionResult:
     final_cost: int
 
 
-def minimal_concentration_flat(
-    mu: DiscreteMeasure, w, theta, min_dim: int = 0
-) -> AffineFlat:
-    """Lowest-dimensional flat whose w-neighborhood captures at least a
-    theta-fraction of the total mass; candidates are spans of atom subsets,
-    searched by dimension then in atom order (deterministic tie-break).
+def minimal_concentration_flat(mu: DiscreteMeasure, w, theta) -> AffineFlat:
+    """Lowest-dimensional flat of dimension at least 1 whose w-neighborhood
+    captures at least a theta-fraction of the total mass; candidates are
+    spans of atom subsets, searched by dimension then in atom order
+    (deterministic tie-break).
 
     The full space qualifies at dimension n, so for theta <= 1 this always
-    returns.  The extraction loop calls this with min_dim = 1: zero-
-    dimensional flats add nothing to the partition cost, so allowing them
-    would break both termination and the plateau invariants.
+    returns.  Points are never candidates: zero-dimensional flats add
+    nothing to the partition cost, so the extraction loop would lose both
+    termination and the plateau invariants.
     """
     w = frac(w)
     theta = frac(theta)
@@ -63,7 +62,7 @@ def minimal_concentration_flat(
     threshold = theta * mu.total_mass * mu.weight_den  # as a count over W
     n, oracle, lifted = mu.ambient_dim, mu.oracle, mu.oracle._lifted
     for picks, rows, _ in _pencils(lifted, (), 0, n):
-        if len(picks) > min_dim:
+        if len(picks) > 1:
             span = _pick_span([lifted[i] for i in picks])
             if oracle._counts([span], [w * w], (oracle.int_weights,))[0][0][0] >= threshold:
                 return _node_flat(mu.points(), lifted, picks, rows)
@@ -98,7 +97,7 @@ def decompose(x: DiscreteMeasure, n: int, w, theta) -> DecompositionResult:
                 f"cost-{cost} cover at step {step}"
             )
         rest = DiscreteMeasure(kept, x.resolution)
-        v = minimal_concentration_flat(rest, w, theta, min_dim=1)
+        v = minimal_concentration_flat(rest, w, theta)
         near = rest.oracle.atoms_near_flat(v, w2)
         piece_atoms = [a for i, a in enumerate(rest.atoms) if near >> i & 1]
         total = sum(wt for _, wt in piece_atoms)

@@ -102,11 +102,9 @@ def _integerized_rows(rows: Iterable[Vector]) -> list[list[int]]:
     return out
 
 
-def _integerized_points(
-    points: Sequence[Vector], den: int = 1
-) -> tuple[list[tuple[int, ...]], int]:
-    """Scale all points by a common denominator, a multiple of den, so
-    distances are integers."""
+def _integerized_points(points: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
+    """Scale all points by a common denominator so distances are integers."""
+    den = 1
     for p in points:
         for x in p:
             den = math.lcm(den, x.denominator)

@@ -92,9 +92,6 @@ class FlatCollection:
         self._cost: Optional[int] = None
         self._minimizers: Optional[list[Partition]] = None
 
-    def __len__(self) -> int:
-        return len(self.flats)
-
     def subset_join(self, idx: Sequence[int]) -> AffineFlat:
         """The join of the flats at the indices, built once per index subset."""
         key = frozenset(idx)

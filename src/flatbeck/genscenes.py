@@ -128,22 +128,20 @@ def square_grid(j: int) -> DiscreteMeasure:
     return DiscreteMeasure.uniform(pts, Fraction(1, g))
 
 
-def generic_points(
-    rng: random.Random,
-    n: int,
-    count: int,
-    span: int = 16,
-    den: int = 16,
-    no_n_coplanar: bool = True,
-    max_tries: int = 100_000,
-) -> list[tuple]:
-    """Distinct random rational points; optionally in general position (no
-    n + 1 of them on a common hyperplane), verified exactly by incidence:
-    a candidate x is refused when a.x = b for the hyperplane normal (a, b) of
+GENERIC_SPAN = 16  # generic_points' coordinates are k / GENERIC_DEN, |k| <= GENERIC_SPAN
+GENERIC_DEN = 16
+GENERIC_TRIES = 100_000  # draws generic_points makes before it gives up
+
+
+def generic_points(rng: random.Random, n: int, count: int) -> list[tuple]:
+    """Distinct random rational points in general position (no n + 1 of
+    them on a common hyperplane), verified exactly by incidence: a
+    candidate x is refused when a.x = b for the hyperplane normal (a, b) of
     some n accepted points (a = 0 when they span none); an accepted point
-    adds the normals of the n-subsets through it (flats._normals).  A refused
-    point stays refused, so each decided point is tested once, and the
-    sampling is exhausted once all (2 span + 1)^n grid points are decided."""
+    adds the normals of the n-subsets through it (flats._normals).  A
+    refused point stays refused, so each decided point is tested once, and
+    the sampling is exhausted once all (2 GENERIC_SPAN + 1)^n grid points
+    are decided or after GENERIC_TRIES draws."""
     pts: list[tuple] = []
     decided: set[tuple] = set()
     lifted: list[tuple[int, ...]] = []
@@ -151,20 +149,19 @@ def generic_points(
     tries = 0
     while len(pts) < count:
         tries += 1
-        if tries > max_tries or len(decided) == (2 * span + 1) ** n:
+        if tries > GENERIC_TRIES or len(decided) == (2 * GENERIC_SPAN + 1) ** n:
             raise RuntimeError("rejection sampling exhausted")
-        p = random_point(rng, n, span, den)
+        p = random_point(rng, n, GENERIC_SPAN, GENERIC_DEN)
         if p in decided:
             continue
         decided.add(p)
         (v,) = _lifted_integer_points([p])
-        if no_n_coplanar:
-            w = v[:-1] + (-v[-1],)  # (den x, -den): a.w = den (a.x - b)
-            if any(not sum(map(mul, c, w)) for c in normals):
-                continue
-            lifted.append(v)
-            new = [(*s, len(pts)) for s in itertools.combinations(range(len(pts)), n - 1)]
-            normals += [c for _, cs in _normals([lifted] * n, new) for c in cs]
+        w = v[:-1] + (-v[-1],)  # (den x, -den): a.w = den (a.x - b)
+        if any(not sum(map(mul, c, w)) for c in normals):
+            continue
+        lifted.append(v)
+        new = [(*s, len(pts)) for s in itertools.combinations(range(len(pts)), n - 1)]
+        normals += [c for _, cs in _normals([lifted] * n, new) for c in cs]
         pts.append(p)
     return pts
 

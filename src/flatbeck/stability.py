@@ -19,6 +19,8 @@ by a column; a chain of wedges over a matrix's columns gives its greedy
 pivots (the rank) and every maximal minor of them (the cheap floor).  One
 trie per call shares the chains, a node per block: an index pair's picks,
 in product order, each descend from the first slot that changed.
+minor_floors maximizes over every column set, for a pick whose cheap
+floor is below c2 and for the stabilizing search's target.
 
 Every rank walk ranks (index pair, pick) combinations of one frame, at most
 2^k prod(1 + |supp mu|) of them over all index pairs; that closed form is
@@ -237,25 +239,19 @@ def _pick_states(frame: StableFrame, idx: IndexPair, trie: Node, constant: bool 
     return out
 
 
-def minor_floors(
-    m: Sequence[Column], pivots: Sequence[int], exact: bool = False
-) -> tuple[Fraction, Fraction]:
-    """(normalized, raw) lower bounds - exact values when exact=True - for
-    the largest squared r x r minor of the columns m, as build_matrix gives
-    them, r = len(pivots), where the normalized form divides each det^2 by
-    the product of the participating squared column norms, read off m.
-
-    The cheap route wedges the pivot columns and maximizes over row subsets
-    only; the result is a true lower bound, and since the pivot columns are
-    independent it is positive.  The exact route maximizes over all r-column
-    subsets, walking them in combination order so that subsets sharing a
-    prefix share its wedges; a dependent prefix ends its branch.
+def minor_floors(m: Sequence[Column], r: int) -> tuple[Fraction, Fraction]:
+    """(normalized, raw) values of the largest squared r x r minor of the
+    columns m, as build_matrix gives them, where the normalized form
+    divides each det^2 by the product of the participating squared column
+    norms, read off m.  It maximizes over all r-column subsets, walking
+    them in combination order so that subsets sharing a prefix share their
+    wedges; a dependent prefix ends its branch.  The pivot-only lower bound
+    is certify_stability's, read off its trie.
 
     Scaling a column multiplies each minor through it by the column's
     factor, so the normalized value needs no rescaling on the integer
     columns and the raw one divides out the squared scales.
     """
-    r = len(pivots)
     if r == 0:
         return Fraction(1), Fraction(1)
     best = [(0, 1), (0, 1)]  # normalized and raw maxima as (numerator, denominator)
@@ -273,7 +269,7 @@ def minor_floors(
             if grown:
                 walk(grown, cs + (c,), rest[k + 1 :])
 
-    walk({0: 1}, (), range(len(m)) if exact else pivots)
+    walk({0: 1}, (), range(len(m)))
     return Fraction(*best[0]), Fraction(*best[1])
 
 
@@ -373,7 +369,7 @@ def certify_stability(
             val, raw = (top, nprod), (top, sprod * sprod)
             if top * c2.denominator < c2.numerator * nprod:
                 p = dict(zip(idx.sorted_atoms(), pick))
-                fval, fraw = minor_floors(build_matrix(frame, p, idx), pivots, exact=True)
+                fval, fraw = minor_floors(build_matrix(frame, p, idx), len(pivots))
                 if fval < c2:
                     return CertificationResult(
                         False,
@@ -417,7 +413,7 @@ def stabilize(frame: StableFrame, budget: int = PICK_BUDGET) -> tuple[StableFram
 
     picks = (dict(zip(slots, p)) for p in itertools.product(*map(range, frame.support_sizes().values())))
     best_pick = max(picks, key=lambda p: sum(len(pivots(idx, p)) for idx in pairs))
-    floor = min(minor_floors(build_matrix(frame, best_pick, idx), pivots(idx, best_pick), exact=True)[0] for idx in pairs)
+    floor = min(minor_floors(build_matrix(frame, best_pick, idx), len(pivots(idx, best_pick)))[0] for idx in pairs)
     assert floor > 0
     target = floor / 2
     centers = {

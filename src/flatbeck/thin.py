@@ -7,9 +7,12 @@ by K * scale^sigma at every dyadic scale in the window, exactly: sigma = p/q
 and K are rationals, the plate oracle gives each mass as an integer count
 over its measure's weight denominator W, and the count must be at most
 T = floor(W K scale^sigma), the largest T with T^q <= (W K)^q scale^p.  The
-constants the program chooses (C1, A, B, the tube threshold, K') stay
-doubles; removal compares counts with floor(W b) for each double bound b
-read exactly, and removed masses with their budgets as Fractions.  Floats
+constants the program chooses (C1, delta0, A, B, the tube threshold, K')
+are the ones their functions' docstrings derive, with no override, and
+all but delta0 stay doubles; removal compares counts with floor(W b) for
+each double bound b read exactly, and removed masses with their budgets
+as Fractions.  A tube check reads its two measures (mu0, mu1) off its
+graph, which must have arity 2.  Floats
 remain only in report fields and in pushforward_frostman's mass column and
 regression: its boxes are integer keys of an exact hyperplane chart.
 Densities and section masses sum products of the oracles' integer weights.
@@ -325,44 +328,40 @@ def _span_pass(tuples: Iterable, lifted: list, measures: Sequence[DiscreteMeasur
             yield t, None if span is None else [c for (c,) in next(got)]
 
 
-def verify_thin_tubes(
-    mu0: DiscreteMeasure,
-    mu1: DiscreteMeasure,
-    g: ThinGraph,
-    scales: Sequence,
-    required_density=None,
-) -> VerifyResult:
-    """Tube check: for every support point of mu0 and every tube in the
-    discretized family through it (directions toward mu1 atoms, dyadic
-    radii), the G-section mass of mu1 inside the tube is at most K * r^sigma.
+def verify_thin_tubes(g: ThinGraph, scales: Sequence, required_density=None) -> VerifyResult:
+    """Tube check of an arity-2 graph g over (mu0, mu1): for every support
+    point of mu0 and every tube in the discretized family through it
+    (directions toward mu1 atoms, dyadic radii), the G-section mass of mu1
+    inside the tube is at most K * r^sigma.
 
     The family is within a factor two in radius of worst-case tubes: any
     tube containing two support points lies inside the member tube through
     them at twice the radius.
     """
-    scales, radii2 = _tube_window(mu0, mu1, g, scales)
-    return _verdict(g, scales, _tube_items(mu0, mu1, g, radii2), _TUBE_FAILURE, required_density)
+    scales, radii2 = _tube_window(g, scales)
+    return _verdict(g, scales, _tube_items(g, radii2), _TUBE_FAILURE, required_density)
 
 
-def _tube_window(mu0, mu1, g: ThinGraph, scales: Sequence) -> tuple[list, list]:
-    """The window of a tube check of g over (mu0, mu1), after checking the
-    graph's measures and that the supports are separated."""
-    if g.arity != 2 or (g.measures[0], g.measures[1]) != (mu0, mu1):
-        raise ValueError("graph must live over (mu0, mu1)")
+def _tube_window(g: ThinGraph, scales: Sequence) -> tuple[list, list]:
+    """The window of a tube check of g, after checking that g has arity 2
+    and that its two supports are separated."""
+    if g.arity != 2:
+        raise ValueError("a tube check needs an arity-2 graph")
+    mu0, mu1 = g.measures
     # finite supports are at distance 0 exactly when they share a point
     if set(mu0.points()) & set(mu1.points()):
         raise ValueError("supports are not separated")
-    return _window(scales, (mu0, mu1))
+    return _window(scales, g.measures)
 
 
-def _tube_items(mu0, mu1, g: ThinGraph, radii2: list[Fraction], full=None) -> Iterator:
-    """((i0, i1), 1, counts) for every tube of the family: the G-section of
-    mu1 is mu1's weights with zeros off the section, so one core call per
-    centre x0 gives the counts of all its lines x0 -> y (see _tuple_spans;
-    separated supports make them independent); with a dict full, the same
-    call also stores mu1's full counts of the lines of the pairs in g,
-    under the pair."""
-    oracle = mu1.oracle
+def _tube_items(g: ThinGraph, radii2: list[Fraction], full=None) -> Iterator:
+    """((i0, i1), 1, counts) for every tube of the family of g over
+    (mu0, mu1): the G-section of mu1 is mu1's weights with zeros off the
+    section, so one core call per centre x0 gives the counts of all its
+    lines x0 -> y (see _tuple_spans; separated supports make them
+    independent); with a dict full, the same call also stores mu1's full
+    counts of the lines of the pairs in g, under the pair."""
+    oracle = g.measures[1].oracle
     weights = oracle.int_weights
     lifted = _lifted_atoms(g)
     # tuples come sorted: one run per mu0 atom, its G-section of mu1
@@ -401,27 +400,20 @@ class PruneResult:
     witness: Optional[str] = None
 
 
-def prune_planes(
-    g: ThinGraph,
-    epsilon,
-    scales: Sequence,
-    c1: Optional[float] = None,
-) -> PruneResult:
+def prune_planes(g: ThinGraph, epsilon, scales: Sequence) -> PruneResult:
     """Remove every tuple whose span neighborhood is too heavy for some
     measure at some dyadic scale: mass > C1 * K * delta^(sigma - eps).
 
-    C1 defaults to (k+1) * S / eps with S the dyadic tail sum, the choice
-    that makes the union bound over scales close below eps when each
-    single-scale removal obeys the counting argument; the actually removed
-    mass is measured exactly and compared against the eps budget.  The kept
-    tuples are independent and their counts are all in hand, so they are
-    verified at the output's (sigma - eps, C1 K) without a second pass.
+    C1 = arity * S / eps with S the dyadic tail sum, the choice that makes
+    the union bound over scales close below eps when each single-scale
+    removal obeys the counting argument; the actually removed mass is
+    measured exactly and compared against the eps budget.  The kept tuples
+    are independent and their counts are all in hand, so they are verified
+    at the output's (sigma - eps, C1 K) without a second pass.
     """
     eps_q, eps = _epsilon(epsilon)
     scales, radii2 = _window(scales, g.measures)
-    s_sum = dyadic_tail_sum(scales, eps)
-    if c1 is None:
-        c1 = (g.arity) * s_sum / eps
+    c1 = g.arity * dyadic_tail_sum(scales, eps) / eps
     bounds = [c1 * g.big_k * float(s) ** (g.sigma - eps) for s in scales]
     cuts = [_double_cuts(m.weight_den, bounds) for m in g.measures]
     removed: set[tuple[int, ...]] = set()
@@ -457,14 +449,9 @@ class ConversionResult:
     witness: Optional[str] = None
 
 
-def tubes_to_planes(
-    mu0: DiscreteMeasure,
-    mu1: DiscreteMeasure,
-    g: ThinGraph,
-    epsilon,
-    scales: Sequence,
-) -> ConversionResult:
-    """Convert a two-sided thin-tube graph into a thin 1-planes graph.
+def tubes_to_planes(g: ThinGraph, epsilon, scales: Sequence) -> ConversionResult:
+    """Convert a two-sided thin-tube graph g over (mu0, mu1) into a thin
+    1-planes graph.
 
     Pairs whose connecting tube is too heavy at some dyadic radius
     (mass > 10 eps^-2 C K r^(sigma - eps), either marginal) are removed;
@@ -478,15 +465,16 @@ def tubes_to_planes(
     window by both resolutions.
     """
     eps_q, eps = _epsilon(epsilon)
-    scales, radii2 = _tube_window(mu0, mu1, g, scales)
+    scales, radii2 = _tube_window(g, scales)
+    mu0, mu1 = g.measures
     c_const = 1.0 / float(rational_sqrt_lower(support_dist2(mu0, mu1)))
     full1: dict = {}
     full0: dict = {}
-    tube_fwd = _verdict(g, scales, _tube_items(mu0, mu1, g, radii2, full1), _TUBE_FAILURE)
+    tube_fwd = _verdict(g, scales, _tube_items(g, radii2, full1), _TUBE_FAILURE)
     g_rev = ThinGraph(
         (mu1, mu0), [(b, a) for a, b in g.iter_tuples()], g.sigma_exact, g.k_exact
     )
-    tube_rev = _verdict(g_rev, scales, _tube_items(mu1, mu0, g_rev, radii2, full0), _TUBE_FAILURE)
+    tube_rev = _verdict(g_rev, scales, _tube_items(g_rev, radii2, full0), _TUBE_FAILURE)
     if not (tube_fwd.ok and tube_rev.ok):
         return ConversionResult(
             None, 0.0, 0.0, Fraction(0), False, [tube_fwd, tube_rev],
@@ -549,22 +537,15 @@ def _margin2(pts: Sequence[Sequence[int]], den: int) -> Fraction | float:
     return best
 
 
-def prune_against_measure(
-    g: ThinGraph,
-    nu: DiscreteMeasure,
-    epsilon,
-    scales: Sequence,
-    delta0: Optional[Fraction] = None,
-    k_prime: Optional[float] = None,
-) -> MeasurePruneResult:
+def prune_against_measure(g: ThinGraph, nu: DiscreteMeasure, epsilon, scales: Sequence) -> MeasurePruneResult:
     """Remove tuples whose span neighborhood captures too much of an
     auxiliary measure nu at some dyadic scale, after first enforcing an
     affine-independence margin delta0 on the tuples themselves.
 
-    delta0 defaults to the largest window scale whose margin trimming costs
-    at most epsilon/2 of product mass; K' defaults to the budget constant
-    K * delta0^(-2 sigma) * S / (eps/2), and the measured removal must stay
-    within the epsilon budget.
+    delta0 is the largest window scale whose margin trimming costs at most
+    epsilon/2 of product mass (the finest scale when none does); K' is the
+    budget constant K * delta0^(-2 sigma) * S / (eps/2), and the measured
+    removal must stay within the epsilon budget.
     """
     eps_q, eps = _epsilon(epsilon)
     if nu.ambient_dim != g.ambient_dim:
@@ -573,21 +554,16 @@ def prune_against_measure(
     lifted = _lifted_atoms(g)
     den = lifted[0][0][-1]
     margins = {t: _margin2([pts[i] for pts, i in zip(lifted, t)], den) for t in g.iter_tuples()}
-    if delta0 is None:
-        delta0 = min(scales)
-        ws = [m.oracle.int_weights for m in g.measures]
-        denom = math.prod(map(sum, ws))
-        for s in scales:  # descending: prefer the largest affordable margin
-            trimmed = sum(math.prod(w[i] for w, i in zip(ws, t)) for t, m2 in margins.items() if m2 < s * s)
-            if Fraction(trimmed, denom) <= eps_q / 2:
-                delta0 = s
-                break
-    else:
-        delta0 = frac(delta0)
+    delta0 = min(scales)
+    ws = [m.oracle.int_weights for m in g.measures]
+    denom = math.prod(map(sum, ws))
+    for s in scales:  # descending: prefer the largest affordable margin
+        trimmed = sum(math.prod(w[i] for w, i in zip(ws, t)) for t, m2 in margins.items() if m2 < s * s)
+        if Fraction(trimmed, denom) <= eps_q / 2:
+            delta0 = s
+            break
     margin_removed = {t for t, m2 in margins.items() if m2 < delta0 * delta0}
-    if k_prime is None:
-        s_sum = dyadic_tail_sum(scales, eps)
-        k_prime = g.big_k * float(delta0) ** (-2 * g.sigma) * s_sum / (eps / 2)
+    k_prime = g.big_k * float(delta0) ** (-2 * g.sigma) * dyadic_tail_sum(scales, eps) / (eps / 2)
     cuts = _double_cuts(nu.weight_den, [k_prime * float(s) ** (g.sigma - eps) for s in scales])
     removed = set(margin_removed)
     unmarked = (t for t in g.iter_tuples() if t not in margin_removed)

@@ -8,8 +8,9 @@ integer kernels they check.  Also a brute-force spanned-flat enumerator
 that shares no code with ``flats.spanned_flats`` and the unbounded
 dichotomy search on its flats, a brute-force ball mass
 that shares none with the plate oracle, the hyperplane chart's box key
-over ``Fraction``, and the rejection loop of ``genscenes.generic_points``
-with a reference rank per point subset.
+over ``Fraction``, the rejection loop of ``genscenes.generic_points``
+with a reference rank per point subset, and the pruning constants C1,
+delta0 and K' that ``thin``'s docstrings derive.
 """
 
 import itertools
@@ -316,7 +317,7 @@ def reference_chart_key(points: Sequence[Sequence], s: Fraction) -> tuple[int, .
 
 
 def reference_generic_points(
-    rng, n: int, count: int, span: int = 16, den: int = 16, no_n_coplanar: bool = True, max_tries: int = 100_000
+    rng, n: int, count: int, span: int = 16, den: int = 16, max_tries: int = 100_000
 ) -> list[Vector]:
     """genscenes.generic_points' draws and rejections, testing general
     position the plain way: a candidate joins when, with every n of the
@@ -330,9 +331,35 @@ def reference_generic_points(
         p = tuple(Fraction(rng.randint(-span, span), den) for _ in range(n))
         if p in pts:
             continue
-        if no_n_coplanar and not all(
+        if not all(
             reference_rank([q + (1,) for q in combo + (p,)]) == n + 1 for combo in itertools.combinations(pts, n)
         ):
             continue
         pts.append(p)
     return pts
+
+
+def reference_tail_sum(scales, eps: float) -> float:
+    """S = the sum of s^eps over the scales, as a correctly rounded double."""
+    return math.fsum(float(s) ** eps for s in scales)
+
+
+def reference_c1(arity: int, scales, eps: float) -> float:
+    """prune_planes' C1 = arity * S / eps."""
+    return arity * reference_tail_sum(scales, eps) / eps
+
+
+def reference_delta0(trims, scales, eps: Fraction) -> Fraction:
+    """prune_against_measure's delta0: the largest scale s (the smallest
+    when none) at which the tuples with squared margin below s^2 carry at
+    most eps / 2 of the product mass; trims is one (squared margin, mass
+    share) pair per tuple, the margin None for a tuple of one point."""
+    for s in sorted(scales, reverse=True):
+        if sum((w for m2, w in trims if m2 is not None and m2 < s * s), Fraction(0)) <= eps / 2:
+            return s
+    return min(scales)
+
+
+def reference_k_prime(big_k: float, sigma: float, delta0: Fraction, scales, eps: float) -> float:
+    """prune_against_measure's K' = K delta0^(-2 sigma) S / (eps / 2)."""
+    return big_k * float(delta0) ** (-2 * sigma) * reference_tail_sum(scales, eps) / (eps / 2)

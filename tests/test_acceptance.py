@@ -231,10 +231,10 @@ class TestCriterion6TubesToPlanes:
         scales = dyadic_scales(5, 1)
         eps = 0.25
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
-        fwd = verify_thin_tubes(mu0, mu1, g, scales)
+        fwd = verify_thin_tubes(g, scales)
         rev_graph = ThinGraph((mu1, mu0), [(b, a) for a, b in g.iter_tuples()], 1.0, 6.0)
-        rev = verify_thin_tubes(mu1, mu0, rev_graph, scales)
-        out = tubes_to_planes(mu0, mu1, g, epsilon=eps, scales=scales)
+        rev = verify_thin_tubes(rev_graph, scales)
+        out = tubes_to_planes(g, epsilon=eps, scales=scales)
         ok = (
             fwd.ok
             and rev.ok

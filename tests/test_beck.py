@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from flatbeck import beck, flats
+from flatbeck import beck, flats, genscenes
 from flatbeck.beck import (
     PointConfig,
     concentrated_span_count,
@@ -43,8 +44,8 @@ class TestEnumerateSpannedFlats:
         assert len(enumerate_spanned_flats(x, 2)) == math.comb(10, 3)
 
     def test_upper_bound_always(self):
-        rng = random.Random(5)
-        pts = generic_points(rng, 3, 8, no_n_coplanar=False)
+        # eight distinct points of the grid {-1, 0, 1}^3, not in general position
+        pts = random.Random(5).sample(list(itertools.product(range(-1, 2), repeat=3)), 8)
         x = PointConfig(pts)
         assert len(enumerate_spanned_flats(x, 2)) <= math.comb(8, 3)
 
@@ -82,22 +83,24 @@ class TestRefusals:
 class TestGenericPointsAgainstFractionReference:
     """generic_points' incidence test draws and keeps the same points as
     the reference loop with a rank per subset, and exhausts its tries on
-    the same seeds with the same error; on the two small grids some seeds
-    exhaust and some finish."""
+    the same seeds with the same error; on the two small grids, set through
+    the module constants, some seeds exhaust and some finish."""
+
+    @staticmethod
+    def small_grid(monkeypatch, span, den=16, tries=100_000) -> dict:
+        """Patch the grid constants; the same settings as reference keywords."""
+        for name, value in (("GENERIC_SPAN", span), ("GENERIC_DEN", den), ("GENERIC_TRIES", tries)):
+            monkeypatch.setattr(genscenes, name, value)
+        return {"span": span, "den": den, "max_tries": tries}
 
     @pytest.mark.parametrize(
-        "n, count, kw, small",
-        [
-            (2, 10, {}, False),
-            (3, 12, {}, False),
-            (4, 7, {}, False),
-            (3, 10, {"no_n_coplanar": False}, False),
-            (2, 8, {"span": 2, "den": 1, "max_tries": 300}, True),
-            (3, 7, {"span": 1, "den": 1, "max_tries": 300}, True),
-        ],
+        "n, count, grid",
+        [(2, 10, None), (3, 12, None), (4, 7, None), (2, 8, (2, 1, 300)), (3, 7, (1, 1, 300))],
     )
-    def test_same_points_or_error_on_every_seed(self, n, count, kw, small):
-        def outcome(fn, seed):
+    def test_same_points_or_error_on_every_seed(self, n, count, grid, monkeypatch):
+        kw = {} if grid is None else self.small_grid(monkeypatch, *grid)
+
+        def outcome(fn, seed, **kw):
             try:
                 return fn(random.Random(seed), n, count, **kw)
             except RuntimeError as e:
@@ -105,26 +108,27 @@ class TestGenericPointsAgainstFractionReference:
 
         exhausted = 0
         for seed in range(15):
-            want = outcome(reference_generic_points, seed)
+            want = outcome(reference_generic_points, seed, **kw)
             assert outcome(generic_points, seed) == want
             exhausted += want == "rejection sampling exhausted"
-        assert 0 < exhausted < 15 if small else exhausted == 0
+        assert 0 < exhausted < 15 if grid else exhausted == 0
 
-    def test_exhausted_grid_stops_drawing(self):
+    def test_exhausted_grid_stops_drawing(self, monkeypatch):
         """Q^1 at span 1 has three grid points, so a fourth cannot be drawn:
         the loop raises once all three are decided, after a handful of
         draws, where the reference loop draws until max_tries."""
+        kw = self.small_grid(monkeypatch, 1)
         rng = random.Random(0)
         draws = []
         draw = rng.randint
         rng.randint = lambda a, b: draws.append((a, b)) or draw(a, b)
         with pytest.raises(RuntimeError, match="^rejection sampling exhausted$"):
-            generic_points(rng, 1, 4, span=1)
+            generic_points(rng, 1, 4)
         assert 3 <= len(draws) <= 20
         with pytest.raises(RuntimeError, match="^rejection sampling exhausted$"):
-            reference_generic_points(random.Random(0), 1, 4, span=1, max_tries=1_000)
-        got = generic_points(random.Random(0), 1, 3, span=1)
-        assert got == reference_generic_points(random.Random(0), 1, 3, span=1)
+            reference_generic_points(random.Random(0), 1, 4, **{**kw, "max_tries": 1_000})
+        got = generic_points(random.Random(0), 1, 3)
+        assert got == reference_generic_points(random.Random(0), 1, 3, **kw)
 
 
 class TestConcentratedSpanCount:

@@ -28,6 +28,7 @@ from flatbeck.cli import (
     EXIT_UNKNOWN,
     FLAGS,
     HANDLERS,
+    MODE_FLAGS,
     Scene,
     SceneError,
     build_parser,
@@ -188,6 +189,13 @@ UNREAD = [
     for name in FLAGS
     if name not in COMMON + row
 ]
+MODE_UNREAD = [
+    (command, flag, mode, name)
+    for command, (flag, rows) in MODE_FLAGS.items()
+    for mode, row in rows.items()
+    for name in COMMAND_FLAGS[command]
+    if name != flag and name not in row
+]
 
 
 def args_read(fn) -> set[str]:
@@ -231,6 +239,30 @@ class TestFlagTable:
         assert main([command, "--scene", "scene.json"] + flag_argv(name)) == EXIT_INPUT
         assert f"unrecognized arguments: --{name}" in capsys.readouterr().err
 
+    def test_mode_rows_split_the_command_row(self):
+        for command, (flag, rows) in MODE_FLAGS.items():
+            assert FLAGS[flag]["choices"] == tuple(rows)
+            assert {flag}.union(*rows.values()) == set(COMMAND_FLAGS[command])
+
+    @pytest.mark.parametrize(
+        "command,flag,mode,name", MODE_UNREAD, ids=[f"{c}-{m}--{n}" for c, _, m, n in MODE_UNREAD]
+    )
+    def test_flag_the_mode_does_not_read_exits_2_before_the_scene_is_read(
+        self, command, flag, mode, name, monkeypatch, capsys
+    ):
+        """Read off argv, so --centers at its default value counts too."""
+        refuse_scene(monkeypatch)
+        argv = [command, "--scene", "scene.json", f"--{flag}", mode] + flag_argv(name)
+        if name == "centers":
+            argv[-1] = str(FLAGS["centers"]["default"])
+        assert main(argv) == EXIT_INPUT
+        assert f"error: --{flag} {mode} does not read --{name}" in capsys.readouterr().err
+
+    def test_default_mode_counts(self, monkeypatch, capsys):
+        refuse_scene(monkeypatch)
+        assert main(["project", "--scene", "scene.json", "--screen=u"]) == EXIT_INPUT
+        assert "error: --check nc does not read --screen" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["thin-prune", "--mode", "tube"], ["project", "--check", "irreducibles"]])
     def test_unknown_choice_exits_2_before_the_scene_is_read(self, argv, monkeypatch, capsys):
         refuse_scene(monkeypatch)
@@ -253,6 +285,11 @@ class TestFlagTable:
         text = (ROOT / "README.md").read_text()
         rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.M))
         assert {c: tuple(re.findall(r"`--([a-z]+)", r)) for c, r in rows.items()} == COMMAND_FLAGS
+        modes = re.findall(r"^\| `([a-z-]+) --([a-z]+) ([a-z0-9-]+)` \| (.*) \|$", text, re.M)
+        table: dict = {}
+        for command, flag, mode, row in modes:
+            table.setdefault(command, (flag, {}))[1][mode] = tuple(re.findall(r"`--([a-z]+)", row))
+        assert table == MODE_FLAGS
 
 
 class TestMalformedParams:
@@ -388,7 +425,27 @@ class TestMalformedParams:
         assert main(["thin-verify", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
         assert "input error: params.scales: expected two integers, got [" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scales", ["1-6", "1..", "a..b", "1..2..3"])
+    @pytest.mark.parametrize("scales", [[], 0, "", False, "1-6", [1, 2, 3]], ids=repr)
+    def test_present_scales_entry_is_read(self, tmp_path, capsys, scales, monkeypatch):
+        """A params.scales entry that is present is read, falsy or not: one
+        that is not [A, B] or "A..B" is refused, never run as 1..6."""
+        monkeypatch.setattr(flatbeck.cli, "verify_thin_planes", None)  # any run fails
+        path = self.scene_with(tmp_path, scales=scales)
+        assert main(["thin-verify", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: params.scales: expected two integers, got {scales!r}\n"
+
+    def test_absent_scales_entry_runs_1_to_6(self, tmp_path):
+        body = json.loads(self.SEGMENTS.read_text())
+        del body["params"]["scales"]
+        flag, default = tmp_path / "flag", tmp_path / "default"
+        path = write_scene(tmp_path, body)
+        assert main(["pushforward-dim", "--scene", path, "--scales", "1..6", "--out", str(flag)]) == EXIT_PASS
+        assert main(["pushforward-dim", "--scene", path, "--out", str(default)]) == EXIT_PASS
+        table = (default / "segments-pushforward.csv").read_text()
+        assert [row.split(",")[0] for row in table.splitlines()[1:]] == [str(0.5**k) for k in range(1, 7)]
+        assert (flag / "segments-pushforward.csv").read_text() == table
+
+    @pytest.mark.parametrize("scales", ["1-6", "1..", "a..b", "1..2..3", ""])
     def test_malformed_scale_window_is_an_input_error(self, tmp_path, capsys, scales):
         argv = ["thin-verify", "--scene", str(self.SEGMENTS), "--scales", scales, "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_INPUT
@@ -409,20 +466,15 @@ class TestMalformedParams:
         assert main(["analyze-flats", "--scene", str(path), "--out", str(tmp_path / "o")]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"input error: {path}: {message}")
 
-    @pytest.mark.parametrize(
-        "argv,message",
-        [
-            (["thin-verify", "--tubes"], "tube verification needs an arity-2 graph"),
-            (["thin-prune", "--mode", "tubes2planes"], "conversion needs an arity-2 graph"),
-        ],
-    )
-    def test_tube_commands_refuse_other_arities(self, tmp_path, capsys, argv, message):
+    @pytest.mark.parametrize("argv", [["thin-verify", "--tubes"], ["thin-prune", "--mode", "tubes2planes"]])
+    def test_tube_commands_refuse_other_arities(self, tmp_path, capsys, argv):
+        """The tube checks' own refusal, one message for both commands."""
         body = json.loads(self.SEGMENTS.read_text())
         for g in body["graphs"].values():
             g["measures"] = g["measures"][:1]
         path = write_scene(tmp_path, body)
         assert main(argv + ["--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
-        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert capsys.readouterr().err == "input error: a tube check needs an arity-2 graph\n"
 
     def test_scales_above_one_run_as_given(self, tmp_path):
         """-1..3 is the window 2 down to 1/8, from the flag or the scene."""

@@ -82,8 +82,8 @@ near = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 4]))
 def concentration_cases(draw):
     """Atoms of Q^2 or Q^3 with positive weights, some shifted along an axis
     from earlier ones so that some distances to candidate flats are
-    rational; min_dim 0 or 1; theta 1 or k/6; and w drawn, or (exact)
-    exactly the distance of an atom from a candidate of the reference."""
+    rational; theta 1 or k/6; and w drawn, or (exact) exactly the distance
+    of an atom from a candidate of the reference."""
     n = draw(st.integers(2, 3))
     pts = draw(st.lists(st.tuples(*[near] * n), min_size=1, max_size=4))
     for _ in range(draw(st.integers(0, 3))):
@@ -92,13 +92,12 @@ def concentration_cases(draw):
         pts.append(tuple(p))
     pts = list(dict.fromkeys(pts))
     mu = DiscreteMeasure([(p, Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 6)))) for p in pts], RES)
-    min_dim = draw(st.integers(0, 1))
     theta = draw(st.one_of(st.just(Fraction(1)), st.builds(Fraction, st.integers(1, 6), st.just(6))))
-    cands = reference_spanned_flats(pts, range(min_dim, n))
+    cands = reference_spanned_flats(pts, range(1, n))
     at = sorted({r for f in cands for p in pts if (r := rational_sqrt(reference_dist2(p, f)))})
     exact = bool(at) and draw(st.booleans())
     w = draw(st.sampled_from(at)) if exact else draw(st.builds(Fraction, st.integers(0, 4), st.integers(1, 4)))
-    return mu, w, theta, min_dim, exact
+    return mu, w, theta, exact
 
 
 class TestMinimalConcentrationFlat:
@@ -122,12 +121,11 @@ class TestMinimalConcentrationFlat:
         got = minimal_concentration_flat(mu, 0, Fraction(1, 2))
         assert got == AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
 
-    def test_heavy_atom_allows_point_at_min_dim_zero(self):
+    def test_heavy_atom_still_needs_a_line(self):
+        """One atom carries 3/4 of the mass, but a point is never a
+        candidate: the search returns the line through both atoms."""
         mu = DiscreteMeasure([((0, 0), Fraction(3, 4)), ((1, 0), Fraction(1, 4))], RES)
-        got = minimal_concentration_flat(mu, 0, Fraction(1, 2))
-        assert got.dim == 0
-        got1 = minimal_concentration_flat(mu, 0, Fraction(1, 2), min_dim=1)
-        assert got1.dim == 1
+        assert minimal_concentration_flat(mu, 0, Fraction(1, 2)) == AffineFlat([0, 0], [[1, 0]])
 
     @pytest.mark.parametrize("theta", [0, Fraction(-1, 2), Fraction(3, 2)])
     def test_theta_outside_the_unit_interval_refused(self, theta):
@@ -144,11 +142,10 @@ class TestMinimalConcentrationFlat:
         walk = flats._pencils
         monkeypatch.setattr(decompose_module, "_pencils", lambda *a: walks.append(a) or walk(*a))
         cloud = DiscreteMeasure.uniform([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], RES)
-        for min_dim in (0, 1):
-            assert minimal_concentration_flat(cloud, 0, 1, min_dim) == AffineFlat.full_space(3)
+        assert minimal_concentration_flat(cloud, 0, 1) == AffineFlat.full_space(3)
         plane = DiscreteMeasure.uniform([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], RES)
         assert minimal_concentration_flat(plane, 0, Fraction(1, 2)).dim == 2
-        assert len(walks) == 3
+        assert len(walks) == 2
 
     def test_only_the_returned_flat_is_built(self, monkeypatch):
         """The search counts its candidates on their pick spans: on the
@@ -167,14 +164,13 @@ class TestMinimalConcentrationFlat:
     @given(concentration_cases())
     def test_first_reference_flat_that_captures_theta(self, case):
         """The search returns the first flat of the brute-force enumeration
-        over dimensions min_dim..n-1, in its order, whose w-neighbourhood
+        over dimensions 1..n-1, in its order, whose w-neighbourhood
         holds theta of the mass, and the full space when none does."""
-        mu, w, theta, min_dim, exact = case
+        mu, w, theta, exact = case
         n = mu.ambient_dim
-        cands = reference_spanned_flats(mu.points(), range(min_dim, n))
+        cands = reference_spanned_flats(mu.points(), range(1, n))
         want = next((f for f in cands if reference_masses(mu, f, [w * w])[0] >= theta * mu.total_mass), None)
-        got = minimal_concentration_flat(mu, w, theta, min_dim)
-        event(f"min_dim {min_dim}")
+        got = minimal_concentration_flat(mu, w, theta)
         if exact:
             event("w at an atom's distance")
         if want is None:

@@ -196,3 +196,20 @@ class TestFindMinimalSubfamily:
             assert len(got) >= 2
             blocks = [coll.flats[i] for i in got]
             assert is_minimal(blocks, ambient_dim=join(blocks).dim)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: normalize_partition([(0,), ()], 1), "empty partition block"),
+            (lambda: FlatCollection([X_AXIS2, line([0, 0, 0], [1, 0, 0])]), "ambient dimensions differ"),
+            (lambda: FlatCollection([X_AXIS2, Y_AXIS2]).subset_join([]), "empty index subset"),
+            (lambda: FlatCollection([]).is_nc(), "empty collection has no ambient dimension"),
+            (lambda: is_minimal([]), "empty collection"),
+        ],
+        ids=["empty-block", "mixed-dimensions", "empty-subset", "empty-nc", "empty-minimal"],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()

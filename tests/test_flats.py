@@ -679,3 +679,26 @@ class TestAffineFlatRefusals:
     def test_dependent_directions(self):
         with pytest.raises(ValueError, match="directions are linearly dependent"):
             AffineFlat([0, 0, 0], [[1, 2, 0], [2, 4, 0]])
+
+
+class TestRefusals:
+    LINE2 = AffineFlat([0, 0], [[1, 0]])
+    LINE3 = AffineFlat([0, 0, 0], [[1, 0, 0]])
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: AffineFlat.from_points([]), "empty point list"),
+            (lambda: join([]), "join of an empty family"),
+            (lambda: join([TestRefusals.LINE2, TestRefusals.LINE3]), "ambient dimensions differ"),
+            (lambda: meet(TestRefusals.LINE2, TestRefusals.LINE3), "ambient dimensions differ"),
+            (lambda: projector(AffineFlat.point((0, 1)), TestRefusals.LINE3), "ambient dimensions differ"),
+            (lambda: wedge_angle_sin2([[1, 0]], [[1, 0, 0]]), "row counts differ"),
+            (lambda: wedge_angle_sin2([[1, 0], [0, 1]], [[1, 1]]), "more columns than rows"),
+        ],
+        ids=["from-no-points", "join-nothing", "join-dimensions", "meet-dimensions", "projector-dimensions",
+             "wedge-row-counts", "wedge-too-many-columns"],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()

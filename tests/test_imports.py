@@ -10,7 +10,9 @@ function, nested functions included, reads it; names starting with ``_``
 are exempt.  A definition is unread when no module under ``src/``,
 ``tests/`` or ``perfbench/`` reads its name as a name, an attribute, an
 imported name or an identifier string (``__all__`` entries, ``getattr``
-keys); mentions in prose do not count, and dunders are exempt.
+keys); mentions in prose do not count, and dunders are exempt.  A
+defaulted public parameter is unset when no call of its function's name
+passes it, by keyword, by position or through a splat.
 """
 
 import ast
@@ -222,3 +224,99 @@ class TestUnusedDefinitions:
         ] + [(ROOT / "tests" / "test_acceptance.py").read_text()]
         found = {(module, name) for module, name, _ in unused_definitions(defining, readers)}
         assert found == self.PAPER_OBJECTS
+
+
+def _public_functions(tree: ast.Module):
+    """(name a call reads, function, whether it takes self or cls) for each
+    public function and each public method, __init__ included under its
+    class's name, of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__" or not fn.name.startswith("_")):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+                    yield (node.name if fn.name == "__init__" else fn.name), fn, not static
+
+
+def defaulted_parameters(source: str):
+    """(function, parameter, positional index or None) for every parameter
+    with a default, positional or keyword-only, of a public function or
+    method."""
+    for called, fn, bound in _public_functions(ast.parse(source)):
+        a = fn.args
+        positional = (a.posonlyargs + a.args)[bound:]
+        for i, arg in enumerate(positional[len(positional) - len(a.defaults) :]):
+            yield called, arg.arg, len(positional) - len(a.defaults) + i
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield called, arg.arg, None
+
+
+def unset_parameters(defining: dict[str, str], readers: list[str]) -> list[tuple[str, str, str]]:
+    """(module, function, parameter) for every defaulted public parameter
+    that no call in a reader source sets.  A call sets it when the call's
+    name (a name or an attribute) is the function's and it passes the
+    parameter by keyword, by position (a * splat reaches every position) or
+    through a ** splat."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in readers:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(getattr(n.func, "id", None) or n.func.attr, []).append(n)
+
+    def sets(call: ast.Call, name: str, index) -> bool:
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        return index is not None and (
+            len(call.args) > index or any(isinstance(x, ast.Starred) for x in call.args)
+        )
+
+    return sorted(
+        (module, called, name)
+        for module, source in defining.items()
+        for called, name, index in defaulted_parameters(source)
+        if not any(sets(c, name, index) for c in calls.get(called, ()))
+    )
+
+
+class TestUnsetParameters:
+    LIB = (
+        "class A:\n"
+        "    def __init__(self, x, y=1, *, z=2):\n"
+        "        pass\n"
+        "    def m(self, a, b=0):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def s(a=0):\n"
+        "        pass\n"
+        "def f(p, q=1, r=2):\n"
+        "    pass\n"
+        "def _private(k=0):\n"
+        "    pass\n"
+    )
+
+    def test_detector_flags_a_parameter_no_call_sets(self):
+        assert len(list(defaulted_parameters(self.LIB))) == 6
+        user = "A(0)\nA(0).m(1)\nf(1)\nA.s()\n"
+        assert unset_parameters({"lib": self.LIB}, [user]) == [
+            ("lib", "A", "y"), ("lib", "A", "z"), ("lib", "f", "q"), ("lib", "f", "r"),
+            ("lib", "m", "b"), ("lib", "s", "a"),
+        ]
+
+    def test_detector_counts_keywords_positions_and_splats(self):
+        user = "A(0, 5, z=3)\nobj.m(1, 2)\nf(1, **kw)\nA.s(*args)\n"
+        assert unset_parameters({"lib": self.LIB}, [user]) == []
+
+    def test_no_parameter_only_tests_set(self):
+        """Every defaulted public parameter of the package is set by some
+        call outside the tests: in the package, the benchmark, the bench
+        scripts or the acceptance criteria.  The pinned set only shrinks."""
+        defining = {path.name: path.read_text() for path in MODULES}
+        readers = [
+            path.read_text()
+            for tree in ("src", "perfbench", "bench")
+            for path in (ROOT / tree).rglob("*.py")
+        ] + [(ROOT / "tests" / "test_acceptance.py").read_text()]
+        assert set(unset_parameters(defining, readers)) == set()

@@ -718,3 +718,28 @@ class TestSupportDistance:
             sum((s - t) ** 2 for s, t in zip(p, q)) for p in a.points() for q in b.points()
         )
         assert support_dist2(a, b) == want
+
+
+class TestRefusals:
+    POINT2 = DiscreteMeasure([((0, 0), 1)], D)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: frostman_fit(TestRefusals.POINT2, [Fraction(1, 2), Fraction(1, 2048)]),
+             "scale below the measure resolution"),
+            (lambda: frostman_fit(DiscreteMeasure([((0, 0), 0), ((1, 0), 0)], D), [Fraction(1, 2), Fraction(1, 4)]),
+             r"zero ball mass at some scale; measure is empty\?"),
+            (lambda: good_position_margin([]), "no measures"),
+            (lambda: good_position_margin([TestRefusals.POINT2, DiscreteMeasure([((0, 0, 0), 1)], D)]),
+             "ambient dimensions differ"),
+            (lambda: good_position_margin([TestRefusals.POINT2, DiscreteMeasure([((1, 1), 1)], D)]),
+             "supports must lie in the closed unit ball"),
+            (lambda: dyadic_scales(1, 2), "finest must be <= coarsest as an exponent"),
+        ],
+        ids=["frostman-resolution", "frostman-no-mass", "margin-no-measures", "margin-dimensions",
+             "margin-unit-ball", "scales-inverted"],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()

@@ -721,3 +721,20 @@ class TestPartitionCap:
         screen = AffineFlat([0, 0, -5], [[1, 0, 0], [0, 1, 0]])
         with pytest.raises(PartitionSpaceTooLarge, match=str(bell_number(13))):
             projected_nc_report(coll, [(Fraction(1, 3), Fraction(1, 5), 7)], screen)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: HyperplaneCoords((0, 0), 1), "zero normal"),
+            (
+                lambda: lift_hyperplane(q3_chart(), HyperplaneCoords((1, 2), 0)),
+                "normal length differs from screen dimension",
+            ),
+        ],
+        ids=["zero-normal", "normal-length"],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()

@@ -4,7 +4,7 @@ from operator import add
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from flatbeck import flats, measures, thin
 from flatbeck.exactlin import BudgetExceeded, _integerized_points
@@ -29,8 +29,11 @@ from flatbeck.thin import (
 from fraction_reference import (
     flat_from_span,
     reference_affinely_independent,
+    reference_c1,
     reference_chart_key,
+    reference_delta0,
     reference_dist2_flats,
+    reference_k_prime,
     reference_rank,
 )
 from test_cli import count_numerator_passes
@@ -103,7 +106,7 @@ class TestVerifyThinPlanes:
         assert not got[(0, 0, 0)] and not got[(0, 0, 1)] and got[(1, 0, 0)]
         with pytest.raises(TupleInDegenerateSet):
             verify_thin_planes(g, dyadic_scales(4, 1))
-        kept = set(prune_planes(g, 0.5, dyadic_scales(4, 1), c1=1e9).graph.iter_tuples())
+        kept = set(prune_planes(g, 0.5, dyadic_scales(4, 1)).graph.iter_tuples())
         assert kept == {t for t, ok in got.items() if ok}
 
     def test_subgraph_monotone(self):
@@ -122,34 +125,45 @@ class TestVerifyThinTubes:
         mu0 = DiscreteMeasure([((0, 0), 1)], RES)
         mu1 = DiscreteMeasure([((0, 1), 1)], RES)
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=8.0)
-        out = verify_thin_tubes(mu0, mu1, g, dyadic_scales(3, 1))
+        out = verify_thin_tubes(g, dyadic_scales(3, 1))
         assert out.ok
 
     def test_collinear_segment_fails(self):
         mu0 = DiscreteMeasure([((Fraction(-1, 2), 0), 1)], RES)
         mu1 = segment_grid(4)
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=4.0)
-        out = verify_thin_tubes(mu0, mu1, g, dyadic_scales(4, 1))
+        out = verify_thin_tubes(g, dyadic_scales(4, 1))
         assert not out.ok  # one tube captures the whole companion segment
 
     def test_parallel_segments_pass(self):
         mu0, mu1 = parallel_segments(6)
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
-        out = verify_thin_tubes(mu0, mu1, g, SCALES6)
+        out = verify_thin_tubes(g, SCALES6)
         assert out.ok, out.failure
 
     def test_unseparated_supports_rejected(self):
         mu0 = segment_grid(3)
         g = ThinGraph.complete([mu0, mu0], sigma=1.0, big_k=6.0)
         with pytest.raises(ValueError):
-            verify_thin_tubes(mu0, mu0, g, dyadic_scales(3, 1))
+            verify_thin_tubes(g, dyadic_scales(3, 1))
 
     def test_one_shared_atom_rejected(self):
         mu0 = DiscreteMeasure.uniform([(0, 0), (0, 1)], RES)
         mu1 = DiscreteMeasure.uniform([(1, 0), (0, 1)], RES)
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
         with pytest.raises(ValueError, match="supports are not separated"):
-            verify_thin_tubes(mu0, mu1, g, dyadic_scales(3, 1))
+            verify_thin_tubes(g, dyadic_scales(3, 1))
+
+
+@pytest.mark.parametrize("arity", [1, 3])
+@pytest.mark.parametrize("check", ["verify_thin_tubes", "tubes_to_planes"])
+def test_tube_checks_refuse_other_arities(check, arity):
+    mus = [DiscreteMeasure([((i, 0), 1)], RES) for i in range(arity)]
+    g = ThinGraph.complete(mus, sigma=1.0, big_k=8.0)
+    call = {"verify_thin_tubes": lambda: verify_thin_tubes(g, dyadic_scales(3, 1)),
+            "tubes_to_planes": lambda: tubes_to_planes(g, 0.5, dyadic_scales(3, 1))}
+    with pytest.raises(ValueError, match="^a tube check needs an arity-2 graph$"):
+        call[check]()
 
 
 class TestPrunePlanes:
@@ -164,11 +178,11 @@ class TestPrunePlanes:
     def test_heavy_line_tuples_removed(self):
         # three of mu1's atoms share the horizontal line through mu0's first
         # atom: those spans swallow 3/4 of mu1 and must be pruned, while the
-        # generic tuples stay
+        # generic tuples stay (C1 K = 7.24 / 3, so the cut at 1/16 is 0.60)
         mu0 = DiscreteMeasure.uniform([(0, 0), (0, 1)], RES)
         mu1 = DiscreteMeasure.uniform([(1, 0), (2, 0), (3, 0), (1, 1)], RES)
-        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=2.5)
-        out = prune_planes(g, epsilon=0.5, scales=dyadic_scales(4, 1), c1=1.0)
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=Fraction(1, 3))
+        out = prune_planes(g, epsilon=0.5, scales=dyadic_scales(4, 1))
         removed = set(g.iter_tuples()) - set(out.graph.iter_tuples())
         assert removed == {(0, 0), (0, 1), (0, 2)}  # the y = 0 tuples
         assert out.ok
@@ -187,13 +201,13 @@ class TestTubesToPlanes:
         mu0 = DiscreteMeasure([((0, 0), 1)], RES)
         mu1 = DiscreteMeasure([((0, 1), 1)], RES)
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=8.0)
-        out = tubes_to_planes(mu0, mu1, g, epsilon=0.5, scales=dyadic_scales(3, 1))
+        out = tubes_to_planes(g, epsilon=0.5, scales=dyadic_scales(3, 1))
         assert out.ok, out.witness
 
     def test_parallel_segments_convert_and_verify(self):
         mu0, mu1 = parallel_segments(5)
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
-        out = tubes_to_planes(mu0, mu1, g, epsilon=0.25, scales=dyadic_scales(5, 1))
+        out = tubes_to_planes(g, epsilon=0.25, scales=dyadic_scales(5, 1))
         assert out.ok, out.witness
         assert out.planes_check.ok
         assert float(out.removed_mass) <= out.b_const * 0.25
@@ -203,7 +217,7 @@ class TestTubesToPlanes:
         mu0 = DiscreteMeasure([((Fraction(-1, 2), 0), 1)], RES)
         mu1 = segment_grid(4)
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=4.0)
-        out = tubes_to_planes(mu0, mu1, g, epsilon=0.25, scales=dyadic_scales(4, 1))
+        out = tubes_to_planes(g, epsilon=0.25, scales=dyadic_scales(4, 1))
         assert not out.ok
         assert "precondition" in out.witness
 
@@ -218,7 +232,7 @@ class TestTubesToPlanes:
             [((1, 0), Fraction(1, 1024)), ((2, 0), Fraction(1, 2)), ((3, 0), Fraction(511, 1024))], res
         )
         g = ThinGraph([mu0, mu1], [(0, 0)], sigma=1, big_k=Fraction(1, 64))
-        out = tubes_to_planes(mu0, mu1, g, epsilon=Fraction(1, 2), scales=dyadic_scales(3, 1))
+        out = tubes_to_planes(g, epsilon=Fraction(1, 2), scales=dyadic_scales(3, 1))
         assert all(check.ok for check in out.tube_checks)
         assert not list(out.graph.iter_tuples())
         assert out.removed_mass == g.density() == Fraction(1, 1024**2)
@@ -233,7 +247,7 @@ class TestTubesToPlanes:
         monkeypatch.setattr(thin, "support_dist2", counting)
         mu0, mu1 = parallel_segments(5)
         g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=6.0)
-        assert tubes_to_planes(mu0, mu1, g, epsilon=0.25, scales=dyadic_scales(5, 1)).ok
+        assert tubes_to_planes(g, epsilon=0.25, scales=dyadic_scales(5, 1)).ok
         assert len(calls) == 1
 
 
@@ -249,7 +263,7 @@ class TestVerdictFromMassesInHand:
         scales = dyadic_scales(4, 1)
         pruned = prune_planes(g, eps, scales)
         assert pruned.check == verify_thin_planes(pruned.graph, scales)
-        conv = tubes_to_planes(mu0, mu1, g, eps, scales)
+        conv = tubes_to_planes(g, eps, scales)
         assert conv.planes_check == verify_thin_planes(conv.graph, scales)
         if eps == 3.0:  # the weakened bound at sigma - eps = -2 fails
             w = conv.planes_check.worst
@@ -265,18 +279,18 @@ class TestVerdictFromMassesInHand:
         tuples = [(i, j) for i in range(len(mu0)) for j in range(len(mu1)) if (i + 2 * j) % 3]
         g = ThinGraph([mu0, mu1], tuples, sigma=1, big_k=6)
         scales = dyadic_scales(4, 1)
-        conv = tubes_to_planes(mu0, mu1, g, eps, scales)
+        conv = tubes_to_planes(g, eps, scales)
         assert all(check.ok for check in conv.tube_checks)
         assert conv.planes_check == verify_thin_planes(conv.graph, scales)
-        fresh = verify_thin_tubes(mu0, mu1, g, scales)
+        fresh = verify_thin_tubes(g, scales)
         assert conv.tube_checks[0] == fresh
 
     def test_prune_that_removes_tuples(self):
         mu0 = DiscreteMeasure.uniform([(0, 0), (0, 1)], RES)
         mu1 = DiscreteMeasure.uniform([(1, 0), (2, 0), (3, 0), (1, 1)], RES)
-        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=2.5)
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=Fraction(1, 3))
         scales = dyadic_scales(4, 1)
-        out = prune_planes(g, epsilon=0.5, scales=scales, c1=1.0)
+        out = prune_planes(g, epsilon=0.5, scales=scales)
         assert len(list(out.graph.iter_tuples())) == len(list(g.iter_tuples())) - 3
         assert out.check == verify_thin_planes(out.graph, scales)
         assert out.check.density == out.graph.density() == Fraction(5, 8)
@@ -324,14 +338,29 @@ class TestPruneAgainstMeasure:
         with pytest.raises(ValueError, match="ambient dimensions differ"):
             prune_against_measure(g, nu, epsilon=0.5, scales=dyadic_scales(4, 1))
 
+    @pytest.mark.parametrize(
+        "eps, delta0, trimmed", [(1, Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 8), 0)]
+    )
+    def test_margin_is_the_largest_affordable_scale(self, eps, delta0, trimmed):
+        """Only the tuple of (0, 0) and (1/8, 0), a quarter of the product
+        mass, has a margin below 1/2: eps / 2 = 1/2 affords trimming it at
+        delta0 = 1/2, while eps / 2 = 1/8 does not, and delta0 falls to
+        1/8, the largest scale the margin 1/8 is not below."""
+        mu0 = DiscreteMeasure.uniform([(0, 0), (0, 1)], RES)
+        mu1 = DiscreteMeasure.uniform([(Fraction(1, 8), 0), (1, 1)], RES)
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=1.0)
+        out = prune_against_measure(g, DiscreteMeasure([((10, 10), 1)], RES), eps, dyadic_scales(4, 1))
+        assert (out.delta0, out.margin_removed, out.removed_mass) == (delta0, trimmed, trimmed)
+        assert ((0, 0) in out.graph.iter_tuples()) == (not trimmed)
+
     def test_dirac_on_one_span_removes_its_tuples(self):
         mu0 = DiscreteMeasure.uniform([(0, 0), (0, Fraction(1, 4))], RES)
         mu1 = DiscreteMeasure.uniform([(1, 0), (1, Fraction(1, 4))], RES)
-        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=4.0)
+        # every margin is at least 1, so delta0 = 1/16 and K' = 85.5 K = 0.67
+        g = ThinGraph.complete([mu0, mu1], sigma=1.0, big_k=Fraction(1, 128))
         nu = DiscreteMeasure([((Fraction(1, 2), 0), 1)], RES)  # on span of (0,0)-(1,0)
-        out = prune_against_measure(
-            g, nu, epsilon=0.9, scales=dyadic_scales(6, 4), k_prime=0.5
-        )
+        out = prune_against_measure(g, nu, epsilon=0.9, scales=dyadic_scales(6, 4))
+        assert out.delta0 == Fraction(1, 16)
         kept = set(out.graph.iter_tuples())
         assert (0, 0) not in kept  # the horizontal tuple through nu is gone
         assert (1, 1) in kept
@@ -355,7 +384,7 @@ class TestEpsilonRefused:
         scales = dyadic_scales(4, 1)
         calls = {
             "prune_planes": lambda: prune_planes(g, eps, scales),
-            "tubes_to_planes": lambda: tubes_to_planes(mu0, mu1, g, eps, scales),
+            "tubes_to_planes": lambda: tubes_to_planes(g, eps, scales),
             "prune_against_measure": lambda: prune_against_measure(g, mu0, eps, scales),
         }
         with pytest.raises(ValueError, match="^epsilon must be positive$"):
@@ -505,37 +534,63 @@ class TestSpanPassAgainstFractionReference:
         ]
 
     @settings(max_examples=120, deadline=None)
-    @given(span_graphs(), st.sampled_from([0.5, 1.0, 4.0]))
-    def test_prune_planes(self, case, c1):
+    @given(span_graphs(), st.sampled_from([Fraction(1, 64), Fraction(1, 8), Fraction(1, 2), Fraction(1)]))
+    def test_prune_planes(self, case, shrink):
+        """The graph's K shrunk by a factor reaches cuts C1 K of every size."""
         g, _, t = case
+        g = ThinGraph(g.measures, g.tuples, g.sigma_exact, g.k_exact * shrink)
         scales = sorted({Fraction(1, 8), Fraction(1, 2), t}, reverse=True)
-        bounds = [Fraction(c1 * g.big_k * float(s) ** (g.sigma - float(self.EPS))) for s in scales]
+        eps = float(self.EPS)
+        c1 = reference_c1(g.arity, scales, eps)
+        bounds = [Fraction(c1 * g.big_k * float(s) ** (g.sigma - eps)) for s in scales]
         kept = set()
         for u in g.iter_tuples():
             f = reference_span(g, u)
-            if f is not None and all(
-                m <= b for mu in g.measures for m, b in zip(reference_masses(mu, f, scales), bounds)
-            ):
+            if f is None:
+                continue
+            if all(m <= b for mu in g.measures for m, b in zip(reference_masses(mu, f, scales), bounds)):
                 kept.add(u)
-        out = prune_planes(g, self.EPS, scales, c1=c1)
+            else:
+                event("a tuple over the cut")
+        out = prune_planes(g, self.EPS, scales)
+        assert out.constant == c1
         assert set(out.graph.iter_tuples()) == kept
         assert out.check == verify_thin_planes(out.graph, scales)
 
     @settings(max_examples=120, deadline=None)
-    @given(span_graphs(), st.sampled_from([0.25, 1.0]), st.sampled_from([Fraction(0), Fraction(1, 16)]))
-    def test_prune_against_measure(self, case, k_prime, delta0):
+    @given(
+        span_graphs(),
+        st.sampled_from([Fraction(1, 4096), Fraction(1, 256), Fraction(1, 16), Fraction(1)]),
+        st.sampled_from([EPS, Fraction(3, 2)]),
+    )
+    def test_prune_against_measure(self, case, shrink, eps_q):
+        """delta0 and K' as their docstring derives them; the graph's K
+        shrunk by a factor reaches cuts K' of every size, and the larger
+        epsilon affords a margin trim more often."""
         g, planted, t = case
+        g = ThinGraph(g.measures, g.tuples, g.sigma_exact, g.k_exact * shrink)
         nu = g.measures[planted]
         scales = sorted({Fraction(1, 8), Fraction(1, 2), t}, reverse=True)
-        bounds = [Fraction(k_prime * float(s) ** (g.sigma - float(self.EPS))) for s in scales]
+        eps = float(eps_q)
+        margins = {u: reference_margin2(g, u) for u in g.iter_tuples()}
+        total = math.prod(mu.total_mass for mu in g.measures)
+        trims = [(m2, tuple_atoms(g, u)[1] / total) for u, m2 in margins.items()]
+        delta0 = reference_delta0(trims, scales, eps_q)
+        k_prime = reference_k_prime(g.big_k, g.sigma, delta0, scales, eps)
+        bounds = [Fraction(k_prime * float(s) ** (g.sigma - eps)) for s in scales]
         kept = set()
-        for u in g.iter_tuples():
-            f, m2 = reference_span(g, u), reference_margin2(g, u)
-            if f is not None and (m2 is None or m2 >= delta0 * delta0) and all(
-                m <= b for m, b in zip(reference_masses(nu, f, scales), bounds)
-            ):
+        for u, m2 in margins.items():
+            f = reference_span(g, u)
+            if f is None:
+                continue
+            if m2 is not None and m2 < delta0 * delta0:
+                event("a tuple under the margin")
+            elif all(m <= b for m, b in zip(reference_masses(nu, f, scales), bounds)):
                 kept.add(u)
-        out = prune_against_measure(g, nu, self.EPS, scales, delta0=delta0, k_prime=k_prime)
+            else:
+                event("a tuple over the cut")
+        out = prune_against_measure(g, nu, eps_q, scales)
+        assert (out.delta0, out.k_prime) == (delta0, k_prime)
         assert set(out.graph.iter_tuples()) == kept
 
 
@@ -1071,3 +1126,32 @@ class TestThinImpliesNC:
         g = ThinGraph([mu, mu], tuples, sigma=1.5, big_k=4.0)
         out = verify_thin_planes(g, dyadic_scales(5, 1))
         assert not out.ok
+
+
+class TestRefusals:
+    @staticmethod
+    def points(*pts):
+        return DiscreteMeasure.uniform(list(pts), RES)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: ThinGraph([], None, 1, 1), "graph needs at least one measure"),
+            (lambda: ThinGraph([TestRefusals.points((0, 0)), TestRefusals.points((0, 0, 0))], None, 1, 1),
+             "ambient dimensions differ"),
+            (lambda: ThinGraph([TestRefusals.points((0, 0), (1, 0))], [(2,)], 1, 1),
+             r"tuple \(2,\) indexes a missing atom"),
+            (lambda: pushforward_frostman(
+                ThinGraph.complete([TestRefusals.points((0, 0)), TestRefusals.points((1, 0))], 1, 1), [Fraction(1, 2)]),
+             "need at least two distinct scales"),
+            (lambda: pushforward_frostman(
+                ThinGraph([TestRefusals.points((0, 0)), TestRefusals.points((1, 0))], [], 1, 1), dyadic_scales(2, 1)),
+             "graph carries no mass"),
+            (lambda: thin_implies_nc(ThinGraph.complete([TestRefusals.points((0, 0))], 1, 1), dyadic_scales(2, 1)),
+             "NC transfer needs an arity-n graph"),
+        ],
+        ids=["no-measures", "mixed-dimensions", "missing-atom", "one-scale", "no-mass", "nc-arity"],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
