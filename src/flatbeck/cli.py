@@ -256,15 +256,16 @@ def parse_scene(path: str) -> Scene:
 
 
 def _jsonable(obj):
+    """A report value with each Fraction as its string; every handler passes
+    Fractions, lists, tuples, dicts, ints, floats, strs, bools and None, and
+    json.dumps refuses anything else."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (int, float, str, bool)) or obj is None:
-        return obj
-    return str(obj)
+    return obj
 
 
 class Reporter:

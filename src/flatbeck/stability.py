@@ -22,11 +22,13 @@ in product order, each descend from the first slot that changed.
 minor_floors maximizes over every column set, for a pick whose cheap
 floor is below c2 and for the stabilizing search's target.
 
-Every rank walk ranks (index pair, pick) combinations of one frame, at most
-2^k prod(1 + |supp mu|) of them over all index pairs; that closed form is
-checked against one budget, PICK_BUDGET unless the caller gives one, before
-any index pair is built.  projected_stability_check moves flats and atoms
-with one flats.projector.
+One walker, _walks, is every rank walk: certify_stability, stabilize, the
+minimal rank table and the rank inequalities read it, and product_graph's
+certificates read the minimal rank table.  It checks the frame's (index
+pair, pick) combinations, 2^k prod(1 + |supp mu|) over all index pairs,
+against one budget, PICK_BUDGET unless the caller gives one, before any
+index pair is built, and then walks each pair's picks over one trie.
+projected_stability_check moves flats and atoms with one flats.projector.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactlin import (
     BudgetExceeded,
@@ -311,25 +313,17 @@ def _check_picks(frame: StableFrame, budget: int) -> None:
         )
 
 
-def _rank_table(
-    frame: StableFrame, budget: int, pairs: Optional[Iterable[IndexPair]] = None
-) -> dict[IndexPair, int | RankInconsistency]:
-    """The rank of each of the pairs (every index pair of the frame when
-    None) over one trie, or its RankInconsistency, after _check_picks."""
+def _walks(
+    frame: StableFrame, budget: int, pairs: Optional[Iterable[IndexPair]] = None, constant: bool = True
+) -> Iterator[tuple[IndexPair, Walk | RankInconsistency]]:
+    """(idx, _pick_states(frame, idx, trie, constant)) for each of the pairs
+    (every index pair of the frame when None), walked lazily over one trie;
+    the frame is refused by _check_picks at call time, before any index
+    pair is built."""
     _check_picks(frame, budget)
     trie = _trie()
-    table: dict[IndexPair, int | RankInconsistency] = {}
-    for idx in _index_pairs(frame) if pairs is None else pairs:
-        got = _pick_states(frame, idx, trie)
-        table[idx] = got if isinstance(got, RankInconsistency) else len(got[0][1][1])
-    return table
-
-
-def rank_r(frame: StableFrame, idx: IndexPair) -> int | RankInconsistency:
-    """The common rank of (B_Ibar(x), A_J) over atom picks, or an
-    inconsistency report naming two picks with different ranks; refused
-    when the frame's combinations exceed PICK_BUDGET."""
-    return _rank_table(frame, PICK_BUDGET, [idx])[idx]
+    pairs = _index_pairs(frame) if pairs is None else pairs
+    return ((idx, _pick_states(frame, idx, trie, constant)) for idx in pairs)
 
 
 def certify_stability(
@@ -344,14 +338,10 @@ def certify_stability(
     when that is below c2: the verdict is exact, but the reported floor can
     rise with c2."""
     c2 = Fraction(c2)
-    _check_picks(frame, budget)
-    pairs = _index_pairs(frame)
     ranks: dict[IndexPair, int] = {}
-    trie = _trie()
     # least floors so far as (numerator, denominator), from 1/0 = infinity
     floor = raw_floor = (1, 0)
-    for idx in pairs:
-        got = _pick_states(frame, idx, trie)
+    for idx, got in _walks(frame, budget):
         if isinstance(got, RankInconsistency):
             return CertificationResult(
                 False,
@@ -404,16 +394,14 @@ def stabilize(frame: StableFrame, budget: int = PICK_BUDGET) -> tuple[StableFram
     work = (math.prod(frame.support_sizes().values()) + 1) * 2 ** (len(slots) + frame.k)
     if work > budget:
         raise BudgetExceeded(f"{work} rank evaluations exceed budget {budget}")
-    pairs = _index_pairs(frame)
-    trie = _trie()
-    states = {idx: dict(_pick_states(frame, idx, trie, constant=False)) for idx in pairs}
+    states = {idx: dict(walk) for idx, walk in _walks(frame, budget, constant=False)}
 
     def pivots(idx: IndexPair, p: Pick) -> tuple[int, ...]:
         return states[idx][tuple(p[s] for s in idx.sorted_atoms())][1]
 
     picks = (dict(zip(slots, p)) for p in itertools.product(*map(range, frame.support_sizes().values())))
-    best_pick = max(picks, key=lambda p: sum(len(pivots(idx, p)) for idx in pairs))
-    floor = min(minor_floors(build_matrix(frame, best_pick, idx), len(pivots(idx, best_pick)))[0] for idx in pairs)
+    best_pick = max(picks, key=lambda p: sum(len(pivots(idx, p)) for idx in states))
+    floor = min(minor_floors(build_matrix(frame, best_pick, idx), len(pivots(idx, best_pick)))[0] for idx in states)
     assert floor > 0
     target = floor / 2
     centers = {
@@ -464,17 +452,15 @@ def minimal_rank_report(
         for j_size in range(k - i_size + 1)
         for j_set in itertools.combinations([j for j in range(k) if j not in i_set], j_size)
     }
-    ranks = _rank_table(frame, budget, pairs.values())
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     violations: list[RankRuleViolation] = []
-    for (i_set, j_set), idx in pairs.items():
-        got = ranks[idx]
+    for (i_set, j_set), (_, got) in zip(pairs, _walks(frame, budget, pairs.values())):
         if isinstance(got, RankInconsistency):
             violations.append(
                 RankRuleViolation("rank-constant", i_set, j_set, got.rank_b, got.rank_a)
             )
             continue
-        table[(i_set, j_set)] = got
+        got = table[(i_set, j_set)] = len(got[0][1][1])
         n_i = dimension_sum(frame, i_set)
         n_ij = dimension_sum(frame, set(i_set) | set(j_set))
         if not j_set:
@@ -505,9 +491,11 @@ def rank_inequality_report(frame: StableFrame) -> list[RankRuleViolation]:
     independent of the picks, each grown matrix is one of (Ibar, J)'s
     matrices plus one column, or plus flat j's n_j + 1 basis columns.
     """
-    ranks = _rank_table(frame, PICK_BUDGET)
-    if any(isinstance(r, RankInconsistency) for r in ranks.values()):
-        raise StabilizationError("rank not pick-independent; certify first")
+    ranks: dict[IndexPair, int] = {}
+    for idx, got in _walks(frame, PICK_BUDGET):
+        if isinstance(got, RankInconsistency):
+            raise StabilizationError("rank not pick-independent; certify first")
+        ranks[idx] = len(got[0][1][1])
     slots = frame.atom_slots()
     violations: list[RankRuleViolation] = []
     for idx in ranks:

@@ -72,6 +72,8 @@ class ThinGraph:
         n = self.measures[0].ambient_dim
         if any(m.ambient_dim != n for m in self.measures):
             raise ValueError("ambient dimensions differ")
+        if any(m.total_mass == 0 for m in self.measures):
+            raise ValueError("measure has zero total mass")
         self.ambient_dim = n
         self.sigma_exact = Fraction(sigma)
         self.k_exact = Fraction(big_k)
@@ -595,9 +597,11 @@ def product_graph(gs: Sequence[ThinGraph], frame, scales: Sequence) -> tuple[Thi
 
     Requires the frame's dimension sums to fill the ambient space and the
     minimal-position rank certificates r(full, {}) = n and
-    r(full minus block j, {j}) = n + 1 to hold exactly.
+    r(full minus block j, {j}) = n + 1 to hold exactly, both read from one
+    minimal_rank_report table; a rank that depends on the picks is missing
+    from the table and fails its certificate.
     """
-    from .stability import IndexPair, RankInconsistency, rank_r
+    from .stability import minimal_rank_report
 
     n = frame.ambient_dim
     if sum(frame.dims()) != n:
@@ -610,18 +614,12 @@ def product_graph(gs: Sequence[ThinGraph], frame, scales: Sequence) -> tuple[Thi
         for a, mu in zip(gj.measures, frame.measures[j]):
             if a is not mu and a.atoms != mu.atoms:
                 raise NotMinimalStable(f"graph {j} measures differ from the frame's")
-    full = IndexPair(frame.block_atoms(range(frame.k)), frozenset())
-    got = rank_r(frame, full)
-    if isinstance(got, RankInconsistency) or got != n:
+    table = minimal_rank_report(frame)[0]
+    if (got := table.get((tuple(range(frame.k)), ()))) != n:
         raise NotMinimalStable(f"rank certificate r(full, {{}}) = {got} != {n}")
     for j in range(frame.k):
-        others = [t for t in range(frame.k) if t != j]
-        idx = IndexPair(frame.block_atoms(others), frozenset([j]))
-        got = rank_r(frame, idx)
-        if isinstance(got, RankInconsistency) or got != n + 1:
-            raise NotMinimalStable(
-                f"rank certificate r(minus {j}, {{{j}}}) = {got} != {n + 1}"
-            )
+        if (got := table.get((tuple(t for t in range(frame.k) if t != j), (j,)))) != n + 1:
+            raise NotMinimalStable(f"rank certificate r(minus {j}, {{{j}}}) = {got} != {n + 1}")
     measures = [mu for j in range(frame.k) for mu in frame.measures[j]]
     tuples = [
         tuple(itertools.chain.from_iterable(combo))

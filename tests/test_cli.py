@@ -372,6 +372,23 @@ class TestMalformedParams:
         assert main(["thin-verify", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
         assert capsys.readouterr().err == f"input error: graphs.g.K: must be positive, got {shown}\n"
 
+    @pytest.mark.parametrize("command", ["thin-verify", "thin-prune"])
+    @pytest.mark.parametrize("tuples", [[[0, 0]], "complete"], ids=["tuples", "complete"])
+    def test_zero_mass_graph_measure_is_an_input_error(self, tmp_path, capsys, command, tuples):
+        """A graph over a measure whose weights sum to 0 has no density: it
+        exits 2 while the scene is parsed, not 1 on a division by zero."""
+        body = {
+            "ambient_dim": 2,
+            "measures": {
+                "z": {"atoms": [[["0", "0"], "0"], [["1/2", "0"], "0"]]},
+                "m": {"atoms": [[["0", "1/2"], "1"]]},
+            },
+            "graphs": {"g": {"measures": ["z", "m"], "tuples": tuples}},
+        }
+        path = write_scene(tmp_path, body)
+        assert main([command, "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: graphs.g: measure has zero total mass\n"
+
     LISTS = {
         "ambient_dim": 2,
         "flats": {"a": {"basepoint": ["0", "0"], "directions": [["1", "0"]]}},
@@ -735,6 +752,21 @@ class TestThinVerifyCommand:
         csv_text = (out / "g-scales.csv").read_text().splitlines()
         assert csv_text[0] == "scale,max_mass,bound,ratio"
         assert len(csv_text) == 5
+
+    def test_massless_tuples_pass_with_no_worst(self, tmp_path):
+        """The graph's one tuple is an atom of weight 0, so no measure puts
+        mass near its span at any scale of the default window: the check
+        passes with no worst tuple, density 0 and ratio 0."""
+        body = {
+            "ambient_dim": 2,
+            "measures": {"m": {"atoms": [[["0", "0"], "0"], [["1", "0"], "1"]]}},
+            "graphs": {"g": {"measures": ["m"], "tuples": [[0]]}},
+        }
+        path = write_scene(tmp_path, body)
+        assert main(["thin-verify", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_PASS
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert (report["density"], report["max_ratio"]) == ("0", 0.0)
+        assert report["verdicts"] == [{"check": "thin-planes", "passed": True, "witness": None, "worst": None}]
 
     def test_graph_verified_once(self, tmp_path, monkeypatch):
         import flatbeck.cli

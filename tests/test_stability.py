@@ -13,7 +13,7 @@ from flatbeck.cli import parse_scene
 from flatbeck.exactlin import BudgetExceeded, int_rref, norm2
 from flatbeck.flats import AffineFlat, NonGenericScreen
 from flatbeck.genscenes import random_minimal_frame
-from flatbeck.measures import DiscreteMeasure, PlateMassOracle
+from flatbeck.measures import DiscreteMeasure, PlateMassOracle, dyadic_scales
 from flatbeck.stability import (
     CertificationBudgetExceeded,
     IndexPair,
@@ -27,9 +27,9 @@ from flatbeck.stability import (
     minor_floors,
     projected_stability_check,
     rank_inequality_report,
-    rank_r,
     stabilize,
 )
+from flatbeck.thin import ThinGraph, product_graph
 from fraction_reference import columns, reference_rank
 
 RES = Fraction(1, 1024)
@@ -94,21 +94,25 @@ class TestBuildMatrix:
 
 
 class TestRankR:
+    """Single values of the rank function r(I, J), read off the minimal rank
+    table, whose walker walks each block-level index pair once over one
+    trie, or off the walker itself."""
+
     def test_full_atoms_span_the_ambient(self):
-        frame = transversal_lines_grid_frame()
-        got = rank_r(frame, IndexPair.of([(0, 0), (1, 0)], ()))
-        assert got == 2
+        table, _ = minimal_rank_report(transversal_lines_grid_frame())
+        assert table[((0, 1), ())] == 2
 
     def test_atom_plus_other_flat_base_fills_lift(self):
-        frame = transversal_lines_grid_frame()
-        got = rank_r(frame, IndexPair.of([(0, 0)], [1]))
-        assert got == 3
+        table, _ = minimal_rank_report(transversal_lines_grid_frame())
+        assert table[((0,), (1,))] == 3
 
     def test_empty_pair(self):
-        frame = two_axes_frame()
-        assert rank_r(frame, IndexPair.of((), ())) == 0
+        table, _ = minimal_rank_report(two_axes_frame())
+        assert table[((), ())] == 0
 
     def test_inconsistency_detected(self):
+        """The walker returns the RankInconsistency; the minimal rank table
+        leaves the pair out and names it a rank-constant violation."""
         # second atom of the x measure placed at the origin: picking it
         # together with the y-axis basis drops the rank
         lx = AffineFlat([0, 0], [[1, 0]])
@@ -116,8 +120,11 @@ class TestRankR:
         mx = DiscreteMeasure.uniform([(Fraction(1, 2), 0), (0, 0)], RES)
         my = DiscreteMeasure([((0, Fraction(1, 2)), 1)], RES)
         frame = StableFrame([lx, ly], [[mx], [my]])
-        got = rank_r(frame, IndexPair.of([(0, 0)], [1]))
+        [(_, got)] = stability._walks(frame, stability.PICK_BUDGET, [IndexPair.of([(0, 0)], [1])])
         assert isinstance(got, RankInconsistency)
+        table, violations = minimal_rank_report(frame)
+        assert ((0,), (1,)) not in table
+        assert [(v.rule, v.i_set, v.j_set) for v in violations] == [("rank-constant", (0,), (1,))]
 
 
 def fresh_chain(frame: StableFrame, idx: IndexPair, pick) -> stability.WedgeState:
@@ -262,8 +269,15 @@ class TestBudgetsBeforeWork:
         assert calls == []
 
 
+def product_certificates(frame: StableFrame, budget: int) -> None:
+    """product_graph over one complete graph per flat of the frame, which
+    reads its rank certificates off minimal_rank_report's default budget."""
+    gs = [ThinGraph.complete(ms, 1, 8) for ms in frame.measures]
+    product_graph(gs, frame, dyadic_scales(5, 1))
+
+
 RANK_WALKS = {
-    "rank_r": lambda frame, budget: rank_r(frame, IndexPair.of([(0, 0)], [1])),
+    "product_graph": product_certificates,
     "minimal_rank_report": lambda frame, budget: minimal_rank_report(frame, budget=budget),
     "rank_inequality_report": lambda frame, budget: rank_inequality_report(frame),
 }
@@ -272,15 +286,18 @@ RANK_WALKS = {
 class TestOnePickBudget:
     """Every rank walk is bounded by the frame's 2^k prod(1 + |supp mu|)
     (index pair, pick) combinations, 2^2 (1 + 3)^2 = 64 on the grid frame:
-    minimal_rank_report against its budget, rank_r and
-    rank_inequality_report against PICK_BUDGET as it reads when called."""
+    minimal_rank_report against its budget, product_graph's certificates
+    against minimal_rank_report's default and rank_inequality_report
+    against PICK_BUDGET as it reads when called."""
 
     @pytest.mark.parametrize("walk", sorted(RANK_WALKS))
     def test_refused_one_below_the_combinations(self, walk, monkeypatch):
         frame = transversal_lines_grid_frame()
         monkeypatch.setattr(stability, "PICK_BUDGET", 64)
+        monkeypatch.setattr(minimal_rank_report, "__defaults__", (64,))
         RANK_WALKS[walk](frame, 64)
         monkeypatch.setattr(stability, "PICK_BUDGET", 63)
+        monkeypatch.setattr(minimal_rank_report, "__defaults__", (63,))
         refuse_index_pairs(monkeypatch)
 
         def refuse(minors, col):
@@ -656,9 +673,9 @@ class TestMinimalRankTable:
         calls = []
         pick_states = stability._pick_states
 
-        def counting(frame, idx, trie):
+        def counting(frame, idx, trie, constant):
             calls.append(idx)
-            return pick_states(frame, idx, trie)
+            return pick_states(frame, idx, trie, constant)
 
         monkeypatch.setattr(stability, "_pick_states", counting)
         assert rank_inequality_report(frame) == []

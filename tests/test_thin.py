@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from flatbeck import flats, measures, thin
+from flatbeck import flats, measures, stability, thin
 from flatbeck.exactlin import BudgetExceeded, _integerized_points
 from flatbeck.flats import AffineFlat
 from flatbeck.genscenes import parallel_segments, segment_grid, square_grid
@@ -763,6 +763,19 @@ class TestProductGraph:
         assert not all(exactly_within(m, Fraction(below), sigma, s) for s, m in peaks)
         assert not verify_thin_planes(ThinGraph(out.measures, out.tuples, sigma, below), scales).ok
 
+    def test_one_walk_per_call(self, monkeypatch):
+        """Both certificates are read from one minimal rank table: one budget
+        check, then one trie, per call (one of each per certificate, three
+        in all, when each rank was walked on its own)."""
+        frame, mx, my = self.axes_frame()
+        gs = [ThinGraph([m], [(i,) for i in range(4)], sigma=1.0, big_k=8.0) for m in (mx, my)]
+        calls = []
+        for name in ("_check_picks", "_trie"):
+            real = getattr(stability, name)
+            monkeypatch.setattr(stability, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        product_graph(gs, frame, dyadic_scales(5, 1))
+        assert calls == ["_check_picks", "_trie"]
+
     @pytest.mark.parametrize(
         "case, message",
         [
@@ -1141,6 +1154,8 @@ class TestRefusals:
              "ambient dimensions differ"),
             (lambda: ThinGraph([TestRefusals.points((0, 0), (1, 0))], [(2,)], 1, 1),
              r"tuple \(2,\) indexes a missing atom"),
+            (lambda: ThinGraph([TestRefusals.points((0, 0)), DiscreteMeasure([((1, 0), 0)], RES)], None, 1, 1),
+             "measure has zero total mass"),
             (lambda: pushforward_frostman(
                 ThinGraph.complete([TestRefusals.points((0, 0)), TestRefusals.points((1, 0))], 1, 1), [Fraction(1, 2)]),
              "need at least two distinct scales"),
@@ -1150,7 +1165,7 @@ class TestRefusals:
             (lambda: thin_implies_nc(ThinGraph.complete([TestRefusals.points((0, 0))], 1, 1), dyadic_scales(2, 1)),
              "NC transfer needs an arity-n graph"),
         ],
-        ids=["no-measures", "mixed-dimensions", "missing-atom", "one-scale", "no-mass", "nc-arity"],
+        ids=["no-measures", "mixed-dimensions", "missing-atom", "zero-mass", "one-scale", "no-mass", "nc-arity"],
     )
     def test_refused(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
