@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from operator import mul
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,11 +90,22 @@ class PlateMassOracle:
     """
 
     def __init__(self, mu: DiscreteMeasure):
-        self.ambient_dim = n = mu.ambient_dim
-        self._int_pts, self._den = _integerized_points(mu.points())
-        self._lifted = [p + (self._den,) for p in self._int_pts]
         self._wden = mu.weight_den
         self.int_weights = [w.numerator * (self._wden // w.denominator) for w in mu.weights()]
+        self._integerize(mu.points())
+
+    @classmethod
+    def _of_points(cls, points: Sequence[Vector]) -> "PlateMassOracle":
+        """The cores of an oracle over bare points, for a caller that brings
+        its own weightings of them (one per measure, in the thin span pass)."""
+        oracle = cls.__new__(cls)
+        oracle._integerize(points)
+        return oracle
+
+    def _integerize(self, points: Sequence[Vector]) -> None:
+        self.ambient_dim = n = len(points[0])
+        self._int_pts, self._den = _integerized_points(points)
+        self._lifted = [p + (self._den,) for p in self._int_pts]
         # per atom, the monomials P_j P_k (twice for j < k), -2 P_j and 1 of num
         self._monomials = [tuple(p[j] * p[k] * (1 + (j < k)) for j in range(n) for k in range(j, n))
                            + tuple(-2 * x for x in p) + (1,) for p in self._int_pts]
@@ -125,11 +135,11 @@ class PlateMassOracle:
         """Masses within each squared radius of the line through a and b."""
         return self.masses_near_span((a, b), radii2)
 
-    def _counts(self, spans, radii2, weightings) -> list[list[list[int]]]:
+    def _counts(self, spans, radii2, weightings, masks=None) -> list[list[list[int]]]:
         """The quadratic core: per span (anchor, dirs), per weighting, the
         weight of the atoms within each squared radius, by _tally over the
-        atoms' monomials: num_t <= floor(p g L^2 / q), and 0 <= num_t <=
-        g |r|^2 <= 2 g (s^2 max|P|^2 + |b|^2)."""
+        atoms' monomials (masks as there): num_t <= floor(p g L^2 / q), and
+        0 <= num_t <= g |r|^2 <= 2 g (s^2 max|P|^2 + |b|^2)."""
         n, den = self.ambient_dim, self._den
         coeffs, scales, bounds = [], [], []
         for anchor, dirs in spans:
@@ -142,9 +152,9 @@ class PlateMassOracle:
                           + [s * x for x in mb] + [sum(map(mul, b, mb))])
             scales.append(g * big * big)
             bounds.append(2 * g * (s * s * self._norm2 + sum(x * x for x in b)))
-        return _tally(self._monomials, coeffs, scales, bounds, radii2, weightings, False)
+        return _tally(self._monomials, coeffs, scales, bounds, radii2, weightings, False, masks)
 
-    def _hyperplane_counts(self, normals, radii2, weightings) -> list[list[list[int]]]:
+    def _hyperplane_counts(self, normals, radii2, weightings, masks=None) -> list[list[list[int]]]:
         """The hyperplane core: _counts for the hyperplanes {x : a.x = b} of
         integer normals (a, b), a != 0.  Atom P / den lies at squared
         distance num^2 / (|a|^2 den^2), num = a.P - b den, linear in the
@@ -153,13 +163,13 @@ class PlateMassOracle:
         norms = [sum(x * x for x in v[:-1]) for v in normals]
         bounds = [math.isqrt(a2 * self._norm2) + 1 + abs(v[-1]) * den for a2, v in zip(norms, normals)]
         coeffs = [(*v[:-1], -v[-1]) for v in normals]
-        return _tally(self._lifted, coeffs, [a2 * den * den for a2 in norms], bounds, radii2, weightings, True)
+        return _tally(self._lifted, coeffs, [a2 * den * den for a2 in norms], bounds, radii2, weightings, True, masks)
 
 
 SPAN_CHUNK = 256  # spans per pass of the plate oracle's cores: the lanes of one int
 
 
-def _tally(rows, coeffs, scales, bounds, radii2, weightings, linear: bool) -> list[list[list[int]]]:
+def _tally(rows, coeffs, scales, bounds, radii2, weightings, linear: bool, masks=None) -> list[list[list[int]]]:
     """The packed pass of both cores: per span t and weighting, the weight
     of the rows whose num_t = row . coeffs[t] is within each squared radius
     p / q: num_t <= cut_t = floor(p scales[t] / q) or, linear, |num_t| <=
@@ -169,18 +179,24 @@ def _tally(rows, coeffs, scales, bounds, radii2, weightings, linear: bool) -> li
     the top bit of lane t of CUT + 2^(w-1) - NUM (and, linear, of CUT +
     2^(w-1) + NUM) is set exactly when num_t <= cut_t (-num_t <= cut_t),
     as 2^(w-1) exceeds each bound (twice it, linear).  The flags, times the
-    row's weight, add up, and 2^w exceeds each weighting's total."""
+    row's weight, add up, and 2^w exceeds each weighting's total.  masks,
+    when given, holds per weighting None (every span) or per row a bitmask
+    over span indices: the row's weight counts toward span t only when bit
+    t is set.  Each chunk spreads a row's mask bits into its lanes once."""
     out: list = []
     for start in range(0, len(coeffs), SPAN_CHUNK):
         part = slice(start, start + SPAN_CHUNK)
         chunk, bound = coeffs[part], bounds[part]
         width = 1 + max((max(bound) << linear).bit_length(), *(sum(ws).bit_length() for ws in weightings))
+        if masks is not None:  # whole bytes, for _spread
+            width = -(-width // 8) * 8
         top = 1 << (width - 1)
         packed = [_pack(c, width) for c in zip(*chunk)]
         cuts = [_pack([top + min(math.isqrt(v) if linear and v >= 0 else max(v, -1), u)
                        for v, u in zip((p * c // q for c in scales[part]), bound)], width)
                 for p, q in ((r2.numerator, r2.denominator) for r2 in radii2)]
         ones = _pack([1] * len(chunk), width)
+        lanes = [None] * len(weightings) if masks is None else _spread(masks, weightings, start, len(chunk), width)
         acc = [[0] * len(cuts) for _ in weightings]
         for z, row in enumerate(rows):
             ws = [w[z] for w in weightings]
@@ -190,20 +206,46 @@ def _tally(rows, coeffs, scales, bounds, radii2, weightings, linear: bool) -> li
                     flags = [((c - num) & (c + num)) >> (width - 1) & ones for c in cuts]
                 else:
                     flags = [(c - num) >> (width - 1) & ones for c in cuts]
-                for a, wt in zip(acc, ws):
-                    for i, f in enumerate(flags if wt else ()):
-                        a[i] += wt * f
+                for a, wt, sel in zip(acc, ws, lanes):
+                    if sel is None:
+                        for i, f in enumerate(flags if wt else ()):
+                            a[i] += wt * f
+                    elif wt and (m := sel[z]):
+                        for i, f in enumerate(flags):
+                            a[i] += wt * (f & m)
         lane = (1 << width) - 1
         out += [[[x >> (width * t) & lane for x in a] for a in acc] for t in range(len(chunk))]
     return out
 
 
-def _pack(values: Sequence[int], width: int) -> int:
-    """sum_t values[t] 2^(width t); a negative value borrows from the lanes above."""
-    out = 0
-    for v in reversed(values):
-        out = (out << width) + v
+def _spread(masks, weightings, start: int, count: int, width: int) -> list:
+    """Per weighting, None or per row its mask's bits start..start + count
+    as lanes of width bits, a multiple of 8: bit start + t becomes bit
+    width t, the last byte of lane t read big-endian."""
+    step, window = width // 8, (1 << count) - 1
+    digits, lanes = bytes.maketrans(b"01", b"\0\1"), bytearray(count * step)
+    out: list = []
+    for ms, ws in zip(masks, weightings):
+        rows = None if ms is None else []
+        for m, w in zip(ms or (), ws):
+            if w:
+                lanes[step - 1 :: step] = format(m >> start & window, f"0{count}b").encode().translate(digits)
+            rows.append(int.from_bytes(lanes, "big") if w else 0)
+        out.append(rows)
     return out
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """sum_t values[t] 2^(width t); a negative value borrows from the lanes
+    above.  Neighbours pair up level by level, so each value is shifted
+    log2(len) times rather than once per later lane."""
+    vals = list(values)
+    while len(vals) > 1:
+        if len(vals) & 1:
+            vals.append(0)
+        vals = [lo + (hi << width) for lo, hi in zip(vals[::2], vals[1::2])]
+        width *= 2
+    return vals[0] if vals else 0
 
 
 @dataclass(frozen=True)
@@ -226,6 +268,20 @@ def _max_ball_masses(mu: DiscreteMeasure, radii: Sequence[Fraction]) -> dict[Fra
     return {r: Fraction(b, mu.weight_den) for r, b in zip(radii, best)}
 
 
+def _fit_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """The least-squares slope and intercept of ys against xs, which must
+    not be constant: Python 3.11's statistics.linear_regression, written
+    out so that every Python gives the same doubles.  Each sum is one
+    math.fsum, rounded once: the means, then sum (x - xbar)(y - ybar) over
+    sum (x - xbar)^2."""
+    n = len(xs)
+    xbar, ybar = math.fsum(xs) / n, math.fsum(ys) / n
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    sxx = math.fsum((x - xbar) * (x - xbar) for x in xs)
+    slope = sxy / sxx
+    return slope, ybar - slope * xbar
+
+
 def frostman_fit(mu: DiscreteMeasure, scales: Sequence) -> FrostmanFit:
     """Least-squares fit of log max-ball-mass against log scale.
 
@@ -244,7 +300,7 @@ def frostman_fit(mu: DiscreteMeasure, scales: Sequence) -> FrostmanFit:
     ys = [math.log(float(m)) for _, m in table if m > 0]
     if len(ys) != len(xs):
         raise ValueError("zero ball mass at some scale; measure is empty?")
-    slope, intercept = statistics.linear_regression(xs, ys)
+    slope, intercept = _fit_line(xs, ys)
     return FrostmanFit(constant=math.exp(intercept), exponent=slope, table=table)
 
 

@@ -26,8 +26,9 @@ One walker, _walks, is every rank walk: certify_stability, stabilize, the
 minimal rank table and the rank inequalities read it, and product_graph's
 certificates read the minimal rank table.  It checks the frame's (index
 pair, pick) combinations, 2^k prod(1 + |supp mu|) over all index pairs,
-against one budget, PICK_BUDGET unless the caller gives one, before any
-index pair is built, and then walks each pair's picks over one trie.
+against one budget, PICK_BUDGET as it reads when called unless the
+caller gives one, before any index pair is built, and then walks each
+pair's picks over one trie.
 projected_stability_check moves flats and atoms with one flats.projector.
 """
 
@@ -313,14 +314,20 @@ def _check_picks(frame: StableFrame, budget: int) -> None:
         )
 
 
+def _pick_budget(budget: Optional[int]) -> int:
+    """The budget a rank walk is held to: PICK_BUDGET as it reads when
+    called, unless the caller gives one."""
+    return PICK_BUDGET if budget is None else budget
+
+
 def _walks(
-    frame: StableFrame, budget: int, pairs: Optional[Iterable[IndexPair]] = None, constant: bool = True
+    frame: StableFrame, budget: Optional[int], pairs: Optional[Iterable[IndexPair]] = None, constant: bool = True
 ) -> Iterator[tuple[IndexPair, Walk | RankInconsistency]]:
     """(idx, _pick_states(frame, idx, trie, constant)) for each of the pairs
     (every index pair of the frame when None), walked lazily over one trie;
-    the frame is refused by _check_picks at call time, before any index
-    pair is built."""
-    _check_picks(frame, budget)
+    the frame is refused by _check_picks at call time against
+    _pick_budget(budget), before any index pair is built."""
+    _check_picks(frame, _pick_budget(budget))
     trie = _trie()
     pairs = _index_pairs(frame) if pairs is None else pairs
     return ((idx, _pick_states(frame, idx, trie, constant)) for idx in pairs)
@@ -329,7 +336,7 @@ def _walks(
 def certify_stability(
     frame: StableFrame,
     c2: Fraction,
-    budget: int = PICK_BUDGET,
+    budget: Optional[int] = None,
 ) -> CertificationResult:
     """Certify c-stable position with the squared, column-normalized floor c2:
     every index pair must have a pick-independent rank, and every pick's
@@ -383,7 +390,7 @@ class StabilizationError(RuntimeError):
     pass
 
 
-def stabilize(frame: StableFrame, budget: int = PICK_BUDGET) -> tuple[StableFrame, Fraction]:
+def stabilize(frame: StableFrame, budget: Optional[int] = None) -> tuple[StableFrame, Fraction]:
     """Find the atom tuple with the maximum possible rank-vector sum,
     restrict every measure to a ball around its chosen atom, and shrink the
     balls dyadically until certification passes with c2 equal to half the
@@ -392,9 +399,9 @@ def stabilize(frame: StableFrame, budget: int = PICK_BUDGET) -> tuple[StableFram
     # one rank per pick and index pair, then one more per pair: at least
     # the frame's 2^k prod(1 + |supp mu|) combinations, as 1 + s <= 2 s
     work = (math.prod(frame.support_sizes().values()) + 1) * 2 ** (len(slots) + frame.k)
-    if work > budget:
-        raise BudgetExceeded(f"{work} rank evaluations exceed budget {budget}")
-    states = {idx: dict(walk) for idx, walk in _walks(frame, budget, constant=False)}
+    if work > (limit := _pick_budget(budget)):
+        raise BudgetExceeded(f"{work} rank evaluations exceed budget {limit}")
+    states = {idx: dict(walk) for idx, walk in _walks(frame, limit, constant=False)}
 
     def pivots(idx: IndexPair, p: Pick) -> tuple[int, ...]:
         return states[idx][tuple(p[s] for s in idx.sorted_atoms())][1]
@@ -410,7 +417,7 @@ def stabilize(frame: StableFrame, budget: int = PICK_BUDGET) -> tuple[StableFram
     radius = Fraction(1)
     for _ in range(HALVINGS):
         restricted = frame.restricted(centers, radius)
-        cert = certify_stability(restricted, target, budget=budget)
+        cert = certify_stability(restricted, target, budget=limit)
         if cert.ok:
             return restricted, target
         radius /= 2
@@ -431,7 +438,7 @@ class RankRuleViolation:
 
 
 def minimal_rank_report(
-    frame: StableFrame, budget: int = PICK_BUDGET
+    frame: StableFrame, budget: Optional[int] = None
 ) -> tuple[dict[tuple[tuple[int, ...], tuple[int, ...]], int], list[RankRuleViolation]]:
     """Rank table r(I, J) over block-level disjoint index sets, checked
     against the minimal-position rules (dimension sums written n_I):
@@ -492,7 +499,7 @@ def rank_inequality_report(frame: StableFrame) -> list[RankRuleViolation]:
     matrices plus one column, or plus flat j's n_j + 1 basis columns.
     """
     ranks: dict[IndexPair, int] = {}
-    for idx, got in _walks(frame, PICK_BUDGET):
+    for idx, got in _walks(frame, None):
         if isinstance(got, RankInconsistency):
             raise StabilizationError("rank not pick-independent; certify first")
         ranks[idx] = len(got[0][1][1])

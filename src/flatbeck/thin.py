@@ -21,7 +21,13 @@ _verdict turns (tuple, measure, per-scale counts) items into a
 VerifyResult: the plane and tube checks generate them, and pruning and
 tube-to-plane conversion hand it the counts they already hold.  One span
 pass, _span_pass, serves every plane check and prune: it lifts the graph's
-atoms once and builds each tuple's span once for every measure.  At arity n
+atoms once, over one denominator, into one plate oracle of them all
+(_joint), builds each tuple's span once, and counts each chunk of
+SPAN_CHUNK spans for every measure in one core call, a measure being a
+weighting of its own block of rows.  The tube checks run one such pass
+over every line x_i0 -> y_i1 (_tube_lines): a G-section is a weighting
+masked per row to the lines it counts on, and the conversion reads both
+directions' sections and both full counts off the same pass.  At arity n
 the span is the tuple's cofactor normal (a, b) (flats._normals), a = 0 for
 a dependent tuple, and the oracle's hyperplane core counts it, as it counts
 the tubes when n = 2; the pushforward chart reads the same normals.  Below
@@ -35,7 +41,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -44,7 +49,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .exactlin import BudgetExceeded, frac, int_rref
 from .flats import _dist2_offset, _lifted_integer_points, _normals, _pick_span
 from .flatcollect import FlatCollection
-from .measures import SPAN_CHUNK, DiscreteMeasure, PlateMassOracle, support_dist2
+from .measures import SPAN_CHUNK, DiscreteMeasure, PlateMassOracle, _fit_line, support_dist2
 from .project import rational_sqrt_lower
 
 
@@ -81,11 +86,12 @@ class ThinGraph:
             self.tuples: Optional[frozenset[tuple[int, ...]]] = None
         else:
             tups = frozenset(tuple(t) for t in tuples)
+            sizes = [len(m) for m in self.measures]
             for t in tups:
-                if len(t) != len(self.measures):
+                if len(t) != len(sizes):
                     raise ValueError("tuple arity mismatch")
-                for idx, m in zip(t, self.measures):
-                    if not 0 <= idx < len(m):
+                for idx, size in zip(t, sizes):
+                    if not 0 <= idx < size:
                         raise ValueError(f"tuple {t} indexes a missing atom")
             self.tuples = tups
         self._density: Optional[Fraction] = None
@@ -285,7 +291,7 @@ def verify_thin_planes(
 def _plane_items(g: ThinGraph, radii2: list[Fraction]) -> Iterator:
     """(tuple, measure index, counts near its span at radii2) for every
     tuple of g and measure; a dependent tuple raises."""
-    for t, counts in _span_pass(g.iter_tuples(), _lifted_atoms(g), g.measures, radii2):
+    for t, counts in _span_pass(g.iter_tuples(), *_joint(g), radii2):
         if counts is None:
             raise TupleInDegenerateSet(f"tuple {t} is affinely dependent")
         for j, c in enumerate(counts):
@@ -299,10 +305,26 @@ def _lifted_atoms(g: ThinGraph) -> list[list[tuple[int, ...]]]:
     return [list(itertools.islice(lifted, len(m))) for m in g.measures]
 
 
+def _joint(g: ThinGraph) -> tuple[list, PlateMassOracle, list]:
+    """What a span pass over g reads: per measure, its atoms as lifted
+    integer points (den p, den) over one denominator den common to every
+    atom of g; one plate oracle of every atom of g, measure after measure,
+    on those points; and per measure its weighting of the oracle's rows,
+    its int_weights on its own block and zeros elsewhere."""
+    oracle = PlateMassOracle._of_points([p for m in g.measures for p in m.points()])
+    rows, lifted, weightings, start = oracle._lifted, [], [], 0
+    for m in g.measures:
+        end = start + len(m)
+        lifted.append(rows[start:end])
+        weightings.append([0] * start + m.oracle.int_weights + [0] * (len(rows) - end))
+        start = end
+    return lifted, oracle, weightings
+
+
 def _tuple_spans(lifted: list, tuples: Iterable) -> tuple[Iterator, Callable]:
     """(t, span) for each tuple t, in order, span None when t is affinely
-    dependent, and the oracle core that reads the spans.  lifted is
-    _lifted_atoms(g).  At arity n a span is t's normal (a, b), and a = 0
+    dependent, and the oracle core that reads the spans.  lifted holds per
+    measure of g its lifted atoms, as _lifted_atoms(g) gives them.  At arity n a span is t's normal (a, b), and a = 0
     means dependent; below it, the first lifted point and the differences
     from it (flats._pick_span), when the lifted rows have full rank."""
     if len(lifted) == len(lifted[0][0]) - 1:
@@ -316,18 +338,23 @@ def _tuple_spans(lifted: list, tuples: Iterable) -> tuple[Iterator, Callable]:
     return ((t, span(t)) for t in tuples), PlateMassOracle._counts
 
 
-def _span_pass(tuples: Iterable, lifted: list, measures: Sequence[DiscreteMeasure], radii2) -> Iterator:
+def _span_pass(tuples: Iterable, lifted: list, oracle: PlateMassOracle, weightings, radii2, masks=None) -> Iterator:
     """(t, counts) for each tuple t, in order: counts is None when t is
-    affinely dependent, else each measure's counts near the span of t's
-    points at radii2.  Each span, from _tuple_spans, serves every measure:
-    one core call per SPAN_CHUNK spans and measure."""
-    oracles: list[PlateMassOracle] = [m.oracle for m in measures]
+    affinely dependent, else per weighting of the oracle's rows its counts
+    near the span of t's points at radii2.  Each span, from _tuple_spans,
+    serves every weighting: one core call per SPAN_CHUNK tuples.  masks,
+    when given, maps the index of a chunk's first tuple and the chunk's
+    length to the chunk's masks as measures._tally reads them; the tuples
+    of such a pass must all be independent."""
     spans, core = _tuple_spans(lifted, tuples)
-    while chunk := list(itertools.islice(spans, SPAN_CHUNK)):
+    for start in itertools.count(0, SPAN_CHUNK):
+        chunk = list(itertools.islice(spans, SPAN_CHUNK))
+        if not chunk:
+            return
         live = [span for _, span in chunk if span is not None]
-        got = zip(*[core(o, live, radii2, (o.int_weights,)) for o in oracles])
+        got = iter(core(oracle, live, radii2, weightings, masks and masks(start, len(live))))
         for t, span in chunk:
-            yield t, None if span is None else [c for (c,) in next(got)]
+            yield t, None if span is None else next(got)
 
 
 def verify_thin_tubes(g: ThinGraph, scales: Sequence, required_density=None) -> VerifyResult:
@@ -341,7 +368,7 @@ def verify_thin_tubes(g: ThinGraph, scales: Sequence, required_density=None) -> 
     them at twice the radius.
     """
     scales, radii2 = _tube_window(g, scales)
-    return _verdict(g, scales, _tube_items(g, radii2), _TUBE_FAILURE, required_density)
+    return _verdict(g, scales, _tube_items(g, _tube_lines(g, radii2, False), 0), _TUBE_FAILURE, required_density)
 
 
 def _tube_window(g: ThinGraph, scales: Sequence) -> tuple[list, list]:
@@ -356,26 +383,45 @@ def _tube_window(g: ThinGraph, scales: Sequence) -> tuple[list, list]:
     return _window(scales, g.measures)
 
 
-def _tube_items(g: ThinGraph, radii2: list[Fraction], full=None) -> Iterator:
-    """((i0, i1), 1, counts) for every tube of the family of g over
-    (mu0, mu1): the G-section of mu1 is mu1's weights with zeros off the
-    section, so one core call per centre x0 gives the counts of all its
-    lines x0 -> y (see _tuple_spans; separated supports make them
-    independent); with a dict full, the same call also stores mu1's full
-    counts of the lines of the pairs in g, under the pair."""
-    oracle = g.measures[1].oracle
-    weights = oracle.int_weights
-    lifted = _lifted_atoms(g)
-    # tuples come sorted: one run per mu0 atom, its G-section of mu1
-    for i0, run in itertools.groupby(g.iter_tuples(), key=lambda t: t[0]):
-        paired = {i1 for _, i1 in run}
-        section = [w if i1 in paired else 0 for i1, w in enumerate(weights)]
-        spans, core = _tuple_spans(lifted, [(i0, i1) for i1 in range(len(weights))])
-        weightings = (section,) if full is None else (section, weights)
-        for i1, counts in enumerate(core(oracle, [span for _, span in spans], radii2, weightings)):
-            if full is not None and i1 in paired:
-                full[i0, i1] = counts[1]
-            yield (i0, i1), 1, counts[0]
+def _tube_lines(g: ThinGraph, radii2: list[Fraction], both: bool) -> list:
+    """Per line x_i0 -> y_i1 of g over (mu0, mu1), all |mu0| |mu1| of them
+    in pair order (line i0 |mu1| + i1), its counts at radii2 of the
+    G-section of mu1 at x_i0 (the atoms y_j with (i0, j) in g) and, when
+    both, of all of mu1, of the G-section of mu0 at y_i1 and of all of mu0:
+    one span pass over the joint oracle, every line independent since the
+    supports are separated.  A G-section is a masked weighting: atom j of
+    mu1 counts on the lines from the centres it pairs with, and atom i of
+    mu0 on the lines to the atoms it pairs with."""
+    lifted, oracle, (w0, w1) = _joint(g)
+    n0, n1 = map(len, g.measures)
+    centres, atoms = [0] * n1, [0] * n0  # per atom, the atoms of the other measure it pairs with
+    for i0, i1 in g.iter_tuples():
+        centres[i1] |= 1 << i0
+        atoms[i0] |= 1 << i1
+    blocks = str.maketrans({"0": "0" * n1, "1": "1" * n1})
+
+    def masks(start: int, count: int) -> tuple:
+        # the chunk's lines start from line off of centre lo and meet reach centres
+        lo, off = divmod(start, n1)
+        reach, window = -(-(off + count) // n1), (1 << count) - 1
+        near = (1 << reach) - 1
+        fwd = [0] * n0 + [int(format(c >> lo & near, "b").translate(blocks), 2) >> off & window for c in centres]
+        if not both:
+            return (fwd,)
+        rep = sum(1 << n1 * k for k in range(reach))
+        return fwd, None, [a * rep >> off & window for a in atoms] + [0] * n1, None
+
+    weightings = (w1, w1, w0, w0) if both else (w1,)
+    pairs = itertools.product(range(n0), range(n1))
+    return [c for _, c in _span_pass(pairs, lifted, oracle, weightings, radii2, masks)]
+
+
+def _tube_items(h: ThinGraph, lines: list, k: int) -> Iterator:
+    """((c, a), 1, counts) for every tube of the family of h over (nu0,
+    nu1): per centre c of h's tuples in order, its lines to every atom a of
+    nu1, with the counts lines[c |nu1| + a][k]."""
+    m = len(h.measures[1])
+    return (((c, a), 1, lines[c * m + a][k]) for c in sorted({t[0] for t in h.iter_tuples()}) for a in range(m))
 
 
 def dyadic_tail_sum(scales: Sequence[Fraction], eps: float) -> float:
@@ -420,7 +466,7 @@ def prune_planes(g: ThinGraph, epsilon, scales: Sequence) -> PruneResult:
     cuts = [_double_cuts(m.weight_den, bounds) for m in g.measures]
     removed: set[tuple[int, ...]] = set()
     kept = []
-    for t, counts in _span_pass(g.iter_tuples(), _lifted_atoms(g), g.measures, radii2):
+    for t, counts in _span_pass(g.iter_tuples(), *_joint(g), radii2):
         if counts is None or any(map(_exceeds, counts, cuts)):
             removed.add(t)
         else:
@@ -459,24 +505,25 @@ def tubes_to_planes(g: ThinGraph, epsilon, scales: Sequence) -> ConversionResult
     (mass > 10 eps^-2 C K r^(sigma - eps), either marginal) are removed;
     the output claims (sigma - eps, A K) with A = 10^(1 + sigma - eps) C / eps^2
     and the measured density loss must stay below B eps with B from the
-    geometric series of the removal bound.  The two tube checks take one
-    numerator pass per (anchor, line): the forward one also counts all of
-    mu1 on the line of each pair in g, the reverse one all of mu0, and the
-    removal and the output's verdict read those counts.  Separated supports
-    make every pair independent, and the tube checks have bounded the
-    window by both resolutions.
+    geometric series of the removal bound.  One pass over every line,
+    _tube_lines, gives the two tube checks mu1's and mu0's G-sections and
+    the removal and the output's verdict the full counts of mu1 and mu0 on
+    the line of each pair in g.  Separated supports make every pair
+    independent, and the tube checks have bounded the window by both
+    resolutions.
     """
     eps_q, eps = _epsilon(epsilon)
     scales, radii2 = _tube_window(g, scales)
     mu0, mu1 = g.measures
     c_const = 1.0 / float(rational_sqrt_lower(support_dist2(mu0, mu1)))
-    full1: dict = {}
-    full0: dict = {}
-    tube_fwd = _verdict(g, scales, _tube_items(g, radii2, full1), _TUBE_FAILURE)
+    lines = _tube_lines(g, radii2, True)
+    tube_fwd = _verdict(g, scales, _tube_items(g, lines, 0), _TUBE_FAILURE)
     g_rev = ThinGraph(
         (mu1, mu0), [(b, a) for a, b in g.iter_tuples()], g.sigma_exact, g.k_exact
     )
-    tube_rev = _verdict(g_rev, scales, _tube_items(g_rev, radii2, full0), _TUBE_FAILURE)
+    # the reverse graph's lines y_i1 -> x_i0 in its pair order, with mu0's G-sections
+    flipped = [lines[i0 * len(mu1) + i1] for i1 in range(len(mu1)) for i0 in range(len(mu0))]
+    tube_rev = _verdict(g_rev, scales, _tube_items(g_rev, flipped, 2), _TUBE_FAILURE)
     if not (tube_fwd.ok and tube_rev.ok):
         return ConversionResult(
             None, 0.0, 0.0, Fraction(0), False, [tube_fwd, tube_rev],
@@ -490,7 +537,7 @@ def tubes_to_planes(g: ThinGraph, epsilon, scales: Sequence) -> ConversionResult
     removed = set()
     kept = []
     for t in g.iter_tuples():
-        m0, m1 = full0.pop(t[::-1]), full1.pop(t)
+        _, m1, _, m0 = lines[t[0] * len(mu1) + t[1]]
         if _exceeds(m1, cuts1) or _exceeds(m0, cuts0):
             removed.add(t)
         else:
@@ -569,7 +616,7 @@ def prune_against_measure(g: ThinGraph, nu: DiscreteMeasure, epsilon, scales: Se
     cuts = _double_cuts(nu.weight_den, [k_prime * float(s) ** (g.sigma - eps) for s in scales])
     removed = set(margin_removed)
     unmarked = (t for t in g.iter_tuples() if t not in margin_removed)
-    for t, counts in _span_pass(unmarked, lifted, (nu,), radii2):
+    for t, counts in _span_pass(unmarked, lifted, nu.oracle, [nu.oracle.int_weights], radii2):
         if counts is None or _exceeds(counts[0], cuts):
             removed.add(t)
     out = g.without(removed, sigma=g.sigma_exact - eps_q)
@@ -713,7 +760,7 @@ def pushforward_frostman(g: ThinGraph, scales: Sequence) -> PushforwardFit:
     table = [(float(s), len(bx), max(bx.values()) / total) for s, bx in zip(scales, boxes)]
     xs = [math.log(s) for s, _, _ in table]
     ys = [math.log(c) for _, c, _ in table]
-    slope, intercept = statistics.linear_regression(xs, ys)
+    slope, intercept = _fit_line(xs, ys)
     return PushforwardFit(math.exp(intercept), -slope, table)
 
 

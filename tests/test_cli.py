@@ -930,13 +930,13 @@ def count_numerator_passes(monkeypatch) -> list:
 
 
 class TestThinPruneMeasuresOnce:
-    # 32 x 32 pairs: the planes prune measures each pair's span against
-    # both measures once (2,048 spans); the conversion's two tube checks
-    # measure each (centre, direction) line once each way (2,048), and
-    # those counts also give the full line counts that the removal and the
-    # output verdict read
-    @pytest.mark.parametrize("mode, expected", [("planes", 2048), ("tubes2planes", 2048)])
-    def test_output_verified_from_masses_in_hand(self, mode, expected, tmp_path, monkeypatch):
+    # 32 x 32 pairs over two measures: 2,048 (span, measure) pairs either
+    # way.  The planes prune measures each pair's span once for both
+    # measures, and the conversion each line x -> y once for both tube
+    # checks, whose counts also give the full line counts that the removal
+    # and the output verdict read: 1,024 spans, one core call per 256
+    @pytest.mark.parametrize("mode, pairs", [("planes", 2048), ("tubes2planes", 2048)])
+    def test_output_verified_from_masses_in_hand(self, mode, pairs, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the output was measured again")
 
@@ -946,7 +946,7 @@ class TestThinPruneMeasuresOnce:
         scene = str(SCENES / "thin-parallel-segments.json")
         argv = ["thin-prune", "--scene", scene, "--mode", mode, "--out", str(tmp_path)]
         assert main(argv) == EXIT_PASS
-        assert sum(calls) == expected
+        assert calls == [256] * (pairs // 2 // 256)
 
     def test_window_below_resolution_refused_before_pruning(self, tmp_path, monkeypatch, capsys):
         calls = count_numerator_passes(monkeypatch)

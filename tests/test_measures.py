@@ -215,6 +215,23 @@ class TestPackedCore:
         with mock.patch.object(measures, "SPAN_CHUNK", 3):  # batches of up to 8 cross it
             assert oracle._counts(spans, radii2, weightings) == want
         assert oracle._counts([], radii2, weightings) == []
+        # masks on the second weighting: row z counts toward span t only
+        # when bit t of its mask is set, in chunks of 256 spans and of 3
+        masks = [None, [sum(1 << t for t in range(len(spans)) if (z + t) % 4) for z in range(len(pts))]]
+        want[:] = [[ws, [sum(w for z, (x, w) in enumerate(zip(row, weightings[1])) if x <= r2 and masks[1][z] >> t & 1)
+                         for r2 in radii2]] for t, ((ws, _), row) in enumerate(zip(want, d2))]
+        for chunk in (SPAN_CHUNK, 3):
+            with mock.patch.object(measures, "SPAN_CHUNK", chunk):
+                assert oracle._counts(spans, radii2, weightings, masks) == want
+
+
+class TestPack:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2**40), 2**40), max_size=40), st.integers(1, 70))
+    def test_lanes_sum_with_borrows(self, values, width):
+        """_pack pairs neighbours level by level; the result is the lane sum
+        sum_t values[t] 2^(width t), negative values borrowing."""
+        assert measures._pack(values, width) == sum(v * 2 ** (width * t) for t, v in enumerate(values))
 
 
 class TestAtomsNearFlat:
@@ -419,6 +436,25 @@ class TestFrostmanFit:
         for scale, mass in fit.table:
             assert mass == measures._max_ball_masses(mu, [scale])[scale]
             assert isinstance(mass, Fraction)
+
+
+class TestFitLine:
+    def test_pushforward_demo_table(self):
+        """The pushforward-dim demo's table, boxes 20, 72, 272 and 1,024 at
+        2^-2..2^-5: slope and intercept as literals, so that a formula
+        whose rounding moves with the Python version fails on that version;
+        the slope, negated, is the golden report's exponent."""
+        xs = [math.log(2.0**-k) for k in range(2, 6)]
+        ys = [math.log(c) for c in (20, 72, 272, 1024)]
+        assert measures._fit_line(xs, ys) == (-1.8951753555145945, 0.3546939759206582)
+
+    def test_each_sum_rounds_once(self):
+        """A table of six counts where a plain left-to-right sum of the
+        products (x - xbar)(y - ybar) moves the slope's last bit; fsum
+        rounds once, the same on every Python."""
+        xs = [math.log(2.0**-k) for k in range(1, 7)]
+        ys = [math.log(c) for c in (769, 1720, 3110, 3683, 3869, 3997)]
+        assert measures._fit_line(xs, ys) == (-0.4469123901638898, 6.732964141192632)
 
 
 class TestDyadicScales:

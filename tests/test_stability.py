@@ -269,9 +269,16 @@ class TestBudgetsBeforeWork:
         assert calls == []
 
 
+DEFAULT_BUDGET_WALKS = {
+    "certify_stability": lambda frame: certify_stability(frame, Fraction(0)),
+    "minimal_rank_report": minimal_rank_report,
+    "stabilize": stabilize,
+}
+
+
 def product_certificates(frame: StableFrame, budget: int) -> None:
     """product_graph over one complete graph per flat of the frame, which
-    reads its rank certificates off minimal_rank_report's default budget."""
+    reads its rank certificates off minimal_rank_report without a budget."""
     gs = [ThinGraph.complete(ms, 1, 8) for ms in frame.measures]
     product_graph(gs, frame, dyadic_scales(5, 1))
 
@@ -287,17 +294,15 @@ class TestOnePickBudget:
     """Every rank walk is bounded by the frame's 2^k prod(1 + |supp mu|)
     (index pair, pick) combinations, 2^2 (1 + 3)^2 = 64 on the grid frame:
     minimal_rank_report against its budget, product_graph's certificates
-    against minimal_rank_report's default and rank_inequality_report
-    against PICK_BUDGET as it reads when called."""
+    and rank_inequality_report against PICK_BUDGET as it reads when
+    called."""
 
     @pytest.mark.parametrize("walk", sorted(RANK_WALKS))
     def test_refused_one_below_the_combinations(self, walk, monkeypatch):
         frame = transversal_lines_grid_frame()
         monkeypatch.setattr(stability, "PICK_BUDGET", 64)
-        monkeypatch.setattr(minimal_rank_report, "__defaults__", (64,))
         RANK_WALKS[walk](frame, 64)
         monkeypatch.setattr(stability, "PICK_BUDGET", 63)
-        monkeypatch.setattr(minimal_rank_report, "__defaults__", (63,))
         refuse_index_pairs(monkeypatch)
 
         def refuse(minors, col):
@@ -306,6 +311,16 @@ class TestOnePickBudget:
         monkeypatch.setattr(stability, "_wedge", refuse)
         with pytest.raises(CertificationBudgetExceeded, match=r"^64 \(index, pick\) combinations exceed budget 63$"):
             RANK_WALKS[walk](frame, 63)
+
+    @pytest.mark.parametrize("walk", sorted(DEFAULT_BUDGET_WALKS))
+    def test_no_budget_reads_pick_budget_when_called(self, walk, monkeypatch):
+        """Called without a budget, each walk is held to PICK_BUDGET as it
+        reads at the call, so 1 refuses the grid frame before any index
+        pair is built."""
+        monkeypatch.setattr(stability, "PICK_BUDGET", 1)
+        refuse_index_pairs(monkeypatch)
+        with pytest.raises(BudgetExceeded, match=r" exceed budget 1$"):
+            DEFAULT_BUDGET_WALKS[walk](transversal_lines_grid_frame())
 
 
 def laplace_minors(rows):

@@ -237,6 +237,19 @@ class TestTubesToPlanes:
         assert not list(out.graph.iter_tuples())
         assert out.removed_mass == g.density() == Fraction(1, 1024**2)
 
+    def test_far_pair_loses_more_than_the_density_budget(self):
+        """Two single atoms 300 apart, K = 8, pass both tube checks, but the
+        pair's full count 1 exceeds 10 c K r^(3/4) / eps^2 (c = 1/300) at r
+        = 1/8, so the pair goes; the empty output verifies, and the loss,
+        the whole density 1, exceeds B eps = 4 eps^2 S = 0.5357."""
+        mu0 = DiscreteMeasure([((0, 0), 1)], RES)
+        mu1 = DiscreteMeasure([((300, 0), 1)], RES)
+        g = ThinGraph.complete([mu0, mu1], sigma=1, big_k=8)
+        out = tubes_to_planes(g, epsilon=Fraction(1, 4), scales=dyadic_scales(3, 1))
+        assert all(check.ok for check in out.tube_checks) and out.planes_check.ok
+        assert not out.ok and out.removed_mass == 1
+        assert out.witness == f"density loss 1 exceeds B*eps = {out.b_const / 4:.6g}" == "density loss 1 exceeds B*eps = 0.535652"
+
     def test_support_distance_scanned_once(self, monkeypatch):
         calls = []
 
@@ -654,6 +667,14 @@ class TestHyperplaneCore:
         with mock.patch.object(measures, "SPAN_CHUNK", 3):  # batches of up to 8 cross it
             assert oracle._hyperplane_counts(normals, radii2, weightings) == want
         assert oracle._hyperplane_counts([], radii2, weightings) == []
+        # masks on the second weighting: row z counts toward plane t only
+        # when bit t of its mask is set, in chunks of 256 planes and of 3
+        masks = [None, [sum(1 << t for t in range(len(planes)) if (z + t) % 4) for z in range(len(atoms))]]
+        want[:] = [[ws, [sum(w for z, (x, w) in enumerate(zip(row, weightings[1])) if x <= r2 and masks[1][z] >> t & 1)
+                         for r2 in radii2]] for t, ((ws, _), row) in enumerate(zip(want, d2))]
+        for chunk in (measures.SPAN_CHUNK, 3):
+            with mock.patch.object(measures, "SPAN_CHUNK", chunk):
+                assert oracle._hyperplane_counts(normals, radii2, weightings, masks) == want
 
     def test_lanes_about_half_as_wide_as_the_quadratic_cores(self):
         """The line through (0, 0) and (3, 4) in Q^2, against atoms of size
@@ -677,6 +698,162 @@ class TestHyperplaneCore:
         assert widths["_hyperplane_counts"] == {1 + (2 * u).bit_length()} == {47}
         # the quadratic reach: 2 g (s^2 max|P|^2 + |b|^2) with g = |d|^2 = 25
         assert widths["_counts"] == {1 + (2 * 25 * 25 * big * big).bit_length()} == {92}
+
+
+tube_coord = st.integers(-3, 3)
+
+
+@st.composite
+def tube_graphs(draw):
+    """(graph, radius2, eps): an arity-2 graph over separated (mu0, mu1) in Q^2
+    or Q^3 (so the hyperplane and the quadratic core both take masks), each
+    measure over its own coordinate and weight denominators, with zero
+    weights among them; mu1 also holds points of the line through atom 0 of
+    each measure.  The tuples are all pairs or a sparse set, which leaves
+    centres with no pair; radius2 is one atom's exact squared distance from
+    one line, the closed boundary, and eps the conversion's."""
+    n = draw(st.integers(2, 3))
+
+    def atoms():
+        den, wden = draw(st.sampled_from([1, 2, 3, 5])), draw(st.sampled_from([1, 3, 7, 64]))
+        c = st.builds(Fraction, tube_coord, st.just(den))
+        pts = draw(st.lists(st.tuples(*[c] * n), min_size=1, max_size=4, unique=True))
+        ws = [draw(st.integers(1, 3))] + draw(st.lists(st.integers(0, 3), min_size=len(pts) - 1, max_size=len(pts) - 1))
+        return [(p, Fraction(w, wden)) for p, w in zip(pts, ws)]
+
+    a0, a1 = atoms(), atoms()
+    x, y = a0[0][0], a1[0][0]
+    for t in draw(st.lists(st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(2)]), max_size=2)):
+        a1.append((tuple(p + t * (q - p) for p, q in zip(x, y)), draw(st.sampled_from([Fraction(1, 3), Fraction(8)]))))
+    on0 = {p for p, _ in a0}
+    a1 = [(p, w) for p, w in a1 if p not in on0]
+    assume(any(w for _, w in a1))
+    mus = [DiscreteMeasure(a0, RES), DiscreteMeasure(a1, RES)]
+    pair = st.tuples(st.integers(0, len(a0) - 1), st.integers(0, len(a1) - 1))
+    tuples = draw(st.none() | st.lists(pair, max_size=6).map(lambda ts: [(0, 0), *ts]))
+    sigma = draw(st.sampled_from([Fraction(1), Fraction(1, 2)]))
+    big_k = draw(st.sampled_from([Fraction(1, 2), Fraction(4), Fraction(32)]))
+    i0, i1 = draw(st.integers(0, len(a0) - 1)), draw(st.integers(0, len(a1) - 1))
+    hit = draw(st.sampled_from(a0 + a1))[0]
+    line = reference_span_of([a0[i0][0], a1[i1][0]])
+    eps = draw(st.sampled_from([Fraction(1, 4), Fraction(1)]))
+    return ThinGraph(mus, tuples, sigma, big_k), reference_dist2_flats(AffineFlat.point(hit), line), eps
+
+
+def reference_tube_lines(g, radii2):
+    """Per line x_i0 -> y_i1 in pair order, the Fraction masses within each
+    squared radius of mu1's G-section at x_i0, of mu1, of mu0's G-section at
+    y_i1 and of mu0, by normal-equations distances."""
+    (mu0, mu1), pairs = g.measures, set(g.iter_tuples())
+
+    def masses(mu, line, keep):
+        d2 = [(reference_dist2_flats(AffineFlat.point(p), line), w) for k, (p, w) in enumerate(mu.atoms) if keep(k)]
+        return [sum((w for d, w in d2 if d <= r2), Fraction(0)) for r2 in radii2]
+
+    out = []
+    for i0, (x, _) in enumerate(mu0.atoms):
+        for i1, (y, _) in enumerate(mu1.atoms):
+            line = reference_span_of([x, y])
+            out.append([
+                masses(mu1, line, lambda j: (i0, j) in pairs),
+                masses(mu1, line, lambda j: True),
+                masses(mu0, line, lambda i: (i, i1) in pairs),
+                masses(mu0, line, lambda i: True),
+            ])
+    return out
+
+
+def reference_tube_checks(g, scales, lines):
+    """Both tube verdicts of g from the reference masses in lines: the
+    forward items per centre x_i0 of g in order, the reverse ones per
+    centre y_i1 of the reverse graph in order, each to every atom of the
+    other measure."""
+    (mu0, mu1), n1 = g.measures, len(g.measures[1])
+    g_rev = ThinGraph((mu1, mu0), [(b, a) for a, b in g.iter_tuples()], g.sigma_exact, g.k_exact)
+    fwd = [((i0, i1), 1, [m * mu1.weight_den for m in lines[i0 * n1 + i1][0]])
+           for i0 in sorted({t[0] for t in g.iter_tuples()}) for i1 in range(n1)]
+    rev = [((i1, i0), 1, [m * mu0.weight_den for m in lines[i0 * n1 + i1][2]])
+           for i1 in sorted({t[1] for t in g.iter_tuples()}) for i0 in range(len(mu0))]
+    return [thin._verdict(h, scales, items, thin._TUBE_FAILURE) for h, items in ((g, fwd), (g_rev, rev))]
+
+
+def counts_as_masses(g, lines):
+    """_tube_lines' counts over each measure's W as Fractions."""
+    dens = [g.measures[1].weight_den] * 2 + [g.measures[0].weight_den] * 2
+    return [[[Fraction(c, w) for c in cs] for cs, w in zip(line, dens)] for line in lines]
+
+
+def sixteen_by_seventeen():
+    """A sparse graph of 272 lines: mu0 holds 16 atoms on y = 0 and mu1 17
+    on y = 1/2, over other denominators; centre 5 and atom 7 have no pair,
+    and K = 32 passes both tube checks.
+    Centre 15's lines, 255..271, cross the chunk boundary at 256, and
+    every mu0 row's mask spans all chunks."""
+    mu0 = DiscreteMeasure([((Fraction(i, 16), 0), Fraction(1 + i % 3, 4)) for i in range(16)], RES)
+    mu1 = DiscreteMeasure([((Fraction(j, 17), Fraction(1, 2)), Fraction(j % 4, 3)) for j in range(17)], RES)
+    tuples = [(i, j) for i in range(16) for j in range(17) if (i + 2 * j) % 3 and i != 5 and j != 7]
+    return ThinGraph([mu0, mu1], tuples, sigma=1, big_k=32)
+
+
+class TestTubePassAgainstFractionReference:
+    """Both tube checks and the conversion read one pass over every line
+    x_i0 -> y_i1 that counts four weightings, two of them G-sections masked
+    per row: each count is checked against the Fraction reference, with
+    the pass in chunks of 256 lines and of 3, and the verdicts against ones
+    built from the reference masses."""
+
+    SCALES = [Fraction(1, 2), Fraction(1, 8)]
+
+    def check(self, g, radius2, eps) -> list[str]:
+        """The checks on g, and what they met: a failing tube check, a
+        removed pair."""
+        radii2 = [Fraction(0), Fraction(1, 64), Fraction(1, 4), radius2, Fraction(10**6)]
+        want = reference_tube_lines(g, radii2)
+        for chunk in (measures.SPAN_CHUNK, 3):
+            with mock.patch.object(thin, "SPAN_CHUNK", chunk), mock.patch.object(measures, "SPAN_CHUNK", chunk):
+                lines = thin._tube_lines(g, radii2, True)
+                assert counts_as_masses(g, lines) == want
+                assert thin._tube_lines(g, radii2, False) == [line[:1] for line in lines]
+        scales = self.SCALES
+        fwd, rev = reference_tube_checks(g, scales, reference_tube_lines(g, [s * s for s in scales]))
+        assert verify_thin_tubes(g, scales) == fwd
+        conv = tubes_to_planes(g, eps, scales)
+        assert conv.tube_checks == [fwd, rev]
+        if not (fwd.ok and rev.ok):
+            return ["a tube check fails"]
+        # the removal reads the full counts against 10 c K s^(sigma - eps) / eps^2
+        mu0, mu1 = g.measures
+        c = 1.0 / float(thin.rational_sqrt_lower(support_dist2(mu0, mu1)))
+        bounds = [Fraction(10.0 * c * g.big_k / float(eps) ** 2 * float(s) ** (g.sigma - float(eps))) for s in scales]
+        full = reference_tube_lines(g, [s * s for s in scales])
+        n1 = len(mu1)
+        removed = {t for t in g.iter_tuples()
+                   if any(m > b for k in (1, 3) for m, b in zip(full[t[0] * n1 + t[1]][k], bounds))}
+        assert set(conv.graph.iter_tuples()) == set(g.iter_tuples()) - removed
+        assert conv.planes_check == verify_thin_planes(conv.graph, scales)
+        return ["a pair removed"] if removed else []
+
+    @settings(max_examples=120, deadline=None)
+    @given(tube_graphs())
+    def test_sections_and_full_counts(self, case):
+        for met in self.check(*case):
+            event(met)
+
+    def test_masks_cross_a_chunk(self, monkeypatch):
+        g = sixteen_by_seventeen()
+        calls = count_numerator_passes(monkeypatch)
+        assert thin._tube_lines(g, [Fraction(1, 4)], True)
+        assert calls == [256, 16]
+        assert self.check(g, Fraction(1, 16), Fraction(1, 4)) == []
+
+    def test_heavy_unpaired_atoms_remove_the_pair(self):
+        """The one pair's atoms weigh 1/64 each, so both sections pass, but
+        two unpaired atoms of weight 8 lie on its line: the full count 16 +
+        1/64 exceeds 10 c K = 10 (c = 2, K = 1/2, eps = 1), so it goes."""
+        mu0 = DiscreteMeasure([((0, 0), Fraction(1, 64))], RES)
+        mu1 = DiscreteMeasure([((1, 0), Fraction(1, 64)), ((2, 0), 8), ((Fraction(1, 2), 0), 8)], RES)
+        g = ThinGraph([mu0, mu1], [(0, 0)], sigma=1, big_k=Fraction(1, 2))
+        assert self.check(g, Fraction(1, 4), Fraction(1)) == ["a pair removed"]
 
 
 @st.composite
@@ -736,15 +913,15 @@ class TestProductGraph:
 
     def test_product_measures_each_mass_once(self, monkeypatch):
         """K = 8 fails on the axes frame, so the graph is verified again at
-        the achieved K from the same counts: 16 tuples x 2 measures give 32
-        spans through the oracle's integer cores, and the result is that of
-        a fresh verification."""
+        the achieved K from the same counts: the 16 tuples' spans go through
+        the oracle's integer cores once, each counting both measures, and
+        the result is that of a fresh verification."""
         frame, mx, my = self.axes_frame()
         g0 = ThinGraph([mx], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)
         g1 = ThinGraph([my], [(i,) for i in range(4)], sigma=1.0, big_k=8.0)
         calls = count_numerator_passes(monkeypatch)
         out, check = product_graph([g0, g1], frame, dyadic_scales(5, 1))
-        assert sum(calls) == 32
+        assert calls == [16]
         assert out.big_k == 24.0
         assert check == verify_thin_planes(out, dyadic_scales(5, 1))
 
