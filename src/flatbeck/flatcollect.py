@@ -2,23 +2,24 @@
 non-concentration (NC) predicate and minimal-subfamily search.
 
 The cost of a collection is the minimum over set partitions of the index set
-of the summed dimensions of the blockwise joins.  Enumeration is exact and
-capped (Bell numbers grow fast); block joins are memoized per index subset,
-so the partition sweep joins each subset once and then adds cached
-dimensions.
+of the summed dimensions of the blockwise joins.  One least-partition search
+over index bit masks computes it, with its census, from a per-block cost:
+(3^m - 1) / 2 (subset, block) steps for m flats, under a cap on m.  Block
+joins are memoized per index subset, so the search joins each subset once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .exactlin import BudgetExceeded
 from .flats import AffineFlat, join
 
 Partition = tuple[tuple[int, ...], ...]
 
-PARTITION_CAP = 12  # most flats a collection sweeps the partitions of
+PARTITION_CAP = 12  # most flats a least-partition search takes
 
 
 class PartitionSpaceTooLarge(BudgetExceeded):
@@ -46,25 +47,6 @@ def normalize_partition(blocks: Sequence[Sequence[int]], m: int) -> Partition:
     return norm
 
 
-def iter_partitions(m: int) -> Iterator[Partition]:
-    """All set partitions of range(m), canonically ordered blocks."""
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[Partition]:
-        if i == m:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    yield from rec(0)
-
-
 def bell_number(m: int) -> int:
     row = [1]
     for _ in range(m):
@@ -89,8 +71,6 @@ class FlatCollection:
             self.ambient_dim = None
         self.flats = flats
         self._subset_joins: dict[frozenset[int], AffineFlat] = {}
-        self._cost: Optional[int] = None
-        self._minimizers: Optional[list[Partition]] = None
 
     def subset_join(self, idx: Sequence[int]) -> AffineFlat:
         """The join of the flats at the indices, built once per index subset."""
@@ -110,45 +90,67 @@ class FlatCollection:
         return sum(self.subset_join_dim(b) for b in norm)
 
     def check_cap(self) -> None:
-        """Refuse, before any walk, a partition space over PARTITION_CAP."""
+        """Refuse, before any search, a collection over PARTITION_CAP flats;
+        the message counts the Bell(m) partitions the search stands for."""
         m = len(self.flats)
         if m > PARTITION_CAP:
             raise PartitionSpaceTooLarge(
                 f"{m} flats means Bell({m}) = {bell_number(m)} partitions; cap is {PARTITION_CAP}"
             )
 
-    def _compute(self) -> None:
-        if self._cost is not None:
-            return
+    def _least_partitions(self, block_cost: Callable[[tuple[int, ...]], int]) -> tuple:
+        """The least-partition search of the index set under a per-block
+        cost, after the cap check.  Over index bit masks S, least(S) is the
+        minimum over the blocks B of S that hold min S of block_cost(B) +
+        least(S - B), and count(S) sums count(S - B) over the B that reach
+        it: (3^m - 1) / 2 (S, B) steps, and one block_cost per nonempty index
+        subset.  Returns least and count of the index set and a function
+        whose iterator walks back only the minimizing blocks, least block
+        first, so it yields the minimizing partitions in lexicographic
+        order."""
         self.check_cap()
         m = len(self.flats)
-        best: Optional[int] = None
-        minimizers: list[Partition] = []
-        for p in iter_partitions(m):
-            c = sum(self.subset_join_dim(b) for b in p)
-            if best is None or c < best:
-                best = c
-                minimizers = [p]
-            elif c == best:
-                minimizers.append(p)
-        self._cost = best
-        self._minimizers = sorted(minimizers)
+        full = (1 << m) - 1
+        blocks: list[tuple[int, ...]] = [()]  # the indices of each mask
+        for i in range(m):
+            blocks += [b + (i,) for b in blocks]
+        cost = [0] + [block_cost(b) for b in blocks[1:]]
+        least, count, ties = [0] * (full + 1), [1] * (full + 1), [()] * (full + 1)
+        for s in range(1, full + 1):
+            low = s & -s
+            rest = sub = s ^ low
+            sums = [(cost[low] + least[rest], low)]
+            while sub:
+                sums.append((cost[sub | low] + least[rest ^ sub], sub | low))
+                sub = (sub - 1) & rest
+            least[s] = best = min(sums)[0]
+            ties[s] = [b for c, b in sums if c == best]
+            count[s] = sum([count[s ^ b] for b in ties[s]])
+
+        def minimizers(s: int = full) -> Iterator[Partition]:
+            if not s:
+                yield ()
+            for b in sorted(ties[s], key=blocks.__getitem__):
+                for tail in minimizers(s ^ b):
+                    yield (blocks[b],) + tail
+
+        return least[full], count[full], minimizers
+
+    @functools.cached_property
+    def _search(self) -> tuple:
+        """(cost, count, minimizers) of the search with block cost dim join(B)."""
+        return self._least_partitions(self.subset_join_dim)
 
     def cost(self) -> int:
-        self._compute()
-        assert self._cost is not None
-        return self._cost
+        return self._search[0]
 
     def minimizing_census(self) -> tuple[int, list[Partition]]:
-        """N(V) >= 1 and the minimizing partitions themselves."""
-        self._compute()
-        assert self._minimizers is not None
-        return len(self._minimizers), list(self._minimizers)
+        """N(V) >= 1 and the minimizing partitions themselves, sorted."""
+        _, count, minimizers = self._search
+        return count, list(minimizers())
 
     def lexicographically_least_minimizer(self) -> Partition:
-        self._compute()
-        assert self._minimizers is not None
-        return self._minimizers[0]
+        return next(self._search[2]())
 
     def is_nc(self) -> bool:
         """Non-concentration: no flat family with dimension sum <= n-1 covers

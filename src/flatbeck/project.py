@@ -54,7 +54,7 @@ from .flats import (
     radial_flat,
     radial_point,
 )
-from .flatcollect import FlatCollection, iter_partitions
+from .flatcollect import FlatCollection
 from .measures import DiscreteMeasure, irreducibility_modulus
 
 
@@ -311,22 +311,19 @@ def exceptional_center_certificate(
     """Exact certificate that a center is exceptional for NC preservation:
     a partition whose blockwise joins lose enough dimension through the
     center (the projected dimension of a join drops by one exactly when the
-    center lies on it)."""
+    center lies on it).  There is one exactly when the least-partition search
+    under that projected block dimension finds a sum of at most n - 2; it
+    names the lexicographically least partition of that least sum."""
     n = coll.ambient_dim
     assert n is not None
-    coll.check_cap()
-    for part in iter_partitions(len(coll.flats)):
-        total = 0
-        members = []
-        for block in part:
-            joined = coll.subset_join(block)
-            on_it = joined.contains_point(center)
-            total += joined.dim - (1 if on_it else 0)
-            if on_it:
-                members.append(block)
-        if total <= n - 2:
-            return f"partition {part} drops to projected dimension sum {total} via blocks {members}"
-    return None
+    total, _, minimizers = coll._least_partitions(
+        lambda b: coll.subset_join(b).dim - coll.subset_join(b).contains_point(center)
+    )
+    if total > n - 2:
+        return None
+    part = next(minimizers())
+    members = [b for b in part if coll.subset_join(b).contains_point(center)]
+    return f"partition {part} drops to projected dimension sum {total} via blocks {members}"
 
 
 def projected_nc_report(

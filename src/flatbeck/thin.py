@@ -228,19 +228,20 @@ _TUBE_FAILURE = "tube through atoms {w.tuple_} at radius {w.scale}: section mass
 
 
 def _verdict(
-    g: ThinGraph, scales: list[Fraction], items: Iterable, failure: str, required_density=None
+    g: ThinGraph, scales: list[Fraction], items: Iterable, failure: str, required_density=None, measures=None
 ) -> VerifyResult:
     """The one thin verdict: every (tuple, measure index j, counts at the
     window's scales) item, counts over the weight denominator W_j of
-    measure j, against K * scale^sigma of g.  Per (measure, scale) cell it
-    keeps the peak count and the first item to reach it, and compares the
-    peak with the cut floor(W_j K scale^sigma).  The witness is the peak
-    with the worst float ratio among the failing cells (among all cells
-    when none fails), the earlier item and then the coarser scale on a tie,
-    named by the failure template.  Ratios, bounds and the table of each
-    scale's peak mass, bound and ratio are floats for the report.  The
-    density is recomputed from g's tuples and compared exactly to a claim."""
-    dens = [m.weight_den for m in g.measures]
+    measure j of measures (g's own by default), against K * scale^sigma of
+    g.  Per (measure, scale) cell it keeps the peak count and the first item
+    to reach it, and compares the peak with the cut floor(W_j K
+    scale^sigma).  The witness is the peak with the worst float ratio among
+    the failing cells (among all cells when none fails), the earlier item
+    and then the coarser scale on a tie, named by the failure template.
+    Ratios, bounds and the table of each scale's peak mass, bound and ratio
+    are floats for the report.  The density is recomputed from g's tuples
+    and compared exactly to a claim."""
+    dens = [m.weight_den for m in measures or g.measures]
     peaks = [[-1] * len(scales) for _ in dens]  # -1: no item in the cell yet
     firsts: list[list] = [[None] * len(scales) for _ in dens]
     for n, (t, j, counts) in enumerate(items):
@@ -368,7 +369,7 @@ def verify_thin_tubes(g: ThinGraph, scales: Sequence, required_density=None) -> 
     them at twice the radius.
     """
     scales, radii2 = _tube_window(g, scales)
-    return _verdict(g, scales, _tube_items(g, _tube_lines(g, radii2, False), 0), _TUBE_FAILURE, required_density)
+    return _verdict(g, scales, _tube_items(g, _tube_lines(g, radii2, False), False), _TUBE_FAILURE, required_density)
 
 
 def _tube_window(g: ThinGraph, scales: Sequence) -> tuple[list, list]:
@@ -416,12 +417,15 @@ def _tube_lines(g: ThinGraph, radii2: list[Fraction], both: bool) -> list:
     return [c for _, c in _span_pass(pairs, lifted, oracle, weightings, radii2, masks)]
 
 
-def _tube_items(h: ThinGraph, lines: list, k: int) -> Iterator:
-    """((c, a), 1, counts) for every tube of the family of h over (nu0,
-    nu1): per centre c of h's tuples in order, its lines to every atom a of
-    nu1, with the counts lines[c |nu1| + a][k]."""
-    m = len(h.measures[1])
-    return (((c, a), 1, lines[c * m + a][k]) for c in sorted({t[0] for t in h.iter_tuples()}) for a in range(m))
+def _tube_items(g: ThinGraph, lines: list, reverse: bool) -> Iterator:
+    """((c, a), 1, counts) for every tube of g's family one way: per centre c
+    of mu0 (of mu1 when reverse) that g pairs, in order, its lines to every
+    atom a of the other measure, with the counts of that measure's G-section,
+    lines[c |mu1| + a][0] (lines[a |mu1| + c][2] when reverse)."""
+    n0, n1 = map(len, g.measures)
+    if reverse:
+        return (((c, a), 1, lines[a * n1 + c][2]) for c in sorted({t[1] for t in g.iter_tuples()}) for a in range(n0))
+    return (((c, a), 1, lines[c * n1 + a][0]) for c in sorted({t[0] for t in g.iter_tuples()}) for a in range(n1))
 
 
 def dyadic_tail_sum(scales: Sequence[Fraction], eps: float) -> float:
@@ -517,13 +521,9 @@ def tubes_to_planes(g: ThinGraph, epsilon, scales: Sequence) -> ConversionResult
     mu0, mu1 = g.measures
     c_const = 1.0 / float(rational_sqrt_lower(support_dist2(mu0, mu1)))
     lines = _tube_lines(g, radii2, True)
-    tube_fwd = _verdict(g, scales, _tube_items(g, lines, 0), _TUBE_FAILURE)
-    g_rev = ThinGraph(
-        (mu1, mu0), [(b, a) for a, b in g.iter_tuples()], g.sigma_exact, g.k_exact
-    )
-    # the reverse graph's lines y_i1 -> x_i0 in its pair order, with mu0's G-sections
-    flipped = [lines[i0 * len(mu1) + i1] for i1 in range(len(mu1)) for i0 in range(len(mu0))]
-    tube_rev = _verdict(g_rev, scales, _tube_items(g_rev, flipped, 2), _TUBE_FAILURE)
+    tube_fwd = _verdict(g, scales, _tube_items(g, lines, False), _TUBE_FAILURE)
+    # the reverse check reads g's K, sigma and density, over (mu1, mu0)
+    tube_rev = _verdict(g, scales, _tube_items(g, lines, True), _TUBE_FAILURE, measures=(mu1, mu0))
     if not (tube_fwd.ok and tube_rev.ok):
         return ConversionResult(
             None, 0.0, 0.0, Fraction(0), False, [tube_fwd, tube_rev],

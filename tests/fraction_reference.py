@@ -9,14 +9,15 @@ that shares no code with ``flats.spanned_flats`` and the unbounded
 dichotomy search on its flats, a brute-force ball mass
 that shares none with the plate oracle, the hyperplane chart's box key
 over ``Fraction``, the rejection loop of ``genscenes.generic_points``
-with a reference rank per point subset, and the pruning constants C1,
-delta0 and K' that ``thin``'s docstrings derive.
+with a reference rank per point subset, the pruning constants C1,
+delta0 and K' that ``thin``'s docstrings derive, and the Bell sweep over
+every set partition that ``flatcollect``'s least-partition search replaced.
 """
 
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from flatbeck.flats import AffineFlat
 
@@ -363,3 +364,36 @@ def reference_delta0(trims, scales, eps: Fraction) -> Fraction:
 def reference_k_prime(big_k: float, sigma: float, delta0: Fraction, scales, eps: float) -> float:
     """prune_against_measure's K' = K delta0^(-2 sigma) S / (eps / 2)."""
     return big_k * float(delta0) ** (-2 * sigma) * reference_tail_sum(scales, eps) / (eps / 2)
+
+
+def iter_partitions(m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All Bell(m) set partitions of range(m), each with sorted blocks of
+    sorted indices, index m - 1 placed last."""
+    blocks: list[list[int]] = []
+
+    def rec(i: int):
+        if i == m:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1)
+        blocks.pop()
+
+    yield from rec(0)
+
+
+def reference_least_partitions(m: int, block_cost: Callable[[tuple[int, ...]], int]):
+    """The least sum of block_cost over the blocks of a set partition of
+    range(m) and the sorted partitions that reach it, by the Bell sweep."""
+    best, minimizers = None, []
+    for p in iter_partitions(m):
+        c = sum(block_cost(b) for b in p)
+        if best is None or c < best:
+            best, minimizers = c, [p]
+        elif c == best:
+            minimizers.append(p)
+    return best, sorted(minimizers)

@@ -846,8 +846,8 @@ class TestDecomposeCommand:
 
     def test_every_join_is_a_subset_join(self, tmp_path, monkeypatch):
         """On the README demo, every join the extraction loop and the
-        verifier make is a FlatCollection.subset_join, which the partition
-        sweep has already made: none is made outside it."""
+        verifier make is a FlatCollection.subset_join, which the
+        least-partition search has already made: none is made outside it."""
         real, depth, inside, outside = flatbeck.flats.join, [0], [], []
         subset_join = flatbeck.flatcollect.FlatCollection.subset_join
 

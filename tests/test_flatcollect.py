@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatbeck import flatcollect
 from flatbeck.flats import AffineFlat, join
@@ -12,9 +13,10 @@ from flatbeck.flatcollect import (
     bell_number,
     find_minimal_subfamily,
     is_minimal,
-    iter_partitions,
     normalize_partition,
 )
+
+from fraction_reference import iter_partitions, reference_least_partitions
 
 
 def line(base, direction):
@@ -56,7 +58,7 @@ class TestCost:
         assert v.cost_of_partition([[0]]) == 1
 
     def test_empty_collection_costs_zero(self):
-        # iter_partitions(0) yields the empty partition, of cost 0, once
+        # the one partition of no flats is the empty one, of cost 0
         assert list(iter_partitions(0)) == [()]
         assert FlatCollection([]).cost() == 0
         assert FlatCollection([]).minimizing_census() == (1, [()])
@@ -105,6 +107,34 @@ class TestCensus:
         n, parts = v.minimizing_census()
         assert v.cost() == 1
         assert n == 1 and parts == [((0, 1),)]
+
+
+# a flat of Q^3 spanned by one to three small integer points, in the plane
+# z = 0 three times in four, so that many flats share a plane, a line or a point
+degenerate_flat = st.tuples(
+    st.integers(0, 3),
+    st.lists(st.tuples(*[st.integers(-1, 1)] * 3), min_size=1, max_size=3),
+).map(lambda d: AffineFlat.from_points([(x, y, z if d[0] == 0 else 0) for x, y, z in d[1]]))
+
+
+class TestLeastPartitionSearch:
+    """The search over index bit masks against the Bell sweep over every
+    set partition, on degenerate families, where costs tie often."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(degenerate_flat, min_size=1, max_size=8))
+    def test_search_matches_the_bell_sweep(self, flats):
+        v = FlatCollection(flats)
+        cost, minimizers = reference_least_partitions(len(flats), v.subset_join_dim)
+        assert v.cost() == cost
+        assert v.minimizing_census() == (len(minimizers), minimizers)
+        assert v.lexicographically_least_minimizer() == minimizers[0]
+
+    def test_coincident_points_tie_at_every_partition(self):
+        # every block of one repeated point joins to a point: all Bell(5)
+        # partitions cost 0
+        v = FlatCollection([AffineFlat.point([1, 2])] * 5)
+        assert v.minimizing_census() == (bell_number(5), sorted(iter_partitions(5)))
 
 
 class TestIsNC:
@@ -213,3 +243,19 @@ class TestRefusals:
     def test_refused(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+
+class TestCollectionGenerators:
+    def test_minimal_flats_refuse_a_short_dimension_sum(self):
+        from flatbeck.genscenes import random_minimal_flats
+
+        # two lines cannot join to Q^3
+        with pytest.raises(ValueError, match="dimension sum below ambient dimension"):
+            random_minimal_flats(random.Random(1), 3, [1, 1])
+
+    def test_nc_lines_give_up(self):
+        from flatbeck.genscenes import nc_line_collection
+
+        # one line of Q^3 costs 1 < 3, so no draw is NC
+        with pytest.raises(RuntimeError, match="failed to draw an NC line collection"):
+            nc_line_collection(random.Random(1), 3, 1)

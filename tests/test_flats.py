@@ -680,6 +680,12 @@ class TestAffineFlatRefusals:
         with pytest.raises(ValueError, match="directions are linearly dependent"):
             AffineFlat([0, 0, 0], [[1, 2, 0], [2, 4, 0]])
 
+    def test_immutable(self):
+        f = AffineFlat([0, 0], [[1, 0]])
+        with pytest.raises(AttributeError, match="AffineFlat is immutable"):
+            f.basepoint = (Fraction(1), Fraction(0))
+        assert f.basepoint == (0, 0)
+
 
 class TestRefusals:
     LINE2 = AffineFlat([0, 0], [[1, 0]])

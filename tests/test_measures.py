@@ -118,6 +118,12 @@ class TestDiscreteMeasureRefusals:
         with pytest.raises(ValueError, match=message):
             DiscreteMeasure(atoms, D)
 
+    def test_immutable(self):
+        mu = DiscreteMeasure([((0, 0), 1)], D)
+        with pytest.raises(AttributeError, match="DiscreteMeasure is immutable"):
+            mu.total_mass = Fraction(2)
+        assert mu.total_mass == 1
+
 
 class TestPlateMassOracle:
     @settings(max_examples=150, deadline=None)

@@ -28,7 +28,7 @@ from flatbeck.project import (
     pushforward,
     rational_sqrt_lower,
 )
-from fraction_reference import reference_psi
+from fraction_reference import reference_least_partitions, reference_psi
 
 RES = Fraction(1, 1024)
 X_AXIS = AffineFlat([0, 0], [[1, 0]])
@@ -579,9 +579,36 @@ class TestProjectedNcCertificate:
         centre = (Fraction(1, 3), Fraction(2, 7), Fraction(-1, 5))
         assert exceptional_center_certificate(FlatCollection(self.LINES), centre) is None
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3).filter(any), min_size=2, max_size=6))
+    def test_verdict_matches_the_bell_sweep(self, dirs):
+        """Lines through the origin and one line off it, centre by centre:
+        the origin, a point of the first line, a point of the first two
+        lines' plane, a point of the off line and a generic point.  There
+        is a certificate exactly when some partition's projected dimension
+        sum is at most n - 2 = 1, and it names the least such partition of
+        the least sum."""
+        coll = FlatCollection([AffineFlat([0, 0, 0], [d]) for d in dirs] + [self.LINES[2]])
+        (a, b, c), (x, y, z) = dirs[:2]
+        centres = [
+            (0, 0, 0), (a, b, c), (a + x, b + y, c + z), (1, 2, 3), (Fraction(1, 3), Fraction(2, 7), Fraction(-1, 5))
+        ]
+        for centre in centres:
+
+            def projected_dim(block):
+                joined = coll.subset_join(block)
+                return joined.dim - joined.contains_point(centre)
+
+            least, minimizers = reference_least_partitions(len(coll.flats), projected_dim)
+            cert = exceptional_center_certificate(coll, centre)
+            assert (cert is not None) == (least <= 1)
+            if cert is not None:
+                assert cert.startswith(f"partition {minimizers[0]} drops to projected dimension sum {least} via")
+
     def test_one_join_per_index_subset(self, monkeypatch):
-        """The sweep over five skew lines visits Bell(6) - Bell(5) = 151
-        blocks, but joins each of the 31 index subsets once."""
+        """The search over five skew lines reads 31 blocks in (3^5 - 1) / 2
+        = 121 (subset, block) steps, and joins each of the 31 index subsets
+        once."""
         joins = []
 
         def counting(fs):
