@@ -38,7 +38,7 @@ from .beck import EnumerationBudgetExceeded, PointConfig, dichotomy_report
 from .decompose import NotDiscretelyNC, decompose, verify_decomposition
 from .exactlin import BudgetExceeded, frac
 from .flats import AffineFlat
-from .flatcollect import FlatCollection, is_minimal
+from .flatcollect import FlatCollection
 from .genscenes import random_flat
 from .measures import DiscreteMeasure, dyadic_scales
 from .project import irreducible_projection_check, projected_nc_report
@@ -355,7 +355,7 @@ def cmd_analyze_flats(scene: Scene, args, rep: Reporter) -> None:
     rep.info("minimizing_partition_count", count)
     rep.info("minimizing_partitions", parts[:50])
     rep.verdict("nc", coll.is_nc(), cost=cost, ambient=scene.ambient_dim)
-    rep.verdict("minimal", is_minimal(flats), note="minimality in the ambient space")
+    rep.verdict("minimal", coll.is_minimal(), note="minimality in the ambient space")
 
 
 def cmd_decompose(scene: Scene, args, rep: Reporter) -> None:

@@ -195,7 +195,8 @@ def verify_decomposition(r: DecompositionResult, n: int, w, tau) -> Decompositio
         None if shared is None else f"atom {shared[2]} in pieces {shared[0]} and {shared[1]}",
     )
 
-    final_cost = FlatCollection(r.flats).cost() if r.flats else 0
+    coll = FlatCollection(r.flats)
+    final_cost = coll.cost()
     report.add(
         "cost-at-least-n",
         final_cost >= n,
@@ -217,29 +218,25 @@ def verify_decomposition(r: DecompositionResult, n: int, w, tau) -> Decompositio
                 break
     report.add("plateau-count-strictly-decreasing", plateau_ok, plateau_witness)
 
-    ext_ok, ext_witness = _check_extension_uniqueness(r)
+    ext_ok, ext_witness = _check_extension_uniqueness(r, coll)
     report.add("at-most-one-minimizing-extension", ext_ok, ext_witness)
     return report
 
 
-def _check_extension_uniqueness(r: DecompositionResult) -> tuple[bool, Optional[str]]:
-    """On each plateau step, every minimizing partition of the previous
-    collection may gain at most one minimizing extension."""
+def _check_extension_uniqueness(r: DecompositionResult, coll: FlatCollection) -> tuple[bool, Optional[str]]:
+    """On each plateau step i, every minimizing partition of the first i
+    flats (mask prev of coll's one search) may gain at most one minimizing
+    extension: adding flat i to its block b costs least(prev) - dim join(b) +
+    dim join(b + (i,)), minimizing when it equals least(prev + flat i)."""
+    least, _, minimizers = coll._search
+    dim = coll.subset_join_dim
     for i in range(len(r.trace) - 1):
         if r.trace[i].cost != r.trace[i + 1].cost:
             continue
-        prev = FlatCollection(r.flats[: i])
-        nxt = FlatCollection(r.flats[: i + 1])
-        target = nxt.cost()
-        _, minimizers = prev.minimizing_census()
-        new_index = i
-        for part in minimizers:
-            extensions = 0
-            for b in range(len(part)):
-                blocks = [list(x) for x in part]
-                blocks[b].append(new_index)
-                if nxt.cost_of_partition(blocks) == target:
-                    extensions += 1
+        prev = (1 << i) - 1
+        nxt = prev | 1 << i
+        for part in minimizers(prev):
+            extensions = sum(least[prev] - dim(b) + dim(b + (i,)) == least[nxt] for b in part)
             if extensions > 1:
                 return False, f"partition {part} at step {i} has {extensions} minimizing extensions"
     return True, None

@@ -1,18 +1,19 @@
 """Collections of flats: partition cost, minimizing-partition census, the
-non-concentration (NC) predicate and minimal-subfamily search.
+non-concentration (NC) predicate, minimality and minimal-subfamily search.
 
 The cost of a collection is the minimum over set partitions of the index set
 of the summed dimensions of the blockwise joins.  One least-partition search
 over index bit masks computes it, with its census, from a per-block cost:
 (3^m - 1) / 2 (subset, block) steps for m flats, under a cap on m.  Block
-joins are memoized per index subset, so the search joins each subset once.
+joins are memoized per index subset, each built on its cached prefix, so the
+search joins each subset once, and minimality reads the same joins.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exactlin import BudgetExceeded
 from .flats import AffineFlat, join
@@ -73,21 +74,22 @@ class FlatCollection:
         self._subset_joins: dict[frozenset[int], AffineFlat] = {}
 
     def subset_join(self, idx: Sequence[int]) -> AffineFlat:
-        """The join of the flats at the indices, built once per index subset."""
+        """The join of the flats at the indices, built once per index subset
+        as the join of the subset less its largest index and that flat: the
+        search asks for subsets in mask order, so that prefix is cached."""
         key = frozenset(idx)
         if not key:
             raise ValueError("empty index subset")
         got = self._subset_joins.get(key)
         if got is None:
-            got = self._subset_joins[key] = join([self.flats[i] for i in key])
+            top = max(key)
+            rest = key - {top}
+            fs = [self.subset_join(rest), self.flats[top]] if rest else [self.flats[top]]
+            got = self._subset_joins[key] = join(fs)
         return got
 
     def subset_join_dim(self, idx: Sequence[int]) -> int:
         return self.subset_join(idx).dim
-
-    def cost_of_partition(self, p: Sequence[Sequence[int]]) -> int:
-        norm = normalize_partition(p, len(self.flats))
-        return sum(self.subset_join_dim(b) for b in norm)
 
     def check_cap(self) -> None:
         """Refuse, before any search, a collection over PARTITION_CAP flats;
@@ -104,10 +106,10 @@ class FlatCollection:
         minimum over the blocks B of S that hold min S of block_cost(B) +
         least(S - B), and count(S) sums count(S - B) over the B that reach
         it: (3^m - 1) / 2 (S, B) steps, and one block_cost per nonempty index
-        subset.  Returns least and count of the index set and a function
-        whose iterator walks back only the minimizing blocks, least block
-        first, so it yields the minimizing partitions in lexicographic
-        order."""
+        subset.  Returns least and count per mask and a function whose
+        iterator walks back only the minimizing blocks of a mask (the index
+        set by default), least block first, so it yields that mask's
+        minimizing partitions in lexicographic order."""
         self.check_cap()
         m = len(self.flats)
         full = (1 << m) - 1
@@ -134,20 +136,20 @@ class FlatCollection:
                 for tail in minimizers(s ^ b):
                     yield (blocks[b],) + tail
 
-        return least[full], count[full], minimizers
+        return least, count, minimizers
 
     @functools.cached_property
     def _search(self) -> tuple:
-        """(cost, count, minimizers) of the search with block cost dim join(B)."""
+        """(least, count, minimizers) of the search with block cost dim join(B)."""
         return self._least_partitions(self.subset_join_dim)
 
     def cost(self) -> int:
-        return self._search[0]
+        return self._search[0][-1]
 
     def minimizing_census(self) -> tuple[int, list[Partition]]:
         """N(V) >= 1 and the minimizing partitions themselves, sorted."""
         _, count, minimizers = self._search
-        return count, list(minimizers())
+        return count[-1], list(minimizers())
 
     def lexicographically_least_minimizer(self) -> Partition:
         return next(self._search[2]())
@@ -160,24 +162,23 @@ class FlatCollection:
             raise ValueError("empty collection has no ambient dimension")
         return self.cost() >= self.ambient_dim
 
+    def is_minimal(self) -> bool:
+        """Minimal collection: the flats join to the ambient space and are
+        minimal inside that span (the full join is checked first)."""
+        if not self.flats:
+            raise ValueError("empty collection")
+        every = tuple(range(len(self.flats)))
+        return self.subset_join(every).dim == self.ambient_dim and self._minimal_in_span(every)
 
-def is_minimal(fs: Sequence[AffineFlat], ambient_dim: Optional[int] = None) -> bool:
-    """Minimal collection: the joint span has dimension ambient_dim and
-    dimension sum at least ambient_dim, while every proper nonempty
-    subfamily joins to at least its dimension sum."""
-    if not fs:
-        raise ValueError("empty collection")
-    k = len(fs)
-    n = fs[0].ambient_dim if ambient_dim is None else ambient_dim
-    total = join(list(fs))
-    if total.dim != n or n > sum(f.dim for f in fs):
-        return False
-    for size in range(1, k):
-        for combo in itertools.combinations(range(k), size):
-            sub = [fs[i] for i in combo]
-            if join(sub).dim < sum(f.dim for f in sub):
-                return False
-    return True
+    def _minimal_in_span(self, idx: tuple[int, ...]) -> bool:
+        """The flats at the indices are minimal inside their own join: it has
+        dimension at most their dimension sum, while every proper nonempty
+        subfamily joins to at least its own dimension sum."""
+        return self.subset_join(idx).dim <= sum(self.flats[i].dim for i in idx) and all(
+            self.subset_join(sub).dim >= sum(self.flats[i].dim for i in sub)
+            for size in range(1, len(idx))
+            for sub in itertools.combinations(idx, size)
+        )
 
 
 def find_minimal_subfamily(
@@ -196,11 +197,10 @@ def find_minimal_subfamily(
     if not v.is_nc():
         raise NotNonConcentrated("collection not NC")
     blocks = normalize_partition(parts, len(v.flats))
-    joined = [v.subset_join(b) for b in blocks]
-    t = len(joined)
+    joined = FlatCollection([v.subset_join(b) for b in blocks])
+    t = len(blocks)
     for size in range(2, t):
         for combo in itertools.combinations(range(t), size):
-            sub = [joined[i] for i in combo]
-            if is_minimal(sub, ambient_dim=join(sub).dim):
+            if joined._minimal_in_span(combo):
                 return combo
     return tuple(range(t))

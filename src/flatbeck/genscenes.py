@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .exactlin import int_rref, norm2, vec
 from .flats import AffineFlat, FlatChart, _lifted_integer_points, _normals
-from .flatcollect import FlatCollection, is_minimal
+from .flatcollect import FlatCollection
 from .measures import DiscreteMeasure
 from .stability import CertificationResult, StableFrame, certify_stability
 
@@ -44,7 +44,7 @@ def random_minimal_flats(rng: random.Random, n: int, dims: Sequence[int]) -> lis
         raise ValueError("dimension sum below ambient dimension")
     for _ in range(500):
         flats = [random_flat(rng, n, d) for d in dims]
-        if is_minimal(flats, ambient_dim=n):
+        if FlatCollection(flats).is_minimal():
             return flats
     raise RuntimeError("failed to draw a minimal collection")
 

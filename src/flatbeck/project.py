@@ -316,14 +316,14 @@ def exceptional_center_certificate(
     names the lexicographically least partition of that least sum."""
     n = coll.ambient_dim
     assert n is not None
-    total, _, minimizers = coll._least_partitions(
+    least, _, minimizers = coll._least_partitions(
         lambda b: coll.subset_join(b).dim - coll.subset_join(b).contains_point(center)
     )
-    if total > n - 2:
+    if least[-1] > n - 2:
         return None
     part = next(minimizers())
     members = [b for b in part if coll.subset_join(b).contains_point(center)]
-    return f"partition {part} drops to projected dimension sum {total} via blocks {members}"
+    return f"partition {part} drops to projected dimension sum {least[-1]} via blocks {members}"
 
 
 def projected_nc_report(

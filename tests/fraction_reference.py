@@ -10,10 +10,13 @@ dichotomy search on its flats, a brute-force ball mass
 that shares none with the plate oracle, the hyperplane chart's box key
 over ``Fraction``, the rejection loop of ``genscenes.generic_points``
 with a reference rank per point subset, the pruning constants C1,
-delta0 and K' that ``thin``'s docstrings derive, and the Bell sweep over
-every set partition that ``flatcollect``'s least-partition search replaced.
+delta0 and K' that ``thin``'s docstrings derive, the Bell sweep over
+every set partition that ``flatcollect``'s least-partition search replaced,
+and, on fresh reference joins, the minimality test and the per-prefix
+extension check that now read one ``FlatCollection``'s subset joins.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -397,3 +400,45 @@ def reference_least_partitions(m: int, block_cost: Callable[[tuple[int, ...]], i
         elif c == best:
             minimizers.append(p)
     return best, sorted(minimizers)
+
+
+def reference_is_minimal(fs: Sequence[AffineFlat], ambient_dim: Optional[int] = None) -> bool:
+    """The from-scratch minimality test: the flats join to dimension
+    ambient_dim (the ambient space's by default), at most their dimension
+    sum, and every proper nonempty subfamily, joined afresh, spans at least
+    its own dimension sum."""
+    if not fs:
+        raise ValueError("empty collection")
+    n = fs[0].ambient_dim if ambient_dim is None else ambient_dim
+    if reference_join(fs).dim != n or n > sum(f.dim for f in fs):
+        return False
+    return all(
+        reference_join(sub).dim >= sum(f.dim for f in sub)
+        for size in range(1, len(fs))
+        for sub in itertools.combinations(fs, size)
+    )
+
+
+def reference_extension_check(flats: Sequence[AffineFlat], costs: Sequence[int]) -> tuple[bool, Optional[str]]:
+    """The per-prefix extension check over a trace's costs: on each plateau
+    step i (costs[i] == costs[i + 1]), each minimizing partition of the first
+    i flats, by the Bell sweep, takes flat i into each of its blocks in turn,
+    and at most one of those partitions may cost the least cost of the first
+    i + 1 flats."""
+
+    @functools.cache
+    def dim(block: tuple[int, ...]) -> int:
+        return reference_join([flats[j] for j in block]).dim
+
+    for i in range(len(costs) - 1):
+        if costs[i] != costs[i + 1]:
+            continue
+        target, _ = reference_least_partitions(i + 1, dim)
+        for part in reference_least_partitions(i, dim)[1]:
+            extensions = sum(
+                sum(dim(c + (i,) if k == b else c) for k, c in enumerate(part)) == target
+                for b in range(len(part))
+            )
+            if extensions > 1:
+                return False, f"partition {part} at step {i} has {extensions} minimizing extensions"
+    return True, None

@@ -638,6 +638,23 @@ class TestStabilityPickBudget:
         assert main(self.scene(tmp_path) + ["--budget", "17424"]) == EXIT_PASS
 
 
+class TestStabilityRankRules:
+    def test_twin_axes_fail_the_rank_rules_with_a_witness(self, tmp_path, capsys):
+        """The demo frame with the x axis and its measure twice: a minimal
+        frame by dimension count whose rank table breaks the rules, so the
+        verdict fails and names each broken rule."""
+        body = json.loads((SCENES / "stability-axes.json").read_text())
+        body["frames"]["axes"] = {"flats": ["x_axis", "x_axis"], "measures": [["on_x"], ["on_x"]]}
+        argv = ["stability", "--scene", write_scene(tmp_path, body), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_FAIL
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "[FAIL] minimal-rank-rules :: r(I,J)>=n_IJ+1 at I=() J=(0, 1): 2 vs 3; r(I,[k]-I)=n+1 at I=() J=(0, 1): 2 vs 3; "
+            "r(I,J)>=n_IJ+1 at I=(0,) J=(1,): 2 vs 3; r(I,[k]-I)=n+1 at I=(0,) J=(1,): 2 vs 3; "
+            "r(I,J)>=n_IJ+1 at I=(1,) J=(0,): 2 vs 3; r(I,[k]-I)=n+1 at I=(1,) J=(0,): 2 vs 3; "
+            "rank-constant at I=(0, 1) J=(): 2 vs 1"
+        )
+
+
 class TestBeckNodeBudget:
     """Past beck.COVER_NODE_BUDGET the cover search stops: beck exits 4 and
     writes no report, so a cut-off search never reads as not concentrated."""
@@ -1166,3 +1183,27 @@ class TestAnalyzeFlats:
         report = json.loads((out / "report.json").read_text())
         assert report["cost"] == 2
         assert report["minimizing_partition_count"] == 2
+
+    @pytest.mark.parametrize("scene, m", [("project-nc-lines", 3), ("twelve", 12)])
+    def test_one_join_per_index_subset(self, scene, m, tmp_path, monkeypatch):
+        """The cost, the census and minimality read one FlatCollection: m
+        flats make 2^m - 1 joins, one per nonempty index subset, and each
+        joins a cached subset join and one flat.  The twelve flats are
+        3 skew lines and 9 points of the moment curve, minimal in Q^3, so
+        minimality reads every subset."""
+        if scene == "twelve":
+            flats = {f"p{i:02d}": {"basepoint": [str(i), str(i * i), str(i**3)], "directions": []} for i in range(2, 11)}
+            for name, base, direction in (("a", "000", "100"), ("b", "010", "001"), ("c", "101", "010")):
+                flats[name] = {"basepoint": list(base), "directions": [list(direction)]}
+            path = write_scene(tmp_path, {"ambient_dim": 3, "flats": flats})
+        else:
+            path = str(SCENES / f"{scene}.json")
+        real, sizes = flatbeck.flatcollect.join, []
+
+        def counting(fs):
+            sizes.append(len(fs))
+            return real(fs)
+
+        monkeypatch.setattr(flatbeck.flatcollect, "join", counting)
+        assert main(["analyze-flats", "--scene", path, "--out", str(tmp_path / "o")]) == EXIT_PASS
+        assert len(sizes) == 2**m - 1 and max(sizes) <= 2

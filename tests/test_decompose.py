@@ -16,7 +16,7 @@ from flatbeck.decompose import (
 from flatbeck.flatcollect import FlatCollection
 from flatbeck.flats import AffineFlat
 from flatbeck.measures import DiscreteMeasure
-from fraction_reference import reference_spanned_flats
+from fraction_reference import reference_extension_check, reference_spanned_flats
 from test_flats import count_builds
 from test_measures import reference_dist2, reference_masses
 
@@ -213,6 +213,7 @@ class TestDecompose:
         assert result.final_cost >= 3
         report = verify_decomposition(result, 3, 0, Fraction(1, 2))
         assert report.passed, [c for c in report.clauses if not c.passed]
+        assert reference_extension_check(result.flats, costs) == (True, None)
 
     def test_runs_are_deterministic(self):
         a = decompose(skew_lines_cloud_scene(), 3, 0, Fraction(2, 5))
@@ -358,3 +359,22 @@ class TestTraceClauses:
         r = trace_of(axes + [AffineFlat.point((0, 0)), AffineFlat.point((1, 1))])
         clause = {c.name: c for c in verify_decomposition(r, 2, 0, 1).clauses}["at-most-one-minimizing-extension"]
         assert clause.witness == "partition ((0,), (1,)) at step 2 has 2 minimizing extensions"
+
+
+# a point or a line of Q^2 through points of {-1, 0, 1}^2: many flats share a
+# point or a line, so costs plateau and blocks tie often
+plane_flat = st.lists(st.tuples(*[st.integers(-1, 1)] * 2), min_size=1, max_size=2).map(AffineFlat.from_points)
+
+
+class TestExtensionCheckAgainstThePrefixCollections:
+    """The extension clause, read off one search of the result's flats, against
+    the check that searches every prefix collection afresh."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(plane_flat, min_size=2, max_size=7))
+    def test_degenerate_traces(self, fs):
+        r = trace_of(fs)
+        clause = {c.name: c for c in verify_decomposition(r, 2, 0, 1).clauses}["at-most-one-minimizing-extension"]
+        want = reference_extension_check(r.flats, [t.cost for t in r.trace])
+        event(f"passed: {want[0]}")
+        assert (clause.passed, clause.witness) == want

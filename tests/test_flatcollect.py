@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from flatbeck import flatcollect
 from flatbeck.flats import AffineFlat, join
@@ -12,11 +13,15 @@ from flatbeck.flatcollect import (
     PartitionSpaceTooLarge,
     bell_number,
     find_minimal_subfamily,
-    is_minimal,
     normalize_partition,
 )
 
-from fraction_reference import iter_partitions, reference_least_partitions
+from fraction_reference import (
+    iter_partitions,
+    reference_is_minimal,
+    reference_join,
+    reference_least_partitions,
+)
 
 
 def line(base, direction):
@@ -50,12 +55,12 @@ class TestPartitionEnumeration:
 class TestCost:
     def test_two_axes_either_partition_costs_two(self):
         v = FlatCollection([X_AXIS2, Y_AXIS2])
-        assert v.cost_of_partition([[0], [1]]) == 2
-        assert v.cost_of_partition([[0, 1]]) == 2
+        assert v.subset_join_dim([0]) + v.subset_join_dim([1]) == 2
+        assert v.subset_join_dim([0, 1]) == 2
 
     def test_single_flat_partition(self):
         v = FlatCollection([line([0, 0, 0], [1, 2, 0])])
-        assert v.cost_of_partition([[0]]) == 1
+        assert v.subset_join_dim([0]) == 1
 
     def test_empty_collection_costs_zero(self):
         # the one partition of no flats is the empty one, of cost 0
@@ -137,6 +142,21 @@ class TestLeastPartitionSearch:
         assert v.minimizing_census() == (bell_number(5), sorted(iter_partitions(5)))
 
 
+class TestPrefixJoins:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(degenerate_flat, min_size=1, max_size=6))
+    def test_prefix_joins_are_the_from_scratch_joins(self, flats):
+        """Each subset join, built on its cached prefix, is the join of all
+        its flats at once: the same canonical form, basepoint and
+        directions."""
+        v = FlatCollection(flats)
+        v.cost()
+        for size in range(1, len(flats) + 1):
+            for idx in itertools.combinations(range(len(flats)), size):
+                got, want = v.subset_join(idx), join([flats[i] for i in idx])
+                assert (got.canon, got.basepoint, got.directions) == (want.canon, want.basepoint, want.directions)
+
+
 class TestIsNC:
     def test_two_axes_nc_in_plane(self):
         assert FlatCollection([X_AXIS2, Y_AXIS2]).is_nc()
@@ -163,16 +183,16 @@ class TestIsMinimal:
         l1 = line([0, 0, 0], [1, 0, 0])
         l2 = line([0, 1, 0], [0, 0, 1])
         l3 = line([1, 0, 1], [0, 1, 0])
-        assert is_minimal([l1, l2, l3])
+        assert FlatCollection([l1, l2, l3]).is_minimal()
 
     def test_two_intersecting_lines_q3_not_minimal(self):
         l1 = line([0, 0, 0], [1, 0, 0])
         l2 = line([0, 0, 0], [0, 1, 0])
         # spans only a plane: the full-join condition fails
-        assert not is_minimal([l1, l2])
+        assert not FlatCollection([l1, l2]).is_minimal()
 
     def test_full_space_alone_is_minimal(self):
-        assert is_minimal([AffineFlat.full_space(3)])
+        assert FlatCollection([AffineFlat.full_space(3)]).is_minimal()
 
     def test_three_coplanar_lines_break_proper_subfamily_condition(self):
         l1 = line([0, 0, 0], [1, 0, 0])
@@ -181,7 +201,51 @@ class TestIsMinimal:
         l4 = line([0, 0, 1], [0, 1, 1])
         assert join([l1, l2, l3, l4]).dim == 3  # full-join condition holds
         # but {l1, l2, l3} joins to dimension 2 < 3
-        assert not is_minimal([l1, l2, l3, l4])
+        assert not FlatCollection([l1, l2, l3, l4]).is_minimal()
+
+
+class TestMinimalityAgainstTheFromScratchTest:
+    """is_minimal and the in-span condition against the minimality test that
+    joins every subfamily afresh, on degenerate families."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(degenerate_flat, min_size=1, max_size=6))
+    def test_every_subfamily_matches(self, flats):
+        v = FlatCollection(flats)
+        event(f"minimal: {v.is_minimal()}")
+        assert v.is_minimal() == reference_is_minimal(flats)
+        for size in range(1, len(flats) + 1):
+            for idx in itertools.combinations(range(len(flats)), size):
+                sub = [flats[i] for i in idx]
+                assert v._minimal_in_span(idx) == reference_is_minimal(sub, reference_join(sub).dim)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(degenerate_flat, st.integers(0, 3)), min_size=2, max_size=7))
+    def test_subfamily_search_matches(self, labelled):
+        """find_minimal_subfamily on a partition of a degenerate family: the
+        first combination by size, then in order, of at least two block
+        joins that is minimal inside its span, else all of them."""
+        flats = [f for f, _ in labelled]
+        parts = [[i for i, (_, b) in enumerate(labelled) if b == label] for label in {b for _, b in labelled}]
+        v = FlatCollection(flats)
+        event(f"nc: {v.is_nc()}")
+        if not v.is_nc():
+            with pytest.raises(NotNonConcentrated):
+                find_minimal_subfamily(parts, v)
+            return
+        joined = [reference_join([flats[i] for i in b]) for b in normalize_partition(parts, len(flats))]
+        t = len(joined)
+        want = next(
+            (
+                combo
+                for size in range(2, t)
+                for combo in itertools.combinations(range(t), size)
+                if reference_is_minimal([joined[i] for i in combo], reference_join([joined[i] for i in combo]).dim)
+            ),
+            tuple(range(t)),
+        )
+        event(f"all blocks: {want == tuple(range(t))}")
+        assert find_minimal_subfamily(parts, v) == want
 
 
 class TestFindMinimalSubfamily:
@@ -208,12 +272,40 @@ class TestFindMinimalSubfamily:
         assert got == (0, 1)
         joined = [v.flats[i] for i in got]
         # the found subfamily is minimal inside its own span
-        assert is_minimal(joined, ambient_dim=join(joined).dim)
+        assert reference_is_minimal(joined, ambient_dim=reference_join(joined).dim)
 
     def test_requires_nc(self):
         v = FlatCollection([X_AXIS2])
         with pytest.raises(NotNonConcentrated):
             find_minimal_subfamily([[0]], v)
+
+    def test_each_block_subset_is_joined_once(self, monkeypatch):
+        """After the collection's own search, the subfamily search joins each
+        set of blocks at most once.  A flat made before the subfamily search
+        is its own block, and a join's blocks are those of the flats it
+        joins.  Three points of the moment curve and three skew lines: the
+        search reads the 6 blocks, their 15 pairs and their 20 triples, the
+        lines last, so it makes 41 joins."""
+        flats = [AffineFlat.point([i, i * i, i**3]) for i in (2, 3, 4)] + [
+            line([0, 0, 0], [1, 0, 0]),
+            line([0, 1, 0], [0, 0, 1]),
+            line([1, 0, 1], [0, 1, 0]),
+        ]
+        v = FlatCollection(flats)
+        assert v.is_nc()
+        real, blocks_of, joined = flatcollect.join, {}, []
+
+        def tracking_join(fs):
+            key = frozenset().union(*(blocks_of.get(id(f), {id(f)}) for f in fs))
+            out = real(fs)
+            joined.append((key, out))  # holds out, so no later flat reuses its id
+            blocks_of[id(out)] = key
+            return out
+
+        monkeypatch.setattr(flatcollect, "join", tracking_join)
+        assert find_minimal_subfamily([[i] for i in range(6)], v) == (3, 4, 5)
+        keys = [key for key, _ in joined]
+        assert len(keys) == len(set(keys)) == 6 + 15 + 20
 
     def test_randomized_subfamilies_are_minimal_inside_their_span(self):
         from flatbeck.genscenes import nc_line_collection
@@ -225,7 +317,7 @@ class TestFindMinimalSubfamily:
             got = find_minimal_subfamily(parts, coll)
             assert len(got) >= 2
             blocks = [coll.flats[i] for i in got]
-            assert is_minimal(blocks, ambient_dim=join(blocks).dim)
+            assert reference_is_minimal(blocks, ambient_dim=reference_join(blocks).dim)
 
 
 class TestRefusals:
@@ -236,7 +328,7 @@ class TestRefusals:
             (lambda: FlatCollection([X_AXIS2, line([0, 0, 0], [1, 0, 0])]), "ambient dimensions differ"),
             (lambda: FlatCollection([X_AXIS2, Y_AXIS2]).subset_join([]), "empty index subset"),
             (lambda: FlatCollection([]).is_nc(), "empty collection has no ambient dimension"),
-            (lambda: is_minimal([]), "empty collection"),
+            (lambda: FlatCollection([]).is_minimal(), "empty collection"),
         ],
         ids=["empty-block", "mixed-dimensions", "empty-subset", "empty-nc", "empty-minimal"],
     )
@@ -252,6 +344,13 @@ class TestCollectionGenerators:
         # two lines cannot join to Q^3
         with pytest.raises(ValueError, match="dimension sum below ambient dimension"):
             random_minimal_flats(random.Random(1), 3, [1, 1])
+
+    def test_minimal_flats_give_up(self):
+        from flatbeck.genscenes import random_minimal_flats
+
+        # a plane of Q^2 and any line join to dimension 2 < 3, so no draw is minimal
+        with pytest.raises(RuntimeError, match="^failed to draw a minimal collection$"):
+            random_minimal_flats(random.Random(1), 2, [2, 1, 1])
 
     def test_nc_lines_give_up(self):
         from flatbeck.genscenes import nc_line_collection

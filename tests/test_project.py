@@ -9,7 +9,7 @@ from flatbeck import flatcollect, project
 from flatbeck.cli import EXIT_INPUT, EXIT_PASS, main
 from flatbeck.flats import AffineFlat, FlatChart, join, projector, radial_flat, radial_point
 from flatbeck.flatcollect import FlatCollection, PartitionSpaceTooLarge, bell_number
-from flatbeck.genscenes import nc_line_collection, psi_scene
+from flatbeck.genscenes import cluster_on_flat, nc_line_collection, psi_scene
 from flatbeck.measures import DiscreteMeasure, PlateMassOracle
 from flatbeck.project import (
     ChartFrame,
@@ -312,6 +312,20 @@ class TestPsi:
         assert outcomes == ["non-generic", ctx]
         q1, _, _ = reference_psi(ctx)
         assert (ctx.q1.basepoint, ctx.q1.directions) == (q1.basepoint, q1.directions)
+
+    @pytest.mark.parametrize(
+        "dims, p, message",
+        [((2, 1, 1), 2, "dimension surplus does not match p"), ((1, 1, 2), 1, "infeasible dimension profile")],
+        ids=["surplus", "profile"],
+    )
+    def test_scene_profile_refused(self, dims, p, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            psi_scene(random.Random(1), n=3, dims=dims, p=p)
+
+    def test_cluster_on_a_point_gives_up(self):
+        # a point flat holds one point, so a second distinct one never comes
+        with pytest.raises(RuntimeError, match="^failed to sample distinct cluster points$"):
+            cluster_on_flat(random.Random(1), AffineFlat.point([1, 2, 3]), 2)
 
     def test_p1_scene_dimensions(self):
         rng = random.Random(11)
