@@ -7,7 +7,8 @@ fraction-free, so entries stay bounded at the sizes used here (sides up to
 a dozen or so).  ``int_rref`` is the one elimination: a Gauss-Jordan pass
 whose pivot columns give every rank and whose primitive integer rows are
 the canonical form of a row space; ``_residual`` reads the integer kernel
-basis off those rows, and ``int_kernel`` is that basis for any rows.
+basis off those rows, and ``int_kernel`` is that basis for any rows;
+``_primitive_columns`` is ``_primitive`` over vectors held column by column.
 ``_wedge`` is the one minor kernel: it grows the row-subset minors of a
 column set by a column, so its chain over a square matrix's columns gives
 the determinant, and it serves stability certificates, distance forms and
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import floordiv
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -171,6 +173,14 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     """v over the gcd of its entries, its first nonzero entry positive."""
     g = math.gcd(*v)
     return tuple([x // g for x in v] if next(filter(None, v)) > 0 else [-x // g for x in v])
+
+
+def _primitive_columns(cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """_primitive's column form: the _primitive forms of nonzero vectors
+    held column by column, from one gcd and one first-nonzero fold."""
+    first = functools.reduce(lambda a, b: [x or y for x, y in zip(a, b)], cols)
+    g = [d if x > 0 else -d for d, x in zip(map(math.gcd, *cols), first)]
+    return [list(map(floordiv, c, g)) for c in cols]
 
 
 def int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:

@@ -24,9 +24,10 @@ packs the forms of a batch of spans and runs them over a measure's atoms;
 dist2_flats is its one-offset Fraction view.
 
 The enumerator, spanned_flats, walks pencils of flats level by level (see
-_pencils) and builds no elimination per subset; one walk serves a whole
-dimension range; the dichotomy and the concentration search read its nodes
-and build, by _node_flat as it does, only the flats they return.
+_pencils) and runs one _residual, at its root, whose residuals each node
+carries down to its children; one walk serves a whole dimension range; the
+dichotomy and the concentration search read its nodes and build, by
+_node_flat as it does, only the flats they return.
 Enumerated flats keep their picks, joins and meets their rows: their
 Fraction directions are derived only when read.
 FlatChart reads chart coordinates off one int_rref per chart and tests an
@@ -51,6 +52,7 @@ from .exactlin import (
     _cofactors,
     _integerized_points,
     _integerized_rows,
+    _primitive_columns,
     _residual,
     _wedge,
     dot,
@@ -455,40 +457,58 @@ def _pencils(
     a walk to that level alone gives.  rows() gives a node's rows and bit i
     of a mask is set iff lifted[i] is on it.
 
-    A node is expanded by one residual pass over the points off its mask,
-    grouped by primitive residual with a positive first entry: a group is
-    the points new to one child span(rows, v).  The child is kept only when
-    its first point k comes after the node's last pick; then the picks are
-    its lexicographically least basis, so each span comes once.  Its rows
-    are _pencil_rows', built once when the child is expanded in turn and,
-    on the last level, only when read; its mask is the parent's OR the
-    group.
+    A node groups the points off its mask by primitive residual (its keys):
+    a group is the points new to one child span(rows, v).  The child is kept
+    only when its first point k comes after the node's last pick; then the
+    picks are its lexicographically least basis, so each span comes once.
+    Its rows are _pencil_rows', built once when the child is expanded in
+    turn and, on the last level, only when read; its mask is the parent's OR
+    the group.  Only the root runs _residual; a node holds its points'
+    residuals as columns, keyed in one pass by _primitive_columns, and
+    derives them from its parent's keys when it is expanded (_carried), so
+    the walk holds those of one level of parents.
     """
     yield (), lambda: rows, mask
-    level = [((), rows, mask)] if lifted else []
+    if not lifted or not depth:
+        return
+    pivots, free, forms = _residual(rows, len(lifted[0]))
+    off = [i for i in range(len(lifted)) if not mask >> i & 1]
+    cols = [[sum(map(mul, a, lifted[i])) for i in off] for a in forms]
+    level = [((), rows, mask, lambda state=(pivots, free, off, cols): state)]
     for left in range(depth - 1, -1, -1):  # levels below the children
         nxt = []
-        for picks, parent, on in level:
-            pivots, free, forms = _residual(parent, len(lifted[0]))
+        level.reverse()
+        while level:  # popped, so a parent's columns go with its last child
+            picks, parent, on, state = level.pop()
+            pivots, free, off, cols = state()
+            if not off:
+                continue
+            keys = _primitive_columns(cols)
             groups: dict[tuple[int, ...], list[int]] = {}
-            for i, v in enumerate(lifted):
-                if on >> i & 1:
-                    continue
-                w = [sum(map(mul, a, v)) for a in forms]
-                g = math.gcd(*w)
-                if next(filter(None, w)) < 0:
-                    g = -g
-                groups.setdefault(tuple([x // g for x in w]), [i, 0])[1] |= 1 << i
+            for i, key in zip(off, zip(*keys)):
+                groups.setdefault(key, [i, 0])[1] |= 1 << i
             for key, (k, group) in groups.items():
                 if picks and k < picks[-1]:
                     continue
                 child = functools.partial(_pencil_rows, parent, pivots, free, key)
                 if left:  # an inner node: its rows, built once, expand it
                     built = child()
-                    nxt.append(((*picks, k), built, on | group))
+                    carried = functools.partial(_carried, pivots, free, off, keys, key, on | group)
+                    nxt.append(((*picks, k), built, on | group, carried))
                     child = lambda built=built: built
                 yield (*picks, k), child, on | group
         level = nxt
+
+
+def _carried(pivots: list, free: list, off: list, keys: list, key: tuple, mask: int) -> tuple:
+    """(pivots, free, off, cols) of the child with key and mask from its
+    parent's key columns: with p = key[c] the first nonzero entry, a key r
+    gives p r - r[c] key less entry c, a multiple of the child's residual."""
+    c = next(j for j, x in enumerate(key) if x)
+    p, keep = key[c], [not mask >> i & 1 for i in off]
+    at, rest = list(itertools.compress(keys[c], keep)), zip(keys[:c] + keys[c + 1 :], key[:c] + key[c + 1 :])
+    cols = [[p * x - y * kj for x, y in zip(itertools.compress(col, keep), at)] for col, kj in rest]
+    return [*pivots, free[c]], free[:c] + free[c + 1 :], list(itertools.compress(off, keep)), cols
 
 
 def _pencil_rows(rows: tuple, pivots: list, free: list, key: tuple) -> tuple:

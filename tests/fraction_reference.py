@@ -2,11 +2,14 @@
 plain Gauss-Jordan over ``Fraction`` on lists of rows, and the rank,
 determinant, Gram determinant, kernel, solve, join, meet, join-meet
 projection, flat-distance, Gram-adjugate distance form, chart-coordinate
-and psi constructions built on it.  Nothing here comes
-from ``flatbeck.exactlin``, so the references share no code with the
-integer kernels they check.  Also a brute-force spanned-flat enumerator
+and psi constructions built on it.  These take nothing from
+``flatbeck.exactlin``, so they share no code with the integer kernels
+they check.  Also a brute-force spanned-flat enumerator
 that shares no code with ``flats.spanned_flats`` and the unbounded
-dichotomy search on its flats, a brute-force ball mass
+dichotomy search on its flats, the dot-product pencil walk that
+recomputes each node's residuals (it reuses ``_residual`` and
+``_pencil_rows``, since it checks only the residuals ``flats._pencils``
+carries down its walk), a brute-force ball mass
 that shares none with the plate oracle, the hyperplane chart's box key
 over ``Fraction``, the rejection loop of ``genscenes.generic_points``
 with a reference rank per point subset, the pruning constants C1,
@@ -22,7 +25,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from flatbeck.flats import AffineFlat
+from flatbeck.exactlin import _residual
+from flatbeck.flats import AffineFlat, _pencil_rows
 
 Vector = tuple[Fraction, ...]
 
@@ -259,6 +263,36 @@ def reference_spanned_flats(points, dims) -> list[AffineFlat]:
                 seen.add(span)
                 out.append(AffineFlat(combo[0], row_space([vsub(p, combo[0]) for p in combo[1:]])))
     return out
+
+
+def reference_pencils(lifted: Sequence[Sequence[int]], rows: tuple, mask: int, depth: int) -> Iterator[tuple]:
+    """The dot-product pencil walk that ``flats._pencils`` replaced: the same
+    nodes (picks, rows, mask) in the same order, but every expanded node
+    runs ``_residual`` on its own rows and takes each point's residual as
+    dot products with the forms; only the carried columns differ."""
+    yield (), lambda: rows, mask
+    level = [((), rows, mask)] if lifted else []
+    for left in range(depth - 1, -1, -1):
+        nxt = []
+        for picks, parent, on in level:
+            pivots, free, forms = _residual(parent, len(lifted[0]))
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for i, v in enumerate(lifted):
+                if on >> i & 1:
+                    continue
+                w = [sum(a * x for a, x in zip(f, v)) for f in forms]
+                g = math.gcd(*w)
+                if next(filter(None, w)) < 0:
+                    g = -g
+                groups.setdefault(tuple([x // g for x in w]), [i, 0])[1] |= 1 << i
+            for key, (k, group) in groups.items():
+                if picks and k < picks[-1]:
+                    continue
+                built = _pencil_rows(parent, pivots, free, key)
+                if left:
+                    nxt.append(((*picks, k), built, on | group))
+                yield (*picks, k), lambda built=built: built, on | group
+        level = nxt
 
 
 def reference_dichotomy(points, epsilon) -> Optional[tuple[int, list[AffineFlat]]]:

@@ -19,7 +19,13 @@ from flatbeck.cli import main
 from flatbeck.exactlin import int_rref
 from flatbeck.flats import AffineFlat, _lifted_integer_points, dist2_flats, spanned_flats
 from flatbeck.genscenes import generic_points
-from fraction_reference import reference_dichotomy, reference_generic_points, reference_rank, reference_spanned_flats
+from fraction_reference import (
+    reference_dichotomy,
+    reference_generic_points,
+    reference_pencils,
+    reference_rank,
+    reference_spanned_flats,
+)
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -434,3 +440,52 @@ class TestBoundedCoverSearch:
         assert (rep.complete, rep.concentrated, rep.family) == (False, None, None)
         assert rep.note == "cover search exceeds 1 nodes"
         assert rep.hyperplane_count == len(enumerate_spanned_flats(x, 2))
+
+
+def walk_nodes(walk, lifted, rows, mask, depth) -> list:
+    """A pencil walk's whole node list: picks, read rows and mask, in order."""
+    return [(picks, rows(), m) for picks, rows, m in walk(lifted, rows, mask, depth)]
+
+
+class TestCarriedResiduals:
+    """flats._pencils carries each node's residuals down from its parent;
+    reference_pencils recomputes them from the node's own rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(repeated_points(), planted_sets().map(lambda case: case[0])))
+    def test_nodes_equal_the_reference_walk(self, pts):
+        lifted = _lifted_integer_points(pts)
+        for depth in range(1, len(pts[0]) + 1):
+            want = walk_nodes(reference_pencils, lifted, (), 0, depth)
+            assert walk_nodes(flats._pencils, lifted, (), 0, depth) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(span_count_cases())
+    def test_walks_from_a_flat_equal_the_reference_walk(self, case):
+        """Started from a flat's rows with the points on it as the mask, as
+        concentrated_span_count starts it."""
+        pts, f = case
+        lifted = _lifted_integer_points(pts)
+        on_f = sum(1 << i for i, v in enumerate(lifted) if f._spans(v))
+        for depth in range(1, len(pts[0]) - f.dim + 1):
+            want = walk_nodes(reference_pencils, lifted, f._rows, on_f, depth)
+            assert walk_nodes(flats._pencils, lifted, f._rows, on_f, depth) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(repeated_points())
+    def test_one_residual_call_per_walk(self, pts):
+        """One call at every depth 1..n, and none for a walk that yields
+        only its root."""
+        lifted = _lifted_integer_points(pts)
+        for depth in range(len(pts[0]) + 1):
+            with mock.patch.object(flats, "_residual", wraps=flats._residual) as residual:
+                list(flats._pencils(lifted, (), 0, depth))
+            assert residual.call_count == min(depth, 1)
+
+    def test_one_residual_call_on_sixteen_generic_points(self):
+        """A walk that ran _residual per expanded node would make
+        1 + 16 + 120 = 137 calls here."""
+        lifted = _lifted_integer_points(generic_points(random.Random(1), 3, 16))
+        with mock.patch.object(flats, "_residual", wraps=flats._residual) as residual:
+            nodes = list(flats._pencils(lifted, (), 0, 3))
+        assert (residual.call_count, len(nodes)) == (1, 1 + 16 + 120 + 560)

@@ -10,6 +10,8 @@ from flatbeck import exactlin
 from flatbeck.exactlin import (
     _expansion,
     _integerized_rows,
+    _primitive,
+    _primitive_columns,
     _wedge,
     frac,
     int_kernel,
@@ -332,6 +334,29 @@ class TestIntRref:
         assert int_rref([[2, 4, 6], [1, 2, 4], [0, 0, 0]]) == ([0, 2], [[1, 2, 0], [0, 0, 1]])
         assert int_rref([[0, 0], [0, 0]]) == ([], [])
         assert int_rref([]) == ([], [])
+
+
+def nonzero_vectors(width: int):
+    """Lists of nonzero integer vectors of one width, about half their
+    entries 0, so leading zeros and negative first entries are common."""
+    entry = st.one_of(st.just(0), st.integers(-40, 40))
+    return st.lists(st.lists(entry, min_size=width, max_size=width).filter(any), min_size=1, max_size=8)
+
+
+class TestPrimitiveColumns:
+    """_primitive_columns, the column form, against _primitive per vector."""
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 5).flatmap(nonzero_vectors))
+    def test_matches_primitive_vector_by_vector(self, vs):
+        got = _primitive_columns([list(c) for c in zip(*vs)])
+        assert list(zip(*got)) == [_primitive(v) for v in vs]
+
+    def test_leading_zeros_and_signs(self):
+        vs = [(0, -4, 6), (0, 0, -3), (2, 4, 0), (-6, 0, 9), (5, 0, 0)]
+        got = _primitive_columns([list(c) for c in zip(*vs)])
+        assert list(zip(*got)) == [(0, 2, -3), (0, 0, 1), (1, 2, 0), (2, 0, -3), (1, 0, 0)]
+        assert _primitive_columns([[-7, 3, -2]]) == [[1, 1, 1]]
 
 
 def apply(m, x) -> tuple:

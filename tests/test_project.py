@@ -322,6 +322,18 @@ class TestPsi:
         with pytest.raises(ValueError, match=f"^{message}$"):
             psi_scene(random.Random(1), n=3, dims=dims, p=p)
 
+    def test_scene_draw_gives_up(self, monkeypatch):
+        calls = []
+
+        def refuse(*args):
+            calls.append(1)
+            raise NonGenericConfiguration("refused draw")
+
+        monkeypatch.setattr(project, "make_psi_context", refuse)
+        with pytest.raises(RuntimeError, match="^failed to draw a psi scene$"):
+            psi_scene(random.Random(1), n=3, dims=(2, 1, 1), p=1)
+        assert len(calls) == 100
+
     def test_cluster_on_a_point_gives_up(self):
         # a point flat holds one point, so a second distinct one never comes
         with pytest.raises(RuntimeError, match="^failed to sample distinct cluster points$"):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatbeck import stability
+from flatbeck import genscenes, stability
 from flatbeck.cli import parse_scene
 from flatbeck.exactlin import BudgetExceeded, int_rref, norm2
 from flatbeck.flats import AffineFlat, NonGenericScreen
@@ -619,6 +619,40 @@ class TestStableFrameRefusals:
     def test_refused(self, flats, measures, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             StableFrame(flats, measures)
+
+
+class TestMinimalFrameDraw:
+    """random_minimal_frame draws again after a refused draw and gives up
+    after 200 refusals."""
+
+    def test_refused_draw_is_retried(self, monkeypatch):
+        draw = genscenes.random_minimal_flats
+        calls = []
+
+        def refuse_once(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("refused draw")
+            return draw(*args)
+
+        want, _ = random_minimal_frame(random.Random(3), 3, (1, 1, 1))
+        monkeypatch.setattr(genscenes, "random_minimal_flats", refuse_once)
+        frame, cert = random_minimal_frame(random.Random(3), 3, (1, 1, 1))
+        # the refusal drew nothing, so the retry draws the unpatched frame
+        assert len(calls) == 2 and cert.ok and cert.floor > 0
+        assert frame.flats == want.flats
+
+    def test_gives_up_after_every_draw_is_refused(self, monkeypatch):
+        calls = []
+
+        def refuse(*args):
+            calls.append(1)
+            raise RuntimeError("refused draw")
+
+        monkeypatch.setattr(genscenes, "random_minimal_flats", refuse)
+        with pytest.raises(RuntimeError, match="^failed to build a certified minimal frame$"):
+            random_minimal_frame(random.Random(3), 3, (1, 1, 1))
+        assert len(calls) == 200
 
 
 class TestMinimalRankTable:
