@@ -175,11 +175,11 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple([x // g for x in v] if next(filter(None, v)) > 0 else [-x // g for x in v])
 
 
-def _primitive_columns(cols: Sequence[Sequence[int]]) -> list[list[int]]:
+def _primitive_columns(cols: Sequence[Sequence[int]], gcds: list[int] | None = None) -> list[list[int]]:
     """_primitive's column form: the _primitive forms of nonzero vectors
-    held column by column, from one gcd and one first-nonzero fold."""
+    held column by column, from one gcd (gcds, if given) and one first-nonzero fold."""
     first = functools.reduce(lambda a, b: [x or y for x, y in zip(a, b)], cols)
-    g = [d if x > 0 else -d for d, x in zip(map(math.gcd, *cols), first)]
+    g = [d if x > 0 else -d for d, x in zip(map(math.gcd, *cols) if gcds is None else gcds, first)]
     return [list(map(floordiv, c, g)) for c in cols]
 
 

@@ -198,6 +198,7 @@ def find_minimal_subfamily(
         raise NotNonConcentrated("collection not NC")
     blocks = normalize_partition(parts, len(v.flats))
     joined = FlatCollection([v.subset_join(b) for b in blocks])
+    joined._subset_joins.update((frozenset({i}), f) for i, f in enumerate(joined.flats))  # canonical joins already
     t = len(blocks)
     for size in range(2, t):
         for combo in itertools.combinations(range(t), size):

@@ -35,7 +35,7 @@ offset against the flat's own kernel forms.
 _plane_rows is the cofactor-normal kernel: the matrix taking a lifted point
 to the normal of its hyperplane with n - 1 given ones.  _normals runs it
 over thin-graph tuples and over the point subsets whose general position
-genscenes tests.
+genscenes tests, each run's normals as columns (_combine).
 """
 
 from __future__ import annotations
@@ -547,19 +547,23 @@ def _plane_rows(prefix: Sequence[Sequence[int]], width: int, shift: int) -> list
     return [[sign * c.get(full ^ 1 << k, 0) << shift for c in cols] for k, sign in enumerate(signs)]
 
 
+def _combine(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], count: int) -> list[list[int]]:
+    """Per row, sum_j row[j] cols[j] over count vectors held as columns: one map pass per nonzero entry."""
+    terms = ([map(mul, c, itertools.repeat(x)) for x, c in zip(row, cols) if x] for row in rows)
+    return [list(functools.reduce(functools.partial(map, add), t, [0] * count)) for t in terms]
+
+
 def _normals(lifted: list, tuples: Iterable, shift: int = 0) -> Iterator:
-    """(ts, normals) per run ts of tuples of n atom indices sharing a prefix,
-    in order: per tuple t, L v = 2^shift (a, b) with {x : a.x = b} the
-    hyperplane spanned by t's lifted points, a = 0 when they span none.  L
-    is the plane rows of the prefix t[:-1], v is t's last lifted point, and
-    each row of L combines the columns of the run's v at once."""
+    """(ts, cols) per run ts of tuples of n atom indices sharing a prefix, in
+    order, cols[j][i] entry j of L v = 2^shift (a, b) for t = ts[i]: {x : a.x
+    = b} is the hyperplane spanned by t's lifted points, a = 0 (so b = 0)
+    when they span none.  L is the plane rows of the prefix t[:-1], v is t's
+    last lifted point, and _combine takes L over the run's v at once."""
     width = len(lifted[0][0])
     for prefix, run in itertools.groupby(tuples, key=itemgetter(slice(-1))):
         rows = _plane_rows([pts[i] for pts, i in zip(lifted, prefix)], width, shift)
         ts = list(run)
-        cols = list(zip(*map(lifted[-1].__getitem__, map(itemgetter(-1), ts))))
-        terms = [[map(mul, c, itertools.repeat(x)) for x, c in zip(row, cols) if x] for row in rows]
-        yield ts, zip(*[functools.reduce(functools.partial(map, add), t, [0] * len(ts)) for t in terms])
+        yield ts, _combine(rows, list(zip(*map(lifted[-1].__getitem__, map(itemgetter(-1), ts)))), len(ts))
 
 
 def _pick_span(picks: Sequence[Sequence[int]]) -> tuple[Sequence[int], list[tuple[int, ...]]]:

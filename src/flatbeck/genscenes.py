@@ -161,7 +161,7 @@ def generic_points(rng: random.Random, n: int, count: int) -> list[tuple]:
             continue
         lifted.append(v)
         new = [(*s, len(pts)) for s in itertools.combinations(range(len(pts)), n - 1)]
-        normals += [c for _, cs in _normals([lifted] * n, new) for c in cs]
+        normals += [c for _, cs in _normals([lifted] * n, new) for c in zip(*cs)]
         pts.append(p)
     return pts
 

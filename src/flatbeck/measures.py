@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import Vector, _integerized_points, _primitive, frac, int_rref, norm2, vec, wedge_norm2
-from .flats import AffineFlat, _dist2_form, _lifted_integer_points, _normals, _pick_span, _span_directions
+from .exactlin import Vector, _integerized_points, _primitive_columns, frac, int_rref, norm2, vec, wedge_norm2
+from .flats import AffineFlat, _combine, _dist2_form, _lifted_integer_points, _normals, _pick_span, _span_directions
 
 
 class DiscreteMeasure:
@@ -152,17 +152,18 @@ class PlateMassOracle:
                           + [s * x for x in mb] + [sum(map(mul, b, mb))])
             scales.append(g * big * big)
             bounds.append(2 * g * (s * s * self._norm2 + sum(x * x for x in b)))
-        return _tally(self._monomials, coeffs, scales, bounds, radii2, weightings, False, masks)
+        return _tally(self._monomials, list(zip(*coeffs)), scales, bounds, radii2, weightings, False, masks)
 
     def _hyperplane_counts(self, normals, radii2, weightings, masks=None) -> list[list[list[int]]]:
         """The hyperplane core: _counts for the hyperplanes {x : a.x = b} of
-        integer normals (a, b), a != 0.  Atom P / den lies at squared
-        distance num^2 / (|a|^2 den^2), num = a.P - b den, linear in the
+        integer normals (a, b), a != 0, held as columns.  Atom P / den lies at
+        squared distance num^2 / (|a|^2 den^2), num = a.P - b den, linear in the
         lifted atom (P, den), and |num| <= isqrt(|a|^2 max|P|^2) + 1 + |b| den."""
+        *a, b = normals or [()]  # no columns: no spans
         den = self._den
-        norms = [sum(x * x for x in v[:-1]) for v in normals]
-        bounds = [math.isqrt(a2 * self._norm2) + 1 + abs(v[-1]) * den for a2, v in zip(norms, normals)]
-        coeffs = [(*v[:-1], -v[-1]) for v in normals]
+        norms = list(map(sum, zip(*(map(mul, c, c) for c in a))))
+        bounds = [math.isqrt(a2 * self._norm2) + 1 + abs(x) * den for a2, x in zip(norms, b)]
+        coeffs = [*a, [-x for x in b]]
         return _tally(self._lifted, coeffs, [a2 * den * den for a2 in norms], bounds, radii2, weightings, True, masks)
 
 
@@ -170,33 +171,33 @@ SPAN_CHUNK = 256  # spans per pass of the plate oracle's cores: the lanes of one
 
 
 def _tally(rows, coeffs, scales, bounds, radii2, weightings, linear: bool, masks=None) -> list[list[list[int]]]:
-    """The packed pass of both cores: per span t and weighting, the weight
-    of the rows whose num_t = row . coeffs[t] is within each squared radius
-    p / q: num_t <= cut_t = floor(p scales[t] / q) or, linear, |num_t| <=
-    cut_t = isqrt of it, clamped to [-1, bounds[t]] >= |num_t|.  Lane t,
-    bits [w t, w t + w) of an int, holds span t's value: per row, one sum
-    of products with the packed coefficients gives every num_t; per radius,
-    the top bit of lane t of CUT + 2^(w-1) - NUM (and, linear, of CUT +
-    2^(w-1) + NUM) is set exactly when num_t <= cut_t (-num_t <= cut_t),
-    as 2^(w-1) exceeds each bound (twice it, linear).  The flags, times the
-    row's weight, add up, and 2^w exceeds each weighting's total.  masks,
-    when given, holds per weighting None (every span) or per row a bitmask
-    over span indices: the row's weight counts toward span t only when bit
-    t is set.  Each chunk spreads a row's mask bits into its lanes once."""
+    """The packed pass of both cores: per span t and weighting, the weight of
+    the rows whose num_t = sum_j row[j] coeffs[j][t] is within each squared
+    radius p / q: num_t <= cut_t = floor(p scales[t] / q) or, linear, |num_t|
+    <= cut_t = isqrt of it, clamped to [-1, bounds[t]] >= |num_t|.  Lane t,
+    bits [w t, w t + w) of an int, holds span t's value: per row, one sum of
+    products with the packed coefficients gives every num_t; per radius, the
+    top bit of lane t of CUT + 2^(w-1) - NUM (and, linear, of CUT + 2^(w-1) +
+    NUM) is set exactly when num_t <= cut_t (-num_t <= cut_t), as 2^(w-1)
+    exceeds each bound (twice it, linear).  The flags, times the row's weight,
+    add up, and 2^w exceeds each weighting's total.  masks, when given, holds
+    per weighting None (every span) or per row a bitmask over span indices:
+    the row's weight counts toward span t only when bit t is set.  Each chunk
+    spreads a row's mask bits into its lanes once."""
     out: list = []
-    for start in range(0, len(coeffs), SPAN_CHUNK):
+    for start in range(0, len(bounds), SPAN_CHUNK):
         part = slice(start, start + SPAN_CHUNK)
-        chunk, bound = coeffs[part], bounds[part]
+        bound = bounds[part]
         width = 1 + max((max(bound) << linear).bit_length(), *(sum(ws).bit_length() for ws in weightings))
         if masks is not None:  # whole bytes, for _spread
             width = -(-width // 8) * 8
         top = 1 << (width - 1)
-        packed = [_pack(c, width) for c in zip(*chunk)]
+        packed = [_pack(c[part], width) for c in coeffs]
         cuts = [_pack([top + min(math.isqrt(v) if linear and v >= 0 else max(v, -1), u)
                        for v, u in zip((p * c // q for c in scales[part]), bound)], width)
                 for p, q in ((r2.numerator, r2.denominator) for r2 in radii2)]
-        ones = _pack([1] * len(chunk), width)
-        lanes = [None] * len(weightings) if masks is None else _spread(masks, weightings, start, len(chunk), width)
+        ones = _pack([1] * len(bound), width)
+        lanes = [None] * len(weightings) if masks is None else _spread(masks, weightings, start, len(bound), width)
         acc = [[0] * len(cuts) for _ in weightings]
         for z, row in enumerate(rows):
             ws = [w[z] for w in weightings]
@@ -214,7 +215,7 @@ def _tally(rows, coeffs, scales, bounds, radii2, weightings, linear: bool, masks
                         for i, f in enumerate(flags):
                             a[i] += wt * (f & m)
         lane = (1 << width) - 1
-        out += [[[x >> (width * t) & lane for x in a] for a in acc] for t in range(len(chunk))]
+        out += [[[x >> (width * t) & lane for x in a] for a in acc] for t in range(len(bound))]
     return out
 
 
@@ -333,22 +334,21 @@ def irreducibility_modulus(
 
 def _oracle_modulus(mu: DiscreteMeasure, v: AffineFlat, w: Fraction, on_v: int) -> Fraction:
     """irreducibility_modulus for a caller that has checked the support; on_v
-    masks atoms exactly on v (a subset of the radius-0 mask).  One _normals
-    pass over their k-tuples, charted on the pivot columns c of v's RREF
-    direction rows B (one-to-one on v), gives each hyperplane (a, b) of v, a
-    = 0 for none, kept once as primitive.  With (g, M) = _dist2_form(B) and
-    ã = a placed on c, N = (g I - M) ã is g ã projected on dir(v), and N.x =
-    g ã.x - ã.M P0 / den on v, P0 the first lifted atom: _hyperplane_counts
-    counts the atoms of on_v on the slab (den N).x = den g b - ã.M P0, and
-    _counts the rest on a tuple's span.  No atom in on_v: modulus 0."""
+    masks atoms exactly on v (a subset of the radius-0 mask).  Their k-tuples,
+    charted on the pivot columns c of v's RREF direction rows B (one-to-one
+    on v), give each hyperplane (a, b) of v once (_candidates).  With (g, M)
+    = _dist2_form(B) and ã = a placed on c, N = (g I - M) ã is g ã projected
+    on dir(v), and N.x = g ã.x - ã.M P0 / den on v, P0 the first lifted atom:
+    _hyperplane_counts counts the atoms of on_v on the slab (den N).x = den g
+    b - ã.M P0, lifted by one _combine of a chunk's key columns, and _counts
+    the rest on a tuple's span.  No atom in on_v: modulus 0."""
     oracle, k = mu.oracle, v.dim
     lifted = [p for i, p in enumerate(oracle._lifted) if on_v >> i & 1]
     if not lifted:
         return Fraction(0)
     pivots, rows = int_rref(v._direction_rows())
     chart = [tuple(p[c] for c in pivots) + p[-1:] for p in lifted]
-    tuples = itertools.combinations(range(len(lifted)), k)
-    hyper = {_primitive(ab): t for ts, ns in _normals([chart] * k, tuples) for t, ab in zip(ts, ns) if any(ab[:-1])}
+    hyper = _candidates(chart, k)
     if not hyper:  # dim S < k - 1: S alone, on the quadratic core
         c = oracle._counts([(lifted[0], _span_directions(int_rref(lifted)[1])[0])], [w * w], (oracle.int_weights,))
         return Fraction(c[0][0][0], mu.weight_den) / mu.total_mass
@@ -358,13 +358,25 @@ def _oracle_modulus(mu: DiscreteMeasure, v: AffineFlat, w: Fraction, on_v: int) 
     lift.append([-sum(map(mul, m[c], lifted[0])) for c in pivots] + [oracle._den * g])
     best, candidates = 0, iter(hyper.items())
     while chunk := list(itertools.islice(candidates, SPAN_CHUNK)):
-        normals = [_primitive([sum(map(mul, row, ab)) for row in lift]) for ab, _ in chunk]
+        normals = _primitive_columns(_combine(lift, list(zip(*(ab for ab, _ in chunk))), len(chunk)))
         counts = [c for ((c,),) in oracle._hyperplane_counts(normals, [w * w], (on,))]
         if any(rest):
             spans = [_pick_span([lifted[i] for i in t]) for _, t in chunk]
             counts = [c + d for c, ((d,),) in zip(counts, oracle._counts(spans, [w * w], (rest,)))]
         best = max(best, *counts)
     return Fraction(best, mu.weight_den) / mu.total_mass
+
+
+def _candidates(chart: list, k: int) -> dict:
+    """The hyperplanes spanned by k-tuples of the lifted chart points, in _normals order: each
+    primitive normal (a, b) to its last tuple, keyed a run at a time, zero normals dropped."""
+    hyper: dict = {}
+    for ts, cols in _normals([chart] * k, itertools.combinations(range(len(chart)), k)):
+        if 0 in (g := list(map(math.gcd, *cols))):  # gcd 0: a = 0, which forces b = 0
+            ts, *cols = (list(itertools.compress(c, g)) for c in (ts, *cols))
+            g = list(filter(None, g))
+        hyper.update(zip(zip(*_primitive_columns(cols, g)), ts))
+    return hyper
 
 
 def good_position_margin(mus: Sequence[DiscreteMeasure]) -> Fraction:

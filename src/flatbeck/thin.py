@@ -47,7 +47,7 @@ from operator import sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exactlin import BudgetExceeded, frac, int_rref
-from .flats import _dist2_offset, _lifted_integer_points, _normals, _pick_span
+from .flats import _dist2_offset, _normals, _pick_span
 from .flatcollect import FlatCollection
 from .measures import SPAN_CHUNK, DiscreteMeasure, PlateMassOracle, _fit_line, support_dist2
 from .project import rational_sqrt_lower
@@ -299,13 +299,6 @@ def _plane_items(g: ThinGraph, radii2: list[Fraction]) -> Iterator:
             yield t, j, c
 
 
-def _lifted_atoms(g: ThinGraph) -> list[list[tuple[int, ...]]]:
-    """Per measure of g, its atoms as lifted integer points (den p, den),
-    over one denominator den common to every atom of g."""
-    lifted = iter(_lifted_integer_points([p for m in g.measures for p in m.points()]))
-    return [list(itertools.islice(lifted, len(m))) for m in g.measures]
-
-
 def _joint(g: ThinGraph) -> tuple[list, PlateMassOracle, list]:
     """What a span pass over g reads: per measure, its atoms as lifted
     integer points (den p, den) over one denominator den common to every
@@ -324,13 +317,13 @@ def _joint(g: ThinGraph) -> tuple[list, PlateMassOracle, list]:
 
 def _tuple_spans(lifted: list, tuples: Iterable) -> tuple[Iterator, Callable]:
     """(t, span) for each tuple t, in order, span None when t is affinely
-    dependent, and the oracle core that reads the spans.  lifted holds per
-    measure of g its lifted atoms, as _lifted_atoms(g) gives them.  At arity n a span is t's normal (a, b), and a = 0
-    means dependent; below it, the first lifted point and the differences
-    from it (flats._pick_span), when the lifted rows have full rank."""
+    dependent, and the core that reads a chunk of live spans; lifted holds
+    each measure's lifted atoms.  At arity n a span is t's normal (a, b),
+    a = 0 when dependent, read as columns; below it, the first lifted point
+    and the differences from it (flats._pick_span), if the rows have full rank."""
     if len(lifted) == len(lifted[0][0]) - 1:
-        spans = ((t, v if any(v[:-1]) else None) for ts, vs in _normals(lifted, tuples) for t, v in zip(ts, vs))
-        return spans, PlateMassOracle._hyperplane_counts
+        spans = ((t, v if any(v[:-1]) else None) for ts, cols in _normals(lifted, tuples) for t, v in zip(ts, zip(*cols)))
+        return spans, lambda oracle, live, *rest: oracle._hyperplane_counts(list(zip(*live)), *rest)
 
     def span(t):
         rows = [pts[i] for pts, i in zip(lifted, t)]
@@ -600,7 +593,7 @@ def prune_against_measure(g: ThinGraph, nu: DiscreteMeasure, epsilon, scales: Se
     if nu.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimensions differ")
     scales, radii2 = _window(scales, (*g.measures, nu))
-    lifted = _lifted_atoms(g)
+    lifted = _joint(g)[0]
     den = lifted[0][0][-1]
     margins = {t: _margin2([pts[i] for pts, i in zip(lifted, t)], den) for t in g.iter_tuples()}
     delta0 = min(scales)
@@ -718,9 +711,9 @@ def _chart_boxes(g: ThinGraph, ks: Sequence[int]) -> list[dict[tuple[int, ...], 
     top = max(ks)
     weights = [m.oracle.int_weights for m in g.measures]
     finest: dict[tuple[int, ...], int] = collections.defaultdict(int)
-    for ts, vs in _normals(_lifted_atoms(g), g.iter_tuples(), top):
+    for ts, cols in _normals(_joint(g)[0], g.iter_tuples(), top):
         w0 = math.prod(w[i] for w, i in zip(weights, ts[0][:-1]))
-        for t, v in zip(ts, vs):
+        for t, v in zip(ts, zip(*cols)):
             top_a = max(v[:-1], key=abs)  # the first of equal |a_i|
             i = v.index(top_a)
             ai = top_a >> top

@@ -934,12 +934,12 @@ def count_numerator_passes(monkeypatch) -> list:
     """Record the number of spans in every call of the plate oracle's two
     integer cores, PlateMassOracle._counts and _hyperplane_counts, which
     each evaluate a batch of spans; every mass and count goes through one of
-    them."""
+    them; _hyperplane_counts reads its normals as columns."""
     calls = []
-    for name in ("_counts", "_hyperplane_counts"):
+    for name, size in (("_counts", len), ("_hyperplane_counts", lambda cols: len(cols[0]) if cols else 0)):
 
-        def counting(self, spans, *args, core=getattr(PlateMassOracle, name)):
-            calls.append(len(spans))
+        def counting(self, spans, *args, core=getattr(PlateMassOracle, name), size=size):
+            calls.append(size(spans))
             return core(self, spans, *args)
 
         monkeypatch.setattr(PlateMassOracle, name, counting)

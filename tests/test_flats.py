@@ -686,6 +686,12 @@ class TestAffineFlatRefusals:
             f.basepoint = (Fraction(1), Fraction(0))
         assert f.basepoint == (0, 0)
 
+    def test_repr_names_dimension_and_ambient(self):
+        """The repr reads the flat's dimension and its ambient dimension, in
+        that order, and nothing of its coordinates."""
+        assert repr(AffineFlat([1, 2, 3], [[1, 0, 0], [0, 1, 1]])) == "AffineFlat(dim=2, ambient=3)"
+        assert repr(AffineFlat.point([Fraction(1, 3)])) == "AffineFlat(dim=0, ambient=1)"
+
 
 class TestRefusals:
     LINE2 = AffineFlat([0, 0], [[1, 0]])

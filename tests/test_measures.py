@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from flatbeck import measures
-from flatbeck.exactlin import norm2
+from flatbeck.exactlin import _primitive, norm2
 from flatbeck.flats import AffineFlat, dist2_flats, spanned_flats
 from flatbeck.measures import (
     DiscreteMeasure,
@@ -23,6 +23,7 @@ from flatbeck.measures import (
 )
 from fraction_reference import (
     reference_affinely_independent,
+    reference_det,
     reference_dist2_flats,
     reference_gram_det,
     reference_max_ball_mass,
@@ -367,12 +368,12 @@ class TestAnchorMemo:
         its lines: each distinct one reaches the hyperplane core once, as a
         normal (a, b) whose hyperplane meets the grid in that line's atoms,
         no pencil walk runs, and the quadratic core sees only the tolerance
-        check at v."""
+        check at v.  The core reads each batch of normals column by column."""
         grid = [(Fraction(i, 8), Fraction(j, 8), Fraction(0)) for i in range(-4, 5) for j in range(-4, 5)]
         mu = DiscreteMeasure.uniform(grid, D)
         v = AffineFlat([0, 0, 0], [[1, 0, 0], [0, 1, 0]])
         lines = [frozenset(i for i, p in enumerate(grid) if f.contains_point(p)) for f, _ in spanned_flats(grid, 1, 1)]
-        assert len(lines) > 800
+        assert len(lines) == 1492
         counts = count_calls(monkeypatch, "_counts")
         normals = count_calls(monkeypatch, "_hyperplane_counts")
         walks = []
@@ -382,7 +383,7 @@ class TestAnchorMemo:
         assert walks == []
         assert counts == [[v._span()]]
         got = [frozenset(i for i, p in enumerate(grid) if sum(map(mul, nu, p)) == nu[-1])
-               for batch in normals for nu in batch]
+               for batch in normals for nu in zip(*batch)]
         assert sorted(got, key=sorted) == sorted(lines, key=sorted)
 
     def test_errors_after_the_anchor_is_memoised(self):
@@ -702,6 +703,81 @@ def margin_cases(draw):
     k = draw(st.integers(1, n + 1))
     atoms = st.lists(st.tuples(*[margin_coord] * n), min_size=1, max_size=2, unique=True)
     return [DiscreteMeasure.uniform(draw(atoms), D) for _ in range(k)]
+
+
+@st.composite
+def coincident_charts(draw):
+    """(k, atoms): atoms of Q^(k + 1) on the k-flat x_(k+1) = 0, k in 2..3,
+    drawn as a sequence over a few base points, so that atoms coincide (and,
+    at k = 3, fall on lines)."""
+    k = draw(st.integers(2, 3))
+    coord = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 4]))
+    base = draw(st.lists(st.tuples(*[coord] * k), min_size=2, max_size=4))
+    order = draw(st.lists(st.integers(0, len(base) - 1), min_size=k, max_size=7))
+    return k, [base[i] + (Fraction(0),) for i in order]
+
+
+def reference_candidates(chart, k) -> dict:
+    """{_primitive(ab): t} over the k-tuples t of the lifted chart points in
+    combination order, skipping zero normals: (a, -b) is the cofactor
+    vector of t's lifted points, entry j (-1)^j times the minor without
+    column j."""
+    want = {}
+    for t in itertools.combinations(range(len(chart)), k):
+        rows = [chart[i] for i in t]
+        c = [(-1) ** j * reference_det([r[:j] + r[j + 1:] for r in rows]) for j in range(k + 1)]
+        if any(c):
+            want[_primitive([int(x) for x in c[:-1]] + [-int(c[-1])])] = t
+    return want
+
+
+class TestCandidateKeys:
+    """The modulus's hyperplane candidates, keyed a run of tuples at a time
+    from normals held as columns, against per-tuple keying."""
+
+    RUNS = (
+        # k = 2: run (0,) holds the zero normal of the coincident atoms 0
+        # and 1; the last run, (3,), is one tuple, and zero
+        (2, [(0, 0), (0, 0), (1, 0), (Fraction(1, 2), 1), (Fraction(1, 2), 1)]),
+        # k = 3: run (0, 1) of coincident atoms is all zero, over two
+        # tuples; run (0, 2) is one tuple, nonzero
+        (3, [(0, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 1)]),
+    )
+
+    @pytest.mark.parametrize("k, points", RUNS)
+    def test_runs_with_zero_normals(self, k, points):
+        self.check(k, [p + (Fraction(0),) for p in points])
+
+    @settings(max_examples=150, deadline=None)
+    @given(coincident_charts())
+    def test_keys_match_per_tuple_keying(self, case):
+        for met in self.check(*case):
+            event(met)
+
+    def check(self, k, atoms) -> list:
+        """Runs the modulus on the uniform measure of atoms at the flat
+        x_(k+1) = 0 and compares the candidates it keyed with the reference,
+        items in order; returns the kinds of run met."""
+        mu = DiscreteMeasure.uniform(atoms, D)
+        v = AffineFlat([0] * (k + 1), [[int(i == j) for j in range(k + 1)] for i in range(k)])
+        seen, real = [], measures._candidates
+
+        def keyed(chart, kk):
+            seen.append((chart, kk, real(chart, kk)))
+            return seen[-1][2]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "_candidates", keyed)
+            irreducibility_modulus(mu, v, Fraction(1, 8))
+        ((chart, kk, got),) = seen
+        assert kk == k and len(chart) == len(atoms)
+        assert list(got.items()) == list(reference_candidates(chart, k).items())
+        met = []
+        for _, run in itertools.groupby(itertools.combinations(range(len(chart)), k), key=lambda t: t[:-1]):
+            zero = [not reference_candidates([chart[i] for i in t], k) for t in run]  # t alone keys nothing
+            met += ["a run of one tuple"] * (len(zero) == 1)
+            met += ["an all-zero run"] * all(zero) + ["a run holding a zero normal"] * (any(zero) and not all(zero))
+        return met
 
 
 class TestGoodPositionMargin:

@@ -635,7 +635,8 @@ def hyperplane_batches(draw):
 class TestHyperplaneCore:
     """PlateMassOracle._hyperplane_counts on the cofactor normals of
     flats._normals, against the Fraction reference distance of every atom
-    from the reference hyperplane of every tuple."""
+    from the reference hyperplane of every tuple.  Both read normals column
+    by column."""
 
     @settings(max_examples=200, deadline=None)
     @given(hyperplane_batches())
@@ -643,8 +644,8 @@ class TestHyperplaneCore:
         atoms, points, dependent, radii2, hit = case
         n = len(points[0])
         # measure j holds point j of every tuple; tuple k picks atom k of each
-        lifted = thin._lifted_atoms(ThinGraph([DiscreteMeasure([(p, 1) for p in col], RES) for col in zip(*points)], None, 1, 1))
-        normals = [v for _, vs in flats._normals(lifted, [(k,) * n for k in range(len(points))]) for v in vs]
+        lifted = thin._joint(ThinGraph([DiscreteMeasure([(p, 1) for p in col], RES) for col in zip(*points)], None, 1, 1))[0]
+        normals = [v for _, cols in flats._normals(lifted, [(k,) * n for k in range(len(points))]) for v in zip(*cols)]
         planes = [reference_span_of(pts) for pts in points]
         assert [f is None for f in planes] == [not any(v[:-1]) for v in normals]
         assert None in planes or not dependent
@@ -663,6 +664,7 @@ class TestHyperplaneCore:
         # distance: the boundary is closed
         radii2 = radii2 + [Fraction(-10**40), Fraction(10**40), d2[hit[0] % len(planes)][hit[1]]]
         want = [[[sum(w for x, w in zip(row, ws) if x <= r2) for r2 in radii2] for ws in weightings] for row in d2]
+        normals = [list(c) for c in zip(*normals)]
         assert oracle._hyperplane_counts(normals, radii2, weightings) == want
         with mock.patch.object(measures, "SPAN_CHUNK", 3):  # batches of up to 8 cross it
             assert oracle._hyperplane_counts(normals, radii2, weightings) == want
@@ -689,7 +691,7 @@ class TestHyperplaneCore:
         radii2 = [Fraction(0), Fraction(9 * big * big, 25), Fraction(16 * big * big, 25) - 1]
         weightings = [oracle.int_weights]
         widths = {}
-        for name, spans in (("_counts", [((0, 0, 1), [(3, 4)])]), ("_hyperplane_counts", [(4, -3, 0)])):
+        for name, spans in (("_counts", [((0, 0, 1), [(3, 4)])]), ("_hyperplane_counts", [[4], [-3], [0]])):
             with mock.patch.object(measures, "_pack", wraps=measures._pack) as pack:
                 got = getattr(oracle, name)(spans, radii2, weightings)
             widths[name] = {width for (_, width), _ in pack.call_args_list}
